@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     ContourCollisionError,
     DegeneracyError,
+    SingularShiftError,
     SpinBosonError,
     TrackingError,
 )
@@ -70,6 +71,7 @@ from .multiscale import (
 )
 from .spectral import (
     RieszProjector,
+    ShiftedSolver,
     SpectralRecord,
     eig_all,
     resolvent_norm,

@@ -37,6 +37,7 @@ from .model import (
 )
 from .multiscale import check_p1, check_p2_p4, check_p3, extrapolate_limit, run_ladder
 from .reporting import run_manifest, write_csv, write_json
+from .spectral import sort_spectrum
 
 SUBCOMMANDS = (
     "ladder",
@@ -283,11 +284,13 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points)
-    lam1 = trace.scales[-1].levels[1].lam
+    last = trace.scales[-1]
+    # the last ladder scale is the full-grid operator: reuse its spectrum
+    assert last.n == field.n_scales
     n_samples = int(rc.raw.get("run", {}).get("n_samples", 200))
     rep = resolvent_cone_bound_check(
-        cfg, ladder, field, lam1, n_samples=n_samples, seed=rc.seed,
-        jobs=rc.jobs,
+        cfg, ladder, field, last.levels[1].lam, n_samples=n_samples,
+        seed=rc.seed, jobs=rc.jobs, eigs=sort_spectrum(trace._eigs[last.n]),
     )
     write_json(
         out / "resolvent_scan.json",
@@ -373,14 +376,14 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         code, extras = _DISPATCH[subcommand](rc, out)
         failure = None
     except SpinBosonError as exc:
         code, extras = 2, {"kind": subcommand, "pass": False}
         failure = {"error": type(exc).__name__, "message": str(exc)}
-    manifest = run_manifest(rc.raw, wall_time=time.time() - t0, extras=extras)
+    manifest = run_manifest(rc.raw, wall_time=time.perf_counter() - t0, extras=extras)
     if failure:
         manifest["failure"] = failure
     write_json(out / "manifest.json", manifest)

@@ -36,6 +36,7 @@ from .spectral import (
     eig_all,
     resolvent_norm,
     shifted_inverse_eigenvalue,
+    split_blocks,
 )
 
 
@@ -201,16 +202,9 @@ def _refinement_delta(
     meta = H.meta
     deltas = {}
     for i, lam in lam_base.items():
-        if H.blocks is None:
-            block = H.matrix
-        else:
-            ix = meta.sector_indices[meta.sector_of_level(i)]
-            block = next(
-                bmat
-                for bix, bmat in H.blocks
-                if len(bix) == len(ix) and np.array_equal(bix, ix)
-            )
-        lam_ref, _ = shifted_inverse_eigenvalue(block, complex(lam))
+        ix = meta.sector_indices[meta.sector_of_level(i)]
+        (block, top), _ = split_blocks(H, ix)
+        lam_ref, _ = shifted_inverse_eigenvalue(block, complex(lam), top=top)
         deltas[i] = abs(lam_ref - lam)
     return deltas
 
@@ -446,8 +440,13 @@ def resolvent_cone_bound_check(
     i: int = 1,
     artifact_exclusion: float = 5e-3,
     jobs: int = 1,
+    eigs: np.ndarray | None = None,
 ) -> dict:
     """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_i)) over the box.
+
+    ``eigs`` is the full-grid spectrum sorted as ``eig_all`` sorts it, when
+    the caller already has it (the last ladder scale is the same operator);
+    otherwise it is computed here.
 
     Samples avoid the backward-shifted cone (vertex moved by
     2 rho_N^(1 + mu/4) along the axis); points landing inside it or on the
@@ -469,7 +468,8 @@ def resolvent_cone_bound_check(
 
     rng = np.random.default_rng(seed)
     H = assemble_hamiltonian(cfg, field_disc, n=None)
-    eigs = eig_all(H)
+    if eigs is None:
+        eigs = eig_all(H)
     modes = field_disc.modes_for_scale(None)
     lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
     branch_tol = soft_branch_tolerance(cfg, modes)

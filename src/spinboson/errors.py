@@ -25,6 +25,10 @@ class ContourCollisionError(SpinBosonError):
     """An eigenvalue sits on or too close to an integration contour."""
 
 
+class SingularShiftError(SpinBosonError):
+    """A shifted solve was requested at a shift on the spectrum."""
+
+
 class TrackingError(SpinBosonError):
     """Eigenvalue tracking lost its target or found an ambiguous candidate."""
 

@@ -188,12 +188,18 @@ class OperatorMatrix:
     range(dim); entries between different blocks are structurally zero.  This
     is the storage used when a symmetry makes the matrix block diagonal after
     a permutation.  Exactly one of ``matrix``/``blocks`` is set.
+
+    ``top_layers`` optionally lists, per block, positions inside the block
+    whose rows and columns vanish off the diagonal except towards the other
+    positions (the top boson layer of an assembled Hamiltonian).  Shifted
+    solvers eliminate those positions exactly.
     """
 
     dim: int
     matrix: np.ndarray | None = None
     blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
     hermitian: bool = False
+    top_layers: list[np.ndarray] | None = None
 
     @classmethod
     def dense(cls, matrix: np.ndarray, hermitian: bool = False) -> "OperatorMatrix":
@@ -208,6 +214,7 @@ class OperatorMatrix:
         dim: int,
         blocks: list[tuple[np.ndarray, np.ndarray]],
         hermitian: bool = False,
+        top_layers: list[np.ndarray] | None = None,
     ) -> "OperatorMatrix":
         seen = np.concatenate([np.asarray(ix) for ix, _ in blocks])
         if len(seen) != dim or len(np.unique(seen)) != dim:
@@ -215,7 +222,13 @@ class OperatorMatrix:
         for ix, block in blocks:
             if block.shape != (len(ix), len(ix)):
                 raise AssemblyError("block shape does not match its index set")
-        return cls(dim=dim, blocks=blocks, hermitian=hermitian)
+        if top_layers is not None:
+            if len(top_layers) != len(blocks):
+                raise AssemblyError("one top-layer index set per block")
+            for top, (ix, _) in zip(top_layers, blocks):
+                if len(top) and not (0 <= np.min(top) and np.max(top) < len(ix)):
+                    raise AssemblyError("top-layer positions outside their block")
+        return cls(dim=dim, blocks=blocks, hermitian=hermitian, top_layers=top_layers)
 
     def to_dense(self) -> np.ndarray:
         if self.matrix is not None:
@@ -232,11 +245,6 @@ class OperatorMatrix:
         for ix, block in self.blocks:
             out[ix] = block @ x[ix]
         return out
-
-    def hermiticity_defect(self) -> float:
-        if self.matrix is not None:
-            return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        return max(float(np.max(np.abs(b - b.conj().T))) for _, b in self.blocks)
 
 
 def enumerate_basis(

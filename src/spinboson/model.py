@@ -34,8 +34,11 @@ The assembled Hamiltonian on C^2 (x) Fock is
 
     H = K + exp(-theta) H_f + g sigma_1 (x) (a(f_themabar) + a(f_theta)*),
 
-stored either dense or split into the two parity sectors of the exact
-symmetry sigma_3 (x) (-1)^N, which the interaction preserves.
+stored as its two parity-sector blocks: the exact symmetry
+sigma_3 (x) (-1)^N, which the interaction preserves, splits it into two
+half-size blocks.  Inside each block the top boson layer N = n_max is
+diagonal and couples only to the layer N - 1; the assembly records its
+positions so that shifted solves can eliminate it exactly.
 """
 
 from __future__ import annotations
@@ -63,9 +66,6 @@ RE_THETA_MAX = 1e3
 # Gaussian to keep decaying, i.e. cos(2 Im theta) bounded below; pi/8 gives
 # cos(pi/4) and comfortably contains every dilation used in practice.
 IM_THETA_CAP = pi / 8
-
-# Dense assembly below this total dimension; parity-sector blocks above.
-DENSE_DIM_LIMIT = 1200
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,6 @@ def assemble_hamiltonian(
     interaction_scale: int | None = None,
     g: complex | None = None,
     theta: complex | None = None,
-    blocked: bool | None = None,
 ) -> OperatorMatrix:
     """Assemble the dilated Hamiltonian on the step-n space.
 
@@ -419,7 +418,9 @@ def assemble_hamiltonian(
     step while the coupling is zeroed below rho_interaction_scale, which is
     the infrared-dressed approximant of the full Hamiltonian.
 
-    The result has dimension 2 * dim(basis).  At theta = 0 with real g it is
+    The result has dimension 2 * dim(basis) and is stored as the two
+    parity-sector blocks, each with the positions of its top boson layer
+    (``OperatorMatrix.top_layers``).  At theta = 0 with real g it is
     Hermitian; conjugating theta -> conj(theta), g -> conj(g) transposes it.
     """
     g = cfg.g if g is None else g
@@ -442,8 +443,6 @@ def assemble_hamiltonian(
     hermitian = bool(
         theta == 0 and complex(g).imag == 0.0 and np.allclose(coeffs.imag, 0.0)
     )
-    if blocked is None:
-        blocked = dim > DENSE_DIM_LIMIT
 
     parity = basis.total_parity
     even = np.nonzero(parity > 0)[0]
@@ -461,20 +460,6 @@ def assemble_hamiltonian(
     phase = np.exp(-theta)
     rows, cols, mode_ix, amps = basis.lowering_triples()
     vals = coeffs[mode_ix] * amps
-
-    if not blocked:
-        phi = np.zeros((dim_f, dim_f), dtype=complex)
-        np.add.at(phi, (rows, cols), vals)
-        np.add.at(phi, (cols, rows), vals)
-        h = np.zeros((dim, dim), dtype=complex)
-        for a in range(2):
-            sl = slice(a * dim_f, (a + 1) * dim_f)
-            h[sl, sl] = np.diag(levels[a] + phase * energies)
-        h[:dim_f, dim_f:] = g * phi
-        h[dim_f:, :dim_f] = g * phi
-        op = OperatorMatrix.dense(h, hermitian=hermitian)
-        op.meta = meta
-        return op
 
     # parity-sector blocks: sigma_3 (x) (-1)^N commutes with H exactly
     pos_even = np.full(dim_f, -1, dtype=np.int64)
@@ -506,6 +491,10 @@ def assemble_hamiltonian(
         block[n1:, :n1] = g * coupling.T
         return block
 
+    def top_layer(fock_first: np.ndarray, fock_second: np.ndarray):
+        totals = basis.totals[np.concatenate([fock_first, fock_second])]
+        return np.nonzero(totals == basis.n_max)[0]
+
     # plus sector: (excited atom, even Fock) + (ground atom, odd Fock)
     block_plus = sector_block(0, even, odd)
     ix_plus = np.concatenate([even, dim_f + odd])
@@ -514,22 +503,13 @@ def assemble_hamiltonian(
     ix_minus = np.concatenate([odd, dim_f + even])
     meta.sector_indices = {+1: ix_plus, -1: ix_minus}
     op = OperatorMatrix.from_blocks(
-        dim, [(ix_plus, block_plus), (ix_minus, block_minus)], hermitian=hermitian
+        dim,
+        [(ix_plus, block_plus), (ix_minus, block_minus)],
+        hermitian=hermitian,
+        top_layers=[top_layer(even, odd), top_layer(odd, even)],
     )
     op.meta = meta
     return op
-
-
-def sector_block_of(op: OperatorMatrix, sector: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, dense block) of the requested parity sector."""
-    meta = getattr(op, "meta", None)
-    if op.blocks is None or meta is None or not meta.sector_indices:
-        raise AssemblyError("operator was not assembled in sector-blocked form")
-    target = meta.sector_indices[sector]
-    for ix, block in op.blocks:
-        if ix is target or (len(ix) == len(target) and np.array_equal(ix, target)):
-            return ix, block
-    raise AssemblyError("sector indices not found on the assembled operator")
 
 
 def interaction_norm_bound(

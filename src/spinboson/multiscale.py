@@ -53,10 +53,11 @@ from .model import (
 )
 from .spectral import (
     RieszProjector,
+    block_resolvent_norm,
     eigvals_by_sector,
     projected_resolvent_norm,
     rank_two_difference_norm,
-    resolvent_norm,
+    split_blocks,
     track_eigenvalue,
 )
 
@@ -301,7 +302,7 @@ def run_ladder(
     the rank-one contour projector, and compares it against the previous
     projector tensored with the new shells' vacuum.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     n_scales = field_disc.n_scales if n_scales is None else n_scales
     if n_scales > field_disc.n_scales:
         raise TrackingError("field grid does not cover the requested scales")
@@ -403,7 +404,7 @@ def run_ladder(
             prev_lam[i] = lam
             prev_vec[i] = (u_g, l_g)
         trace.scales.append(rec)
-    trace.wall_time = time.time() - t0
+    trace.wall_time = time.perf_counter() - t0
     return trace
 
 
@@ -556,28 +557,6 @@ def _sample_window(
     return out
 
 
-def _block_for_projector(H, proj: RieszProjector):
-    """Dense block hosting a tracked projector plus the complement blocks.
-
-    For a dense operator the projector spans the whole space; for blocked
-    storage the projector's embedding indices identify its sector.
-    """
-    if H.blocks is None:
-        return H.matrix, []
-    if proj.indices is None:
-        raise TrackingError("projector lacks embedding indices for blocked H")
-    own = None
-    others = []
-    for ix, block in H.blocks:
-        if len(ix) == len(proj.indices) and np.array_equal(ix, proj.indices):
-            own = block
-        else:
-            others.append(block)
-    if own is None:
-        raise TrackingError("no operator block matches the projector indices")
-    return own, others
-
-
 def check_p2_p4(
     trace: MultiscaleTrace,
     cfg: ModelConfig,
@@ -634,11 +613,12 @@ def check_p2_p4(
             )
             samples = []
             k_fit = 0.0
-            own_block, other_blocks = _block_for_projector(H, proj)
+            # the projector's embedding indices identify its sector block
+            (own_block, own_top), other_blocks = split_blocks(H, proj.indices)
             for z in zs:
-                lhs = projected_resolvent_norm(own_block, z, proj)
-                for other in other_blocks:
-                    lhs = max(lhs, resolvent_norm(other, z))
+                lhs = projected_resolvent_norm(own_block, z, proj, top=own_top)
+                for other, other_top in other_blocks:
+                    lhs = max(lhs, block_resolvent_norm(other, z, other_top))
                 shape = 1.0 / (rec.rho_n + abs(z - lam))
                 samples.append(
                     {"z": [z.real, z.imag], "lhs": lhs, "shape": shape}

@@ -1,20 +1,29 @@
 """Non-Hermitian spectral primitives.
 
 Everything here is dense-solver based and sized for desk-scale matrices.
-Two storage layouts are supported throughout: plain dense matrices and the
-permuted-block-diagonal layout produced by the model assembly (the exact
-parity symmetry splits the Hamiltonian into two blocks, and all spectral
-quantities of the full operator are unions or maxima over the blocks).
+Operators arrive as plain matrices or in the parity-sector layout of the
+model assembly: the exact parity symmetry splits the Hamiltonian into two
+blocks, and all spectral quantities of the full operator are unions or
+maxima over the blocks.
+
+Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
+block carries the positions of its top boson layer N = n_max, which is
+diagonal and couples only to the layer N - 1.  The solver eliminates that
+layer exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
+plain linear algebra) and factors only the Schur complement on the lower
+layers R, a |R| x |R| matrix much smaller than the block.  A plain matrix
+has no such layer and gets a dense LU through the same code.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
 distance of the nearest excluded eigenvalue, so the quadrature converges
 geometrically and a small node count reaches residuals near machine
 precision.  For large matrices the projector is never formed entrywise:
-its action on a block of probe vectors is accumulated node by node (one LU
-factorization per node), and the rank-one factors are recovered from that
-action.  This keeps every ladder step at O(nodes * n^3 / 3) flops with tiny
-memory instead of O(nodes * n^3) for full inverses.
+its action on a block of probe vectors is accumulated node by node (one
+solver per node, shared by both quadrature passes), and the rank-one
+factors are recovered from that action.  This keeps every ladder step at
+O(nodes * |R|^3 / 3) flops for the factorizations plus sparse work on the
+eliminated layer.
 """
 
 from __future__ import annotations
@@ -22,26 +31,147 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    svds,
+)
 
-from .errors import ContourCollisionError, DegeneracyError, TrackingError
+from .errors import (
+    AssemblyError,
+    ContourCollisionError,
+    DegeneracyError,
+    SingularShiftError,
+    TrackingError,
+)
 from .fock import OperatorMatrix
 
 DENSE_SVD_LIMIT = 500
 DEFAULT_QUAD_POINTS = 64
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
+# A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
+# in the factored part: eliminating it would divide by a near-zero d_t - z.
+TOP_LAYER_GUARD = 1e-6
 
 
-def _as_blocks(H) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """Normalize input to a list of (global indices, dense block)."""
+def _as_blocks(H) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]:
+    """Normalize input to (global indices, dense block, top-layer positions)."""
     if isinstance(H, OperatorMatrix):
         if H.blocks is not None:
-            return [(ix, block) for ix, block in H.blocks]
-        return [(None, H.matrix)]
+            tops = H.top_layers or [None] * len(H.blocks)
+            return [(ix, block, top) for (ix, block), top in zip(H.blocks, tops)]
+        return [(None, H.matrix, None)]
     arr = np.asarray(H, dtype=complex)
-    return [(None, arr)]
+    return [(None, arr, None)]
+
+
+def split_blocks(H: OperatorMatrix, indices: np.ndarray):
+    """The block stored on ``indices`` and the other blocks of ``H``.
+
+    Each block comes as a (dense block, top-layer positions) pair, the
+    positions being those ShiftedSolver eliminates.
+    """
+    own, others = None, []
+    for ix, block, top in _as_blocks(H):
+        if ix is not None and len(ix) == len(indices) and np.array_equal(ix, indices):
+            own = (block, top)
+        else:
+            others.append((block, top))
+    if own is None:
+        raise AssemblyError("no operator block is stored on the given indices")
+    return own, others
+
+
+def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reshape a per-row factor so it broadcasts against b (vector or block)."""
+    return d.reshape((-1,) + (1,) * (b.ndim - 1))
+
+
+class ShiftedSolver:
+    """Solves with A - z and its adjoint, the top layer eliminated exactly.
+
+    ``top`` holds positions T of A whose block A_TT is diagonal (entries
+    d_t).  With R the remaining positions, A - z is solved through the
+    Schur complement
+
+        S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
+
+    the only matrix factored.  A_RT and A_TR are kept as CSR matrices.  A
+    top entry with |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R, so
+    a zero d_t - z never divides; it reaches the pivots instead.  Without
+    ``top`` R is everything and this is a dense LU of A - z.
+
+    ``singular`` is set when a pivot of the factorization vanishes to
+    working precision (|R| eps times the largest entry of S, at least 1):
+    the shift then lies on the spectrum and the solves raise
+    SingularShiftError.
+    """
+
+    def __init__(self, A: np.ndarray, z: complex, top: np.ndarray | None = None):
+        n = A.shape[0]
+        self.z = z = complex(z)
+        top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
+        d = A[top, top] - z
+        keep = np.abs(d) >= TOP_LAYER_GUARD * max(1.0, abs(z))
+        self.t = top[keep]
+        self.dt = d[keep]
+        in_t = np.zeros(n, dtype=bool)
+        in_t[self.t] = True
+        self.r = np.nonzero(~in_t)[0]
+        self.a_rt = sparse.csr_matrix(A[np.ix_(self.r, self.t)])
+        self.a_tr = sparse.csr_matrix(A[np.ix_(self.t, self.r)])
+        self.a_rt_h = self.a_rt.conj().T.tocsr()
+        self.a_tr_h = self.a_tr.conj().T.tocsr()
+        schur = A[np.ix_(self.r, self.r)].astype(complex, copy=False)
+        schur[np.diag_indices(len(self.r))] -= z
+        if len(self.t):
+            schur -= (self.a_rt @ sparse.diags(1.0 / self.dt) @ self.a_tr).toarray()
+        self.lu = lu_factor(schur)
+        pivots = np.abs(np.diag(self.lu[0]))
+        scale = max(1.0, float(np.abs(schur).max())) if schur.size else 1.0
+        self.singular = bool(
+            len(pivots) and pivots.min() <= len(pivots) * np.finfo(float).eps * scale
+        )
+
+    def _check(self) -> None:
+        if self.singular:
+            raise SingularShiftError(
+                f"shift {self.z} lies on the spectrum to working precision"
+            )
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A - z)^(-1) b for a vector or a block of columns."""
+        self._check()
+        b = np.asarray(b, dtype=complex)
+        dt = _per_row(self.dt, b)
+        w = b[self.t] / dt
+        x = np.empty_like(b)
+        x_r = lu_solve(self.lu, b[self.r] - self.a_rt @ w)
+        x[self.r] = x_r
+        x[self.t] = w - (self.a_tr @ x_r) / dt
+        return x
+
+    def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
+        """(A - z)^(-H) c for a vector or a block of columns."""
+        self._check()
+        c = np.asarray(c, dtype=complex)
+        dt = _per_row(self.dt.conj(), c)
+        w = c[self.t] / dt
+        y = np.empty_like(c)
+        y_r = lu_solve(self.lu, c[self.r] - self.a_tr_h @ w, trans=2)
+        y[self.r] = y_r
+        y[self.t] = w - (self.a_rt_h @ y_r) / dt
+        return y
+
+
+def sort_spectrum(values: np.ndarray) -> np.ndarray:
+    """Eigenvalues sorted by (real, imaginary) part."""
+    values = np.asarray(values)
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
@@ -51,7 +181,7 @@ def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
     ``hermitian_tol`` before being returned.
     """
     vals = []
-    for _, block in _as_blocks(H):
+    for _, block, _ in _as_blocks(H):
         vals.append(np.linalg.eigvals(block))
     spectrum = np.concatenate(vals)
     if isinstance(H, OperatorMatrix) and H.hermitian:
@@ -61,8 +191,7 @@ def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
             raise ValueError(
                 f"hermitian-flagged operator produced imaginary parts up to {worst}"
             )
-    order = np.lexsort((spectrum.imag, spectrum.real))
-    return spectrum[order]
+    return sort_spectrum(spectrum)
 
 
 def eigvals_by_sector(op: OperatorMatrix) -> dict:
@@ -70,7 +199,7 @@ def eigvals_by_sector(op: OperatorMatrix) -> dict:
     cache = getattr(op, "_eig_cache", None)
     if cache is None:
         cache = {}
-        for key, (ix, block) in enumerate(_as_blocks(op)):
+        for key, (_, block, _) in enumerate(_as_blocks(op)):
             cache[key] = np.linalg.eigvals(block)
         op._eig_cache = cache
     return cache
@@ -84,6 +213,8 @@ class RieszProjector:
     is populated.  ``trace_value`` estimates the enclosed spectral count;
     ``idempotency_residual`` is the measured quadrature defect |P^2 - P|
     (exact norm for dense storage, probe-block estimate for factored).
+    ``converged`` is False when node doubling stopped at MAX_QUAD_POINTS
+    with the residual still above the requested tolerance.
     """
 
     center: complex
@@ -97,6 +228,7 @@ class RieszProjector:
     right: np.ndarray | None = None
     left: np.ndarray | None = None
     indices: np.ndarray | None = None  # embedding into a larger space
+    converged: bool = True
 
     def to_dense(self) -> np.ndarray:
         if self.matrix is not None:
@@ -118,6 +250,14 @@ def _contour_nodes(center: complex, radius: float, n_nodes: int):
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     phases = np.exp(1j * t)
     return center + radius * phases, phases
+
+
+def _node_solver(A: np.ndarray, z: complex, top: np.ndarray | None) -> ShiftedSolver:
+    """Shifted solver at a contour node; a node on the spectrum is a collision."""
+    solver = ShiftedSolver(A, z, top)
+    if solver.singular:
+        raise ContourCollisionError(f"contour node {z} lies on the spectrum")
+    return solver
 
 
 def _check_annulus(
@@ -152,7 +292,7 @@ def riesz_projection(
     around the circle.
     """
     blocks = _as_blocks(H)
-    dim = sum(b.shape[0] for _, b in blocks)
+    dim = sum(b.shape[0] for _, b, _ in blocks)
     if eigs is None and not assume_clear:
         eigs = eig_all(H)
     if eigs is not None and not assume_clear:
@@ -162,15 +302,14 @@ def riesz_projection(
     while True:
         total = np.zeros((dim, dim), dtype=complex)
         offset = 0
-        for ix, block in blocks:
+        nodes, phases = _contour_nodes(center, radius, n_nodes)
+        for ix, block, top in blocks:
             nb = block.shape[0]
-            acc = np.zeros((nb, nb), dtype=complex)
-            nodes, phases = _contour_nodes(center, radius, n_nodes)
-            ident = np.eye(nb, dtype=complex)
-            for z, ph in zip(nodes, phases):
-                lu = lu_factor(block - z * ident)
-                acc += ph * lu_solve(lu, ident)
-            acc *= -radius / n_nodes
+            # one pass only: solvers are made and dropped node by node
+            solvers = (_node_solver(block, z, top) for z in nodes)
+            acc, _ = _contour_block_action(
+                solvers, phases, radius, np.eye(nb, dtype=complex)
+            )
             rows = ix if ix is not None else np.arange(nb) + offset
             total[np.ix_(rows, rows)] = acc
             offset += nb
@@ -189,28 +328,26 @@ def riesz_projection(
         trace_value=trace,
         rank=rank,
         matrix=total,
+        converged=residual < tol,
     )
 
 
 def _contour_block_action(
-    A: np.ndarray,
-    center: complex,
+    solvers,
+    phases: np.ndarray,
     radius: float,
-    n_nodes: int,
     X: np.ndarray,
-    Y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P @ X, P^H @ Y) by one LU per contour node."""
-    n = A.shape[0]
-    PX = np.zeros((n, X.shape[1]), dtype=complex)
-    PHY = np.zeros((n, Y.shape[1]), dtype=complex)
-    nodes, phases = _contour_nodes(center, radius, n_nodes)
-    ident = np.eye(n, dtype=complex)
-    for z, ph in zip(nodes, phases):
-        lu = lu_factor(A - z * ident)
-        PX += ph * lu_solve(lu, X)
-        PHY += np.conj(ph) * lu_solve(lu, Y, trans=2)
-    return (-radius / n_nodes) * PX, (-radius / n_nodes) * PHY
+    Y: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(P @ X, P^H @ Y) from the node solvers (any iterable) of one rule."""
+    PX = np.zeros(X.shape, dtype=complex)
+    PHY = None if Y is None else np.zeros(Y.shape, dtype=complex)
+    for solver, ph in zip(solvers, phases):
+        PX += ph * solver.solve(X)
+        if Y is not None:
+            PHY += np.conj(ph) * solver.solve_adjoint(Y)
+    weight = -radius / len(phases)
+    return weight * PX, None if Y is None else weight * PHY
 
 
 def riesz_rank_one(
@@ -224,13 +361,19 @@ def riesz_rank_one(
     tol: float = IDEMPOTENCY_TOL,
     seed: int = 7,
     indices: np.ndarray | None = None,
+    top: np.ndarray | None = None,
 ) -> RieszProjector:
     """Factored contour projector for an expected simple eigenvalue.
 
-    Two quadrature passes over a dense block: the first recovers the range
-    and corange from probe vectors, the second measures the idempotency
-    defect and the enclosed trace on that subspace.  Nodes double until the
-    defect passes ``tol``.
+    Two quadrature passes over a dense block share one solver per node
+    (``top`` are the block's top-layer positions, see ShiftedSolver), so
+    all node factorizations of one rule are held at once: nodes * |R|^2
+    complex entries, which for a plain matrix (R is everything) is
+    nodes * n^2 * 16 bytes.  The first pass recovers the range and corange
+    from probe vectors, the second measures the idempotency defect and the
+    enclosed trace on that subspace.  Nodes double until the defect passes
+    ``tol``; at MAX_QUAD_POINTS the projector is returned with
+    ``converged`` False.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -244,7 +387,9 @@ def riesz_rank_one(
 
     n_nodes = quad_points
     while True:
-        PX, PHY = _contour_block_action(A, center, radius, n_nodes, X, Y)
+        nodes, phases = _contour_nodes(center, radius, n_nodes)
+        solvers = [_node_solver(A, z, top) for z in nodes]
+        PX, PHY = _contour_block_action(solvers, phases, radius, X, Y)
         u_basis, svals, _ = np.linalg.svd(PX, full_matrices=False)
         if svals[0] < 1e3 * np.finfo(float).eps:
             raise TrackingError(
@@ -261,12 +406,13 @@ def riesz_rank_one(
         # quadrature error in operator norm up to O(1) factors)
         extra = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Q, _ = np.linalg.qr(np.stack([u, extra / np.linalg.norm(extra)], axis=1))
-        PQ, _ = _contour_block_action(A, center, radius, n_nodes, Q, Y[:, :1])
+        PQ, _ = _contour_block_action(solvers, phases, radius, Q)
         trace = complex(np.trace(Q.conj().T @ PQ))
         pu = PQ @ (Q.conj().T @ u)
         idem = float(np.linalg.norm(pu - u))
         if idem < tol or n_nodes >= MAX_QUAD_POINTS:
             break
+        solvers = None  # free this rule's factorizations before the next
         n_nodes *= 2
 
     pairing = np.vdot(u, w).conjugate()  # w^H u
@@ -286,6 +432,7 @@ def riesz_rank_one(
         right=u.reshape(-1, 1),
         left=left.reshape(-1, 1),
         indices=indices,
+        converged=idem < tol,
     )
     proj.sigma_ratio = sigma_ratio
     return proj
@@ -322,8 +469,10 @@ def track_eigenvalue(
     eigenvalue list and the Rayleigh quotient built from the contour
     projector with the adjoint-projector left pairing.  Probe vectors are
     given in the global coordinates of H; for block-stored operators the
-    tracked eigenvalue is located in its block and the returned vectors are
-    embedded back into the full space.
+    tracked eigenvalue is located in its block (whose top-layer positions
+    go to the contour solvers) and the returned vectors are embedded back
+    into the full space.  A projector whose idempotency defect stays above
+    IDEMPOTENCY_TOL at MAX_QUAD_POINTS raises TrackingError.
     """
     blocks = _as_blocks(H)
     if isinstance(H, OperatorMatrix):
@@ -331,7 +480,7 @@ def track_eigenvalue(
     else:
         cache = {0: np.linalg.eigvals(blocks[0][1])}
     hits: list[tuple[int, int]] = []
-    for key, (ix, _) in enumerate(blocks):
+    for key in range(len(blocks)):
         inside = np.nonzero(np.abs(cache[key] - seed) <= radius)[0]
         hits.extend((key, int(i)) for i in inside)
     if len(hits) == 0:
@@ -344,7 +493,7 @@ def track_eigenvalue(
             f"radius {radius}); tracking needs exactly one"
         )
     key, i = hits[0]
-    ix, A = blocks[key]
+    ix, A, top = blocks[key]
     lam = complex(cache[key][i])
     spectrum = np.concatenate([cache[k] for k in cache])
     dist_sorted = np.sort(np.abs(spectrum - lam))
@@ -366,7 +515,14 @@ def track_eigenvalue(
         probe=localize(probe),
         left_probe=localize(left_probe),
         indices=ix,
+        top=top,
     )
+    if not proj.converged:
+        raise TrackingError(
+            f"contour projector at {lam} stopped at {proj.quad_points} nodes "
+            f"with idempotency defect {proj.idempotency_residual:.3e} "
+            f"above {IDEMPOTENCY_TOL:.1e}"
+        )
     if proj.rank != 1 or abs(proj.trace_value - 1.0) > 0.1:
         raise DegeneracyError(
             f"projector at {lam} reports trace {proj.trace_value}, expected 1"
@@ -412,47 +568,53 @@ def track_eigenvalue(
     )
 
 
-def _block_resolvent_norm(A: np.ndarray, z: complex, tol: float = 1e-9) -> float:
+def _power_norm(matvec, rmatvec, x: np.ndarray, tol: float, iters: int) -> float:
+    """Largest singular value by power iteration on op^H op (svds fallback)."""
+    x = x / np.linalg.norm(x)
+    val = 0.0
+    for _ in range(iters):
+        y = rmatvec(matvec(x))
+        nrm = np.linalg.norm(y)
+        if nrm == 0.0:
+            return 0.0
+        x_new = y / nrm
+        delta = np.linalg.norm(x_new - x)
+        x, val = x_new, nrm
+        if delta < tol:
+            break
+    return float(np.sqrt(val))
+
+
+def block_resolvent_norm(
+    A: np.ndarray, z: complex, top: np.ndarray | None = None, tol: float = 1e-9
+) -> float:
+    """Operator norm of (A - z)^(-1) for one dense block.
+
+    ``top`` are the block's top-layer positions (see ShiftedSolver).
+    Returns inf when z sits on the spectrum to solver precision.
+    """
     n = A.shape[0]
-    shifted = A - z * np.eye(n, dtype=complex)
     if n <= DENSE_SVD_LIMIT:
+        shifted = A - z * np.eye(n, dtype=complex)
         smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
         if smin <= n * np.finfo(float).eps * max(1.0, float(np.abs(shifted).max())):
             return np.inf
         return 1.0 / smin
-    try:
-        lu = lu_factor(shifted)
-    except Exception:
+    solver = ShiftedSolver(A, z, top)
+    if solver.singular:
         return np.inf
     op = LinearOperator(
-        (n, n),
-        matvec=lambda x: lu_solve(lu, x),
-        rmatvec=lambda y: lu_solve(lu, y, trans=2),
-        dtype=complex,
+        (n, n), matvec=solver.solve, rmatvec=solver.solve_adjoint, dtype=complex
     )
     rng = np.random.default_rng(12345)
     v0 = rng.standard_normal(n)
     try:
         s = svds(op, k=1, which="LM", v0=v0, tol=tol, return_singular_vectors=False)
         return float(s[0])
-    except Exception:
-        # fall back to power iteration on (R^H R)
-        x = v0.astype(complex)
-        x /= np.linalg.norm(x)
-        val = 0.0
-        for _ in range(200):
-            y = lu_solve(lu, x)
-            y = lu_solve(lu, y, trans=2)
-            nrm = np.linalg.norm(y)
-            if nrm == 0.0:
-                return 0.0
-            x_new = y / nrm
-            if np.linalg.norm(x_new - x) < tol:
-                x = x_new
-                val = nrm
-                break
-            x, val = x_new, nrm
-        return float(np.sqrt(val))
+    except (ArpackNoConvergence, ArpackError):
+        return _power_norm(
+            solver.solve, solver.solve_adjoint, v0.astype(complex), tol, 200
+        )
 
 
 def resolvent_norm(H, z: complex, eigs: np.ndarray | None = None) -> float:
@@ -464,7 +626,7 @@ def resolvent_norm(H, z: complex, eigs: np.ndarray | None = None) -> float:
         scale = max(1.0, float(np.max(np.abs(eigs))))
         if np.min(np.abs(np.asarray(eigs) - z)) < 1e-13 * scale:
             return np.inf
-    return max(_block_resolvent_norm(block, z) for _, block in _as_blocks(H))
+    return max(block_resolvent_norm(block, z, top) for _, block, top in _as_blocks(H))
 
 
 def resolvent_scan(H, z_grid, jobs: int = 1) -> list[tuple[complex, float]]:
@@ -486,10 +648,15 @@ def shifted_inverse_eigenvalue(
     iters: int = 40,
     tol: float = 1e-13,
     v0: np.ndarray | None = None,
+    top: np.ndarray | None = None,
 ) -> tuple[complex, np.ndarray]:
-    """Eigenvalue of A nearest to ``shift`` by shifted inverse iteration."""
+    """Eigenvalue of A nearest to ``shift`` by shifted inverse iteration.
+
+    Raises SingularShiftError when the shift is an eigenvalue to working
+    precision.
+    """
     n = A.shape[0]
-    lu = lu_factor(A - shift * np.eye(n, dtype=complex))
+    solver = ShiftedSolver(A, shift, top)
     rng = np.random.default_rng(2024)
     x = v0.astype(complex) if v0 is not None else (
         rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -497,7 +664,7 @@ def shifted_inverse_eigenvalue(
     x /= np.linalg.norm(x)
     lam = shift
     for _ in range(iters):
-        y = lu_solve(lu, x)
+        y = solver.solve(x)
         y /= np.linalg.norm(y)
         lam_new = complex(np.vdot(y, A @ y))
         if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
@@ -509,25 +676,31 @@ def shifted_inverse_eigenvalue(
 
 
 def projected_resolvent_norm(
-    A: np.ndarray, z: complex, proj: RieszProjector, tol: float = 1e-8
+    A: np.ndarray,
+    z: complex,
+    proj: RieszProjector,
+    tol: float = 1e-8,
+    top: np.ndarray | None = None,
 ) -> float:
-    """Norm of (A - z)^(-1) (1 - P) for a factored rank-one projector."""
+    """Norm of (A - z)^(-1) (1 - P) for a factored rank-one projector.
+
+    Returns inf when z sits on the spectrum of A to working precision.
+    """
     n = A.shape[0]
-    shifted = A - z * np.eye(n, dtype=complex)
+    solver = ShiftedSolver(A, z, top)
+    if solver.singular:
+        return np.inf
     if n <= DENSE_SVD_LIMIT:
         comp = np.eye(n, dtype=complex) - proj.to_dense()
-        return float(
-            np.linalg.svd(np.linalg.solve(shifted, comp), compute_uv=False)[0]
-        )
-    lu = lu_factor(shifted)
+        return float(np.linalg.svd(solver.solve(comp), compute_uv=False)[0])
 
     def matvec(x):
         x = np.asarray(x, dtype=complex).reshape(-1)
-        return lu_solve(lu, x - proj.apply(x))
+        return solver.solve(x - proj.apply(x))
 
     def rmatvec(y):
         y = np.asarray(y, dtype=complex).reshape(-1)
-        s = lu_solve(lu, y, trans=2)
+        s = solver.solve_adjoint(y)
         return s - proj.apply_adjoint(s)
 
     op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
@@ -538,21 +711,9 @@ def projected_resolvent_norm(
             return_singular_vectors=False,
         )
         return float(s[0])
-    except Exception:
+    except (ArpackNoConvergence, ArpackError):
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        val = 0.0
-        for _ in range(300):
-            y = rmatvec(matvec(x))
-            nrm = np.linalg.norm(y)
-            if nrm == 0.0:
-                return 0.0
-            x_new = y / nrm
-            delta = np.linalg.norm(x_new - x)
-            x, val = x_new, nrm
-            if delta < tol:
-                break
-        return float(np.sqrt(val))
+        return _power_norm(matvec, rmatvec, x, tol, 300)
 
 
 def rank_two_difference_norm(

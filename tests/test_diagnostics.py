@@ -252,3 +252,17 @@ class TestResolventConeBound:
                                          seed=5)
         for row in rep["rows"]:
             assert row["lhs"] * row["dist"] <= rep["K"] * (1 + 1e-12)
+
+    def test_ladder_spectrum_reused_identically(self, coarse):
+        """The last ladder scale's spectrum stands in for the full-grid one."""
+        from spinboson.spectral import sort_spectrum
+
+        cfg, lad, field = coarse
+        trace = run_ladder(cfg, lad, field, levels=(1,))
+        lam1 = trace.scales[-1].levels[1].lam
+        eigs = sort_spectrum(trace._eigs[field.n_scales])
+        reused = resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=10,
+                                            seed=3, eigs=eigs)
+        fresh = resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=10,
+                                           seed=3)
+        assert reused == fresh

@@ -18,7 +18,20 @@ from spinboson import (
     radial_reduction,
     shell_norm_report,
 )
-from spinboson.fock import field_energy_diagonal
+from spinboson.fock import build_field_operator, field_energy_diagonal
+
+
+def kron_hamiltonian(cfg, field):
+    """Independent route: the full-grid operator as explicit Kronecker products."""
+    basis = field.basis_for_scale(None)
+    c = coupling_amplitudes(cfg, basis.modes)
+    phi = build_field_operator(basis, c).matrix
+    E = field_energy_diagonal(basis)
+    return (
+        np.kron(np.diag([cfg.e1, cfg.e0]), np.eye(basis.dim))
+        + np.kron(np.eye(2), np.exp(-cfg.theta) * np.diag(E.astype(complex)))
+        + cfg.g * np.kron(np.array([[0, 1], [1, 0]]), phi)
+    )
 
 
 class TestModelConfig:
@@ -217,19 +230,8 @@ class TestAssembly:
         lad = CutoffLadder(0.25, 0.5, e1=1.0)
         field = DiscretizedField(lad, 2, points_per_shell=2, r_max=4.0,
                                  n_max=2, uv_points_per_panel=2)
-        basis = field.basis_for_scale(None)
-        H = assemble_hamiltonian(cfg, field, blocked=False).matrix
-        from spinboson.fock import build_field_operator
-
-        c = coupling_amplitudes(cfg, basis.modes)
-        phi = build_field_operator(basis, c).matrix
-        E = field_energy_diagonal(basis)
-        dense = (
-            np.kron(np.diag([cfg.e1, cfg.e0]), np.eye(basis.dim))
-            + np.kron(np.eye(2), np.exp(-cfg.theta) * np.diag(E.astype(complex)))
-            + cfg.g * np.kron(np.array([[0, 1], [1, 0]]), phi)
-        )
-        assert np.max(np.abs(H - dense)) < 1e-15
+        H = assemble_hamiltonian(cfg, field).to_dense()
+        assert np.max(np.abs(H - kron_hamiltonian(cfg, field))) < 1e-15
 
     def test_single_mode_secular_oracle(self):
         """One coupled mode, n_max = 1, theta = 0: hand-solved quadratics."""
@@ -242,8 +244,6 @@ class TestAssembly:
         assert modes.n_modes == 2
         c = coupling_amplitudes(cfg, modes, theta=0.0)
         # zero the second mode's coupling: exact single-mode model
-        from spinboson.fock import build_field_operator
-
         phi = build_field_operator(basis, c * np.array([1.0, 0.0])).matrix
         E = field_energy_diagonal(basis)
         dense = (
@@ -274,26 +274,38 @@ class TestAssembly:
     def test_conjugation_symmetry(self, small_field):
         cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05 + 0.02j,
                           theta=0.01 + 0.2j)
-        H = assemble_hamiltonian(cfg, small_field, blocked=False)
+        H = assemble_hamiltonian(cfg, small_field)
         Hc = assemble_hamiltonian(
             cfg, small_field, theta=np.conj(cfg.theta), g=np.conj(cfg.g),
-            blocked=False,
         )
-        assert np.max(np.abs(Hc.matrix - H.matrix.conj().T)) < 1e-15
+        assert np.max(np.abs(Hc.to_dense() - H.to_dense().conj().T)) < 1e-15
 
     def test_dense_blocked_agree(self, cfg, small_field):
-        Hd = assemble_hamiltonian(cfg, small_field, blocked=False)
-        Hb = assemble_hamiltonian(cfg, small_field, blocked=True)
-        assert np.max(np.abs(Hd.to_dense() - Hb.to_dense())) == 0.0
+        # the sector blocks reassemble into the Kronecker-product operator
+        Hb = assemble_hamiltonian(cfg, small_field)
+        assert np.max(np.abs(kron_hamiltonian(cfg, small_field) - Hb.to_dense())) == 0.0
+
+    def test_top_layer_is_diagonal_and_couples_one_layer_down(self, cfg, small_field):
+        H = assemble_hamiltonian(cfg, small_field)
+        totals = small_field.basis_for_scale(None).totals
+        n_max = small_field.n_max
+        for (ix, block), top in zip(H.blocks, H.top_layers):
+            layer = totals[ix % len(totals)]
+            assert np.array_equal(top, np.nonzero(layer == n_max)[0])
+            tt = block[np.ix_(top, top)]
+            assert np.max(np.abs(tt - np.diag(np.diag(tt)))) == 0.0
+            rest = np.nonzero(layer < n_max - 1)[0]
+            assert np.max(np.abs(block[np.ix_(top, rest)])) == 0.0
+            assert np.max(np.abs(block[np.ix_(rest, top)])) == 0.0
 
     def test_nesting_identity(self, cfg, ladder):
         """Step n+1 with new-shell coupling zeroed = step n + shell energy."""
         field = DiscretizedField(ladder, 3, points_per_shell=2, r_max=4.0,
                                  n_max=2, uv_points_per_panel=2)
-        H_small = assemble_hamiltonian(cfg, field, n=2, blocked=False).matrix
+        H_small = assemble_hamiltonian(cfg, field, n=2).to_dense()
         H_tilde = assemble_hamiltonian(
-            cfg, field, n=3, interaction_scale=2, blocked=False
-        ).matrix
+            cfg, field, n=3, interaction_scale=2
+        ).to_dense()
         emb = field.embedding_indices(2, 3)
         dim_small = field.basis_for_scale(2).dim
         dim_big = field.basis_for_scale(3).dim
@@ -313,11 +325,10 @@ class TestAssembly:
         field = DiscretizedField(ladder, 2, points_per_shell=3, r_max=4.0,
                                  n_max=2, uv_points_per_panel=3)
         beta = 0.1
-        A = assemble_hamiltonian(cfg, field, theta=cfg.theta + beta,
-                                 blocked=False).matrix
+        A = assemble_hamiltonian(cfg, field, theta=cfg.theta + beta).to_dense()
         B = assemble_hamiltonian(
-            cfg, field.scaled(np.exp(-beta)), theta=cfg.theta, blocked=False
-        ).matrix
+            cfg, field.scaled(np.exp(-beta)), theta=cfg.theta
+        ).to_dense()
         assert np.max(np.abs(A - B)) < 1e-13 * np.max(np.abs(A))
 
     def test_interaction_cutoff_requires_valid_scale(self, cfg, small_field):

@@ -132,18 +132,17 @@ class TestPracticalRun:
 
     def test_p4_pole_removed_near_lambda(self, practical):
         cfg, lad, field, trace = practical
-        from spinboson.multiscale import _block_for_projector
-        from spinboson.spectral import projected_resolvent_norm
+        from spinboson.spectral import projected_resolvent_norm, split_blocks
 
         rec = trace.scales[-1]
         data = rec.levels[1]
         H = assemble_hamiltonian(cfg, field, n=rec.n)
         proj = trace._projectors[(rec.n, 1)]
-        block, _ = _block_for_projector(H, proj)
+        (block, top), _ = split_blocks(H, proj.indices)
         lam = data.lam
         # approach the eigenvalue: the projected resolvent stays bounded
         norms = [
-            projected_resolvent_norm(block, lam + eps, proj)
+            projected_resolvent_norm(block, lam + eps, proj, top=top)
             for eps in (1e-4, 1e-6, 1e-8)
         ]
         assert max(norms) / min(norms) < 10.0
@@ -163,10 +162,10 @@ class TestNestingExactness:
 
     def test_embedding_preserves_matrix_action(self, practical):
         cfg, lad, field, trace = practical
-        H2 = assemble_hamiltonian(cfg, field, n=2, blocked=False).matrix
+        H2 = assemble_hamiltonian(cfg, field, n=2).to_dense()
         H3t = assemble_hamiltonian(
-            cfg, field, n=3, interaction_scale=2, blocked=False
-        ).matrix
+            cfg, field, n=3, interaction_scale=2
+        ).to_dense()
         u, _ = trace._vectors[(2, 1)]
         u_e = _embed_full_vector(field, 2, 3, u)
         lhs = H3t @ u_e

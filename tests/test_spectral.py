@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from spinboson import (
     ContourCollisionError,
+    CutoffLadder,
     DegeneracyError,
+    DiscretizedField,
+    ModelConfig,
+    ShiftedSolver,
+    SingularShiftError,
     TrackingError,
     assemble_hamiltonian,
     eig_all,
@@ -13,10 +19,14 @@ from spinboson import (
     resolvent_scan,
     riesz_projection,
     riesz_rank_one,
+    run_ladder,
     track_eigenvalue,
 )
+from spinboson import spectral
 from spinboson.fock import OperatorMatrix
 from spinboson.spectral import (
+    MAX_QUAD_POINTS,
+    TOP_LAYER_GUARD,
     projected_resolvent_norm,
     rank_two_difference_norm,
     shifted_inverse_eigenvalue,
@@ -44,9 +54,8 @@ class TestEigAll:
             eig_all(bad)
 
     def test_blocked_equals_dense(self, cfg, small_field):
-        Hd = assemble_hamiltonian(cfg, small_field, blocked=False)
-        Hb = assemble_hamiltonian(cfg, small_field, blocked=True)
-        assert np.allclose(eig_all(Hd), eig_all(Hb), atol=1e-10)
+        Hb = assemble_hamiltonian(cfg, small_field)
+        assert np.allclose(eig_all(Hb.to_dense()), eig_all(Hb), atol=1e-10)
 
 
 class TestRieszProjection:
@@ -79,9 +88,9 @@ class TestRieszProjection:
         assert resids[2] < resids[1] ** 2 * 10
 
     def test_free_model_projector_is_atomic(self, cfg, small_field):
-        H = assemble_hamiltonian(cfg, small_field, g=0.0, blocked=False)
+        H = assemble_hamiltonian(cfg, small_field, g=0.0)
         radius = 0.25 * 0.03125 * np.sin(cfg.nu)
-        P = riesz_projection(H, center=cfg.e1, radius=radius)
+        P = riesz_projection(H.to_dense(), center=cfg.e1, radius=radius)
         dim_f = small_field.basis_for_scale(None).dim
         expected = np.zeros((2 * dim_f, 2 * dim_f))
         expected[0, 0] = 1.0  # excited atom (x) vacuum leads the ordering
@@ -246,3 +255,175 @@ class TestHelpers:
         assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
         # the projector removes the pole: the norm stays bounded by the gap
         assert got < 100.0 / gap
+
+
+def dense_lu_route(A, z, b, adjoint=False):
+    """Oracle for the shifted solver: a plain dense LU of A - z."""
+    lu = lu_factor(A - z * np.eye(len(A), dtype=complex))
+    return lu_solve(lu, b, trans=2 if adjoint else 0)
+
+
+def sector_blocks(n_max, g=0.05, interaction_scale=None):
+    """(block, top-layer positions) of both parity sectors on a tiny grid."""
+    cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=g, theta=0.2j)
+    field = DiscretizedField(
+        CutoffLadder(0.25, 0.5, e1=1.0), 2, points_per_shell=2, r_max=4.0,
+        n_max=n_max, uv_points_per_panel=2,
+    )
+    n = None if interaction_scale is None else 2
+    H = assemble_hamiltonian(cfg, field, n=n, interaction_scale=interaction_scale)
+    return [(block, top) for (_, block), top in zip(H.blocks, H.top_layers)]
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestShiftedSolver:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "g, interaction_scale", [(0.05, None), (0.0, None), (0.05, 1)]
+    )
+    def test_matches_dense_lu(self, n_max, g, interaction_scale, rng):
+        for block, top in sector_blocks(n_max, g, interaction_scale):
+            n = len(block)
+            b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            for z in (0.9 - 0.01j, 0.02 + 0.003j, 1.3):
+                solver = ShiftedSolver(block, z, top)
+                assert len(solver.r) == n - len(top)  # whole top layer eliminated
+                for rhs in (b, b[:, 0]):
+                    assert rel_err(
+                        solver.solve(rhs), dense_lu_route(block, z, rhs)
+                    ) < 1e-12
+                    assert rel_err(
+                        solver.solve_adjoint(rhs),
+                        dense_lu_route(block, z, rhs, adjoint=True),
+                    ) < 1e-12
+
+    def test_plain_matrix_is_dense_lu(self, rng):
+        A = random_matrix(rng, 9)
+        b = rng.standard_normal(9) + 0j
+        solver = ShiftedSolver(A, 0.3 + 0.1j)
+        assert len(solver.t) == 0
+        assert np.array_equal(solver.solve(b), dense_lu_route(A, 0.3 + 0.1j, b))
+
+    def test_real_matrix_matches_complex(self, rng):
+        block, top = sector_blocks(2)[0]
+        A = block.real
+        b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+        for t in (top, None):
+            real = ShiftedSolver(A, 0.9 - 0.01j, t)
+            cplx = ShiftedSolver(A.astype(complex), 0.9 - 0.01j, t)
+            assert rel_err(real.solve(b), cplx.solve(b)) < 1e-14
+            assert rel_err(real.solve_adjoint(b), cplx.solve_adjoint(b)) < 1e-14
+        D = np.diag([0.0, 2.0, 5.0]) + 0.1 * rng.standard_normal((3, 3))
+        w = np.linalg.eigvals(D)
+        lam = w[np.argmin(np.abs(w))]
+        real = riesz_rank_one(D, center=lam, radius=0.5)
+        cplx = riesz_rank_one(D.astype(complex), center=lam, radius=0.5)
+        assert rel_err(real.to_dense(), cplx.to_dense()) < 1e-14
+        lam_real, _ = shifted_inverse_eigenvalue(D, 0.1)
+        lam_cplx, _ = shifted_inverse_eigenvalue(D.astype(complex), 0.1)
+        assert abs(lam_real - lam_cplx) <= 1e-14 * abs(lam_cplx)
+        assert abs(lam_real - lam) < 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 10 * TOP_LAYER_GUARD])
+    def test_shift_at_top_entry(self, offset, rng):
+        block, top = sector_blocks(2)[0]
+        # the most strongly coupled top state keeps H - d_t well conditioned
+        coupling = np.abs(block[:, top]).sum(axis=0) - np.abs(np.diag(block)[top])
+        t = top[np.argmax(coupling)]
+        z = block[t, t] + offset
+        solver = ShiftedSolver(block, z, top)
+        assert (t in solver.r) == (offset < TOP_LAYER_GUARD)
+        assert not solver.singular
+        b = rng.standard_normal(len(block)) + 1j * rng.standard_normal(len(block))
+        assert rel_err(solver.solve(b), dense_lu_route(block, z, b)) < 1e-12
+        assert rel_err(
+            solver.solve_adjoint(b), dense_lu_route(block, z, b, adjoint=True)
+        ) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+class TestSingularShift:
+    def test_pivot_detects_eigenvalue_shift(self):
+        solver = ShiftedSolver(np.diag([0.0, 1.0, 2.0]).astype(complex), 1.0)
+        assert solver.singular
+        with pytest.raises(SingularShiftError):
+            solver.solve(np.ones(3))
+
+    def test_uncoupled_top_entry_on_shift(self):
+        block, top = sector_blocks(2, g=0.0)[0]
+        t = top[3]
+        solver = ShiftedSolver(block, block[t, t], top)
+        assert t in solver.r and solver.singular
+
+    def test_resolvent_norm_lu_branch(self):
+        A = np.diag(np.linspace(1.0, 5.0, 520)).astype(complex)
+        assert resolvent_norm(A, A[7, 7]) == np.inf
+
+    def test_projected_norm_on_other_eigenvalue(self):
+        A = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        proj = riesz_rank_one(A, center=0.0, radius=0.5)
+        assert projected_resolvent_norm(A, 2.0, proj) == np.inf
+
+    def test_inverse_iteration_raises(self):
+        with pytest.raises(SingularShiftError):
+            shifted_inverse_eigenvalue(np.diag([0.0, 1.0]).astype(complex), 1.0)
+
+    def test_contour_node_on_eigenvalue(self):
+        A = np.diag([0.0, 1.0]).astype(complex)
+        with pytest.raises(ContourCollisionError):
+            riesz_rank_one(A, center=0.0, radius=1.0, quad_points=4)
+
+
+class TestQuadratureCap:
+    def test_flag_set_at_cap(self):
+        A = np.diag([0.0, 2.0, 5.0]).astype(complex)
+        fact = riesz_rank_one(A, center=0.0, radius=0.5, tol=0.0)
+        assert fact.quad_points == MAX_QUAD_POINTS and not fact.converged
+        dense = riesz_projection(A, center=0.0, radius=0.5, tol=0.0)
+        assert dense.quad_points == MAX_QUAD_POINTS and not dense.converged
+        assert riesz_rank_one(A, center=0.0, radius=0.5).converged
+
+    def test_tracking_raises(self, monkeypatch):
+        A = np.diag([0.0, 1.2, 5.0])
+        # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
+        monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
+        with pytest.raises(TrackingError, match="stopped at 16 nodes"):
+            track_eigenvalue(A, seed=0.1, radius=0.5, quad_points=16)
+        monkeypatch.undo()
+        rec = track_eigenvalue(A, seed=0.1, radius=0.5, quad_points=16)
+        assert rec.projector.converged and rec.projector.quad_points > 16
+
+
+class TestEliminatedRoute:
+    def test_rank_one_on_sector_block(self, cfg, small_field):
+        H = assemble_hamiltonian(cfg, small_field)
+        (_, block), top = H.blocks[0], H.top_layers[0]
+        w = np.linalg.eigvals(block)
+        k = int(np.argmin(np.abs(w - cfg.e1)))
+        radius = 0.4 * np.min(np.abs(np.delete(w, k) - w[k]))
+        fact = riesz_rank_one(block, center=w[k], radius=radius, top=top)
+        plain = riesz_rank_one(block, center=w[k], radius=radius)
+        dense = riesz_projection(block, center=w[k], radius=radius, eigs=w)
+        assert fact.converged and fact.rank == 1
+        assert np.linalg.norm(fact.to_dense() - dense.matrix, 2) < 1e-8
+        assert rel_err(fact.to_dense(), plain.to_dense()) < 1e-12
+        assert abs(fact.trace_value - plain.trace_value) < 1e-12
+
+    def test_ladder_matches_dense_lu_route(self, cfg, ladder, small_field,
+                                           monkeypatch):
+        fast = run_ladder(cfg, ladder, small_field)
+        # an infinite guard keeps every top entry: each solve is a dense LU
+        monkeypatch.setattr(spectral, "TOP_LAYER_GUARD", np.inf)
+        slow = run_ladder(cfg, ladder, small_field)
+        for rec_f, rec_s in zip(fast.scales, slow.scales):
+            for i, f in rec_f.levels.items():
+                s = rec_s.levels[i]
+                assert f.lam == s.lam
+                assert abs(f.projector_trace - s.projector_trace) < 1e-12
+                for name in ("p3_gap", "atomic_projector_gap"):
+                    a, b = getattr(f, name), getattr(s, name)
+                    if b is not None:
+                        assert abs(a - b) <= 1e-12 * abs(b)
