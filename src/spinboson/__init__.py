@@ -76,7 +76,6 @@ from .spectral import (
     eig_all,
     resolvent_norm,
     resolvent_scan,
-    riesz_projection,
     riesz_rank_one,
     track_eigenvalue,
 )

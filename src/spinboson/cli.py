@@ -37,7 +37,6 @@ from .model import (
 )
 from .multiscale import check_p1, check_p2_p4, check_p3, extrapolate_limit, run_ladder
 from .reporting import run_manifest, write_csv, write_json
-from .spectral import sort_spectrum
 
 SUBCOMMANDS = (
     "ladder",
@@ -190,10 +189,15 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     trace.checks["p1"] = p1
     trace.checks["p3"] = p3
     samples = rc.raw.get("run", {}).get("samples_per_scale")
-    if samples:
-        check_p2_p4(trace, cfg, ladder, field, samples_per_scale=int(samples),
-                    seed=rc.seed, log10_C=report.log10_C)
     ok = True
+    if samples:
+        p2_p4 = check_p2_p4(trace, cfg, ladder, field,
+                            samples_per_scale=int(samples), seed=rc.seed,
+                            log10_C=report.log10_C)
+        # a window sampler that stops at its guard short of the request fails
+        for per_scale in p2_p4["p4"].values():
+            for entry in per_scale.values():
+                ok &= len(entry["samples"]) >= int(samples)
     for i, lv in p1["levels"].items():
         ok &= lv["all_practical_pass"]
         if rc.mode == "strict":
@@ -273,9 +277,8 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     levels = _run_levels(rc)
     trace = run_ladder(cfg, ladder, field, levels=levels,
                        quad_points=rc.quad_points)
-    lam = {i: trace.scales[-1].levels[i].lam for i in levels}
     tol = float(rc.raw.get("run", {}).get("cone_tol", 5e-3))
-    rep = spectrum_cone_check(cfg, ladder, field, lam, tol=tol, levels=levels)
+    rep = spectrum_cone_check(cfg, ladder, field, trace, tol=tol, levels=levels)
     write_json(out / "cone_check.json", rep)
     return (0 if rep["pass"] else 1), {"kind": "cone-check", "pass": rep["pass"]}
 
@@ -284,13 +287,10 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points)
-    last = trace.scales[-1]
-    # the last ladder scale is the full-grid operator: reuse its spectrum
-    assert last.n == field.n_scales
     n_samples = int(rc.raw.get("run", {}).get("n_samples", 200))
     rep = resolvent_cone_bound_check(
-        cfg, ladder, field, last.levels[1].lam, n_samples=n_samples,
-        seed=rc.seed, jobs=rc.jobs, eigs=sort_spectrum(trace._eigs[last.n]),
+        cfg, ladder, field, trace, n_samples=n_samples, seed=rc.seed,
+        jobs=rc.jobs,
     )
     write_json(
         out / "resolvent_scan.json",
@@ -304,7 +304,8 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
             for r in rep["rows"]
         ],
     )
-    ok = np.isfinite(rep["K"]) and rep["n_used"] > 0
+    # fewer usable samples than requested (sampler guard) fails the scan
+    ok = np.isfinite(rep["K"]) and 0 < rep["n_used"] == n_samples
     return (0 if ok else 1), {"kind": "resolvent-scan", "pass": bool(ok)}
 
 

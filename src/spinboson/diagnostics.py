@@ -21,7 +21,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, TrackingError
 from .geometry import Cone, Region, cone_contains, dist_to_cone, region_contains
 from .model import (
     CutoffLadder,
@@ -31,13 +31,13 @@ from .model import (
     coupling_amplitudes,
     form_factor,
 )
-from .multiscale import run_ladder, soft_branch_lattice, soft_branch_tolerance
-from .spectral import (
-    eig_all,
-    resolvent_norm,
-    shifted_inverse_eigenvalue,
-    split_blocks,
+from .multiscale import (
+    MultiscaleTrace,
+    run_ladder,
+    soft_branch_lattice,
+    soft_branch_tolerance,
 )
+from .spectral import resolvent_scan, shifted_inverse_eigenvalue
 
 
 def solver_tolerance(dim: int, scale: float) -> float:
@@ -199,12 +199,12 @@ def _refinement_delta(
         state_cap=field_disc.state_cap,
     )
     H = assemble_hamiltonian(cfg, refined, n=None)
-    meta = H.meta
     deltas = {}
     for i, lam in lam_base.items():
-        ix = meta.sector_indices[meta.sector_of_level(i)]
-        (block, top), _ = split_blocks(H, ix)
-        lam_ref, _ = shifted_inverse_eigenvalue(block, complex(lam), top=top)
+        sector = H.sectors[+1 if i == 1 else -1]  # the one holding phi_i (x) vacuum
+        lam_ref, _ = shifted_inverse_eigenvalue(
+            sector.block, complex(lam), top=sector.top
+        )
         deltas[i] = abs(lam_ref - lam)
     return deltas
 
@@ -359,20 +359,37 @@ def g_analyticity_check(
     )
 
 
+def _full_grid_scale(trace: MultiscaleTrace, field_disc: DiscretizedField):
+    """The ladder's last scale and its sorted spectrum.
+
+    That scale must be the full grid's, so its operator is the one the
+    cone checks are about; a ladder stopped earlier raises TrackingError.
+    """
+    last = trace.scales[-1]
+    if last.n != field_disc.n_scales:
+        raise TrackingError(
+            f"the ladder stopped at scale {last.n}; the cone checks need the "
+            f"full grid's scale {field_disc.n_scales}"
+        )
+    return last, trace.spectrum(last.n)
+
+
 def spectrum_cone_check(
     cfg: ModelConfig,
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
-    lam_by_level: dict,
+    trace: MultiscaleTrace,
     tol: float,
     levels: tuple = (0, 1),
     m: int | None = None,
 ) -> dict:
     """Cone localization of the full-grid spectrum inside the level boxes.
 
-    Every eigenvalue of the deepest-cutoff operator that falls in the
-    first-scale box of level i must lie within ``tol`` of the cone with
-    vertex at the extrapolated lambda_i.  Truncation-starved soft-branch
+    ``trace`` is a ladder run on ``field_disc`` down to its last scale,
+    which supplies lambda_i and the full-grid spectrum.  Every eigenvalue
+    of the deepest-cutoff operator that falls in the first-scale box of
+    level i must lie within ``tol`` of the cone with vertex at the
+    tracked lambda_i.  Truncation-starved soft-branch
     states (multiboson states whose decay channel exceeds the total-number
     cutoff; they sit one core width above their physical position and are
     recognized by their distance to the free branch lattice) are tested
@@ -380,17 +397,16 @@ def spectrum_cone_check(
     reported for both classes.
     """
     m = cfg.m_cone if m is None else m
-    H = assemble_hamiltonian(cfg, field_disc, n=None)
-    eigs = eig_all(H)
+    last, eigs = _full_grid_scale(trace, field_disc)
     modes = field_disc.modes_for_scale(None)
     lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
     height = 0.125 * cfg.delta * np.sin(cfg.nu) + 0.5 * ladder.cutoff(1) * np.sin(
         cfg.nu
     )
     branch_tol = soft_branch_tolerance(cfg, modes, height / np.sin(cfg.nu))
-    out: dict = {"levels": {}, "dim": H.dim, "branch_tol": branch_tol}
+    out: dict = {"levels": {}, "dim": last.dim, "branch_tol": branch_tol}
     for i in levels:
-        lam = complex(lam_by_level[i])
+        lam = complex(last.levels[i].lam)
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, m)
@@ -433,20 +449,19 @@ def resolvent_cone_bound_check(
     cfg: ModelConfig,
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
-    lam1: complex,
+    trace: MultiscaleTrace,
     n_samples: int = 200,
     seed: int = 0,
     m: int | None = None,
     i: int = 1,
     artifact_exclusion: float = 5e-3,
     jobs: int = 1,
-    eigs: np.ndarray | None = None,
 ) -> dict:
     """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_i)) over the box.
 
-    ``eigs`` is the full-grid spectrum sorted as ``eig_all`` sorts it, when
-    the caller already has it (the last ladder scale is the same operator);
-    otherwise it is computed here.
+    ``trace`` is a ladder run on ``field_disc`` down to its last scale,
+    which supplies lambda_i and the full-grid spectrum; the operator is
+    reassembled for the resolvent norms, which ``jobs`` threads evaluate.
 
     Samples avoid the backward-shifted cone (vertex moved by
     2 rho_N^(1 + mu/4) along the axis); points landing inside it or on the
@@ -456,7 +471,8 @@ def resolvent_cone_bound_check(
     radius of those artifact eigenvalues are skipped and counted as well.
     """
     m = cfg.m_cone if m is None else m
-    lam1 = complex(lam1)
+    last, eigs = _full_grid_scale(trace, field_disc)
+    lam1 = complex(last.levels[i].lam)
     rho_last = ladder.cutoff(field_disc.n_scales)
     shift = 2.0 * rho_last ** (1.0 + cfg.mu / 4.0)
     axis = np.exp(-1j * cfg.nu)
@@ -468,8 +484,6 @@ def resolvent_cone_bound_check(
 
     rng = np.random.default_rng(seed)
     H = assemble_hamiltonian(cfg, field_disc, n=None)
-    if eigs is None:
-        eigs = eig_all(H)
     modes = field_disc.modes_for_scale(None)
     lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
     branch_tol = soft_branch_tolerance(cfg, modes)
@@ -526,19 +540,10 @@ def resolvent_cone_bound_check(
             degenerate += 1
             continue
         kept.append((z, dist))
-    if jobs > 1 and len(kept) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            norms = list(
-                pool.map(lambda pair: resolvent_norm(H, pair[0], eigs=eigs),
-                         kept)
-            )
-    else:
-        norms = [resolvent_norm(H, z, eigs=eigs) for z, _ in kept]
+    scan = resolvent_scan(H, [z for z, _ in kept], jobs)
     rows = []
     k_fit = 0.0
-    for (z, dist), lhs in zip(kept, norms):
+    for (z, dist), (_, lhs) in zip(kept, scan):
         rows.append(
             {"z": [z.real, z.imag], "lhs": float(lhs), "dist": float(dist)}
         )

@@ -5,6 +5,8 @@ quadrature weights, obtained by discretizing the radial one-particle space.
 The Fock basis enumerates occupation multi-indices (n_1, ..., n_M) with a
 total-number cutoff sum(n_j) <= n_max; creation, annihilation and field
 energy operators are assembled as explicit matrices in that basis.
+Operators with an exact symmetry (the assembled Hamiltonian) are stored
+as an ``OperatorMatrix`` of keyed ``Sector`` blocks instead.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -20,6 +22,7 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Iterator
 
@@ -181,69 +184,61 @@ class FockBasis:
 
 
 @dataclass
+class Sector:
+    """One exact symmetry sector of an operator.
+
+    ``indices`` are the sector's positions in the full space, ``block`` its
+    dense matrix on them, and ``top`` the positions inside the block whose
+    rows and columns vanish off the diagonal except towards the other
+    positions (the top boson layer of an assembled Hamiltonian), which
+    shifted solvers eliminate exactly.  ``eigvals`` is computed on first
+    use and then reused.
+    """
+
+    indices: np.ndarray
+    block: np.ndarray
+    top: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.indices)
+        if self.block.shape != (n, n):
+            raise AssemblyError("block shape does not match its index set")
+        if len(self.top) and not (0 <= np.min(self.top) and np.max(self.top) < n):
+            raise AssemblyError("top-layer positions outside their block")
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        return np.linalg.eigvals(self.block)
+
+
+@dataclass
 class OperatorMatrix:
-    """Complex matrix of an operator, dense or permuted-block-diagonal.
+    """Complex matrix of an operator stored as its symmetry sectors.
 
-    ``blocks`` holds (indices, dense block) pairs whose index sets partition
-    range(dim); entries between different blocks are structurally zero.  This
-    is the storage used when a symmetry makes the matrix block diagonal after
-    a permutation.  Exactly one of ``matrix``/``blocks`` is set.
-
-    ``top_layers`` optionally lists, per block, positions inside the block
-    whose rows and columns vanish off the diagonal except towards the other
-    positions (the top boson layer of an assembled Hamiltonian).  Shifted
-    solvers eliminate those positions exactly.
+    ``sectors`` maps each sector key (the parity of an assembled
+    Hamiltonian, +1 first) to its Sector; the index sets partition
+    range(dim) and entries between different sectors are structurally zero.
     """
 
     dim: int
-    matrix: np.ndarray | None = None
-    blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
+    sectors: dict[int, Sector]
     hermitian: bool = False
-    top_layers: list[np.ndarray] | None = None
 
-    @classmethod
-    def dense(cls, matrix: np.ndarray, hermitian: bool = False) -> "OperatorMatrix":
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise AssemblyError("operator matrix must be square")
-        return cls(dim=matrix.shape[0], matrix=matrix, hermitian=hermitian)
-
-    @classmethod
-    def from_blocks(
-        cls,
-        dim: int,
-        blocks: list[tuple[np.ndarray, np.ndarray]],
-        hermitian: bool = False,
-        top_layers: list[np.ndarray] | None = None,
-    ) -> "OperatorMatrix":
-        seen = np.concatenate([np.asarray(ix) for ix, _ in blocks])
-        if len(seen) != dim or len(np.unique(seen)) != dim:
-            raise AssemblyError("block index sets must partition the dimension")
-        for ix, block in blocks:
-            if block.shape != (len(ix), len(ix)):
-                raise AssemblyError("block shape does not match its index set")
-        if top_layers is not None:
-            if len(top_layers) != len(blocks):
-                raise AssemblyError("one top-layer index set per block")
-            for top, (ix, _) in zip(top_layers, blocks):
-                if len(top) and not (0 <= np.min(top) and np.max(top) < len(ix)):
-                    raise AssemblyError("top-layer positions outside their block")
-        return cls(dim=dim, blocks=blocks, hermitian=hermitian, top_layers=top_layers)
+    def __post_init__(self):
+        seen = np.concatenate([s.indices for s in self.sectors.values()])
+        if len(seen) != self.dim or len(np.unique(seen)) != self.dim:
+            raise AssemblyError("sector index sets must partition the dimension")
 
     def to_dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ix, block in self.blocks:
-            out[np.ix_(ix, ix)] = block
+        for s in self.sectors.values():
+            out[np.ix_(s.indices, s.indices)] = s.block
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ x
         out = np.zeros_like(x, dtype=complex)
-        for ix, block in self.blocks:
-            out[ix] = block @ x[ix]
+        for s in self.sectors.values():
+            out[s.indices] = s.block @ x[s.indices]
         return out
 
 
@@ -254,10 +249,9 @@ def enumerate_basis(
     return FockBasis(modes, n_max, state_cap=state_cap)
 
 
-def build_field_energy(basis: FockBasis) -> OperatorMatrix:
+def build_field_energy(basis: FockBasis) -> np.ndarray:
     """Diagonal field energy: entry sum_j n_j omega_j per occupation state."""
-    diag = basis.states @ basis.modes.frequencies
-    return OperatorMatrix.dense(np.diag(diag.astype(complex)), hermitian=True)
+    return np.diag(field_energy_diagonal(basis).astype(complex))
 
 
 def field_energy_diagonal(basis: FockBasis) -> np.ndarray:
@@ -265,7 +259,7 @@ def field_energy_diagonal(basis: FockBasis) -> np.ndarray:
     return basis.states @ basis.modes.frequencies
 
 
-def build_annihilation(basis: FockBasis, coeffs: np.ndarray) -> OperatorMatrix:
+def build_annihilation(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     """Matrix of a(h) for amplitude vector h over the modes (antilinear)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (basis.modes.n_modes,):
@@ -273,15 +267,15 @@ def build_annihilation(basis: FockBasis, coeffs: np.ndarray) -> OperatorMatrix:
     rows, cols, mode_ix, amps = basis.lowering_triples()
     mat = np.zeros((basis.dim, basis.dim), dtype=complex)
     np.add.at(mat, (rows, cols), np.conj(coeffs[mode_ix]) * amps)
-    return OperatorMatrix.dense(mat)
+    return mat
 
 
-def build_creation(basis: FockBasis, coeffs: np.ndarray) -> OperatorMatrix:
+def build_creation(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     """Matrix of a(h)*, the adjoint of a(h) on the truncated space."""
-    return OperatorMatrix.dense(build_annihilation(basis, coeffs).matrix.conj().T)
+    return build_annihilation(basis, coeffs).conj().T
 
 
-def build_field_operator(basis: FockBasis, coeffs: np.ndarray) -> OperatorMatrix:
+def build_field_operator(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     """a(conj(h)) + a(h)* for amplitudes h: the interaction combination.
 
     Complex symmetric for any h (both ladder directions carry h itself);
@@ -295,7 +289,7 @@ def build_field_operator(basis: FockBasis, coeffs: np.ndarray) -> OperatorMatrix
     vals = coeffs[mode_ix] * amps
     np.add.at(mat, (rows, cols), vals)
     np.add.at(mat, (cols, rows), vals)
-    return OperatorMatrix.dense(mat)
+    return mat
 
 
 def verify_ccr(basis: FockBasis, h: np.ndarray, l: np.ndarray) -> float:
@@ -307,8 +301,8 @@ def verify_ccr(basis: FockBasis, h: np.ndarray, l: np.ndarray) -> float:
     """
     if basis.n_max < 1:
         raise ValueError("canonical commutator needs n_max >= 1")
-    a_h = build_annihilation(basis, h).matrix
-    c_l = build_annihilation(basis, l).matrix.conj().T
+    a_h = build_annihilation(basis, h)
+    c_l = build_creation(basis, l)
     comm = a_h @ c_l - c_l @ a_h
     inner = complex(np.vdot(np.asarray(h, dtype=complex), np.asarray(l, dtype=complex)))
     resid = comm - inner * np.eye(basis.dim)
@@ -325,7 +319,7 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     operator norms, so both inequalities must hold on any truncation.
     """
     h = np.asarray(h, dtype=complex)
-    a_mat = build_annihilation(basis, h).matrix
+    a_mat = build_annihilation(basis, h)
     scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
     lhs_a = _spectral_norm(a_mat * scale[None, :])
     lhs_astar = _spectral_norm(a_mat.conj().T * scale[None, :])

@@ -34,16 +34,20 @@ The assembled Hamiltonian on C^2 (x) Fock is
 
     H = K + exp(-theta) H_f + g sigma_1 (x) (a(f_themabar) + a(f_theta)*),
 
-stored as its two parity-sector blocks: the exact symmetry
-sigma_3 (x) (-1)^N, which the interaction preserves, splits it into two
-half-size blocks.  Inside each block the top boson layer N = n_max is
-diagonal and couples only to the layer N - 1; the assembly records its
-positions so that shifted solves can eliminate it exactly.
+stored as its two parity sectors: the exact symmetry sigma_3 (x) (-1)^N,
+which the interaction preserves, splits it into two half-size blocks.
+Sector +1 holds (excited atom, even Fock) and (ground atom, odd Fock), so
+it contains e1 (x) vacuum; sector -1 holds (excited atom, odd Fock) and
+(ground atom, even Fock), with e0 (x) vacuum.  Global indices put the
+excited atom first: atom a, Fock state s sits at a * dim(basis) + s.
+Inside each block the top boson layer N = n_max is diagonal and couples
+only to the layer N - 1; each sector records its positions so that
+shifted solves can eliminate it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
@@ -56,6 +60,8 @@ from .fock import (
     FockBasis,
     ModeSet,
     OperatorMatrix,
+    Sector,
+    build_field_operator,
     enumerate_basis,
     field_energy_diagonal,
 )
@@ -372,36 +378,6 @@ class DiscretizedField:
         return out
 
 
-@dataclass
-class HamiltonianMeta:
-    """Assembly metadata attached to an assembled Hamiltonian."""
-
-    basis: FockBasis
-    scale: int | None
-    interaction_scale: int | None
-    theta: complex
-    g: complex
-    even_fock: np.ndarray
-    odd_fock: np.ndarray
-    sector_indices: dict[int, np.ndarray] = dc_field(default_factory=dict)
-
-    def sector_of_level(self, i: int) -> int:
-        """Parity sector (+1 or -1) containing atom level i with the vacuum."""
-        return +1 if i == 1 else -1
-
-    def vacuum_position(self, i: int) -> int:
-        """Position of phi_i (x) vacuum inside its sector block."""
-        if i == 1:
-            return 0  # excited-atom, even-Fock part leads the plus block
-        return len(self.odd_fock)  # ground-atom, even-Fock part after odd part
-
-    def vacuum_vector_global(self, i: int, dim: int) -> np.ndarray:
-        vec = np.zeros(dim, dtype=complex)
-        atom = 0 if i == 1 else 1
-        vec[atom * self.basis.dim + 0] = 1.0
-        return vec
-
-
 def assemble_hamiltonian(
     cfg: ModelConfig,
     field: DiscretizedField,
@@ -418,9 +394,9 @@ def assemble_hamiltonian(
     step while the coupling is zeroed below rho_interaction_scale, which is
     the infrared-dressed approximant of the full Hamiltonian.
 
-    The result has dimension 2 * dim(basis) and is stored as the two
-    parity-sector blocks, each with the positions of its top boson layer
-    (``OperatorMatrix.top_layers``).  At theta = 0 with real g it is
+    The result has dimension 2 * dim(basis) and is stored as its two
+    parity sectors, keyed +1 and -1 (see the module docstring), each with
+    the positions of its top boson layer.  At theta = 0 with real g it is
     Hermitian; conjugating theta -> conj(theta), g -> conj(g) transposes it.
     """
     g = cfg.g if g is None else g
@@ -437,79 +413,36 @@ def assemble_hamiltonian(
     coeffs = np.where(coupling_mask, coeffs, 0.0)
 
     dim_f = basis.dim
-    dim = 2 * dim_f
     energies = field_energy_diagonal(basis)
     levels = cfg.atom_levels()
     hermitian = bool(
         theta == 0 and complex(g).imag == 0.0 and np.allclose(coeffs.imag, 0.0)
     )
+    phase = np.exp(-theta)
 
+    # parity sectors: sigma_3 (x) (-1)^N commutes with H exactly, and the
+    # field operator only connects even to odd boson numbers
     parity = basis.total_parity
     even = np.nonzero(parity > 0)[0]
     odd = np.nonzero(parity < 0)[0]
-    meta = HamiltonianMeta(
-        basis=basis,
-        scale=n,
-        interaction_scale=interaction_scale,
-        theta=theta,
-        g=g,
-        even_fock=even,
-        odd_fock=odd,
-    )
+    phi_eo = build_field_operator(basis, coeffs)[np.ix_(even, odd)]
 
-    phase = np.exp(-theta)
-    rows, cols, mode_ix, amps = basis.lowering_triples()
-    vals = coeffs[mode_ix] * amps
-
-    # parity-sector blocks: sigma_3 (x) (-1)^N commutes with H exactly
-    pos_even = np.full(dim_f, -1, dtype=np.int64)
-    pos_even[even] = np.arange(len(even))
-    pos_odd = np.full(dim_f, -1, dtype=np.int64)
-    pos_odd[odd] = np.arange(len(odd))
-
-    phi_eo = np.zeros((len(even), len(odd)), dtype=complex)
-    low_mask = parity[rows] > 0  # lowering lands on even, starts on odd
-    np.add.at(
-        phi_eo, (pos_even[rows[low_mask]], pos_odd[cols[low_mask]]), vals[low_mask]
-    )
-    raise_mask = ~low_mask  # transposed entries with even column
-    np.add.at(
-        phi_eo,
-        (pos_even[cols[raise_mask]], pos_odd[rows[raise_mask]]),
-        vals[raise_mask],
-    )
-
-    def sector_block(atom_first: int, fock_first: np.ndarray, fock_second: np.ndarray):
+    def sector(fock_first: np.ndarray, fock_second: np.ndarray) -> Sector:
+        """Excited atom on fock_first, then ground atom on fock_second."""
         n1, n2 = len(fock_first), len(fock_second)
         block = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        block[:n1, :n1] = np.diag(levels[atom_first] + phase * energies[fock_first])
-        block[n1:, n1:] = np.diag(
-            levels[1 - atom_first] + phase * energies[fock_second]
-        )
+        block[:n1, :n1] = np.diag(levels[0] + phase * energies[fock_first])
+        block[n1:, n1:] = np.diag(levels[1] + phase * energies[fock_second])
         coupling = phi_eo if fock_first is even else phi_eo.T
         block[:n1, n1:] = g * coupling
         block[n1:, :n1] = g * coupling.T
-        return block
+        fock = np.concatenate([fock_first, fock_second])
+        top = np.nonzero(basis.totals[fock] == basis.n_max)[0]
+        return Sector(np.concatenate([fock_first, dim_f + fock_second]), block, top)
 
-    def top_layer(fock_first: np.ndarray, fock_second: np.ndarray):
-        totals = basis.totals[np.concatenate([fock_first, fock_second])]
-        return np.nonzero(totals == basis.n_max)[0]
-
-    # plus sector: (excited atom, even Fock) + (ground atom, odd Fock)
-    block_plus = sector_block(0, even, odd)
-    ix_plus = np.concatenate([even, dim_f + odd])
-    # minus sector: (excited atom, odd Fock) + (ground atom, even Fock)
-    block_minus = sector_block(0, odd, even)
-    ix_minus = np.concatenate([odd, dim_f + even])
-    meta.sector_indices = {+1: ix_plus, -1: ix_minus}
-    op = OperatorMatrix.from_blocks(
-        dim,
-        [(ix_plus, block_plus), (ix_minus, block_minus)],
-        hermitian=hermitian,
-        top_layers=[top_layer(even, odd), top_layer(odd, even)],
+    return OperatorMatrix(
+        2 * dim_f, {+1: sector(even, odd), -1: sector(odd, even)}, hermitian
     )
-    op.meta = meta
-    return op
 
 
 def interaction_norm_bound(
@@ -530,12 +463,7 @@ def interaction_norm_bound(
         coeffs = np.asarray(amplitudes, dtype=complex)
     else:
         coeffs = coupling_amplitudes(cfg, basis.modes, theta=theta)
-    rows, cols, mode_ix, amps = basis.lowering_triples()
-    vals = coeffs[mode_ix] * amps
-    dim_f = basis.dim
-    phi = np.zeros((dim_f, dim_f), dtype=complex)
-    np.add.at(phi, (rows, cols), vals)
-    np.add.at(phi, (cols, rows), vals)
+    phi = build_field_operator(basis, coeffs)
     energies = field_energy_diagonal(basis)
     levels = cfg.atom_levels()
     scale = [1.0 / np.sqrt(levels[a] + energies + 1.0) for a in range(2)]

@@ -54,10 +54,9 @@ from .model import (
 from .spectral import (
     RieszProjector,
     block_resolvent_norm,
-    eigvals_by_sector,
     projected_resolvent_norm,
     rank_two_difference_norm,
-    split_blocks,
+    sort_spectrum,
     track_eigenvalue,
 )
 
@@ -123,6 +122,10 @@ class MultiscaleTrace:
 
     def level_series(self, i: int, name: str) -> list:
         return [getattr(rec.levels[i], name) for rec in self.scales]
+
+    def spectrum(self, n: int) -> np.ndarray:
+        """The scale-n operator's eigenvalues, sorted as ``eig_all`` sorts."""
+        return sort_spectrum(self._eigs[n])
 
     def to_dict(self) -> dict:
         def cplx(z):
@@ -190,6 +193,13 @@ def _embed_full_vector(
     out[emb] = vec[:dim_small]
     out[dim_big + emb] = vec[dim_small:]
     return out
+
+
+def _atomic_vacuum(i: int, dim: int) -> np.ndarray:
+    """phi_i (x) vacuum in the global coordinates (excited atom first)."""
+    vec = np.zeros(dim, dtype=complex)
+    vec[0 if i == 1 else dim // 2] = 1.0
+    return vec
 
 
 def soft_branch_lattice(cfg: ModelConfig, modes, n_max: int) -> np.ndarray:
@@ -323,9 +333,8 @@ def run_ladder(
 
     for n in range(1, n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
-        meta = H.meta
-        sector_eigs = eigvals_by_sector(H)
-        all_eigs = np.concatenate([sector_eigs[k] for k in sorted(sector_eigs)])
+        modes = field_disc.modes_for_scale(n)
+        all_eigs = np.concatenate([s.eigvals for s in H.sectors.values()])
         trace._eigs[n] = all_eigs
         rho_n = ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
@@ -342,7 +351,7 @@ def run_ladder(
                 probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][0])
                 left_probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][1])
             else:
-                probe = meta.vacuum_vector_global(i, H.dim)
+                probe = _atomic_vacuum(i, H.dim)
                 left_probe = None
             record = track_eigenvalue(
                 H,
@@ -369,7 +378,7 @@ def run_ladder(
                 lam.imag - 0.25 * rho_n * np.sin(cfg.nu)
             )
             n_soft, n_bad = _classify_window_spectrum(
-                cfg, meta.basis.modes, field_disc.n_max, in_window, lam, height
+                cfg, modes, field_disc.n_max, in_window, lam, height
             )
 
             data = LevelScaleData(
@@ -389,7 +398,7 @@ def run_ladder(
             )
             if n == 1:
                 data.first_scale_shift = abs(lam - bare[i])
-                vac = meta.vacuum_vector_global(i, H.dim)
+                vac = _atomic_vacuum(i, H.dim)
                 data.atomic_projector_gap = rank_two_difference_norm(
                     u_g, l_g, vac, vac
                 )
@@ -587,11 +596,9 @@ def check_p2_p4(
     for rec in trace.scales:
         n = rec.n
         H = assemble_hamiltonian(cfg, field_disc, n=n)
-        meta = H.meta
-        lattice = soft_branch_lattice(
-            cfg, meta.basis.modes, field_disc.n_max
-        )
-        branch_tol = soft_branch_tolerance(cfg, meta.basis.modes)
+        modes = field_disc.modes_for_scale(n)
+        lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
+        branch_tol = soft_branch_tolerance(cfg, modes)
         scale_eigs = trace._eigs[n]
         starved = np.array(
             [z for z in scale_eigs if np.min(np.abs(lattice - z)) <= branch_tol]
@@ -613,12 +620,12 @@ def check_p2_p4(
             )
             samples = []
             k_fit = 0.0
-            # the projector's embedding indices identify its sector block
-            (own_block, own_top), other_blocks = split_blocks(H, proj.indices)
+            own = H.sectors[proj.sector]
+            others = [s for key, s in H.sectors.items() if key != proj.sector]
             for z in zs:
-                lhs = projected_resolvent_norm(own_block, z, proj, top=own_top)
-                for other, other_top in other_blocks:
-                    lhs = max(lhs, block_resolvent_norm(other, z, other_top))
+                lhs = projected_resolvent_norm(own.block, z, proj, top=own.top)
+                for other in others:
+                    lhs = max(lhs, block_resolvent_norm(other.block, z, other.top))
                 shape = 1.0 / (rec.rho_n + abs(z - lam))
                 samples.append(
                     {"z": [z.real, z.imag], "lhs": lhs, "shape": shape}

@@ -1,15 +1,16 @@
 """Non-Hermitian spectral primitives.
 
 Everything here is dense-solver based and sized for desk-scale matrices.
-Operators arrive as plain matrices or in the parity-sector layout of the
-model assembly: the exact parity symmetry splits the Hamiltonian into two
-blocks, and all spectral quantities of the full operator are unions or
-maxima over the blocks.
+Operators arrive as plain matrices (one sector) or as the keyed parity
+sectors of the model assembly (``OperatorMatrix.sectors``): the exact
+parity symmetry splits the Hamiltonian into two blocks, and all spectral
+quantities of the full operator are unions or maxima over the sectors.
+Each sector computes its eigenvalues once and keeps them.
 
 Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
-block carries the positions of its top boson layer N = n_max, which is
-diagonal and couples only to the layer N - 1.  The solver eliminates that
-layer exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
+carries the positions of its top boson layer N = n_max, which is diagonal
+and couples only to the layer N - 1.  The solver eliminates that layer
+exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
 plain linear algebra) and factors only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  A plain matrix
 has no such layer and gets a dense LU through the same code.
@@ -18,17 +19,17 @@ Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
 distance of the nearest excluded eigenvalue, so the quadrature converges
 geometrically and a small node count reaches residuals near machine
-precision.  For large matrices the projector is never formed entrywise:
-its action on a block of probe vectors is accumulated node by node (one
-solver per node, shared by both quadrature passes), and the rank-one
-factors are recovered from that action.  This keeps every ladder step at
-O(nodes * |R|^3 / 3) flops for the factorizations plus sparse work on the
-eliminated layer.
+precision.  The projector is never formed entrywise: its action on a block
+of probe vectors is accumulated node by node (one solver per node, shared
+by both quadrature passes), and the rank-one factors are recovered from
+that action.  This keeps every ladder step at O(nodes * |R|^3 / 3) flops
+for the factorizations plus sparse work on the eliminated layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent import futures
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -41,16 +42,14 @@ from scipy.sparse.linalg import (
 )
 
 from .errors import (
-    AssemblyError,
     ContourCollisionError,
     DegeneracyError,
     SingularShiftError,
     TrackingError,
 )
-from .fock import OperatorMatrix
+from .fock import OperatorMatrix, Sector
 
 DENSE_SVD_LIMIT = 500
-DEFAULT_QUAD_POINTS = 64
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
@@ -58,32 +57,12 @@ MAX_QUAD_POINTS = 1024
 TOP_LAYER_GUARD = 1e-6
 
 
-def _as_blocks(H) -> list[tuple[np.ndarray | None, np.ndarray, np.ndarray | None]]:
-    """Normalize input to (global indices, dense block, top-layer positions)."""
+def _sectors(H) -> dict:
+    """The sectors of an assembled operator; a plain matrix is one sector."""
     if isinstance(H, OperatorMatrix):
-        if H.blocks is not None:
-            tops = H.top_layers or [None] * len(H.blocks)
-            return [(ix, block, top) for (ix, block), top in zip(H.blocks, tops)]
-        return [(None, H.matrix, None)]
+        return H.sectors
     arr = np.asarray(H, dtype=complex)
-    return [(None, arr, None)]
-
-
-def split_blocks(H: OperatorMatrix, indices: np.ndarray):
-    """The block stored on ``indices`` and the other blocks of ``H``.
-
-    Each block comes as a (dense block, top-layer positions) pair, the
-    positions being those ShiftedSolver eliminates.
-    """
-    own, others = None, []
-    for ix, block, top in _as_blocks(H):
-        if ix is not None and len(ix) == len(indices) and np.array_equal(ix, indices):
-            own = (block, top)
-        else:
-            others.append((block, top))
-    if own is None:
-        raise AssemblyError("no operator block is stored on the given indices")
-    return own, others
+    return {None: Sector(np.arange(len(arr)), arr, np.zeros(0, dtype=np.int64))}
 
 
 def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,10 +159,7 @@ def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
     For operators flagged Hermitian the imaginary parts are checked against
     ``hermitian_tol`` before being returned.
     """
-    vals = []
-    for _, block, _ in _as_blocks(H):
-        vals.append(np.linalg.eigvals(block))
-    spectrum = np.concatenate(vals)
+    spectrum = np.concatenate([s.eigvals for s in _sectors(H).values()])
     if isinstance(H, OperatorMatrix) and H.hermitian:
         worst = float(np.max(np.abs(spectrum.imag))) if len(spectrum) else 0.0
         scale = max(1.0, float(np.max(np.abs(spectrum))))
@@ -194,27 +170,15 @@ def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
     return sort_spectrum(spectrum)
 
 
-def eigvals_by_sector(op: OperatorMatrix) -> dict:
-    """Eigenvalues per storage block, cached on the operator."""
-    cache = getattr(op, "_eig_cache", None)
-    if cache is None:
-        cache = {}
-        for key, (_, block, _) in enumerate(_as_blocks(op)):
-            cache[key] = np.linalg.eigvals(block)
-        op._eig_cache = cache
-    return cache
-
-
 @dataclass
 class RieszProjector:
-    """Contour-quadrature spectral projector.
+    """Rank-factored contour-quadrature spectral projector right @ left^H.
 
-    Either ``matrix`` (dense) or the rank-factored pair ``right @ left^H``
-    is populated.  ``trace_value`` estimates the enclosed spectral count;
-    ``idempotency_residual`` is the measured quadrature defect |P^2 - P|
-    (exact norm for dense storage, probe-block estimate for factored).
-    ``converged`` is False when node doubling stopped at MAX_QUAD_POINTS
-    with the residual still above the requested tolerance.
+    ``trace_value`` estimates the enclosed spectral count;
+    ``idempotency_residual`` is the quadrature defect |P^2 - P| estimated
+    on a probe block.  ``converged`` is False when node doubling stopped at
+    MAX_QUAD_POINTS with the residual still above the requested tolerance.
+    ``sector`` is the key of the operator sector the projector lives in.
     """
 
     center: complex
@@ -224,25 +188,18 @@ class RieszProjector:
     idempotency_residual: float
     trace_value: complex
     rank: int
-    matrix: np.ndarray | None = None
-    right: np.ndarray | None = None
-    left: np.ndarray | None = None
-    indices: np.ndarray | None = None  # embedding into a larger space
+    right: np.ndarray
+    left: np.ndarray
+    sector: int | None = None
     converged: bool = True
 
     def to_dense(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
         return self.right @ self.left.conj().T
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix @ x
         return self.right @ (self.left.conj().T @ x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix.conj().T @ y
         return self.left @ (self.right.conj().T @ y)
 
 
@@ -260,78 +217,6 @@ def _node_solver(A: np.ndarray, z: complex, top: np.ndarray | None) -> ShiftedSo
     return solver
 
 
-def _check_annulus(
-    eigs: np.ndarray, center: complex, radius: float, margin: float
-) -> None:
-    dist = np.abs(eigs - center)
-    bad = (dist > radius * (1.0 - margin)) & (dist < radius * (1.0 + margin))
-    if np.any(bad):
-        worst = eigs[bad][np.argmin(np.abs(dist[bad] - radius))]
-        raise ContourCollisionError(
-            f"eigenvalue {worst} lies within {margin:.0%} of the contour "
-            f"(center {center}, radius {radius})"
-        )
-
-
-def riesz_projection(
-    H,
-    center: complex,
-    radius: float,
-    quad_points: int = DEFAULT_QUAD_POINTS,
-    eigs: np.ndarray | None = None,
-    margin: float = 0.2,
-    tol: float = IDEMPOTENCY_TOL,
-    assume_clear: bool = False,
-    adaptive: bool = True,
-) -> RieszProjector:
-    """Dense contour projector -(1/2 pi i) oint (H - z)^(-1) dz.
-
-    The node count doubles until the idempotency residual drops below
-    ``tol`` (cap MAX_QUAD_POINTS).  Unless ``assume_clear`` is set, the
-    spectrum (given or computed) is checked against a collision annulus
-    around the circle.
-    """
-    blocks = _as_blocks(H)
-    dim = sum(b.shape[0] for _, b, _ in blocks)
-    if eigs is None and not assume_clear:
-        eigs = eig_all(H)
-    if eigs is not None and not assume_clear:
-        _check_annulus(np.asarray(eigs), center, radius, margin)
-
-    n_nodes = quad_points
-    while True:
-        total = np.zeros((dim, dim), dtype=complex)
-        offset = 0
-        nodes, phases = _contour_nodes(center, radius, n_nodes)
-        for ix, block, top in blocks:
-            nb = block.shape[0]
-            # one pass only: solvers are made and dropped node by node
-            solvers = (_node_solver(block, z, top) for z in nodes)
-            acc, _ = _contour_block_action(
-                solvers, phases, radius, np.eye(nb, dtype=complex)
-            )
-            rows = ix if ix is not None else np.arange(nb) + offset
-            total[np.ix_(rows, rows)] = acc
-            offset += nb
-        residual = float(np.linalg.norm(total @ total - total, 2))
-        if not adaptive or residual < tol or n_nodes >= MAX_QUAD_POINTS:
-            break
-        n_nodes *= 2
-    trace = complex(np.trace(total))
-    rank = int(round(trace.real))
-    return RieszProjector(
-        center=center,
-        radius=radius,
-        quad_points=n_nodes,
-        dim=dim,
-        idempotency_residual=residual,
-        trace_value=trace,
-        rank=rank,
-        matrix=total,
-        converged=residual < tol,
-    )
-
-
 def _contour_block_action(
     solvers,
     phases: np.ndarray,
@@ -339,7 +224,7 @@ def _contour_block_action(
     X: np.ndarray,
     Y: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(P @ X, P^H @ Y) from the node solvers (any iterable) of one rule."""
+    """(P @ X, P^H @ Y) from the node solvers of one rule."""
     PX = np.zeros(X.shape, dtype=complex)
     PHY = None if Y is None else np.zeros(Y.shape, dtype=complex)
     for solver, ph in zip(solvers, phases):
@@ -360,7 +245,7 @@ def riesz_rank_one(
     n_random_probes: int = 3,
     tol: float = IDEMPOTENCY_TOL,
     seed: int = 7,
-    indices: np.ndarray | None = None,
+    sector: int | None = None,
     top: np.ndarray | None = None,
 ) -> RieszProjector:
     """Factored contour projector for an expected simple eigenvalue.
@@ -373,7 +258,7 @@ def riesz_rank_one(
     from probe vectors, the second measures the idempotency defect and the
     enclosed trace on that subspace.  Nodes double until the defect passes
     ``tol``; at MAX_QUAD_POINTS the projector is returned with
-    ``converged`` False.
+    ``converged`` False.  ``sector`` is recorded on the projector.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -399,7 +284,6 @@ def riesz_rank_one(
         u = u_basis[:, 0]
         wl, _, _ = np.linalg.svd(PHY, full_matrices=False)
         w = wl[:, 0]
-        sigma_ratio = float(svals[1] / svals[0]) if len(svals) > 1 else 0.0
 
         # second pass: trace on span{u, random} and the defect of P on its
         # own range (P fixes range vectors, so |P u - u| measures the
@@ -421,7 +305,7 @@ def riesz_rank_one(
             f"left/right pairing nearly singular at contour center {center}"
         )
     left = w / np.conj(pairing)  # so that P = u @ left^H has P u = u
-    proj = RieszProjector(
+    return RieszProjector(
         center=center,
         radius=radius,
         quad_points=n_nodes,
@@ -431,11 +315,9 @@ def riesz_rank_one(
         rank=int(round(trace.real)),
         right=u.reshape(-1, 1),
         left=left.reshape(-1, 1),
-        indices=indices,
+        sector=sector,
         converged=idem < tol,
     )
-    proj.sigma_ratio = sigma_ratio
-    return proj
 
 
 @dataclass
@@ -451,7 +333,6 @@ class SpectralRecord:
     projector: RieszProjector | None = None
     right_vector: np.ndarray | None = None
     left_vector: np.ndarray | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def track_eigenvalue(
@@ -468,20 +349,16 @@ def track_eigenvalue(
     Two independent routes must agree: the nearest candidate from the full
     eigenvalue list and the Rayleigh quotient built from the contour
     projector with the adjoint-projector left pairing.  Probe vectors are
-    given in the global coordinates of H; for block-stored operators the
-    tracked eigenvalue is located in its block (whose top-layer positions
-    go to the contour solvers) and the returned vectors are embedded back
-    into the full space.  A projector whose idempotency defect stays above
-    IDEMPOTENCY_TOL at MAX_QUAD_POINTS raises TrackingError.
+    given in the global coordinates of H; the tracked eigenvalue is located
+    in its sector (whose top-layer positions go to the contour solvers) and
+    the returned vectors are embedded back into the full space.  A
+    projector whose idempotency defect stays above IDEMPOTENCY_TOL at
+    MAX_QUAD_POINTS raises TrackingError.
     """
-    blocks = _as_blocks(H)
-    if isinstance(H, OperatorMatrix):
-        cache = eigvals_by_sector(H)
-    else:
-        cache = {0: np.linalg.eigvals(blocks[0][1])}
-    hits: list[tuple[int, int]] = []
-    for key in range(len(blocks)):
-        inside = np.nonzero(np.abs(cache[key] - seed) <= radius)[0]
+    sectors = _sectors(H)
+    hits: list[tuple] = []
+    for key, sec in sectors.items():
+        inside = np.nonzero(np.abs(sec.eigvals - seed) <= radius)[0]
         hits.extend((key, int(i)) for i in inside)
     if len(hits) == 0:
         raise TrackingError(
@@ -493,17 +370,17 @@ def track_eigenvalue(
             f"radius {radius}); tracking needs exactly one"
         )
     key, i = hits[0]
-    ix, A, top = blocks[key]
-    lam = complex(cache[key][i])
-    spectrum = np.concatenate([cache[k] for k in cache])
+    sec = sectors[key]
+    A = sec.block
+    lam = complex(sec.eigvals[i])
+    spectrum = np.concatenate([s.eigvals for s in sectors.values()])
     dist_sorted = np.sort(np.abs(spectrum - lam))
     gap = float(dist_sorted[1]) if len(dist_sorted) > 1 else np.inf
 
     def localize(vec):
         if vec is None:
             return None
-        vec = np.asarray(vec, dtype=complex)
-        return vec[ix] if ix is not None else vec
+        return np.asarray(vec, dtype=complex)[sec.indices]
 
     # contour centered on the candidate, radius limited by the gap
     proj_radius = min(radius, 0.4 * gap) if np.isfinite(gap) else radius
@@ -514,8 +391,8 @@ def track_eigenvalue(
         quad_points=quad_points,
         probe=localize(probe),
         left_probe=localize(left_probe),
-        indices=ix,
-        top=top,
+        sector=key,
+        top=sec.top,
     )
     if not proj.converged:
         raise TrackingError(
@@ -547,11 +424,11 @@ def track_eigenvalue(
         )
     residual = float(np.linalg.norm(A @ u - lam * u))
 
+    dim = sum(len(s.indices) for s in sectors.values())
+
     def globalize(vec):
-        if ix is None:
-            return vec
-        out = np.zeros(H.dim if isinstance(H, OperatorMatrix) else len(vec), complex)
-        out[ix] = vec
+        out = np.zeros(dim, dtype=complex)
+        out[sec.indices] = vec
         return out
 
     return SpectralRecord(
@@ -564,7 +441,6 @@ def track_eigenvalue(
         projector=proj,
         right_vector=globalize(u),
         left_vector=globalize(proj.left[:, 0]),
-        extras={"block": key},
     )
 
 
@@ -617,25 +493,21 @@ def block_resolvent_norm(
         )
 
 
-def resolvent_norm(H, z: complex, eigs: np.ndarray | None = None) -> float:
-    """Operator norm of (H - z)^(-1) via the smallest singular value.
+def resolvent_norm(H, z: complex) -> float:
+    """Operator norm of (H - z)^(-1): the maximum over the sectors.
 
     Returns inf when z sits on the spectrum to solver precision.
     """
-    if eigs is not None and len(eigs):
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        if np.min(np.abs(np.asarray(eigs) - z)) < 1e-13 * scale:
-            return np.inf
-    return max(block_resolvent_norm(block, z, top) for _, block, top in _as_blocks(H))
+    return max(
+        block_resolvent_norm(s.block, z, s.top) for s in _sectors(H).values()
+    )
 
 
 def resolvent_scan(H, z_grid, jobs: int = 1) -> list[tuple[complex, float]]:
     """Elementwise resolvent norms over a grid, order preserving."""
     z_list = list(z_grid)
     if jobs > 1 and len(z_list) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             norms = list(pool.map(lambda z: resolvent_norm(H, z), z_list))
     else:
         norms = [resolvent_norm(H, z) for z in z_list]

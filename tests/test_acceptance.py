@@ -157,11 +157,8 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
 def test_criterion_5_cone_localization(pinned, shared_run):
     """Box spectrum within 5e-3 of the resonance cone at m = 4."""
     t0 = time.time()
-    lam = {
-        i: shared_run.trace.scales[-1].levels[i].lam for i in (0, 1)
-    }
     rep = spectrum_cone_check(
-        pinned.cfg, pinned.ladder, pinned.field, lam, tol=5e-3, m=4
+        pinned.cfg, pinned.ladder, pinned.field, shared_run.trace, tol=5e-3, m=4
     )
     elapsed = time.time() - t0
     level1 = rep["levels"][1]
@@ -184,10 +181,9 @@ def test_criterion_6_resolvent_bound_shape():
     )
     trace = run_ladder(cfg, ladder, field, levels=(1,))
     RUN_REGISTRY.append(("resolvent-shape grid", trace))
-    lam1 = trace.scales[-1].levels[1].lam
     reports = [
         resolvent_cone_bound_check(
-            cfg, ladder, field, lam1, n_samples=200, seed=seed
+            cfg, ladder, field, trace, n_samples=200, seed=seed
         )
         for seed in (11, 22)
     ]

@@ -1,10 +1,12 @@
 """Configuration parsing, dispatch, artifacts, reproducibility."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from spinboson import ConfigError
+from spinboson import ConfigError, diagnostics, multiscale
 from spinboson.cli import dispatch, main, parse_config
 
 TINY = {
@@ -206,3 +208,45 @@ class TestConeCheckDispatch:
     def test_moderate_case_passes(self, tmp_path):
         rc = parse_config(config_text(run={"cone_tol": 5e-3}))
         assert dispatch("cone-check", rc, tmp_path) == 0
+
+    def test_cli_one_eigensolve_per_sector_and_scale(self, tmp_path, monkeypatch):
+        """The full-grid spectrum is read off the ladder's last scale."""
+        eigvals = np.linalg.eigvals
+        calls = []
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
+        )
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text())
+        code = main(["cone-check", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == 2 * TINY["ladder"]["n_scales"]
+
+
+class TestSampleShortfall:
+    """A sampler that stops at its guard short of the request fails the run."""
+
+    def test_resolvent_scan(self, tmp_path, monkeypatch):
+        calls = itertools.count(1)
+        # the forbidden cone lets through only every 1000th candidate
+        monkeypatch.setattr(
+            diagnostics, "cone_contains", lambda cone, z: next(calls) % 1000 != 0
+        )
+        rc = parse_config(config_text(run={"n_samples": 10}))
+        assert dispatch("resolvent-scan", rc, tmp_path) == 1
+        payload = json.loads((tmp_path / "resolvent_scan.json").read_text())
+        assert 0 < payload["n_used"] < 10
+
+    def test_ladder_p4(self, tmp_path, monkeypatch):
+        sample = multiscale._sample_window
+        # an exclusion radius around the truncation artifacts that covers
+        # every candidate point
+        monkeypatch.setattr(
+            multiscale, "_sample_window",
+            lambda *args, **kw: sample(*args, **{**kw, "avoid_radius": np.inf}),
+        )
+        rc = parse_config(config_text(run={"samples_per_scale": 4}))
+        assert dispatch("ladder", rc, tmp_path) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "failure" not in manifest and not manifest["pass"]

@@ -8,6 +8,9 @@ from spinboson import (
     CutoffLadder,
     DiscretizedField,
     ModelConfig,
+    TrackingError,
+    assemble_hamiltonian,
+    eig_all,
     fermi_golden_rule,
     g_analyticity_check,
     golden_rule_coefficient,
@@ -170,9 +173,8 @@ class TestSpectrumConeCheck:
     def test_free_model_on_axis(self, coarse):
         cfg, lad, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        rep = spectrum_cone_check(
-            cfg0, lad, field, {0: cfg.e0 + 0j, 1: cfg.e1 + 0j}, tol=1e-10
-        )
+        trace = run_ladder(cfg0, lad, field)
+        rep = spectrum_cone_check(cfg0, lad, field, trace, tol=1e-10)
         assert rep["pass"]
         # the free spectrum in the box sits on the rotated ray: zero distance
         for lv in rep["levels"].values():
@@ -181,8 +183,7 @@ class TestSpectrumConeCheck:
     def test_practical_run_with_classification(self, coarse):
         cfg, lad, field = coarse
         trace = run_ladder(cfg, lad, field)
-        lam = {i: trace.scales[-1].levels[i].lam for i in (0, 1)}
-        rep = spectrum_cone_check(cfg, lad, field, lam, tol=5e-3)
+        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3)
         assert rep["pass"], rep["levels"]
 
     def test_narrow_cone_stress_detects_violations(self, coarse):
@@ -190,12 +191,11 @@ class TestSpectrumConeCheck:
         cfg, lad, field = coarse
         strong = cfg.replace(g=0.15)
         trace = run_ladder(strong, lad, field, levels=(0,))
-        lam0 = trace.scales[-1].levels[0].lam
         wide = spectrum_cone_check(
-            strong, lad, field, {0: lam0}, tol=1e-4, levels=(0,), m=4
+            strong, lad, field, trace, tol=1e-4, levels=(0,), m=4
         )
         narrow = spectrum_cone_check(
-            strong, lad, field, {0: lam0}, tol=1e-4, levels=(0,), m=40
+            strong, lad, field, trace, tol=1e-4, levels=(0,), m=40
         )
         assert not narrow["pass"]
         assert len(narrow["levels"][0]["violations"]) >= len(
@@ -208,9 +208,8 @@ class TestResolventConeBound:
     def test_structure_and_stability(self, coarse):
         cfg, lad, field = coarse
         trace = run_ladder(cfg, lad, field, levels=(1,))
-        lam1 = trace.scales[-1].levels[1].lam
         reps = [
-            resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=40,
+            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=40,
                                        seed=s)
             for s in (1, 2)
         ]
@@ -247,22 +246,37 @@ class TestResolventConeBound:
     def test_rows_consistent(self, coarse):
         cfg, lad, field = coarse
         trace = run_ladder(cfg, lad, field, levels=(1,))
-        lam1 = trace.scales[-1].levels[1].lam
-        rep = resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=20,
+        rep = resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=20,
                                          seed=5)
         for row in rep["rows"]:
             assert row["lhs"] * row["dist"] <= rep["K"] * (1 + 1e-12)
 
     def test_ladder_spectrum_reused_identically(self, coarse):
-        """The last ladder scale's spectrum stands in for the full-grid one."""
-        from spinboson.spectral import sort_spectrum
-
+        """The last ladder scale's spectrum is the full-grid one, bit for bit."""
         cfg, lad, field = coarse
         trace = run_ladder(cfg, lad, field, levels=(1,))
-        lam1 = trace.scales[-1].levels[1].lam
-        eigs = sort_spectrum(trace._eigs[field.n_scales])
-        reused = resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=10,
-                                            seed=3, eigs=eigs)
-        fresh = resolvent_cone_bound_check(cfg, lad, field, lam1, n_samples=10,
-                                           seed=3)
-        assert reused == fresh
+        fresh = eig_all(assemble_hamiltonian(cfg, field))
+        assert np.array_equal(trace.spectrum(field.n_scales), fresh)
+
+    def test_stopped_ladder_rejected(self, coarse):
+        cfg, lad, field = coarse
+        trace = run_ladder(cfg, lad, field, n_scales=2, levels=(1,))
+        with pytest.raises(TrackingError, match="stopped at scale 2"):
+            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=5)
+        with pytest.raises(TrackingError, match="stopped at scale 2"):
+            spectrum_cone_check(cfg, lad, field, trace, tol=5e-3, levels=(1,))
+
+    def test_threaded_report_matches_serial(self, coarse):
+        cfg, lad, field = coarse
+        trace = run_ladder(cfg, lad, field, levels=(1,))
+        serial, threaded = (
+            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=10,
+                                       seed=3, jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert threaded["n_used"] == serial["n_used"] == 10
+        assert [r["z"] for r in threaded["rows"]] == [r["z"] for r in serial["rows"]]
+        assert [r["lhs"] for r in threaded["rows"]] == pytest.approx(
+            [r["lhs"] for r in serial["rows"]], rel=1e-12
+        )
+        assert threaded["K"] == pytest.approx(serial["K"], rel=1e-12)

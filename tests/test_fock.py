@@ -95,23 +95,23 @@ class TestFieldEnergy:
     def test_vacuum_entry_zero(self):
         basis = enumerate_basis(modes_of([1.3, 2.7]), 2)
         H = build_field_energy(basis)
-        assert H.matrix[0, 0] == 0.0
-        assert H.hermitian
+        assert H[0, 0] == 0.0
+        assert np.array_equal(H, H.conj().T)
 
     def test_single_mode_times_n(self):
         basis = enumerate_basis(modes_of([2.0]), 3)
         H = build_field_energy(basis)
-        assert H.matrix[3, 3] == pytest.approx(6.0)
+        assert H[3, 3] == pytest.approx(6.0)
 
     def test_two_mode_sum(self):
         # one boson at omega = 1 plus two at omega = 0.5 carries energy 2
         basis = enumerate_basis(modes_of([0.5, 1.0]), 3)
         i = basis.index_of((2, 1))
-        assert build_field_energy(basis).matrix[i, i] == pytest.approx(2.0)
+        assert build_field_energy(basis)[i, i] == pytest.approx(2.0)
 
     def test_commutes_with_occupation_projectors(self, rng):
         basis = enumerate_basis(modes_of([0.7, 1.1, 1.9]), 2)
-        H = build_field_energy(basis).matrix
+        H = build_field_energy(basis)
         proj = np.diag(rng.integers(0, 2, size=basis.dim).astype(complex))
         assert np.max(np.abs(H @ proj - proj @ H)) == 0.0
 
@@ -119,18 +119,18 @@ class TestFieldEnergy:
 class TestLadderOperators:
     def test_zero_coefficients(self):
         basis = enumerate_basis(modes_of([1.0, 2.0]), 2)
-        assert np.all(build_annihilation(basis, [0.0, 0.0]).matrix == 0.0)
+        assert np.all(build_annihilation(basis, [0.0, 0.0]) == 0.0)
 
     def test_single_mode_sqrt_n(self):
         basis = enumerate_basis(modes_of([1.0]), 4)
-        a = build_annihilation(basis, [1.0]).matrix
+        a = build_annihilation(basis, [1.0])
         for n in range(1, 5):
             assert a[n - 1, n] == pytest.approx(np.sqrt(n))
 
     def test_two_mode_hand_computed(self):
         # n_max = 1 over modes (1, i): states vac, (1,0), (0,1)
         basis = enumerate_basis(modes_of([1.0, 2.0]), 1)
-        a = build_annihilation(basis, [1.0, 1.0j]).matrix
+        a = build_annihilation(basis, [1.0, 1.0j])
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, basis.index_of((1, 0))] = 1.0  # conj(1)
         expected[0, basis.index_of((0, 1))] = -1.0j  # conj(i)
@@ -139,17 +139,17 @@ class TestLadderOperators:
     def test_creation_is_adjoint(self, rng):
         basis = enumerate_basis(modes_of([0.5, 1.5, 2.5]), 3)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        a = build_annihilation(basis, h).matrix
-        c = build_creation(basis, h).matrix
+        a = build_annihilation(basis, h)
+        c = build_creation(basis, h)
         assert np.allclose(c, a.conj().T)
 
     def test_field_operator_combines_both(self, rng):
         basis = enumerate_basis(modes_of([0.5, 1.5]), 2)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        phi = build_field_operator(basis, h).matrix
+        phi = build_field_operator(basis, h)
         expected = (
-            build_annihilation(basis, np.conj(h)).matrix
-            + build_creation(basis, h).matrix
+            build_annihilation(basis, np.conj(h))
+            + build_creation(basis, h)
         )
         assert np.allclose(phi, expected)
         assert np.allclose(phi, phi.T)  # complex symmetric
@@ -231,6 +231,6 @@ def test_mode_set_scaling_preserves_labels():
 def test_field_energy_diagonal_matches_matrix():
     basis = enumerate_basis(modes_of([0.5, 1.25]), 2)
     assert np.allclose(
-        np.diag(build_field_energy(basis).matrix).real,
+        np.diag(build_field_energy(basis)).real,
         field_energy_diagonal(basis),
     )

@@ -25,7 +25,7 @@ def kron_hamiltonian(cfg, field):
     """Independent route: the full-grid operator as explicit Kronecker products."""
     basis = field.basis_for_scale(None)
     c = coupling_amplitudes(cfg, basis.modes)
-    phi = build_field_operator(basis, c).matrix
+    phi = build_field_operator(basis, c)
     E = field_energy_diagonal(basis)
     return (
         np.kron(np.diag([cfg.e1, cfg.e0]), np.eye(basis.dim))
@@ -244,7 +244,7 @@ class TestAssembly:
         assert modes.n_modes == 2
         c = coupling_amplitudes(cfg, modes, theta=0.0)
         # zero the second mode's coupling: exact single-mode model
-        phi = build_field_operator(basis, c * np.array([1.0, 0.0])).matrix
+        phi = build_field_operator(basis, c * np.array([1.0, 0.0]))
         E = field_energy_diagonal(basis)
         dense = (
             np.kron(np.diag([cfg.e1, cfg.e0]), np.eye(basis.dim))
@@ -289,8 +289,9 @@ class TestAssembly:
         H = assemble_hamiltonian(cfg, small_field)
         totals = small_field.basis_for_scale(None).totals
         n_max = small_field.n_max
-        for (ix, block), top in zip(H.blocks, H.top_layers):
-            layer = totals[ix % len(totals)]
+        for sector in H.sectors.values():
+            block, top = sector.block, sector.top
+            layer = totals[sector.indices % len(totals)]
             assert np.array_equal(top, np.nonzero(layer == n_max)[0])
             tt = block[np.ix_(top, top)]
             assert np.max(np.abs(tt - np.diag(np.diag(tt)))) == 0.0

@@ -132,17 +132,17 @@ class TestPracticalRun:
 
     def test_p4_pole_removed_near_lambda(self, practical):
         cfg, lad, field, trace = practical
-        from spinboson.spectral import projected_resolvent_norm, split_blocks
+        from spinboson.spectral import projected_resolvent_norm
 
         rec = trace.scales[-1]
         data = rec.levels[1]
         H = assemble_hamiltonian(cfg, field, n=rec.n)
         proj = trace._projectors[(rec.n, 1)]
-        (block, top), _ = split_blocks(H, proj.indices)
+        sector = H.sectors[proj.sector]
         lam = data.lam
         # approach the eigenvalue: the projected resolvent stays bounded
         norms = [
-            projected_resolvent_norm(block, lam + eps, proj, top=top)
+            projected_resolvent_norm(sector.block, lam + eps, proj, top=sector.top)
             for eps in (1e-4, 1e-6, 1e-8)
         ]
         assert max(norms) / min(norms) < 10.0
