@@ -22,6 +22,7 @@ from .errors import (
     BasisSizeError,
     ConfigError,
     ContourCollisionError,
+    ConvergenceError,
     DegeneracyError,
     SingularShiftError,
     SpinBosonError,

@@ -29,6 +29,10 @@ class SingularShiftError(SpinBosonError):
     """A shifted solve was requested at a shift on the spectrum."""
 
 
+class ConvergenceError(SpinBosonError):
+    """An iteration reached its step cap without meeting its stopping test."""
+
+
 class TrackingError(SpinBosonError):
     """Eigenvalue tracking lost its target or found an ambiguous candidate."""
 

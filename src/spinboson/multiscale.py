@@ -53,9 +53,8 @@ from .model import (
 )
 from .spectral import (
     RieszProjector,
-    block_resolvent_norm,
-    projected_resolvent_norm,
     rank_two_difference_norm,
+    resolvent_norm,
     sort_spectrum,
     track_eigenvalue,
 )
@@ -304,7 +303,6 @@ def run_ladder(
     n_scales: int | None = None,
     levels: tuple = (0, 1),
     quad_points: int = 16,
-    agree_tol: float = 1e-8,
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
@@ -360,7 +358,6 @@ def run_ladder(
                 probe=probe,
                 left_probe=left_probe,
                 quad_points=quad_points,
-                agree_tol=agree_tol,
             )
             lam = record.lam
             proj = record.projector
@@ -620,12 +617,8 @@ def check_p2_p4(
             )
             samples = []
             k_fit = 0.0
-            own = H.sectors[proj.sector]
-            others = [s for key, s in H.sectors.items() if key != proj.sector]
             for z in zs:
-                lhs = projected_resolvent_norm(own.block, z, proj, top=own.top)
-                for other in others:
-                    lhs = max(lhs, block_resolvent_norm(other.block, z, other.top))
+                lhs = resolvent_norm(H, z, proj)
                 shape = 1.0 / (rec.rho_n + abs(z - lam))
                 samples.append(
                     {"z": [z.real, z.imag], "lhs": lhs, "shape": shape}

@@ -1,6 +1,5 @@
 """Non-Hermitian spectral primitives.
 
-Everything here is dense-solver based and sized for desk-scale matrices.
 Operators arrive as plain matrices (one sector) or as the keyed parity
 sectors of the model assembly (``OperatorMatrix.sectors``): the exact
 parity symmetry splits the Hamiltonian into two blocks, and all spectral
@@ -13,7 +12,9 @@ and couples only to the layer N - 1.  The solver eliminates that layer
 exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
 plain linear algebra) and factors only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  A plain matrix
-has no such layer and gets a dense LU through the same code.
+has no such layer and gets a dense LU through the same code.  Resolvent
+norms build one solver per sector and shift and run Lanczos (svds) on its
+solves; no block of dimension 3 or more is inverted or SVD'd densely.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -43,15 +44,21 @@ from scipy.sparse.linalg import (
 
 from .errors import (
     ContourCollisionError,
+    ConvergenceError,
     DegeneracyError,
     SingularShiftError,
     TrackingError,
 )
 from .fock import OperatorMatrix, Sector
 
-DENSE_SVD_LIMIT = 500
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
+# Relative agreement of the two eigenvalue routes in track_eigenvalue.
+AGREE_TOL = 1e-8
+# Accuracy of resolvent norms: the svds tolerance and the relative residual
+# at which the power-iteration fallback stops (within POWER_MAX_ITERS steps).
+RESOLVENT_TOL = 1e-9
+POWER_MAX_ITERS = 300
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
@@ -242,9 +249,7 @@ def riesz_rank_one(
     quad_points: int = 16,
     probe: np.ndarray | None = None,
     left_probe: np.ndarray | None = None,
-    n_random_probes: int = 3,
     tol: float = IDEMPOTENCY_TOL,
-    seed: int = 7,
     sector: int | None = None,
     top: np.ndarray | None = None,
 ) -> RieszProjector:
@@ -261,10 +266,10 @@ def riesz_rank_one(
     ``converged`` False.  ``sector`` is recorded on the projector.
     """
     n = A.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     cols = [probe] if probe is not None else []
     cols += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
-             for _ in range(n_random_probes)]
+             for _ in range(3)]
     X = np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
     ycols = [left_probe] if left_probe is not None else [X[:, 0]]
     ycols += [rng.standard_normal(n) + 1j * rng.standard_normal(n)]
@@ -342,16 +347,16 @@ def track_eigenvalue(
     probe: np.ndarray | None = None,
     left_probe: np.ndarray | None = None,
     quad_points: int = 16,
-    agree_tol: float = 1e-8,
 ) -> SpectralRecord:
     """Locate the unique eigenvalue inside circle(seed, radius).
 
     Two independent routes must agree: the nearest candidate from the full
     eigenvalue list and the Rayleigh quotient built from the contour
-    projector with the adjoint-projector left pairing.  Probe vectors are
-    given in the global coordinates of H; the tracked eigenvalue is located
-    in its sector (whose top-layer positions go to the contour solvers) and
-    the returned vectors are embedded back into the full space.  A
+    projector with the adjoint-projector left pairing, to AGREE_TOL.  Probe
+    vectors are given in the global coordinates of H; the tracked eigenvalue
+    is located in its sector (whose top-layer positions go to the contour
+    solvers) and the returned vectors are embedded back into the full
+    space.  A
     projector whose idempotency defect stays above IDEMPOTENCY_TOL at
     MAX_QUAD_POINTS raises TrackingError.
     """
@@ -417,7 +422,7 @@ def track_eigenvalue(
     rayleigh = complex(np.vdot(pw, A @ pv) / denom)
     disagreement = abs(rayleigh - lam)
     scale = max(1.0, abs(lam))
-    if disagreement > agree_tol * scale:
+    if disagreement > AGREE_TOL * scale:
         raise TrackingError(
             f"eigenvalue routes disagree: contour Rayleigh {rayleigh} vs "
             f"direct {lam} (|diff| = {disagreement:.3e})"
@@ -444,62 +449,75 @@ def track_eigenvalue(
     )
 
 
-def _power_norm(matvec, rmatvec, x: np.ndarray, tol: float, iters: int) -> float:
-    """Largest singular value by power iteration on op^H op (svds fallback)."""
-    x = x / np.linalg.norm(x)
-    val = 0.0
-    for _ in range(iters):
-        y = rmatvec(matvec(x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x_new = y / nrm
-        delta = np.linalg.norm(x_new - x)
-        x, val = x_new, nrm
-        if delta < tol:
-            break
-    return float(np.sqrt(val))
+def _power_norm(matvec, rmatvec, x: np.ndarray) -> float:
+    """Largest singular value by power iteration on M = op^H op (svds fallback).
 
-
-def block_resolvent_norm(
-    A: np.ndarray, z: complex, top: np.ndarray | None = None, tol: float = 1e-9
-) -> float:
-    """Operator norm of (A - z)^(-1) for one dense block.
-
-    ``top`` are the block's top-layer positions (see ShiftedSolver).
-    Returns inf when z sits on the spectrum to solver precision.
+    Stops when |M x - nu x| <= RESOLVENT_TOL * nu with nu = x^H M x, the
+    Rayleigh quotient of the unit iterate; raises ConvergenceError when
+    POWER_MAX_ITERS steps do not get there.
     """
-    n = A.shape[0]
-    if n <= DENSE_SVD_LIMIT:
-        shifted = A - z * np.eye(n, dtype=complex)
-        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-        if smin <= n * np.finfo(float).eps * max(1.0, float(np.abs(shifted).max())):
-            return np.inf
-        return 1.0 / smin
-    solver = ShiftedSolver(A, z, top)
+    x = x / np.linalg.norm(x)
+    for _ in range(POWER_MAX_ITERS):
+        y = rmatvec(matvec(x))
+        nu = float(np.vdot(x, y).real)
+        if np.linalg.norm(y - nu * x) <= RESOLVENT_TOL * nu:
+            return float(np.sqrt(nu))
+        x = y / np.linalg.norm(y)
+    raise ConvergenceError(
+        f"power iteration for the resolvent norm missed the relative residual "
+        f"{RESOLVENT_TOL:.0e} in {POWER_MAX_ITERS} steps"
+    )
+
+
+def _sector_resolvent_norm(
+    sec: Sector, z: complex, proj: RieszProjector | None
+) -> float:
+    """Norm of (A - z)^(-1) (1 - P) on one sector; P = 0 when proj is None."""
+    n = len(sec.indices)
+    solver = ShiftedSolver(sec.block, z, sec.top)
     if solver.singular:
         return np.inf
-    op = LinearOperator(
-        (n, n), matvec=solver.solve, rmatvec=solver.solve_adjoint, dtype=complex
-    )
-    rng = np.random.default_rng(12345)
-    v0 = rng.standard_normal(n)
+    if proj is None:
+        matvec, rmatvec = solver.solve, solver.solve_adjoint
+    else:
+        def matvec(x):
+            return solver.solve(x - proj.apply(x))
+
+        def rmatvec(y):
+            s = solver.solve_adjoint(y)
+            return s - proj.apply_adjoint(s)
+
+    if n < 3:
+        # ARPACK needs k = 1 < n - 1, so svds raises on a 1x1 or 2x2 block
+        op_dense = matvec(np.eye(n, dtype=complex))
+        return float(np.linalg.svd(op_dense, compute_uv=False)[0])
+    op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
+    v0 = np.random.default_rng(12345).standard_normal(n)
     try:
-        s = svds(op, k=1, which="LM", v0=v0, tol=tol, return_singular_vectors=False)
+        s = svds(
+            op, k=1, which="LM", v0=v0, tol=RESOLVENT_TOL,
+            return_singular_vectors=False,
+        )
         return float(s[0])
     except (ArpackNoConvergence, ArpackError):
-        return _power_norm(
-            solver.solve, solver.solve_adjoint, v0.astype(complex), tol, 200
-        )
+        return _power_norm(matvec, rmatvec, v0.astype(complex))
 
 
-def resolvent_norm(H, z: complex) -> float:
-    """Operator norm of (H - z)^(-1): the maximum over the sectors.
+def resolvent_norm(H, z: complex, proj: RieszProjector | None = None) -> float:
+    """Norm of (H - z)^(-1) (1 - P): the maximum over the sectors of H.
 
-    Returns inf when z sits on the spectrum to solver precision.
+    ``proj`` is a factored projector P on the sector ``H.sectors[proj.sector]``
+    (a plain matrix is the sector None) and acts only there; without it this
+    is the norm of the resolvent.  Returns inf when z sits on the spectrum to
+    working precision.
     """
+    sectors = _sectors(H)
+    if proj is not None and proj.sector not in sectors:
+        raise KeyError(f"projector sector {proj.sector!r} is not a sector of H")
+    on = None if proj is None else proj.sector
     return max(
-        block_resolvent_norm(s.block, z, s.top) for s in _sectors(H).values()
+        _sector_resolvent_norm(sec, z, proj if key == on else None)
+        for key, sec in sectors.items()
     )
 
 
@@ -515,77 +533,30 @@ def resolvent_scan(H, z_grid, jobs: int = 1) -> list[tuple[complex, float]]:
 
 
 def shifted_inverse_eigenvalue(
-    A: np.ndarray,
-    shift: complex,
-    iters: int = 40,
-    tol: float = 1e-13,
-    v0: np.ndarray | None = None,
-    top: np.ndarray | None = None,
+    A: np.ndarray, shift: complex, top: np.ndarray | None = None
 ) -> tuple[complex, np.ndarray]:
     """Eigenvalue of A nearest to ``shift`` by shifted inverse iteration.
 
-    Raises SingularShiftError when the shift is an eigenvalue to working
-    precision.
+    At most 40 steps from a random start; stops when the Rayleigh quotient
+    moves by less than 1e-13 relative.  Raises SingularShiftError when the
+    shift is an eigenvalue to working precision.
     """
     n = A.shape[0]
     solver = ShiftedSolver(A, shift, top)
     rng = np.random.default_rng(2024)
-    x = v0.astype(complex) if v0 is not None else (
-        rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    )
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     lam = shift
-    for _ in range(iters):
+    for _ in range(40):
         y = solver.solve(x)
         y /= np.linalg.norm(y)
         lam_new = complex(np.vdot(y, A @ y))
-        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new)):
             x = y
             lam = lam_new
             break
         x, lam = y, lam_new
     return lam, x
-
-
-def projected_resolvent_norm(
-    A: np.ndarray,
-    z: complex,
-    proj: RieszProjector,
-    tol: float = 1e-8,
-    top: np.ndarray | None = None,
-) -> float:
-    """Norm of (A - z)^(-1) (1 - P) for a factored rank-one projector.
-
-    Returns inf when z sits on the spectrum of A to working precision.
-    """
-    n = A.shape[0]
-    solver = ShiftedSolver(A, z, top)
-    if solver.singular:
-        return np.inf
-    if n <= DENSE_SVD_LIMIT:
-        comp = np.eye(n, dtype=complex) - proj.to_dense()
-        return float(np.linalg.svd(solver.solve(comp), compute_uv=False)[0])
-
-    def matvec(x):
-        x = np.asarray(x, dtype=complex).reshape(-1)
-        return solver.solve(x - proj.apply(x))
-
-    def rmatvec(y):
-        y = np.asarray(y, dtype=complex).reshape(-1)
-        s = solver.solve_adjoint(y)
-        return s - proj.apply_adjoint(s)
-
-    op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
-    rng = np.random.default_rng(54321)
-    try:
-        s = svds(
-            op, k=1, which="LM", v0=rng.standard_normal(n), tol=tol,
-            return_singular_vectors=False,
-        )
-        return float(s[0])
-    except (ArpackNoConvergence, ArpackError):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return _power_norm(matvec, rmatvec, x, tol, 300)
 
 
 def rank_two_difference_norm(

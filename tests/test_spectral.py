@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from spinboson import (
     ContourCollisionError,
+    ConvergenceError,
     CutoffLadder,
     DegeneracyError,
     DiscretizedField,
@@ -26,10 +28,19 @@ from spinboson.fock import OperatorMatrix, Sector
 from spinboson.spectral import (
     MAX_QUAD_POINTS,
     TOP_LAYER_GUARD,
-    projected_resolvent_norm,
     rank_two_difference_norm,
     shifted_inverse_eigenvalue,
 )
+
+
+def tiny_model(n_max, g=0.05):
+    """(config, field) of a 2-scale, 2-point-per-shell grid."""
+    cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=g, theta=0.2j)
+    field = DiscretizedField(
+        CutoffLadder(0.25, 0.5, e1=1.0), 2, points_per_shell=2, r_max=4.0,
+        n_max=n_max, uv_points_per_panel=2,
+    )
+    return cfg, field
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -215,7 +226,7 @@ class TestResolventNorm:
             assert resolvent_norm(A, z) >= 1.0 / np.min(np.abs(w - z)) - 1e-12
 
     def test_large_block_iterative_path(self, rng):
-        # above the dense-SVD limit the LU + svds route takes over
+        # a block far larger than the svds Krylov space (20 vectors)
         n = 520
         A = np.diag(np.linspace(1.0, 5.0, n)).astype(complex)
         A += 0.01 * random_matrix(rng, n) / np.sqrt(n)
@@ -223,6 +234,64 @@ class TestResolventNorm:
         got = resolvent_norm(A, z)
         want = 1.0 / np.linalg.svd(A - z * np.eye(n), compute_uv=False)[-1]
         assert got == pytest.approx(want, rel=1e-6)
+
+    def test_projector_sector_must_exist(self):
+        # a plain-matrix projector (sector None) on an assembled operator
+        proj = riesz_rank_one(np.diag([0.0, 1.0, 2.0]), center=0.0, radius=0.5)
+        with pytest.raises(KeyError):
+            resolvent_norm(assemble_hamiltonian(*tiny_model(1)), 0.5j, proj)
+
+
+def dense_resolvent_norm(A, z, P=None):
+    """Oracle: |(A - z)^(-1) (1 - P)| from one dense solve and a full SVD."""
+    eye = np.eye(len(A))
+    comp = eye if P is None else eye - P
+    return float(np.linalg.norm(np.linalg.solve(A - z * eye, comp), 2))
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    @pytest.mark.parametrize("projected", [False, True])
+    @pytest.mark.parametrize("offset", [1e-4, 0.6])
+    def test_assembled_operator(self, n_max, projected, offset):
+        # offset is |z - lambda| in units of the gap; n_max = 0 gives 1x1
+        # sectors, the dense path for blocks below dimension 3
+        H = assemble_hamiltonian(*tiny_model(n_max))
+        w = eig_all(H)
+        lam = w[np.argmin(np.abs(w - 1.0))]
+        gap = np.sort(np.abs(w - lam))[1]
+        proj = track_eigenvalue(H, seed=lam, radius=0.4 * gap).projector
+        z = lam + offset * gap * np.exp(0.7j)
+        want = max(
+            dense_resolvent_norm(
+                sec.block, z,
+                proj.to_dense() if projected and key == proj.sector else None,
+            )
+            for key, sec in H.sectors.items()
+        )
+        got = resolvent_norm(H, z, proj if projected else None)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+class TestPowerFallback:
+    @pytest.fixture(autouse=True)
+    def no_arpack(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spectral, "svds", fail)
+
+    def test_residual_stop(self):
+        # singular values 1, 1/2, ...: the residual test passes in 16 steps
+        assert resolvent_norm(np.diag([1.0, 2.0, 3.0, 4.0]), 0.0) == pytest.approx(
+            1.0, abs=1e-9
+        )
+
+    def test_cap_raises(self):
+        # ratio 1/1.0005^2 between the top two eigenvalues of M needs about
+        # 13,700 steps, far above the cap
+        with pytest.raises(ConvergenceError):
+            resolvent_norm(np.diag([1.0, 1.0005, 3.0, 4.0]), 0.0)
 
 
 class TestResolventScan:
@@ -271,7 +340,7 @@ class TestHelpers:
         gap = np.min(np.abs(np.delete(w, k) - w[k]))
         proj = riesz_rank_one(A, center=w[k], radius=0.4 * gap)
         z = w[k] + 0.01 * gap  # close to the removed pole
-        got = projected_resolvent_norm(A, z, proj)
+        got = resolvent_norm(A, z, proj)
         dense = np.linalg.solve(
             A - z * np.eye(12), np.eye(12) - proj.to_dense()
         )
@@ -288,13 +357,10 @@ def dense_lu_route(A, z, b, adjoint=False):
 
 def sector_blocks(n_max, g=0.05, interaction_scale=None):
     """(block, top-layer positions) of both parity sectors on a tiny grid."""
-    cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=g, theta=0.2j)
-    field = DiscretizedField(
-        CutoffLadder(0.25, 0.5, e1=1.0), 2, points_per_shell=2, r_max=4.0,
-        n_max=n_max, uv_points_per_panel=2,
-    )
     n = None if interaction_scale is None else 2
-    H = assemble_hamiltonian(cfg, field, n=n, interaction_scale=interaction_scale)
+    H = assemble_hamiltonian(
+        *tiny_model(n_max, g), n=n, interaction_scale=interaction_scale
+    )
     return [(s.block, s.top) for s in H.sectors.values()]
 
 
@@ -382,13 +448,14 @@ class TestSingularShift:
         assert t in solver.r and solver.singular
 
     def test_resolvent_norm_lu_branch(self):
+        # the pivots flag the shift before svds runs, at any block size
         A = np.diag(np.linspace(1.0, 5.0, 520)).astype(complex)
         assert resolvent_norm(A, A[7, 7]) == np.inf
 
     def test_projected_norm_on_other_eigenvalue(self):
         A = np.diag([0.0, 1.0, 2.0]).astype(complex)
         proj = riesz_rank_one(A, center=0.0, radius=0.5)
-        assert projected_resolvent_norm(A, 2.0, proj) == np.inf
+        assert resolvent_norm(A, 2.0, proj) == np.inf
 
     def test_inverse_iteration_raises(self):
         with pytest.raises(SingularShiftError):
