@@ -6,7 +6,11 @@ The Fock basis enumerates occupation multi-indices (n_1, ..., n_M) with a
 total-number cutoff sum(n_j) <= n_max; creation, annihilation and field
 energy operators are assembled as explicit matrices in that basis.
 Operators with an exact symmetry (the assembled Hamiltonian) are stored
-as an ``OperatorMatrix`` of keyed ``Sector`` blocks instead.
+as an ``OperatorMatrix`` of keyed ``Sector`` blocks instead, and
+``build_field_operator`` can build just one block (the even-odd coupling).
+The relative-bound check ``verify_standard_estimates`` takes one amplitude
+vector or a stack of them and works on boson-layer blocks: a(h) lowers the
+total number by one, so its norms split layer by layer.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -31,6 +35,9 @@ import numpy as np
 from .errors import AssemblyError, BasisSizeError
 
 DEFAULT_STATE_CAP = 500_000
+# Byte cap of one stacked layer block in verify_standard_estimates: bounds
+# the transient memory of a long stack while keeping the SVD calls few.
+_SVD_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -275,21 +282,40 @@ def build_creation(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
     return build_annihilation(basis, coeffs).conj().T
 
 
-def build_field_operator(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
+def build_field_operator(
+    basis: FockBasis,
+    coeffs: np.ndarray,
+    rows: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
+) -> np.ndarray:
     """a(conj(h)) + a(h)* for amplitudes h: the interaction combination.
 
     Complex symmetric for any h (both ladder directions carry h itself);
-    Hermitian exactly when h is real.
+    Hermitian exactly when h is real.  ``rows`` and ``cols`` (basis index
+    arrays, all of them by default) select the block that is built; every
+    entry receives at most one matrix element, so a block equals the same
+    slice of the full matrix exactly.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (basis.modes.n_modes,):
         raise AssemblyError("coefficient vector length must equal mode count")
-    rows, cols, mode_ix, amps = basis.lowering_triples()
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    lowered, raised, mode_ix, amps = basis.lowering_triples()
     vals = coeffs[mode_ix] * amps
-    np.add.at(mat, (rows, cols), vals)
-    np.add.at(mat, (cols, rows), vals)
+    rows = np.arange(basis.dim) if rows is None else np.asarray(rows)
+    cols = np.arange(basis.dim) if cols is None else np.asarray(cols)
+    pos_r, pos_c = _positions(basis.dim, rows), _positions(basis.dim, cols)
+    mat = np.zeros((len(rows), len(cols)), dtype=complex)
+    for r, c in ((lowered, raised), (raised, lowered)):
+        keep = (pos_r[r] >= 0) & (pos_c[c] >= 0)
+        mat[pos_r[r[keep]], pos_c[c[keep]]] += vals[keep]
     return mat
+
+
+def _positions(dim: int, index: np.ndarray) -> np.ndarray:
+    """Position of each basis state in ``index``, or -1 where it is absent."""
+    pos = np.full(dim, -1)
+    pos[index] = np.arange(len(index))
+    return pos
 
 
 def verify_ccr(basis: FockBasis, h: np.ndarray, l: np.ndarray) -> float:
@@ -317,25 +343,58 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     a(h)*(H_f+1)^(-1/2) and compares with the closed-form l2 bounds
     |h/sqrt(omega)| and |h| + |h/sqrt(omega)|.  Compression can only shrink
     operator norms, so both inequalities must hold on any truncation.
+
+    ``h`` is one amplitude vector of shape (n_modes,), which gives a dict of
+    floats, or a stack of shape (k, n_modes), which gives the same keys
+    holding length-k arrays.  a(h) maps boson layer n to layer n - 1 and
+    (H_f+1)^(-1/2) is diagonal, so both operators are direct sums of their
+    layer blocks and each norm is the largest block norm; the blocks are
+    built straight from the lowering triples and their largest singular
+    values taken by stacked SVDs of at most ``_SVD_STACK_BYTES`` each.
     """
     h = np.asarray(h, dtype=complex)
-    a_mat = build_annihilation(basis, h)
+    hs = np.atleast_2d(h)
+    if h.ndim > 2 or hs.shape[1] != basis.modes.n_modes:
+        raise AssemblyError("amplitudes must have shape (n_modes,) or (k, n_modes)")
+    lhs_a = np.zeros(len(hs))
+    lhs_astar = np.zeros(len(hs))
+    rows, cols, mode_ix, amps = basis.lowering_triples()
+    totals = basis.totals
     scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
-    lhs_a = _spectral_norm(a_mat * scale[None, :])
-    lhs_astar = _spectral_norm(a_mat.conj().T * scale[None, :])
-    rhs_a = float(np.linalg.norm(h / np.sqrt(basis.modes.frequencies)))
-    rhs_astar = float(np.linalg.norm(h)) + rhs_a
+    starts = np.searchsorted(totals, np.arange(basis.n_max + 2))
+    for n in range(1, basis.n_max + 1):
+        sel = totals[cols] == n
+        lo = rows[sel] - starts[n - 1]  # position in layer n - 1
+        hi = cols[sel] - starts[n]  # position in layer n
+        shape = (starts[n] - starts[n - 1], starts[n + 1] - starts[n])
+        # a(h)(H_f+1)^(-1/2): layer n -> n - 1, scaled on layer n
+        amp_a = amps[sel] * scale[cols[sel]]
+        # a(h)*(H_f+1)^(-1/2): layer n - 1 -> n, scaled on layer n - 1
+        amp_astar = amps[sel] * scale[rows[sel]]
+        step = max(1, _SVD_STACK_BYTES // (16 * shape[0] * shape[1]))
+        for k in range(0, len(hs), step):
+            coef = hs[k : k + step, mode_ix[sel]]
+            block = np.zeros((len(coef),) + shape, dtype=complex)
+            block[:, lo, hi] = coef.conj() * amp_a
+            _max_norm(lhs_a[k : k + step], block)
+            block = np.zeros((len(coef),) + shape[::-1], dtype=complex)
+            block[:, hi, lo] = coef * amp_astar
+            _max_norm(lhs_astar[k : k + step], block)
+    rhs_a = np.linalg.norm(hs / np.sqrt(basis.modes.frequencies), axis=1)
+    rhs_astar = np.linalg.norm(hs, axis=1) + rhs_a
     slack = 1e-12 * (1.0 + rhs_astar)
-    return {
+    rep = {
         "lhs_a": lhs_a,
         "lhs_astar": lhs_astar,
         "rhs_a": rhs_a,
         "rhs_astar": rhs_astar,
-        "pass": bool(lhs_a <= rhs_a + slack and lhs_astar <= rhs_astar + slack),
+        "pass": (lhs_a <= rhs_a + slack) & (lhs_astar <= rhs_astar + slack),
     }
+    if h.ndim == 1:
+        return {key: v[0].item() for key, v in rep.items()}
+    return rep
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+def _max_norm(out: np.ndarray, blocks: np.ndarray) -> None:
+    """out = max(out, largest singular value of each stacked block)."""
+    np.maximum(out, np.linalg.svd(blocks, compute_uv=False)[:, 0], out=out)

@@ -425,7 +425,7 @@ def assemble_hamiltonian(
     parity = basis.total_parity
     even = np.nonzero(parity > 0)[0]
     odd = np.nonzero(parity < 0)[0]
-    phi_eo = build_field_operator(basis, coeffs)[np.ix_(even, odd)]
+    phi_eo = build_field_operator(basis, coeffs, even, odd)
 
     def sector(fock_first: np.ndarray, fock_second: np.ndarray) -> Sector:
         """Excited atom on fock_first, then ground atom on fock_second."""

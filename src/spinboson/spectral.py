@@ -29,12 +29,14 @@ for the factorizations plus sparse work on the eliminated layer.
 
 from __future__ import annotations
 
+import threading
+import warnings
 from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import (
     ArpackError,
     ArpackNoConvergence,
@@ -62,6 +64,10 @@ POWER_MAX_ITERS = 300
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
+
+# catch_warnings swaps the process-wide filter list; the lock keeps threads
+# of one scan from restoring each other's filters out of order.
+_LU_WARNING_LOCK = threading.Lock()
 
 
 def _sectors(H) -> dict:
@@ -116,7 +122,13 @@ class ShiftedSolver:
         schur[np.diag_indices(len(self.r))] -= z
         if len(self.t):
             schur -= (self.a_rt @ sparse.diags(1.0 / self.dt) @ self.a_tr).toarray()
-        self.lu = lu_factor(schur)
+        # an exactly zero pivot makes lu_factor warn; the pivot test below
+        # decides singularity, so that warning alone is silenced here
+        with _LU_WARNING_LOCK, warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "Diagonal number .* is exactly zero", LinAlgWarning
+            )
+            self.lu = lu_factor(schur)
         pivots = np.abs(np.diag(self.lu[0]))
         scale = max(1.0, float(np.abs(schur).max())) if schur.size else 1.0
         self.singular = bool(

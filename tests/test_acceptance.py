@@ -44,16 +44,16 @@ def pinned():
 @pytest.fixture(scope="module")
 def shared_run(pinned):
     """One full pinned ladder run at g = 0.05, both levels."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = run_ladder(pinned.cfg, pinned.ladder, pinned.field)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     RUN_REGISTRY.append(("pinned g=0.05", trace))
     return SimpleNamespace(trace=trace, elapsed=elapsed)
 
 
 def test_criterion_1_free_model_exactness():
     """g = 0: lambda = e_i and P = atomic projector to 1e-12, all scales."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = sb.ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.0, theta=0.2j)
     ladder = sb.CutoffLadder(0.25, 0.5, e1=1.0)
     field = sb.DiscretizedField(
@@ -78,7 +78,7 @@ def test_criterion_1_free_model_exactness():
             worst_proj = max(
                 worst_proj, rank_two_difference_norm(u, left, vac, vac)
             )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert worst_lam <= 1e-12
     assert worst_proj <= 1e-12
     assert elapsed < 10.0
@@ -88,7 +88,7 @@ def test_criterion_1_free_model_exactness():
 
 def test_criterion_2_fermi_golden_rule(pinned):
     """Im(lambda_1)/g^2 approaches -4 pi^2 e^(-2); oracle concurs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     import mpmath as mp
 
     mp.mp.dps = 30
@@ -103,7 +103,7 @@ def test_criterion_2_fermi_golden_rule(pinned):
         RUN_REGISTRY.append((f"fgr g={row['g']}", row["trace"]))
     err_big, err_small = (r["rel_error_vs_coefficient"] for r in rep["rows"])
     pt2_dis = rep["rows"][1]["pt2_rel_disagreement"]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert err_big < 0.15 and err_small < 0.15
     assert err_small < err_big  # strictly closer at the smaller coupling
     assert pt2_dis < 0.05
@@ -114,12 +114,12 @@ def test_criterion_2_fermi_golden_rule(pinned):
 
 def test_criterion_3_theta_invariance(pinned):
     """lambda_1 constant over the dilation samples within the budget."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     thetas = [0.15j, 0.2j, 0.25j, 0.1 + 0.2j]
     rep = theta_invariance_scan(
         pinned.cfg, pinned.ladder, pinned.field, thetas, levels=(1,)
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     spread = rep.max_pairwise[1]
     re_pairs = rep.details["real_shift_pairs"]
     assert re_pairs, "the sample set contains one pure real shift pair"
@@ -133,7 +133,7 @@ def test_criterion_3_theta_invariance(pinned):
 
 def test_criterion_4_multiscale_decay(pinned, shared_run):
     """P1 and P3 gaps decay geometrically within the stated envelopes."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     trace = shared_run.trace
     p1 = check_p1(trace, pinned.cfg, pinned.ladder)
     p3 = check_p3(trace, pinned.cfg, pinned.ladder)
@@ -147,7 +147,7 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
         assert r1 is not None and r1 <= p1_cap
         assert r3 is not None and r3 <= p3_cap
         ratios[i] = (r1, r3)
-    elapsed = time.time() - t0 + shared_run.elapsed
+    elapsed = time.perf_counter() - t0 + shared_run.elapsed
     assert elapsed < 300.0
     _record(4, f"P1 ratios {ratios[0][0]:.3f}/{ratios[1][0]:.3f} <= "
                f"{p1_cap:.3f}; P3 ratios {ratios[0][1]:.3f}/"
@@ -156,11 +156,11 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
 
 def test_criterion_5_cone_localization(pinned, shared_run):
     """Box spectrum within 5e-3 of the resonance cone at m = 4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = spectrum_cone_check(
         pinned.cfg, pinned.ladder, pinned.field, shared_run.trace, tol=5e-3, m=4
     )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     level1 = rep["levels"][1]
     assert rep["pass"], rep["levels"]
     assert elapsed < 120.0
@@ -172,7 +172,7 @@ def test_criterion_5_cone_localization(pinned, shared_run):
 
 def test_criterion_6_resolvent_bound_shape():
     """K = sup |(H-z)^(-1)| dist(z, cone) finite and seed-stable."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = sb.ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     ladder = sb.CutoffLadder(0.25, 0.5, e1=1.0)
     field = sb.DiscretizedField(
@@ -187,7 +187,7 @@ def test_criterion_6_resolvent_bound_shape():
         )
         for seed in (11, 22)
     ]
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     k_values = [rep["K"] for rep in reports]
     assert all(rep["n_used"] == 200 for rep in reports)
     assert all(np.isfinite(k) and k > 0 for k in k_values)
@@ -200,7 +200,7 @@ def test_criterion_6_resolvent_bound_shape():
 
 def test_criterion_7_appendix_estimates():
     """Ladder and interaction relative bounds: zero violations in 100x3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(2718)
     cfg = sb.ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     total = 0
@@ -219,7 +219,7 @@ def test_criterion_7_appendix_estimates():
                 violations += 1
             if not sb.interaction_norm_bound(cfg, basis, amplitudes=h)["pass"]:
                 violations += 1
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert violations == 0
     assert elapsed < 60.0
     _record(7, f"{total} inequality checks, zero violations, {elapsed:.0f}s")
@@ -227,7 +227,7 @@ def test_criterion_7_appendix_estimates():
 
 def test_criterion_8_constants_ledger():
     """Log-domain constant chain against the high-precision oracle."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     import mpmath as mp
 
     mp.mp.dps = 60
@@ -255,7 +255,7 @@ def test_criterion_8_constants_ledger():
     checks = {c["id"]: c for c in sb.check_inequalities(rep, beyond)}
     assert not checks["rho0_window"]["satisfied"]
     assert checks["rho0_window"]["slack_log10"] == pytest.approx(-1.0)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _record(8, f"log10 C = {rep.log10_C:.4f}, log10 rho0_max = "
                f"{rep.log10_rho0_max:.1f}, boundary probes exact, "
@@ -264,7 +264,7 @@ def test_criterion_8_constants_ledger():
 
 def test_nmax_convergence_study():
     """Total-boson cutoff study 1 -> 3: the 2 -> 3 move is subdominant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = sb.ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     ladder = sb.CutoffLadder(0.25, 0.5, e1=1.0)
     lams = {}
@@ -281,7 +281,7 @@ def test_nmax_convergence_study():
         lams[n_max] = rec.lam
     step12 = abs(lams[2] - lams[1])
     step23 = abs(lams[3] - lams[2])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert step23 < 0.3 * step12
     assert step23 < 0.01 * abs(lams[2].imag)
     _record(0, f"n_max steps |d12| = {step12:.2e}, |d23| = {step23:.2e}, "

@@ -6,7 +6,16 @@ import json
 import numpy as np
 import pytest
 
-from spinboson import ConfigError, diagnostics, multiscale
+from spinboson import (
+    ConfigError,
+    ModeSet,
+    cli,
+    diagnostics,
+    enumerate_basis,
+    interaction_norm_bound,
+    multiscale,
+    verify_standard_estimates,
+)
 from spinboson.cli import dispatch, main, parse_config
 
 TINY = {
@@ -250,3 +259,66 @@ class TestSampleShortfall:
         assert dispatch("ladder", rc, tmp_path) == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "failure" not in manifest and not manifest["pass"]
+
+
+class TestVerifyAppendix:
+    """verify-appendix makes one batched estimate call per mode set."""
+
+    @staticmethod
+    def per_trial_reference(rc) -> tuple[dict, list]:
+        """The report and the amplitudes of a one-vector-per-call loop."""
+        rng = np.random.default_rng(rc.seed)
+        trials = rc.raw["run"]["trials"]
+        violations, drawn, total = [], [], 0
+        for n_modes, n_max in [(4, 2), (6, 3), (8, 2)]:
+            freqs = np.sort(rng.uniform(0.05, 3.0, size=n_modes))
+            modes = ModeSet(freqs, np.ones(n_modes), np.zeros(n_modes, dtype=int))
+            basis = enumerate_basis(modes, n_max)
+            hs = []
+            for _ in range(trials):
+                h = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+                hs.append(h)
+                rep = verify_standard_estimates(basis, h)
+                total += 1
+                if not rep["pass"]:
+                    violations.append({"modes": n_modes, "n_max": n_max, "rep": rep})
+            drawn.append(np.array(hs))
+            bound = interaction_norm_bound(rc.model, basis)
+            total += 1
+            if not bound["pass"]:
+                violations.append({"modes": n_modes, "n_max": n_max, "rep": bound})
+        report = {"trials": total, "violations": violations, "pass": not violations}
+        return json.loads(json.dumps(report)), drawn
+
+    def test_report_matches_per_trial_loop(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            cli, "verify_standard_estimates",
+            lambda basis, h: seen.append(h) or verify_standard_estimates(basis, h),
+        )
+        rc = parse_config(config_text(run={"trials": 37}))
+        assert dispatch("verify-appendix", rc, tmp_path) == 0
+        payload = json.loads((tmp_path / "verify_appendix.json").read_text())
+        report, drawn = self.per_trial_reference(rc)
+        assert payload == report and payload["trials"] == 3 * 38
+        assert len(seen) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(seen, drawn))
+
+    def test_violation_recorded(self, tmp_path, monkeypatch):
+        def fail_row_two(basis, h):
+            rep = verify_standard_estimates(basis, h)
+            if basis.modes.n_modes == 6:
+                rep["pass"][2] = False
+            return rep
+
+        monkeypatch.setattr(cli, "verify_standard_estimates", fail_row_two)
+        rc = parse_config(config_text(run={"trials": 5}))
+        assert dispatch("verify-appendix", rc, tmp_path) == 1
+        payload = json.loads((tmp_path / "verify_appendix.json").read_text())
+        assert not payload["pass"] and payload["trials"] == 18
+        [entry] = payload["violations"]
+        assert entry["modes"] == 6 and entry["n_max"] == 3
+        rep = entry["rep"]
+        assert rep["pass"] is False
+        for key in ("lhs_a", "lhs_astar", "rhs_a", "rhs_astar"):
+            assert type(rep[key]) is float and rep[key] > 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinboson import (
+    AssemblyError,
     BasisSizeError,
     ModeSet,
     basis_dimension,
@@ -19,6 +20,7 @@ from spinboson import (
     verify_ccr,
     verify_standard_estimates,
 )
+from spinboson import fock
 from spinboson.fock import field_energy_diagonal
 
 
@@ -206,6 +208,78 @@ class TestStandardEstimates:
         for _ in range(100):
             h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             assert verify_standard_estimates(basis, h)["pass"]
+
+
+def dense_standard_norms(basis, h) -> tuple[float, float]:
+    """|a(h)(H_f+1)^(-1/2)| and |a(h)*(H_f+1)^(-1/2)| by full-matrix SVDs."""
+    a_mat = build_annihilation(basis, h)
+    scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
+    return tuple(
+        float(np.linalg.svd(m * scale[None, :], compute_uv=False)[0])
+        for m in (a_mat, a_mat.conj().T)
+    )
+
+
+def random_amplitudes(gen, *shape):
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+class TestLayerBlockedEstimates:
+    @pytest.mark.parametrize("n_max", range(4))
+    @pytest.mark.parametrize("n_modes", range(1, 9))
+    def test_matches_dense_oracle(self, n_modes, n_max):
+        gen = np.random.default_rng(10 * n_modes + n_max)
+        freqs = np.sort(gen.uniform(0.05, 3.0, n_modes))
+        basis = enumerate_basis(modes_of(freqs), n_max)
+        hs = random_amplitudes(gen, 7, n_modes)
+        stack = verify_standard_estimates(basis, hs)
+        assert all(v.shape == (7,) for v in stack.values())
+        for i, h in enumerate(hs):
+            single = verify_standard_estimates(basis, h)
+            assert single == {key: v[i].item() for key, v in stack.items()}
+            assert all(type(v) is float for k, v in single.items() if k != "pass")
+            assert single["pass"] is True
+            if n_max == 0:
+                assert single["lhs_a"] == 0.0 and single["lhs_astar"] == 0.0
+                continue
+            lhs_a, lhs_astar = dense_standard_norms(basis, h)
+            assert abs(single["lhs_a"] - lhs_a) <= 1e-12 * lhs_a
+            assert abs(single["lhs_astar"] - lhs_astar) <= 1e-12 * lhs_astar
+
+    @pytest.mark.parametrize("blocks_per_stack", [1, 3, 4])
+    def test_chunking_does_not_change_rows(self, monkeypatch, blocks_per_stack):
+        # the largest layer block at (6 modes, n_max 3) is 21 x 56
+        gen = np.random.default_rng(5)
+        basis = enumerate_basis(modes_of(np.sort(gen.uniform(0.05, 3.0, 6))), 3)
+        hs = random_amplitudes(gen, 10, 6)
+        whole = verify_standard_estimates(basis, hs)
+        monkeypatch.setattr(fock, "_SVD_STACK_BYTES", blocks_per_stack * 21 * 56 * 16)
+        chunked = verify_standard_estimates(basis, hs)
+        for key in whole:
+            assert np.array_equal(chunked[key], whole[key])
+
+    def test_empty_stack_and_bad_shape(self):
+        basis = enumerate_basis(modes_of([1.0, 2.0]), 2)
+        rep = verify_standard_estimates(basis, np.zeros((0, 2)))
+        assert all(len(v) == 0 for v in rep.values())
+        with pytest.raises(AssemblyError, match="n_modes"):
+            verify_standard_estimates(basis, np.zeros((2, 3)))
+        with pytest.raises(AssemblyError, match="n_modes"):
+            verify_standard_estimates(basis, np.zeros((1, 1, 2)))
+
+
+def test_field_operator_block_is_the_slice(rng):
+    for n_modes, n_max in itertools.product((1, 3, 5), range(4)):
+        freqs = np.sort(rng.uniform(0.05, 3.0, n_modes))
+        basis = enumerate_basis(modes_of(freqs), n_max)
+        coeffs = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        coeffs[0] = 0.0
+        even = np.nonzero(basis.total_parity > 0)[0]
+        odd = np.nonzero(basis.total_parity < 0)[0]
+        full = build_field_operator(basis, coeffs)
+        for rows, cols in ((even, odd), (odd, even)):
+            block = build_field_operator(basis, coeffs, rows, cols)
+            assert np.array_equal(block, full[np.ix_(rows, cols)])
 
 
 def test_mode_set_invariants():

@@ -1,8 +1,10 @@
 """Eigensolvers, contour projectors, tracking, resolvent norms."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from spinboson import (
@@ -433,7 +435,6 @@ class TestShiftedSolver:
         ) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 class TestSingularShift:
     def test_pivot_detects_eigenvalue_shift(self):
         solver = ShiftedSolver(np.diag([0.0, 1.0, 2.0]).astype(complex), 1.0)
@@ -465,6 +466,18 @@ class TestSingularShift:
         A = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ContourCollisionError):
             riesz_rank_one(A, center=0.0, radius=1.0, quad_points=4)
+
+    def test_exact_zero_pivot_does_not_warn(self):
+        # lu_factor warns on an exactly zero pivot; the solver silences that
+        # warning alone and reports the singular shift itself
+        A = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolvent_norm(A, 1.0) == np.inf
+            with pytest.raises(SingularShiftError):
+                ShiftedSolver(A, 1.0).solve(np.ones(3))
+            with pytest.raises(LinAlgWarning):
+                lu_factor(A - np.eye(3))
 
 
 class TestQuadratureCap:
