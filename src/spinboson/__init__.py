@@ -33,12 +33,8 @@ from .fock import (
     ModeSet,
     OperatorMatrix,
     basis_dimension,
-    build_annihilation,
-    build_creation,
-    build_field_energy,
     build_field_operator,
     enumerate_basis,
-    verify_ccr,
     verify_standard_estimates,
 )
 from .geometry import (
@@ -55,11 +51,8 @@ from .model import (
     ModelConfig,
     assemble_hamiltonian,
     coupling_amplitudes,
-    dilated_form_factor,
     form_factor,
-    form_factor_l2_norm_sq,
     interaction_norm_bound,
-    radial_reduction,
     shell_norm_report,
 )
 from .multiscale import (

@@ -34,6 +34,7 @@ from .model import (
     DiscretizedField,
     ModelConfig,
     interaction_norm_bound,
+    shell_norm_report,
 )
 from .multiscale import check_p1, check_p2_p4, check_p3, extrapolate_limit, run_ladder
 from .reporting import run_manifest, write_csv, write_json
@@ -353,10 +354,15 @@ def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         total += 1
         if not bound["pass"]:
             violations.append({"modes": n_modes, "n_max": n_max, "rep": bound})
-    ok = not violations
+    # coupling norms of every infrared shell of the run's grid
+    field = rc.build_field()
+    shells = [
+        {"n": n, **shell_norm_report(cfg, field, n)} for n in range(field.n_scales)
+    ]
+    ok = not violations and all(row["pass"] for row in shells)
     write_json(
         out / "verify_appendix.json",
-        {"trials": total, "violations": violations, "pass": ok},
+        {"trials": total, "violations": violations, "shells": shells, "pass": ok},
     )
     return (0 if ok else 1), {"kind": "verify-appendix", "pass": bool(ok)}
 

@@ -22,7 +22,14 @@ from math import pi
 import numpy as np
 
 from .errors import ConfigError, TrackingError
-from .geometry import Cone, Region, cone_contains, dist_to_cone, region_contains
+from .geometry import (
+    Cone,
+    Region,
+    cone_contains,
+    dist_to_cone,
+    region_contains,
+    verify_cone_chain,
+)
 from .model import (
     CutoffLadder,
     DiscretizedField,
@@ -34,10 +41,17 @@ from .model import (
 from .multiscale import (
     MultiscaleTrace,
     run_ladder,
-    soft_branch_lattice,
+    soft_branch_mask,
     soft_branch_tolerance,
 )
 from .spectral import resolvent_scan, shifted_inverse_eigenvalue
+
+# Grid refinement of the theta-invariance budget: points per shell and per
+# ultraviolet panel grow by this factor (and by at least one).
+REFINE_FACTOR = 1.5
+# Resolvent samples closer than this to a truncation-starved eigenvalue
+# are skipped.
+ARTIFACT_EXCLUSION = 5e-3
 
 
 def solver_tolerance(dim: int, scale: float) -> float:
@@ -174,7 +188,6 @@ def _refinement_delta(
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
     lam_base: dict,
-    refine_factor: float = 1.5,
 ) -> dict:
     """One-step grid-refinement sensitivity of the final eigenvalues.
 
@@ -188,13 +201,13 @@ def _refinement_delta(
         field_disc.n_scales,
         points_per_shell=max(
             field_disc.points_per_shell + 1,
-            int(round(field_disc.points_per_shell * refine_factor)),
+            int(round(field_disc.points_per_shell * REFINE_FACTOR)),
         ),
         r_max=field_disc.r_max,
         n_max=field_disc.n_max,
         uv_points_per_panel=max(
             field_disc.uv_points_per_panel + 1,
-            int(round(field_disc.uv_points_per_panel * refine_factor)),
+            int(round(field_disc.uv_points_per_panel * REFINE_FACTOR)),
         ),
         state_cap=field_disc.state_cap,
     )
@@ -395,16 +408,22 @@ def spectrum_cone_check(
     recognized by their distance to the free branch lattice) are tested
     after restoring the core dressing lambda_i - e_i; raw distances are
     reported for both classes.
+
+    ``chain`` holds, per level, one ``verify_cone_chain`` row for each
+    consecutive pair of scales of the trace: the nested-cone step from
+    lambda_i^(n) to lambda_i^(n+1).  Every row must pass too.
     """
     m = cfg.m_cone if m is None else m
+    cone_cfg = cfg.replace(m_cone=m)  # the chain's cones have the same shape
     last, eigs = _full_grid_scale(trace, field_disc)
     modes = field_disc.modes_for_scale(None)
-    lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
     height = 0.125 * cfg.delta * np.sin(cfg.nu) + 0.5 * ladder.cutoff(1) * np.sin(
         cfg.nu
     )
-    branch_tol = soft_branch_tolerance(cfg, modes, height / np.sin(cfg.nu))
-    out: dict = {"levels": {}, "dim": last.dim, "branch_tol": branch_tol}
+    max_freq = height / np.sin(cfg.nu)
+    branch_tol = soft_branch_tolerance(cfg, modes, max_freq)
+    out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
+                 "branch_tol": branch_tol}
     for i in levels:
         lam = complex(last.levels[i].lam)
         bare = cfg.e1 if i == 1 else cfg.e0
@@ -414,12 +433,12 @@ def spectrum_cone_check(
             "B1", e0=cfg.e0, e1=cfg.e1, nu=cfg.nu, i=i, rho1=ladder.cutoff(1)
         )
         in_box = [z for z in eigs if region_contains(box, z)]
+        soft = soft_branch_mask(cfg, modes, field_disc.n_max, in_box, max_freq)
         rows = []
         violations = []
         n_starved = 0
-        for z in in_box:
+        for z, starved in zip(in_box, soft.tolist()):
             raw = dist_to_cone(cone, z)
-            starved = bool(np.min(np.abs(lattice - z)) <= branch_tol)
             eff = dist_to_cone(cone, z + dressing) if starved else raw
             n_starved += starved
             rows.append(
@@ -441,7 +460,14 @@ def spectrum_cone_check(
             "violations": violations,
             "pass": not violations,
         }
-    out["pass"] = all(v["pass"] for v in out["levels"].values())
+        out["chain"][i] = [
+            {"n": a.n, **verify_cone_chain(a.levels[i].lam, b.levels[i].lam,
+                                           ladder, a.n, cone_cfg)}
+            for a, b in zip(trace.scales, trace.scales[1:])
+        ]
+    out["pass"] = all(v["pass"] for v in out["levels"].values()) and all(
+        row["pass"] for rows in out["chain"].values() for row in rows
+    )
     return out
 
 
@@ -453,14 +479,12 @@ def resolvent_cone_bound_check(
     n_samples: int = 200,
     seed: int = 0,
     m: int | None = None,
-    i: int = 1,
-    artifact_exclusion: float = 5e-3,
     jobs: int = 1,
 ) -> dict:
-    """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_i)) over the box.
+    """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_1)) over the box.
 
     ``trace`` is a ladder run on ``field_disc`` down to its last scale,
-    which supplies lambda_i and the full-grid spectrum; the operator is
+    which supplies lambda_1 and the full-grid spectrum; the operator is
     reassembled for the resolvent norms, which ``jobs`` threads evaluate.
 
     Samples avoid the backward-shifted cone (vertex moved by
@@ -468,36 +492,30 @@ def resolvent_cone_bound_check(
     vertex cone itself are skipped with a note.  Truncation-starved branch
     eigenvalues pollute the sampled region (in the untruncated model it
     belongs to the resolvent set), so samples inside a small exclusion
-    radius of those artifact eigenvalues are skipped and counted as well.
+    radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
+    skipped and counted as well.
     """
     m = cfg.m_cone if m is None else m
     last, eigs = _full_grid_scale(trace, field_disc)
-    lam1 = complex(last.levels[i].lam)
+    lam1 = complex(last.levels[1].lam)
     rho_last = ladder.cutoff(field_disc.n_scales)
     shift = 2.0 * rho_last ** (1.0 + cfg.mu / 4.0)
     axis = np.exp(-1j * cfg.nu)
     cone_main = Cone(lam1, cfg.nu, m)
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, m)
-    box = Region("B1", e0=cfg.e0, e1=cfg.e1, nu=cfg.nu, i=i, rho1=ladder.cutoff(1))
-    level = cfg.e1 if i == 1 else cfg.e0
+    box = Region("B1", e0=cfg.e0, e1=cfg.e1, nu=cfg.nu, i=1, rho1=ladder.cutoff(1))
+    level = cfg.e1
     sn = np.sin(cfg.nu)
 
     rng = np.random.default_rng(seed)
     H = assemble_hamiltonian(cfg, field_disc, n=None)
     modes = field_disc.modes_for_scale(None)
-    lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
-    branch_tol = soft_branch_tolerance(cfg, modes)
-    starved = np.array(
-        [
-            z
-            for z in eigs
-            if region_contains(box, z) and np.min(np.abs(lattice - z)) <= branch_tol
-        ]
-    )
+    in_box = eigs[[region_contains(box, z) for z in eigs]]
+    starved = in_box[soft_branch_mask(cfg, modes, field_disc.n_max, in_box)]
 
     def near_artifact(z: complex) -> bool:
         return len(starved) > 0 and bool(
-            np.min(np.abs(starved - z)) < artifact_exclusion
+            np.min(np.abs(starved - z)) < ARTIFACT_EXCLUSION
         )
 
     samples = []

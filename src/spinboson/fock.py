@@ -3,11 +3,12 @@
 A mode set is a finite family of positive oscillator frequencies with
 quadrature weights, obtained by discretizing the radial one-particle space.
 The Fock basis enumerates occupation multi-indices (n_1, ..., n_M) with a
-total-number cutoff sum(n_j) <= n_max; creation, annihilation and field
-energy operators are assembled as explicit matrices in that basis.
-Operators with an exact symmetry (the assembled Hamiltonian) are stored
-as an ``OperatorMatrix`` of keyed ``Sector`` blocks instead, and
-``build_field_operator`` can build just one block (the even-odd coupling).
+total-number cutoff sum(n_j) <= n_max; the field energy is its diagonal
+(``field_energy_diagonal``) and the field operator a(conj h) + a(h)* is
+assembled from the elementary lowering matrix elements
+(``FockBasis.lowering_triples``), whole or one block at a time (the
+even-odd coupling).  Operators with an exact symmetry (the assembled
+Hamiltonian) are stored as an ``OperatorMatrix`` of keyed ``Sector`` blocks.
 The relative-bound check ``verify_standard_estimates`` takes one amplitude
 vector or a stack of them and works on boson-layer blocks: a(h) lowers the
 total number by one, so its norms split layer by layer.
@@ -256,30 +257,9 @@ def enumerate_basis(
     return FockBasis(modes, n_max, state_cap=state_cap)
 
 
-def build_field_energy(basis: FockBasis) -> np.ndarray:
-    """Diagonal field energy: entry sum_j n_j omega_j per occupation state."""
-    return np.diag(field_energy_diagonal(basis).astype(complex))
-
-
 def field_energy_diagonal(basis: FockBasis) -> np.ndarray:
     """The diagonal of the field energy as a real vector (no matrix)."""
     return basis.states @ basis.modes.frequencies
-
-
-def build_annihilation(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Matrix of a(h) for amplitude vector h over the modes (antilinear)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (basis.modes.n_modes,):
-        raise AssemblyError("coefficient vector length must equal mode count")
-    rows, cols, mode_ix, amps = basis.lowering_triples()
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    np.add.at(mat, (rows, cols), np.conj(coeffs[mode_ix]) * amps)
-    return mat
-
-
-def build_creation(basis: FockBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Matrix of a(h)*, the adjoint of a(h) on the truncated space."""
-    return build_annihilation(basis, coeffs).conj().T
 
 
 def build_field_operator(
@@ -316,24 +296,6 @@ def _positions(dim: int, index: np.ndarray) -> np.ndarray:
     pos = np.full(dim, -1)
     pos[index] = np.arange(len(index))
     return pos
-
-
-def verify_ccr(basis: FockBasis, h: np.ndarray, l: np.ndarray) -> float:
-    """Max-entry residual of [a(h), a*(l)] - <h,l> restricted below the cutoff.
-
-    The commutator is exact on states with total number <= n_max - 1; the
-    top shell is where truncation necessarily breaks it, so that sector is
-    excluded from the residual.
-    """
-    if basis.n_max < 1:
-        raise ValueError("canonical commutator needs n_max >= 1")
-    a_h = build_annihilation(basis, h)
-    c_l = build_creation(basis, l)
-    comm = a_h @ c_l - c_l @ a_h
-    inner = complex(np.vdot(np.asarray(h, dtype=complex), np.asarray(l, dtype=complex)))
-    resid = comm - inner * np.eye(basis.dim)
-    keep = np.nonzero(basis.totals <= basis.n_max - 1)[0]
-    return float(np.max(np.abs(resid[np.ix_(keep, keep)])))
 
 
 def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:

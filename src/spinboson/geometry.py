@@ -7,12 +7,16 @@ the axis onto the positive real line: for w = (z - v) exp(i nu) with polar
 angle phi, the distance is 0 inside (|phi| <= nu/m), |w| sin(|phi| - nu/m)
 against the nearest edge, and |w| beyond the normal fan of the apex.
 
-Regions follow the run geometry around the atomic levels: the far region A
-(three pieces), the level boxes B_i, and their per-scale refinements.  The
-"Wn" variant is the tracking window actually used by the ladder in
-practical mode: the same box with its lower edge anchored a quarter contour
-radius below the tracked eigenvalue, which coincides with the literal "Bn"
-variant whenever the eigenvalue sits inside its first-scale box.
+Regions follow the run geometry around the atomic levels: the level boxes
+B_i and their per-scale refinements.  The "Wn" variant is the tracking
+window actually used by the ladder in practical mode: the same box with its
+lower edge anchored a quarter contour radius below the tracked eigenvalue,
+which coincides with the literal "Bn" variant whenever the eigenvalue sits
+inside its first-scale box.
+
+``verify_cone_chain`` checks the nested-cone step from scale n to n + 1,
+which ``spectrum_cone_check`` (the ``cone-check`` subcommand) runs on each
+consecutive pair of tracked eigenvalues.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError
 
@@ -64,51 +67,44 @@ def dist_to_cone(cone: Cone, z: complex) -> float:
     return rho * float(np.sin(psi))
 
 
-def cone_contains(cone: Cone, z: complex, tol: float = 0.0) -> bool:
-    """Closed-set membership, optionally padded by a distance tolerance."""
-    return dist_to_cone(cone, z) <= tol
+def cone_contains(cone: Cone, z: complex) -> bool:
+    """Closed-set membership."""
+    return dist_to_cone(cone, z) <= 0.0
 
 
-def cone_complement_distance(inner: Cone, outer: Cone, samples: int = 64) -> float:
+def cone_complement_distance(inner: Cone, outer: Cone) -> float:
     """dist(inner cone, complement of outer cone) for nested same-shape cones.
 
-    The infimum over the complement is attained on the boundary rays of the
-    outer cone; along each ray the distance to the (convex) inner cone is a
-    convex function of the ray parameter, so a coarse geometric scan plus a
-    bounded scalar minimization pins the minimum.
+    Both cones are translates v + K of one convex cone K, and K + K lies in
+    K, so the inner vertex is the point of the inner cone nearest the
+    complement.  With w = (v_in - v_out) exp(i nu) inside the rotated
+    sector |arg w| <= nu/m, its distance to the nearer edge ray is
+    |w| sin(nu/m - |arg w|).  Cones that are not nested give 0.
     """
     if (inner.nu, inner.m) != (outer.nu, outer.m):
         raise ConfigError("cone gap distance expects cones of the same shape")
-    if dist_to_cone(outer, inner.vertex) > 0.0:
+    w = (complex(inner.vertex) - outer.vertex) * np.exp(1j * outer.nu)
+    slack = outer.half_aperture - abs(np.angle(w))
+    if slack < 0.0:
         return 0.0  # not nested: the cones' boundaries already touch
-    scale = abs(inner.vertex - outer.vertex) + 1.0
-    best = np.inf
-    for direction in outer.edge_directions():
-
-        def f(x: float) -> float:
-            return dist_to_cone(inner, outer.vertex + x * direction)
-
-        xs = np.concatenate([[0.0], np.geomspace(1e-9 * scale, 1e6 * scale, samples)])
-        vals = [f(x) for x in xs]
-        k = int(np.argmin(vals))
-        lo = xs[max(0, k - 1)]
-        hi = xs[min(len(xs) - 1, k + 1)]
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded")
-        best = min(best, float(res.fun), min(vals))
-    return best
+    return abs(w) * float(np.sin(slack))
 
 
-_REGION_VARIANTS = ("A1", "A2", "A3", "A", "B1", "E1", "Bn", "Mn", "Wn")
+# each region variant and the parameters it needs
+_REGION_NEEDS = {
+    "B1": ("rho1",),
+    "Bn": ("rho1", "rho_n", "lam"),
+    "Wn": ("rho_n", "lam"),
+}
 
 
 @dataclass(frozen=True)
 class Region:
-    """Parameterized region of the complex plane.
+    """Parameterized box around level i in the complex plane.
 
-    Variants: A1/A2/A3 and their union A (far region); B1 and E1 (first
-    scale box around level i, with and without the central disc); Bn and Mn
-    (scale-n refinements referencing the tracked eigenvalue); Wn (anchored
-    tracking window, see module docstring).
+    Variants: B1 (first-scale box), Bn (its scale-n refinement, floored a
+    quarter cutoff below the tracked eigenvalue) and Wn (anchored tracking
+    window, see module docstring).
     """
 
     variant: str
@@ -118,22 +114,14 @@ class Region:
     i: int = 1
     rho1: float | None = None
     rho_n: float | None = None
-    rho_np1: float | None = None
     lam: complex | None = None
 
     def __post_init__(self):
-        if self.variant not in _REGION_VARIANTS:
+        if self.variant not in _REGION_NEEDS:
             raise ConfigError(f"unknown region variant {self.variant!r}")
         if self.nu <= 0.0:
             raise ConfigError("regions need the dilation angle nu > 0")
-        needs = {
-            "B1": ("rho1",),
-            "E1": ("rho1",),
-            "Bn": ("rho1", "rho_n", "lam"),
-            "Mn": ("rho1", "rho_n", "rho_np1", "lam"),
-            "Wn": ("rho_n", "lam"),
-        }.get(self.variant, ())
-        for name in needs:
+        for name in _REGION_NEEDS[self.variant]:
             if getattr(self, name) is None:
                 raise ConfigError(
                     f"region variant {self.variant} needs parameter {name}"
@@ -154,42 +142,18 @@ def region_contains(region: Region, z: complex) -> bool:
     r = region
     delta = r.delta
     sn = np.sin(r.nu)
-    if r.variant == "A1":
-        return z.real < r.e0 - 0.5 * delta
-    if r.variant == "A2":
-        return z.imag > 0.125 * delta * sn
-    if r.variant == "A3":
-        edge = r.e1 + 0.5 * delta
-        return z.real > edge and z.imag >= -np.sin(r.nu / 2.0) * (z.real - edge)
-    if r.variant == "A":
-        return any(
-            region_contains(Region(v, r.e0, r.e1, r.nu), z)
-            for v in ("A1", "A2", "A3")
-        )
-    in_box = (
-        abs(z.real - r.level) <= 0.5 * delta
-        and -0.5 * r.rho1 * sn <= z.imag <= 0.125 * delta * sn
-        if r.rho1 is not None
-        else False
-    )
-    if r.variant == "B1":
-        return in_box
-    if r.variant == "E1":
-        return in_box and abs(z - r.level) >= 0.125 * r.rho1 * sn
-    if r.variant == "Bn":
-        return in_box and z.imag >= r.lam.imag - 0.25 * r.rho_n * sn
-    if r.variant == "Mn":
-        return (
-            in_box
-            and z.imag >= r.lam.imag - 0.25 * r.rho_n * sn
-            and z.imag >= r.lam.imag - 0.4 * r.rho_np1 * sn
-        )
     if r.variant == "Wn":
         return (
             abs(z.real - r.level) <= 0.5 * delta
             and r.lam.imag - 0.25 * r.rho_n * sn <= z.imag <= 0.125 * delta * sn
         )
-    raise ConfigError(f"unhandled region variant {r.variant!r}")
+    in_box = (
+        abs(z.real - r.level) <= 0.5 * delta
+        and -0.5 * r.rho1 * sn <= z.imag <= 0.125 * delta * sn
+    )
+    if r.variant == "B1":
+        return in_box
+    return in_box and z.imag >= r.lam.imag - 0.25 * r.rho_n * sn
 
 
 def verify_cone_chain(

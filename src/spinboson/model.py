@@ -52,7 +52,6 @@ from math import pi
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
 
 from .errors import AssemblyError, ConfigError
 from .fock import (
@@ -172,52 +171,6 @@ def form_factor(k: float, cfg: ModelConfig) -> float:
     if k <= 0.0:
         raise ValueError("form factor is defined for k > 0 only")
     return float(np.exp(-(k**2) / cfg.lambda_uv**2) * k ** (cfg.mu - 0.5))
-
-
-def dilated_form_factor(k, cfg: ModelConfig, theta: complex | None = None):
-    """Analytic continuation of the form factor along the dilation orbit.
-
-    At theta = 0 this equals form_factor; at real theta it is the unitary
-    dilation image exp(-3 theta / 2) f(exp(-theta) k).
-    """
-    theta = cfg.theta if theta is None else theta
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr <= 0.0):
-        raise ValueError("form factor is defined for k > 0 only")
-    pref = np.exp(-theta * (1.0 + cfg.mu))
-    gauss = np.exp(-np.exp(-2.0 * theta) * k_arr**2 / cfg.lambda_uv**2)
-    val = pref * gauss * k_arr ** (cfg.mu - 0.5)
-    return complex(val) if np.isscalar(k) else val
-
-
-def radial_reduction(cfg: ModelConfig):
-    """S-wave coupling profile F(r) = sqrt(4 pi) r f(r) as a callable.
-
-    F carries the full interaction: |F|^2 integrated over (0, inf) equals
-    the L2(R^3) norm squared of the form factor.
-    """
-
-    def profile(r):
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0):
-            raise ValueError("radial profile is defined for r > 0 only")
-        vals = np.sqrt(4.0 * pi) * r_arr ** (0.5 + cfg.mu) * np.exp(
-            -(r_arr**2) / cfg.lambda_uv**2
-        )
-        return float(vals) if np.isscalar(r) else vals
-
-    return profile
-
-
-def form_factor_l2_norm_sq(cfg: ModelConfig) -> float:
-    """Closed form of the squared L2(R^3) norm of the form factor.
-
-    Integrating 4 pi r^(1 + 2 mu) exp(-2 r^2 / Lambda^2) gives
-    2 pi (Lambda^2 / 2)^(1 + mu) Gamma(1 + mu).
-    """
-    return float(
-        2.0 * pi * (cfg.lambda_uv**2 / 2.0) ** (1.0 + cfg.mu) * gamma_fn(1.0 + cfg.mu)
-    )
 
 
 def coupling_amplitudes(
@@ -495,7 +448,9 @@ def shell_norm_report(
 ) -> dict:
     """Quadrature shell norms of the coupling against their closed envelopes.
 
-    For the shell [rho_{n+1}, rho_n) the envelopes are
+    ``verify-appendix`` runs this on every shell of the run's grid
+    (n = 0 .. n_scales - 1).  For the shell [rho_{n+1}, rho_n) the
+    envelopes are
     |exp(-theta (1+mu))| sqrt(4 pi) rho_n^mu rho_n for |f| and
     |exp(-theta (1+mu))| sqrt(4 pi) rho_n^mu sqrt(rho_n) for |f/sqrt(omega)|.
     """

@@ -243,6 +243,22 @@ def soft_branch_tolerance(
     return max(20.0 * abs(cfg.g) ** 2 * top, 1e-10)
 
 
+def soft_branch_mask(
+    cfg: ModelConfig, modes, n_max: int, zs, max_freq: float | None = None
+) -> np.ndarray:
+    """Which of ``zs`` lie within the soft-branch tolerance of the lattice.
+
+    The lattice and the tolerance (``soft_branch_tolerance`` with
+    ``max_freq``) come from ``modes``; each point is compared with the
+    whole lattice in turn, so no len(zs) x len(lattice) array is formed.
+    """
+    if len(zs) == 0:
+        return np.zeros(0, dtype=bool)
+    lattice = soft_branch_lattice(cfg, modes, n_max)
+    tol = soft_branch_tolerance(cfg, modes, max_freq)
+    return np.array([np.min(np.abs(lattice - z)) <= tol for z in zs], dtype=bool)
+
+
 def _classify_window_spectrum(
     cfg: ModelConfig,
     modes,
@@ -257,18 +273,11 @@ def _classify_window_spectrum(
     than the tracked one.
     """
     others = [z for z in window_eigs if abs(z - lam) > 1e-12 * max(1.0, abs(lam))]
-    if not others:
-        return 0, 0
-    lattice = soft_branch_lattice(cfg, modes, n_max)
-    tol = soft_branch_tolerance(cfg, modes, window_height / np.sin(cfg.nu))
-    n_soft = 0
-    n_bad = 0
-    for z in others:
-        if np.min(np.abs(lattice - z)) <= tol:
-            n_soft += 1
-        else:
-            n_bad += 1
-    return n_soft, n_bad
+    soft = soft_branch_mask(
+        cfg, modes, n_max, others, window_height / np.sin(cfg.nu)
+    )
+    n_soft = int(np.count_nonzero(soft))
+    return n_soft, len(others) - n_soft
 
 
 def _window_region(cfg: ModelConfig, ladder: CutoffLadder, i: int, n: int, lam):
@@ -594,12 +603,10 @@ def check_p2_p4(
         n = rec.n
         H = assemble_hamiltonian(cfg, field_disc, n=n)
         modes = field_disc.modes_for_scale(n)
-        lattice = soft_branch_lattice(cfg, modes, field_disc.n_max)
-        branch_tol = soft_branch_tolerance(cfg, modes)
         scale_eigs = trace._eigs[n]
-        starved = np.array(
-            [z for z in scale_eigs if np.min(np.abs(lattice - z)) <= branch_tol]
-        )
+        starved = scale_eigs[
+            soft_branch_mask(cfg, modes, field_disc.n_max, scale_eigs)
+        ]
         for i, data in rec.levels.items():
             proj: RieszProjector = trace._projectors[(n, i)]
             lam = data.lam

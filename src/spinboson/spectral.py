@@ -64,6 +64,9 @@ POWER_MAX_ITERS = 300
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
+# Largest imaginary part (relative to max(1, |lambda|)) that eig_all accepts
+# from an operator flagged Hermitian.
+HERMITIAN_TOL = 1e-10
 
 # catch_warnings swaps the process-wide filter list; the lock keeps threads
 # of one scan from restoring each other's filters out of order.
@@ -172,17 +175,17 @@ def sort_spectrum(values: np.ndarray) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
-def eig_all(H, hermitian_tol: float = 1e-10) -> np.ndarray:
+def eig_all(H) -> np.ndarray:
     """All eigenvalues, sorted by (real, imaginary) part.
 
     For operators flagged Hermitian the imaginary parts are checked against
-    ``hermitian_tol`` before being returned.
+    ``HERMITIAN_TOL`` before being returned.
     """
     spectrum = np.concatenate([s.eigvals for s in _sectors(H).values()])
     if isinstance(H, OperatorMatrix) and H.hermitian:
         worst = float(np.max(np.abs(spectrum.imag))) if len(spectrum) else 0.0
         scale = max(1.0, float(np.max(np.abs(spectrum))))
-        if worst > hermitian_tol * scale:
+        if worst > HERMITIAN_TOL * scale:
             raise ValueError(
                 f"hermitian-flagged operator produced imaginary parts up to {worst}"
             )

@@ -2,10 +2,15 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinboson
 from spinboson import (
     ConfigError,
     ModeSet,
@@ -14,6 +19,7 @@ from spinboson import (
     enumerate_basis,
     interaction_norm_bound,
     multiscale,
+    shell_norm_report,
     verify_standard_estimates,
 )
 from spinboson.cli import dispatch, main, parse_config
@@ -218,6 +224,25 @@ class TestConeCheckDispatch:
         rc = parse_config(config_text(run={"cone_tol": 5e-3}))
         assert dispatch("cone-check", rc, tmp_path) == 0
 
+    def test_oversized_step_fails_chain(self, tmp_path, monkeypatch):
+        """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 exits 1."""
+        ladder = cli.run_ladder
+
+        def jumped(cfg, lad, *args, **kwargs):
+            trace = ladder(cfg, lad, *args, **kwargs)
+            trace.scales[1].levels[1].lam += 0.5 * lad.cutoff(1) * 1j
+            return trace
+
+        monkeypatch.setattr(cli, "run_ladder", jumped)
+        rc = parse_config(config_text(run={"cone_tol": 5e-3}))
+        assert dispatch("cone-check", rc, tmp_path) == 1
+        payload = json.loads((tmp_path / "cone_check.json").read_text())
+        assert not payload["pass"]
+        assert all(lv["pass"] for lv in payload["levels"].values())
+        assert all(row["pass"] for row in payload["chain"]["0"])
+        step = payload["chain"]["1"][0]
+        assert step["n"] == 1 and not step["pass"] and "witness" in step
+
     def test_cli_one_eigensolve_per_sector_and_scale(self, tmp_path, monkeypatch):
         """The full-grid spectrum is read off the ladder's last scale."""
         eigvals = np.linalg.eigvals
@@ -300,7 +325,9 @@ class TestVerifyAppendix:
         assert dispatch("verify-appendix", rc, tmp_path) == 0
         payload = json.loads((tmp_path / "verify_appendix.json").read_text())
         report, drawn = self.per_trial_reference(rc)
+        shells = payload.pop("shells")
         assert payload == report and payload["trials"] == 3 * 38
+        assert len(shells) == TINY["ladder"]["n_scales"]
         assert len(seen) == 3
         assert all(np.array_equal(a, b) for a, b in zip(seen, drawn))
 
@@ -322,3 +349,45 @@ class TestVerifyAppendix:
         assert rep["pass"] is False
         for key in ("lhs_a", "lhs_astar", "rhs_a", "rhs_astar"):
             assert type(rep[key]) is float and rep[key] > 0
+
+    def test_one_shell_row_per_shell(self, tmp_path):
+        rc = parse_config(config_text(run={"trials": 5}))
+        assert dispatch("verify-appendix", rc, tmp_path) == 0
+        payload = json.loads((tmp_path / "verify_appendix.json").read_text())
+        assert payload["pass"] and payload["trials"] == 18
+        field = rc.build_field()
+        expected = [
+            {"n": n, **shell_norm_report(rc.model, field, n)}
+            for n in range(rc.n_scales)
+        ]
+        assert payload["shells"] == json.loads(json.dumps(expected))
+        assert all(row["pass"] for row in payload["shells"])
+
+    def test_failing_shell_fails_run(self, tmp_path, monkeypatch):
+        def fail_shell_one(cfg, field, n):
+            return {**shell_norm_report(cfg, field, n), "pass": n != 1}
+
+        monkeypatch.setattr(cli, "shell_norm_report", fail_shell_one)
+        rc = parse_config(config_text(run={"trials": 5}))
+        assert dispatch("verify-appendix", rc, tmp_path) == 1
+        payload = json.loads((tmp_path / "verify_appendix.json").read_text())
+        assert not payload["pass"] and not payload["violations"]
+        assert [row["pass"] for row in payload["shells"]] == [True, False, True]
+
+
+def test_cli_import_skips_optimize_and_special():
+    """Importing the command line loads neither scipy.optimize nor scipy.special."""
+    code = (
+        "import sys\n"
+        "import numpy, scipy.linalg, scipy.sparse, scipy.sparse.linalg\n"
+        "before = set(sys.modules)\n"
+        "import spinboson.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'scipy.optimize', 'scipy.special'}))\n"
+    )
+    src = str(Path(spinboson.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from spinboson import (
     second_order_eigenvalue,
     spectrum_cone_check,
     theta_invariance_scan,
+    verify_cone_chain,
 )
 from spinboson.multiscale import run_ladder
 
@@ -202,6 +203,33 @@ class TestSpectrumConeCheck:
             wide["levels"][0]["violations"]
         )
         assert narrow["levels"][0]["violations"]
+
+    def test_chain_steps_pass_on_practical_run(self, coarse):
+        cfg, lad, field = coarse
+        trace = run_ladder(cfg, lad, field)
+        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3)
+        assert rep["pass"]
+        for i in (0, 1):
+            rows = rep["chain"][i]
+            assert [r["n"] for r in rows] == [1, 2]
+            for n, row in enumerate(rows, start=1):
+                assert row == {"n": n, **verify_cone_chain(
+                    trace.scales[n - 1].levels[i].lam,
+                    trace.scales[n].levels[i].lam, lad, n, cfg)}
+                assert row["pass"] and "witness" not in row
+                assert row["gap_inner"] >= row["gap_inner_bound"]
+                assert row["gap_outer"] >= row["gap_outer_bound"]
+
+    def test_oversized_step_fails_with_witness(self, coarse):
+        """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 fails the check."""
+        cfg, lad, field = coarse
+        trace = run_ladder(cfg, lad, field, levels=(1,))
+        trace.scales[1].levels[1].lam += 0.5 * lad.cutoff(1) * 1j
+        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3, levels=(1,))
+        assert rep["levels"][1]["pass"]
+        assert not rep["pass"]
+        step = rep["chain"][1][0]
+        assert step["n"] == 1 and not step["pass"] and "witness" in step
 
 
 class TestResolventConeBound:

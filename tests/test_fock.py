@@ -12,16 +12,53 @@ from spinboson import (
     BasisSizeError,
     ModeSet,
     basis_dimension,
-    build_annihilation,
-    build_creation,
-    build_field_energy,
     build_field_operator,
     enumerate_basis,
-    verify_ccr,
     verify_standard_estimates,
 )
 from spinboson import fock
 from spinboson.fock import field_energy_diagonal
+
+
+# Dense full-space oracles built straight from the lowering matrix elements.
+
+
+def build_field_energy(basis) -> np.ndarray:
+    """Diagonal field energy: entry sum_j n_j omega_j per occupation state."""
+    return np.diag(field_energy_diagonal(basis).astype(complex))
+
+
+def build_annihilation(basis, coeffs) -> np.ndarray:
+    """Matrix of a(h) for amplitude vector h over the modes (antilinear)."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    assert coeffs.shape == (basis.modes.n_modes,)
+    rows, cols, mode_ix, amps = basis.lowering_triples()
+    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
+    np.add.at(mat, (rows, cols), np.conj(coeffs[mode_ix]) * amps)
+    return mat
+
+
+def build_creation(basis, coeffs) -> np.ndarray:
+    """Matrix of a(h)*, the adjoint of a(h) on the truncated space."""
+    return build_annihilation(basis, coeffs).conj().T
+
+
+def verify_ccr(basis, h, l) -> float:
+    """Max-entry residual of [a(h), a*(l)] - <h,l> restricted below the cutoff.
+
+    The commutator is exact on states with total number <= n_max - 1; the
+    top shell is where truncation necessarily breaks it, so that sector is
+    excluded from the residual.
+    """
+    if basis.n_max < 1:
+        raise ValueError("canonical commutator needs n_max >= 1")
+    a_h = build_annihilation(basis, h)
+    c_l = build_creation(basis, l)
+    comm = a_h @ c_l - c_l @ a_h
+    inner = complex(np.vdot(np.asarray(h, dtype=complex), np.asarray(l, dtype=complex)))
+    resid = comm - inner * np.eye(basis.dim)
+    keep = np.nonzero(basis.totals <= basis.n_max - 1)[0]
+    return float(np.max(np.abs(resid[np.ix_(keep, keep)])))
 
 
 def modes_of(freqs, weights=None):

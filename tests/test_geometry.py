@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from spinboson import (
     Cone,
@@ -22,7 +23,7 @@ NU = 0.2
 
 def brute_force_dist(cone: Cone, z: complex, samples: int = 10_000) -> float:
     """Dense minimization over boundary rays with one local refinement."""
-    if cone_contains(cone, z, tol=0.0):
+    if cone_contains(cone, z):
         return 0.0
     best = abs(z - cone.vertex)
     scale = max(1.0, 4.0 * abs(z - cone.vertex))
@@ -114,7 +115,7 @@ class TestConeDistance:
             t = rng.uniform(0, 2)
             inner = Cone(v, NU, 4)
             outer = Cone(v - t * np.exp(-1j * NU), NU, 4)
-            assert cone_contains(outer, inner.vertex, tol=1e-14)
+            assert dist_to_cone(outer, inner.vertex) <= 1e-14
 
     def test_brute_force_random_instances(self, rng):
         for _ in range(25):
@@ -135,41 +136,11 @@ class TestConeDistance:
 
 
 class TestRegions:
-    def test_a1_far_left(self):
-        r = Region("A1", e0=0.0, e1=1.0, nu=NU)
-        assert region_contains(r, -1.0)
-        assert not region_contains(r, 0.0)
-
-    def test_a2_boundary_strict(self):
-        r = Region("A2", e0=0.0, e1=1.0, nu=NU)
-        lim = 0.125 * np.sin(NU)
-        assert not region_contains(r, 1.0 + 1j * lim)
-        assert region_contains(r, 1.0 + 1j * (lim + 1e-12))
-
-    def test_a3_slanted_edge(self):
-        r = Region("A3", e0=0.0, e1=1.0, nu=NU)
-        assert region_contains(r, 2.0)
-        assert region_contains(r, 2.0 - 1j * np.sin(NU / 2) * 0.49)
-        assert not region_contains(r, 2.0 - 1j * np.sin(NU / 2) * 0.51)
-
-    def test_a_union(self):
-        r = Region("A", e0=0.0, e1=1.0, nu=NU)
-        assert region_contains(r, -1.0)
-        assert region_contains(r, 1.0j)
-        assert region_contains(r, 2.0)
-        assert not region_contains(r, 1.0 - 0.001j)
-
     def test_b1_box(self):
         r = Region("B1", e0=0.0, e1=1.0, nu=0.15, i=1, rho1=0.2)
         assert region_contains(r, 1.0 + 0.01j)
         assert not region_contains(r, 1.6)
         assert not region_contains(r, 1.0 - 1j)
-
-    def test_e1_excludes_disc(self):
-        r = Region("E1", e0=0.0, e1=1.0, nu=NU, i=1, rho1=0.2)
-        assert not region_contains(r, 1.0)
-        edge = 0.125 * 0.2 * np.sin(NU)
-        assert region_contains(r, 1.0 + 1.5 * edge)
 
     def test_bn_floor_anchored(self):
         lam = 1.0 - 0.001j
@@ -178,20 +149,6 @@ class TestRegions:
         floor = lam.imag - 0.25 * 0.05 * np.sin(NU)
         assert region_contains(r, 1.0 + 1j * (floor + 1e-6))
         assert not region_contains(r, 1.0 + 1j * (floor - 1e-6))
-
-    def test_mn_tightens_bn(self):
-        lam = 1.0 - 0.001j
-        common = dict(e0=0.0, e1=1.0, nu=NU, i=1, rho1=0.2, rho_n=0.05,
-                      lam=lam)
-        bn = Region("Bn", **common)
-        mn = Region("Mn", rho_np1=0.025, **common)
-        floor_bn = lam.imag - 0.25 * 0.05 * np.sin(NU)
-        floor_mn = lam.imag - 0.4 * 0.025 * np.sin(NU)
-        probe = 1.0 + 1j * 0.5 * (floor_bn + floor_mn)  # between the floors
-        assert region_contains(bn, probe)
-        assert not region_contains(mn, probe)
-        above = 1.0 + 1j * (floor_mn + 1e-6)
-        assert region_contains(mn, above)
 
     def test_wn_window_ignores_b1_floor(self):
         lam = 1.0 - 0.02j  # below the B1 floor for this rho1
@@ -246,3 +203,68 @@ def test_cone_complement_distance_coaxial():
     inner = Cone(d * np.exp(-1j * nu), nu, m)
     got = cone_complement_distance(inner, outer)
     assert got == pytest.approx(d * np.sin(nu / m), rel=1e-6)
+
+
+def scanned_complement_distance(inner: Cone, outer: Cone, samples: int = 64) -> float:
+    """The gap by a geometric scan of the outer edge rays plus a bounded
+    scalar minimization (the distance to the convex inner cone is convex
+    along each ray)."""
+    if dist_to_cone(outer, inner.vertex) > 0.0:
+        return 0.0
+    scale = abs(inner.vertex - outer.vertex) + 1.0
+    best = np.inf
+    for direction in outer.edge_directions():
+
+        def f(x: float) -> float:
+            return dist_to_cone(inner, outer.vertex + x * direction)
+
+        xs = np.concatenate([[0.0], np.geomspace(1e-9 * scale, 1e6 * scale, samples)])
+        vals = [f(x) for x in xs]
+        k = int(np.argmin(vals))
+        lo = xs[max(0, k - 1)]
+        hi = xs[min(len(xs) - 1, k + 1)]
+        res = minimize_scalar(f, bounds=(lo, hi), method="bounded")
+        best = min(best, float(res.fun), min(vals))
+    return best
+
+
+def projected_vertex_distance(inner: Cone, outer: Cone) -> float:
+    """Distance from the inner vertex to the outer edge rays by projection."""
+    p = inner.vertex - outer.vertex
+    best = np.inf
+    for d in outer.edge_directions():
+        t = max(0.0, (np.conj(d) * p).real)
+        best = min(best, abs(p - t * d))
+    return best
+
+
+class TestConeComplementDistance:
+    @staticmethod
+    def random_nested(gen):
+        nu = gen.uniform(0.1, 0.39)
+        m = int(gen.integers(4, 9))
+        outer = Cone(complex(*gen.uniform(-1, 1, 2)), nu, m)
+        offset = 10.0 ** gen.uniform(-6, 0)
+        angle = nu + gen.uniform(-1, 1) * nu / m
+        return Cone(outer.vertex + offset * np.exp(-1j * angle), nu, m), outer, offset
+
+    def test_closed_form_against_projection_and_scan(self, rng):
+        for _ in range(2000):
+            inner, outer, offset = self.random_nested(rng)
+            got = cone_complement_distance(inner, outer)
+            # rounding of the vertices costs every route eps * |offset|,
+            # so agreement is measured against the vertex offset
+            assert abs(got - projected_vertex_distance(inner, outer)) <= 1e-14 * offset
+            assert abs(got - scanned_complement_distance(inner, outer)) <= 1e-9
+
+    def test_not_nested_is_zero(self):
+        outer = Cone(0.0, NU, 4)
+        behind = Cone(-0.1 * np.exp(-1j * NU), NU, 4)
+        beside = Cone(0.1 * np.exp(-1j * (NU + 2 * NU / 4)), NU, 4)
+        assert cone_complement_distance(behind, outer) == 0.0
+        assert cone_complement_distance(beside, outer) == 0.0
+        assert cone_complement_distance(outer, outer) == 0.0
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ConfigError):
+            cone_complement_distance(Cone(0.0, NU, 4), Cone(0.0, NU, 5))

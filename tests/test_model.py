@@ -1,5 +1,7 @@
 """Form factors, dilation, grids, Hamiltonian assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,62 @@ from spinboson import (
     ModelConfig,
     assemble_hamiltonian,
     coupling_amplitudes,
-    dilated_form_factor,
     eig_all,
     form_factor,
-    form_factor_l2_norm_sq,
     interaction_norm_bound,
-    radial_reduction,
     shell_norm_report,
 )
 from spinboson.fock import build_field_operator, field_energy_diagonal
+
+
+# Closed forms of the form factor, kept as oracles for the grid amplitudes.
+
+
+def dilated_form_factor(k, cfg, theta=None):
+    """Analytic continuation of the form factor along the dilation orbit.
+
+    At theta = 0 this equals form_factor; at real theta it is the unitary
+    dilation image exp(-3 theta / 2) f(exp(-theta) k).
+    """
+    theta = cfg.theta if theta is None else theta
+    k_arr = np.asarray(k, dtype=float)
+    if np.any(k_arr <= 0.0):
+        raise ValueError("form factor is defined for k > 0 only")
+    pref = np.exp(-theta * (1.0 + cfg.mu))
+    gauss = np.exp(-np.exp(-2.0 * theta) * k_arr**2 / cfg.lambda_uv**2)
+    val = pref * gauss * k_arr ** (cfg.mu - 0.5)
+    return complex(val) if np.isscalar(k) else val
+
+
+def radial_reduction(cfg):
+    """S-wave coupling profile F(r) = sqrt(4 pi) r f(r) as a callable.
+
+    F carries the full interaction: |F|^2 integrated over (0, inf) equals
+    the L2(R^3) norm squared of the form factor.
+    """
+
+    def profile(r):
+        r_arr = np.asarray(r, dtype=float)
+        if np.any(r_arr <= 0.0):
+            raise ValueError("radial profile is defined for r > 0 only")
+        vals = np.sqrt(4.0 * math.pi) * r_arr ** (0.5 + cfg.mu) * np.exp(
+            -(r_arr**2) / cfg.lambda_uv**2
+        )
+        return float(vals) if np.isscalar(r) else vals
+
+    return profile
+
+
+def form_factor_l2_norm_sq(cfg) -> float:
+    """Closed form of the squared L2(R^3) norm of the form factor.
+
+    Integrating 4 pi r^(1 + 2 mu) exp(-2 r^2 / Lambda^2) gives
+    2 pi (Lambda^2 / 2)^(1 + mu) Gamma(1 + mu).
+    """
+    return (
+        2.0 * math.pi * (cfg.lambda_uv**2 / 2.0) ** (1.0 + cfg.mu)
+        * math.gamma(1.0 + cfg.mu)
+    )
 
 
 def kron_hamiltonian(cfg, field):

@@ -15,6 +15,7 @@ from spinboson import (
 from spinboson.multiscale import (
     _embed_full_vector,
     soft_branch_lattice,
+    soft_branch_mask,
     soft_branch_tolerance,
 )
 
@@ -199,3 +200,19 @@ class TestSoftBranchLattice:
         t1 = soft_branch_tolerance(cfg, modes)
         t2 = soft_branch_tolerance(cfg.replace(g=0.1), modes)
         assert t2 == pytest.approx(4.0 * t1)
+
+    @pytest.mark.parametrize("max_freq", [None, 0.3])
+    def test_mask_matches_pointwise_distance(self, cfg, small_field, rng, max_freq):
+        modes = small_field.modes_for_scale(2)
+        lattice = soft_branch_lattice(cfg, modes, 2)
+        tol = soft_branch_tolerance(cfg, modes, max_freq)
+        near = lattice[::3] + 0.5 * tol * np.exp(
+            2j * np.pi * rng.uniform(size=len(lattice[::3]))
+        )
+        far = lattice[1::3] + 3.0 * tol
+        zs = np.concatenate([near, far, rng.uniform(0, 2, 20) - 0.01j])
+        want = [np.min(np.abs(lattice - z)) <= tol for z in zs]
+        got = soft_branch_mask(cfg, modes, 2, zs, max_freq)
+        assert got.dtype == bool and got.tolist() == want
+        assert got[: len(near)].all()
+        assert soft_branch_mask(cfg, modes, 2, []).shape == (0,)
