@@ -6,6 +6,12 @@ additionally as CSV) plus a manifest with the config hash; the exit status
 is zero exactly when all checks of the run pass.  In strict mode the
 paper-grade smallness windows gate the exit status; practical mode keys
 off the structural checks and the practical envelopes.
+
+A run pins every OpenBLAS in the process to one thread and parallelizes
+only over ``jobs`` worker threads (``--jobs``, by default the usable CPU
+count): the parity-sector eigensolves of each ladder scale and the points
+of a resolvent scan.  Reports are therefore the same for any thread
+count; the manifest records the budget.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .model import (
 )
 from .multiscale import check_p1, check_p2_p4, check_p3, extrapolate_limit, run_ladder
 from .reporting import run_manifest, write_csv, write_json
+from .threads import pinned_blas, usable_cpus
 
 SUBCOMMANDS = (
     "ladder",
@@ -106,6 +113,13 @@ class RunConfig:
         )
 
 
+def _positive_jobs(value) -> int:
+    jobs = int(value)
+    if jobs < 1:
+        raise ConfigError("run jobs must be at least 1")
+    return jobs
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
@@ -170,7 +184,7 @@ def parse_config(text: str) -> RunConfig:
         uv_points_per_panel=None if uv is None else int(uv),
         mode=mode,
         seed=int(run_doc.get("seed", 0)),
-        jobs=int(run_doc.get("jobs", 1)),
+        jobs=_positive_jobs(run_doc.get("jobs", usable_cpus())),
         quad_points=int(run_doc.get("quad_points", 16)),
         raw=doc,
     )
@@ -179,7 +193,8 @@ def parse_config(text: str) -> RunConfig:
 def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, quad_points=rc.quad_points)
+    trace = run_ladder(cfg, ladder, field, quad_points=rc.quad_points,
+                       jobs=rc.jobs)
     report = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone,
         c_generic=float(rc.raw.get("run", {}).get("c_generic", 10.0)),
@@ -219,7 +234,8 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     g_list = [
         _as_complex(g) for g in rc.raw.get("run", {}).get("g_list", [])
     ] or [cfg.g, cfg.g / 2]
-    rep = fermi_golden_rule(cfg, ladder, field, g_list, quad_points=rc.quad_points)
+    rep = fermi_golden_rule(cfg, ladder, field, g_list, quad_points=rc.quad_points,
+                            jobs=rc.jobs)
     rows = [
         {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
     ]
@@ -243,7 +259,7 @@ def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     ] or [cfg.theta, cfg.theta + 0.025j, cfg.theta + 0.05j]
     levels = _run_levels(rc)
     rep = theta_invariance_scan(cfg, ladder, field, thetas, levels=levels,
-                                quad_points=rc.quad_points)
+                                quad_points=rc.quad_points, jobs=rc.jobs)
     ok = rep.budget is None or all(
         v <= rep.budget for v in rep.max_pairwise.values()
     )
@@ -259,7 +275,8 @@ def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     radius = float(circle.get("radius", abs(cfg.g) / 4 or 0.01))
     k = int(circle.get("samples", 8))
     rep = g_analyticity_check(
-        cfg, ladder, field, center, radius, n_samples=k, quad_points=rc.quad_points
+        cfg, ladder, field, center, radius, n_samples=k,
+        quad_points=rc.quad_points, jobs=rc.jobs,
     )
     tol = float(circle.get("tol", 1e-4))
     ok = all(v <= tol for v in rep.max_pairwise.values())
@@ -277,7 +294,7 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     field = rc.build_field()
     levels = _run_levels(rc)
     trace = run_ladder(cfg, ladder, field, levels=levels,
-                       quad_points=rc.quad_points)
+                       quad_points=rc.quad_points, jobs=rc.jobs)
     tol = float(rc.raw.get("run", {}).get("cone_tol", 5e-3))
     rep = spectrum_cone_check(cfg, ladder, field, trace, tol=tol, levels=levels)
     write_json(out / "cone_check.json", rep)
@@ -287,7 +304,8 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points)
+    trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points,
+                       jobs=rc.jobs)
     n_samples = int(rc.raw.get("run", {}).get("n_samples", 200))
     rep = resolvent_cone_bound_check(
         cfg, ladder, field, trace, n_samples=n_samples, seed=rc.seed,
@@ -380,18 +398,25 @@ _DISPATCH = {
 
 
 def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
-    """Run one subcommand, write its artifacts and manifest, return status."""
+    """Run one subcommand, write its artifacts and manifest, return status.
+
+    BLAS runs on one thread for the length of the subcommand; the previous
+    thread counts are back when this returns or raises.
+    """
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
     t0 = time.perf_counter()
-    try:
-        code, extras = _DISPATCH[subcommand](rc, out)
-        failure = None
-    except SpinBosonError as exc:
-        code, extras = 2, {"kind": subcommand, "pass": False}
-        failure = {"error": type(exc).__name__, "message": str(exc)}
+    with pinned_blas(1) as blas:
+        try:
+            code, extras = _DISPATCH[subcommand](rc, out)
+            failure = None
+        except SpinBosonError as exc:
+            code, extras = 2, {"kind": subcommand, "pass": False}
+            failure = {"error": type(exc).__name__, "message": str(exc)}
     manifest = run_manifest(rc.raw, wall_time=time.perf_counter() - t0, extras=extras)
+    # an empty "blas" list: no OpenBLAS was found, so nothing was pinned
+    manifest["threads"] = {"usable_cpus": usable_cpus(), "jobs": rc.jobs, "blas": blas}
     if failure:
         manifest["failure"] = failure
     write_json(out / "manifest.json", manifest)
@@ -407,20 +432,23 @@ def main(argv=None) -> int:
     parser.add_argument("--config", type=Path, required=False)
     parser.add_argument("--out", type=Path, default=Path("out"))
     parser.add_argument("--mode", choices=("practical", "strict"), default=None)
-    parser.add_argument("--jobs", type=int, default=None)
+    parser.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker threads (default: the usable CPU count)",
+    )
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     text = args.config.read_text() if args.config else "{}"
     try:
         rc = parse_config(text)
+        if args.jobs is not None:
+            rc.jobs = _positive_jobs(args.jobs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.mode is not None:
         rc.mode = args.mode
-    if args.jobs is not None:
-        rc.jobs = args.jobs
     if args.seed is not None:
         rc.seed = args.seed
     code = dispatch(args.subcommand, rc, args.out)

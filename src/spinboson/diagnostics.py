@@ -121,13 +121,14 @@ def fermi_golden_rule(
     field_disc: DiscretizedField,
     g_list,
     quad_points: int = 16,
+    jobs: int = 1,
 ) -> dict:
     """Resonance width against the golden rule across couplings.
 
     For each coupling the ladder tracks the resonance to the last scale;
     Im(lambda_1)/g^2 must approach the closed-form coefficient as g drops,
     and the second-order oracle on the same discretization must agree with
-    the ladder value.
+    the ladder value.  ``jobs`` goes to every ladder (``run_ladder``).
     """
     if len(g_list) < 2:
         raise ConfigError("the golden-rule scan needs at least two couplings")
@@ -137,7 +138,8 @@ def fermi_golden_rule(
     for g in g_list:
         cfg_g = cfg.replace(g=g)
         trace = run_ladder(
-            cfg_g, ladder, field_disc, levels=(1,), quad_points=quad_points
+            cfg_g, ladder, field_disc, levels=(1,), quad_points=quad_points,
+            jobs=jobs,
         )
         lam = trace.scales[-1].levels[1].lam
         ratio = lam.imag / abs(g) ** 2 if g != 0 else 0.0
@@ -176,9 +178,11 @@ def _final_lambda(
     field_disc: DiscretizedField,
     levels: tuple,
     quad_points: int = 16,
+    jobs: int = 1,
 ):
     trace = run_ladder(
-        cfg, ladder, field_disc, levels=levels, quad_points=quad_points
+        cfg, ladder, field_disc, levels=levels, quad_points=quad_points,
+        jobs=jobs,
     )
     return {i: trace.scales[-1].levels[i].lam for i in levels}, trace
 
@@ -215,9 +219,7 @@ def _refinement_delta(
     deltas = {}
     for i, lam in lam_base.items():
         sector = H.sectors[+1 if i == 1 else -1]  # the one holding phi_i (x) vacuum
-        lam_ref, _ = shifted_inverse_eigenvalue(
-            sector.block, complex(lam), top=sector.top
-        )
+        lam_ref, _ = shifted_inverse_eigenvalue(sector, complex(lam))
         deltas[i] = abs(lam_ref - lam)
     return deltas
 
@@ -230,6 +232,7 @@ def theta_invariance_scan(
     levels: tuple = (0, 1),
     quad_points: int = 16,
     measure_budget: bool = True,
+    jobs: int = 1,
 ) -> InvarianceReport:
     """Constancy of the tracked eigenvalues along the dilation orbit.
 
@@ -238,7 +241,7 @@ def theta_invariance_scan(
     grid a pure Re-theta shift reproduces the identical matrix and the
     eigenvalues match to solver precision.  Imaginary-part moves change
     the quadrature of a theta-independent quantity and are compared
-    against the measured budget.
+    against the measured budget.  ``jobs`` goes to every ladder.
     """
     if len(theta_list) < 3:
         raise ConfigError("an invariance scan needs at least three samples")
@@ -253,7 +256,7 @@ def theta_invariance_scan(
             if abs(theta.real) == 0.0
             else field_disc.scaled(float(np.exp(theta.real)))
         )
-        lams, trace = _final_lambda(cfg_t, ladder, grid, levels, quad_points)
+        lams, trace = _final_lambda(cfg_t, ladder, grid, levels, quad_points, jobs)
         dims.append(trace.scales[-1].dim)
         for i in levels:
             lambdas[i].append(lams[i])
@@ -312,6 +315,7 @@ def g_analyticity_check(
     levels: tuple = (0, 1),
     eval_fn=None,
     quad_points: int = 16,
+    jobs: int = 1,
 ) -> InvarianceReport:
     """Discrete Cauchy test of analyticity in the coupling.
 
@@ -319,7 +323,7 @@ def g_analyticity_check(
     residuals of analyticity: the sample mean must reproduce the center
     value and the (-1)-Fourier coefficient must vanish.  ``eval_fn`` may
     replace the ladder route by any callable g -> {level: lambda}, which
-    the synthetic tests use.
+    the synthetic tests use.  ``jobs`` goes to every ladder.
     """
     if n_samples < 8:
         raise ConfigError("the coupling circle needs at least eight samples")
@@ -327,7 +331,7 @@ def g_analyticity_check(
 
         def eval_fn(g):
             lams, _ = _final_lambda(
-                cfg.replace(g=g), ladder, field_disc, levels, quad_points
+                cfg.replace(g=g), ladder, field_disc, levels, quad_points, jobs
             )
             return lams
 

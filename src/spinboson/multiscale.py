@@ -58,6 +58,7 @@ from .spectral import (
     sort_spectrum,
     track_eigenvalue,
 )
+from .threads import parallel_map
 
 SCHEMA_VERSION = 1
 
@@ -312,12 +313,14 @@ def run_ladder(
     n_scales: int | None = None,
     levels: tuple = (0, 1),
     quad_points: int = 16,
+    jobs: int = 1,
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
     Each scale tracks lambda_i from the previous scale's value, rebuilds
     the rank-one contour projector, and compares it against the previous
-    projector tensored with the new shells' vacuum.
+    projector tensored with the new shells' vacuum.  The parity sectors of
+    each scale are eigensolved on up to ``jobs`` threads.
     """
     t0 = time.perf_counter()
     n_scales = field_disc.n_scales if n_scales is None else n_scales
@@ -341,7 +344,9 @@ def run_ladder(
     for n in range(1, n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
         modes = field_disc.modes_for_scale(n)
-        all_eigs = np.concatenate([s.eigvals for s in H.sectors.values()])
+        all_eigs = np.concatenate(
+            parallel_map(lambda s: s.eigvals, H.sectors.values(), jobs)
+        )
         trace._eigs[n] = all_eigs
         rho_n = ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)

@@ -11,10 +11,15 @@ carries the positions of its top boson layer N = n_max, which is diagonal
 and couples only to the layer N - 1.  The solver eliminates that layer
 exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
 plain linear algebra) and factors only the Schur complement on the lower
-layers R, a |R| x |R| matrix much smaller than the block.  A plain matrix
-has no such layer and gets a dense LU through the same code.  Resolvent
-norms build one solver per sector and shift and run Lanczos (svds) on its
-solves; no block of dimension 3 or more is inverted or SVD'd densely.
+layers R, a |R| x |R| matrix much smaller than the block.  The pieces of
+that complement that do not depend on the shift (the index split, the
+top-layer diagonal, the sparse couplings A_RT and A_TR with their
+adjoints, and A_RR) are built once per sector, kept on it as
+``Sector.solver_parts`` and freed with it; each shift then only forms
+and factors S(z).  A plain matrix has no such layer and gets a dense LU
+through the same code.  Resolvent norms build one solver per sector and
+shift and run Lanczos (svds) on its solves; no block of dimension 3 or
+more is inverted or SVD'd densely.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +56,7 @@ from .errors import (
     TrackingError,
 )
 from .fock import OperatorMatrix, Sector
+from .threads import parallel_map
 
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
@@ -73,12 +78,20 @@ HERMITIAN_TOL = 1e-10
 _LU_WARNING_LOCK = threading.Lock()
 
 
+def _as_sector(A, top: np.ndarray | None = None) -> Sector:
+    """A Sector as it is; a plain matrix (with optional top-layer positions)
+    as a one-off Sector."""
+    if isinstance(A, Sector):
+        return A
+    top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
+    return Sector(np.arange(len(A)), A, top)
+
+
 def _sectors(H) -> dict:
     """The sectors of an assembled operator; a plain matrix is one sector."""
     if isinstance(H, OperatorMatrix):
         return H.sectors
-    arr = np.asarray(H, dtype=complex)
-    return {None: Sector(np.arange(len(arr)), arr, np.zeros(0, dtype=np.int64))}
+    return {None: _as_sector(np.asarray(H, dtype=complex))}
 
 
 def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,19 +99,53 @@ def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d.reshape((-1,) + (1,) * (b.ndim - 1))
 
 
+class _SolverParts:
+    """The shift-independent pieces of every ShiftedSolver of one block.
+
+    For top-layer positions T and the remaining positions R: the diagonal
+    d of A_TT, the CSR matrices A_RT and A_TR with their conjugate
+    transposes, and the dense A_RR.  A Sector builds them once and keeps
+    them (``Sector.solver_parts``).
+    """
+
+    def __init__(self, A: np.ndarray, top: np.ndarray):
+        n = A.shape[0]
+        self.block = A
+        self.t = top
+        self.d = A[top, top]
+        in_t = np.zeros(n, dtype=bool)
+        in_t[top] = True
+        self.r = np.nonzero(~in_t)[0]
+        self.a_rt = sparse.csr_matrix(A[np.ix_(self.r, top)])
+        self.a_tr = sparse.csr_matrix(A[np.ix_(top, self.r)])
+        self.a_rt_h = self.a_rt.conj().T.tocsr()
+        self.a_tr_h = self.a_tr.conj().T.tocsr()
+        self.a_rr = A[np.ix_(self.r, self.r)].astype(complex, copy=False)
+
+
+def _solver_parts(sec: Sector) -> _SolverParts:
+    """The sector's solver parts, built on first use and then kept on it."""
+    if sec.solver_parts is None:
+        sec.solver_parts = _SolverParts(sec.block, sec.top)
+    return sec.solver_parts
+
+
 class ShiftedSolver:
     """Solves with A - z and its adjoint, the top layer eliminated exactly.
 
-    ``top`` holds positions T of A whose block A_TT is diagonal (entries
-    d_t).  With R the remaining positions, A - z is solved through the
-    Schur complement
+    ``A`` is a Sector, whose top layer is eliminated and whose solver parts
+    are built once and reused by every shift, or a plain matrix with
+    optional top-layer positions ``top``.  The block A_TT is diagonal
+    (entries d_t).  With R the remaining positions, A - z is solved through
+    the Schur complement
 
         S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
 
-    the only matrix factored.  A_RT and A_TR are kept as CSR matrices.  A
-    top entry with |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R, so
-    a zero d_t - z never divides; it reaches the pivots instead.  Without
-    ``top`` R is everything and this is a dense LU of A - z.
+    the only matrix factored.  A top entry with
+    |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z
+    never divides; it reaches the pivots instead, and the parts are rebuilt
+    for that shift.  Without a top layer R is everything and this is a
+    dense LU of A - z.
 
     ``singular`` is set when a pivot of the factorization vanishes to
     working precision (|R| eps times the largest entry of S, at least 1):
@@ -106,25 +153,21 @@ class ShiftedSolver:
     SingularShiftError.
     """
 
-    def __init__(self, A: np.ndarray, z: complex, top: np.ndarray | None = None):
-        n = A.shape[0]
+    def __init__(self, A, z: complex, top: np.ndarray | None = None):
+        parts = _solver_parts(_as_sector(A, top))
         self.z = z = complex(z)
-        top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
-        d = A[top, top] - z
+        d = parts.d - z
         keep = np.abs(d) >= TOP_LAYER_GUARD * max(1.0, abs(z))
-        self.t = top[keep]
-        self.dt = d[keep]
-        in_t = np.zeros(n, dtype=bool)
-        in_t[self.t] = True
-        self.r = np.nonzero(~in_t)[0]
-        self.a_rt = sparse.csr_matrix(A[np.ix_(self.r, self.t)])
-        self.a_tr = sparse.csr_matrix(A[np.ix_(self.t, self.r)])
-        self.a_rt_h = self.a_rt.conj().T.tocsr()
-        self.a_tr_h = self.a_tr.conj().T.tocsr()
-        schur = A[np.ix_(self.r, self.r)].astype(complex, copy=False)
+        if not keep.all():
+            parts, d = _SolverParts(parts.block, parts.t[keep]), d[keep]
+        self._parts = parts
+        self.t, self.r, self.dt = parts.t, parts.r, d
+        schur = parts.a_rr.copy()
         schur[np.diag_indices(len(self.r))] -= z
         if len(self.t):
-            schur -= (self.a_rt @ sparse.diags(1.0 / self.dt) @ self.a_tr).toarray()
+            schur -= (
+                parts.a_rt @ sparse.diags(1.0 / self.dt) @ parts.a_tr
+            ).toarray()
         # an exactly zero pivot makes lu_factor warn; the pivot test below
         # decides singularity, so that warning alone is silenced here
         with _LU_WARNING_LOCK, warnings.catch_warnings():
@@ -151,9 +194,9 @@ class ShiftedSolver:
         dt = _per_row(self.dt, b)
         w = b[self.t] / dt
         x = np.empty_like(b)
-        x_r = lu_solve(self.lu, b[self.r] - self.a_rt @ w)
+        x_r = lu_solve(self.lu, b[self.r] - self._parts.a_rt @ w)
         x[self.r] = x_r
-        x[self.t] = w - (self.a_tr @ x_r) / dt
+        x[self.t] = w - (self._parts.a_tr @ x_r) / dt
         return x
 
     def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
@@ -163,9 +206,9 @@ class ShiftedSolver:
         dt = _per_row(self.dt.conj(), c)
         w = c[self.t] / dt
         y = np.empty_like(c)
-        y_r = lu_solve(self.lu, c[self.r] - self.a_tr_h @ w, trans=2)
+        y_r = lu_solve(self.lu, c[self.r] - self._parts.a_tr_h @ w, trans=2)
         y[self.r] = y_r
-        y[self.t] = w - (self.a_rt_h @ y_r) / dt
+        y[self.t] = w - (self._parts.a_rt_h @ y_r) / dt
         return y
 
 
@@ -231,9 +274,9 @@ def _contour_nodes(center: complex, radius: float, n_nodes: int):
     return center + radius * phases, phases
 
 
-def _node_solver(A: np.ndarray, z: complex, top: np.ndarray | None) -> ShiftedSolver:
+def _node_solver(sec: Sector, z: complex) -> ShiftedSolver:
     """Shifted solver at a contour node; a node on the spectrum is a collision."""
-    solver = ShiftedSolver(A, z, top)
+    solver = ShiftedSolver(sec, z)
     if solver.singular:
         raise ContourCollisionError(f"contour node {z} lies on the spectrum")
     return solver
@@ -258,7 +301,7 @@ def _contour_block_action(
 
 
 def riesz_rank_one(
-    A: np.ndarray,
+    A,
     center: complex,
     radius: float,
     quad_points: int = 16,
@@ -270,17 +313,18 @@ def riesz_rank_one(
 ) -> RieszProjector:
     """Factored contour projector for an expected simple eigenvalue.
 
-    Two quadrature passes over a dense block share one solver per node
-    (``top`` are the block's top-layer positions, see ShiftedSolver), so
-    all node factorizations of one rule are held at once: nodes * |R|^2
-    complex entries, which for a plain matrix (R is everything) is
-    nodes * n^2 * 16 bytes.  The first pass recovers the range and corange
+    ``A`` is a Sector or a plain matrix with optional top-layer positions
+    ``top`` (see ShiftedSolver).  Two quadrature passes share one solver
+    per node, so all node factorizations of one rule are held at once:
+    nodes * |R|^2 complex entries, which for a plain matrix (R is
+    everything) is nodes * n^2 * 16 bytes.  The first pass recovers the range and corange
     from probe vectors, the second measures the idempotency defect and the
     enclosed trace on that subspace.  Nodes double until the defect passes
     ``tol``; at MAX_QUAD_POINTS the projector is returned with
     ``converged`` False.  ``sector`` is recorded on the projector.
     """
-    n = A.shape[0]
+    sec = _as_sector(A, top)
+    n = len(sec.indices)
     rng = np.random.default_rng(7)
     cols = [probe] if probe is not None else []
     cols += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -293,7 +337,7 @@ def riesz_rank_one(
     n_nodes = quad_points
     while True:
         nodes, phases = _contour_nodes(center, radius, n_nodes)
-        solvers = [_node_solver(A, z, top) for z in nodes]
+        solvers = [_node_solver(sec, z) for z in nodes]
         PX, PHY = _contour_block_action(solvers, phases, radius, X, Y)
         u_basis, svals, _ = np.linalg.svd(PX, full_matrices=False)
         if svals[0] < 1e3 * np.finfo(float).eps:
@@ -405,14 +449,13 @@ def track_eigenvalue(
     # contour centered on the candidate, radius limited by the gap
     proj_radius = min(radius, 0.4 * gap) if np.isfinite(gap) else radius
     proj = riesz_rank_one(
-        A,
+        sec,
         center=lam,
         radius=proj_radius,
         quad_points=quad_points,
         probe=localize(probe),
         left_probe=localize(left_probe),
         sector=key,
-        top=sec.top,
     )
     if not proj.converged:
         raise TrackingError(
@@ -489,7 +532,7 @@ def _sector_resolvent_norm(
 ) -> float:
     """Norm of (A - z)^(-1) (1 - P) on one sector; P = 0 when proj is None."""
     n = len(sec.indices)
-    solver = ShiftedSolver(sec.block, z, sec.top)
+    solver = ShiftedSolver(sec, z)
     if solver.singular:
         return np.inf
     if proj is None:
@@ -537,27 +580,25 @@ def resolvent_norm(H, z: complex, proj: RieszProjector | None = None) -> float:
 
 
 def resolvent_scan(H, z_grid, jobs: int = 1) -> list[tuple[complex, float]]:
-    """Elementwise resolvent norms over a grid, order preserving."""
+    """Elementwise resolvent norms over a grid on ``jobs`` threads, order kept."""
     z_list = list(z_grid)
-    if jobs > 1 and len(z_list) > 1:
-        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            norms = list(pool.map(lambda z: resolvent_norm(H, z), z_list))
-    else:
-        norms = [resolvent_norm(H, z) for z in z_list]
-    return list(zip(z_list, norms))
+    return list(zip(z_list, parallel_map(lambda z: resolvent_norm(H, z), z_list, jobs)))
 
 
 def shifted_inverse_eigenvalue(
-    A: np.ndarray, shift: complex, top: np.ndarray | None = None
+    A, shift: complex, top: np.ndarray | None = None
 ) -> tuple[complex, np.ndarray]:
     """Eigenvalue of A nearest to ``shift`` by shifted inverse iteration.
 
-    At most 40 steps from a random start; stops when the Rayleigh quotient
-    moves by less than 1e-13 relative.  Raises SingularShiftError when the
-    shift is an eigenvalue to working precision.
+    ``A`` is a Sector or a plain matrix with optional top-layer positions
+    ``top``.  At most 40 steps from a random start; stops when the Rayleigh
+    quotient moves by less than 1e-13 relative.  Raises SingularShiftError
+    when the shift is an eigenvalue to working precision.
     """
+    sec = _as_sector(A, top)
+    A = sec.block
     n = A.shape[0]
-    solver = ShiftedSolver(A, shift, top)
+    solver = ShiftedSolver(sec, shift)
     rng = np.random.default_rng(2024)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from spinboson import (
     interaction_norm_bound,
     multiscale,
     shell_norm_report,
+    threads,
     verify_standard_estimates,
 )
 from spinboson.cli import dispatch, main, parse_config
+from spinboson.errors import SpinBosonError
 
 TINY = {
     "schema_version": 1,
@@ -391,3 +394,130 @@ def test_cli_import_skips_optimize_and_special():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------- thread budget
+
+LIBS = threads.openblas_libraries()
+needs_openblas = pytest.mark.skipif(not LIBS, reason="no OpenBLAS in this process")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at two threads for the test, the old counts after."""
+    before = [lib.threads for lib in LIBS]
+    for lib in LIBS:
+        lib.threads = 2
+    try:
+        yield
+    finally:
+        for lib, n in zip(LIBS, before):
+            lib.threads = n
+
+
+def fake_subcommand(seen, raises=None):
+    def run(rc, out):
+        seen.append([lib.threads for lib in threads.openblas_libraries()])
+        if raises is not None:
+            raise raises
+        return 0, {"kind": "ladder", "pass": True}
+
+    return run
+
+
+@needs_openblas
+class TestPinnedBlas:
+    def test_one_thread_during_dispatch_restored_after(
+        self, tmp_path, monkeypatch, two_blas_threads
+    ):
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, "ladder", fake_subcommand(seen))
+        rc = parse_config(config_text())
+        assert dispatch("ladder", rc, tmp_path) == 0
+        assert seen == [[1] * len(LIBS)]
+        assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        budget = manifest["threads"]
+        assert budget["usable_cpus"] == len(os.sched_getaffinity(0))
+        assert budget["jobs"] == rc.jobs
+        assert [b["library"] for b in budget["blas"]] == [lib.library for lib in LIBS]
+        assert all(
+            b["threads_before"] == 2 and b["threads_during"] == 1
+            for b in budget["blas"]
+        )
+
+    def test_restored_after_failed_run(self, tmp_path, monkeypatch, two_blas_threads):
+        seen = []
+        monkeypatch.setitem(
+            cli._DISPATCH, "ladder", fake_subcommand(seen, SpinBosonError("boom"))
+        )
+        assert dispatch("ladder", parse_config(config_text()), tmp_path) == 2
+        assert seen == [[1] * len(LIBS)]
+        assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"]["error"] == "SpinBosonError"
+
+    def test_restored_after_uncaught_error(self, tmp_path, monkeypatch, two_blas_threads):
+        monkeypatch.setitem(
+            cli._DISPATCH, "ladder", fake_subcommand([], RuntimeError("bug"))
+        )
+        with pytest.raises(RuntimeError):
+            dispatch("ladder", parse_config(config_text()), tmp_path)
+        assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
+
+
+def test_no_openblas_recorded_and_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(threads, "_mapped_openblas", lambda: [])
+    assert dispatch("feasibility", parse_config(config_text()), tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["threads"]["blas"] == []
+
+
+class TestJobs:
+    def test_default_is_usable_cpu_count(self):
+        assert parse_config("{}").jobs == len(os.sched_getaffinity(0))
+
+    def test_nonpositive_rejected(self, tmp_path, capsys):
+        with pytest.raises(spinboson.ConfigError, match="jobs"):
+            parse_config(config_text(run={"jobs": 0}))
+        assert main(["feasibility", "--jobs", "0", "--out", str(tmp_path)]) == 2
+        assert "jobs" in capsys.readouterr().err
+
+    def test_inline_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for one job")
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
+        assert threads.parallel_map(lambda x: x * x, [1, 2, 3], 1) == [1, 4, 9]
+        assert threads.parallel_map(lambda x: x, [5], 4) == [5]
+
+    def test_order_kept_on_threads(self):
+        assert threads.parallel_map(lambda x: -x, range(9), 3) == [-x for x in range(9)]
+
+    def test_ladder_reports_identical(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text())
+        for jobs in ("1", "2"):
+            assert main(["ladder", "--config", str(cfg_path), "--jobs", jobs,
+                         "--out", str(tmp_path / jobs)]) == 0
+        assert (tmp_path / "1" / "trace.json").read_bytes() == (
+            tmp_path / "2" / "trace.json"
+        ).read_bytes()
+
+
+def test_ladder_reports_independent_of_blas_threads(tmp_path):
+    """The same report under one and two OpenBLAS threads (a fresh process each)."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(config_text())
+    src = str(Path(spinboson.__file__).resolve().parents[1])
+    for n in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run(
+            [sys.executable, "-m", "spinboson.cli", "ladder", "--config",
+             str(cfg_path), "--out", str(tmp_path / n)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+    assert (tmp_path / "1" / "trace.json").read_bytes() == (
+        tmp_path / "2" / "trace.json"
+    ).read_bytes()

@@ -1,6 +1,8 @@
 """Eigensolvers, contour projectors, tracking, resolvent norms."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -433,6 +435,44 @@ class TestShiftedSolver:
         assert rel_err(
             solver.solve_adjoint(b), dense_lu_route(block, z, b, adjoint=True)
         ) < 1e-12
+
+
+class TestSectorSolverParts:
+    """Shift-independent solver parts are built once per sector and freed with it."""
+
+    @staticmethod
+    def same_solver(a: ShiftedSolver, b: ShiftedSolver, rhs) -> None:
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
+        assert np.array_equal(a.lu[0], b.lu[0]) and np.array_equal(a.lu[1], b.lu[1])
+        assert a.singular == b.singular
+        assert np.array_equal(a.solve(rhs), b.solve(rhs))
+        assert np.array_equal(a.solve_adjoint(rhs), b.solve_adjoint(rhs))
+
+    def test_cached_parts_match_fresh_build(self, rng):
+        H = assemble_hamiltonian(*tiny_model(2))
+        for sec in H.sectors.values():
+            n = len(sec.indices)
+            rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            t = sec.top[0]
+            # ordinary shifts, then the guard path (a shift on a top entry),
+            # then an ordinary shift again after the guard rebuilt its parts
+            for z in (0.9 - 0.01j, 0.02 + 0.003j, sec.block[t, t], 1.3):
+                cached = ShiftedSolver(sec, z)
+                self.same_solver(cached, ShiftedSolver(sec.block, z, sec.top), rhs)
+            assert sec.solver_parts is not None
+            parts = sec.solver_parts
+            ShiftedSolver(sec, 0.5 - 0.02j)
+            assert sec.solver_parts is parts  # built once
+            assert (t in ShiftedSolver(sec, sec.block[t, t]).r)
+
+    def test_parts_freed_with_operator(self):
+        H = assemble_hamiltonian(*tiny_model(2))
+        sec = H.sectors[+1]
+        resolvent_norm(H, 0.9 - 0.01j)
+        ref = weakref.ref(sec.solver_parts)
+        del H, sec
+        gc.collect()
+        assert ref() is None
 
 
 class TestSingularShift:
