@@ -67,7 +67,6 @@ from .spectral import (
     RieszProjector,
     ShiftedSolver,
     SpectralRecord,
-    eig_all,
     resolvent_norm,
     resolvent_scan,
     riesz_rank_one,

@@ -193,27 +193,25 @@ def parse_config(text: str) -> RunConfig:
 def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
+    samples = int(rc.raw.get("run", {}).get("samples_per_scale") or 0)
     trace = run_ladder(cfg, ladder, field, quad_points=rc.quad_points,
-                       jobs=rc.jobs)
+                       jobs=rc.jobs, samples_per_scale=samples, seed=rc.seed)
     report = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone,
         c_generic=float(rc.raw.get("run", {}).get("c_generic", 10.0)),
     )
     p1 = check_p1(trace, cfg, ladder, log10_C=report.log10_C)
     p3 = check_p3(trace, cfg, ladder, log10_C=report.log10_C)
-    extrapolate_limit(trace, cfg, ladder, field)
+    extrapolate_limit(trace, cfg, ladder)
     trace.checks["p1"] = p1
     trace.checks["p3"] = p3
-    samples = rc.raw.get("run", {}).get("samples_per_scale")
     ok = True
     if samples:
-        p2_p4 = check_p2_p4(trace, cfg, ladder, field,
-                            samples_per_scale=int(samples), seed=rc.seed,
-                            log10_C=report.log10_C)
+        p2_p4 = check_p2_p4(trace)
         # a window sampler that stops at its guard short of the request fails
         for per_scale in p2_p4["p4"].values():
             for entry in per_scale.values():
-                ok &= len(entry["samples"]) >= int(samples)
+                ok &= len(entry["samples"]) >= samples
     for i, lv in p1["levels"].items():
         ok &= lv["all_practical_pass"]
         if rc.mode == "strict":

@@ -241,7 +241,6 @@ class OperatorMatrix:
 
     dim: int
     sectors: dict[int, Sector]
-    hermitian: bool = False
 
     def __post_init__(self):
         seen = np.concatenate([s.indices for s in self.sectors.values()])

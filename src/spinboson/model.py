@@ -47,6 +47,7 @@ shifted solves can eliminate it exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import pi
 
@@ -127,18 +128,7 @@ class ModelConfig:
         return np.array([self.e1, self.e0])
 
     def replace(self, **kwargs) -> "ModelConfig":
-        data = {
-            "e1": self.e1,
-            "lambda_uv": self.lambda_uv,
-            "mu": self.mu,
-            "g": self.g,
-            "theta": self.theta,
-            "nu_floor": self.nu_floor,
-            "m_cone": self.m_cone,
-            "e0": self.e0,
-        }
-        data.update(kwargs)
-        return ModelConfig(**data)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -368,9 +358,6 @@ def assemble_hamiltonian(
     dim_f = basis.dim
     energies = field_energy_diagonal(basis)
     levels = cfg.atom_levels()
-    hermitian = bool(
-        theta == 0 and complex(g).imag == 0.0 and np.allclose(coeffs.imag, 0.0)
-    )
     phase = np.exp(-theta)
 
     # parity sectors: sigma_3 (x) (-1)^N commutes with H exactly, and the
@@ -393,9 +380,7 @@ def assemble_hamiltonian(
         top = np.nonzero(basis.totals[fock] == basis.n_max)[0]
         return Sector(np.concatenate([fock_first, dim_f + fock_second]), block, top)
 
-    return OperatorMatrix(
-        2 * dim_f, {+1: sector(even, odd), -1: sector(odd, even)}, hermitian
-    )
+    return OperatorMatrix(2 * dim_f, {+1: sector(even, odd), -1: sector(odd, even)})
 
 
 def interaction_norm_bound(

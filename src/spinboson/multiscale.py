@@ -17,6 +17,13 @@ induction argument controls:
 * P4: the projected resolvent bound |(H - z)^(-1) (1 - P)| against the
   shape K_n / (rho_n + |z - lambda^(n)|) on sampled z.
 
+Each scale's operator is assembled once and used while the scale loop
+holds it: the eigensolves, the contour projectors, the P4 samples (when
+``samples_per_scale`` asks for them) and, at the full grid's scale, the
+residual of every scale's eigenvector against the full-grid operator.
+The per-scale data stays on the scale records; ``check_p2_p4`` and
+``extrapolate_limit`` only read the trace.
+
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
 small-coupling regime this is identical to the literal per-scale box; at
@@ -37,7 +44,6 @@ never intersects the window and the check is the literal one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,14 +90,28 @@ class LevelScaleData:
     p3_gap: float | None = None
     first_scale_shift: float | None = None
     atomic_projector_gap: float | None = None
+    # kept for the checks and not serialized: the contour projector, the
+    # (right, left) eigenvectors in global coordinates, the P4 samples and
+    # the eigenvector's residual against the full-grid operator
+    projector: RieszProjector | None = None
+    vectors: tuple | None = None
+    p4: dict | None = None
+    full_grid_residual: float | None = None
 
 
 @dataclass
 class ScaleRecord:
+    """One scale: its cutoff, contour radius, dimension and spectrum.
+
+    ``eigs`` is the unsorted union of the sector spectra; it is not
+    serialized.
+    """
+
     n: int
     rho_n: float
     contour_radius: float
     dim: int
+    eigs: np.ndarray
     levels: dict = field(default_factory=dict)
 
 
@@ -112,20 +132,14 @@ class MultiscaleTrace:
     extrapolated: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-    wall_time: float = 0.0
     schema_version: int = SCHEMA_VERSION
-
-    def __post_init__(self):
-        self._projectors: dict = {}
-        self._eigs: dict = {}
-        self._vectors: dict = {}
 
     def level_series(self, i: int, name: str) -> list:
         return [getattr(rec.levels[i], name) for rec in self.scales]
 
     def spectrum(self, n: int) -> np.ndarray:
-        """The scale-n operator's eigenvalues, sorted as ``eig_all`` sorts."""
-        return sort_spectrum(self._eigs[n])
+        """The scale-n operator's eigenvalues, sorted by (real, imaginary) part."""
+        return sort_spectrum(self.scales[n - 1].eigs)
 
     def to_dict(self) -> dict:
         def cplx(z):
@@ -314,6 +328,8 @@ def run_ladder(
     levels: tuple = (0, 1),
     quad_points: int = 16,
     jobs: int = 1,
+    samples_per_scale: int = 0,
+    seed: int = 0,
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
@@ -321,8 +337,15 @@ def run_ladder(
     the rank-one contour projector, and compares it against the previous
     projector tensored with the new shells' vacuum.  The parity sectors of
     each scale are eigensolved on up to ``jobs`` threads.
+
+    With ``samples_per_scale`` > 0, P4 samples that many points of each
+    level's window per scale (scale by scale, level by level, from one
+    generator seeded with ``seed``) and records the projected resolvent
+    norms.  At the full grid's scale (n = ``field_disc.n_scales``) every
+    scale's eigenvector is embedded into the full grid and its residual
+    against that operator is recorded; a ladder stopped earlier records
+    none.
     """
-    t0 = time.perf_counter()
     n_scales = field_disc.n_scales if n_scales is None else n_scales
     if n_scales > field_disc.n_scales:
         raise TrackingError("field grid does not cover the requested scales")
@@ -340,6 +363,7 @@ def run_ladder(
     bare = {0: cfg.e0, 1: cfg.e1}
     prev_lam = dict(bare)
     prev_vec: dict = {}
+    rng = np.random.default_rng(seed)
 
     for n in range(1, n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
@@ -347,18 +371,22 @@ def run_ladder(
         all_eigs = np.concatenate(
             parallel_map(lambda s: s.eigvals, H.sectors.values(), jobs)
         )
-        trace._eigs[n] = all_eigs
         rho_n = ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
         rec = ScaleRecord(
-            n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim
+            n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
+            eigs=all_eigs,
         )
+        if samples_per_scale:
+            starved = all_eigs[
+                soft_branch_mask(cfg, modes, field_disc.n_max, all_eigs)
+            ]
         for i in levels:
-            seed = prev_lam[i]
-            nearest = complex(all_eigs[np.argmin(np.abs(all_eigs - seed))])
+            seed_lam = prev_lam[i]
+            nearest = complex(all_eigs[np.argmin(np.abs(all_eigs - seed_lam))])
             # widen the search circle when the eigenvalue moved beyond the
             # nominal contour (first scale at practical couplings)
-            r_track = max(contour_radius, 2.0 * abs(nearest - seed))
+            r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
             if i in prev_vec:
                 probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][0])
                 left_probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][1])
@@ -367,7 +395,7 @@ def run_ladder(
                 left_probe = None
             record = track_eigenvalue(
                 H,
-                seed=seed,
+                seed=seed_lam,
                 radius=r_track,
                 probe=probe,
                 left_probe=left_probe,
@@ -406,6 +434,8 @@ def run_ladder(
                 p2_soft_branch_count=n_soft,
                 p2_violation_count=n_bad,
                 p2_unique=bool(n_bad == 0),
+                projector=proj,
+                vectors=(u_g, l_g),
             )
             if n == 1:
                 data.first_scale_shift = abs(lam - bare[i])
@@ -418,13 +448,23 @@ def run_ladder(
                 u_prev = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][0])
                 l_prev = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][1])
                 data.p3_gap = rank_two_difference_norm(u_g, l_g, u_prev, l_prev)
+            if samples_per_scale:
+                zs = _sample_window(
+                    rng, cfg, ladder, i, n, lam, contour_radius,
+                    samples_per_scale, avoid=starved, avoid_radius=0.1 * rho_n,
+                )
+                data.p4 = _p4_entry(H, proj, zs, lam, rho_n)
             rec.levels[i] = data
-            trace._projectors[(n, i)] = proj
-            trace._vectors[(n, i)] = (u_g, l_g)
             prev_lam[i] = lam
             prev_vec[i] = (u_g, l_g)
+        if n == field_disc.n_scales:
+            for earlier in [*trace.scales, rec]:
+                for data in earlier.levels.values():
+                    u = _embed_full_vector(field_disc, earlier.n, n, data.vectors[0])
+                    data.full_grid_residual = float(
+                        np.linalg.norm(H.matvec(u) - data.lam * u)
+                    )
         trace.scales.append(rec)
-    trace.wall_time = time.perf_counter() - t0
     return trace
 
 
@@ -577,26 +617,35 @@ def _sample_window(
     return out
 
 
-def check_p2_p4(
-    trace: MultiscaleTrace,
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
-    samples_per_scale: int = 50,
-    seed: int = 0,
-    log10_C: float | None = None,
-) -> dict:
+def _p4_entry(H, proj: RieszProjector, zs: list, lam: complex, rho_n: float) -> dict:
+    """Projected resolvent norms at ``zs`` and the smallest K_n with
+    |(H - z)^(-1) (1 - P)| <= K_n / (rho_n + |z - lambda^(n)|)."""
+    samples = []
+    k_fit = 0.0
+    for z in zs:
+        lhs = resolvent_norm(H, z, proj)
+        shape = 1.0 / (rho_n + abs(z - lam))
+        samples.append({"z": [z.real, z.imag], "lhs": lhs, "shape": shape})
+        k_fit = max(k_fit, lhs / shape)
+    return {"K_n": k_fit, "samples": samples}
+
+
+def check_p2_p4(trace: MultiscaleTrace) -> dict:
     """Spectral uniqueness per window and the projected resolvent shape.
 
-    P2 reuses the stored spectra.  P4 reassembles each scale, samples its
-    window, and fits the smallest K_n with
-    |(H - z)^(-1) (1 - P)| <= K_n / (rho_n + |z - lambda^(n)|).
+    P2 reads the stored window counts, P4 the samples ``run_ladder`` took
+    with ``samples_per_scale`` > 0; a trace without them raises
+    TrackingError.  The K_n fits are also stored in ``trace.checks``.
     """
-    rng = np.random.default_rng(seed)
     out: dict = {"p2": {}, "p4": {}}
     for rec in trace.scales:
         n = rec.n
         for i, data in rec.levels.items():
+            if data.p4 is None:
+                raise TrackingError(
+                    f"scale {n}, level {i} has no P4 samples: run the ladder "
+                    "with samples_per_scale > 0"
+                )
             out["p2"].setdefault(str(i), {})[str(n)] = {
                 "count_window": data.p2_count_window,
                 "count_box": data.p2_count_box,
@@ -604,43 +653,7 @@ def check_p2_p4(
                 "violation_count": data.p2_violation_count,
                 "unique": data.p2_unique,
             }
-    for rec in trace.scales:
-        n = rec.n
-        H = assemble_hamiltonian(cfg, field_disc, n=n)
-        modes = field_disc.modes_for_scale(n)
-        scale_eigs = trace._eigs[n]
-        starved = scale_eigs[
-            soft_branch_mask(cfg, modes, field_disc.n_max, scale_eigs)
-        ]
-        for i, data in rec.levels.items():
-            proj: RieszProjector = trace._projectors[(n, i)]
-            lam = data.lam
-            zs = _sample_window(
-                rng,
-                cfg,
-                ladder,
-                i,
-                n,
-                lam,
-                rec.contour_radius,
-                samples_per_scale,
-                avoid=starved,
-                avoid_radius=0.1 * rec.rho_n,
-            )
-            samples = []
-            k_fit = 0.0
-            for z in zs:
-                lhs = resolvent_norm(H, z, proj)
-                shape = 1.0 / (rec.rho_n + abs(z - lam))
-                samples.append(
-                    {"z": [z.real, z.imag], "lhs": lhs, "shape": shape}
-                )
-                k_fit = max(k_fit, lhs / shape)
-            entry = {"K_n": k_fit, "samples": samples}
-            if log10_C is not None and k_fit > 0:
-                entry["log10_K_n"] = float(np.log10(k_fit))
-                entry["log10_C_pow_n1"] = float((n + 1) * log10_C)
-            out["p4"].setdefault(str(i), {})[str(n)] = entry
+            out["p4"].setdefault(str(i), {})[str(n)] = data.p4
     trace.checks["p2_p4"] = {
         "p2": out["p2"],
         "p4": {
@@ -655,15 +668,15 @@ def extrapolate_limit(
     trace: MultiscaleTrace,
     cfg: ModelConfig,
     ladder: CutoffLadder,
-    field_disc: DiscretizedField | None = None,
 ) -> dict:
     """Infrared limit estimate with error bars and eigenvector residuals.
 
     The estimate is the last tracked value; the bar is the maximum of the
     envelope 2 |g| rho_N^(1 + mu/2) and the observed geometric tail of the
-    per-scale gaps.  When the field is supplied, the residual of each
-    scale's eigenvector against the full-grid operator is recorded; it
-    mirrors the closed-operator limit construction and must shrink with n.
+    per-scale gaps.  The residual of each scale's eigenvector against the
+    full-grid operator, recorded by a ladder that reached the full grid,
+    is reported; it mirrors the closed-operator limit construction and
+    must shrink with n.
     """
     if len(trace.scales) < 2:
         raise TrackingError("limit extrapolation needs at least two scales")
@@ -671,9 +684,6 @@ def extrapolate_limit(
     rho_last = ladder.cutoff(n_last)
     envelope = 2.0 * abs(cfg.g) * rho_last ** (1.0 + cfg.mu / 2.0)
     result: dict = {"levels": {}, "warnings": []}
-    H_full = None
-    if field_disc is not None:
-        H_full = assemble_hamiltonian(cfg, field_disc, n=None)
     for i in sorted(trace.scales[-1].levels):
         lams = trace.level_series(i, "lam")
         gaps = [d for d in trace.level_series(i, "p1_gap") if d is not None]
@@ -688,17 +698,9 @@ def extrapolate_limit(
                 result["warnings"].append(
                     f"level {i}: per-scale gaps are not monotone"
                 )
-        residuals = []
-        if H_full is not None:
-            for rec in trace.scales:
-                u, _ = trace._vectors[(rec.n, i)]
-                u_emb = _embed_full_vector(
-                    field_disc, rec.n, field_disc.n_scales, u
-                )
-                lam_n = rec.levels[i].lam
-                residuals.append(
-                    float(np.linalg.norm(H_full.matvec(u_emb) - lam_n * u_emb))
-                )
+        residuals = [
+            r for r in trace.level_series(i, "full_grid_residual") if r is not None
+        ]
         result["levels"][i] = {
             "lambda": [lams[-1].real, lams[-1].imag],
             "error_bar": float(max(envelope, tail)),

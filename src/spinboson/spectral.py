@@ -1,10 +1,14 @@
 """Non-Hermitian spectral primitives.
 
-Operators arrive as plain matrices (one sector) or as the keyed parity
-sectors of the model assembly (``OperatorMatrix.sectors``): the exact
-parity symmetry splits the Hamiltonian into two blocks, and all spectral
-quantities of the full operator are unions or maxima over the sectors.
-Each sector computes its eigenvalues once and keeps them.
+Operators have one layout: an ``OperatorMatrix`` of keyed sectors
+(``OperatorMatrix.sectors``; the model assembly keys its two parity
+blocks +1 and -1).  The exact parity symmetry splits the Hamiltonian into
+those blocks, and all spectral quantities of the full operator are unions
+or maxima over the sectors.  Operator-level routines (``track_eigenvalue``,
+``resolvent_norm``, ``resolvent_scan``) take an ``OperatorMatrix``; the
+per-block ones (``ShiftedSolver``, ``riesz_rank_one``,
+``shifted_inverse_eigenvalue``) take one ``Sector``.  Each sector computes
+its eigenvalues once and keeps them.
 
 Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
 carries the positions of its top boson layer N = n_max, which is diagonal
@@ -16,10 +20,10 @@ that complement that do not depend on the shift (the index split, the
 top-layer diagonal, the sparse couplings A_RT and A_TR with their
 adjoints, and A_RR) are built once per sector, kept on it as
 ``Sector.solver_parts`` and freed with it; each shift then only forms
-and factors S(z).  A plain matrix has no such layer and gets a dense LU
-through the same code.  Resolvent norms build one solver per sector and
-shift and run Lanczos (svds) on its solves; no block of dimension 3 or
-more is inverted or SVD'd densely.
+and factors S(z); a sector without a top layer gets a dense LU of its
+block through the same code.  Resolvent norms build one solver per
+sector and shift and run Lanczos (svds) on its solves; no block of
+dimension 3 or more is inverted or SVD'd densely.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -69,29 +73,10 @@ POWER_MAX_ITERS = 300
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
-# Largest imaginary part (relative to max(1, |lambda|)) that eig_all accepts
-# from an operator flagged Hermitian.
-HERMITIAN_TOL = 1e-10
 
 # catch_warnings swaps the process-wide filter list; the lock keeps threads
 # of one scan from restoring each other's filters out of order.
 _LU_WARNING_LOCK = threading.Lock()
-
-
-def _as_sector(A, top: np.ndarray | None = None) -> Sector:
-    """A Sector as it is; a plain matrix (with optional top-layer positions)
-    as a one-off Sector."""
-    if isinstance(A, Sector):
-        return A
-    top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
-    return Sector(np.arange(len(A)), A, top)
-
-
-def _sectors(H) -> dict:
-    """The sectors of an assembled operator; a plain matrix is one sector."""
-    if isinstance(H, OperatorMatrix):
-        return H.sectors
-    return {None: _as_sector(np.asarray(H, dtype=complex))}
 
 
 def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,19 +118,18 @@ def _solver_parts(sec: Sector) -> _SolverParts:
 class ShiftedSolver:
     """Solves with A - z and its adjoint, the top layer eliminated exactly.
 
-    ``A`` is a Sector, whose top layer is eliminated and whose solver parts
-    are built once and reused by every shift, or a plain matrix with
-    optional top-layer positions ``top``.  The block A_TT is diagonal
-    (entries d_t).  With R the remaining positions, A - z is solved through
-    the Schur complement
+    A is the block of the Sector ``sec``, whose solver parts are built once
+    and reused by every shift.  On the sector's top-layer positions T the
+    block A_TT is diagonal (entries d_t).  With R the remaining positions,
+    A - z is solved through the Schur complement
 
         S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
 
     the only matrix factored.  A top entry with
     |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z
     never divides; it reaches the pivots instead, and the parts are rebuilt
-    for that shift.  Without a top layer R is everything and this is a
-    dense LU of A - z.
+    for that shift.  A sector without a top layer has R = everything, and
+    this is a dense LU of A - z.
 
     ``singular`` is set when a pivot of the factorization vanishes to
     working precision (|R| eps times the largest entry of S, at least 1):
@@ -153,8 +137,8 @@ class ShiftedSolver:
     SingularShiftError.
     """
 
-    def __init__(self, A, z: complex, top: np.ndarray | None = None):
-        parts = _solver_parts(_as_sector(A, top))
+    def __init__(self, sec: Sector, z: complex):
+        parts = _solver_parts(sec)
         self.z = z = complex(z)
         d = parts.d - z
         keep = np.abs(d) >= TOP_LAYER_GUARD * max(1.0, abs(z))
@@ -216,23 +200,6 @@ def sort_spectrum(values: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by (real, imaginary) part."""
     values = np.asarray(values)
     return values[np.lexsort((values.imag, values.real))]
-
-
-def eig_all(H) -> np.ndarray:
-    """All eigenvalues, sorted by (real, imaginary) part.
-
-    For operators flagged Hermitian the imaginary parts are checked against
-    ``HERMITIAN_TOL`` before being returned.
-    """
-    spectrum = np.concatenate([s.eigvals for s in _sectors(H).values()])
-    if isinstance(H, OperatorMatrix) and H.hermitian:
-        worst = float(np.max(np.abs(spectrum.imag))) if len(spectrum) else 0.0
-        scale = max(1.0, float(np.max(np.abs(spectrum))))
-        if worst > HERMITIAN_TOL * scale:
-            raise ValueError(
-                f"hermitian-flagged operator produced imaginary parts up to {worst}"
-            )
-    return sort_spectrum(spectrum)
 
 
 @dataclass
@@ -301,7 +268,7 @@ def _contour_block_action(
 
 
 def riesz_rank_one(
-    A,
+    sec: Sector,
     center: complex,
     radius: float,
     quad_points: int = 16,
@@ -309,21 +276,17 @@ def riesz_rank_one(
     left_probe: np.ndarray | None = None,
     tol: float = IDEMPOTENCY_TOL,
     sector: int | None = None,
-    top: np.ndarray | None = None,
 ) -> RieszProjector:
-    """Factored contour projector for an expected simple eigenvalue.
+    """Factored contour projector of ``sec`` for an expected simple eigenvalue.
 
-    ``A`` is a Sector or a plain matrix with optional top-layer positions
-    ``top`` (see ShiftedSolver).  Two quadrature passes share one solver
-    per node, so all node factorizations of one rule are held at once:
-    nodes * |R|^2 complex entries, which for a plain matrix (R is
-    everything) is nodes * n^2 * 16 bytes.  The first pass recovers the range and corange
-    from probe vectors, the second measures the idempotency defect and the
+    Two quadrature passes share one ShiftedSolver per node, so all node
+    factorizations of one rule are held at once: nodes * |R|^2 * 16 bytes
+    for the sector's lower layers R.  The first pass recovers the range and
+    corange from probe vectors, the second measures the idempotency defect and the
     enclosed trace on that subspace.  Nodes double until the defect passes
     ``tol``; at MAX_QUAD_POINTS the projector is returned with
     ``converged`` False.  ``sector`` is recorded on the projector.
     """
-    sec = _as_sector(A, top)
     n = len(sec.indices)
     rng = np.random.default_rng(7)
     cols = [probe] if probe is not None else []
@@ -392,7 +355,6 @@ class SpectralRecord:
     gap: float
     projector_rank: int
     residual: float
-    rayleigh: complex = 0.0
     method_disagreement: float = 0.0
     projector: RieszProjector | None = None
     right_vector: np.ndarray | None = None
@@ -400,7 +362,7 @@ class SpectralRecord:
 
 
 def track_eigenvalue(
-    H,
+    H: OperatorMatrix,
     seed: complex,
     radius: float,
     probe: np.ndarray | None = None,
@@ -415,11 +377,10 @@ def track_eigenvalue(
     vectors are given in the global coordinates of H; the tracked eigenvalue
     is located in its sector (whose top-layer positions go to the contour
     solvers) and the returned vectors are embedded back into the full
-    space.  A
-    projector whose idempotency defect stays above IDEMPOTENCY_TOL at
+    space.  A projector whose idempotency defect stays above IDEMPOTENCY_TOL at
     MAX_QUAD_POINTS raises TrackingError.
     """
-    sectors = _sectors(H)
+    sectors = H.sectors
     hits: list[tuple] = []
     for key, sec in sectors.items():
         inside = np.nonzero(np.abs(sec.eigvals - seed) <= radius)[0]
@@ -487,10 +448,8 @@ def track_eigenvalue(
         )
     residual = float(np.linalg.norm(A @ u - lam * u))
 
-    dim = sum(len(s.indices) for s in sectors.values())
-
     def globalize(vec):
-        out = np.zeros(dim, dtype=complex)
+        out = np.zeros(H.dim, dtype=complex)
         out[sec.indices] = vec
         return out
 
@@ -499,7 +458,6 @@ def track_eigenvalue(
         gap=gap,
         projector_rank=proj.rank,
         residual=residual,
-        rayleigh=rayleigh,
         method_disagreement=disagreement,
         projector=proj,
         right_vector=globalize(u),
@@ -561,15 +519,16 @@ def _sector_resolvent_norm(
         return _power_norm(matvec, rmatvec, v0.astype(complex))
 
 
-def resolvent_norm(H, z: complex, proj: RieszProjector | None = None) -> float:
+def resolvent_norm(
+    H: OperatorMatrix, z: complex, proj: RieszProjector | None = None
+) -> float:
     """Norm of (H - z)^(-1) (1 - P): the maximum over the sectors of H.
 
     ``proj`` is a factored projector P on the sector ``H.sectors[proj.sector]``
-    (a plain matrix is the sector None) and acts only there; without it this
-    is the norm of the resolvent.  Returns inf when z sits on the spectrum to
-    working precision.
+    and acts only there; without it this is the norm of the resolvent.
+    Returns inf when z sits on the spectrum to working precision.
     """
-    sectors = _sectors(H)
+    sectors = H.sectors
     if proj is not None and proj.sector not in sectors:
         raise KeyError(f"projector sector {proj.sector!r} is not a sector of H")
     on = None if proj is None else proj.sector
@@ -579,23 +538,23 @@ def resolvent_norm(H, z: complex, proj: RieszProjector | None = None) -> float:
     )
 
 
-def resolvent_scan(H, z_grid, jobs: int = 1) -> list[tuple[complex, float]]:
+def resolvent_scan(
+    H: OperatorMatrix, z_grid, jobs: int = 1
+) -> list[tuple[complex, float]]:
     """Elementwise resolvent norms over a grid on ``jobs`` threads, order kept."""
     z_list = list(z_grid)
     return list(zip(z_list, parallel_map(lambda z: resolvent_norm(H, z), z_list, jobs)))
 
 
 def shifted_inverse_eigenvalue(
-    A, shift: complex, top: np.ndarray | None = None
+    sec: Sector, shift: complex
 ) -> tuple[complex, np.ndarray]:
-    """Eigenvalue of A nearest to ``shift`` by shifted inverse iteration.
+    """Eigenvalue of the block of ``sec`` nearest to ``shift``.
 
-    ``A`` is a Sector or a plain matrix with optional top-layer positions
-    ``top``.  At most 40 steps from a random start; stops when the Rayleigh
-    quotient moves by less than 1e-13 relative.  Raises SingularShiftError
-    when the shift is an eigenvalue to working precision.
+    Shifted inverse iteration: at most 40 steps from a random start; stops
+    when the Rayleigh quotient moves by less than 1e-13 relative.  Raises
+    SingularShiftError when the shift is an eigenvalue to working precision.
     """
-    sec = _as_sector(A, top)
     A = sec.block
     n = A.shape[0]
     solver = ShiftedSolver(sec, shift)

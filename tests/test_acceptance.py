@@ -72,7 +72,7 @@ def test_criterion_1_free_model_exactness():
             data = rec.levels[i]
             bare = cfg.e1 if i == 1 else cfg.e0
             worst_lam = max(worst_lam, abs(data.lam - bare))
-            u, left = trace._vectors[(rec.n, i)]
+            u, left = data.vectors
             vac = np.zeros(2 * dim_f, dtype=complex)
             vac[0 if i == 1 else dim_f] = 1.0
             worst_proj = max(

@@ -117,6 +117,25 @@ class TestDispatch:
             for entry in per_scale.values():
                 assert entry["K_n"] > 0
 
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_ladder_assembles_each_scale_once(self, tmp_path, monkeypatch, samples):
+        """P4 and the full-grid residuals reuse the scale loop's operators."""
+        assemble = multiscale.assemble_hamiltonian
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("n"))
+            return assemble(*args, **kwargs)
+
+        for module in (multiscale, diagnostics):
+            monkeypatch.setattr(module, "assemble_hamiltonian", counted)
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text(run={"samples_per_scale": samples}))
+        code = main(["ladder", "--config", str(cfg_path), "--out",
+                     str(tmp_path / "out")])
+        assert code == 0
+        assert calls == list(range(1, TINY["ladder"]["n_scales"] + 1))
+
     def test_free_ladder_exit_zero(self, tmp_path):
         rc = parse_config(config_text(model={"g": 0.0}))
         assert dispatch("ladder", rc, tmp_path) == 0

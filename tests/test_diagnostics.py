@@ -10,7 +10,6 @@ from spinboson import (
     ModelConfig,
     TrackingError,
     assemble_hamiltonian,
-    eig_all,
     fermi_golden_rule,
     g_analyticity_check,
     golden_rule_coefficient,
@@ -21,6 +20,8 @@ from spinboson import (
     verify_cone_chain,
 )
 from spinboson.multiscale import run_ladder
+
+from sectors import one_sector, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +52,12 @@ class TestSecondOrderOracle:
     def test_error_scales_as_fourth_power(self, coarse):
         """lambda(eig) - lambda(PT2) must shrink like g^4."""
         cfg, lad, field = coarse
-        from spinboson import assemble_hamiltonian, eig_all
 
         modes = field.modes_for_scale(None)
         errs = []
         for g in (0.08, 0.04):
             H = assemble_hamiltonian(cfg, field, g=g)
-            w = eig_all(H)
+            w = spectrum(H)
             lam = w[np.argmin(np.abs(w - cfg.e1))]
             pt2 = second_order_eigenvalue(cfg, modes, 1, g=g)
             errs.append(abs(lam - pt2))
@@ -266,8 +266,8 @@ class TestResolventConeBound:
                 if dist_to_cone(cone, z) > 0
             )
 
-        k_base = fit(A, lam, zs)
-        k_moved = fit(A + shift * np.eye(n), lam + shift,
+        k_base = fit(one_sector(A), lam, zs)
+        k_moved = fit(one_sector(A + shift * np.eye(n)), lam + shift,
                       [z + shift for z in zs])
         assert k_moved == pytest.approx(k_base, rel=1e-9)
 
@@ -283,7 +283,7 @@ class TestResolventConeBound:
         """The last ladder scale's spectrum is the full-grid one, bit for bit."""
         cfg, lad, field = coarse
         trace = run_ladder(cfg, lad, field, levels=(1,))
-        fresh = eig_all(assemble_hamiltonian(cfg, field))
+        fresh = spectrum(assemble_hamiltonian(cfg, field))
         assert np.array_equal(trace.spectrum(field.n_scales), fresh)
 
     def test_stopped_ladder_rejected(self, coarse):

@@ -1,10 +1,13 @@
 """Infrared ladder on small grids: tracking, induction checks, limits."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from spinboson import (
     ModelConfig,
+    TrackingError,
     assemble_hamiltonian,
     check_p1,
     check_p2_p4,
@@ -14,22 +17,30 @@ from spinboson import (
 )
 from spinboson.multiscale import (
     _embed_full_vector,
+    _sample_window,
     soft_branch_lattice,
     soft_branch_mask,
     soft_branch_tolerance,
 )
+from spinboson.spectral import resolvent_norm
+
+
+P4_SAMPLES, P4_SEED = 6, 3
 
 
 @pytest.fixture(scope="module")
 def practical():
-    """One shared small practical run: g = 0.05, 4 scales."""
+    """One shared small practical run: g = 0.05, 4 scales, P4 sampled.
+
+    Tests that attach checks to the trace work on a copy of it.
+    """
     from spinboson import CutoffLadder, DiscretizedField
 
     cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=4, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    trace = run_ladder(cfg, lad, field)
+    trace = run_ladder(cfg, lad, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
     return cfg, lad, field, trace
 
 
@@ -57,6 +68,8 @@ class TestFreeModel:
         result = extrapolate_limit(trace, cfg0, ladder)
         for i in (0, 1):
             assert result["levels"][i]["error_bar"] == 0.0
+            # stopped short of the full grid: no full-grid residuals
+            assert result["levels"][i]["eigenvector_residuals"] == []
 
 
 class TestPracticalRun:
@@ -101,12 +114,12 @@ class TestPracticalRun:
 
     def test_deterministic_rerun(self, practical):
         cfg, lad, field, trace = practical
-        again = run_ladder(cfg, lad, field)
+        again = run_ladder(cfg, lad, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
         assert again.to_dict() == trace.to_dict()
 
     def test_extrapolation_and_residuals(self, practical):
         cfg, lad, field, trace = practical
-        result = extrapolate_limit(trace, cfg, lad, field)
+        result = extrapolate_limit(copy.deepcopy(trace), cfg, lad)
         for i in (0, 1):
             level = result["levels"][i]
             assert level["error_bar"] > 0.0
@@ -120,10 +133,10 @@ class TestPracticalRun:
 
     def test_p2_p4_report(self, practical):
         cfg, lad, field, trace = practical
-        report = check_p2_p4(trace, cfg, lad, field, samples_per_scale=6,
-                             seed=3)
+        report = check_p2_p4(copy.deepcopy(trace))
         for i in ("0", "1"):
             for n, entry in report["p4"][i].items():
+                assert len(entry["samples"]) == P4_SAMPLES
                 assert np.isfinite(entry["K_n"]) and entry["K_n"] > 0
                 for sample in entry["samples"]:
                     assert sample["lhs"] <= entry["K_n"] * sample["shape"] * (
@@ -133,23 +146,67 @@ class TestPracticalRun:
 
     def test_p4_pole_removed_near_lambda(self, practical):
         cfg, lad, field, trace = practical
-        from spinboson.spectral import resolvent_norm
-
         rec = trace.scales[-1]
         data = rec.levels[1]
         H = assemble_hamiltonian(cfg, field, n=rec.n)
-        proj = trace._projectors[(rec.n, 1)]
+        proj = data.projector
         lam = data.lam
         # approach the eigenvalue: the projected resolvent stays bounded
         norms = [resolvent_norm(H, lam + eps, proj) for eps in (1e-4, 1e-6, 1e-8)]
         assert max(norms) / min(norms) < 10.0
 
 
+    def test_without_samples_p4_check_raises(self, cfg, ladder, small_field):
+        trace = run_ladder(cfg, ladder, small_field, n_scales=1, levels=(1,))
+        assert trace.scales[0].levels[1].p4 is None
+        with pytest.raises(TrackingError, match="no P4 samples"):
+            check_p2_p4(trace)
+
+
+class TestReassemblyOracle:
+    """The route before the scale loop kept its operators: every scale
+    assembled afresh after the ladder, P4 sampled from one generator in
+    (scale, level) order, residuals from a fresh full-grid operator."""
+
+    def test_p4_samples_and_fits_bit_for_bit(self, practical):
+        cfg, lad, field, trace = practical
+        rng = np.random.default_rng(P4_SEED)
+        for rec in trace.scales:
+            H = assemble_hamiltonian(cfg, field, n=rec.n)
+            eigs = np.concatenate([s.eigvals for s in H.sectors.values()])
+            starved = eigs[
+                soft_branch_mask(cfg, field.modes_for_scale(rec.n), field.n_max, eigs)
+            ]
+            for i, data in rec.levels.items():
+                zs = _sample_window(
+                    rng, cfg, lad, i, rec.n, data.lam, rec.contour_radius,
+                    P4_SAMPLES, avoid=starved, avoid_radius=0.1 * rec.rho_n,
+                )
+                samples = data.p4["samples"]
+                assert [complex(*s["z"]) for s in samples] == zs
+                k_fit = 0.0
+                for z, sample in zip(zs, samples):
+                    lhs = resolvent_norm(H, z, data.projector)
+                    shape = 1.0 / (rec.rho_n + abs(z - data.lam))
+                    assert (lhs, shape) == (sample["lhs"], sample["shape"])
+                    k_fit = max(k_fit, lhs / shape)
+                assert k_fit == data.p4["K_n"]
+
+    def test_full_grid_residuals_bit_for_bit(self, practical):
+        cfg, lad, field, trace = practical
+        H_full = assemble_hamiltonian(cfg, field, n=None)
+        for rec in trace.scales:
+            for data in rec.levels.values():
+                u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
+                residual = float(np.linalg.norm(H_full.matvec(u) - data.lam * u))
+                assert residual == data.full_grid_residual
+
+
 class TestNestingExactness:
     def test_embedded_projector_idempotent_rank_one(self, practical):
         cfg, lad, field, trace = practical
         n = 3
-        u, l = trace._vectors[(n - 1, 1)]
+        u, l = trace.scales[n - 2].levels[1].vectors
         u_e = _embed_full_vector(field, n - 1, n, u)
         l_e = _embed_full_vector(field, n - 1, n, l)
         # the embedded rank-one projector keeps unit pairing: idempotent
@@ -163,7 +220,7 @@ class TestNestingExactness:
         H3t = assemble_hamiltonian(
             cfg, field, n=3, interaction_scale=2
         ).to_dense()
-        u, _ = trace._vectors[(2, 1)]
+        u, _ = trace.scales[1].levels[1].vectors
         u_e = _embed_full_vector(field, 2, 3, u)
         lhs = H3t @ u_e
         rhs = _embed_full_vector(field, 2, 3, H2 @ u)

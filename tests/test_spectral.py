@@ -20,7 +20,6 @@ from spinboson import (
     SingularShiftError,
     TrackingError,
     assemble_hamiltonian,
-    eig_all,
     resolvent_norm,
     resolvent_scan,
     riesz_rank_one,
@@ -28,13 +27,14 @@ from spinboson import (
     track_eigenvalue,
 )
 from spinboson import spectral
-from spinboson.fock import OperatorMatrix, Sector
 from spinboson.spectral import (
     MAX_QUAD_POINTS,
     TOP_LAYER_GUARD,
     rank_two_difference_norm,
     shifted_inverse_eigenvalue,
 )
+
+from sectors import one_sector, sector, spectrum
 
 
 def tiny_model(n_max, g=0.05):
@@ -70,26 +70,22 @@ def idempotency_defect(P):
 
 
 class TestEigAll:
+    """An operator's spectrum: its sectors' eigenvalues, sorted."""
+
     def test_diagonal(self):
-        w = eig_all(np.diag([1.0, 2.0 + 1.0j]))
+        w = spectrum(one_sector(np.diag([1.0, 2.0 + 1.0j])))
         assert np.allclose(w, [1.0, 2.0 + 1.0j])
 
     def test_sorted_lexicographically(self, rng):
-        w = eig_all(random_matrix(rng, 12))
+        w = spectrum(one_sector(random_matrix(rng, 12)))
         keys = [(z.real, z.imag) for z in w]
         assert keys == sorted(keys)
 
-    def test_hermitian_flag_checked(self, rng):
-        A = random_matrix(rng, 6)
-        bad = OperatorMatrix(
-            6, {1: Sector(np.arange(6), A, np.zeros(0, dtype=int))}, hermitian=True
-        )
-        with pytest.raises(ValueError):
-            eig_all(bad)
-
     def test_blocked_equals_dense(self, cfg, small_field):
         Hb = assemble_hamiltonian(cfg, small_field)
-        assert np.allclose(eig_all(Hb.to_dense()), eig_all(Hb), atol=1e-10)
+        assert np.allclose(
+            spectrum(one_sector(Hb.to_dense())), spectrum(Hb), atol=1e-10
+        )
 
     def test_sector_spectrum_computed_once(self, cfg, small_field, monkeypatch):
         H = assemble_hamiltonian(cfg, small_field)
@@ -98,8 +94,8 @@ class TestEigAll:
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
         )
-        first = eig_all(H)
-        assert np.array_equal(eig_all(H), first)
+        first = spectrum(H)
+        assert np.array_equal(spectrum(H), first)
         assert calls == [len(s.indices) for s in H.sectors.values()]
 
 
@@ -151,21 +147,21 @@ class TestRieszRankOne:
         target = w[k]
         gap = np.min(np.abs(np.delete(w, k) - target))
         dense = contour_projector(A, center=target, radius=0.4 * gap)
-        fact = riesz_rank_one(A, center=target, radius=0.4 * gap)
+        fact = riesz_rank_one(sector(A), center=target, radius=0.4 * gap)
         assert fact.rank == 1
         assert np.linalg.norm(fact.to_dense() - dense, 2) < 1e-8
         assert abs(fact.trace_value - 1.0) < 1e-8
 
     def test_projects_probe_onto_eigendirection(self, rng):
         A = np.diag([0.0, 2.0, 5.0]).astype(complex)
-        fact = riesz_rank_one(A, center=2.0, radius=0.5, probe=np.ones(3))
+        fact = riesz_rank_one(sector(A), center=2.0, radius=0.5, probe=np.ones(3))
         v = fact.right[:, 0]
         assert abs(abs(v[1]) - 1.0) < 1e-12
 
     def test_empty_contour_raises(self, rng):
         A = np.diag([0.0, 5.0]).astype(complex)
         with pytest.raises(TrackingError):
-            riesz_rank_one(A, center=2.5, radius=0.5)
+            riesz_rank_one(sector(A), center=2.5, radius=0.5)
 
 
 class TestTrackEigenvalue:
@@ -187,28 +183,29 @@ class TestTrackEigenvalue:
         w = np.array([0.3, 1.7 - 0.2j, -2.0 + 0.1j])
         V = random_matrix(rng, 3) + 3 * np.eye(3)
         A = V @ np.diag(w) @ np.linalg.inv(V)
-        rec = track_eigenvalue(A, seed=1.65 - 0.18j, radius=0.2)
+        rec = track_eigenvalue(one_sector(A), seed=1.65 - 0.18j, radius=0.2)
         assert rec.lam == pytest.approx(w[1], abs=1e-10)
 
     def test_no_candidate(self, rng):
         with pytest.raises(TrackingError):
-            track_eigenvalue(np.diag([0.0, 5.0]), seed=2.0, radius=0.5)
+            track_eigenvalue(one_sector(np.diag([0.0, 5.0])), seed=2.0, radius=0.5)
 
     def test_ambiguous_candidates(self):
         with pytest.raises(DegeneracyError):
-            track_eigenvalue(np.diag([1.0, 1.1]), seed=1.05, radius=0.2)
+            track_eigenvalue(one_sector(np.diag([1.0, 1.1])), seed=1.05, radius=0.2)
 
 
 class TestResolventNorm:
     def test_diagonal_distance(self):
-        assert resolvent_norm(np.diag([0.0, 1.0]), 2.0) == pytest.approx(1.0)
+        H = one_sector(np.diag([0.0, 1.0]))
+        assert resolvent_norm(H, 2.0) == pytest.approx(1.0)
 
     def test_normal_matrix_identity(self, rng):
         w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         Q, _ = np.linalg.qr(random_matrix(rng, 6))
         A = Q @ np.diag(w) @ Q.conj().T
         z = 3.0 + 0.5j
-        assert resolvent_norm(A, z) == pytest.approx(
+        assert resolvent_norm(one_sector(A), z) == pytest.approx(
             1.0 / np.min(np.abs(w - z)), rel=1e-9
         )
 
@@ -218,16 +215,17 @@ class TestResolventNorm:
         inv = np.linalg.inv(A - 1j * np.eye(2))
         direct = np.linalg.svd(inv, compute_uv=False)[0]
         assert direct == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
-        assert resolvent_norm(A, 1.0j) == pytest.approx(direct, rel=1e-12)
+        assert resolvent_norm(one_sector(A), 1.0j) == pytest.approx(direct, rel=1e-12)
 
     def test_at_eigenvalue_infinite(self):
-        assert resolvent_norm(np.diag([0.0, 1.0]), 1.0) == np.inf
+        assert resolvent_norm(one_sector(np.diag([0.0, 1.0])), 1.0) == np.inf
 
     def test_never_below_distance_bound(self, rng):
         A = random_matrix(rng, 8)
         w = np.linalg.eigvals(A)
         for z in (0.5 + 0.5j, -1.0, 2.0j):
-            assert resolvent_norm(A, z) >= 1.0 / np.min(np.abs(w - z)) - 1e-12
+            bound = 1.0 / np.min(np.abs(w - z))
+            assert resolvent_norm(one_sector(A), z) >= bound - 1e-12
 
     def test_large_block_iterative_path(self, rng):
         # a block far larger than the svds Krylov space (20 vectors)
@@ -235,13 +233,13 @@ class TestResolventNorm:
         A = np.diag(np.linspace(1.0, 5.0, n)).astype(complex)
         A += 0.01 * random_matrix(rng, n) / np.sqrt(n)
         z = 0.5
-        got = resolvent_norm(A, z)
+        got = resolvent_norm(one_sector(A), z)
         want = 1.0 / np.linalg.svd(A - z * np.eye(n), compute_uv=False)[-1]
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_projector_sector_must_exist(self):
-        # a plain-matrix projector (sector None) on an assembled operator
-        proj = riesz_rank_one(np.diag([0.0, 1.0, 2.0]), center=0.0, radius=0.5)
+        # a projector of sector None on an assembled operator
+        proj = riesz_rank_one(sector(np.diag([0.0, 1.0, 2.0])), center=0.0, radius=0.5)
         with pytest.raises(KeyError):
             resolvent_norm(assemble_hamiltonian(*tiny_model(1)), 0.5j, proj)
 
@@ -261,7 +259,7 @@ class TestAgainstDenseOracle:
         # offset is |z - lambda| in units of the gap; n_max = 0 gives 1x1
         # sectors, the dense path for blocks below dimension 3
         H = assemble_hamiltonian(*tiny_model(n_max))
-        w = eig_all(H)
+        w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
         proj = track_eigenvalue(H, seed=lam, radius=0.4 * gap).projector
@@ -287,20 +285,19 @@ class TestPowerFallback:
 
     def test_residual_stop(self):
         # singular values 1, 1/2, ...: the residual test passes in 16 steps
-        assert resolvent_norm(np.diag([1.0, 2.0, 3.0, 4.0]), 0.0) == pytest.approx(
-            1.0, abs=1e-9
-        )
+        H = one_sector(np.diag([1.0, 2.0, 3.0, 4.0]))
+        assert resolvent_norm(H, 0.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_cap_raises(self):
         # ratio 1/1.0005^2 between the top two eigenvalues of M needs about
         # 13,700 steps, far above the cap
         with pytest.raises(ConvergenceError):
-            resolvent_norm(np.diag([1.0, 1.0005, 3.0, 4.0]), 0.0)
+            resolvent_norm(one_sector(np.diag([1.0, 1.0005, 3.0, 4.0])), 0.0)
 
 
 class TestResolventScan:
     def test_matches_sequential(self, rng):
-        A = random_matrix(rng, 6)
+        A = one_sector(random_matrix(rng, 6))
         grid = [0.5 + 0.1j * k for k in range(10)]
         scan = resolvent_scan(A, grid)
         assert [z for z, _ in scan] == grid
@@ -308,12 +305,12 @@ class TestResolventScan:
             assert val == pytest.approx(resolvent_norm(A, z), rel=1e-12)
 
     def test_single_point_reduces(self, rng):
-        A = random_matrix(rng, 5)
+        A = one_sector(random_matrix(rng, 5))
         ((z, val),) = resolvent_scan(A, [1.0j])
         assert val == pytest.approx(resolvent_norm(A, 1.0j))
 
     def test_threaded_matches(self, rng):
-        A = random_matrix(rng, 6)
+        A = one_sector(random_matrix(rng, 6))
         grid = [0.3 * k - 0.2j for k in range(8)]
         assert resolvent_scan(A, grid, jobs=2) == pytest.approx(
             resolvent_scan(A, grid), rel=1e-12
@@ -333,7 +330,7 @@ class TestHelpers:
         w = np.array([0.2, 1.5 - 0.3j, 4.0])
         V = random_matrix(rng, 3) + 3 * np.eye(3)
         A = V @ np.diag(w) @ np.linalg.inv(V)
-        lam, vec = shifted_inverse_eigenvalue(A, 1.4 - 0.25j)
+        lam, vec = shifted_inverse_eigenvalue(sector(A), 1.4 - 0.25j)
         assert lam == pytest.approx(w[1], abs=1e-10)
         assert np.linalg.norm(A @ vec - lam * vec) < 1e-9
 
@@ -342,9 +339,10 @@ class TestHelpers:
         w, V = np.linalg.eig(A)
         k = 0
         gap = np.min(np.abs(np.delete(w, k) - w[k]))
-        proj = riesz_rank_one(A, center=w[k], radius=0.4 * gap)
+        H = one_sector(A)
+        proj = riesz_rank_one(H.sectors[0], center=w[k], radius=0.4 * gap, sector=0)
         z = w[k] + 0.01 * gap  # close to the removed pole
-        got = resolvent_norm(A, z, proj)
+        got = resolvent_norm(H, z, proj)
         dense = np.linalg.solve(
             A - z * np.eye(12), np.eye(12) - proj.to_dense()
         )
@@ -382,7 +380,7 @@ class TestShiftedSolver:
             n = len(block)
             b = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
             for z in (0.9 - 0.01j, 0.02 + 0.003j, 1.3):
-                solver = ShiftedSolver(block, z, top)
+                solver = ShiftedSolver(sector(block, top), z)
                 assert len(solver.r) == n - len(top)  # whole top layer eliminated
                 for rhs in (b, b[:, 0]):
                     assert rel_err(
@@ -396,7 +394,7 @@ class TestShiftedSolver:
     def test_plain_matrix_is_dense_lu(self, rng):
         A = random_matrix(rng, 9)
         b = rng.standard_normal(9) + 0j
-        solver = ShiftedSolver(A, 0.3 + 0.1j)
+        solver = ShiftedSolver(sector(A), 0.3 + 0.1j)
         assert len(solver.t) == 0
         assert np.array_equal(solver.solve(b), dense_lu_route(A, 0.3 + 0.1j, b))
 
@@ -405,18 +403,18 @@ class TestShiftedSolver:
         A = block.real
         b = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
         for t in (top, None):
-            real = ShiftedSolver(A, 0.9 - 0.01j, t)
-            cplx = ShiftedSolver(A.astype(complex), 0.9 - 0.01j, t)
+            real = ShiftedSolver(sector(A, t), 0.9 - 0.01j)
+            cplx = ShiftedSolver(sector(A.astype(complex), t), 0.9 - 0.01j)
             assert rel_err(real.solve(b), cplx.solve(b)) < 1e-14
             assert rel_err(real.solve_adjoint(b), cplx.solve_adjoint(b)) < 1e-14
         D = np.diag([0.0, 2.0, 5.0]) + 0.1 * rng.standard_normal((3, 3))
         w = np.linalg.eigvals(D)
         lam = w[np.argmin(np.abs(w))]
-        real = riesz_rank_one(D, center=lam, radius=0.5)
-        cplx = riesz_rank_one(D.astype(complex), center=lam, radius=0.5)
+        real = riesz_rank_one(sector(D), center=lam, radius=0.5)
+        cplx = riesz_rank_one(sector(D.astype(complex)), center=lam, radius=0.5)
         assert rel_err(real.to_dense(), cplx.to_dense()) < 1e-14
-        lam_real, _ = shifted_inverse_eigenvalue(D, 0.1)
-        lam_cplx, _ = shifted_inverse_eigenvalue(D.astype(complex), 0.1)
+        lam_real, _ = shifted_inverse_eigenvalue(sector(D), 0.1)
+        lam_cplx, _ = shifted_inverse_eigenvalue(sector(D.astype(complex)), 0.1)
         assert abs(lam_real - lam_cplx) <= 1e-14 * abs(lam_cplx)
         assert abs(lam_real - lam) < 1e-12
 
@@ -427,7 +425,7 @@ class TestShiftedSolver:
         coupling = np.abs(block[:, top]).sum(axis=0) - np.abs(np.diag(block)[top])
         t = top[np.argmax(coupling)]
         z = block[t, t] + offset
-        solver = ShiftedSolver(block, z, top)
+        solver = ShiftedSolver(sector(block, top), z)
         assert (t in solver.r) == (offset < TOP_LAYER_GUARD)
         assert not solver.singular
         b = rng.standard_normal(len(block)) + 1j * rng.standard_normal(len(block))
@@ -458,7 +456,8 @@ class TestSectorSolverParts:
             # then an ordinary shift again after the guard rebuilt its parts
             for z in (0.9 - 0.01j, 0.02 + 0.003j, sec.block[t, t], 1.3):
                 cached = ShiftedSolver(sec, z)
-                self.same_solver(cached, ShiftedSolver(sec.block, z, sec.top), rhs)
+                fresh = ShiftedSolver(sector(sec.block, sec.top), z)
+                self.same_solver(cached, fresh, rhs)
             assert sec.solver_parts is not None
             parts = sec.solver_parts
             ShiftedSolver(sec, 0.5 - 0.02j)
@@ -477,7 +476,7 @@ class TestSectorSolverParts:
 
 class TestSingularShift:
     def test_pivot_detects_eigenvalue_shift(self):
-        solver = ShiftedSolver(np.diag([0.0, 1.0, 2.0]).astype(complex), 1.0)
+        solver = ShiftedSolver(sector(np.diag([0.0, 1.0, 2.0]).astype(complex)), 1.0)
         assert solver.singular
         with pytest.raises(SingularShiftError):
             solver.solve(np.ones(3))
@@ -485,27 +484,27 @@ class TestSingularShift:
     def test_uncoupled_top_entry_on_shift(self):
         block, top = sector_blocks(2, g=0.0)[0]
         t = top[3]
-        solver = ShiftedSolver(block, block[t, t], top)
+        solver = ShiftedSolver(sector(block, top), block[t, t])
         assert t in solver.r and solver.singular
 
     def test_resolvent_norm_lu_branch(self):
         # the pivots flag the shift before svds runs, at any block size
         A = np.diag(np.linspace(1.0, 5.0, 520)).astype(complex)
-        assert resolvent_norm(A, A[7, 7]) == np.inf
+        assert resolvent_norm(one_sector(A), A[7, 7]) == np.inf
 
     def test_projected_norm_on_other_eigenvalue(self):
-        A = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        proj = riesz_rank_one(A, center=0.0, radius=0.5)
-        assert resolvent_norm(A, 2.0, proj) == np.inf
+        H = one_sector(np.diag([0.0, 1.0, 2.0]))
+        proj = riesz_rank_one(H.sectors[0], center=0.0, radius=0.5, sector=0)
+        assert resolvent_norm(H, 2.0, proj) == np.inf
 
     def test_inverse_iteration_raises(self):
         with pytest.raises(SingularShiftError):
-            shifted_inverse_eigenvalue(np.diag([0.0, 1.0]).astype(complex), 1.0)
+            shifted_inverse_eigenvalue(sector(np.diag([0.0, 1.0]).astype(complex)), 1.0)
 
     def test_contour_node_on_eigenvalue(self):
         A = np.diag([0.0, 1.0]).astype(complex)
         with pytest.raises(ContourCollisionError):
-            riesz_rank_one(A, center=0.0, radius=1.0, quad_points=4)
+            riesz_rank_one(sector(A), center=0.0, radius=1.0, quad_points=4)
 
     def test_exact_zero_pivot_does_not_warn(self):
         # lu_factor warns on an exactly zero pivot; the solver silences that
@@ -513,22 +512,22 @@ class TestSingularShift:
         A = np.diag([0.0, 1.0, 2.0]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolvent_norm(A, 1.0) == np.inf
+            assert resolvent_norm(one_sector(A), 1.0) == np.inf
             with pytest.raises(SingularShiftError):
-                ShiftedSolver(A, 1.0).solve(np.ones(3))
+                ShiftedSolver(sector(A), 1.0).solve(np.ones(3))
             with pytest.raises(LinAlgWarning):
                 lu_factor(A - np.eye(3))
 
 
 class TestQuadratureCap:
     def test_flag_set_at_cap(self):
-        A = np.diag([0.0, 2.0, 5.0]).astype(complex)
+        A = sector(np.diag([0.0, 2.0, 5.0]).astype(complex))
         fact = riesz_rank_one(A, center=0.0, radius=0.5, tol=0.0)
         assert fact.quad_points == MAX_QUAD_POINTS and not fact.converged
         assert riesz_rank_one(A, center=0.0, radius=0.5).converged
 
     def test_tracking_raises(self, monkeypatch):
-        A = np.diag([0.0, 1.2, 5.0])
+        A = one_sector(np.diag([0.0, 1.2, 5.0]))
         # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
         monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
         with pytest.raises(TrackingError, match="stopped at 16 nodes"):
@@ -545,8 +544,8 @@ class TestEliminatedRoute:
         w = np.linalg.eigvals(block)
         k = int(np.argmin(np.abs(w - cfg.e1)))
         radius = 0.4 * np.min(np.abs(np.delete(w, k) - w[k]))
-        fact = riesz_rank_one(block, center=w[k], radius=radius, top=top)
-        plain = riesz_rank_one(block, center=w[k], radius=radius)
+        fact = riesz_rank_one(sector(block, top), center=w[k], radius=radius)
+        plain = riesz_rank_one(sector(block), center=w[k], radius=radius)
         dense = contour_projector(block, center=w[k], radius=radius)
         assert fact.converged and fact.rank == 1
         assert np.linalg.norm(fact.to_dense() - dense, 2) < 1e-8
