@@ -11,12 +11,15 @@ A run pins every OpenBLAS in the process to one thread and parallelizes
 only over ``jobs`` worker threads (``--jobs``, by default the usable CPU
 count): the parity-sector eigensolves of each ladder scale and the points
 of a resolvent scan.  Reports are therefore the same for any thread
-count; the manifest records the budget.
+count; the manifest records the budget.  Only the subcommands that solve
+load the scipy stack (``dispatch`` imports it before pinning);
+``feasibility`` and ``verify-appendix`` run on numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 import time
@@ -26,13 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .constants import check_inequalities, compute_constants
-from .diagnostics import (
-    fermi_golden_rule,
-    g_analyticity_check,
-    resolvent_cone_bound_check,
-    spectrum_cone_check,
-    theta_invariance_scan,
-)
 from .errors import ConfigError, SpinBosonError
 from .fock import ModeSet, enumerate_basis, verify_standard_estimates
 from .model import (
@@ -42,7 +38,6 @@ from .model import (
     interaction_norm_bound,
     shell_norm_report,
 )
-from .multiscale import check_p1, check_p2_p4, check_p3, extrapolate_limit, run_ladder
 from .reporting import run_manifest, write_csv, write_json
 from .threads import pinned_blas, usable_cpus
 
@@ -191,6 +186,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .multiscale import (
+        check_p1,
+        check_p2_p4,
+        check_p3,
+        extrapolate_limit,
+        run_ladder,
+    )
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     samples = int(rc.raw.get("run", {}).get("samples_per_scale") or 0)
@@ -227,6 +230,8 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .diagnostics import fermi_golden_rule
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     g_list = [
@@ -250,6 +255,8 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .diagnostics import theta_invariance_scan
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     thetas = [
@@ -266,6 +273,8 @@ def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .diagnostics import g_analyticity_check
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     circle = rc.raw.get("run", {}).get("g_circle", {})
@@ -288,6 +297,9 @@ def _run_levels(rc: RunConfig) -> tuple:
 
 
 def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .diagnostics import spectrum_cone_check
+    from .multiscale import run_ladder
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     levels = _run_levels(rc)
@@ -300,6 +312,9 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+    from .diagnostics import resolvent_cone_bound_check
+    from .multiscale import run_ladder
+
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points,
@@ -393,6 +408,8 @@ _DISPATCH = {
     "feasibility": _feasibility_artifacts,
     "verify-appendix": _verify_appendix_artifacts,
 }
+# the subcommands that solve; the other two run on numpy alone
+_SOLVING = frozenset(_DISPATCH) - {"feasibility", "verify-appendix"}
 
 
 def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
@@ -404,6 +421,10 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
+    if subcommand in _SOLVING:
+        # maps scipy's OpenBLAS: pinned_blas sees only the libraries mapped
+        # when it starts, and one loaded later would run on its own threads
+        importlib.import_module(".diagnostics", __package__)
     t0 = time.perf_counter()
     with pinned_blas(1) as blas:
         try:

@@ -11,7 +11,10 @@ even-odd coupling).  Operators with an exact symmetry (the assembled
 Hamiltonian) are stored as an ``OperatorMatrix`` of keyed ``Sector`` blocks.
 The relative-bound check ``verify_standard_estimates`` takes one amplitude
 vector or a stack of them and works on boson-layer blocks: a(h) lowers the
-total number by one, so its norms split layer by layer.
+total number by one, so its norms split layer by layer, and each block norm
+is read off the top eigenvalue of the block's Gram matrix on the lower
+layer.  ``FockBasis.indices_of`` looks up many occupation rows at once (the
+coarse-to-fine scale embeddings).  The module needs numpy only.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -35,9 +38,9 @@ import numpy as np
 from .errors import AssemblyError, BasisSizeError
 
 DEFAULT_STATE_CAP = 500_000
-# Byte cap of one stacked layer block in verify_standard_estimates: bounds
-# the transient memory of a long stack while keeping the SVD calls few.
-_SVD_STACK_BYTES = 256 * 1024
+# Byte cap of each stacked temporary in verify_standard_estimates: bounds
+# the transient memory of a long stack while keeping the eigvalsh calls few.
+_STACK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,26 @@ class FockBasis:
     def index_of(self, occupations) -> int:
         return self.index[tuple(int(x) for x in occupations)]
 
+    def indices_of(self, occupations: np.ndarray) -> np.ndarray:
+        """``index_of`` of every row of a (k, n_modes) occupation array.
+
+        Rows are compared by their bosons' modes in ascending order (n_max
+        entries, padded with -1): a dense code of the occupation numbers
+        would overflow int64 at a few dozen modes.
+        """
+        occupations = np.asarray(occupations, dtype=np.int64)
+        if occupations.ndim != 2 or occupations.shape[1] != self.modes.n_modes:
+            raise AssemblyError("occupations must have shape (k, n_modes)")
+        if np.any(occupations < 0) or np.any(occupations.sum(axis=1) > self.n_max):
+            raise AssemblyError("occupations outside the truncated basis")
+        keys = np.concatenate([_boson_modes(self.states, self.n_max),
+                               _boson_modes(occupations, self.n_max)])
+        _, inverse = np.unique(keys, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        position = np.empty(len(keys), dtype=np.int64)
+        position[inverse[: self.dim]] = np.arange(self.dim)
+        return position[inverse[self.dim :]]
+
     @property
     def totals(self) -> np.ndarray:
         return self.states.sum(axis=1)
@@ -188,6 +211,18 @@ class FockBasis:
                 np.array(amps, dtype=float),
             )
         return self._lowering
+
+
+def _boson_modes(occupations: np.ndarray, width: int) -> np.ndarray:
+    """Each row's bosons as ascending mode indices, padded with -1 to ``width``."""
+    counts = occupations.sum(axis=1)
+    modes = np.tile(np.arange(occupations.shape[1]), len(occupations))
+    out = np.full((len(occupations), width), -1, dtype=np.int64)
+    slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    out[np.repeat(np.arange(len(occupations)), counts), slot] = np.repeat(
+        modes, occupations.reshape(-1)
+    )
+    return out
 
 
 @dataclass
@@ -320,9 +355,10 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     floats, or a stack of shape (k, n_modes), which gives the same keys
     holding length-k arrays.  a(h) maps boson layer n to layer n - 1 and
     (H_f+1)^(-1/2) is diagonal, so both operators are direct sums of their
-    layer blocks and each norm is the largest block norm; the blocks are
-    built straight from the lowering triples and their largest singular
-    values taken by stacked SVDs of at most ``_SVD_STACK_BYTES`` each.
+    layer blocks and each norm is the largest block norm.  The norm of a
+    block is the square root of the largest eigenvalue of its Gram matrix on
+    layer n - 1 (``_layer_pairs``), taken by stacked ``eigvalsh`` calls whose
+    temporaries hold at most ``_STACK_BYTES`` each.
     """
     h = np.asarray(h, dtype=complex)
     hs = np.atleast_2d(h)
@@ -330,28 +366,16 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
         raise AssemblyError("amplitudes must have shape (n_modes,) or (k, n_modes)")
     lhs_a = np.zeros(len(hs))
     lhs_astar = np.zeros(len(hs))
-    rows, cols, mode_ix, amps = basis.lowering_triples()
-    totals = basis.totals
-    scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
-    starts = np.searchsorted(totals, np.arange(basis.n_max + 2))
-    for n in range(1, basis.n_max + 1):
-        sel = totals[cols] == n
-        lo = rows[sel] - starts[n - 1]  # position in layer n - 1
-        hi = cols[sel] - starts[n]  # position in layer n
-        shape = (starts[n] - starts[n - 1], starts[n + 1] - starts[n])
-        # a(h)(H_f+1)^(-1/2): layer n -> n - 1, scaled on layer n
-        amp_a = amps[sel] * scale[cols[sel]]
-        # a(h)*(H_f+1)^(-1/2): layer n - 1 -> n, scaled on layer n - 1
-        amp_astar = amps[sel] * scale[rows[sel]]
-        step = max(1, _SVD_STACK_BYTES // (16 * shape[0] * shape[1]))
+    for size, mode1, mode2, weights, segments, targets in _layer_pairs(basis):
+        step = max(1, _STACK_BYTES // (16 * max(len(mode1), size * size)))
         for k in range(0, len(hs), step):
-            coef = hs[k : k + step, mode_ix[sel]]
-            block = np.zeros((len(coef),) + shape, dtype=complex)
-            block[:, lo, hi] = coef.conj() * amp_a
-            _max_norm(lhs_a[k : k + step], block)
-            block = np.zeros((len(coef),) + shape[::-1], dtype=complex)
-            block[:, hi, lo] = coef * amp_astar
-            _max_norm(lhs_astar[k : k + step], block)
+            coef = hs[k : k + step, mode1].conj() * hs[k : k + step, mode2]
+            for out, weight in zip((lhs_a, lhs_astar), weights):
+                gram = np.zeros((len(coef), size, size), dtype=complex)
+                gram.reshape(len(coef), -1)[:, targets] = np.add.reduceat(
+                    coef * weight, segments, axis=1
+                )
+                _max_norm(out[k : k + step], gram)
     rhs_a = np.linalg.norm(hs / np.sqrt(basis.modes.frequencies), axis=1)
     rhs_astar = np.linalg.norm(hs, axis=1) + rhs_a
     slack = 1e-12 * (1.0 + rhs_astar)
@@ -367,6 +391,50 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     return rep
 
 
-def _max_norm(out: np.ndarray, blocks: np.ndarray) -> None:
-    """out = max(out, largest singular value of each stacked block)."""
-    np.maximum(out, np.linalg.svd(blocks, compute_uv=False)[:, 0], out=out)
+def _layer_pairs(basis: FockBasis) -> list[tuple]:
+    """The Gram matrices of every boson layer's blocks, as fixed scatters.
+
+    For the block B of a(h)(H_f+1)^(-1/2) from layer n to layer n - 1 and
+    the block C of a(h)*(H_f+1)^(-1/2) from layer n - 1 to layer n, both
+    B B* and C* C live on layer n - 1.  Entry (l1, l2) of either sums, over
+    the pairs of lowering entries (e1, e2) that leave one layer-n state for
+    l1 and l2, conj(h[mode1]) h[mode2] times a fixed weight.  Only the lower
+    triangle (l1 >= l2) is kept, the one ``eigvalsh`` reads.  Per layer
+    n = 1..n_max this gives (size of layer n - 1, mode1, mode2, the weights
+    of B B* and C* C, the first pair of each target, the flat target
+    position l1 * size + l2), with the pairs sorted by target.
+    """
+    rows, cols, mode_ix, amps = basis.lowering_triples()
+    totals = basis.totals
+    scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
+    # a(h)(H_f+1)^(-1/2) scales on layer n, a(h)*(H_f+1)^(-1/2) on layer n - 1
+    amp_a, amp_astar = amps * scale[cols], amps * scale[rows]
+    starts = np.searchsorted(totals, np.arange(basis.n_max + 2))
+    layers = []
+    for n in range(1, basis.n_max + 1):
+        # the entries leaving layer n; the triples are sorted by column
+        sel = np.nonzero(totals[cols] == n)[0]
+        lo = rows[sel] - starts[n - 1]  # position in layer n - 1
+        first = np.searchsorted(cols[sel], cols[sel])  # first entry of the state
+        count = np.bincount(first, minlength=len(sel))[first]
+        # every ordered pair (e1, e2) of entries of one layer-n state
+        e1 = np.repeat(np.arange(len(sel)), count)
+        e2 = first[e1] + np.arange(len(e1)) - np.repeat(np.cumsum(count) - count, count)
+        lower = lo[e1] >= lo[e2]
+        e1, e2 = e1[lower], e2[lower]
+        size = int(starts[n] - starts[n - 1])
+        flat = lo[e1] * size + lo[e2]
+        order = np.argsort(flat, kind="stable")
+        e1, e2, flat = sel[e1[order]], sel[e2[order]], flat[order]
+        segments = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+        weights = (amp_a[e1] * amp_a[e2], amp_astar[e1] * amp_astar[e2])
+        layers.append(
+            (size, mode_ix[e1], mode_ix[e2], weights, segments, flat[segments])
+        )
+    return layers
+
+
+def _max_norm(out: np.ndarray, grams: np.ndarray) -> None:
+    """out = max(out, square root of the largest eigenvalue of each Gram matrix)."""
+    top = np.linalg.eigvalsh(grams)[:, -1]
+    np.maximum(out, np.sqrt(np.maximum(top, 0.0)), out=out)

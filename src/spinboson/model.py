@@ -295,12 +295,9 @@ class DiscretizedField:
                 big.modes.frequencies[pos], small.modes.frequencies, rtol=0, atol=0
             ):
                 raise AssemblyError("scale grids are not nested")
-            out = np.empty(small.dim, dtype=np.int64)
-            for i, occ in enumerate(small.states):
-                full = np.zeros(big.modes.n_modes, dtype=np.int64)
-                full[pos] = occ
-                out[i] = big.index_of(full)
-            self._embeddings[key] = out
+            padded = np.zeros((small.dim, big.modes.n_modes), dtype=np.int64)
+            padded[:, pos] = small.states
+            self._embeddings[key] = big.indices_of(padded)
         return self._embeddings[key]
 
     def scaled(self, factor: float) -> "DiscretizedField":

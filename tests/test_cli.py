@@ -248,14 +248,15 @@ class TestConeCheckDispatch:
 
     def test_oversized_step_fails_chain(self, tmp_path, monkeypatch):
         """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 exits 1."""
-        ladder = cli.run_ladder
+        ladder = multiscale.run_ladder
 
         def jumped(cfg, lad, *args, **kwargs):
             trace = ladder(cfg, lad, *args, **kwargs)
             trace.scales[1].levels[1].lam += 0.5 * lad.cutoff(1) * 1j
             return trace
 
-        monkeypatch.setattr(cli, "run_ladder", jumped)
+        # the command line reads run_ladder off multiscale at call time
+        monkeypatch.setattr(multiscale, "run_ladder", jumped)
         rc = parse_config(config_text(run={"cone_tol": 5e-3}))
         assert dispatch("cone-check", rc, tmp_path) == 1
         payload = json.loads((tmp_path / "cone_check.json").read_text())
@@ -397,6 +398,16 @@ class TestVerifyAppendix:
         assert [row["pass"] for row in payload["shells"]] == [True, False, True]
 
 
+def run_fresh(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package."""
+    src = str(Path(spinboson.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout
+
+
 def test_cli_import_skips_optimize_and_special():
     """Importing the command line loads neither scipy.optimize nor scipy.special."""
     code = (
@@ -407,12 +418,54 @@ def test_cli_import_skips_optimize_and_special():
         "added = set(sys.modules) - before\n"
         "print(sorted(added & {'scipy.optimize', 'scipy.special'}))\n"
     )
-    src = str(Path(spinboson.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+# the package's exports, each of which must resolve on ``spinboson``
+EXPORTS = [
+    "AssemblyError", "BasisSizeError", "Cone", "ConfigError",
+    "ContourCollisionError", "ConvergenceError", "CutoffLadder",
+    "DegeneracyError", "DiscretizedField", "FeasibilityReport", "FockBasis",
+    "InvarianceReport", "ModeSet", "ModelConfig", "MultiscaleTrace",
+    "OperatorMatrix", "Region", "RieszProjector", "ShiftedSolver",
+    "SingularShiftError", "SpectralRecord", "SpinBosonError", "TrackingError",
+    "assemble_hamiltonian", "basis_dimension", "build_field_operator",
+    "check_inequalities", "check_p1", "check_p2_p4", "check_p3",
+    "compute_constants", "cone_contains", "constants", "coupling_amplitudes",
+    "diagnostics", "dist_to_cone", "enumerate_basis", "errors",
+    "extrapolate_limit", "fermi_golden_rule", "fock", "form_factor",
+    "g_analyticity_check", "geometry", "golden_rule_coefficient",
+    "interaction_norm_bound", "model", "multiscale", "region_contains",
+    "resolvent_cone_bound_check", "resolvent_norm", "resolvent_scan",
+    "riesz_rank_one", "run_ladder", "second_order_eigenvalue",
+    "shell_norm_report", "spectral", "spectrum_cone_check",
+    "theta_invariance_scan", "threads", "track_eigenvalue",
+    "verify_cone_chain", "verify_standard_estimates",
+]
+
+
+def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
+    """feasibility and verify-appendix never load scipy.linalg or scipy.sparse."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(config_text(run={"trials": 5}))
+    code = (
+        "import json, sys\n"
+        "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg'}\n"
+        "from spinboson import cli\n"
+        "seen = [sorted(heavy & set(sys.modules))]\n"
+        "for sub in ('feasibility', 'verify-appendix'):\n"
+        "    code = cli.main([sub, '--config', sys.argv[1],\n"
+        "                     '--out', sys.argv[2] + sub])\n"
+        "    seen.append([code, *sorted(heavy & set(sys.modules))])\n"
+        "import spinboson\n"
+        "names = json.loads(sys.argv[3])\n"
+        "missing = [n for n in names if not hasattr(spinboson, n)]\n"
+        "print(json.dumps({'seen': seen, 'missing': missing}))\n"
+    )
+    out = run_fresh(code, str(cfg_path), str(tmp_path / "out-"), json.dumps(EXPORTS))
+    result = json.loads(out.splitlines()[-1])
+    assert result == {"seen": [[], [0], [0]], "missing": []}
+    assert spinboson.__all__ == EXPORTS
 
 
 # ---------------------------------------------------------- thread budget
@@ -483,6 +536,28 @@ class TestPinnedBlas:
         with pytest.raises(RuntimeError):
             dispatch("ladder", parse_config(config_text()), tmp_path)
         assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
+
+
+@needs_openblas
+@pytest.mark.parametrize("subcommand", ["ladder", "verify-appendix"])
+def test_every_loaded_blas_pinned(tmp_path, subcommand):
+    """Each OpenBLAS mapped after a fresh run ran it on one thread."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(config_text(run={"trials": 5}))
+    code = (
+        "import json, sys\n"
+        "from spinboson import cli, threads\n"
+        "argv = [sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]]\n"
+        "code = cli.main(argv)\n"
+        "loaded = [lib.library for lib in threads.openblas_libraries()]\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    out = run_fresh(code, subcommand, str(cfg_path), str(tmp_path / "out"))
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0 and loaded
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    pinned = {b["library"]: b["threads_during"] for b in manifest["threads"]["blas"]}
+    assert all(pinned.get(lib) == 1 for lib in loaded)
 
 
 def test_no_openblas_recorded_and_run(tmp_path, monkeypatch):

@@ -257,6 +257,27 @@ def dense_standard_norms(basis, h) -> tuple[float, float]:
     )
 
 
+def layer_svd_norms(basis, hs) -> tuple[np.ndarray, np.ndarray]:
+    """Both norms of every row of ``hs`` by stacked SVDs of the layer blocks."""
+    rows, cols, mode_ix, amps = basis.lowering_triples()
+    totals = basis.totals
+    scale = 1.0 / np.sqrt(field_energy_diagonal(basis) + 1.0)
+    starts = np.searchsorted(totals, np.arange(basis.n_max + 2))
+    lhs_a, lhs_astar = np.zeros(len(hs)), np.zeros(len(hs))
+    for n in range(1, basis.n_max + 1):
+        sel = totals[cols] == n
+        lo, hi = rows[sel] - starts[n - 1], cols[sel] - starts[n]
+        shape = (starts[n] - starts[n - 1], starts[n + 1] - starts[n])
+        coef = hs[:, mode_ix[sel]]
+        block = np.zeros((len(hs),) + shape, dtype=complex)
+        block[:, lo, hi] = coef.conj() * amps[sel] * scale[cols[sel]]
+        lhs_a = np.maximum(lhs_a, np.linalg.svd(block, compute_uv=False)[:, 0])
+        block = np.zeros((len(hs),) + shape[::-1], dtype=complex)
+        block[:, hi, lo] = coef * amps[sel] * scale[rows[sel]]
+        lhs_astar = np.maximum(lhs_astar, np.linalg.svd(block, compute_uv=False)[:, 0])
+    return lhs_a, lhs_astar
+
+
 def random_amplitudes(gen, *shape):
     return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
 
@@ -285,15 +306,30 @@ class TestLayerBlockedEstimates:
 
     @pytest.mark.parametrize("blocks_per_stack", [1, 3, 4])
     def test_chunking_does_not_change_rows(self, monkeypatch, blocks_per_stack):
-        # the largest layer block at (6 modes, n_max 3) is 21 x 56
+        # the largest per-vector temporary at (6 modes, n_max 3) is the 21 x 21
+        # Gram matrix on layer 2 (216 scattered pairs)
         gen = np.random.default_rng(5)
         basis = enumerate_basis(modes_of(np.sort(gen.uniform(0.05, 3.0, 6))), 3)
         hs = random_amplitudes(gen, 10, 6)
         whole = verify_standard_estimates(basis, hs)
-        monkeypatch.setattr(fock, "_SVD_STACK_BYTES", blocks_per_stack * 21 * 56 * 16)
+        monkeypatch.setattr(fock, "_STACK_BYTES", blocks_per_stack * 21 * 21 * 16)
         chunked = verify_standard_estimates(basis, hs)
         for key in whole:
             assert np.array_equal(chunked[key], whole[key])
+
+    def test_gram_route_matches_layer_svds(self):
+        """On the verify-appendix mode sets, 2,000 trials each."""
+        gen = np.random.default_rng(0)
+        for n_modes, n_max in [(4, 2), (6, 3), (8, 2)]:
+            basis = enumerate_basis(
+                modes_of(np.sort(gen.uniform(0.05, 3.0, n_modes))), n_max
+            )
+            hs = random_amplitudes(gen, 2000, n_modes)
+            rep = verify_standard_estimates(basis, hs)
+            lhs_a, lhs_astar = layer_svd_norms(basis, hs)
+            assert np.all(np.abs(rep["lhs_a"] - lhs_a) <= 1e-13 * lhs_a)
+            assert np.all(np.abs(rep["lhs_astar"] - lhs_astar) <= 1e-13 * lhs_astar)
+            assert np.all(rep["pass"])
 
     def test_empty_stack_and_bad_shape(self):
         basis = enumerate_basis(modes_of([1.0, 2.0]), 2)

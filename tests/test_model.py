@@ -249,6 +249,24 @@ class TestDiscretizedField:
             occ = np.array(big.state(emb[i]))
             assert np.all(occ[new_modes] == 0)
 
+    def test_embedding_matches_per_state_loop(self, ladder):
+        """The vectorised lookup gives the per-state index_of loop's maps."""
+        field = DiscretizedField(ladder, 3, points_per_shell=2, r_max=4.0,
+                                 n_max=3, uv_points_per_panel=2)
+        for n_small in range(1, 4):
+            for n_big in range(n_small, 4):
+                small = field.basis_for_scale(n_small)
+                big = field.basis_for_scale(n_big)
+                pos = np.searchsorted(big.modes.frequencies, small.modes.frequencies)
+                expected = []
+                for occ in small.states:
+                    full = np.zeros(big.modes.n_modes, dtype=np.int64)
+                    full[pos] = occ
+                    expected.append(big.index_of(full))
+                emb = field.embedding_indices(n_small, n_big)
+                assert emb.dtype == np.int64
+                assert np.array_equal(emb, expected)
+
     def test_scaled_field_consistent(self, ladder):
         field = DiscretizedField(ladder, 2, points_per_shell=2, r_max=4.0)
         s = field.scaled(np.exp(0.1))
