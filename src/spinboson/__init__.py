@@ -44,14 +44,7 @@ _EXPORTS = {
         "enumerate_basis",
         "verify_standard_estimates",
     ),
-    "geometry": (
-        "Cone",
-        "Region",
-        "cone_contains",
-        "dist_to_cone",
-        "region_contains",
-        "verify_cone_chain",
-    ),
+    "geometry": ("Box", "Cone", "cone_contains", "dist_to_cone", "verify_cone_chain"),
     "model": (
         "CutoffLadder",
         "DiscretizedField",

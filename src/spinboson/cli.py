@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import check_inequalities, compute_constants
+from .constants import C_GENERIC_MIN, check_inequalities, compute_constants
 from .errors import ConfigError, SpinBosonError
 from .fock import ModeSet, enumerate_basis, verify_standard_estimates
 from .model import (
@@ -72,17 +72,63 @@ _RUN_KEYS = {
 }
 
 
-def _as_complex(value) -> complex:
+def _integer(value, name: str, lo: int | None = None) -> int:
+    """``value`` if it is an integer, at least ``lo`` (booleans are not)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (lo is not None and value < lo)
+    ):
+        bound = "" if lo is None else f" >= {lo}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
+def _real(value, name: str, lo: float | None = None, above: bool = False) -> float:
+    """``value`` as a finite float, at least ``lo`` (above it if ``above``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max  # NaN, infinities, huge ints
+        or (lo is not None and (value <= lo if above else value < lo))
+    ):
+        bound = "" if lo is None else f" {'>' if above else '>='} {lo}"
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
+def _as_complex(value, name: str) -> complex:
+    """A real number or an [re, im] pair as a complex number."""
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
-            raise ConfigError("complex values are [re, im] pairs")
-        return complex(float(value[0]), float(value[1]))
-    return complex(float(value), 0.0)
+            raise ConfigError(f"{name}: complex values are [re, im] pairs")
+        return complex(_real(value[0], name), _real(value[1], name))
+    return complex(_real(value, name), 0.0)
+
+
+def _complex_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of values")
+    return [_as_complex(v, name) for v in value]
+
+
+def _section(doc: dict, name: str, known) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(section) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return section
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration: model, ladder, discretization, run."""
+    """Validated run configuration: model, ladder, discretization, run.
+
+    Every run value is parsed here; ``raw`` is the document as given, kept
+    for the manifest's hash.
+    """
 
     model: ModelConfig
     ladder: CutoffLadder
@@ -95,6 +141,15 @@ class RunConfig:
     seed: int
     jobs: int
     quad_points: int
+    g_list: list
+    theta_list: list
+    g_circle: dict
+    cone_tol: float
+    n_samples: int
+    samples_per_scale: int
+    c_generic: float
+    trials: int
+    levels: tuple
     raw: dict
 
     def build_field(self) -> DiscretizedField:
@@ -108,19 +163,14 @@ class RunConfig:
         )
 
 
-def _positive_jobs(value) -> int:
-    jobs = int(value)
-    if jobs < 1:
-        raise ConfigError("run jobs must be at least 1")
-    return jobs
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
-    Unknown keys are rejected; every model and ladder invariant is
-    re-checked through the domain constructors so a bad document fails
-    with a message naming the violated constraint.
+    Unknown keys are rejected, and every value is converted and
+    range-checked here, the model, ladder and grid invariants through the
+    domain constructors, so a bad document fails with a message naming the
+    violated constraint before any work starts.  The list lengths and the
+    circle's sample count are checked by the scan that uses them.
     """
     try:
         doc = json.loads(text)
@@ -132,57 +182,88 @@ def parse_config(text: str) -> RunConfig:
     unknown = set(doc) - known_top
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
+    model_doc = _section(doc, "model", _MODEL_KEYS)
+    ladder_doc = _section(doc, "ladder", _LADDER_KEYS)
+    disc_doc = _section(doc, "discretization", _DISC_KEYS)
+    run_doc = _section(doc, "run", _RUN_KEYS)
 
-    model_doc = dict(doc.get("model", {}))
-    unknown = set(model_doc) - _MODEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    ladder_doc = dict(doc.get("ladder", {}))
-    unknown = set(ladder_doc) - _LADDER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown ladder keys: {sorted(unknown)}")
-    disc_doc = dict(doc.get("discretization", {}))
-    unknown = set(disc_doc) - _DISC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown discretization keys: {sorted(unknown)}")
-    run_doc = dict(doc.get("run", {}))
-    unknown = set(run_doc) - _RUN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown run keys: {sorted(unknown)}")
+    def real(section, key, default, lo=None, above=False):
+        return _real(section.get(key, default), key, lo, above)
+
+    def integer(section, key, default, lo=None):
+        return _integer(section.get(key, default), key, lo)
 
     model = ModelConfig(
-        e1=float(model_doc.get("e1", 1.0)),
-        lambda_uv=float(model_doc.get("lambda_uv", 1.0)),
-        mu=float(model_doc.get("mu", 0.25)),
-        g=_as_complex(model_doc.get("g", 0.05)),
-        theta=_as_complex(model_doc.get("theta", [0.0, 0.2])),
-        nu_floor=float(model_doc.get("nu_floor", 0.1)),
-        m_cone=int(model_doc.get("m_cone", 4)),
-        e0=float(model_doc.get("e0", 0.0)),
+        e1=real(model_doc, "e1", 1.0),
+        lambda_uv=real(model_doc, "lambda_uv", 1.0),
+        mu=real(model_doc, "mu", 0.25),
+        g=_as_complex(model_doc.get("g", 0.05), "g"),
+        theta=_as_complex(model_doc.get("theta", [0.0, 0.2]), "theta"),
+        nu_floor=real(model_doc, "nu_floor", 0.1),
+        m_cone=integer(model_doc, "m_cone", 4),
+        e0=real(model_doc, "e0", 0.0),
     )
     ladder = CutoffLadder(
-        rho0=float(ladder_doc.get("rho0", 0.25)),
-        rho=float(ladder_doc.get("rho", 0.5)),
+        rho0=real(ladder_doc, "rho0", 0.25),
+        rho=real(ladder_doc, "rho", 0.5),
         e1=model.e1,
     )
-    mode = str(run_doc.get("mode", "practical"))
+    mode = run_doc.get("mode", "practical")
     if mode not in ("practical", "strict"):
         raise ConfigError("run mode must be 'practical' or 'strict'")
     uv = disc_doc.get("uv_points_per_panel")
-    return RunConfig(
+    g, theta = model.g, model.theta
+    # an absent or empty list takes the default; only a given orbit is
+    # checked here, as the default may leave the dilation strip and only
+    # ``theta-scan`` uses it
+    g_list = run_doc.get("g_list")
+    g_list = _complex_list(g_list, "g_list") if g_list else [g, g / 2]
+    theta_list = run_doc.get("theta_list")
+    if theta_list:
+        theta_list = _complex_list(theta_list, "theta_list")
+        for t in theta_list:
+            model.validate_theta(t)
+    else:
+        theta_list = [theta, theta + 0.025j, theta + 0.05j]
+    circle = _section(run_doc, "g_circle", ("center", "radius", "samples", "tol"))
+    levels = run_doc.get("levels", [0, 1])
+    if (
+        not isinstance(levels, list)
+        or sorted(_integer(i, "levels", 0) for i in levels) not in ([0], [1], [0, 1])
+    ):
+        raise ConfigError(f"levels must list 0, 1 or both once, got {levels!r}")
+    rc = RunConfig(
         model=model,
         ladder=ladder,
-        n_scales=int(ladder_doc.get("n_scales", 6)),
-        points_per_shell=int(disc_doc.get("points_per_shell", 8)),
-        r_max=float(disc_doc.get("r_max", 4.0 * model.lambda_uv)),
-        n_max=int(disc_doc.get("n_max", 2)),
-        uv_points_per_panel=None if uv is None else int(uv),
+        n_scales=integer(ladder_doc, "n_scales", 6),
+        points_per_shell=integer(disc_doc, "points_per_shell", 8),
+        r_max=real(disc_doc, "r_max", 4.0 * model.lambda_uv),
+        n_max=integer(disc_doc, "n_max", 2, 0),
+        uv_points_per_panel=(
+            None if uv is None else _integer(uv, "uv_points_per_panel", 1)
+        ),
         mode=mode,
-        seed=int(run_doc.get("seed", 0)),
-        jobs=_positive_jobs(run_doc.get("jobs", usable_cpus())),
-        quad_points=int(run_doc.get("quad_points", 16)),
+        seed=integer(run_doc, "seed", 0, 0),
+        jobs=integer(run_doc, "jobs", usable_cpus(), 1),
+        quad_points=integer(run_doc, "quad_points", 16, 1),
+        g_list=g_list,
+        theta_list=theta_list,
+        g_circle={
+            "center": _as_complex(circle.get("center", abs(g)), "center"),
+            "radius": real(circle, "radius", abs(g) / 4 or 0.01, 0.0, True),
+            "samples": integer(circle, "samples", 8),
+            "tol": real(circle, "tol", 1e-4, 0.0),
+        },
+        cone_tol=real(run_doc, "cone_tol", 5e-3, 0.0),
+        n_samples=integer(run_doc, "n_samples", 200, 1),
+        samples_per_scale=integer(run_doc, "samples_per_scale", 0, 0),
+        c_generic=real(run_doc, "c_generic", 10.0, C_GENERIC_MIN),
+        trials=integer(run_doc, "trials", 100, 1),
+        levels=tuple(levels),
         raw=doc,
     )
+    rc.build_field()  # the grid's own checks
+    return rc
 
 
 def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
@@ -196,12 +277,11 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    samples = int(rc.raw.get("run", {}).get("samples_per_scale") or 0)
+    samples = rc.samples_per_scale
     trace = run_ladder(cfg, ladder, field, quad_points=rc.quad_points,
                        jobs=rc.jobs, samples_per_scale=samples, seed=rc.seed)
     report = compute_constants(
-        cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone,
-        c_generic=float(rc.raw.get("run", {}).get("c_generic", 10.0)),
+        cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
     p1 = check_p1(trace, cfg, ladder, log10_C=report.log10_C)
     p3 = check_p3(trace, cfg, ladder, log10_C=report.log10_C)
@@ -234,11 +314,8 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    g_list = [
-        _as_complex(g) for g in rc.raw.get("run", {}).get("g_list", [])
-    ] or [cfg.g, cfg.g / 2]
-    rep = fermi_golden_rule(cfg, ladder, field, g_list, quad_points=rc.quad_points,
-                            jobs=rc.jobs)
+    rep = fermi_golden_rule(cfg, ladder, field, rc.g_list,
+                            quad_points=rc.quad_points, jobs=rc.jobs)
     rows = [
         {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
     ]
@@ -259,11 +336,7 @@ def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    thetas = [
-        _as_complex(t) for t in rc.raw.get("run", {}).get("theta_list", [])
-    ] or [cfg.theta, cfg.theta + 0.025j, cfg.theta + 0.05j]
-    levels = _run_levels(rc)
-    rep = theta_invariance_scan(cfg, ladder, field, thetas, levels=levels,
+    rep = theta_invariance_scan(cfg, ladder, field, rc.theta_list, levels=rc.levels,
                                 quad_points=rc.quad_points, jobs=rc.jobs)
     ok = rep.budget is None or all(
         v <= rep.budget for v in rep.max_pairwise.values()
@@ -277,23 +350,14 @@ def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    circle = rc.raw.get("run", {}).get("g_circle", {})
-    center = _as_complex(circle.get("center", abs(cfg.g)))
-    radius = float(circle.get("radius", abs(cfg.g) / 4 or 0.01))
-    k = int(circle.get("samples", 8))
+    circle = rc.g_circle
     rep = g_analyticity_check(
-        cfg, ladder, field, center, radius, n_samples=k,
-        quad_points=rc.quad_points, jobs=rc.jobs,
+        cfg, ladder, field, circle["center"], circle["radius"],
+        n_samples=circle["samples"], quad_points=rc.quad_points, jobs=rc.jobs,
     )
-    tol = float(circle.get("tol", 1e-4))
-    ok = all(v <= tol for v in rep.max_pairwise.values())
+    ok = all(v <= circle["tol"] for v in rep.max_pairwise.values())
     write_json(out / "g_circle.json", rep.to_dict())
     return (0 if ok else 1), {"kind": "g-circle", "pass": bool(ok)}
-
-
-def _run_levels(rc: RunConfig) -> tuple:
-    levels = rc.raw.get("run", {}).get("levels", [0, 1])
-    return tuple(int(i) for i in levels)
 
 
 def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
@@ -302,11 +366,10 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    levels = _run_levels(rc)
-    trace = run_ladder(cfg, ladder, field, levels=levels,
+    trace = run_ladder(cfg, ladder, field, levels=rc.levels,
                        quad_points=rc.quad_points, jobs=rc.jobs)
-    tol = float(rc.raw.get("run", {}).get("cone_tol", 5e-3))
-    rep = spectrum_cone_check(cfg, ladder, field, trace, tol=tol, levels=levels)
+    rep = spectrum_cone_check(cfg, ladder, field, trace, tol=rc.cone_tol,
+                              levels=rc.levels)
     write_json(out / "cone_check.json", rep)
     return (0 if rep["pass"] else 1), {"kind": "cone-check", "pass": rep["pass"]}
 
@@ -319,7 +382,7 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     field = rc.build_field()
     trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points,
                        jobs=rc.jobs)
-    n_samples = int(rc.raw.get("run", {}).get("n_samples", 200))
+    n_samples = rc.n_samples
     rep = resolvent_cone_bound_check(
         cfg, ladder, field, trace, n_samples=n_samples, seed=rc.seed,
         jobs=rc.jobs,
@@ -343,9 +406,8 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 def _feasibility_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
-    c_generic = float(rc.raw.get("run", {}).get("c_generic", 10.0))
     rep = compute_constants(
-        cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=c_generic
+        cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
     proposed = {
         "log10_rho0": float(np.log10(ladder.rho0)),
@@ -366,7 +428,7 @@ def _feasibility_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg = rc.model
     rng = np.random.default_rng(rc.seed)
-    trials = int(rc.raw.get("run", {}).get("trials", 100))
+    trials = rc.trials
     configs = [(4, 2), (6, 3), (8, 2)]
     violations = []
     total = 0
@@ -462,14 +524,14 @@ def main(argv=None) -> int:
     try:
         rc = parse_config(text)
         if args.jobs is not None:
-            rc.jobs = _positive_jobs(args.jobs)
+            rc.jobs = _integer(args.jobs, "--jobs", 1)
+        if args.seed is not None:
+            rc.seed = _integer(args.seed, "--seed", 0)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if args.mode is not None:
         rc.mode = args.mode
-    if args.seed is not None:
-        rc.seed = args.seed
     code = dispatch(args.subcommand, rc, args.out)
     print(f"{args.subcommand}: {'pass' if code == 0 else 'FAIL'} (exit {code})")
     return code

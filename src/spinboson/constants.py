@@ -29,6 +29,9 @@ from math import log10, pi, sin
 from .errors import ConfigError
 from .model import IM_THETA_CAP
 
+# the least admissible generic constant bound c of the constant chain
+C_GENERIC_MIN = 1.0
+
 
 @dataclass
 class FeasibilityReport:
@@ -84,8 +87,10 @@ def compute_constants(
         raise ConfigError(f"mu = {mu} outside (0, 1/2)")
     if not (0.0 < nu_floor <= pi / 16.0):
         raise ConfigError(f"nu_floor = {nu_floor} outside (0, pi/16]")
-    if c_generic < 1.0:
-        raise ConfigError("the generic constant bound must satisfy c >= 1")
+    if c_generic < C_GENERIC_MIN:
+        raise ConfigError(
+            f"the generic constant bound must satisfy c >= {C_GENERIC_MIN}"
+        )
     if nu is not None and not (nu_floor <= nu < IM_THETA_CAP):
         raise ConfigError(f"nu = {nu} outside [nu_floor, {IM_THETA_CAP:.6f})")
     if m is not None:

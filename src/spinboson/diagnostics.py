@@ -22,14 +22,7 @@ from math import pi
 import numpy as np
 
 from .errors import ConfigError, TrackingError
-from .geometry import (
-    Cone,
-    Region,
-    cone_contains,
-    dist_to_cone,
-    region_contains,
-    verify_cone_chain,
-)
+from .geometry import Box, Cone, cone_contains, dist_to_cone, verify_cone_chain
 from .model import (
     CutoffLadder,
     DiscretizedField,
@@ -420,12 +413,10 @@ def spectrum_cone_check(
     m = cfg.m_cone if m is None else m
     cone_cfg = cfg.replace(m_cone=m)  # the chain's cones have the same shape
     last, eigs = _full_grid_scale(trace, field_disc)
-    modes = field_disc.modes_for_scale(None)
-    height = 0.125 * cfg.delta * np.sin(cfg.nu) + 0.5 * ladder.cutoff(1) * np.sin(
-        cfg.nu
-    )
-    max_freq = height / np.sin(cfg.nu)
-    branch_tol = soft_branch_tolerance(cfg, modes, max_freq)
+    basis = field_disc.basis_for_scale(None)
+    box = Box.b1(cfg, 1, ladder.cutoff(1))  # every level's box is as high
+    max_freq = (box.hi - box.lo) / np.sin(cfg.nu)
+    branch_tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
                  "branch_tol": branch_tol}
     for i in levels:
@@ -433,11 +424,8 @@ def spectrum_cone_check(
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, m)
-        box = Region(
-            "B1", e0=cfg.e0, e1=cfg.e1, nu=cfg.nu, i=i, rho1=ladder.cutoff(1)
-        )
-        in_box = [z for z in eigs if region_contains(box, z)]
-        soft = soft_branch_mask(cfg, modes, field_disc.n_max, in_box, max_freq)
+        in_box = eigs[Box.b1(cfg, i, ladder.cutoff(1)).contains(eigs)]
+        soft = soft_branch_mask(cfg, basis, in_box, max_freq)
         rows = []
         violations = []
         n_starved = 0
@@ -507,15 +495,13 @@ def resolvent_cone_bound_check(
     axis = np.exp(-1j * cfg.nu)
     cone_main = Cone(lam1, cfg.nu, m)
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, m)
-    box = Region("B1", e0=cfg.e0, e1=cfg.e1, nu=cfg.nu, i=1, rho1=ladder.cutoff(1))
-    level = cfg.e1
-    sn = np.sin(cfg.nu)
+    box = Box.b1(cfg, 1, ladder.cutoff(1))
 
     rng = np.random.default_rng(seed)
     H = assemble_hamiltonian(cfg, field_disc, n=None)
-    modes = field_disc.modes_for_scale(None)
-    in_box = eigs[[region_contains(box, z) for z in eigs]]
-    starved = in_box[soft_branch_mask(cfg, modes, field_disc.n_max, in_box)]
+    in_box = eigs[box.contains(eigs)]
+    basis = field_disc.basis_for_scale(None)
+    starved = in_box[soft_branch_mask(cfg, basis, in_box)]
 
     def near_artifact(z: complex) -> bool:
         return len(starved) > 0 and bool(
@@ -530,10 +516,10 @@ def resolvent_cone_bound_check(
     while len(samples) < n_uniform and guard < 400 * n_samples:
         guard += 1
         z = complex(
-            rng.uniform(level - 0.5 * cfg.delta, level + 0.5 * cfg.delta),
-            rng.uniform(-0.5 * ladder.cutoff(1) * sn, 0.125 * cfg.delta * sn),
+            rng.uniform(box.level - box.half_width, box.level + box.half_width),
+            rng.uniform(box.lo, box.hi),
         )
-        if not region_contains(box, z):
+        if not box.contains(z):
             continue
         if cone_contains(cone_forbidden, z):
             skipped_forbidden += 1
@@ -546,7 +532,7 @@ def resolvent_cone_bound_check(
         guard += 1
         r = 10.0 ** rng.uniform(-3, np.log10(0.4 * cfg.delta))
         z = lam1 + r * np.exp(2j * pi * rng.uniform())
-        if not region_contains(box, z) or cone_contains(cone_forbidden, z):
+        if not box.contains(z) or cone_contains(cone_forbidden, z):
             skipped_forbidden += 1
             continue
         if near_artifact(z):

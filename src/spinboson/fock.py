@@ -3,7 +3,8 @@
 A mode set is a finite family of positive oscillator frequencies with
 quadrature weights, obtained by discretizing the radial one-particle space.
 The Fock basis enumerates occupation multi-indices (n_1, ..., n_M) with a
-total-number cutoff sum(n_j) <= n_max; the field energy is its diagonal
+total-number cutoff sum(n_j) <= n_max, one boson layer at a time as an
+array; the field energy is its diagonal
 (``field_energy_diagonal``) and the field operator a(conj h) + a(h)* is
 assembled from the elementary lowering matrix elements
 (``FockBasis.lowering_triples``), whole or one block at a time (the
@@ -13,8 +14,9 @@ The relative-bound check ``verify_standard_estimates`` takes one amplitude
 vector or a stack of them and works on boson-layer blocks: a(h) lowers the
 total number by one, so its norms split layer by layer, and each block norm
 is read off the top eigenvalue of the block's Gram matrix on the lower
-layer.  ``FockBasis.indices_of`` looks up many occupation rows at once (the
-coarse-to-fine scale embeddings).  The module needs numpy only.
+layer.  Each state is keyed by its bosons' modes, and one lookup on these
+keys serves the lowering matrix elements and, through
+``FockBasis.indices_of``, the scale embeddings.  The module needs numpy only.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -29,9 +31,9 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -115,22 +117,13 @@ class ModeSet:
         )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def basis_dimension(n_modes: int, n_max: int) -> int:
     """Stars-and-bars count: sum over totals n of multisets of size n."""
     return sum(comb(n + n_modes - 1, n) for n in range(n_max + 1))
 
 
 class FockBasis:
-    """Occupation basis with total-number cutoff, plus both index maps.
+    """Occupation basis with total-number cutoff and its one index lookup.
 
     State 0 is the vacuum.  States are ordered by (total number, occupation
     tuple) with ascending lexicographic order inside each total sector.
@@ -144,34 +137,34 @@ class FockBasis:
             raise BasisSizeError(dim, state_cap, modes.n_modes, n_max)
         self.modes = modes
         self.n_max = n_max
-        states: list[tuple[int, ...]] = []
-        for total in range(n_max + 1):
-            states.extend(_compositions(total, modes.n_modes))
-        self.states = np.array(states, dtype=np.int32)
-        self.index = {s: i for i, s in enumerate(states)}
+        # each state's key: its bosons' modes ascending, padded with n_modes
+        keys = np.concatenate(
+            [_layer_keys(modes.n_modes, n, n_max) for n in range(n_max + 1)]
+        )
+        states = np.zeros((dim, modes.n_modes + 1), dtype=np.int32)
+        np.add.at(states, (np.arange(dim)[:, None], keys), 1)
+        self.states = np.ascontiguousarray(states[:, :-1])
+        self._keys = keys
         self.dim = dim
         self._lowering = None
 
-    def state(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.states[i])
-
-    def index_of(self, occupations) -> int:
-        return self.index[tuple(int(x) for x in occupations)]
-
     def indices_of(self, occupations: np.ndarray) -> np.ndarray:
-        """``index_of`` of every row of a (k, n_modes) occupation array.
+        """Basis index of every row of a (k, n_modes) occupation array.
 
         Rows are compared by their bosons' modes in ascending order (n_max
-        entries, padded with -1): a dense code of the occupation numbers
-        would overflow int64 at a few dozen modes.
+        entries, padded with n_modes): a dense code of the occupation
+        numbers would overflow int64 at a few dozen modes.
         """
         occupations = np.asarray(occupations, dtype=np.int64)
         if occupations.ndim != 2 or occupations.shape[1] != self.modes.n_modes:
             raise AssemblyError("occupations must have shape (k, n_modes)")
         if np.any(occupations < 0) or np.any(occupations.sum(axis=1) > self.n_max):
             raise AssemblyError("occupations outside the truncated basis")
-        keys = np.concatenate([_boson_modes(self.states, self.n_max),
-                               _boson_modes(occupations, self.n_max)])
+        return self._indices_of_keys(_boson_modes(occupations, self.n_max))
+
+    def _indices_of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Basis index of every row of a (k, n_max) array of boson-mode keys."""
+        keys = np.concatenate([self._keys, keys])
         _, inverse = np.unique(keys, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
         position = np.empty(len(keys), dtype=np.int64)
@@ -191,37 +184,48 @@ class FockBasis:
         """All elementary lowering matrix elements as flat arrays.
 
         Returns (rows, cols, mode, amp) with <row| A_mode |col> = amp,
-        amp = sqrt(occupation of mode in state col).
+        amp = sqrt(occupation of mode in state col), sorted by column and
+        then by mode.
         """
         if self._lowering is None:
-            rows, cols, mode_ix, amps = [], [], [], []
-            for col, occ in enumerate(self.states):
-                occupied = np.nonzero(occ)[0]
-                for j in occupied:
-                    lowered = occ.copy()
-                    lowered[j] -= 1
-                    rows.append(self.index[tuple(int(x) for x in lowered)])
-                    cols.append(col)
-                    mode_ix.append(j)
-                    amps.append(np.sqrt(float(occ[j])))
-            self._lowering = (
-                np.array(rows, dtype=np.int64),
-                np.array(cols, dtype=np.int64),
-                np.array(mode_ix, dtype=np.int64),
-                np.array(amps, dtype=float),
-            )
+            keys = self._keys
+            # a mode's first slot in a key: in row-major order these are the
+            # (column, mode) pairs of np.nonzero(self.states)
+            first = keys < self.modes.n_modes
+            first[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+            cols, slot = np.nonzero(first)
+            mode_ix = keys[cols, slot]
+            # the lowered key: that slot turned into padding, sorted last
+            lowered = keys[cols]
+            lowered[np.arange(len(cols)), slot] = self.modes.n_modes
+            lowered.sort(axis=1)
+            amps = np.sqrt(self.states[cols, mode_ix].astype(float))
+            self._lowering = (self._indices_of_keys(lowered), cols, mode_ix, amps)
         return self._lowering
 
 
+def _layer_keys(n_modes: int, total: int, width: int) -> np.ndarray:
+    """The keys of the states with ``total`` bosons, padded to ``width``.
+
+    Ascending multisets of mode indices are the occupation tuples in
+    descending order, so they are taken in reverse.
+    """
+    multisets = itertools.combinations_with_replacement(range(n_modes), total)
+    keys = np.full((comb(n_modes + total - 1, total), width), n_modes, dtype=np.int64)
+    ascending = np.array(list(multisets), dtype=np.int64).reshape(len(keys), total)
+    keys[:, :total] = ascending[::-1]
+    return keys
+
+
 def _boson_modes(occupations: np.ndarray, width: int) -> np.ndarray:
-    """Each row's bosons as ascending mode indices, padded with -1 to ``width``."""
-    counts = occupations.sum(axis=1)
-    modes = np.tile(np.arange(occupations.shape[1]), len(occupations))
-    out = np.full((len(occupations), width), -1, dtype=np.int64)
-    slot = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    out[np.repeat(np.arange(len(occupations)), counts), slot] = np.repeat(
-        modes, occupations.reshape(-1)
-    )
+    """Each row's key: its bosons' modes ascending, padded to ``width`` with n_modes."""
+    rows, modes = np.nonzero(occupations)
+    counts = occupations[rows, modes]
+    rows, modes = np.repeat(rows, counts), np.repeat(modes, counts)
+    totals = occupations.sum(axis=1)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(totals) - totals, totals)
+    out = np.full((len(occupations), width), occupations.shape[1], dtype=np.int64)
+    out[rows, slot] = modes
     return out
 
 

@@ -7,12 +7,15 @@ the axis onto the positive real line: for w = (z - v) exp(i nu) with polar
 angle phi, the distance is 0 inside (|phi| <= nu/m), |w| sin(|phi| - nu/m)
 against the nearest edge, and |w| beyond the normal fan of the apex.
 
-Regions follow the run geometry around the atomic levels: the level boxes
-B_i and their per-scale refinements.  The "Wn" variant is the tracking
-window actually used by the ladder in practical mode: the same box with its
-lower edge anchored a quarter contour radius below the tracked eigenvalue,
-which coincides with the literal "Bn" variant whenever the eigenvalue sits
-inside its first-scale box.
+The level boxes around the atomic levels are ``Box`` rectangles, and this
+module is the only place that knows their inequalities: every box is
+|Re z - e_i| <= delta/2 and lo <= Im z <= delta sin(nu) / 8.  The
+first-scale box B_i (``Box.b1``) has lo = -rho_1 sin(nu) / 2.  The
+tracking window actually used by the ladder in practical mode
+(``Box.wn``) anchors lo a quarter cutoff below the tracked eigenvalue,
+lambda - rho_n sin(nu) / 4; the literal scale-n box (``Box.bn``) takes
+the larger of the two floors, so it coincides with the window whenever
+the eigenvalue sits inside its first-scale box.
 
 ``verify_cone_chain`` checks the nested-cone step from scale n to n + 1,
 which ``spectrum_cone_check`` (the ``cone-check`` subcommand) runs on each
@@ -90,70 +93,50 @@ def cone_complement_distance(inner: Cone, outer: Cone) -> float:
     return abs(w) * float(np.sin(slack))
 
 
-# each region variant and the parameters it needs
-_REGION_NEEDS = {
-    "B1": ("rho1",),
-    "Bn": ("rho1", "rho_n", "lam"),
-    "Wn": ("rho_n", "lam"),
-}
-
-
 @dataclass(frozen=True)
-class Region:
-    """Parameterized box around level i in the complex plane.
+class Box:
+    """Closed rectangle |Re z - level| <= half_width, lo <= Im z <= hi.
 
-    Variants: B1 (first-scale box), Bn (its scale-n refinement, floored a
-    quarter cutoff below the tracked eigenvalue) and Wn (anchored tracking
-    window, see module docstring).
+    Every level box is one: ``b1`` (the first-scale box B_i), ``bn`` (its
+    scale-n refinement) and ``wn`` (the anchored tracking window) build
+    them; see the module docstring.
     """
 
-    variant: str
-    e0: float = 0.0
-    e1: float = 1.0
-    nu: float = 0.0
-    i: int = 1
-    rho1: float | None = None
-    rho_n: float | None = None
-    lam: complex | None = None
+    level: float
+    half_width: float
+    lo: float
+    hi: float
 
-    def __post_init__(self):
-        if self.variant not in _REGION_NEEDS:
-            raise ConfigError(f"unknown region variant {self.variant!r}")
-        if self.nu <= 0.0:
-            raise ConfigError("regions need the dilation angle nu > 0")
-        for name in _REGION_NEEDS[self.variant]:
-            if getattr(self, name) is None:
-                raise ConfigError(
-                    f"region variant {self.variant} needs parameter {name}"
-                )
+    @classmethod
+    def _around(cls, cfg, i: int, lo: float) -> "Box":
+        top = 0.125 * cfg.delta * np.sin(cfg.nu)
+        return cls(cfg.e1 if i == 1 else cfg.e0, 0.5 * cfg.delta, lo, top)
 
-    @property
-    def delta(self) -> float:
-        return self.e1 - self.e0
+    @classmethod
+    def b1(cls, cfg, i: int, rho1: float) -> "Box":
+        """B_i: the box of level i, floored at -rho_1 sin(nu) / 2."""
+        return cls._around(cfg, i, -0.5 * rho1 * np.sin(cfg.nu))
 
-    @property
-    def level(self) -> float:
-        return self.e1 if self.i == 1 else self.e0
+    @classmethod
+    def bn(cls, cfg, i: int, rho1: float, rho_n: float, lam: complex) -> "Box":
+        """B_i at scale n: B_i above a quarter cutoff below lambda_i^(n)."""
+        floors = cls.b1(cfg, i, rho1).lo, cls.wn(cfg, i, rho_n, lam).lo
+        return cls._around(cfg, i, max(floors))
 
+    @classmethod
+    def wn(cls, cfg, i: int, rho_n: float, lam: complex) -> "Box":
+        """The scale-n window: B_i floored a quarter cutoff below lambda."""
+        return cls._around(cfg, i, lam.imag - 0.25 * rho_n * np.sin(cfg.nu))
 
-def region_contains(region: Region, z: complex) -> bool:
-    """Literal evaluation of the variant's defining inequalities."""
-    z = complex(z)
-    r = region
-    delta = r.delta
-    sn = np.sin(r.nu)
-    if r.variant == "Wn":
-        return (
-            abs(z.real - r.level) <= 0.5 * delta
-            and r.lam.imag - 0.25 * r.rho_n * sn <= z.imag <= 0.125 * delta * sn
+    def contains(self, z):
+        """Closed-set membership: a bool for a number, a mask for an array."""
+        re, im = np.real(z), np.imag(z)
+        inside = (
+            (abs(re - self.level) <= self.half_width)
+            & (self.lo <= im)
+            & (im <= self.hi)
         )
-    in_box = (
-        abs(z.real - r.level) <= 0.5 * delta
-        and -0.5 * r.rho1 * sn <= z.imag <= 0.125 * delta * sn
-    )
-    if r.variant == "B1":
-        return in_box
-    return in_box and z.imag >= r.lam.imag - 0.25 * r.rho_n * sn
+        return inside if np.ndim(inside) else bool(inside)
 
 
 def verify_cone_chain(
@@ -168,6 +151,12 @@ def verify_cone_chain(
     Builds the three vertices (quarter-cutoff ahead of each eigenvalue and
     the intermediate one), tests both inclusions by vertex membership, and
     measures the two gap distances against their sine envelopes.
+
+    Only the outer step (v_mid into the cone at v_n1) sees the eigenvalues.
+    v_n and v_mid both sit on the axis through lambda_n, so the inner
+    inclusion and gap_inner / gap_inner_bound = 10 (0.25 - 0.39 rho) / rho
+    depend on the ladder ratio rho alone: 1.1 at rho = 0.5, and below 1, a
+    failing step whatever lambda does, for every rho > 0.25 / 0.49 = 0.510.
     """
     nu, m = cfg.nu, cfg.m_cone
     rho_n = ladder.cutoff(n)

@@ -38,8 +38,10 @@ width higher than physics puts them, so at deep scales they drift into the
 window.  They are identified by their distance to the free soft-branch
 lattice, which is smaller by orders of magnitude than any genuine second
 eigenvalue's displacement, counted separately, and excluded from the
-uniqueness verdict.  At couplings inside the smallness windows the lattice
-never intersects the window and the check is the literal one.
+uniqueness verdict.  The lattice is e_i + exp(-theta) times the free
+energy of every state of the scale basis with a boson, so it holds every
+multiboson sum the basis holds.  At couplings inside the smallness windows
+the lattice never intersects the window and the check is the literal one.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrackingError
-from .geometry import Region, region_contains
+from .fock import field_energy_diagonal
+from .geometry import Box
 from .model import (
     CutoffLadder,
     DiscretizedField,
@@ -216,30 +219,19 @@ def _atomic_vacuum(i: int, dim: int) -> np.ndarray:
     return vec
 
 
-def soft_branch_lattice(cfg: ModelConfig, modes, n_max: int) -> np.ndarray:
-    """Free multiboson branch points e_a + exp(-theta) * (mode-sum).
+def soft_branch_lattice(cfg: ModelConfig, basis) -> np.ndarray:
+    """Free multiboson branch points e_a + exp(-theta) * (free energy).
 
-    Sums run over occupation patterns with 1 .. n_max bosons.  These are
-    the zero-coupling positions of the soft branches; with a total-number
-    truncation the deepest multiboson states keep only an O(g^2 c_soft^2)
-    dressing (their decay channel needs one boson more than the cutoff
-    allows), so the interacting spectrum contains near-copies of this
-    lattice.
+    The free energies are those of the basis states with 1 .. n_max
+    bosons.  These are the zero-coupling positions of the soft branches;
+    with a total-number truncation the deepest multiboson states keep only
+    an O(g^2 c_soft^2) dressing (their decay channel needs one boson more
+    than the cutoff allows), so the interacting spectrum contains
+    near-copies of this lattice.
     """
-    freqs = modes.frequencies
-    sums = [freqs]
-    if n_max >= 2:
-        pair = freqs[:, None] + freqs[None, :]
-        sums.append(pair[np.triu_indices(len(freqs))])
-    if n_max >= 3:
-        pair = sums[1]
-        triple = (pair[:, None] + freqs[None, :]).ravel()
-        sums.append(np.unique(np.round(triple, 14)))
-    all_sums = np.concatenate(sums)
+    energies = field_energy_diagonal(basis)[1:]  # state 0 is the vacuum
     phase = np.exp(-cfg.theta)
-    return np.concatenate(
-        [cfg.e0 + phase * all_sums, cfg.e1 + phase * all_sums]
-    )
+    return np.concatenate([cfg.e0 + phase * energies, cfg.e1 + phase * energies])
 
 
 def soft_branch_tolerance(
@@ -259,25 +251,24 @@ def soft_branch_tolerance(
 
 
 def soft_branch_mask(
-    cfg: ModelConfig, modes, n_max: int, zs, max_freq: float | None = None
+    cfg: ModelConfig, basis, zs, max_freq: float | None = None
 ) -> np.ndarray:
     """Which of ``zs`` lie within the soft-branch tolerance of the lattice.
 
     The lattice and the tolerance (``soft_branch_tolerance`` with
-    ``max_freq``) come from ``modes``; each point is compared with the
+    ``max_freq``) come from ``basis``; each point is compared with the
     whole lattice in turn, so no len(zs) x len(lattice) array is formed.
     """
-    if len(zs) == 0:
-        return np.zeros(0, dtype=bool)
-    lattice = soft_branch_lattice(cfg, modes, n_max)
-    tol = soft_branch_tolerance(cfg, modes, max_freq)
+    lattice = soft_branch_lattice(cfg, basis)
+    if len(zs) == 0 or len(lattice) == 0:
+        return np.zeros(len(zs), dtype=bool)
+    tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
     return np.array([np.min(np.abs(lattice - z)) <= tol for z in zs], dtype=bool)
 
 
 def _classify_window_spectrum(
     cfg: ModelConfig,
-    modes,
-    n_max: int,
+    basis,
     window_eigs: np.ndarray,
     lam: complex,
     window_height: float,
@@ -288,36 +279,9 @@ def _classify_window_spectrum(
     than the tracked one.
     """
     others = [z for z in window_eigs if abs(z - lam) > 1e-12 * max(1.0, abs(lam))]
-    soft = soft_branch_mask(
-        cfg, modes, n_max, others, window_height / np.sin(cfg.nu)
-    )
+    soft = soft_branch_mask(cfg, basis, others, window_height / np.sin(cfg.nu))
     n_soft = int(np.count_nonzero(soft))
     return n_soft, len(others) - n_soft
-
-
-def _window_region(cfg: ModelConfig, ladder: CutoffLadder, i: int, n: int, lam):
-    return Region(
-        "Wn",
-        e0=cfg.e0,
-        e1=cfg.e1,
-        nu=cfg.nu,
-        i=i,
-        rho_n=ladder.cutoff(n),
-        lam=complex(lam),
-    )
-
-
-def _box_region(cfg: ModelConfig, ladder: CutoffLadder, i: int, n: int, lam):
-    return Region(
-        "Bn",
-        e0=cfg.e0,
-        e1=cfg.e1,
-        nu=cfg.nu,
-        i=i,
-        rho1=ladder.cutoff(1),
-        rho_n=ladder.cutoff(n),
-        lam=complex(lam),
-    )
 
 
 def run_ladder(
@@ -367,7 +331,7 @@ def run_ladder(
 
     for n in range(1, n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
-        modes = field_disc.modes_for_scale(n)
+        basis = field_disc.basis_for_scale(n)
         all_eigs = np.concatenate(
             parallel_map(lambda s: s.eigvals, H.sectors.values(), jobs)
         )
@@ -378,9 +342,7 @@ def run_ladder(
             eigs=all_eigs,
         )
         if samples_per_scale:
-            starved = all_eigs[
-                soft_branch_mask(cfg, modes, field_disc.n_max, all_eigs)
-            ]
+            starved = all_eigs[soft_branch_mask(cfg, basis, all_eigs)]
         for i in levels:
             seed_lam = prev_lam[i]
             nearest = complex(all_eigs[np.argmin(np.abs(all_eigs - seed_lam))])
@@ -406,18 +368,13 @@ def run_ladder(
             u_g = record.right_vector
             l_g = record.left_vector
 
-            window = _window_region(cfg, ladder, i, n, lam)
-            box = _box_region(cfg, ladder, i, n, lam)
-            in_window = np.array(
-                [z for z in all_eigs if region_contains(window, z)]
-            )
+            window = Box.wn(cfg, i, rho_n, lam)
+            box = Box.bn(cfg, i, ladder.cutoff(1), rho_n, lam)
+            in_window = all_eigs[window.contains(all_eigs)]
             count_w = len(in_window)
-            count_b = int(sum(region_contains(box, z) for z in all_eigs))
-            height = 0.125 * cfg.delta * np.sin(cfg.nu) - (
-                lam.imag - 0.25 * rho_n * np.sin(cfg.nu)
-            )
+            count_b = int(np.count_nonzero(box.contains(all_eigs)))
             n_soft, n_bad = _classify_window_spectrum(
-                cfg, modes, field_disc.n_max, in_window, lam, height
+                cfg, basis, in_window, lam, window.hi - window.lo
             )
 
             data = LevelScaleData(
@@ -445,13 +402,12 @@ def run_ladder(
                 )
             else:
                 data.p1_gap = abs(lam - prev_lam[i])
-                u_prev = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][0])
-                l_prev = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][1])
-                data.p3_gap = rank_two_difference_norm(u_g, l_g, u_prev, l_prev)
+                # the probes are the previous scale's vectors, embedded
+                data.p3_gap = rank_two_difference_norm(u_g, l_g, probe, left_probe)
             if samples_per_scale:
                 zs = _sample_window(
-                    rng, cfg, ladder, i, n, lam, contour_radius,
-                    samples_per_scale, avoid=starved, avoid_radius=0.1 * rho_n,
+                    rng, window, lam, contour_radius, samples_per_scale,
+                    avoid=starved, avoid_radius=0.1 * rho_n,
                 )
                 data.p4 = _p4_entry(H, proj, zs, lam, rho_n)
             rec.levels[i] = data
@@ -567,30 +523,21 @@ def check_p3(trace: MultiscaleTrace, cfg: ModelConfig, ladder: CutoffLadder,
 
 def _sample_window(
     rng: np.random.Generator,
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    i: int,
-    n: int,
+    window: Box,
     lam: complex,
     contour_radius: float,
     count: int,
     avoid: np.ndarray | None = None,
     avoid_radius: float = 0.0,
 ) -> list:
-    """Stratified samples of the scale-n window, denser near the contour.
+    """Stratified samples of a scale's window, denser near the contour.
 
     Points closer than ``avoid_radius`` to any element of ``avoid`` (the
     truncation-artifact eigenvalues) are rejected.
     """
-    region = _window_region(cfg, ladder, i, n, lam)
-    level = cfg.e1 if i == 1 else cfg.e0
-    delta = cfg.delta
-    sn = np.sin(cfg.nu)
-    lo_im = lam.imag - 0.25 * ladder.cutoff(n) * sn
-    hi_im = 0.125 * delta * sn
 
     def ok(z: complex) -> bool:
-        if not region_contains(region, z):
+        if not window.contains(z):
             return False
         if avoid is not None and len(avoid) and avoid_radius > 0.0:
             if np.min(np.abs(avoid - z)) < avoid_radius:
@@ -603,8 +550,9 @@ def _sample_window(
     while len(out) < n_uniform and guard < 100 * count:
         guard += 1
         z = complex(
-            rng.uniform(level - 0.5 * delta, level + 0.5 * delta),
-            rng.uniform(lo_im, hi_im),
+            rng.uniform(window.level - window.half_width,
+                        window.level + window.half_width),
+            rng.uniform(window.lo, window.hi),
         )
         if ok(z) and abs(z - lam) > 0.25 * contour_radius:
             out.append(z)

@@ -226,6 +226,50 @@ class TestMain:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand, section, values",
+        [
+            ("resolvent-scan", "run", {"n_samples": "many"}),
+            ("cone-check", "run", {"cone_tol": "x"}),
+            ("ladder", "discretization", {"points_per_shell": "x"}),
+            ("ladder", "run", {"quad_points": 0}),
+            ("cone-check", "run", {"levels": [2]}),
+            ("cone-check", "run", {"levels": []}),
+            ("ladder", "run", {"samples_per_scale": -3}),
+            ("verify-appendix", "run", {"trials": 0}),
+            ("g-circle", "run", {"g_circle": {"sampels": 4}}),
+        ],
+    )
+    def test_bad_run_value_stops_before_work(
+        self, tmp_path, capsys, subcommand, section, values
+    ):
+        """Each bad value is a configuration error: exit 2, nothing written."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text(**{section: values}))
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "subcommand, report", [("ladder", "trace.json"),
+                               ("feasibility", "feasibility.json")]
+    )
+    def test_theta_near_cap_runs(self, tmp_path, capsys, subcommand, report):
+        """The default theta orbit may leave the strip; only theta-scan uses it."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text(model={"theta": [0.0, 0.36]}))
+        out = tmp_path / "out"
+        code = main([subcommand, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 1)
+        assert "configuration error" not in capsys.readouterr().err
+        assert (out / report).exists()
+
+    def test_given_theta_list_checked_at_parse(self):
+        with pytest.raises(ConfigError):
+            parse_config(config_text(run={"theta_list": [[0, 0.2], [0, 0.3], [0, 0.5]]}))
+
 
 class TestConeCheckDispatch:
     def test_stress_case_nonzero_exit(self, tmp_path):
@@ -316,7 +360,7 @@ class TestVerifyAppendix:
     def per_trial_reference(rc) -> tuple[dict, list]:
         """The report and the amplitudes of a one-vector-per-call loop."""
         rng = np.random.default_rng(rc.seed)
-        trials = rc.raw["run"]["trials"]
+        trials = rc.trials
         violations, drawn, total = [], [], 0
         for n_modes, n_max in [(4, 2), (6, 3), (8, 2)]:
             freqs = np.sort(rng.uniform(0.05, 3.0, size=n_modes))
@@ -423,11 +467,11 @@ def test_cli_import_skips_optimize_and_special():
 
 # the package's exports, each of which must resolve on ``spinboson``
 EXPORTS = [
-    "AssemblyError", "BasisSizeError", "Cone", "ConfigError",
+    "AssemblyError", "BasisSizeError", "Box", "Cone", "ConfigError",
     "ContourCollisionError", "ConvergenceError", "CutoffLadder",
     "DegeneracyError", "DiscretizedField", "FeasibilityReport", "FockBasis",
     "InvarianceReport", "ModeSet", "ModelConfig", "MultiscaleTrace",
-    "OperatorMatrix", "Region", "RieszProjector", "ShiftedSolver",
+    "OperatorMatrix", "RieszProjector", "ShiftedSolver",
     "SingularShiftError", "SpectralRecord", "SpinBosonError", "TrackingError",
     "assemble_hamiltonian", "basis_dimension", "build_field_operator",
     "check_inequalities", "check_p1", "check_p2_p4", "check_p3",
@@ -435,7 +479,7 @@ EXPORTS = [
     "diagnostics", "dist_to_cone", "enumerate_basis", "errors",
     "extrapolate_limit", "fermi_golden_rule", "fock", "form_factor",
     "g_analyticity_check", "geometry", "golden_rule_coefficient",
-    "interaction_norm_bound", "model", "multiscale", "region_contains",
+    "interaction_norm_bound", "model", "multiscale",
     "resolvent_cone_bound_check", "resolvent_norm", "resolvent_scan",
     "riesz_rank_one", "run_ladder", "second_order_eigenvalue",
     "shell_norm_report", "spectral", "spectrum_cone_check",

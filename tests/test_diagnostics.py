@@ -220,6 +220,22 @@ class TestSpectrumConeCheck:
                 assert row["gap_inner"] >= row["gap_inner_bound"]
                 assert row["gap_outer"] >= row["gap_outer_bound"]
 
+    def test_inner_step_ratio_depends_on_rho_alone(self, coarse):
+        """v_n and v_mid lie on one axis, so the inner step's gap over its
+        bound is 10 (0.25 - 0.39 rho) / rho, 1.1 at rho = 0.5, in every row
+        of ladders whose lambda differ."""
+        cfg, lad, field = coarse
+        lams, ratios = [], []
+        for g in (0.05, 0.08):
+            cfg_g = cfg.replace(g=g)
+            trace = run_ladder(cfg_g, lad, field, levels=(1,))
+            rep = spectrum_cone_check(cfg_g, lad, field, trace, tol=5e-3, levels=(1,))
+            lams.append(trace.scales[-1].levels[1].lam)
+            ratios += [r["gap_inner"] / r["gap_inner_bound"] for r in rep["chain"][1]]
+        assert abs(lams[1] - lams[0]) > 1e-4
+        assert lad.rho == 0.5
+        assert ratios == pytest.approx([1.1] * 4, rel=1e-9)
+
     def test_oversized_step_fails_with_witness(self, coarse):
         """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 fails the check."""
         cfg, lad, field = coarse

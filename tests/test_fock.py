@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from spinboson import (
     AssemblyError,
     BasisSizeError,
+    CutoffLadder,
+    DiscretizedField,
     ModeSet,
     basis_dimension,
     build_field_operator,
@@ -82,16 +84,70 @@ def recursive_count(n_modes: int, budget: int) -> int:
     return sum(recursive_count(n_modes - 1, budget - k) for k in range(budget + 1))
 
 
+def occupation(basis, i: int) -> tuple:
+    return tuple(int(x) for x in basis.states[i])
+
+
+def index_of(basis, occ) -> int:
+    return int(basis.indices_of([occ])[0])
+
+
+# The recursive enumeration, the tuple-keyed index map and the per-state
+# lowering loop that the array routes replaced, kept as oracles.
+
+
+def recursive_compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def oracle_states(n_modes: int, n_max: int) -> list:
+    return [
+        s for total in range(n_max + 1) for s in recursive_compositions(total, n_modes)
+    ]
+
+
+def oracle_lowering(states: list) -> tuple:
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, mode_ix, amps = [], [], [], []
+    for col, occ in enumerate(states):
+        for j in np.nonzero(occ)[0]:
+            lowered = list(occ)
+            lowered[j] -= 1
+            rows.append(index[tuple(lowered)])
+            cols.append(col)
+            mode_ix.append(j)
+            amps.append(np.sqrt(float(occ[j])))
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(mode_ix, dtype=np.int64),
+        np.array(amps, dtype=float),
+    )
+
+
+def assert_matches_oracles(basis) -> None:
+    states = oracle_states(basis.modes.n_modes, basis.n_max)
+    assert basis.states.dtype == np.int32
+    assert np.array_equal(basis.states, np.array(states, dtype=np.int32))
+    for got, want in zip(basis.lowering_triples(), oracle_lowering(states)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestEnumerateBasis:
     def test_single_mode_ladder(self):
         basis = enumerate_basis(modes_of([1.0]), 2)
         assert basis.dim == 3
-        assert [basis.state(i) for i in range(3)] == [(0,), (1,), (2,)]
+        assert [occupation(basis, i) for i in range(3)] == [(0,), (1,), (2,)]
 
     def test_vacuum_sector(self):
         basis = enumerate_basis(modes_of([1.0, 2.0, 3.0]), 0)
         assert basis.dim == 1
-        assert basis.state(0) == (0, 0, 0)
+        assert occupation(basis, 0) == (0, 0, 0)
 
     def test_three_modes_two_bosons(self):
         basis = enumerate_basis(modes_of([1.0, 2.0, 3.0]), 2)
@@ -109,13 +165,13 @@ class TestEnumerateBasis:
 
     def test_index_maps_are_inverse_bijections(self):
         basis = enumerate_basis(modes_of([0.5, 1.0, 2.0]), 3)
-        for i in range(basis.dim):
-            assert basis.index_of(basis.state(i)) == i
-        assert len(basis.index) == basis.dim
+        assert np.array_equal(basis.indices_of(basis.states), np.arange(basis.dim))
+        assert len(np.unique(basis.states, axis=0)) == basis.dim
 
     def test_sorted_by_total_then_lex(self):
         basis = enumerate_basis(modes_of([1.0, 2.0]), 2)
-        keys = [(sum(basis.state(i)), basis.state(i)) for i in range(basis.dim)]
+        keys = [(sum(occupation(basis, i)), occupation(basis, i))
+                for i in range(basis.dim)]
         assert keys == sorted(keys)
 
     def test_size_cap_refused_with_report(self):
@@ -128,6 +184,21 @@ class TestEnumerateBasis:
     @settings(max_examples=25, deadline=None)
     def test_dimension_property(self, m, n_max):
         assert basis_dimension(m, n_max) == recursive_count(m, n_max)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_states_and_lowering_match_oracles(self, m):
+        """Layer arrays and one lookup give the recursive route's states and
+        its per-state lowering triples exactly, order included."""
+        modes = modes_of(np.arange(1.0, m + 1.0))
+        for n_max in range(5):
+            assert_matches_oracles(enumerate_basis(modes, n_max))
+
+    def test_readme_grid_scale_matches_oracles(self):
+        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), 6,
+                                 points_per_shell=8, r_max=4.0, n_max=2)
+        basis = field.basis_for_scale(6)
+        assert basis.dim == 2145
+        assert_matches_oracles(basis)
 
 
 class TestFieldEnergy:
@@ -145,7 +216,7 @@ class TestFieldEnergy:
     def test_two_mode_sum(self):
         # one boson at omega = 1 plus two at omega = 0.5 carries energy 2
         basis = enumerate_basis(modes_of([0.5, 1.0]), 3)
-        i = basis.index_of((2, 1))
+        i = index_of(basis, (2, 1))
         assert build_field_energy(basis)[i, i] == pytest.approx(2.0)
 
     def test_commutes_with_occupation_projectors(self, rng):
@@ -171,8 +242,8 @@ class TestLadderOperators:
         basis = enumerate_basis(modes_of([1.0, 2.0]), 1)
         a = build_annihilation(basis, [1.0, 1.0j])
         expected = np.zeros((3, 3), dtype=complex)
-        expected[0, basis.index_of((1, 0))] = 1.0  # conj(1)
-        expected[0, basis.index_of((0, 1))] = -1.0j  # conj(i)
+        expected[0, index_of(basis, (1, 0))] = 1.0  # conj(1)
+        expected[0, index_of(basis, (0, 1))] = -1.0j  # conj(i)
         assert np.allclose(a, expected)
 
     def test_creation_is_adjoint(self, rng):

@@ -1,4 +1,4 @@
-"""Cones, regions, distances, and the nested-cone step."""
+"""Cones, level boxes, distances, and the nested-cone step."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from spinboson import (
+    Box,
     Cone,
     ConfigError,
+    CutoffLadder,
     ModelConfig,
-    Region,
     cone_contains,
     dist_to_cone,
-    region_contains,
     verify_cone_chain,
 )
 from spinboson.geometry import cone_complement_distance
@@ -135,33 +135,100 @@ class TestConeDistance:
             assert d >= 0.0
 
 
+def literal_contains(variant, cfg, i, z, rho1=None, rho_n=None, lam=None) -> bool:
+    """The defining inequalities of B1, Bn and Wn, evaluated one by one on a
+    single number: the region test the boxes replaced, kept as an oracle."""
+    z = complex(z)
+    delta = cfg.e1 - cfg.e0
+    level = cfg.e1 if i == 1 else cfg.e0
+    sn = np.sin(cfg.nu)
+    if variant == "Wn":
+        return (
+            abs(z.real - level) <= 0.5 * delta
+            and lam.imag - 0.25 * rho_n * sn <= z.imag <= 0.125 * delta * sn
+        )
+    in_box = (
+        abs(z.real - level) <= 0.5 * delta
+        and -0.5 * rho1 * sn <= z.imag <= 0.125 * delta * sn
+    )
+    if variant == "B1":
+        return in_box
+    return in_box and z.imag >= lam.imag - 0.25 * rho_n * sn
+
+
+def nudged(x: float) -> list:
+    """x and its two floating-point neighbours."""
+    return [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+
+
+def box_cfg(nu: float) -> ModelConfig:
+    return ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=1j * nu)
+
+
 class TestRegions:
     def test_b1_box(self):
-        r = Region("B1", e0=0.0, e1=1.0, nu=0.15, i=1, rho1=0.2)
-        assert region_contains(r, 1.0 + 0.01j)
-        assert not region_contains(r, 1.6)
-        assert not region_contains(r, 1.0 - 1j)
+        box = Box.b1(box_cfg(0.15), 1, 0.2)
+        assert box.contains(1.0 + 0.01j)
+        assert not box.contains(1.6)
+        assert not box.contains(1.0 - 1j)
 
     def test_bn_floor_anchored(self):
         lam = 1.0 - 0.001j
-        r = Region("Bn", e0=0.0, e1=1.0, nu=NU, i=1, rho1=0.2, rho_n=0.05,
-                   lam=lam)
+        box = Box.bn(box_cfg(NU), 1, 0.2, 0.05, lam)
         floor = lam.imag - 0.25 * 0.05 * np.sin(NU)
-        assert region_contains(r, 1.0 + 1j * (floor + 1e-6))
-        assert not region_contains(r, 1.0 + 1j * (floor - 1e-6))
+        assert box.contains(1.0 + 1j * (floor + 1e-6))
+        assert not box.contains(1.0 + 1j * (floor - 1e-6))
 
     def test_wn_window_ignores_b1_floor(self):
         lam = 1.0 - 0.02j  # below the B1 floor for this rho1
-        r = Region("Wn", e0=0.0, e1=1.0, nu=NU, i=1, rho_n=0.05, lam=lam)
-        assert region_contains(r, lam)
+        assert Box.wn(box_cfg(NU), 1, 0.05, lam).contains(lam)
+        assert not Box.bn(box_cfg(NU), 1, 0.2, 0.05, lam).contains(lam)
 
-    def test_missing_parameters_rejected(self):
-        with pytest.raises(ConfigError, match="rho1"):
-            Region("B1", e0=0.0, e1=1.0, nu=NU, i=1)
-        with pytest.raises(ConfigError, match="lam"):
-            Region("Bn", e0=0.0, e1=1.0, nu=NU, i=1, rho1=0.2, rho_n=0.05)
-        with pytest.raises(ConfigError):
-            Region("XX", e0=0.0, e1=1.0, nu=NU)
+    # (variant, rho1, rho_n, lam): Bn with its eigenvalue inside and below
+    # the B1 floor, so either floor decides
+    CASES = [
+        ("B1", 0.2, None, None),
+        ("Bn", 0.2, 0.05, 1.0 - 0.001j),
+        ("Bn", 0.2, 0.05, 1.0 - 0.02j),
+        ("Wn", None, 0.05, 1.0 - 0.001j),
+        ("Wn", None, 0.05, 1.0 - 0.02j),
+    ]
+
+    @staticmethod
+    def build(variant, cfg, i, rho1, rho_n, lam) -> Box:
+        if variant == "B1":
+            return Box.b1(cfg, i, rho1)
+        if variant == "Bn":
+            return Box.bn(cfg, i, rho1, rho_n, lam)
+        return Box.wn(cfg, i, rho_n, lam)
+
+    @pytest.mark.parametrize("variant, rho1, rho_n, lam", CASES)
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_contains_matches_literal_inequalities(
+        self, rng, variant, rho1, rho_n, lam, i
+    ):
+        cfg = box_cfg(NU)
+        lam = None if lam is None else lam - 1.0 + (cfg.e1 if i == 1 else cfg.e0)
+        box = self.build(variant, cfg, i, rho1, rho_n, lam)
+        # random points around the box and points exactly on every edge and
+        # one ulp outside it
+        random = (box.level + rng.uniform(-0.8, 0.8, 2000)
+                  + 1j * rng.uniform(-0.05, 0.05, 2000))
+        left, right = box.level - box.half_width, box.level + box.half_width
+        mid = 0.5 * (box.lo + box.hi)
+        edges = [complex(re, mid) for x in (left, right) for re in nudged(x)]
+        edges += [complex(box.level, im) for y in (box.lo, box.hi) for im in nudged(y)]
+        edges += [complex(re, im) for re in (left, right) for im in (box.lo, box.hi)]
+        zs = np.concatenate([random, edges])
+        want = [
+            literal_contains(variant, cfg, i, z, rho1=rho1, rho_n=rho_n, lam=lam)
+            for z in zs
+        ]
+        mask = box.contains(zs)
+        assert mask.dtype == bool and mask.tolist() == want
+        assert [box.contains(z) for z in zs] == want
+        assert all(type(box.contains(z)) is bool for z in edges)
+        assert 0 < sum(want) < len(want)
 
 
 class TestConeChain:
@@ -188,6 +255,18 @@ class TestConeChain:
         rep = verify_cone_chain(lam, bad, ladder, n, chain_cfg)
         assert not rep["pass"]
         assert "witness" in rep
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.51, 0.52, 0.6])
+    def test_inner_step_sees_rho_only(self, chain_cfg, rho):
+        """gap_inner / bound = 10 (0.25 - 0.39 rho) / rho for any lambda, so
+        every step fails once rho > 0.25 / 0.49 = 0.5102, even a still one."""
+        lad = CutoffLadder(0.25, rho, e1=1.0)
+        for lam in (1.0 - 0.001j, 0.02 - 0.3j):
+            for n in (1, 3):
+                rep = verify_cone_chain(lam, lam, lad, n, chain_cfg)
+                ratio = rep["gap_inner"] / rep["gap_inner_bound"]
+                assert ratio == pytest.approx(10 * (0.25 - 0.39 * rho) / rho, rel=1e-9)
+                assert rep["pass"] == (rho <= 0.25 / 0.49)
 
     def test_gap_bounds_quantitative(self, chain_cfg, ladder):
         lam = 1.0 - 0.001j

@@ -246,23 +246,23 @@ class TestDiscretizedField:
         # embedded states put zero occupation on the new shell
         new_modes = np.nonzero(big.modes.labels == 3)[0]
         for i in (0, 1, small.dim - 1):
-            occ = np.array(big.state(emb[i]))
-            assert np.all(occ[new_modes] == 0)
+            assert np.all(big.states[emb[i], new_modes] == 0)
 
     def test_embedding_matches_per_state_loop(self, ladder):
-        """The vectorised lookup gives the per-state index_of loop's maps."""
+        """The vectorised lookup gives a per-state loop over a tuple map."""
         field = DiscretizedField(ladder, 3, points_per_shell=2, r_max=4.0,
                                  n_max=3, uv_points_per_panel=2)
         for n_small in range(1, 4):
             for n_big in range(n_small, 4):
                 small = field.basis_for_scale(n_small)
                 big = field.basis_for_scale(n_big)
+                index = {tuple(s): i for i, s in enumerate(big.states.tolist())}
                 pos = np.searchsorted(big.modes.frequencies, small.modes.frequencies)
                 expected = []
                 for occ in small.states:
                     full = np.zeros(big.modes.n_modes, dtype=np.int64)
                     full[pos] = occ
-                    expected.append(big.index_of(full))
+                    expected.append(index[tuple(full.tolist())])
                 emb = field.embedding_indices(n_small, n_big)
                 assert emb.dtype == np.int64
                 assert np.array_equal(emb, expected)

@@ -1,17 +1,20 @@
 """Infrared ladder on small grids: tracking, induction checks, limits."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
 
 from spinboson import (
+    Box,
     ModelConfig,
     TrackingError,
     assemble_hamiltonian,
     check_p1,
     check_p2_p4,
     check_p3,
+    enumerate_basis,
     extrapolate_limit,
     run_ladder,
 )
@@ -174,13 +177,12 @@ class TestReassemblyOracle:
         for rec in trace.scales:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
             eigs = np.concatenate([s.eigvals for s in H.sectors.values()])
-            starved = eigs[
-                soft_branch_mask(cfg, field.modes_for_scale(rec.n), field.n_max, eigs)
-            ]
+            starved = eigs[soft_branch_mask(cfg, field.basis_for_scale(rec.n), eigs)]
             for i, data in rec.levels.items():
                 zs = _sample_window(
-                    rng, cfg, lad, i, rec.n, data.lam, rec.contour_radius,
-                    P4_SAMPLES, avoid=starved, avoid_radius=0.1 * rec.rho_n,
+                    rng, Box.wn(cfg, i, rec.rho_n, data.lam), data.lam,
+                    rec.contour_radius, P4_SAMPLES, avoid=starved,
+                    avoid_radius=0.1 * rec.rho_n,
                 )
                 samples = data.p4["samples"]
                 assert [complex(*s["z"]) for s in samples] == zs
@@ -244,13 +246,69 @@ class TestGridSelfConsistency:
         assert abs(lams[1] - lams[0]) < 5e-3
 
 
+def hand_built_lattice(cfg, modes, n_max: int) -> np.ndarray:
+    """The 1-, 2- and 3-boson mode sums the lattice was once built from by
+    hand, kept as an oracle; it has no sums of four or more bosons."""
+    freqs = modes.frequencies
+    sums = [freqs]
+    if n_max >= 2:
+        pair = freqs[:, None] + freqs[None, :]
+        sums.append(pair[np.triu_indices(len(freqs))])
+    if n_max >= 3:
+        triple = (sums[1][:, None] + freqs[None, :]).ravel()
+        sums.append(np.unique(np.round(triple, 14)))
+    all_sums = np.concatenate(sums)
+    phase = np.exp(-cfg.theta)
+    return np.concatenate([cfg.e0 + phase * all_sums, cfg.e1 + phase * all_sums])
+
+
+def max_distance(points: np.ndarray, lattice: np.ndarray) -> float:
+    """Largest distance from a point of ``points`` to ``lattice``."""
+    return float(np.max(np.min(np.abs(points[:, None] - lattice[None, :]), axis=1)))
+
+
 class TestSoftBranchLattice:
     def test_lattice_contains_single_and_pairs(self, cfg, small_field):
-        modes = small_field.modes_for_scale(1)
-        lattice = soft_branch_lattice(cfg, modes, 2)
+        basis = small_field.basis_for_scale(1)
+        modes = basis.modes
+        lattice = soft_branch_lattice(cfg, basis)
         phase = np.exp(-cfg.theta)
         probe = cfg.e1 + phase * (modes.frequencies[0] + modes.frequencies[1])
         assert np.min(np.abs(lattice - probe)) < 1e-14
+
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_equals_hand_built_sums_up_to_two_bosons(self, cfg, small_field, n_max):
+        modes = small_field.modes_for_scale(2)
+        lattice = soft_branch_lattice(cfg, enumerate_basis(modes, n_max))
+        old = hand_built_lattice(cfg, modes, n_max)
+        assert set(lattice.tolist()) == set(old.tolist())
+
+    def test_empty_without_bosons(self, cfg, small_field):
+        """At n_max = 0 the basis is the vacuum alone (the hand-built sums
+        held the single bosons even there)."""
+        basis = enumerate_basis(small_field.modes_for_scale(2), 0)
+        assert soft_branch_lattice(cfg, basis).shape == (0,)
+        assert not soft_branch_mask(cfg, basis, [cfg.e0, cfg.e1]).any()
+
+    def test_agrees_with_hand_built_sums_at_three_bosons(self, cfg, small_field):
+        modes = small_field.modes_for_scale(2)
+        lattice = soft_branch_lattice(cfg, enumerate_basis(modes, 3))
+        old = hand_built_lattice(cfg, modes, 3)
+        assert max_distance(lattice, old) <= 1e-14
+        assert max_distance(old, lattice) <= 1e-14
+
+    def test_holds_every_four_boson_energy(self, cfg, small_field):
+        """The hand-built sums stopped at three bosons; the basis does not."""
+        modes = small_field.modes_for_scale(2)
+        lattice = soft_branch_lattice(cfg, enumerate_basis(modes, 4))
+        sums = np.array([
+            sum(modes.frequencies[list(c)])
+            for c in itertools.combinations_with_replacement(range(modes.n_modes), 4)
+        ])
+        phase = np.exp(-cfg.theta)
+        four = np.concatenate([cfg.e0 + phase * sums, cfg.e1 + phase * sums])
+        assert max_distance(four, lattice) <= 1e-14
+        assert max_distance(four, hand_built_lattice(cfg, modes, 4)) > 1e-3
 
     def test_tolerance_scales_with_coupling(self, cfg, small_field):
         modes = small_field.modes_for_scale(1)
@@ -260,16 +318,16 @@ class TestSoftBranchLattice:
 
     @pytest.mark.parametrize("max_freq", [None, 0.3])
     def test_mask_matches_pointwise_distance(self, cfg, small_field, rng, max_freq):
-        modes = small_field.modes_for_scale(2)
-        lattice = soft_branch_lattice(cfg, modes, 2)
-        tol = soft_branch_tolerance(cfg, modes, max_freq)
+        basis = small_field.basis_for_scale(2)
+        lattice = soft_branch_lattice(cfg, basis)
+        tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
         near = lattice[::3] + 0.5 * tol * np.exp(
             2j * np.pi * rng.uniform(size=len(lattice[::3]))
         )
         far = lattice[1::3] + 3.0 * tol
         zs = np.concatenate([near, far, rng.uniform(0, 2, 20) - 0.01j])
         want = [np.min(np.abs(lattice - z)) <= tol for z in zs]
-        got = soft_branch_mask(cfg, modes, 2, zs, max_freq)
+        got = soft_branch_mask(cfg, basis, zs, max_freq)
         assert got.dtype == bool and got.tolist() == want
         assert got[: len(near)].all()
-        assert soft_branch_mask(cfg, modes, 2, []).shape == (0,)
+        assert soft_branch_mask(cfg, basis, []).shape == (0,)
