@@ -57,6 +57,7 @@ _EXPORTS = {
     ),
     "multiscale": (
         "MultiscaleTrace",
+        "SpectralCensus",
         "check_p1",
         "check_p2_p4",
         "check_p3",

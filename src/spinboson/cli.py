@@ -32,6 +32,7 @@ from .constants import C_GENERIC_MIN, check_inequalities, compute_constants
 from .errors import ConfigError, SpinBosonError
 from .fock import ModeSet, enumerate_basis, verify_standard_estimates
 from .model import (
+    IM_THETA_CAP,
     CutoffLadder,
     DiscretizedField,
     ModelConfig,
@@ -214,8 +215,7 @@ def parse_config(text: str) -> RunConfig:
     uv = disc_doc.get("uv_points_per_panel")
     g, theta = model.g, model.theta
     # an absent or empty list takes the default; only a given orbit is
-    # checked here, as the default may leave the dilation strip and only
-    # ``theta-scan`` uses it
+    # checked here; the default steps down where up would leave the strip
     g_list = run_doc.get("g_list")
     g_list = _complex_list(g_list, "g_list") if g_list else [g, g / 2]
     theta_list = run_doc.get("theta_list")
@@ -224,7 +224,8 @@ def parse_config(text: str) -> RunConfig:
         for t in theta_list:
             model.validate_theta(t)
     else:
-        theta_list = [theta, theta + 0.025j, theta + 0.05j]
+        step = 0.025j if theta.imag + 0.05 < IM_THETA_CAP else -0.025j
+        theta_list = [theta, theta + step, theta + 2 * step]
     circle = _section(run_doc, "g_circle", ("center", "radius", "samples", "tol"))
     levels = run_doc.get("levels", [0, 1])
     if (

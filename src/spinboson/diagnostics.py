@@ -31,12 +31,7 @@ from .model import (
     coupling_amplitudes,
     form_factor,
 )
-from .multiscale import (
-    MultiscaleTrace,
-    run_ladder,
-    soft_branch_mask,
-    soft_branch_tolerance,
-)
+from .multiscale import MultiscaleTrace, run_ladder, soft_branch_tolerance
 from .spectral import resolvent_scan, shifted_inverse_eigenvalue
 
 # Grid refinement of the theta-invariance budget: points per shell and per
@@ -370,7 +365,7 @@ def g_analyticity_check(
 
 
 def _full_grid_scale(trace: MultiscaleTrace, field_disc: DiscretizedField):
-    """The ladder's last scale and its sorted spectrum.
+    """The ladder's last scale and its spectral census.
 
     That scale must be the full grid's, so its operator is the one the
     cone checks are about; a ladder stopped earlier raises TrackingError.
@@ -381,7 +376,7 @@ def _full_grid_scale(trace: MultiscaleTrace, field_disc: DiscretizedField):
             f"the ladder stopped at scale {last.n}; the cone checks need the "
             f"full grid's scale {field_disc.n_scales}"
         )
-    return last, trace.spectrum(last.n)
+    return last, last.census
 
 
 def spectrum_cone_check(
@@ -412,11 +407,11 @@ def spectrum_cone_check(
     """
     m = cfg.m_cone if m is None else m
     cone_cfg = cfg.replace(m_cone=m)  # the chain's cones have the same shape
-    last, eigs = _full_grid_scale(trace, field_disc)
-    basis = field_disc.basis_for_scale(None)
+    last, census = _full_grid_scale(trace, field_disc)
+    modes = field_disc.modes_for_scale(None)
     box = Box.b1(cfg, 1, ladder.cutoff(1))  # every level's box is as high
     max_freq = (box.hi - box.lo) / np.sin(cfg.nu)
-    branch_tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
+    branch_tol = soft_branch_tolerance(cfg, modes, max_freq)
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
                  "branch_tol": branch_tol}
     for i in levels:
@@ -424,8 +419,8 @@ def spectrum_cone_check(
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, m)
-        in_box = eigs[Box.b1(cfg, i, ladder.cutoff(1)).contains(eigs)]
-        soft = soft_branch_mask(cfg, basis, in_box, max_freq)
+        in_box, lattice_dist = census.in_box(Box.b1(cfg, i, ladder.cutoff(1)))
+        soft = lattice_dist <= branch_tol
         rows = []
         violations = []
         n_starved = 0
@@ -488,7 +483,7 @@ def resolvent_cone_bound_check(
     skipped and counted as well.
     """
     m = cfg.m_cone if m is None else m
-    last, eigs = _full_grid_scale(trace, field_disc)
+    last, census = _full_grid_scale(trace, field_disc)
     lam1 = complex(last.levels[1].lam)
     rho_last = ladder.cutoff(field_disc.n_scales)
     shift = 2.0 * rho_last ** (1.0 + cfg.mu / 4.0)
@@ -499,9 +494,9 @@ def resolvent_cone_bound_check(
 
     rng = np.random.default_rng(seed)
     H = assemble_hamiltonian(cfg, field_disc, n=None)
-    in_box = eigs[box.contains(eigs)]
-    basis = field_disc.basis_for_scale(None)
-    starved = in_box[soft_branch_mask(cfg, basis, in_box)]
+    in_box, lattice_dist = census.in_box(box)
+    modes = field_disc.modes_for_scale(None)
+    starved = in_box[lattice_dist <= soft_branch_tolerance(cfg, modes)]
 
     def near_artifact(z: complex) -> bool:
         return len(starved) > 0 and bool(

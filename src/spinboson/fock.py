@@ -237,21 +237,17 @@ class Sector:
     dense matrix on them, and ``top`` the positions inside the block whose
     rows and columns vanish off the diagonal except towards the other
     positions (the top boson layer of an assembled Hamiltonian), which
-    shifted solvers eliminate exactly.  Two derived quantities are computed
-    on first use, kept, and freed with the sector: ``eigvals``, and
-    ``solver_parts``, the shift-independent pieces of every shifted solver
-    of the block (filled in by ``spectral``).  Neither takes a lock: two
-    threads that ask for the same one at once both compute it, with equal
-    results.
+    shifted solvers eliminate exactly.  ``solver_parts``, the
+    shift-independent pieces of every shifted solver of the block, is built
+    by ``spectral`` on first use and freed with the sector; it takes no
+    lock, so two threads that ask for it at once both build it, with equal
+    results.  Eigenvalues live in the operator's ``SpectralCensus``.
     """
 
     indices: np.ndarray
     block: np.ndarray
     top: np.ndarray
     solver_parts: object = field(default=None, init=False, repr=False, compare=False)
-    _eigvals: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         n = len(self.indices)
@@ -259,14 +255,6 @@ class Sector:
             raise AssemblyError("block shape does not match its index set")
         if len(self.top) and not (0 <= np.min(self.top) and np.max(self.top) < n):
             raise AssemblyError("top-layer positions outside their block")
-
-    @property
-    def eigvals(self) -> np.ndarray:
-        # not a cached_property: on Python 3.11 that takes one lock shared by
-        # every instance, which would run the sectors' eigensolves in turn
-        if self._eigvals is None:
-            self._eigvals = np.linalg.eigvals(self.block)
-        return self._eigvals
 
 
 @dataclass

@@ -18,9 +18,11 @@ induction argument controls:
   shape K_n / (rho_n + |z - lambda^(n)|) on sampled z.
 
 Each scale's operator is assembled once and used while the scale loop
-holds it: the eigensolves, the contour projectors, the P4 samples (when
-``samples_per_scale`` asks for them) and, at the full grid's scale, the
-residual of every scale's eigenvector against the full-grid operator.
+holds it: the eigensolves (into the scale's ``SpectralCensus``, which
+tracking and every spectrum count read), the contour projectors, the P4
+samples (when ``samples_per_scale`` asks for them) and, at the full grid's
+scale, the residual of every scale's eigenvector against the full-grid
+operator.
 The per-scale data stays on the scale records; ``check_p2_p4`` and
 ``extrapolate_limit`` only read the trace.
 
@@ -42,6 +44,9 @@ uniqueness verdict.  The lattice is e_i + exp(-theta) times the free
 energy of every state of the scale basis with a boson, so it holds every
 multiboson sum the basis holds.  At couplings inside the smallness windows
 the lattice never intersects the window and the check is the literal one.
+Each scale's ``SpectralCensus`` holds every eigenvalue's distance to the
+lattice, measured once; the P2 count, the P4 sample exclusions and the
+cone checks compare it with their own ``soft_branch_tolerance``.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrackingError
+from .errors import DegeneracyError, TrackingError
 from .fock import field_energy_diagonal
 from .geometry import Box
 from .model import (
@@ -64,7 +69,6 @@ from .spectral import (
     RieszProjector,
     rank_two_difference_norm,
     resolvent_norm,
-    sort_spectrum,
     track_eigenvalue,
 )
 from .threads import parallel_map
@@ -104,17 +108,13 @@ class LevelScaleData:
 
 @dataclass
 class ScaleRecord:
-    """One scale: its cutoff, contour radius, dimension and spectrum.
-
-    ``eigs`` is the unsorted union of the sector spectra; it is not
-    serialized.
-    """
+    """One scale: its cutoff, contour radius, dimension and (unserialized) census."""
 
     n: int
     rho_n: float
     contour_radius: float
     dim: int
-    eigs: np.ndarray
+    census: SpectralCensus
     levels: dict = field(default_factory=dict)
 
 
@@ -139,10 +139,6 @@ class MultiscaleTrace:
 
     def level_series(self, i: int, name: str) -> list:
         return [getattr(rec.levels[i], name) for rec in self.scales]
-
-    def spectrum(self, n: int) -> np.ndarray:
-        """The scale-n operator's eigenvalues, sorted by (real, imaginary) part."""
-        return sort_spectrum(self.scales[n - 1].eigs)
 
     def to_dict(self) -> dict:
         def cplx(z):
@@ -250,38 +246,78 @@ def soft_branch_tolerance(
     return max(20.0 * abs(cfg.g) ** 2 * top, 1e-10)
 
 
-def soft_branch_mask(
-    cfg: ModelConfig, basis, zs, max_freq: float | None = None
-) -> np.ndarray:
-    """Which of ``zs`` lie within the soft-branch tolerance of the lattice.
+class SpectralCensus:
+    """One operator's dense spectrum, computed once and read by every check.
 
-    The lattice and the tolerance (``soft_branch_tolerance`` with
-    ``max_freq``) come from ``basis``; each point is compared with the
-    whole lattice in turn, so no len(zs) x len(lattice) array is formed.
+    ``values`` holds the eigenvalues sorted by (real, imaginary) part,
+    ``sectors`` the key of each one's sector, and ``lattice_dist`` each
+    one's distance to ``soft_branch_lattice(cfg, basis)`` (inf without a
+    basis), which callers compare with their own ``soft_branch_tolerance``.
     """
-    lattice = soft_branch_lattice(cfg, basis)
-    if len(zs) == 0 or len(lattice) == 0:
-        return np.zeros(len(zs), dtype=bool)
-    tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
-    return np.array([np.min(np.abs(lattice - z)) <= tol for z in zs], dtype=bool)
 
+    def __init__(self, values, sectors, cfg: ModelConfig | None = None, basis=None):
+        values = np.asarray(values, dtype=complex)
+        order = np.lexsort((values.imag, values.real))
+        self.values, self.sectors = values[order], np.asarray(sectors)[order]
+        self.lattice_dist = out = np.full(len(values), np.inf)
+        lattice = [] if basis is None else soft_branch_lattice(cfg, basis)
+        if len(lattice) == 0:
+            return
+        # w = (z - e_a) exp(theta) puts the ray e_a + exp(-theta) E on the
+        # real axis.  Only the free energies E as near to w as the nearest
+        # one, up to a rounding margin (``slack``), can give the least
+        # computed distance; measuring those with the lattice's own entries
+        # gives min |lattice - z| bit for bit in O(dim log dim).
+        energies = field_energy_diagonal(basis)[1:]
+        energies, first = np.unique(energies, return_index=True)
+        padded, rot = np.r_[-np.inf, energies, np.inf], np.exp(cfg.theta)
+        for ray, origin in enumerate((cfg.e0, cfg.e1)):
+            points = lattice[ray * (len(lattice) // 2) + first]
+            w = (self.values - origin) * rot
+            k = np.searchsorted(padded, w.real)
+            gap_x = np.minimum(w.real - padded[k - 1], padded[k] - w.real)
+            slack = 1e-12 * (1.0 + np.abs(w) + energies[-1] + abs(origin * rot))
+            reach = np.hypot(gap_x, w.imag) + 2.0 * slack
+            floor = np.maximum(np.abs(w.imag) - slack, 0.0)
+            half = np.sqrt(reach**2 - floor**2) + slack
+            lo = np.searchsorted(energies, w.real - half)
+            hi = np.searchsorted(energies, w.real + half, side="right")
+            for j in range(int(np.max(hi - lo, initial=0))):
+                d = np.abs(points[np.minimum(lo + j, hi - 1)] - self.values)
+                np.minimum(out, d, out=out)
 
-def _classify_window_spectrum(
-    cfg: ModelConfig,
-    basis,
-    window_eigs: np.ndarray,
-    lam: complex,
-    window_height: float,
-) -> tuple[int, int]:
-    """Split in-window eigenvalues into soft-branch copies and violations.
+    @classmethod
+    def of(cls, H, cfg: ModelConfig | None = None, basis=None, jobs: int = 1):
+        """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads."""
+        blocks = [sec.block for sec in H.sectors.values()]
+        parts = parallel_map(np.linalg.eigvals, blocks, jobs)
+        keys = np.repeat(list(H.sectors), [len(p) for p in parts])
+        return cls(np.concatenate(parts), keys, cfg, basis)
 
-    Returns (soft_branch_count, violation_count) over the eigenvalues other
-    than the tracked one.
-    """
-    others = [z for z in window_eigs if abs(z - lam) > 1e-12 * max(1.0, abs(lam))]
-    soft = soft_branch_mask(cfg, basis, others, window_height / np.sin(cfg.nu))
-    n_soft = int(np.count_nonzero(soft))
-    return n_soft, len(others) - n_soft
+    def nearest(self, z: complex) -> complex:
+        return complex(self.values[np.argmin(np.abs(self.values - z))])
+
+    def unique_in_circle(self, center: complex, radius: float) -> tuple[complex, int]:
+        """The one eigenvalue with |lambda - center| <= radius and its sector key."""
+        inside = np.flatnonzero(np.abs(self.values - center) <= radius)
+        where = f"inside circle(center {center}, radius {radius})"
+        if len(inside) == 0:
+            raise TrackingError(f"no eigenvalue {where}")
+        if len(inside) > 1:
+            raise DegeneracyError(
+                f"{len(inside)} eigenvalues {where}; tracking needs exactly one"
+            )
+        return complex(self.values[inside[0]]), self.sectors[inside[0]].item()
+
+    def gap(self, lam: complex) -> float:
+        """Distance from lam to the second-nearest eigenvalue (lam itself is one)."""
+        dist = np.sort(np.abs(self.values - lam))
+        return float(dist[1]) if len(dist) > 1 else np.inf
+
+    def in_box(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvalues inside ``box``, in order, and their lattice distances."""
+        inside = box.contains(self.values)
+        return self.values[inside], self.lattice_dist[inside]
 
 
 def run_ladder(
@@ -332,20 +368,17 @@ def run_ladder(
     for n in range(1, n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
         basis = field_disc.basis_for_scale(n)
-        all_eigs = np.concatenate(
-            parallel_map(lambda s: s.eigvals, H.sectors.values(), jobs)
-        )
+        census = SpectralCensus.of(H, cfg, basis, jobs)
         rho_n = ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
         rec = ScaleRecord(
             n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
-            eigs=all_eigs,
+            census=census,
         )
-        if samples_per_scale:
-            starved = all_eigs[soft_branch_mask(cfg, basis, all_eigs)]
+        starved = census.lattice_dist <= soft_branch_tolerance(cfg, basis.modes)
         for i in levels:
             seed_lam = prev_lam[i]
-            nearest = complex(all_eigs[np.argmin(np.abs(all_eigs - seed_lam))])
+            nearest = census.nearest(seed_lam)
             # widen the search circle when the eigenvalue moved beyond the
             # nominal contour (first scale at practical couplings)
             r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
@@ -357,6 +390,7 @@ def run_ladder(
                 left_probe = None
             record = track_eigenvalue(
                 H,
+                census,
                 seed=seed_lam,
                 radius=r_track,
                 probe=probe,
@@ -370,12 +404,13 @@ def run_ladder(
 
             window = Box.wn(cfg, i, rho_n, lam)
             box = Box.bn(cfg, i, ladder.cutoff(1), rho_n, lam)
-            in_window = all_eigs[window.contains(all_eigs)]
-            count_w = len(in_window)
-            count_b = int(np.count_nonzero(box.contains(all_eigs)))
-            n_soft, n_bad = _classify_window_spectrum(
-                cfg, basis, in_window, lam, window.hi - window.lo
-            )
+            # the window's other eigenvalues: soft-branch copies or violations
+            in_window, dist = census.in_box(window)
+            others = np.abs(in_window - lam) > 1e-12 * max(1.0, abs(lam))
+            max_freq = (window.hi - window.lo) / np.sin(cfg.nu)
+            soft = dist <= soft_branch_tolerance(cfg, basis.modes, max_freq)
+            n_soft = int(np.count_nonzero(others & soft))
+            n_bad = int(np.count_nonzero(others)) - n_soft
 
             data = LevelScaleData(
                 lam=lam,
@@ -386,8 +421,8 @@ def run_ladder(
                 projector_trace=proj.trace_value,
                 projector_quad_points=proj.quad_points,
                 contour_safe=bool(record.gap > 2.0 * contour_radius),
-                p2_count_window=count_w,
-                p2_count_box=count_b,
+                p2_count_window=len(in_window),
+                p2_count_box=len(census.in_box(box)[0]),
                 p2_soft_branch_count=n_soft,
                 p2_violation_count=n_bad,
                 p2_unique=bool(n_bad == 0),
@@ -407,7 +442,7 @@ def run_ladder(
             if samples_per_scale:
                 zs = _sample_window(
                     rng, window, lam, contour_radius, samples_per_scale,
-                    avoid=starved, avoid_radius=0.1 * rho_n,
+                    avoid=census.values[starved], avoid_radius=0.1 * rho_n,
                 )
                 data.p4 = _p4_entry(H, proj, zs, lam, rho_n)
             rec.levels[i] = data

@@ -7,8 +7,9 @@ those blocks, and all spectral quantities of the full operator are unions
 or maxima over the sectors.  Operator-level routines (``track_eigenvalue``,
 ``resolvent_norm``, ``resolvent_scan``) take an ``OperatorMatrix``; the
 per-block ones (``ShiftedSolver``, ``riesz_rank_one``,
-``shifted_inverse_eigenvalue``) take one ``Sector``.  Each sector computes
-its eigenvalues once and keeps them.
+``shifted_inverse_eigenvalue``) take one ``Sector``.  The dense spectrum
+is not computed here: ``track_eigenvalue`` reads it from the operator's
+``SpectralCensus`` (``multiscale``), which eigensolves each sector once.
 
 Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
 carries the positions of its top boson layer N = n_max, which is diagonal
@@ -196,12 +197,6 @@ class ShiftedSolver:
         return y
 
 
-def sort_spectrum(values: np.ndarray) -> np.ndarray:
-    """Eigenvalues sorted by (real, imaginary) part."""
-    values = np.asarray(values)
-    return values[np.lexsort((values.imag, values.real))]
-
-
 @dataclass
 class RieszProjector:
     """Rank-factored contour-quadrature spectral projector right @ left^H.
@@ -363,6 +358,7 @@ class SpectralRecord:
 
 def track_eigenvalue(
     H: OperatorMatrix,
+    census,
     seed: complex,
     radius: float,
     probe: np.ndarray | None = None,
@@ -371,36 +367,20 @@ def track_eigenvalue(
 ) -> SpectralRecord:
     """Locate the unique eigenvalue inside circle(seed, radius).
 
-    Two independent routes must agree: the nearest candidate from the full
-    eigenvalue list and the Rayleigh quotient built from the contour
-    projector with the adjoint-projector left pairing, to AGREE_TOL.  Probe
-    vectors are given in the global coordinates of H; the tracked eigenvalue
-    is located in its sector (whose top-layer positions go to the contour
-    solvers) and the returned vectors are embedded back into the full
-    space.  A projector whose idempotency defect stays above IDEMPOTENCY_TOL at
-    MAX_QUAD_POINTS raises TrackingError.
+    ``census``, the ``SpectralCensus`` of H, names that eigenvalue (raising
+    TrackingError or DegeneracyError unless there is exactly one), its
+    sector and its gap.  Two independent routes must agree: that value and
+    the Rayleigh quotient built from the contour projector with the
+    adjoint-projector left pairing, to AGREE_TOL.  Probe vectors are given
+    in the global coordinates of H; the contour solvers work in the
+    eigenvalue's sector and the returned vectors are embedded back into the
+    full space.  A projector whose idempotency defect stays above
+    IDEMPOTENCY_TOL at MAX_QUAD_POINTS raises TrackingError.
     """
-    sectors = H.sectors
-    hits: list[tuple] = []
-    for key, sec in sectors.items():
-        inside = np.nonzero(np.abs(sec.eigvals - seed) <= radius)[0]
-        hits.extend((key, int(i)) for i in inside)
-    if len(hits) == 0:
-        raise TrackingError(
-            f"no eigenvalue inside circle(center {seed}, radius {radius})"
-        )
-    if len(hits) > 1:
-        raise DegeneracyError(
-            f"{len(hits)} eigenvalues inside circle(center {seed}, "
-            f"radius {radius}); tracking needs exactly one"
-        )
-    key, i = hits[0]
-    sec = sectors[key]
+    lam, key = census.unique_in_circle(seed, radius)
+    sec = H.sectors[key]
     A = sec.block
-    lam = complex(sec.eigvals[i])
-    spectrum = np.concatenate([s.eigvals for s in sectors.values()])
-    dist_sorted = np.sort(np.abs(spectrum - lam))
-    gap = float(dist_sorted[1]) if len(dist_sorted) > 1 else np.inf
+    gap = census.gap(lam)
 
     def localize(vec):
         if vec is None:

@@ -3,7 +3,6 @@
 import numpy as np
 
 from spinboson.fock import OperatorMatrix, Sector
-from spinboson.spectral import sort_spectrum
 
 
 def sector(A, top=None) -> Sector:
@@ -20,4 +19,5 @@ def one_sector(A) -> OperatorMatrix:
 
 def spectrum(H: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of H, sorted by (real, imaginary) part."""
-    return sort_spectrum(np.concatenate([s.eigvals for s in H.sectors.values()]))
+    values = np.concatenate([np.linalg.eigvals(s.block) for s in H.sectors.values()])
+    return values[np.lexsort((values.imag, values.real))]

@@ -254,10 +254,11 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "subcommand, report", [("ladder", "trace.json"),
-                               ("feasibility", "feasibility.json")]
+                               ("feasibility", "feasibility.json"),
+                               ("theta-scan", "theta_scan.json")]
     )
     def test_theta_near_cap_runs(self, tmp_path, capsys, subcommand, report):
-        """The default theta orbit may leave the strip; only theta-scan uses it."""
+        """Near the pi/8 cap the default theta orbit steps down into the strip."""
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(config_text(model={"theta": [0.0, 0.36]}))
         out = tmp_path / "out"
@@ -265,6 +266,11 @@ class TestMain:
         assert code in (0, 1)
         assert "configuration error" not in capsys.readouterr().err
         assert (out / report).exists()
+
+    def test_default_theta_orbit(self):
+        assert parse_config(config_text()).theta_list == [0.2j, 0.225j, 0.25j]
+        near_cap = parse_config(config_text(model={"theta": [0.0, 0.36]}))
+        assert near_cap.theta_list == pytest.approx([0.36j, 0.335j, 0.31j])
 
     def test_given_theta_list_checked_at_parse(self):
         with pytest.raises(ConfigError):
@@ -472,7 +478,8 @@ EXPORTS = [
     "DegeneracyError", "DiscretizedField", "FeasibilityReport", "FockBasis",
     "InvarianceReport", "ModeSet", "ModelConfig", "MultiscaleTrace",
     "OperatorMatrix", "RieszProjector", "ShiftedSolver",
-    "SingularShiftError", "SpectralRecord", "SpinBosonError", "TrackingError",
+    "SingularShiftError", "SpectralCensus", "SpectralRecord", "SpinBosonError",
+    "TrackingError",
     "assemble_hamiltonian", "basis_dimension", "build_field_operator",
     "check_inequalities", "check_p1", "check_p2_p4", "check_p3",
     "compute_constants", "cone_contains", "constants", "coupling_amplitudes",

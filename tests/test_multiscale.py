@@ -9,6 +9,8 @@ import pytest
 from spinboson import (
     Box,
     ModelConfig,
+    ModeSet,
+    SpectralCensus,
     TrackingError,
     assemble_hamiltonian,
     check_p1,
@@ -22,7 +24,6 @@ from spinboson.multiscale import (
     _embed_full_vector,
     _sample_window,
     soft_branch_lattice,
-    soft_branch_mask,
     soft_branch_tolerance,
 )
 from spinboson.spectral import resolvent_norm
@@ -176,8 +177,14 @@ class TestReassemblyOracle:
         rng = np.random.default_rng(P4_SEED)
         for rec in trace.scales:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
-            eigs = np.concatenate([s.eigvals for s in H.sectors.values()])
-            starved = eigs[soft_branch_mask(cfg, field.basis_for_scale(rec.n), eigs)]
+            basis = field.basis_for_scale(rec.n)
+            eigs = np.concatenate(
+                [np.linalg.eigvals(s.block) for s in H.sectors.values()]
+            )
+            starved = eigs[
+                brute_lattice_dist(soft_branch_lattice(cfg, basis), eigs)
+                <= soft_branch_tolerance(cfg, basis.modes)
+            ]
             for i, data in rec.levels.items():
                 zs = _sample_window(
                     rng, Box.wn(cfg, i, rec.rho_n, data.lam), data.lam,
@@ -262,6 +269,13 @@ def hand_built_lattice(cfg, modes, n_max: int) -> np.ndarray:
     return np.concatenate([cfg.e0 + phase * all_sums, cfg.e1 + phase * all_sums])
 
 
+def brute_lattice_dist(lattice: np.ndarray, zs) -> np.ndarray:
+    """min |lattice - z| for each z, one point at a time (inf without a lattice)."""
+    if len(lattice) == 0:
+        return np.full(len(zs), np.inf)
+    return np.array([np.min(np.abs(lattice - z)) for z in zs])
+
+
 def max_distance(points: np.ndarray, lattice: np.ndarray) -> float:
     """Largest distance from a point of ``points`` to ``lattice``."""
     return float(np.max(np.min(np.abs(points[:, None] - lattice[None, :]), axis=1)))
@@ -288,7 +302,8 @@ class TestSoftBranchLattice:
         held the single bosons even there)."""
         basis = enumerate_basis(small_field.modes_for_scale(2), 0)
         assert soft_branch_lattice(cfg, basis).shape == (0,)
-        assert not soft_branch_mask(cfg, basis, [cfg.e0, cfg.e1]).any()
+        census = SpectralCensus([cfg.e0, cfg.e1], [-1, 1], cfg, basis)
+        assert np.isinf(census.lattice_dist).all()  # nothing is starved
 
     def test_agrees_with_hand_built_sums_at_three_bosons(self, cfg, small_field):
         modes = small_field.modes_for_scale(2)
@@ -326,8 +341,28 @@ class TestSoftBranchLattice:
         )
         far = lattice[1::3] + 3.0 * tol
         zs = np.concatenate([near, far, rng.uniform(0, 2, 20) - 0.01j])
-        want = [np.min(np.abs(lattice - z)) <= tol for z in zs]
-        got = soft_branch_mask(cfg, basis, zs, max_freq)
-        assert got.dtype == bool and got.tolist() == want
-        assert got[: len(near)].all()
-        assert soft_branch_mask(cfg, basis, []).shape == (0,)
+        census = SpectralCensus(zs, np.zeros(len(zs), dtype=int), cfg, basis)
+        dist = census.lattice_dist
+        assert np.array_equal(dist, brute_lattice_dist(lattice, census.values))
+        assert set(census.values[dist <= tol].tolist()) >= set(near.tolist())
+        empty = SpectralCensus([], [], cfg, basis)
+        assert empty.values.shape == empty.lattice_dist.shape == (0,)
+
+    def test_distance_with_tied_energies(self, cfg, rng):
+        """Equally spaced modes: many free energies tie, exactly or to an ulp."""
+        freqs = 0.1 * np.arange(1, 9)
+        modes = ModeSet(freqs, np.full(8, 0.1), np.zeros(8, dtype=int))
+        basis = enumerate_basis(modes, 3)
+        lattice = soft_branch_lattice(cfg, basis)
+        distinct = np.unique(basis.states @ freqs)
+        assert len(distinct) < basis.dim // 4  # exact ties
+        assert np.diff(distinct).min() < 1e-12  # ties to an ulp
+        zs = np.concatenate([
+            lattice + 1e-9 * np.exp(2j * np.pi * rng.uniform(size=len(lattice))),
+            lattice[::7],
+            rng.uniform(-0.5, 3.0, 200) + 1j * rng.uniform(-1.0, 0.2, 200),
+        ])
+        census = SpectralCensus(zs, np.zeros(len(zs), dtype=int), cfg, basis)
+        assert np.array_equal(
+            census.lattice_dist, brute_lattice_dist(lattice, census.values)
+        )

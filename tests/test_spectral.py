@@ -18,6 +18,7 @@ from spinboson import (
     ModelConfig,
     ShiftedSolver,
     SingularShiftError,
+    SpectralCensus,
     TrackingError,
     assemble_hamiltonian,
     resolvent_norm,
@@ -88,15 +89,20 @@ class TestEigAll:
         )
 
     def test_sector_spectrum_computed_once(self, cfg, small_field, monkeypatch):
+        """The census is the sorted union of one eigvals call per sector."""
         H = assemble_hamiltonian(cfg, small_field)
+        want = spectrum(H)
         calls = []
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
         )
-        first = spectrum(H)
-        assert np.array_equal(spectrum(H), first)
+        census = SpectralCensus.of(H, cfg, small_field.basis_for_scale(None))
         assert calls == [len(s.indices) for s in H.sectors.values()]
+        assert np.array_equal(census.values, want)
+        for key, sec in H.sectors.items():
+            own = census.values[census.sectors == key]
+            assert np.array_equal(own, spectrum(one_sector(sec.block)))
 
 
 class TestRieszProjection:
@@ -167,14 +173,14 @@ class TestRieszRankOne:
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field, g=0.0)
-        rec = track_eigenvalue(H, seed=cfg.e1, radius=0.01)
+        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
         assert rec.projector_rank == 1
         assert rec.residual < 1e-10
 
     def test_small_coupling_shift_bounded(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
-        rec = track_eigenvalue(H, seed=cfg.e1, radius=0.05)
+        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=cfg.e1, radius=0.05)
         # first-scale proximity: |lambda - e1| <= |g| C with C order one
         assert abs(rec.lam - cfg.e1) < 10 * abs(cfg.g)
         assert rec.method_disagreement < 1e-8
@@ -183,16 +189,19 @@ class TestTrackEigenvalue:
         w = np.array([0.3, 1.7 - 0.2j, -2.0 + 0.1j])
         V = random_matrix(rng, 3) + 3 * np.eye(3)
         A = V @ np.diag(w) @ np.linalg.inv(V)
-        rec = track_eigenvalue(one_sector(A), seed=1.65 - 0.18j, radius=0.2)
+        H = one_sector(A)
+        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=1.65 - 0.18j, radius=0.2)
         assert rec.lam == pytest.approx(w[1], abs=1e-10)
 
     def test_no_candidate(self, rng):
+        H = one_sector(np.diag([0.0, 5.0]))
         with pytest.raises(TrackingError):
-            track_eigenvalue(one_sector(np.diag([0.0, 5.0])), seed=2.0, radius=0.5)
+            track_eigenvalue(H, SpectralCensus.of(H), seed=2.0, radius=0.5)
 
     def test_ambiguous_candidates(self):
+        H = one_sector(np.diag([1.0, 1.1]))
         with pytest.raises(DegeneracyError):
-            track_eigenvalue(one_sector(np.diag([1.0, 1.1])), seed=1.05, radius=0.2)
+            track_eigenvalue(H, SpectralCensus.of(H), seed=1.05, radius=0.2)
 
 
 class TestResolventNorm:
@@ -262,7 +271,8 @@ class TestAgainstDenseOracle:
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
-        proj = track_eigenvalue(H, seed=lam, radius=0.4 * gap).projector
+        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=lam, radius=0.4 * gap)
+        proj = rec.projector
         z = lam + offset * gap * np.exp(0.7j)
         want = max(
             dense_resolvent_norm(
@@ -531,9 +541,11 @@ class TestQuadratureCap:
         # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
         monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
         with pytest.raises(TrackingError, match="stopped at 16 nodes"):
-            track_eigenvalue(A, seed=0.1, radius=0.5, quad_points=16)
+            track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5,
+                             quad_points=16)
         monkeypatch.undo()
-        rec = track_eigenvalue(A, seed=0.1, radius=0.5, quad_points=16)
+        rec = track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5,
+                               quad_points=16)
         assert rec.projector.converged and rec.projector.quad_points > 16
 
 
