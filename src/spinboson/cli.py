@@ -53,14 +53,13 @@ SUBCOMMANDS = (
     "verify-appendix",
 )
 
-_MODEL_KEYS = {"e1", "lambda_uv", "mu", "g", "theta", "nu_floor", "m_cone", "e0"}
+_MODEL_KEYS = {"e1", "lambda_uv", "mu", "g", "theta", "nu_floor", "m_cone"}
 _LADDER_KEYS = {"rho0", "rho", "n_scales"}
 _DISC_KEYS = {"points_per_shell", "r_max", "n_max", "uv_points_per_panel"}
 _RUN_KEYS = {
     "mode",
     "seed",
     "jobs",
-    "quad_points",
     "g_list",
     "theta_list",
     "g_circle",
@@ -141,7 +140,6 @@ class RunConfig:
     mode: str
     seed: int
     jobs: int
-    quad_points: int
     g_list: list
     theta_list: list
     g_circle: dict
@@ -202,7 +200,6 @@ def parse_config(text: str) -> RunConfig:
         theta=_as_complex(model_doc.get("theta", [0.0, 0.2]), "theta"),
         nu_floor=real(model_doc, "nu_floor", 0.1),
         m_cone=integer(model_doc, "m_cone", 4),
-        e0=real(model_doc, "e0", 0.0),
     )
     ladder = CutoffLadder(
         rho0=real(ladder_doc, "rho0", 0.25),
@@ -246,7 +243,6 @@ def parse_config(text: str) -> RunConfig:
         mode=mode,
         seed=integer(run_doc, "seed", 0, 0),
         jobs=integer(run_doc, "jobs", usable_cpus(), 1),
-        quad_points=integer(run_doc, "quad_points", 16, 1),
         g_list=g_list,
         theta_list=theta_list,
         g_circle={
@@ -279,8 +275,8 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     samples = rc.samples_per_scale
-    trace = run_ladder(cfg, ladder, field, quad_points=rc.quad_points,
-                       jobs=rc.jobs, samples_per_scale=samples, seed=rc.seed)
+    trace = run_ladder(cfg, ladder, field, levels=rc.levels, jobs=rc.jobs,
+                       samples_per_scale=samples, seed=rc.seed)
     report = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
@@ -315,8 +311,7 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    rep = fermi_golden_rule(cfg, ladder, field, rc.g_list,
-                            quad_points=rc.quad_points, jobs=rc.jobs)
+    rep = fermi_golden_rule(cfg, ladder, field, rc.g_list, jobs=rc.jobs)
     rows = [
         {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
     ]
@@ -338,10 +333,8 @@ def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
     rep = theta_invariance_scan(cfg, ladder, field, rc.theta_list, levels=rc.levels,
-                                quad_points=rc.quad_points, jobs=rc.jobs)
-    ok = rep.budget is None or all(
-        v <= rep.budget for v in rep.max_pairwise.values()
-    )
+                                jobs=rc.jobs)
+    ok = all(v <= rep.budget for v in rep.max_pairwise.values())
     write_json(out / "theta_scan.json", rep.to_dict())
     return (0 if ok else 1), {"kind": "theta-scan", "pass": bool(ok)}
 
@@ -354,7 +347,7 @@ def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     circle = rc.g_circle
     rep = g_analyticity_check(
         cfg, ladder, field, circle["center"], circle["radius"],
-        n_samples=circle["samples"], quad_points=rc.quad_points, jobs=rc.jobs,
+        n_samples=circle["samples"], levels=rc.levels, jobs=rc.jobs,
     )
     ok = all(v <= circle["tol"] for v in rep.max_pairwise.values())
     write_json(out / "g_circle.json", rep.to_dict())
@@ -367,8 +360,7 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, levels=rc.levels,
-                       quad_points=rc.quad_points, jobs=rc.jobs)
+    trace = run_ladder(cfg, ladder, field, levels=rc.levels, jobs=rc.jobs)
     rep = spectrum_cone_check(cfg, ladder, field, trace, tol=rc.cone_tol,
                               levels=rc.levels)
     write_json(out / "cone_check.json", rep)
@@ -381,8 +373,7 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
     cfg, ladder = rc.model, rc.ladder
     field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, levels=(1,), quad_points=rc.quad_points,
-                       jobs=rc.jobs)
+    trace = run_ladder(cfg, ladder, field, levels=(1,), jobs=rc.jobs)
     n_samples = rc.n_samples
     rep = resolvent_cone_bound_check(
         cfg, ladder, field, trace, n_samples=n_samples, seed=rc.seed,
@@ -489,7 +480,7 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
         # when it starts, and one loaded later would run on its own threads
         importlib.import_module(".diagnostics", __package__)
     t0 = time.perf_counter()
-    with pinned_blas(1) as blas:
+    with pinned_blas() as blas:
         try:
             code, extras = _DISPATCH[subcommand](rc, out)
             failure = None

@@ -75,13 +75,12 @@ def compute_constants(
     nu: float | None = None,
     m: int | None = None,
     c_generic: float = 10.0,
-    g_cap_log10: float | None = None,
 ) -> FeasibilityReport:
     """Evaluate the constant chain at its equality choices.
 
     C sits at the maximum of its applicable lower bounds; rho0, rho and the
-    coupling caps sit at their upper bounds.  ``g_cap_log10`` optionally
-    caps g0 by an externally supplied smallness constant.
+    coupling caps sit at their upper bounds.  Without ``nu`` and ``m`` the
+    chain is the plain one, without the cone-aperture bounds.
     """
     if not (0.0 < mu < 0.5):
         raise ConfigError(f"mu = {mu} outside (0, 1/2)")
@@ -113,8 +112,6 @@ def compute_constants(
     log10_g0 = (
         log10_rho1_max + 2.0 * log10(sin(nu_floor / 2.0)) - 4.0 - log10(c_generic)
     )
-    if g_cap_log10 is not None:
-        log10_g0 = min(log10_g0, g_cap_log10)
     if m is not None:
         log10_gm = min(log10_g0, 3.0 * log10(sin(nu / (2 * m))) + log10_rho_max - 8.0)
     else:

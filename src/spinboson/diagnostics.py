@@ -21,7 +21,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import ConfigError, TrackingError
+from .errors import ConfigError, SingularShiftError, TrackingError
 from .geometry import Box, Cone, cone_contains, dist_to_cone, verify_cone_chain
 from .model import (
     CutoffLadder,
@@ -81,26 +81,18 @@ def golden_rule_coefficient(cfg: ModelConfig) -> float:
     return -4.0 * pi**2 * gap**2 * form_factor(gap, cfg) ** 2
 
 
-def second_order_eigenvalue(
-    cfg: ModelConfig,
-    modes,
-    i: int,
-    g: complex | None = None,
-    theta: complex | None = None,
-) -> complex:
+def second_order_eigenvalue(cfg: ModelConfig, modes, i: int) -> complex:
     """Second-order perturbation value of lambda_i on the discretized modes.
 
     The intermediate states are the flipped atom level dressed with one
     boson; the bilinear pairing squares the coupling amplitudes without
     conjugation.
     """
-    g = cfg.g if g is None else g
-    theta = cfg.theta if theta is None else theta
-    coeffs = coupling_amplitudes(cfg, modes, theta=theta)
+    coeffs = coupling_amplitudes(cfg, modes)
     e_i = cfg.e1 if i == 1 else cfg.e0
     e_other = cfg.e0 if i == 1 else cfg.e1
-    denom = e_i - e_other - np.exp(-theta) * modes.frequencies
-    return complex(e_i + g**2 * np.sum(coeffs**2 / denom))
+    denom = e_i - e_other - np.exp(-cfg.theta) * modes.frequencies
+    return complex(e_i + cfg.g**2 * np.sum(coeffs**2 / denom))
 
 
 def fermi_golden_rule(
@@ -108,7 +100,6 @@ def fermi_golden_rule(
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
     g_list,
-    quad_points: int = 16,
     jobs: int = 1,
 ) -> dict:
     """Resonance width against the golden rule across couplings.
@@ -125,10 +116,7 @@ def fermi_golden_rule(
     rows = []
     for g in g_list:
         cfg_g = cfg.replace(g=g)
-        trace = run_ladder(
-            cfg_g, ladder, field_disc, levels=(1,), quad_points=quad_points,
-            jobs=jobs,
-        )
+        trace = run_ladder(cfg_g, ladder, field_disc, levels=(1,), jobs=jobs)
         lam = trace.scales[-1].levels[1].lam
         ratio = lam.imag / abs(g) ** 2 if g != 0 else 0.0
         pt2 = second_order_eigenvalue(cfg_g, modes_full, i=1)
@@ -165,13 +153,9 @@ def _final_lambda(
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
     levels: tuple,
-    quad_points: int = 16,
-    jobs: int = 1,
+    jobs: int,
 ):
-    trace = run_ladder(
-        cfg, ladder, field_disc, levels=levels, quad_points=quad_points,
-        jobs=jobs,
-    )
+    trace = run_ladder(cfg, ladder, field_disc, levels=levels, jobs=jobs)
     return {i: trace.scales[-1].levels[i].lam for i in levels}, trace
 
 
@@ -186,7 +170,9 @@ def _refinement_delta(
     The refined operator is assembled at the last scale only and the
     eigenvalue nearest the base value is pulled out by shifted inverse
     iteration; the ladder need not be rerun since the eigenvalue gap far
-    exceeds the grid sensitivity.
+    exceeds the grid sensitivity.  A base value that is an eigenvalue of
+    the refined operator to working precision (a singular shift, as for
+    the free model's bare levels) has delta 0.
     """
     refined = DiscretizedField(
         field_disc.ladder,
@@ -201,13 +187,15 @@ def _refinement_delta(
             field_disc.uv_points_per_panel + 1,
             int(round(field_disc.uv_points_per_panel * REFINE_FACTOR)),
         ),
-        state_cap=field_disc.state_cap,
     )
     H = assemble_hamiltonian(cfg, refined, n=None)
     deltas = {}
     for i, lam in lam_base.items():
         sector = H.sectors[+1 if i == 1 else -1]  # the one holding phi_i (x) vacuum
-        lam_ref, _ = shifted_inverse_eigenvalue(sector, complex(lam))
+        try:
+            lam_ref, _ = shifted_inverse_eigenvalue(sector, complex(lam))
+        except SingularShiftError:
+            lam_ref = lam
         deltas[i] = abs(lam_ref - lam)
     return deltas
 
@@ -218,8 +206,6 @@ def theta_invariance_scan(
     field_disc: DiscretizedField,
     theta_list,
     levels: tuple = (0, 1),
-    quad_points: int = 16,
-    measure_budget: bool = True,
     jobs: int = 1,
 ) -> InvarianceReport:
     """Constancy of the tracked eigenvalues along the dilation orbit.
@@ -229,7 +215,9 @@ def theta_invariance_scan(
     grid a pure Re-theta shift reproduces the identical matrix and the
     eigenvalues match to solver precision.  Imaginary-part moves change
     the quadrature of a theta-independent quantity and are compared
-    against the measured budget.  ``jobs`` goes to every ladder.
+    against the budget: the solver floor plus twice the largest one-step
+    grid-refinement delta at the first sample (``_refinement_delta``),
+    measured on every scan.  ``jobs`` goes to every ladder.
     """
     if len(theta_list) < 3:
         raise ConfigError("an invariance scan needs at least three samples")
@@ -244,7 +232,7 @@ def theta_invariance_scan(
             if abs(theta.real) == 0.0
             else field_disc.scaled(float(np.exp(theta.real)))
         )
-        lams, trace = _final_lambda(cfg_t, ladder, grid, levels, quad_points, jobs)
+        lams, trace = _final_lambda(cfg_t, ladder, grid, levels, jobs)
         dims.append(trace.scales[-1].dim)
         for i in levels:
             lambdas[i].append(lams[i])
@@ -263,14 +251,11 @@ def theta_invariance_scan(
     scale = max(abs(v) for vals in lambdas.values() for v in vals)
     tol_solver = solver_tolerance(max(dims), scale)
     details: dict = {"solver_tolerance": tol_solver}
-
-    budget = None
-    if measure_budget:
-        base_cfg = cfg.replace(theta=theta_list[0])
-        base_lams = {i: lambdas[i][0] for i in levels}
-        deltas = _refinement_delta(base_cfg, ladder, field_disc, base_lams)
-        details["refinement_delta"] = {str(i): float(d) for i, d in deltas.items()}
-        budget = tol_solver + 2.0 * max(deltas.values())
+    base_cfg = cfg.replace(theta=theta_list[0])
+    base_lams = {i: lambdas[i][0] for i in levels}
+    deltas = _refinement_delta(base_cfg, ladder, field_disc, base_lams)
+    details["refinement_delta"] = {str(i): float(d) for i, d in deltas.items()}
+    budget = tol_solver + 2.0 * max(deltas.values())
 
     # pure real shifts: paired samples with equal Im theta must coincide
     re_pairs = []
@@ -302,7 +287,6 @@ def g_analyticity_check(
     n_samples: int = 8,
     levels: tuple = (0, 1),
     eval_fn=None,
-    quad_points: int = 16,
     jobs: int = 1,
 ) -> InvarianceReport:
     """Discrete Cauchy test of analyticity in the coupling.
@@ -318,9 +302,7 @@ def g_analyticity_check(
     if eval_fn is None:
 
         def eval_fn(g):
-            lams, _ = _final_lambda(
-                cfg.replace(g=g), ladder, field_disc, levels, quad_points, jobs
-            )
+            lams, _ = _final_lambda(cfg.replace(g=g), ladder, field_disc, levels, jobs)
             return lams
 
     ks = np.arange(n_samples)
@@ -368,13 +350,14 @@ def _full_grid_scale(trace: MultiscaleTrace, field_disc: DiscretizedField):
     """The ladder's last scale and its spectral census.
 
     That scale must be the full grid's, so its operator is the one the
-    cone checks are about; a ladder stopped earlier raises TrackingError.
+    cone checks are about; a trace that ends elsewhere (a ladder run on
+    another field) raises TrackingError.
     """
     last = trace.scales[-1]
     if last.n != field_disc.n_scales:
         raise TrackingError(
-            f"the ladder stopped at scale {last.n}; the cone checks need the "
-            f"full grid's scale {field_disc.n_scales}"
+            f"the ladder stopped at scale {last.n}; the cone checks need this "
+            f"field's full-grid scale {field_disc.n_scales}"
         )
     return last, last.census
 
@@ -386,15 +369,14 @@ def spectrum_cone_check(
     trace: MultiscaleTrace,
     tol: float,
     levels: tuple = (0, 1),
-    m: int | None = None,
 ) -> dict:
     """Cone localization of the full-grid spectrum inside the level boxes.
 
-    ``trace`` is a ladder run on ``field_disc`` down to its last scale,
-    which supplies lambda_i and the full-grid spectrum.  Every eigenvalue
-    of the deepest-cutoff operator that falls in the first-scale box of
-    level i must lie within ``tol`` of the cone with vertex at the
-    tracked lambda_i.  Truncation-starved soft-branch
+    ``trace`` is a ladder run on ``field_disc``, whose last scale supplies
+    lambda_i and the full-grid spectrum.  Every eigenvalue of the
+    deepest-cutoff operator that falls in the first-scale box of level i
+    must lie within ``tol`` of the cone with vertex at the tracked
+    lambda_i and divisor ``cfg.m_cone``.  Truncation-starved soft-branch
     states (multiboson states whose decay channel exceeds the total-number
     cutoff; they sit one core width above their physical position and are
     recognized by their distance to the free branch lattice) are tested
@@ -405,8 +387,6 @@ def spectrum_cone_check(
     consecutive pair of scales of the trace: the nested-cone step from
     lambda_i^(n) to lambda_i^(n+1).  Every row must pass too.
     """
-    m = cfg.m_cone if m is None else m
-    cone_cfg = cfg.replace(m_cone=m)  # the chain's cones have the same shape
     last, census = _full_grid_scale(trace, field_disc)
     modes = field_disc.modes_for_scale(None)
     box = Box.b1(cfg, 1, ladder.cutoff(1))  # every level's box is as high
@@ -418,7 +398,7 @@ def spectrum_cone_check(
         lam = complex(last.levels[i].lam)
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
-        cone = Cone(lam, cfg.nu, m)
+        cone = Cone(lam, cfg.nu, cfg.m_cone)
         in_box, lattice_dist = census.in_box(Box.b1(cfg, i, ladder.cutoff(1)))
         soft = lattice_dist <= branch_tol
         rows = []
@@ -449,7 +429,7 @@ def spectrum_cone_check(
         }
         out["chain"][i] = [
             {"n": a.n, **verify_cone_chain(a.levels[i].lam, b.levels[i].lam,
-                                           ladder, a.n, cone_cfg)}
+                                           ladder, a.n, cfg)}
             for a, b in zip(trace.scales, trace.scales[1:])
         ]
     out["pass"] = all(v["pass"] for v in out["levels"].values()) and all(
@@ -465,14 +445,14 @@ def resolvent_cone_bound_check(
     trace: MultiscaleTrace,
     n_samples: int = 200,
     seed: int = 0,
-    m: int | None = None,
     jobs: int = 1,
 ) -> dict:
     """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_1)) over the box.
 
-    ``trace`` is a ladder run on ``field_disc`` down to its last scale,
-    which supplies lambda_1 and the full-grid spectrum; the operator is
-    reassembled for the resolvent norms, which ``jobs`` threads evaluate.
+    ``trace`` is a ladder run on ``field_disc``, whose last scale supplies
+    lambda_1 and the full-grid spectrum; the operator is reassembled for
+    the resolvent norms, which ``jobs`` threads evaluate.  The cones have
+    divisor ``cfg.m_cone``.
 
     Samples avoid the backward-shifted cone (vertex moved by
     2 rho_N^(1 + mu/4) along the axis); points landing inside it or on the
@@ -482,14 +462,13 @@ def resolvent_cone_bound_check(
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
     skipped and counted as well.
     """
-    m = cfg.m_cone if m is None else m
     last, census = _full_grid_scale(trace, field_disc)
     lam1 = complex(last.levels[1].lam)
     rho_last = ladder.cutoff(field_disc.n_scales)
     shift = 2.0 * rho_last ** (1.0 + cfg.mu / 4.0)
     axis = np.exp(-1j * cfg.nu)
-    cone_main = Cone(lam1, cfg.nu, m)
-    cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, m)
+    cone_main = Cone(lam1, cfg.nu, cfg.m_cone)
+    cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, ladder.cutoff(1))
 
     rng = np.random.default_rng(seed)

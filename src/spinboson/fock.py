@@ -39,7 +39,9 @@ import numpy as np
 
 from .errors import AssemblyError, BasisSizeError
 
-DEFAULT_STATE_CAP = 500_000
+# Largest basis enumerated: a bigger request raises BasisSizeError before
+# any array is built.
+STATE_CAP = 500_000
 # Byte cap of each stacked temporary in verify_standard_estimates: bounds
 # the transient memory of a long stack while keeping the eigvalsh calls few.
 _STACK_BYTES = 256 * 1024
@@ -129,12 +131,12 @@ class FockBasis:
     tuple) with ascending lexicographic order inside each total sector.
     """
 
-    def __init__(self, modes: ModeSet, n_max: int, state_cap: int = DEFAULT_STATE_CAP):
+    def __init__(self, modes: ModeSet, n_max: int):
         if n_max < 0:
             raise AssemblyError("n_max must be nonnegative")
         dim = basis_dimension(modes.n_modes, n_max)
-        if dim > state_cap:
-            raise BasisSizeError(dim, state_cap, modes.n_modes, n_max)
+        if dim > STATE_CAP:
+            raise BasisSizeError(dim, STATE_CAP, modes.n_modes, n_max)
         self.modes = modes
         self.n_max = n_max
         # each state's key: its bosons' modes ascending, padded with n_modes
@@ -287,11 +289,9 @@ class OperatorMatrix:
         return out
 
 
-def enumerate_basis(
-    modes: ModeSet, n_max: int, state_cap: int = DEFAULT_STATE_CAP
-) -> FockBasis:
+def enumerate_basis(modes: ModeSet, n_max: int) -> FockBasis:
     """Enumerate the truncated occupation basis over the given modes."""
-    return FockBasis(modes, n_max, state_cap=state_cap)
+    return FockBasis(modes, n_max)
 
 
 def field_energy_diagonal(basis: FockBasis) -> np.ndarray:

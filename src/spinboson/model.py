@@ -50,13 +50,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from math import pi
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AssemblyError, ConfigError
 from .fock import (
-    DEFAULT_STATE_CAP,
     FockBasis,
     ModeSet,
     OperatorMatrix,
@@ -76,7 +76,12 @@ IM_THETA_CAP = pi / 8
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Physical parameters of one run; immutable and shareable."""
+    """Physical parameters of one run; immutable and shareable.
+
+    The ground atom level ``e0`` is fixed at 0 and is not a parameter.
+    """
+
+    e0: ClassVar[float] = 0.0
 
     e1: float
     lambda_uv: float
@@ -85,11 +90,8 @@ class ModelConfig:
     theta: complex
     nu_floor: float = 0.1
     m_cone: int = 4
-    e0: float = 0.0
 
     def __post_init__(self):
-        if self.e0 != 0.0:
-            raise ConfigError("the ground atom level is fixed at e0 = 0")
         if self.e1 <= 0.0:
             raise ConfigError("e1 must be positive")
         if self.lambda_uv <= 0.0:
@@ -166,7 +168,11 @@ def form_factor(k: float, cfg: ModelConfig) -> float:
 def coupling_amplitudes(
     cfg: ModelConfig, modes: ModeSet, theta: complex | None = None
 ) -> np.ndarray:
-    """Weighted mode amplitudes sqrt(w_j) F_theta(r_j) of the interaction."""
+    """Weighted mode amplitudes sqrt(w_j) F_theta(r_j) of the interaction.
+
+    ``theta`` (default ``cfg.theta``) may lie outside the dilation strip
+    that ``ModelConfig`` accepts, theta = 0 included.
+    """
     theta = cfg.theta if theta is None else theta
     r = modes.frequencies
     pref = np.exp(-theta * (1.0 + cfg.mu))
@@ -199,7 +205,6 @@ class DiscretizedField:
         r_max: float | None = None,
         n_max: int = 2,
         uv_points_per_panel: int | None = None,
-        state_cap: int = DEFAULT_STATE_CAP,
         _grid: ModeSet | None = None,
     ):
         if n_scales < 1:
@@ -210,7 +215,6 @@ class DiscretizedField:
         self.n_scales = n_scales
         self.points_per_shell = points_per_shell
         self.n_max = n_max
-        self.state_cap = state_cap
         self.uv_points_per_panel = (
             max(4, points_per_shell // 2)
             if uv_points_per_panel is None
@@ -273,9 +277,7 @@ class DiscretizedField:
         if n is None:
             n = self.n_scales
         if n not in self._scale_bases:
-            self._scale_bases[n] = enumerate_basis(
-                self.modes_for_scale(n), self.n_max, state_cap=self.state_cap
-            )
+            self._scale_bases[n] = enumerate_basis(self.modes_for_scale(n), self.n_max)
         return self._scale_bases[n]
 
     def embedding_indices(self, n_small: int, n_big: int) -> np.ndarray:
@@ -312,7 +314,6 @@ class DiscretizedField:
             r_max=self.r_max * factor,
             n_max=self.n_max,
             uv_points_per_panel=self.uv_points_per_panel,
-            state_cap=self.state_cap,
             _grid=self.grid.scaled(factor),
         )
         return out
@@ -322,35 +323,28 @@ def assemble_hamiltonian(
     cfg: ModelConfig,
     field: DiscretizedField,
     n: int | None = None,
-    interaction_scale: int | None = None,
-    g: complex | None = None,
     theta: complex | None = None,
 ) -> OperatorMatrix:
     """Assemble the dilated Hamiltonian on the step-n space.
 
     ``n = k`` builds the step-k operator (modes with frequency >= rho_k);
-    ``n = None`` is the no-extra-cutoff marker and uses the full grid.  When
-    ``interaction_scale`` is given the field energy keeps all modes of the
-    step while the coupling is zeroed below rho_interaction_scale, which is
-    the infrared-dressed approximant of the full Hamiltonian.
+    ``n = None`` is the no-extra-cutoff marker and uses the full grid.  Every
+    mode of the step couples to the atom with coupling ``cfg.g``; on the
+    step-(n-1) states, embedded with the new shells empty, the step-n
+    operator acts as the step-(n-1) operator plus terms that create one
+    new-shell boson.
 
     The result has dimension 2 * dim(basis) and is stored as its two
     parity sectors, keyed +1 and -1 (see the module docstring), each with
     the positions of its top boson layer.  At theta = 0 with real g it is
     Hermitian; conjugating theta -> conj(theta), g -> conj(g) transposes it.
+    ``theta`` (default ``cfg.theta``) is the only way to assemble at a
+    theta outside the dilation strip that ``ModelConfig`` accepts, such as
+    the 0 and conj(theta) of those two statements.
     """
-    g = cfg.g if g is None else g
     theta = cfg.theta if theta is None else theta
     basis = field.basis_for_scale(n)
-    modes = basis.modes
-    if interaction_scale is not None:
-        if n is not None and interaction_scale > n:
-            raise AssemblyError("interaction cutoff must not exceed the field step")
-        coupling_mask = modes.labels <= interaction_scale
-    else:
-        coupling_mask = np.ones(modes.n_modes, dtype=bool)
-    coeffs = coupling_amplitudes(cfg, modes, theta=theta)
-    coeffs = np.where(coupling_mask, coeffs, 0.0)
+    coeffs = coupling_amplitudes(cfg, basis.modes, theta=theta)
 
     dim_f = basis.dim
     energies = field_energy_diagonal(basis)
@@ -371,8 +365,8 @@ def assemble_hamiltonian(
         block[:n1, :n1] = np.diag(levels[0] + phase * energies[fock_first])
         block[n1:, n1:] = np.diag(levels[1] + phase * energies[fock_second])
         coupling = phi_eo if fock_first is even else phi_eo.T
-        block[:n1, n1:] = g * coupling
-        block[n1:, :n1] = g * coupling.T
+        block[:n1, n1:] = cfg.g * coupling
+        block[n1:, :n1] = cfg.g * coupling.T
         fock = np.concatenate([fock_first, fock_second])
         top = np.nonzero(basis.totals[fock] == basis.n_max)[0]
         return Sector(np.concatenate([fock_first, dim_f + fock_second]), block, top)
@@ -383,7 +377,6 @@ def assemble_hamiltonian(
 def interaction_norm_bound(
     cfg: ModelConfig,
     basis: FockBasis,
-    theta: complex | None = None,
     amplitudes: np.ndarray | None = None,
 ) -> dict:
     """Relative bound of the interaction against (H_0 + 1)^(1/2).
@@ -393,11 +386,10 @@ def interaction_norm_bound(
     ``amplitudes`` replaces the model coupling profile by an arbitrary
     vector, which is how perturbed form factors are probed.
     """
-    theta = cfg.theta if theta is None else theta
     if amplitudes is not None:
         coeffs = np.asarray(amplitudes, dtype=complex)
     else:
-        coeffs = coupling_amplitudes(cfg, basis.modes, theta=theta)
+        coeffs = coupling_amplitudes(cfg, basis.modes)
     phi = build_field_operator(basis, coeffs)
     energies = field_energy_diagonal(basis)
     levels = cfg.atom_levels()
@@ -425,9 +417,7 @@ def interaction_norm_bound(
     }
 
 
-def shell_norm_report(
-    cfg: ModelConfig, field: DiscretizedField, n: int, theta: complex | None = None
-) -> dict:
+def shell_norm_report(cfg: ModelConfig, field: DiscretizedField, n: int) -> dict:
     """Quadrature shell norms of the coupling against their closed envelopes.
 
     ``verify-appendix`` runs this on every shell of the run's grid
@@ -436,16 +426,15 @@ def shell_norm_report(
     |exp(-theta (1+mu))| sqrt(4 pi) rho_n^mu rho_n for |f| and
     |exp(-theta (1+mu))| sqrt(4 pi) rho_n^mu sqrt(rho_n) for |f/sqrt(omega)|.
     """
-    theta = cfg.theta if theta is None else theta
     if not (1 <= n + 1 <= field.n_scales):
         raise ConfigError("shell index outside the discretized ladder")
     mask = field.grid.labels == (n + 1)
     modes = field.grid.restrict(np.nonzero(mask)[0])
-    coeffs = coupling_amplitudes(cfg, modes, theta=theta)
+    coeffs = coupling_amplitudes(cfg, modes)
     norm_f = float(np.linalg.norm(coeffs))
     norm_f_over = float(np.linalg.norm(coeffs / np.sqrt(modes.frequencies)))
     rho_n = field.ladder.cutoff(n)
-    pref = abs(np.exp(-theta * (1.0 + cfg.mu))) * np.sqrt(4.0 * pi)
+    pref = abs(np.exp(-cfg.theta * (1.0 + cfg.mu))) * np.sqrt(4.0 * pi)
     bound_f = pref * rho_n**cfg.mu * rho_n
     bound_f_over = pref * rho_n**cfg.mu * np.sqrt(rho_n)
     return {

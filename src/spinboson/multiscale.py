@@ -324,31 +324,25 @@ def run_ladder(
     cfg: ModelConfig,
     ladder: CutoffLadder,
     field_disc: DiscretizedField,
-    n_scales: int | None = None,
     levels: tuple = (0, 1),
-    quad_points: int = 16,
     jobs: int = 1,
     samples_per_scale: int = 0,
     seed: int = 0,
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
-    Each scale tracks lambda_i from the previous scale's value, rebuilds
-    the rank-one contour projector, and compares it against the previous
-    projector tensored with the new shells' vacuum.  The parity sectors of
-    each scale are eigensolved on up to ``jobs`` threads.
+    The ladder runs every scale of ``field_disc``, from 1 to its
+    ``n_scales``.  Each scale tracks lambda_i from the previous scale's
+    value, rebuilds the rank-one contour projector, and compares it against
+    the previous projector tensored with the new shells' vacuum.  The
+    parity sectors of each scale are eigensolved on up to ``jobs`` threads.
 
     With ``samples_per_scale`` > 0, P4 samples that many points of each
     level's window per scale (scale by scale, level by level, from one
     generator seeded with ``seed``) and records the projected resolvent
-    norms.  At the full grid's scale (n = ``field_disc.n_scales``) every
-    scale's eigenvector is embedded into the full grid and its residual
-    against that operator is recorded; a ladder stopped earlier records
-    none.
+    norms.  The last scale is the full grid's: every scale's eigenvector is
+    embedded into it and its residual against that operator is recorded.
     """
-    n_scales = field_disc.n_scales if n_scales is None else n_scales
-    if n_scales > field_disc.n_scales:
-        raise TrackingError("field grid does not cover the requested scales")
     trace = MultiscaleTrace(
         g=cfg.g,
         theta=cfg.theta,
@@ -356,7 +350,7 @@ def run_ladder(
         e1=cfg.e1,
         rho0=ladder.rho0,
         rho=ladder.rho,
-        n_scales=n_scales,
+        n_scales=field_disc.n_scales,
         n_max=field_disc.n_max,
         points_per_shell=field_disc.points_per_shell,
     )
@@ -365,7 +359,7 @@ def run_ladder(
     prev_vec: dict = {}
     rng = np.random.default_rng(seed)
 
-    for n in range(1, n_scales + 1):
+    for n in range(1, field_disc.n_scales + 1):
         H = assemble_hamiltonian(cfg, field_disc, n=n)
         basis = field_disc.basis_for_scale(n)
         census = SpectralCensus.of(H, cfg, basis, jobs)
@@ -395,7 +389,6 @@ def run_ladder(
                 radius=r_track,
                 probe=probe,
                 left_probe=left_probe,
-                quad_points=quad_points,
             )
             lam = record.lam
             proj = record.projector
@@ -448,14 +441,13 @@ def run_ladder(
             rec.levels[i] = data
             prev_lam[i] = lam
             prev_vec[i] = (u_g, l_g)
-        if n == field_disc.n_scales:
-            for earlier in [*trace.scales, rec]:
-                for data in earlier.levels.values():
-                    u = _embed_full_vector(field_disc, earlier.n, n, data.vectors[0])
-                    data.full_grid_residual = float(
-                        np.linalg.norm(H.matvec(u) - data.lam * u)
-                    )
         trace.scales.append(rec)
+    # H is the last scale's operator: the full grid's
+    for rec in trace.scales:
+        for data in rec.levels.values():
+            u = _embed_full_vector(field_disc, rec.n, field_disc.n_scales,
+                                   data.vectors[0])
+            data.full_grid_residual = float(np.linalg.norm(H.matvec(u) - data.lam * u))
     return trace
 
 
@@ -472,9 +464,13 @@ def check_p1(
     trace: MultiscaleTrace,
     cfg: ModelConfig,
     ladder: CutoffLadder,
-    log10_C: float | None = None,
+    log10_C: float,
 ) -> dict:
-    """Per-scale eigenvalue-motion bounds plus the observed decay ratio."""
+    """Per-scale eigenvalue-motion bounds plus the observed decay ratio.
+
+    The strict bound uses the chain constant C (``log10_C``, as
+    ``compute_constants`` reports it).
+    """
     g_abs = abs(cfg.g)
     out: dict = {"levels": {}}
     for i in sorted({k for rec in trace.scales for k in rec.levels}):
@@ -487,24 +483,22 @@ def check_p1(
             n = rec.n
             rho_prev = ladder.cutoff(n - 1)
             practical = g_abs * 0.5 ** (n - 1) * rho_prev
-            row = {
+            strict_log10 = (
+                (np.log10(g_abs) if g_abs > 0 else -np.inf)
+                + (n + 1) * log10_C
+                + (1.0 + cfg.mu) * np.log10(rho_prev)
+            )
+            rows.append({
                 "n": n,
                 "gap": data.p1_gap,
                 "practical_bound": practical,
                 "practical_pass": bool(data.p1_gap <= practical or g_abs == 0.0),
-            }
-            if log10_C is not None:
-                strict_log10 = (
-                    (np.log10(g_abs) if g_abs > 0 else -np.inf)
-                    + (n + 1) * log10_C
-                    + (1.0 + cfg.mu) * np.log10(rho_prev)
-                )
-                row["strict_bound_log10"] = float(strict_log10)
-                row["strict_pass"] = bool(
+                "strict_bound_log10": float(strict_log10),
+                "strict_pass": bool(
                     data.p1_gap == 0.0
                     or np.log10(data.p1_gap) <= strict_log10 + 1e-12
-                )
-            rows.append(row)
+                ),
+            })
             gaps.append(data.p1_gap)
         out["levels"][i] = {
             "rows": rows,
@@ -515,8 +509,11 @@ def check_p1(
 
 
 def check_p3(trace: MultiscaleTrace, cfg: ModelConfig, ladder: CutoffLadder,
-             log10_C: float | None = None) -> dict:
-    """Per-scale projector-motion bounds plus the observed decay ratio."""
+             log10_C: float) -> dict:
+    """Per-scale projector-motion bounds plus the observed decay ratio.
+
+    The strict bound uses the chain constant C, as ``check_p1`` does.
+    """
     g_abs = abs(cfg.g)
     rho = ladder.rho
     out: dict = {"levels": {}}
@@ -532,21 +529,19 @@ def check_p3(trace: MultiscaleTrace, cfg: ModelConfig, ladder: CutoffLadder,
             limit_rate = 2.0 * (g_abs / rho) * 0.5**n * ladder.cutoff(n) ** (
                 cfg.mu / 2.0
             )
-            row = {
+            strict_log10 = (
+                (np.log10(g_abs / rho) if g_abs > 0 else -np.inf)
+                + (2 * n + 2) * log10_C
+                + cfg.mu * np.log10(ladder.cutoff(n - 1))
+            )
+            rows.append({
                 "n": n,
                 "gap": data.p3_gap,
                 "practical_bound": practical,
                 "practical_pass": bool(data.p3_gap <= practical or g_abs == 0.0),
                 "limit_rate_envelope": limit_rate,
-            }
-            if log10_C is not None:
-                strict_log10 = (
-                    (np.log10(g_abs / rho) if g_abs > 0 else -np.inf)
-                    + (2 * n + 2) * log10_C
-                    + cfg.mu * np.log10(ladder.cutoff(n - 1))
-                )
-                row["strict_bound_log10"] = float(strict_log10)
-            rows.append(row)
+                "strict_bound_log10": float(strict_log10),
+            })
             gaps.append(data.p3_gap)
         out["levels"][i] = {
             "rows": rows,
@@ -657,9 +652,8 @@ def extrapolate_limit(
     The estimate is the last tracked value; the bar is the maximum of the
     envelope 2 |g| rho_N^(1 + mu/2) and the observed geometric tail of the
     per-scale gaps.  The residual of each scale's eigenvector against the
-    full-grid operator, recorded by a ladder that reached the full grid,
-    is reported; it mirrors the closed-operator limit construction and
-    must shrink with n.
+    full-grid operator, which ``run_ladder`` records, is reported; it
+    mirrors the closed-operator limit construction and must shrink with n.
     """
     if len(trace.scales) < 2:
         raise TrackingError("limit extrapolation needs at least two scales")
@@ -681,15 +675,12 @@ def extrapolate_limit(
                 result["warnings"].append(
                     f"level {i}: per-scale gaps are not monotone"
                 )
-        residuals = [
-            r for r in trace.level_series(i, "full_grid_residual") if r is not None
-        ]
         result["levels"][i] = {
             "lambda": [lams[-1].real, lams[-1].imag],
             "error_bar": float(max(envelope, tail)),
             "envelope": float(envelope),
             "observed_tail": float(tail),
-            "eigenvector_residuals": residuals,
+            "eigenvector_residuals": trace.level_series(i, "full_grid_residual"),
         }
     trace.extrapolated = result
     return result

@@ -269,7 +269,6 @@ def riesz_rank_one(
     quad_points: int = 16,
     probe: np.ndarray | None = None,
     left_probe: np.ndarray | None = None,
-    tol: float = IDEMPOTENCY_TOL,
     sector: int | None = None,
 ) -> RieszProjector:
     """Factored contour projector of ``sec`` for an expected simple eigenvalue.
@@ -278,9 +277,12 @@ def riesz_rank_one(
     factorizations of one rule are held at once: nodes * |R|^2 * 16 bytes
     for the sector's lower layers R.  The first pass recovers the range and
     corange from probe vectors, the second measures the idempotency defect and the
-    enclosed trace on that subspace.  Nodes double until the defect passes
-    ``tol``; at MAX_QUAD_POINTS the projector is returned with
-    ``converged`` False.  ``sector`` is recorded on the projector.
+    enclosed trace on that subspace.  Nodes double from ``quad_points``
+    until the defect passes IDEMPOTENCY_TOL; at MAX_QUAD_POINTS the
+    projector is returned with ``converged`` False.  ``sector`` is recorded
+    on the projector.  Every caller in the package starts at 16 nodes;
+    ``quad_points`` stays a parameter because ``bench/tracer.py`` reads it
+    to count the doublings.
     """
     n = len(sec.indices)
     rng = np.random.default_rng(7)
@@ -316,7 +318,7 @@ def riesz_rank_one(
         trace = complex(np.trace(Q.conj().T @ PQ))
         pu = PQ @ (Q.conj().T @ u)
         idem = float(np.linalg.norm(pu - u))
-        if idem < tol or n_nodes >= MAX_QUAD_POINTS:
+        if idem < IDEMPOTENCY_TOL or n_nodes >= MAX_QUAD_POINTS:
             break
         solvers = None  # free this rule's factorizations before the next
         n_nodes *= 2
@@ -338,7 +340,7 @@ def riesz_rank_one(
         right=u.reshape(-1, 1),
         left=left.reshape(-1, 1),
         sector=sector,
-        converged=idem < tol,
+        converged=idem < IDEMPOTENCY_TOL,
     )
 
 
@@ -363,7 +365,6 @@ def track_eigenvalue(
     radius: float,
     probe: np.ndarray | None = None,
     left_probe: np.ndarray | None = None,
-    quad_points: int = 16,
 ) -> SpectralRecord:
     """Locate the unique eigenvalue inside circle(seed, radius).
 
@@ -393,7 +394,6 @@ def track_eigenvalue(
         sec,
         center=lam,
         radius=proj_radius,
-        quad_points=quad_points,
         probe=localize(probe),
         left_probe=localize(left_probe),
         sector=key,

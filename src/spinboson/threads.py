@@ -84,8 +84,8 @@ def openblas_libraries() -> list[_OpenBLAS]:
 
 
 @contextmanager
-def pinned_blas(threads: int = 1):
-    """Run the body with every OpenBLAS at ``threads`` threads.
+def pinned_blas():
+    """Run the body with every OpenBLAS on one thread.
 
     Yields one record per library (``library``, ``threads_before``,
     ``threads_during``); an empty list means no OpenBLAS was found and
@@ -95,7 +95,7 @@ def pinned_blas(threads: int = 1):
     records = [{"library": lib.library, "threads_before": lib.threads} for lib in libs]
     try:
         for lib, rec in zip(libs, records):
-            lib.threads = threads
+            lib.threads = 1
             rec["threads_during"] = lib.threads
         yield records
     finally:

@@ -32,7 +32,7 @@ JOBS = usable_cpus()
 
 @pytest.fixture(scope="module", autouse=True)
 def one_blas_thread():
-    with pinned_blas(1):
+    with pinned_blas():
         yield
 
 
@@ -145,8 +145,12 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
     """P1 and P3 gaps decay geometrically within the stated envelopes."""
     t0 = time.perf_counter()
     trace = shared_run.trace
-    p1 = check_p1(trace, pinned.cfg, pinned.ladder)
-    p3 = check_p3(trace, pinned.cfg, pinned.ladder)
+    cfg = pinned.cfg
+    log10_C = sb.compute_constants(
+        cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone
+    ).log10_C
+    p1 = check_p1(trace, cfg, pinned.ladder, log10_C)
+    p3 = check_p3(trace, cfg, pinned.ladder, log10_C)
     rho, mu = pinned.ladder.rho, pinned.cfg.mu
     p1_cap = rho ** (1.0 + mu / 2.0) + 0.1
     p3_cap = rho ** (mu / 2.0) + 0.15
@@ -168,7 +172,7 @@ def test_criterion_5_cone_localization(pinned, shared_run):
     """Box spectrum within 5e-3 of the resonance cone at m = 4."""
     t0 = time.perf_counter()
     rep = spectrum_cone_check(
-        pinned.cfg, pinned.ladder, pinned.field, shared_run.trace, tol=5e-3, m=4
+        pinned.cfg, pinned.ladder, pinned.field, shared_run.trace, tol=5e-3
     )
     elapsed = time.perf_counter() - t0
     level1 = rep["levels"][1]

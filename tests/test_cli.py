@@ -191,6 +191,22 @@ class TestDispatch:
         assert len(payload["samples"]) == 8
         assert "fourier" in payload["details"]
 
+    @pytest.mark.parametrize("subcommand", ["ladder", "g-circle"])
+    def test_levels_select_reported_levels(self, tmp_path, subcommand):
+        """``run.levels`` [1] writes level-1 keys only."""
+        rc = parse_config(config_text(ladder={"n_scales": 2}, run={"levels": [1]}))
+        assert dispatch(subcommand, rc, tmp_path) == 0
+        if subcommand == "ladder":
+            payload = json.loads((tmp_path / "trace.json").read_text())
+            keyed = [scale["levels"] for scale in payload["scales"]]
+            keyed += [payload["checks"][c]["levels"] for c in ("p1", "p3")]
+            keyed.append(payload["extrapolated"]["levels"])
+        else:
+            payload = json.loads((tmp_path / "g_circle.json").read_text())
+            keyed = [payload["lambdas"], payload["max_pairwise"],
+                     payload["details"]["fourier"]]
+        assert all(list(d) == ["1"] for d in keyed)
+
     def test_unknown_subcommand(self, tmp_path):
         rc = parse_config(config_text())
         with pytest.raises(ConfigError):
@@ -238,6 +254,9 @@ class TestMain:
             ("ladder", "run", {"samples_per_scale": -3}),
             ("verify-appendix", "run", {"trials": 0}),
             ("g-circle", "run", {"g_circle": {"sampels": 4}}),
+            ("theta-scan", "run", {"quad_points": 16}),
+            ("ladder", "model", {"e0": 0.0}),
+            ("ladder", "model", {"e0": 0.1}),
         ],
     )
     def test_bad_run_value_stops_before_work(
@@ -266,6 +285,22 @@ class TestMain:
         assert code in (0, 1)
         assert "configuration error" not in capsys.readouterr().err
         assert (out / report).exists()
+
+    def test_theta_scan_free_model(self, tmp_path):
+        """At g = 0 the bare levels are exact on the refined grid as well, so
+        the refinement deltas are 0 and the budget is the solver floor."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "model": {"g": 0.0}, "ladder": {"n_scales": 2},
+            "discretization": {"points_per_shell": 2, "uv_points_per_panel": 2},
+        }))
+        out = tmp_path / "out"
+        assert main(["theta-scan", "--config", str(cfg_path), "--out", str(out)]) == 0
+        payload = json.loads((out / "theta_scan.json").read_text())
+        details = payload["details"]
+        assert details["refinement_delta"] == {"0": 0.0, "1": 0.0}
+        assert payload["max_pairwise"] == {"0": 0.0, "1": 0.0}
+        assert payload["budget"] == details["solver_tolerance"]
 
     def test_default_theta_orbit(self):
         assert parse_config(config_text()).theta_list == [0.2j, 0.225j, 0.25j]

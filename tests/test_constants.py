@@ -59,11 +59,6 @@ class TestComputeConstants:
         assert rep.log10_C >= 5.0 - 2.0 * log10(sin(0.2 / 4))
         assert rep.log10_C >= log10(rep.D) - log10(sin(0.2 / 4))
 
-    def test_g_cap_respected(self):
-        rep = compute_constants(mu=0.25, nu_floor=pi / 16, c_generic=1.0,
-                                g_cap_log10=-500.0)
-        assert rep.log10_g0 == -500.0
-
     def test_all_outputs_finite(self):
         for mu in (0.01, 0.25, 0.49):
             for nu_floor in (1e-4, 0.05, pi / 16):

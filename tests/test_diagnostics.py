@@ -56,18 +56,19 @@ class TestSecondOrderOracle:
         modes = field.modes_for_scale(None)
         errs = []
         for g in (0.08, 0.04):
-            H = assemble_hamiltonian(cfg, field, g=g)
-            w = spectrum(H)
+            cfg_g = cfg.replace(g=g)
+            w = spectrum(assemble_hamiltonian(cfg_g, field))
             lam = w[np.argmin(np.abs(w - cfg.e1))]
-            pt2 = second_order_eigenvalue(cfg, modes, 1, g=g)
+            pt2 = second_order_eigenvalue(cfg_g, modes, 1)
             errs.append(abs(lam - pt2))
         assert errs[1] < errs[0] / 8.0  # g^4 would give 16, leave slack
 
     def test_free_limit(self, coarse):
         cfg, lad, field = coarse
         modes = field.modes_for_scale(None)
-        assert second_order_eigenvalue(cfg, modes, 1, g=0.0) == cfg.e1
-        assert second_order_eigenvalue(cfg, modes, 0, g=0.0) == cfg.e0
+        cfg0 = cfg.replace(g=0.0)
+        assert second_order_eigenvalue(cfg0, modes, 1) == cfg.e1
+        assert second_order_eigenvalue(cfg0, modes, 0) == cfg.e0
 
 
 class TestFermiGoldenRule:
@@ -91,17 +92,17 @@ class TestThetaInvariance:
     def test_free_model_exactly_invariant(self, coarse):
         cfg, lad, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        rep = theta_invariance_scan(
-            cfg0, lad, field, [0.15j, 0.2j, 0.25j], measure_budget=False
-        )
+        rep = theta_invariance_scan(cfg0, lad, field, [0.15j, 0.2j, 0.25j])
         assert rep.max_pairwise[0] < 1e-13
         assert rep.max_pairwise[1] < 1e-13
+        # the bare levels are exact eigenvalues of the refined grid too
+        assert rep.details["refinement_delta"] == {"0": 0.0, "1": 0.0}
+        assert rep.budget == rep.details["solver_tolerance"]
 
     def test_real_shift_pair_exact(self, coarse):
         cfg, lad, field = coarse
         rep = theta_invariance_scan(
-            cfg, lad, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,),
-            measure_budget=False,
+            cfg, lad, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,)
         )
         (pair,) = rep.details["real_shift_pairs"]
         assert pair["deviation"] < 1e-10
@@ -193,10 +194,10 @@ class TestSpectrumConeCheck:
         strong = cfg.replace(g=0.15)
         trace = run_ladder(strong, lad, field, levels=(0,))
         wide = spectrum_cone_check(
-            strong, lad, field, trace, tol=1e-4, levels=(0,), m=4
+            strong.replace(m_cone=4), lad, field, trace, tol=1e-4, levels=(0,)
         )
         narrow = spectrum_cone_check(
-            strong, lad, field, trace, tol=1e-4, levels=(0,), m=40
+            strong.replace(m_cone=40), lad, field, trace, tol=1e-4, levels=(0,)
         )
         assert not narrow["pass"]
         assert len(narrow["levels"][0]["violations"]) >= len(
@@ -303,8 +304,13 @@ class TestResolventConeBound:
         assert np.array_equal(trace.scales[-1].census.values, fresh)
 
     def test_stopped_ladder_rejected(self, coarse):
+        """A trace of a shorter field does not end at this field's full grid."""
         cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, n_scales=2, levels=(1,))
+        short = DiscretizedField(
+            lad, 2, points_per_shell=field.points_per_shell, r_max=field.r_max,
+            n_max=field.n_max, uv_points_per_panel=field.uv_points_per_panel,
+        )
+        trace = run_ladder(cfg, lad, short, levels=(1,))
         with pytest.raises(TrackingError, match="stopped at scale 2"):
             resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=5)
         with pytest.raises(TrackingError, match="stopped at scale 2"):

@@ -174,10 +174,13 @@ class TestEnumerateBasis:
                 for i in range(basis.dim)]
         assert keys == sorted(keys)
 
-    def test_size_cap_refused_with_report(self):
+    def test_size_cap_refused_with_report(self, monkeypatch):
+        # C(36, 6) = 1,947,792 states; the dimension check refuses them
+        # before any boson layer is enumerated
+        monkeypatch.setattr(fock, "_layer_keys", None)
         with pytest.raises(BasisSizeError) as err:
-            enumerate_basis(modes_of(np.arange(1.0, 31.0)), 4, state_cap=100)
-        assert err.value.requested > 100
+            enumerate_basis(modes_of(np.arange(1.0, 31.0)), 6)
+        assert err.value.requested == 1_947_792 > fock.STATE_CAP == err.value.cap
         assert "dimension" in str(err.value)
 
     @given(m=st.integers(1, 5), n_max=st.integers(0, 4))

@@ -1,5 +1,6 @@
 """Form factors, dilation, grids, Hamiltonian assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,9 +103,12 @@ class TestModelConfig:
                         theta=-0.01 + 0.2j)
 
     def test_ground_level_pinned(self):
-        with pytest.raises(ConfigError, match="e0"):
-            ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.0, theta=0.2j,
-                        e0=0.1)
+        """e0 is a class constant, not a field a config could set."""
+        cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.0, theta=0.2j)
+        assert cfg.e0 == 0.0
+        assert "e0" not in {f.name for f in dataclasses.fields(cfg)}
+        with pytest.raises(TypeError):
+            cfg.replace(e0=0.1)
 
     def test_cone_divisor(self):
         with pytest.raises(ConfigError, match="m"):
@@ -277,13 +281,13 @@ class TestDiscretizedField:
 
 class TestAssembly:
     def test_free_hermitian_spectrum(self, cfg, small_field):
-        H = assemble_hamiltonian(cfg, small_field, theta=0.0, g=0.0)
+        H = assemble_hamiltonian(cfg.replace(g=0.0), small_field, theta=0.0)
         E = field_energy_diagonal(small_field.basis_for_scale(None))
         expected = np.concatenate([cfg.e1 + E, cfg.e0 + E])
         assert np.allclose(np.sort(spectrum(H).real), np.sort(expected))
 
     def test_free_rotated_spectrum(self, cfg, small_field):
-        H = assemble_hamiltonian(cfg, small_field, g=0.0)
+        H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
         E = field_energy_diagonal(small_field.basis_for_scale(None))
         expected = np.concatenate(
             [cfg.e1 + np.exp(-cfg.theta) * E, cfg.e0 + np.exp(-cfg.theta) * E]
@@ -343,7 +347,7 @@ class TestAssembly:
                           theta=0.01 + 0.2j)
         H = assemble_hamiltonian(cfg, small_field)
         Hc = assemble_hamiltonian(
-            cfg, small_field, theta=np.conj(cfg.theta), g=np.conj(cfg.g),
+            cfg.replace(g=np.conj(cfg.g)), small_field, theta=np.conj(cfg.theta)
         )
         assert np.max(np.abs(Hc.to_dense() - H.to_dense().conj().T)) < 1e-15
 
@@ -367,26 +371,21 @@ class TestAssembly:
             assert np.max(np.abs(block[np.ix_(rest, top)])) == 0.0
 
     def test_nesting_identity(self, cfg, ladder):
-        """Step n+1 with new-shell coupling zeroed = step n + shell energy."""
+        """Step n+1 on the embedded step-n states (new shells empty) is step
+        n; out of them it only creates one boson in a new-shell mode."""
         field = DiscretizedField(ladder, 3, points_per_shell=2, r_max=4.0,
                                  n_max=2, uv_points_per_panel=2)
         H_small = assemble_hamiltonian(cfg, field, n=2).to_dense()
-        H_tilde = assemble_hamiltonian(
-            cfg, field, n=3, interaction_scale=2
-        ).to_dense()
+        H_big = assemble_hamiltonian(cfg, field, n=3).to_dense()
         emb = field.embedding_indices(2, 3)
-        dim_small = field.basis_for_scale(2).dim
-        dim_big = field.basis_for_scale(3).dim
-        glob = np.concatenate([emb, dim_big + emb])
-        sub = H_tilde[np.ix_(glob, glob)]
+        basis = field.basis_for_scale(3)
+        glob = np.concatenate([emb, basis.dim + emb])
         # on the embedded block the shell energy vanishes (vacuum occupation)
-        assert np.max(np.abs(sub - H_small)) < 1e-14
-        # no coupling out of the embedded block beyond the zeroed shell
-        comp = np.setdiff1d(np.arange(2 * dim_big), glob)
-        coupling_out = H_tilde[np.ix_(comp, glob)]
-        E_new = field_energy_diagonal(field.basis_for_scale(3))
-        # rows in the complement differ only through diagonal shell energy
-        assert np.max(np.abs(coupling_out)) == 0.0
+        assert np.max(np.abs(H_big[np.ix_(glob, glob)] - H_small)) == 0.0
+        comp = np.setdiff1d(np.arange(2 * basis.dim), glob)
+        rows, _ = np.nonzero(H_big[np.ix_(comp, glob)])
+        new_bosons = basis.states[:, basis.modes.labels == 3].sum(axis=1)
+        assert len(rows) and np.all(new_bosons[comp[rows] % basis.dim] == 1)
 
     def test_dilation_covariance_identity(self, cfg, ladder):
         """H at theta + beta on grid G equals H at theta on exp(-beta) G."""
@@ -398,12 +397,6 @@ class TestAssembly:
             cfg, field.scaled(np.exp(-beta)), theta=cfg.theta
         ).to_dense()
         assert np.max(np.abs(A - B)) < 1e-13 * np.max(np.abs(A))
-
-    def test_interaction_cutoff_requires_valid_scale(self, cfg, small_field):
-        from spinboson.errors import AssemblyError
-
-        with pytest.raises(AssemblyError):
-            assemble_hamiltonian(cfg, small_field, n=2, interaction_scale=3)
 
 
 class TestInteractionBounds:

@@ -8,6 +8,7 @@ import pytest
 
 from spinboson import (
     Box,
+    DiscretizedField,
     ModelConfig,
     ModeSet,
     SpectralCensus,
@@ -32,13 +33,23 @@ from spinboson.spectral import resolvent_norm
 P4_SAMPLES, P4_SEED = 6, 3
 
 
+def shorter_field(field, n_scales):
+    """``field`` with its first ``n_scales`` scales only; at those scales its
+    modes and weights are bit for bit those of ``field``."""
+    return DiscretizedField(
+        field.ladder, n_scales, points_per_shell=field.points_per_shell,
+        r_max=field.r_max, n_max=field.n_max,
+        uv_points_per_panel=field.uv_points_per_panel,
+    )
+
+
 @pytest.fixture(scope="module")
 def practical():
     """One shared small practical run: g = 0.05, 4 scales, P4 sampled.
 
     Tests that attach checks to the trace work on a copy of it.
     """
-    from spinboson import CutoffLadder, DiscretizedField
+    from spinboson import CutoffLadder
 
     cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
@@ -68,19 +79,21 @@ class TestFreeModel:
 
     def test_minimal_two_scale_extrapolation(self, cfg, ladder, small_field):
         cfg0 = cfg.replace(g=0.0)
-        trace = run_ladder(cfg0, ladder, small_field, n_scales=2)
+        field = shorter_field(small_field, 2)
+        trace = run_ladder(cfg0, ladder, field)
         result = extrapolate_limit(trace, cfg0, ladder)
         for i in (0, 1):
             assert result["levels"][i]["error_bar"] == 0.0
-            # stopped short of the full grid: no full-grid residuals
-            assert result["levels"][i]["eigenvector_residuals"] == []
+            # the free eigenvectors are exact on every grid
+            residuals = result["levels"][i]["eigenvector_residuals"]
+            assert len(residuals) == 2 and max(residuals) < 1e-12
 
 
 class TestPracticalRun:
     def test_p1_p3_practical_envelopes(self, practical):
         cfg, lad, field, trace = practical
-        p1 = check_p1(trace, cfg, lad)
-        p3 = check_p3(trace, cfg, lad)
+        p1 = check_p1(trace, cfg, lad, log10_C=9.0)
+        p3 = check_p3(trace, cfg, lad, log10_C=9.0)
         for i in (0, 1):
             assert p1["levels"][i]["all_practical_pass"]
             assert p3["levels"][i]["all_practical_pass"]
@@ -161,7 +174,7 @@ class TestPracticalRun:
 
 
     def test_without_samples_p4_check_raises(self, cfg, ladder, small_field):
-        trace = run_ladder(cfg, ladder, small_field, n_scales=1, levels=(1,))
+        trace = run_ladder(cfg, ladder, shorter_field(small_field, 1), levels=(1,))
         assert trace.scales[0].levels[1].p4 is None
         with pytest.raises(TrackingError, match="no P4 samples"):
             check_p2_p4(trace)
@@ -224,16 +237,21 @@ class TestNestingExactness:
         assert np.linalg.norm(u_e) == pytest.approx(np.linalg.norm(u))
 
     def test_embedding_preserves_matrix_action(self, practical):
+        """H3 on an embedded H2 vector: H2's action on the embedded states,
+        and new entries only on states with one boson in a new-shell mode."""
         cfg, lad, field, trace = practical
         H2 = assemble_hamiltonian(cfg, field, n=2).to_dense()
-        H3t = assemble_hamiltonian(
-            cfg, field, n=3, interaction_scale=2
-        ).to_dense()
+        H3 = assemble_hamiltonian(cfg, field, n=3).to_dense()
         u, _ = trace.scales[1].levels[1].vectors
         u_e = _embed_full_vector(field, 2, 3, u)
-        lhs = H3t @ u_e
+        lhs = H3 @ u_e
         rhs = _embed_full_vector(field, 2, 3, H2 @ u)
-        assert np.linalg.norm(lhs - rhs) < 1e-12
+        embedded = _embed_full_vector(field, 2, 3, np.ones(len(u))) != 0
+        assert np.linalg.norm((lhs - rhs)[embedded]) < 1e-12
+        basis = field.basis_for_scale(3)
+        new_bosons = basis.states[:, basis.modes.labels == 3].sum(axis=1)
+        reached = np.flatnonzero(~embedded & (lhs != 0))
+        assert len(reached) and np.all(new_bosons[reached % basis.dim] == 1)
 
 
 class TestGridSelfConsistency:

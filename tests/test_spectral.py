@@ -128,7 +128,7 @@ class TestRieszProjection:
         assert resids[2] < resids[1] ** 2 * 10
 
     def test_free_model_projector_is_atomic(self, cfg, small_field):
-        H = assemble_hamiltonian(cfg, small_field, g=0.0)
+        H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
         radius = 0.25 * 0.03125 * np.sin(cfg.nu)
         P = contour_projector(H.to_dense(), center=cfg.e1, radius=radius)
         dim_f = small_field.basis_for_scale(None).dim
@@ -172,7 +172,7 @@ class TestRieszRankOne:
 
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
-        H = assemble_hamiltonian(cfg, small_field, g=0.0)
+        H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
         rec = track_eigenvalue(H, SpectralCensus.of(H), seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
         assert rec.projector_rank == 1
@@ -368,12 +368,23 @@ def dense_lu_route(A, z, b, adjoint=False):
 
 
 def sector_blocks(n_max, g=0.05, interaction_scale=None):
-    """(block, top-layer positions) of both parity sectors on a tiny grid."""
-    n = None if interaction_scale is None else 2
-    H = assemble_hamiltonian(
-        *tiny_model(n_max, g), n=n, interaction_scale=interaction_scale
-    )
-    return [(s.block, s.top) for s in H.sectors.values()]
+    """(block, top-layer positions) of both parity sectors on a tiny grid.
+
+    With ``interaction_scale`` the couplings of the modes of the shells
+    below rho_interaction_scale are zeroed: entries between states whose
+    counts of such bosons differ.
+    """
+    cfg, field = tiny_model(n_max, g)
+    H = assemble_hamiltonian(cfg, field)
+    if interaction_scale is None:
+        return [(s.block, s.top) for s in H.sectors.values()]
+    basis = field.basis_for_scale(None)
+    deep = basis.states[:, basis.modes.labels > interaction_scale].sum(axis=1)
+    blocks = []
+    for s in H.sectors.values():
+        count = deep[s.indices % basis.dim]
+        blocks.append((np.where(count[:, None] == count[None, :], s.block, 0.0), s.top))
+    return blocks
 
 
 def rel_err(got, want):
@@ -530,10 +541,12 @@ class TestSingularShift:
 
 
 class TestQuadratureCap:
-    def test_flag_set_at_cap(self):
+    def test_flag_set_at_cap(self, monkeypatch):
         A = sector(np.diag([0.0, 2.0, 5.0]).astype(complex))
-        fact = riesz_rank_one(A, center=0.0, radius=0.5, tol=0.0)
+        monkeypatch.setattr(spectral, "IDEMPOTENCY_TOL", 0.0)
+        fact = riesz_rank_one(A, center=0.0, radius=0.5)
         assert fact.quad_points == MAX_QUAD_POINTS and not fact.converged
+        monkeypatch.undo()
         assert riesz_rank_one(A, center=0.0, radius=0.5).converged
 
     def test_tracking_raises(self, monkeypatch):
@@ -541,11 +554,9 @@ class TestQuadratureCap:
         # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
         monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
         with pytest.raises(TrackingError, match="stopped at 16 nodes"):
-            track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5,
-                             quad_points=16)
+            track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5)
         monkeypatch.undo()
-        rec = track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5,
-                               quad_points=16)
+        rec = track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5)
         assert rec.projector.converged and rec.projector.quad_points > 16
 
 
