@@ -69,7 +69,6 @@ _EXPORTS = {
         "ShiftedSolver",
         "SpectralRecord",
         "resolvent_norm",
-        "resolvent_scan",
         "riesz_rank_one",
         "track_eigenvalue",
     ),

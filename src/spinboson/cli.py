@@ -9,11 +9,14 @@ off the structural checks and the practical envelopes.
 
 A run pins every OpenBLAS in the process to one thread and parallelizes
 only over ``jobs`` worker threads (``--jobs``, by default the usable CPU
-count): the parity-sector eigensolves of each ladder scale and the points
-of a resolvent scan.  Reports are therefore the same for any thread
-count; the manifest records the budget.  Only the subcommands that solve
-load the scipy stack (``dispatch`` imports it before pinning);
-``feasibility`` and ``verify-appendix`` run on numpy alone.
+count): the parity-sector eigensolves of each ladder scale.  Resolvent
+samples run in the calling thread.  Reports are therefore the same for
+any thread count; the manifest records the budget.  Each subcommand
+hands the parsed model and grid (``RunConfig.model``, ``RunConfig.field``)
+to the ladder, and the checks read both back off its trace.  Only the
+subcommands that solve load the scipy stack (``dispatch`` imports it
+before pinning); ``feasibility`` and ``verify-appendix`` run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -124,19 +127,15 @@ def _section(doc: dict, name: str, known) -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated run configuration: model, ladder, discretization, run.
+    """Validated run configuration: the model, the grid and the run values.
 
-    Every run value is parsed here; ``raw`` is the document as given, kept
-    for the manifest's hash.
+    Every run value is parsed here.  ``field`` is the run's grid, which
+    holds its ``CutoffLadder`` as ``field.ladder``; ``raw`` is the
+    document as given, kept for the manifest's hash.
     """
 
     model: ModelConfig
-    ladder: CutoffLadder
-    n_scales: int
-    points_per_shell: int
-    r_max: float
-    n_max: int
-    uv_points_per_panel: int | None
+    field: DiscretizedField
     mode: str
     seed: int
     jobs: int
@@ -151,25 +150,16 @@ class RunConfig:
     levels: tuple
     raw: dict
 
-    def build_field(self) -> DiscretizedField:
-        return DiscretizedField(
-            self.ladder,
-            self.n_scales,
-            points_per_shell=self.points_per_shell,
-            r_max=self.r_max,
-            n_max=self.n_max,
-            uv_points_per_panel=self.uv_points_per_panel,
-        )
-
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a JSON run configuration.
 
     Unknown keys are rejected, and every value is converted and
     range-checked here, the model, ladder and grid invariants through the
-    domain constructors, so a bad document fails with a message naming the
-    violated constraint before any work starts.  The list lengths and the
-    circle's sample count are checked by the scan that uses them.
+    domain constructors (the run's one grid is built here), so a bad
+    document fails with a message naming the violated constraint before
+    any work starts.  The list lengths and the circle's sample count are
+    checked by the scan that uses them.
     """
     try:
         doc = json.loads(text)
@@ -230,15 +220,17 @@ def parse_config(text: str) -> RunConfig:
         or sorted(_integer(i, "levels", 0) for i in levels) not in ([0], [1], [0, 1])
     ):
         raise ConfigError(f"levels must list 0, 1 or both once, got {levels!r}")
-    rc = RunConfig(
+    return RunConfig(
         model=model,
-        ladder=ladder,
-        n_scales=integer(ladder_doc, "n_scales", 6),
-        points_per_shell=integer(disc_doc, "points_per_shell", 8),
-        r_max=real(disc_doc, "r_max", 4.0 * model.lambda_uv),
-        n_max=integer(disc_doc, "n_max", 2, 0),
-        uv_points_per_panel=(
-            None if uv is None else _integer(uv, "uv_points_per_panel", 1)
+        field=DiscretizedField(
+            ladder,
+            integer(ladder_doc, "n_scales", 6),
+            points_per_shell=integer(disc_doc, "points_per_shell", 8),
+            r_max=real(disc_doc, "r_max", 4.0 * model.lambda_uv),
+            n_max=integer(disc_doc, "n_max", 2, 0),
+            uv_points_per_panel=(
+                None if uv is None else _integer(uv, "uv_points_per_panel", 1)
+            ),
         ),
         mode=mode,
         seed=integer(run_doc, "seed", 0, 0),
@@ -259,8 +251,6 @@ def parse_config(text: str) -> RunConfig:
         levels=tuple(levels),
         raw=doc,
     )
-    rc.build_field()  # the grid's own checks
-    return rc
 
 
 def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
@@ -272,17 +262,15 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         run_ladder,
     )
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
-    samples = rc.samples_per_scale
-    trace = run_ladder(cfg, ladder, field, levels=rc.levels, jobs=rc.jobs,
+    cfg, samples = rc.model, rc.samples_per_scale
+    trace = run_ladder(cfg, rc.field, levels=rc.levels, jobs=rc.jobs,
                        samples_per_scale=samples, seed=rc.seed)
     report = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
-    p1 = check_p1(trace, cfg, ladder, log10_C=report.log10_C)
-    p3 = check_p3(trace, cfg, ladder, log10_C=report.log10_C)
-    extrapolate_limit(trace, cfg, ladder)
+    p1 = check_p1(trace, report.log10_C)
+    p3 = check_p3(trace, report.log10_C)
+    extrapolate_limit(trace)
     trace.checks["p1"] = p1
     trace.checks["p3"] = p3
     ok = True
@@ -309,9 +297,7 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     from .diagnostics import fermi_golden_rule
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
-    rep = fermi_golden_rule(cfg, ladder, field, rc.g_list, jobs=rc.jobs)
+    rep = fermi_golden_rule(rc.model, rc.field, rc.g_list, jobs=rc.jobs)
     rows = [
         {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
     ]
@@ -330,39 +316,33 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     from .diagnostics import theta_invariance_scan
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
-    rep = theta_invariance_scan(cfg, ladder, field, rc.theta_list, levels=rc.levels,
-                                jobs=rc.jobs)
-    ok = all(v <= rep.budget for v in rep.max_pairwise.values())
+    rep = theta_invariance_scan(rc.model, rc.field, rc.theta_list,
+                                levels=rc.levels, jobs=rc.jobs)
+    ok = rep.within_budget
     write_json(out / "theta_scan.json", rep.to_dict())
-    return (0 if ok else 1), {"kind": "theta-scan", "pass": bool(ok)}
+    return (0 if ok else 1), {"kind": "theta-scan", "pass": ok}
 
 
 def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     from .diagnostics import g_analyticity_check
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
     circle = rc.g_circle
     rep = g_analyticity_check(
-        cfg, ladder, field, circle["center"], circle["radius"],
+        rc.model, rc.field, circle["center"], circle["radius"],
         n_samples=circle["samples"], levels=rc.levels, jobs=rc.jobs,
     )
-    ok = all(v <= circle["tol"] for v in rep.max_pairwise.values())
+    rep.budget = circle["tol"]  # the report records the tolerance that gates it
+    ok = rep.within_budget
     write_json(out / "g_circle.json", rep.to_dict())
-    return (0 if ok else 1), {"kind": "g-circle", "pass": bool(ok)}
+    return (0 if ok else 1), {"kind": "g-circle", "pass": ok}
 
 
 def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     from .diagnostics import spectrum_cone_check
     from .multiscale import run_ladder
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, levels=rc.levels, jobs=rc.jobs)
-    rep = spectrum_cone_check(cfg, ladder, field, trace, tol=rc.cone_tol,
-                              levels=rc.levels)
+    trace = run_ladder(rc.model, rc.field, levels=rc.levels, jobs=rc.jobs)
+    rep = spectrum_cone_check(trace, rc.cone_tol)
     write_json(out / "cone_check.json", rep)
     return (0 if rep["pass"] else 1), {"kind": "cone-check", "pass": rep["pass"]}
 
@@ -371,14 +351,9 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     from .diagnostics import resolvent_cone_bound_check
     from .multiscale import run_ladder
 
-    cfg, ladder = rc.model, rc.ladder
-    field = rc.build_field()
-    trace = run_ladder(cfg, ladder, field, levels=(1,), jobs=rc.jobs)
+    trace = run_ladder(rc.model, rc.field, levels=(1,), jobs=rc.jobs)
     n_samples = rc.n_samples
-    rep = resolvent_cone_bound_check(
-        cfg, ladder, field, trace, n_samples=n_samples, seed=rc.seed,
-        jobs=rc.jobs,
-    )
+    rep = resolvent_cone_bound_check(trace, n_samples, rc.seed)
     write_json(
         out / "resolvent_scan.json",
         {k: v for k, v in rep.items() if k != "rows"},
@@ -397,7 +372,7 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
 
 
 def _feasibility_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
-    cfg, ladder = rc.model, rc.ladder
+    cfg, ladder = rc.model, rc.field.ladder
     rep = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
@@ -440,7 +415,7 @@ def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         if not bound["pass"]:
             violations.append({"modes": n_modes, "n_max": n_max, "rep": bound})
     # coupling norms of every infrared shell of the run's grid
-    field = rc.build_field()
+    field = rc.field
     shells = [
         {"n": n, **shell_norm_report(cfg, field, n)} for n in range(field.n_scales)
     ]

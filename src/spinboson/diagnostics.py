@@ -21,10 +21,9 @@ from math import pi
 
 import numpy as np
 
-from .errors import ConfigError, SingularShiftError, TrackingError
+from .errors import ConfigError, SingularShiftError
 from .geometry import Box, Cone, cone_contains, dist_to_cone, verify_cone_chain
 from .model import (
-    CutoffLadder,
     DiscretizedField,
     ModelConfig,
     assemble_hamiltonian,
@@ -32,7 +31,7 @@ from .model import (
     form_factor,
 )
 from .multiscale import MultiscaleTrace, run_ladder, soft_branch_tolerance
-from .spectral import resolvent_scan, shifted_inverse_eigenvalue
+from .spectral import resolvent_norm, shifted_inverse_eigenvalue
 
 # Grid refinement of the theta-invariance budget: points per shell and per
 # ultraviolet panel grow by this factor (and by at least one).
@@ -74,6 +73,11 @@ class InvarianceReport:
             "details": self.details,
         }
 
+    @property
+    def within_budget(self) -> bool:
+        """Every level's drift is at most the budget, the run's pass test."""
+        return all(v <= self.budget for v in self.max_pairwise.values())
+
 
 def golden_rule_coefficient(cfg: ModelConfig) -> float:
     """Leading decay coefficient -4 pi^2 (e1 - e0)^2 f(e1 - e0)^2."""
@@ -97,8 +101,7 @@ def second_order_eigenvalue(cfg: ModelConfig, modes, i: int) -> complex:
 
 def fermi_golden_rule(
     cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
+    field: DiscretizedField,
     g_list,
     jobs: int = 1,
 ) -> dict:
@@ -112,11 +115,11 @@ def fermi_golden_rule(
     if len(g_list) < 2:
         raise ConfigError("the golden-rule scan needs at least two couplings")
     e_i = golden_rule_coefficient(cfg)
-    modes_full = field_disc.modes_for_scale(None)
+    modes_full = field.modes_for_scale(None)
     rows = []
     for g in g_list:
         cfg_g = cfg.replace(g=g)
-        trace = run_ladder(cfg_g, ladder, field_disc, levels=(1,), jobs=jobs)
+        trace = run_ladder(cfg_g, field, levels=(1,), jobs=jobs)
         lam = trace.scales[-1].levels[1].lam
         ratio = lam.imag / abs(g) ** 2 if g != 0 else 0.0
         pt2 = second_order_eigenvalue(cfg_g, modes_full, i=1)
@@ -148,22 +151,13 @@ def fermi_golden_rule(
     }
 
 
-def _final_lambda(
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
-    levels: tuple,
-    jobs: int,
-):
-    trace = run_ladder(cfg, ladder, field_disc, levels=levels, jobs=jobs)
+def _final_lambda(cfg: ModelConfig, field: DiscretizedField, levels: tuple, jobs: int):
+    trace = run_ladder(cfg, field, levels=levels, jobs=jobs)
     return {i: trace.scales[-1].levels[i].lam for i in levels}, trace
 
 
 def _refinement_delta(
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
-    lam_base: dict,
+    cfg: ModelConfig, field: DiscretizedField, lam_base: dict
 ) -> dict:
     """One-step grid-refinement sensitivity of the final eigenvalues.
 
@@ -175,17 +169,17 @@ def _refinement_delta(
     the free model's bare levels) has delta 0.
     """
     refined = DiscretizedField(
-        field_disc.ladder,
-        field_disc.n_scales,
+        field.ladder,
+        field.n_scales,
         points_per_shell=max(
-            field_disc.points_per_shell + 1,
-            int(round(field_disc.points_per_shell * REFINE_FACTOR)),
+            field.points_per_shell + 1,
+            int(round(field.points_per_shell * REFINE_FACTOR)),
         ),
-        r_max=field_disc.r_max,
-        n_max=field_disc.n_max,
+        r_max=field.r_max,
+        n_max=field.n_max,
         uv_points_per_panel=max(
-            field_disc.uv_points_per_panel + 1,
-            int(round(field_disc.uv_points_per_panel * REFINE_FACTOR)),
+            field.uv_points_per_panel + 1,
+            int(round(field.uv_points_per_panel * REFINE_FACTOR)),
         ),
     )
     H = assemble_hamiltonian(cfg, refined, n=None)
@@ -202,8 +196,7 @@ def _refinement_delta(
 
 def theta_invariance_scan(
     cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
+    field: DiscretizedField,
     theta_list,
     levels: tuple = (0, 1),
     jobs: int = 1,
@@ -228,11 +221,11 @@ def theta_invariance_scan(
     for theta in theta_list:
         cfg_t = cfg.replace(theta=theta)
         grid = (
-            field_disc
+            field
             if abs(theta.real) == 0.0
-            else field_disc.scaled(float(np.exp(theta.real)))
+            else field.scaled(float(np.exp(theta.real)))
         )
-        lams, trace = _final_lambda(cfg_t, ladder, grid, levels, jobs)
+        lams, trace = _final_lambda(cfg_t, grid, levels, jobs)
         dims.append(trace.scales[-1].dim)
         for i in levels:
             lambdas[i].append(lams[i])
@@ -253,7 +246,7 @@ def theta_invariance_scan(
     details: dict = {"solver_tolerance": tol_solver}
     base_cfg = cfg.replace(theta=theta_list[0])
     base_lams = {i: lambdas[i][0] for i in levels}
-    deltas = _refinement_delta(base_cfg, ladder, field_disc, base_lams)
+    deltas = _refinement_delta(base_cfg, field, base_lams)
     details["refinement_delta"] = {str(i): float(d) for i, d in deltas.items()}
     budget = tol_solver + 2.0 * max(deltas.values())
 
@@ -280,8 +273,7 @@ def theta_invariance_scan(
 
 def g_analyticity_check(
     cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
+    field: DiscretizedField,
     center: complex,
     radius: float,
     n_samples: int = 8,
@@ -295,14 +287,16 @@ def g_analyticity_check(
     residuals of analyticity: the sample mean must reproduce the center
     value and the (-1)-Fourier coefficient must vanish.  ``eval_fn`` may
     replace the ladder route by any callable g -> {level: lambda}, which
-    the synthetic tests use.  ``jobs`` goes to every ladder.
+    the synthetic tests use.  ``jobs`` goes to every ladder.  The report's
+    ``budget`` is left unset: ``g-circle`` records there the tolerance
+    ``run.g_circle.tol`` that gates it.
     """
     if n_samples < 8:
         raise ConfigError("the coupling circle needs at least eight samples")
     if eval_fn is None:
 
         def eval_fn(g):
-            lams, _ = _final_lambda(cfg.replace(g=g), ladder, field_disc, levels, jobs)
+            lams, _ = _final_lambda(cfg.replace(g=g), field, levels, jobs)
             return lams
 
     ks = np.arange(n_samples)
@@ -346,60 +340,38 @@ def g_analyticity_check(
     )
 
 
-def _full_grid_scale(trace: MultiscaleTrace, field_disc: DiscretizedField):
-    """The ladder's last scale and its spectral census.
-
-    That scale must be the full grid's, so its operator is the one the
-    cone checks are about; a trace that ends elsewhere (a ladder run on
-    another field) raises TrackingError.
-    """
-    last = trace.scales[-1]
-    if last.n != field_disc.n_scales:
-        raise TrackingError(
-            f"the ladder stopped at scale {last.n}; the cone checks need this "
-            f"field's full-grid scale {field_disc.n_scales}"
-        )
-    return last, last.census
-
-
-def spectrum_cone_check(
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
-    trace: MultiscaleTrace,
-    tol: float,
-    levels: tuple = (0, 1),
-) -> dict:
+def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     """Cone localization of the full-grid spectrum inside the level boxes.
 
-    ``trace`` is a ladder run on ``field_disc``, whose last scale supplies
-    lambda_i and the full-grid spectrum.  Every eigenvalue of the
-    deepest-cutoff operator that falls in the first-scale box of level i
-    must lie within ``tol`` of the cone with vertex at the tracked
-    lambda_i and divisor ``cfg.m_cone``.  Truncation-starved soft-branch
-    states (multiboson states whose decay channel exceeds the total-number
-    cutoff; they sit one core width above their physical position and are
-    recognized by their distance to the free branch lattice) are tested
-    after restoring the core dressing lambda_i - e_i; raw distances are
-    reported for both classes.
+    The last scale of ``trace`` is its field's full grid and supplies the
+    spectrum and, for each level i the ladder tracked, lambda_i.  Every
+    eigenvalue of the deepest-cutoff operator that falls in the first-scale
+    box of level i must lie within ``tol`` of the cone with vertex at the
+    tracked lambda_i and divisor ``cfg.m_cone`` (the trace's config).
+    Truncation-starved soft-branch states (multiboson states whose decay
+    channel exceeds the total-number cutoff; they sit one core width above
+    their physical position and are recognized by their distance to the
+    free branch lattice) are tested after restoring the core dressing
+    lambda_i - e_i; raw distances are reported for both classes.
 
     ``chain`` holds, per level, one ``verify_cone_chain`` row for each
     consecutive pair of scales of the trace: the nested-cone step from
     lambda_i^(n) to lambda_i^(n+1).  Every row must pass too.
     """
-    last, census = _full_grid_scale(trace, field_disc)
-    modes = field_disc.modes_for_scale(None)
-    box = Box.b1(cfg, 1, ladder.cutoff(1))  # every level's box is as high
+    cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
+    rho1 = field.ladder.cutoff(1)
+    modes = field.modes_for_scale(None)
+    box = Box.b1(cfg, 1, rho1)  # every level's box is as high
     max_freq = (box.hi - box.lo) / np.sin(cfg.nu)
     branch_tol = soft_branch_tolerance(cfg, modes, max_freq)
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
                  "branch_tol": branch_tol}
-    for i in levels:
+    for i in sorted(last.levels):
         lam = complex(last.levels[i].lam)
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, cfg.m_cone)
-        in_box, lattice_dist = census.in_box(Box.b1(cfg, i, ladder.cutoff(1)))
+        in_box, lattice_dist = last.census.in_box(Box.b1(cfg, i, rho1))
         soft = lattice_dist <= branch_tol
         rows = []
         violations = []
@@ -429,7 +401,7 @@ def spectrum_cone_check(
         }
         out["chain"][i] = [
             {"n": a.n, **verify_cone_chain(a.levels[i].lam, b.levels[i].lam,
-                                           ladder, a.n, cfg)}
+                                           field.ladder, a.n, cfg)}
             for a, b in zip(trace.scales, trace.scales[1:])
         ]
     out["pass"] = all(v["pass"] for v in out["levels"].values()) and all(
@@ -439,20 +411,14 @@ def spectrum_cone_check(
 
 
 def resolvent_cone_bound_check(
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
-    trace: MultiscaleTrace,
-    n_samples: int = 200,
-    seed: int = 0,
-    jobs: int = 1,
+    trace: MultiscaleTrace, n_samples: int, seed: int
 ) -> dict:
     """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_1)) over the box.
 
-    ``trace`` is a ladder run on ``field_disc``, whose last scale supplies
+    The last scale of ``trace`` is its field's full grid and supplies
     lambda_1 and the full-grid spectrum; the operator is reassembled for
-    the resolvent norms, which ``jobs`` threads evaluate.  The cones have
-    divisor ``cfg.m_cone``.
+    the resolvent norms, one point after another.  The cones have divisor
+    ``cfg.m_cone`` (the trace's config).
 
     Samples avoid the backward-shifted cone (vertex moved by
     2 rho_N^(1 + mu/4) along the axis); points landing inside it or on the
@@ -462,19 +428,19 @@ def resolvent_cone_bound_check(
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
     skipped and counted as well.
     """
-    last, census = _full_grid_scale(trace, field_disc)
+    cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     lam1 = complex(last.levels[1].lam)
-    rho_last = ladder.cutoff(field_disc.n_scales)
+    rho_last = field.ladder.cutoff(field.n_scales)
     shift = 2.0 * rho_last ** (1.0 + cfg.mu / 4.0)
     axis = np.exp(-1j * cfg.nu)
     cone_main = Cone(lam1, cfg.nu, cfg.m_cone)
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
-    box = Box.b1(cfg, 1, ladder.cutoff(1))
+    box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
     rng = np.random.default_rng(seed)
-    H = assemble_hamiltonian(cfg, field_disc, n=None)
-    in_box, lattice_dist = census.in_box(box)
-    modes = field_disc.modes_for_scale(None)
+    H = assemble_hamiltonian(cfg, field, n=None)
+    in_box, lattice_dist = last.census.in_box(box)
+    modes = field.modes_for_scale(None)
     starved = in_box[lattice_dist <= soft_branch_tolerance(cfg, modes)]
 
     def near_artifact(z: complex) -> bool:
@@ -514,18 +480,15 @@ def resolvent_cone_bound_check(
             continue
         samples.append(z)
 
-    kept = []
+    rows = []
     degenerate = 0
+    k_fit = 0.0
     for z in samples:
         dist = dist_to_cone(cone_main, z)
         if dist <= 1e-12:
             degenerate += 1
             continue
-        kept.append((z, dist))
-    scan = resolvent_scan(H, [z for z, _ in kept], jobs)
-    rows = []
-    k_fit = 0.0
-    for (z, dist), (_, lhs) in zip(kept, scan):
+        lhs = resolvent_norm(H, z)
         rows.append(
             {"z": [z.real, z.imag], "lhs": float(lhs), "dist": float(dist)}
         )

@@ -23,8 +23,10 @@ tracking and every spectrum count read), the contour projectors, the P4
 samples (when ``samples_per_scale`` asks for them) and, at the full grid's
 scale, the residual of every scale's eigenvector against the full-grid
 operator.
-The per-scale data stays on the scale records; ``check_p2_p4`` and
-``extrapolate_limit`` only read the trace.
+The per-scale data stays on the scale records, and the trace carries the
+model and the grid it ran with, so every check (``check_p1``,
+``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and the cone checks
+in ``diagnostics``) takes the trace alone.
 
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
@@ -51,7 +53,7 @@ cone checks compare it with their own ``soft_branch_tolerance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -59,7 +61,6 @@ from .errors import DegeneracyError, TrackingError
 from .fock import field_energy_diagonal
 from .geometry import Box
 from .model import (
-    CutoffLadder,
     DiscretizedField,
     ModelConfig,
     assemble_hamiltonian,
@@ -115,26 +116,24 @@ class ScaleRecord:
     contour_radius: float
     dim: int
     census: SpectralCensus
-    levels: dict = field(default_factory=dict)
+    levels: dict = dc_field(default_factory=dict)
 
 
 @dataclass
 class MultiscaleTrace:
-    """Per-scale records of one ladder run plus check attachments."""
+    """Per-scale records of one ladder run plus check attachments.
 
-    g: complex
-    theta: complex
-    mu: float
-    e1: float
-    rho0: float
-    rho: float
-    n_scales: int
-    n_max: int
-    points_per_shell: int
-    scales: list = field(default_factory=list)
-    extrapolated: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    ``cfg`` and ``field`` are the model and the grid the ladder ran with,
+    so every check reads the run off the trace alone; the last scale is
+    ``field``'s full grid.
+    """
+
+    cfg: ModelConfig
+    field: DiscretizedField
+    scales: list = dc_field(default_factory=list)
+    extrapolated: dict = dc_field(default_factory=dict)
+    checks: dict = dc_field(default_factory=dict)
+    warnings: list = dc_field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
     def level_series(self, i: int, name: str) -> list:
@@ -177,17 +176,18 @@ class MultiscaleTrace:
                     "levels": levels,
                 }
             )
+        cfg, grid = self.cfg, self.field
         return {
             "schema_version": self.schema_version,
-            "g": cplx(self.g),
-            "theta": cplx(self.theta),
-            "mu": self.mu,
-            "e1": self.e1,
-            "rho0": self.rho0,
-            "rho": self.rho,
-            "n_scales": self.n_scales,
-            "n_max": self.n_max,
-            "points_per_shell": self.points_per_shell,
+            "g": cplx(cfg.g),
+            "theta": cplx(cfg.theta),
+            "mu": cfg.mu,
+            "e1": cfg.e1,
+            "rho0": grid.ladder.rho0,
+            "rho": grid.ladder.rho,
+            "n_scales": grid.n_scales,
+            "n_max": grid.n_max,
+            "points_per_shell": grid.points_per_shell,
             "scales": scales,
             "extrapolated": self.extrapolated,
             "checks": self.checks,
@@ -322,8 +322,7 @@ class SpectralCensus:
 
 def run_ladder(
     cfg: ModelConfig,
-    ladder: CutoffLadder,
-    field_disc: DiscretizedField,
+    field: DiscretizedField,
     levels: tuple = (0, 1),
     jobs: int = 1,
     samples_per_scale: int = 0,
@@ -331,11 +330,12 @@ def run_ladder(
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
-    The ladder runs every scale of ``field_disc``, from 1 to its
-    ``n_scales``.  Each scale tracks lambda_i from the previous scale's
-    value, rebuilds the rank-one contour projector, and compares it against
-    the previous projector tensored with the new shells' vacuum.  The
-    parity sectors of each scale are eigensolved on up to ``jobs`` threads.
+    The ladder runs every scale of ``field``, from 1 to its ``n_scales``,
+    and the trace keeps ``cfg`` and ``field``.  Each scale tracks lambda_i
+    from the previous scale's value, rebuilds the rank-one contour
+    projector, and compares it against the previous projector tensored
+    with the new shells' vacuum.  The parity sectors of each scale are
+    eigensolved on up to ``jobs`` threads.
 
     With ``samples_per_scale`` > 0, P4 samples that many points of each
     level's window per scale (scale by scale, level by level, from one
@@ -343,27 +343,17 @@ def run_ladder(
     norms.  The last scale is the full grid's: every scale's eigenvector is
     embedded into it and its residual against that operator is recorded.
     """
-    trace = MultiscaleTrace(
-        g=cfg.g,
-        theta=cfg.theta,
-        mu=cfg.mu,
-        e1=cfg.e1,
-        rho0=ladder.rho0,
-        rho=ladder.rho,
-        n_scales=field_disc.n_scales,
-        n_max=field_disc.n_max,
-        points_per_shell=field_disc.points_per_shell,
-    )
+    trace = MultiscaleTrace(cfg, field)
     bare = {0: cfg.e0, 1: cfg.e1}
     prev_lam = dict(bare)
     prev_vec: dict = {}
     rng = np.random.default_rng(seed)
 
-    for n in range(1, field_disc.n_scales + 1):
-        H = assemble_hamiltonian(cfg, field_disc, n=n)
-        basis = field_disc.basis_for_scale(n)
+    for n in range(1, field.n_scales + 1):
+        H = assemble_hamiltonian(cfg, field, n=n)
+        basis = field.basis_for_scale(n)
         census = SpectralCensus.of(H, cfg, basis, jobs)
-        rho_n = ladder.cutoff(n)
+        rho_n = field.ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
         rec = ScaleRecord(
             n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
@@ -377,8 +367,8 @@ def run_ladder(
             # nominal contour (first scale at practical couplings)
             r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
             if i in prev_vec:
-                probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][0])
-                left_probe = _embed_full_vector(field_disc, n - 1, n, prev_vec[i][1])
+                probe = _embed_full_vector(field, n - 1, n, prev_vec[i][0])
+                left_probe = _embed_full_vector(field, n - 1, n, prev_vec[i][1])
             else:
                 probe = _atomic_vacuum(i, H.dim)
                 left_probe = None
@@ -396,7 +386,7 @@ def run_ladder(
             l_g = record.left_vector
 
             window = Box.wn(cfg, i, rho_n, lam)
-            box = Box.bn(cfg, i, ladder.cutoff(1), rho_n, lam)
+            box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
             # the window's other eigenvalues: soft-branch copies or violations
             in_window, dist = census.in_box(window)
             others = np.abs(in_window - lam) > 1e-12 * max(1.0, abs(lam))
@@ -445,8 +435,7 @@ def run_ladder(
     # H is the last scale's operator: the full grid's
     for rec in trace.scales:
         for data in rec.levels.values():
-            u = _embed_full_vector(field_disc, rec.n, field_disc.n_scales,
-                                   data.vectors[0])
+            u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
             data.full_grid_residual = float(np.linalg.norm(H.matvec(u) - data.lam * u))
     return trace
 
@@ -460,17 +449,13 @@ def _fitted_ratio(gaps: list) -> float | None:
     return float(np.exp(np.mean(np.log(quotients))))
 
 
-def check_p1(
-    trace: MultiscaleTrace,
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-    log10_C: float,
-) -> dict:
+def check_p1(trace: MultiscaleTrace, log10_C: float) -> dict:
     """Per-scale eigenvalue-motion bounds plus the observed decay ratio.
 
     The strict bound uses the chain constant C (``log10_C``, as
     ``compute_constants`` reports it).
     """
+    cfg, ladder = trace.cfg, trace.field.ladder
     g_abs = abs(cfg.g)
     out: dict = {"levels": {}}
     for i in sorted({k for rec in trace.scales for k in rec.levels}):
@@ -508,12 +493,12 @@ def check_p1(
     return out
 
 
-def check_p3(trace: MultiscaleTrace, cfg: ModelConfig, ladder: CutoffLadder,
-             log10_C: float) -> dict:
+def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
     """Per-scale projector-motion bounds plus the observed decay ratio.
 
     The strict bound uses the chain constant C, as ``check_p1`` does.
     """
+    cfg, ladder = trace.cfg, trace.field.ladder
     g_abs = abs(cfg.g)
     rho = ladder.rho
     out: dict = {"levels": {}}
@@ -642,11 +627,7 @@ def check_p2_p4(trace: MultiscaleTrace) -> dict:
     return out
 
 
-def extrapolate_limit(
-    trace: MultiscaleTrace,
-    cfg: ModelConfig,
-    ladder: CutoffLadder,
-) -> dict:
+def extrapolate_limit(trace: MultiscaleTrace) -> dict:
     """Infrared limit estimate with error bars and eigenvector residuals.
 
     The estimate is the last tracked value; the bar is the maximum of the
@@ -657,8 +638,8 @@ def extrapolate_limit(
     """
     if len(trace.scales) < 2:
         raise TrackingError("limit extrapolation needs at least two scales")
-    n_last = trace.scales[-1].n
-    rho_last = ladder.cutoff(n_last)
+    cfg = trace.cfg
+    rho_last = trace.field.ladder.cutoff(trace.scales[-1].n)
     envelope = 2.0 * abs(cfg.g) * rho_last ** (1.0 + cfg.mu / 2.0)
     result: dict = {"levels": {}, "warnings": []}
     for i in sorted(trace.scales[-1].levels):

@@ -4,8 +4,8 @@ Operators have one layout: an ``OperatorMatrix`` of keyed sectors
 (``OperatorMatrix.sectors``; the model assembly keys its two parity
 blocks +1 and -1).  The exact parity symmetry splits the Hamiltonian into
 those blocks, and all spectral quantities of the full operator are unions
-or maxima over the sectors.  Operator-level routines (``track_eigenvalue``,
-``resolvent_norm``, ``resolvent_scan``) take an ``OperatorMatrix``; the
+or maxima over the sectors.  The operator-level routines
+(``track_eigenvalue``, ``resolvent_norm``) take an ``OperatorMatrix``; the
 per-block ones (``ShiftedSolver``, ``riesz_rank_one``,
 ``shifted_inverse_eigenvalue``) take one ``Sector``.  The dense spectrum
 is not computed here: ``track_eigenvalue`` reads it from the operator's
@@ -61,7 +61,6 @@ from .errors import (
     TrackingError,
 )
 from .fock import OperatorMatrix, Sector
-from .threads import parallel_map
 
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
@@ -75,8 +74,9 @@ POWER_MAX_ITERS = 300
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
 
-# catch_warnings swaps the process-wide filter list; the lock keeps threads
-# of one scan from restoring each other's filters out of order.
+# catch_warnings swaps the process-wide filter list, which is not
+# thread-safe; the lock keeps two threads that factor at once from
+# restoring each other's filters out of order.
 _LU_WARNING_LOCK = threading.Lock()
 
 
@@ -516,14 +516,6 @@ def resolvent_norm(
         _sector_resolvent_norm(sec, z, proj if key == on else None)
         for key, sec in sectors.items()
     )
-
-
-def resolvent_scan(
-    H: OperatorMatrix, z_grid, jobs: int = 1
-) -> list[tuple[complex, float]]:
-    """Elementwise resolvent norms over a grid on ``jobs`` threads, order kept."""
-    z_list = list(z_grid)
-    return list(zip(z_list, parallel_map(lambda z: resolvent_norm(H, z), z_list, jobs)))
 
 
 def shifted_inverse_eigenvalue(

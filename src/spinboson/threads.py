@@ -5,10 +5,11 @@ that size OpenBLAS's own threads cost more in hand-offs than they save;
 their count also moves eigenvalues in the last digits.  ``pinned_blas``
 therefore sets every OpenBLAS library mapped into the process to one
 thread for the length of a run and restores the previous counts on the
-way out, exceptions included.  The run's parallelism is ``parallel_map``
-over independent pieces of work (the parity-sector eigensolves of a
-ladder scale, the points of a resolvent scan), with ``jobs`` threads;
-numpy and scipy release the interpreter lock inside LAPACK.
+way out, exceptions included.  The run's only parallelism is
+``parallel_map`` over the parity-sector eigensolves of each ladder scale,
+with ``jobs`` threads; numpy releases the interpreter lock inside LAPACK.
+Resolvent samples run in the calling thread: their svds matvecs run
+Python under the interpreter lock, so threads made them slower.
 """
 
 from __future__ import annotations

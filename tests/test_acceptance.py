@@ -4,9 +4,9 @@ Each test prints one PASS line with its headline numbers and asserts the
 stated tolerance and runtime budget.  Expensive runs are shared through
 module fixtures; their wall time is charged to the first criterion that
 uses them.  The module runs the way the command line does: OpenBLAS pinned
-to one thread and ``JOBS`` worker threads for the sector eigensolves and
-resolvent samples.  Every retained ladder run is registered so the final criterion
-can audit projector residuals and spectral uniqueness across all of them.
+to one thread and ``JOBS`` worker threads for the sector eigensolves.
+Every retained ladder run is registered so the final criterion can audit
+projector residuals and spectral uniqueness across all of them.
 """
 
 import time
@@ -48,14 +48,14 @@ def pinned():
     field = sb.DiscretizedField(
         ladder, n_scales=6, points_per_shell=8, r_max=4.0, n_max=2
     )
-    return SimpleNamespace(cfg=cfg, ladder=ladder, field=field)
+    return SimpleNamespace(cfg=cfg, field=field)
 
 
 @pytest.fixture(scope="module")
 def shared_run(pinned):
     """One full pinned ladder run at g = 0.05, both levels."""
     t0 = time.perf_counter()
-    trace = run_ladder(pinned.cfg, pinned.ladder, pinned.field, jobs=JOBS)
+    trace = run_ladder(pinned.cfg, pinned.field, jobs=JOBS)
     elapsed = time.perf_counter() - t0
     RUN_REGISTRY.append(("pinned g=0.05", trace))
     return SimpleNamespace(trace=trace, elapsed=elapsed)
@@ -70,7 +70,7 @@ def test_criterion_1_free_model_exactness():
         ladder, n_scales=6, points_per_shell=2, r_max=4.0, n_max=2,
         uv_points_per_panel=2,
     )
-    trace = run_ladder(cfg, ladder, field, jobs=JOBS)
+    trace = run_ladder(cfg, field, jobs=JOBS)
     RUN_REGISTRY.append(("free model", trace))
     worst_lam = 0.0
     worst_proj = 0.0
@@ -106,9 +106,7 @@ def test_criterion_2_fermi_golden_rule(pinned):
     coeff = sb.golden_rule_coefficient(pinned.cfg)
     assert coeff == pytest.approx(oracle, rel=1e-13)
 
-    rep = fermi_golden_rule(
-        pinned.cfg, pinned.ladder, pinned.field, [0.05, 0.025], jobs=JOBS
-    )
+    rep = fermi_golden_rule(pinned.cfg, pinned.field, [0.05, 0.025], jobs=JOBS)
     for row in rep["rows"]:
         RUN_REGISTRY.append((f"fgr g={row['g']}", row["trace"]))
     err_big, err_small = (r["rel_error_vs_coefficient"] for r in rep["rows"])
@@ -127,7 +125,7 @@ def test_criterion_3_theta_invariance(pinned):
     t0 = time.perf_counter()
     thetas = [0.15j, 0.2j, 0.25j, 0.1 + 0.2j]
     rep = theta_invariance_scan(
-        pinned.cfg, pinned.ladder, pinned.field, thetas, levels=(1,), jobs=JOBS
+        pinned.cfg, pinned.field, thetas, levels=(1,), jobs=JOBS
     )
     elapsed = time.perf_counter() - t0
     spread = rep.max_pairwise[1]
@@ -149,9 +147,9 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
     log10_C = sb.compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone
     ).log10_C
-    p1 = check_p1(trace, cfg, pinned.ladder, log10_C)
-    p3 = check_p3(trace, cfg, pinned.ladder, log10_C)
-    rho, mu = pinned.ladder.rho, pinned.cfg.mu
+    p1 = check_p1(trace, log10_C)
+    p3 = check_p3(trace, log10_C)
+    rho, mu = pinned.field.ladder.rho, pinned.cfg.mu
     p1_cap = rho ** (1.0 + mu / 2.0) + 0.1
     p3_cap = rho ** (mu / 2.0) + 0.15
     ratios = {}
@@ -171,9 +169,7 @@ def test_criterion_4_multiscale_decay(pinned, shared_run):
 def test_criterion_5_cone_localization(pinned, shared_run):
     """Box spectrum within 5e-3 of the resonance cone at m = 4."""
     t0 = time.perf_counter()
-    rep = spectrum_cone_check(
-        pinned.cfg, pinned.ladder, pinned.field, shared_run.trace, tol=5e-3
-    )
+    rep = spectrum_cone_check(shared_run.trace, tol=5e-3)
     elapsed = time.perf_counter() - t0
     level1 = rep["levels"][1]
     assert rep["pass"], rep["levels"]
@@ -193,12 +189,10 @@ def test_criterion_6_resolvent_bound_shape():
         ladder, n_scales=6, points_per_shell=3, r_max=4.0, n_max=2,
         uv_points_per_panel=3,
     )
-    trace = run_ladder(cfg, ladder, field, levels=(1,), jobs=JOBS)
+    trace = run_ladder(cfg, field, levels=(1,), jobs=JOBS)
     RUN_REGISTRY.append(("resolvent-shape grid", trace))
     reports = [
-        resolvent_cone_bound_check(
-            cfg, ladder, field, trace, n_samples=200, seed=seed, jobs=JOBS
-        )
+        resolvent_cone_bound_check(trace, n_samples=200, seed=seed)
         for seed in (11, 22)
     ]
     elapsed = time.perf_counter() - t0

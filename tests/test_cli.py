@@ -49,15 +49,15 @@ class TestParseConfig:
     def test_minimal_document_fills_defaults(self):
         rc = parse_config("{}")
         assert rc.model.mu == 0.25
-        assert rc.ladder.rho0 == 0.25
-        assert rc.n_scales == 6
+        assert rc.field.ladder.rho0 == 0.25
+        assert rc.field.n_scales == 6
         assert rc.mode == "practical"
 
     def test_full_document(self):
         rc = parse_config(config_text())
         assert rc.model.g == 0.05
         assert rc.model.theta == 0.2j
-        assert rc.points_per_shell == 2
+        assert rc.field.points_per_shell == 2
 
     def test_mu_rejected_with_invariant_name(self):
         with pytest.raises(ConfigError, match=r"mu.*\(0, 1/2\)"):
@@ -190,6 +190,17 @@ class TestDispatch:
         assert code == 0
         assert len(payload["samples"]) == 8
         assert "fourier" in payload["details"]
+        assert payload["budget"] == 1e-3
+
+    @pytest.mark.parametrize("tol, code", [(None, 0), (1e-30, 1)])
+    def test_g_circle_reports_its_budget(self, tmp_path, tol, code):
+        """``budget`` is the tolerance that gates the exit status."""
+        circle = {} if tol is None else {"tol": tol}
+        rc = parse_config(config_text(ladder={"n_scales": 2},
+                                      run={"g_circle": circle}))
+        assert dispatch("g-circle", rc, tmp_path) == code
+        payload = json.loads((tmp_path / "g_circle.json").read_text())
+        assert payload["budget"] == (1e-4 if tol is None else tol)
 
     @pytest.mark.parametrize("subcommand", ["ladder", "g-circle"])
     def test_levels_select_reported_levels(self, tmp_path, subcommand):
@@ -335,9 +346,9 @@ class TestConeCheckDispatch:
         """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 exits 1."""
         ladder = multiscale.run_ladder
 
-        def jumped(cfg, lad, *args, **kwargs):
-            trace = ladder(cfg, lad, *args, **kwargs)
-            trace.scales[1].levels[1].lam += 0.5 * lad.cutoff(1) * 1j
+        def jumped(cfg, field, *args, **kwargs):
+            trace = ladder(cfg, field, *args, **kwargs)
+            trace.scales[1].levels[1].lam += 0.5 * field.ladder.cutoff(1) * 1j
             return trace
 
         # the command line reads run_ladder off multiscale at call time
@@ -463,10 +474,9 @@ class TestVerifyAppendix:
         assert dispatch("verify-appendix", rc, tmp_path) == 0
         payload = json.loads((tmp_path / "verify_appendix.json").read_text())
         assert payload["pass"] and payload["trials"] == 18
-        field = rc.build_field()
         expected = [
-            {"n": n, **shell_norm_report(rc.model, field, n)}
-            for n in range(rc.n_scales)
+            {"n": n, **shell_norm_report(rc.model, rc.field, n)}
+            for n in range(rc.field.n_scales)
         ]
         assert payload["shells"] == json.loads(json.dumps(expected))
         assert all(row["pass"] for row in payload["shells"])
@@ -522,8 +532,8 @@ EXPORTS = [
     "extrapolate_limit", "fermi_golden_rule", "fock", "form_factor",
     "g_analyticity_check", "geometry", "golden_rule_coefficient",
     "interaction_norm_bound", "model", "multiscale",
-    "resolvent_cone_bound_check", "resolvent_norm", "resolvent_scan",
-    "riesz_rank_one", "run_ladder", "second_order_eigenvalue",
+    "resolvent_cone_bound_check", "resolvent_norm", "riesz_rank_one",
+    "run_ladder", "second_order_eigenvalue",
     "shell_norm_report", "spectral", "spectrum_cone_check",
     "theta_invariance_scan", "threads", "track_eigenvalue",
     "verify_cone_chain", "verify_standard_estimates",
@@ -552,6 +562,17 @@ def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
     result = json.loads(out.splitlines()[-1])
     assert result == {"seen": [[], [0], [0]], "missing": []}
     assert spinboson.__all__ == EXPORTS
+
+
+def test_readme_quick_start_runs():
+    """The README's Python quick start runs as written, on a smaller grid."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start in Python", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    small = block.replace("n_scales=6, points_per_shell=8",
+                          "n_scales=2, points_per_shell=2")
+    assert small != block
+    exec(compile(small, "<README quick start>", "exec"), {})
 
 
 # ---------------------------------------------------------- thread budget
@@ -674,15 +695,24 @@ class TestJobs:
     def test_order_kept_on_threads(self):
         assert threads.parallel_map(lambda x: -x, range(9), 3) == [-x for x in range(9)]
 
-    def test_ladder_reports_identical(self, tmp_path):
+    @pytest.mark.parametrize(
+        "subcommand",
+        ["ladder", "fgr", "theta-scan", "g-circle", "cone-check", "resolvent-scan"],
+    )
+    def test_ladder_reports_identical(self, tmp_path, subcommand):
+        """Every solving subcommand writes the same reports at ``--jobs`` 1 and 2."""
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(config_text())
+        cfg_path.write_text(config_text(run={"n_samples": 20}))
         for jobs in ("1", "2"):
-            assert main(["ladder", "--config", str(cfg_path), "--jobs", jobs,
+            assert main([subcommand, "--config", str(cfg_path), "--jobs", jobs,
                          "--out", str(tmp_path / jobs)]) == 0
-        assert (tmp_path / "1" / "trace.json").read_bytes() == (
-            tmp_path / "2" / "trace.json"
-        ).read_bytes()
+        reports = sorted(p.name for p in (tmp_path / "1").iterdir())
+        reports.remove("manifest.json")
+        assert reports
+        for name in reports:
+            assert (tmp_path / "1" / name).read_bytes() == (
+                tmp_path / "2" / name
+            ).read_bytes()
 
 
 def test_ladder_reports_independent_of_blas_threads(tmp_path):

@@ -1,5 +1,7 @@
 """Golden rule, invariance scans, cone and resolvent surrogates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from spinboson import (
     CutoffLadder,
     DiscretizedField,
     ModelConfig,
-    TrackingError,
     assemble_hamiltonian,
     fermi_golden_rule,
     g_analyticity_check,
@@ -30,7 +31,7 @@ def coarse():
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=3, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    return cfg, lad, field
+    return cfg, field
 
 
 class TestGoldenRuleCoefficient:
@@ -51,7 +52,7 @@ class TestGoldenRuleCoefficient:
 class TestSecondOrderOracle:
     def test_error_scales_as_fourth_power(self, coarse):
         """lambda(eig) - lambda(PT2) must shrink like g^4."""
-        cfg, lad, field = coarse
+        cfg, field = coarse
 
         modes = field.modes_for_scale(None)
         errs = []
@@ -64,7 +65,7 @@ class TestSecondOrderOracle:
         assert errs[1] < errs[0] / 8.0  # g^4 would give 16, leave slack
 
     def test_free_limit(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         modes = field.modes_for_scale(None)
         cfg0 = cfg.replace(g=0.0)
         assert second_order_eigenvalue(cfg0, modes, 1) == cfg.e1
@@ -73,8 +74,8 @@ class TestSecondOrderOracle:
 
 class TestFermiGoldenRule:
     def test_two_coupling_scan(self, coarse):
-        cfg, lad, field = coarse
-        rep = fermi_golden_rule(cfg, lad, field, [0.05, 0.025])
+        cfg, field = coarse
+        rep = fermi_golden_rule(cfg, field, [0.05, 0.025])
         assert rep["monotone_improvement"]
         rows = rep["rows"]
         assert rows[0]["g"] == 0.05 and rows[1]["g"] == 0.025
@@ -83,16 +84,16 @@ class TestFermiGoldenRule:
         assert rows[1]["pt2_rel_disagreement"] < 0.05
 
     def test_needs_two_points(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         with pytest.raises(ConfigError):
-            fermi_golden_rule(cfg, lad, field, [0.05])
+            fermi_golden_rule(cfg, field, [0.05])
 
 
 class TestThetaInvariance:
     def test_free_model_exactly_invariant(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        rep = theta_invariance_scan(cfg0, lad, field, [0.15j, 0.2j, 0.25j])
+        rep = theta_invariance_scan(cfg0, field, [0.15j, 0.2j, 0.25j])
         assert rep.max_pairwise[0] < 1e-13
         assert rep.max_pairwise[1] < 1e-13
         # the bare levels are exact eigenvalues of the refined grid too
@@ -100,48 +101,48 @@ class TestThetaInvariance:
         assert rep.budget == rep.details["solver_tolerance"]
 
     def test_real_shift_pair_exact(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         rep = theta_invariance_scan(
-            cfg, lad, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,)
+            cfg, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,)
         )
         (pair,) = rep.details["real_shift_pairs"]
         assert pair["deviation"] < 1e-10
 
     def test_imaginary_moves_within_budget(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         rep = theta_invariance_scan(
-            cfg, lad, field, [0.18j, 0.2j, 0.22j], levels=(1,)
+            cfg, field, [0.18j, 0.2j, 0.22j], levels=(1,)
         )
         assert rep.budget is not None
         assert rep.max_pairwise[1] <= rep.budget
 
     def test_outside_domain_rejected(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         with pytest.raises(ConfigError):
-            theta_invariance_scan(cfg, lad, field, [0.2j, 0.21j, 0.05j])
+            theta_invariance_scan(cfg, field, [0.2j, 0.21j, 0.05j])
 
     def test_needs_three_samples(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         with pytest.raises(ConfigError):
-            theta_invariance_scan(cfg, lad, field, [0.2j, 0.25j])
+            theta_invariance_scan(cfg, field, [0.2j, 0.25j])
 
 
 class TestCouplingAnalyticity:
     def test_constant_stub(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         rep = g_analyticity_check(
-            cfg, lad, field, center=0.04, radius=0.01,
+            cfg, field, center=0.04, radius=0.01,
             eval_fn=lambda g: {0: 0.5, 1: 1.5},
         )
         assert rep.max_pairwise[0] < 1e-14
         assert rep.max_pairwise[1] < 1e-14
 
     def test_quadratic_synthetic_recovery(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         a, b, c = 1.0 - 0.01j, 0.3 + 0.05j, -2.0 + 0.4j
 
         rep = g_analyticity_check(
-            cfg, lad, field, center=0.04, radius=0.01, n_samples=16,
+            cfg, field, center=0.04, radius=0.01, n_samples=16,
             levels=(1,),
             eval_fn=lambda g: {1: a + b * g + c * g * g},
         )
@@ -160,44 +161,45 @@ class TestCouplingAnalyticity:
         lad = CutoffLadder(0.25, 0.5, e1=1.0)
         field = DiscretizedField(lad, n_scales=2, points_per_shell=2,
                                  r_max=4.0, n_max=2, uv_points_per_panel=2)
-        rep = g_analyticity_check(cfg, lad, field, center=0.04, radius=0.01,
+        rep = g_analyticity_check(cfg, field, center=0.04, radius=0.01,
                                   n_samples=8, levels=(1,))
         assert rep.max_pairwise[1] < 1e-4
 
     def test_sample_count_floor(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         with pytest.raises(ConfigError):
-            g_analyticity_check(cfg, lad, field, center=0.04, radius=0.01,
+            g_analyticity_check(cfg, field, center=0.04, radius=0.01,
                                 n_samples=4)
 
 
 class TestSpectrumConeCheck:
     def test_free_model_on_axis(self, coarse):
-        cfg, lad, field = coarse
+        cfg, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        trace = run_ladder(cfg0, lad, field)
-        rep = spectrum_cone_check(cfg0, lad, field, trace, tol=1e-10)
+        trace = run_ladder(cfg0, field)
+        rep = spectrum_cone_check(trace, tol=1e-10)
         assert rep["pass"]
         # the free spectrum in the box sits on the rotated ray: zero distance
         for lv in rep["levels"].values():
             assert lv["max_dist_raw"] < 1e-12
 
     def test_practical_run_with_classification(self, coarse):
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field)
-        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3)
+        cfg, field = coarse
+        trace = run_ladder(cfg, field)
+        rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["pass"], rep["levels"]
 
     def test_narrow_cone_stress_detects_violations(self, coarse):
-        """Large coupling with a narrowed cone must produce violations."""
-        cfg, lad, field = coarse
+        """Large coupling with a narrowed cone must produce violations.
+
+        The cone divisor does not enter the ladder, so one run serves both
+        cones: each check reads a copy of the trace with its ``m_cone``."""
+        cfg, field = coarse
         strong = cfg.replace(g=0.15)
-        trace = run_ladder(strong, lad, field, levels=(0,))
-        wide = spectrum_cone_check(
-            strong.replace(m_cone=4), lad, field, trace, tol=1e-4, levels=(0,)
-        )
-        narrow = spectrum_cone_check(
-            strong.replace(m_cone=40), lad, field, trace, tol=1e-4, levels=(0,)
+        trace = run_ladder(strong, field, levels=(0,))
+        wide, narrow = (
+            spectrum_cone_check(replace(trace, cfg=strong.replace(m_cone=m)), tol=1e-4)
+            for m in (4, 40)
         )
         assert not narrow["pass"]
         assert len(narrow["levels"][0]["violations"]) >= len(
@@ -206,9 +208,9 @@ class TestSpectrumConeCheck:
         assert narrow["levels"][0]["violations"]
 
     def test_chain_steps_pass_on_practical_run(self, coarse):
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field)
-        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3)
+        cfg, field = coarse
+        trace = run_ladder(cfg, field)
+        rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["pass"]
         for i in (0, 1):
             rows = rep["chain"][i]
@@ -216,7 +218,7 @@ class TestSpectrumConeCheck:
             for n, row in enumerate(rows, start=1):
                 assert row == {"n": n, **verify_cone_chain(
                     trace.scales[n - 1].levels[i].lam,
-                    trace.scales[n].levels[i].lam, lad, n, cfg)}
+                    trace.scales[n].levels[i].lam, field.ladder, n, cfg)}
                 assert row["pass"] and "witness" not in row
                 assert row["gap_inner"] >= row["gap_inner_bound"]
                 assert row["gap_outer"] >= row["gap_outer_bound"]
@@ -225,24 +227,24 @@ class TestSpectrumConeCheck:
         """v_n and v_mid lie on one axis, so the inner step's gap over its
         bound is 10 (0.25 - 0.39 rho) / rho, 1.1 at rho = 0.5, in every row
         of ladders whose lambda differ."""
-        cfg, lad, field = coarse
+        cfg, field = coarse
         lams, ratios = [], []
         for g in (0.05, 0.08):
             cfg_g = cfg.replace(g=g)
-            trace = run_ladder(cfg_g, lad, field, levels=(1,))
-            rep = spectrum_cone_check(cfg_g, lad, field, trace, tol=5e-3, levels=(1,))
+            trace = run_ladder(cfg_g, field, levels=(1,))
+            rep = spectrum_cone_check(trace, tol=5e-3)
             lams.append(trace.scales[-1].levels[1].lam)
             ratios += [r["gap_inner"] / r["gap_inner_bound"] for r in rep["chain"][1]]
         assert abs(lams[1] - lams[0]) > 1e-4
-        assert lad.rho == 0.5
+        assert field.ladder.rho == 0.5
         assert ratios == pytest.approx([1.1] * 4, rel=1e-9)
 
     def test_oversized_step_fails_with_witness(self, coarse):
         """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 fails the check."""
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, levels=(1,))
-        trace.scales[1].levels[1].lam += 0.5 * lad.cutoff(1) * 1j
-        rep = spectrum_cone_check(cfg, lad, field, trace, tol=5e-3, levels=(1,))
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,))
+        trace.scales[1].levels[1].lam += 0.5 * field.ladder.cutoff(1) * 1j
+        rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["levels"][1]["pass"]
         assert not rep["pass"]
         step = rep["chain"][1][0]
@@ -251,11 +253,10 @@ class TestSpectrumConeCheck:
 
 class TestResolventConeBound:
     def test_structure_and_stability(self, coarse):
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, levels=(1,))
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,))
         reps = [
-            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=40,
-                                       seed=s)
+            resolvent_cone_bound_check(trace, n_samples=40, seed=s)
             for s in (1, 2)
         ]
         for rep in reps:
@@ -289,44 +290,15 @@ class TestResolventConeBound:
         assert k_moved == pytest.approx(k_base, rel=1e-9)
 
     def test_rows_consistent(self, coarse):
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, levels=(1,))
-        rep = resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=20,
-                                         seed=5)
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,))
+        rep = resolvent_cone_bound_check(trace, n_samples=20, seed=5)
         for row in rep["rows"]:
             assert row["lhs"] * row["dist"] <= rep["K"] * (1 + 1e-12)
 
     def test_ladder_spectrum_reused_identically(self, coarse):
         """The last ladder scale's spectrum is the full-grid one, bit for bit."""
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, levels=(1,))
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,))
         fresh = spectrum(assemble_hamiltonian(cfg, field))
         assert np.array_equal(trace.scales[-1].census.values, fresh)
-
-    def test_stopped_ladder_rejected(self, coarse):
-        """A trace of a shorter field does not end at this field's full grid."""
-        cfg, lad, field = coarse
-        short = DiscretizedField(
-            lad, 2, points_per_shell=field.points_per_shell, r_max=field.r_max,
-            n_max=field.n_max, uv_points_per_panel=field.uv_points_per_panel,
-        )
-        trace = run_ladder(cfg, lad, short, levels=(1,))
-        with pytest.raises(TrackingError, match="stopped at scale 2"):
-            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=5)
-        with pytest.raises(TrackingError, match="stopped at scale 2"):
-            spectrum_cone_check(cfg, lad, field, trace, tol=5e-3, levels=(1,))
-
-    def test_threaded_report_matches_serial(self, coarse):
-        cfg, lad, field = coarse
-        trace = run_ladder(cfg, lad, field, levels=(1,))
-        serial, threaded = (
-            resolvent_cone_bound_check(cfg, lad, field, trace, n_samples=10,
-                                       seed=3, jobs=jobs)
-            for jobs in (1, 2)
-        )
-        assert threaded["n_used"] == serial["n_used"] == 10
-        assert [r["z"] for r in threaded["rows"]] == [r["z"] for r in serial["rows"]]
-        assert [r["lhs"] for r in threaded["rows"]] == pytest.approx(
-            [r["lhs"] for r in serial["rows"]], rel=1e-12
-        )
-        assert threaded["K"] == pytest.approx(serial["K"], rel=1e-12)

@@ -55,14 +55,14 @@ def practical():
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=4, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    trace = run_ladder(cfg, lad, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
-    return cfg, lad, field, trace
+    trace = run_ladder(cfg, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
+    return cfg, field, trace
 
 
 class TestFreeModel:
-    def test_exact_levels_and_projectors(self, cfg, ladder, small_field):
+    def test_exact_levels_and_projectors(self, cfg, small_field):
         cfg0 = cfg.replace(g=0.0)
-        trace = run_ladder(cfg0, ladder, small_field)
+        trace = run_ladder(cfg0, small_field)
         for rec in trace.scales:
             for i in (0, 1):
                 data = rec.levels[i]
@@ -77,11 +77,11 @@ class TestFreeModel:
                 if data.p3_gap is not None:
                     assert data.p3_gap < 1e-12
 
-    def test_minimal_two_scale_extrapolation(self, cfg, ladder, small_field):
+    def test_minimal_two_scale_extrapolation(self, cfg, small_field):
         cfg0 = cfg.replace(g=0.0)
         field = shorter_field(small_field, 2)
-        trace = run_ladder(cfg0, ladder, field)
-        result = extrapolate_limit(trace, cfg0, ladder)
+        trace = run_ladder(cfg0, field)
+        result = extrapolate_limit(trace)
         for i in (0, 1):
             assert result["levels"][i]["error_bar"] == 0.0
             # the free eigenvectors are exact on every grid
@@ -91,9 +91,9 @@ class TestFreeModel:
 
 class TestPracticalRun:
     def test_p1_p3_practical_envelopes(self, practical):
-        cfg, lad, field, trace = practical
-        p1 = check_p1(trace, cfg, lad, log10_C=9.0)
-        p3 = check_p3(trace, cfg, lad, log10_C=9.0)
+        cfg, field, trace = practical
+        p1 = check_p1(trace, log10_C=9.0)
+        p3 = check_p3(trace, log10_C=9.0)
         for i in (0, 1):
             assert p1["levels"][i]["all_practical_pass"]
             assert p3["levels"][i]["all_practical_pass"]
@@ -101,28 +101,28 @@ class TestPracticalRun:
             assert 0.0 < p3["levels"][i]["fitted_ratio"] < 1.0
 
     def test_strict_bounds_reported(self, practical):
-        cfg, lad, field, trace = practical
-        p1 = check_p1(trace, cfg, lad, log10_C=9.0)
+        cfg, field, trace = practical
+        p1 = check_p1(trace, log10_C=9.0)
         rows = p1["levels"][1]["rows"]
         assert all("strict_bound_log10" in r for r in rows)
         # the strict bound with C ~ 1e9 is astronomically loose
         assert all(r["strict_pass"] for r in rows)
 
     def test_contour_safety(self, practical):
-        _, _, _, trace = practical
+        _, _, trace = practical
         for rec in trace.scales:
             for data in rec.levels.values():
                 assert data.contour_safe
                 assert data.gap > 2.0 * rec.contour_radius
 
     def test_rayleigh_agreement_recorded(self, practical):
-        _, _, _, trace = practical
+        _, _, trace = practical
         for rec in trace.scales:
             for data in rec.levels.values():
                 assert data.rayleigh_disagreement < 1e-8
 
     def test_p2_classification(self, practical):
-        _, _, _, trace = practical
+        _, _, trace = practical
         for rec in trace.scales:
             for data in rec.levels.values():
                 assert data.p2_violation_count == 0
@@ -130,13 +130,13 @@ class TestPracticalRun:
                 assert data.p2_count_window == 1 + data.p2_soft_branch_count
 
     def test_deterministic_rerun(self, practical):
-        cfg, lad, field, trace = practical
-        again = run_ladder(cfg, lad, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
+        cfg, field, trace = practical
+        again = run_ladder(cfg, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
         assert again.to_dict() == trace.to_dict()
 
     def test_extrapolation_and_residuals(self, practical):
-        cfg, lad, field, trace = practical
-        result = extrapolate_limit(copy.deepcopy(trace), cfg, lad)
+        cfg, field, trace = practical
+        result = extrapolate_limit(copy.deepcopy(trace))
         for i in (0, 1):
             level = result["levels"][i]
             assert level["error_bar"] > 0.0
@@ -149,7 +149,7 @@ class TestPracticalRun:
         assert abs(lam_last - lam_prev) < result["levels"][1]["error_bar"]
 
     def test_p2_p4_report(self, practical):
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         report = check_p2_p4(copy.deepcopy(trace))
         for i in ("0", "1"):
             for n, entry in report["p4"][i].items():
@@ -162,7 +162,7 @@ class TestPracticalRun:
             assert all(v["unique"] for v in report["p2"][i].values())
 
     def test_p4_pole_removed_near_lambda(self, practical):
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         rec = trace.scales[-1]
         data = rec.levels[1]
         H = assemble_hamiltonian(cfg, field, n=rec.n)
@@ -173,8 +173,8 @@ class TestPracticalRun:
         assert max(norms) / min(norms) < 10.0
 
 
-    def test_without_samples_p4_check_raises(self, cfg, ladder, small_field):
-        trace = run_ladder(cfg, ladder, shorter_field(small_field, 1), levels=(1,))
+    def test_without_samples_p4_check_raises(self, cfg, small_field):
+        trace = run_ladder(cfg, shorter_field(small_field, 1), levels=(1,))
         assert trace.scales[0].levels[1].p4 is None
         with pytest.raises(TrackingError, match="no P4 samples"):
             check_p2_p4(trace)
@@ -186,7 +186,7 @@ class TestReassemblyOracle:
     (scale, level) order, residuals from a fresh full-grid operator."""
 
     def test_p4_samples_and_fits_bit_for_bit(self, practical):
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         rng = np.random.default_rng(P4_SEED)
         for rec in trace.scales:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
@@ -215,7 +215,7 @@ class TestReassemblyOracle:
                 assert k_fit == data.p4["K_n"]
 
     def test_full_grid_residuals_bit_for_bit(self, practical):
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         H_full = assemble_hamiltonian(cfg, field, n=None)
         for rec in trace.scales:
             for data in rec.levels.values():
@@ -226,7 +226,7 @@ class TestReassemblyOracle:
 
 class TestNestingExactness:
     def test_embedded_projector_idempotent_rank_one(self, practical):
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         n = 3
         u, l = trace.scales[n - 2].levels[1].vectors
         u_e = _embed_full_vector(field, n - 1, n, u)
@@ -239,7 +239,7 @@ class TestNestingExactness:
     def test_embedding_preserves_matrix_action(self, practical):
         """H3 on an embedded H2 vector: H2's action on the embedded states,
         and new entries only on states with one boson in a new-shell mode."""
-        cfg, lad, field, trace = practical
+        cfg, field, trace = practical
         H2 = assemble_hamiltonian(cfg, field, n=2).to_dense()
         H3 = assemble_hamiltonian(cfg, field, n=3).to_dense()
         u, _ = trace.scales[1].levels[1].vectors
@@ -266,7 +266,7 @@ class TestGridSelfConsistency:
             field = DiscretizedField(lad, n_scales=2, points_per_shell=pts,
                                      r_max=4.0, n_max=2,
                                      uv_points_per_panel=pts)
-            trace = run_ladder(cfg, lad, field, levels=(1,))
+            trace = run_ladder(cfg, field, levels=(1,))
             lams.append(trace.scales[-1].levels[1].lam)
         assert abs(lams[1] - lams[0]) < 5e-3
 

@@ -22,7 +22,6 @@ from spinboson import (
     TrackingError,
     assemble_hamiltonian,
     resolvent_norm,
-    resolvent_scan,
     riesz_rank_one,
     run_ladder,
     track_eigenvalue,
@@ -305,28 +304,6 @@ class TestPowerFallback:
             resolvent_norm(one_sector(np.diag([1.0, 1.0005, 3.0, 4.0])), 0.0)
 
 
-class TestResolventScan:
-    def test_matches_sequential(self, rng):
-        A = one_sector(random_matrix(rng, 6))
-        grid = [0.5 + 0.1j * k for k in range(10)]
-        scan = resolvent_scan(A, grid)
-        assert [z for z, _ in scan] == grid
-        for z, val in scan:
-            assert val == pytest.approx(resolvent_norm(A, z), rel=1e-12)
-
-    def test_single_point_reduces(self, rng):
-        A = one_sector(random_matrix(rng, 5))
-        ((z, val),) = resolvent_scan(A, [1.0j])
-        assert val == pytest.approx(resolvent_norm(A, 1.0j))
-
-    def test_threaded_matches(self, rng):
-        A = one_sector(random_matrix(rng, 6))
-        grid = [0.3 * k - 0.2j for k in range(8)]
-        assert resolvent_scan(A, grid, jobs=2) == pytest.approx(
-            resolvent_scan(A, grid), rel=1e-12
-        )
-
-
 class TestHelpers:
     def test_rank_two_difference_norm(self, rng):
         n = 30
@@ -575,12 +552,11 @@ class TestEliminatedRoute:
         assert rel_err(fact.to_dense(), plain.to_dense()) < 1e-12
         assert abs(fact.trace_value - plain.trace_value) < 1e-12
 
-    def test_ladder_matches_dense_lu_route(self, cfg, ladder, small_field,
-                                           monkeypatch):
-        fast = run_ladder(cfg, ladder, small_field)
+    def test_ladder_matches_dense_lu_route(self, cfg, small_field, monkeypatch):
+        fast = run_ladder(cfg, small_field)
         # an infinite guard keeps every top entry: each solve is a dense LU
         monkeypatch.setattr(spectral, "TOP_LAYER_GUARD", np.inf)
-        slow = run_ladder(cfg, ladder, small_field)
+        slow = run_ladder(cfg, small_field)
         for rec_f, rec_s in zip(fast.scales, slow.scales):
             for i, f in rec_f.levels.items():
                 s = rec_s.levels[i]
