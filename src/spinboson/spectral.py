@@ -18,13 +18,13 @@ exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
 plain linear algebra) and factors only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  The pieces of
 that complement that do not depend on the shift (the index split, the
-top-layer diagonal, the sparse couplings A_RT and A_TR with their
+top-layer diagonal, the dense couplings A_RT and A_TR with their
 adjoints, and A_RR) are built once per sector, kept on it as
-``Sector.solver_parts`` and freed with it; each shift then only forms
-and factors S(z); a sector without a top layer gets a dense LU of its
-block through the same code.  Resolvent norms build one solver per
-sector and shift and run Lanczos (svds) on its solves; no block of
-dimension 3 or more is inverted or SVD'd densely.
+``Sector.solver_parts`` and freed with it; each shift then only forms,
+factors and inverts S(z); a sector without a top layer gets a dense LU
+of its block through the same code.  Resolvent norms build one solver
+per sector and shift and run Lanczos on its solves; only the Schur
+complement is inverted densely, and no block is SVD'd densely.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -33,8 +33,9 @@ geometrically and a small node count reaches residuals near machine
 precision.  The projector is never formed entrywise: its action on a block
 of probe vectors is accumulated node by node (one solver per node, shared
 by both quadrature passes), and the rank-one factors are recovered from
-that action.  This keeps every ladder step at O(nodes * |R|^3 / 3) flops
-for the factorizations plus sparse work on the eliminated layer.
+that action.  This keeps every ladder step at O(nodes * |R|^2 (|R| + |T|))
+flops for forming, factoring and inverting the complements, with |T| the
+size of the eliminated layer.
 """
 
 from __future__ import annotations
@@ -44,14 +45,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import (
-    ArpackError,
-    ArpackNoConvergence,
-    LinearOperator,
-    svds,
-)
+from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
+from scipy.sparse.linalg import svds  # noqa: F401  bench/tracer.py wraps spectral.svds
 
 from .errors import (
     ContourCollisionError,
@@ -66,10 +61,12 @@ IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
 # Relative agreement of the two eigenvalue routes in track_eigenvalue.
 AGREE_TOL = 1e-8
-# Accuracy of resolvent norms: the svds tolerance and the relative residual
-# at which the power-iteration fallback stops (within POWER_MAX_ITERS steps).
+# Resolvent norms: Lanczos stops at this relative Ritz residual, tested
+# every RITZ_STRIDE steps; clustered top singular values take up to 808
+# steps on the README grid, so it raises only after LANCZOS_MAX_STEPS.
 RESOLVENT_TOL = 1e-9
-POWER_MAX_ITERS = 300
+LANCZOS_MAX_STEPS = 2000
+RITZ_STRIDE = 4
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the factored part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
@@ -80,18 +77,12 @@ TOP_LAYER_GUARD = 1e-6
 _LU_WARNING_LOCK = threading.Lock()
 
 
-def _per_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reshape a per-row factor so it broadcasts against b (vector or block)."""
-    return d.reshape((-1,) + (1,) * (b.ndim - 1))
-
-
 class _SolverParts:
     """The shift-independent pieces of every ShiftedSolver of one block.
 
     For top-layer positions T and the remaining positions R: the diagonal
-    d of A_TT, the CSR matrices A_RT and A_TR with their conjugate
-    transposes, and the dense A_RR.  A Sector builds them once and keeps
-    them (``Sector.solver_parts``).
+    d of A_TT, and dense A_RT and A_TR with their conjugate transposes and
+    A_RR.  A Sector builds them once and keeps them (``Sector.solver_parts``).
     """
 
     def __init__(self, A: np.ndarray, top: np.ndarray):
@@ -102,10 +93,10 @@ class _SolverParts:
         in_t = np.zeros(n, dtype=bool)
         in_t[top] = True
         self.r = np.nonzero(~in_t)[0]
-        self.a_rt = sparse.csr_matrix(A[np.ix_(self.r, top)])
-        self.a_tr = sparse.csr_matrix(A[np.ix_(top, self.r)])
-        self.a_rt_h = self.a_rt.conj().T.tocsr()
-        self.a_tr_h = self.a_tr.conj().T.tocsr()
+        self.a_rt = A[np.ix_(self.r, top)]
+        self.a_tr = A[np.ix_(top, self.r)]
+        self.a_rt_h = self.a_rt.conj().T
+        self.a_tr_h = self.a_tr.conj().T
         self.a_rr = A[np.ix_(self.r, self.r)].astype(complex, copy=False)
 
 
@@ -126,16 +117,17 @@ class ShiftedSolver:
 
         S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
 
-    the only matrix factored.  A top entry with
-    |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z
-    never divides; it reaches the pivots instead, and the parts are rebuilt
-    for that shift.  A sector without a top layer has R = everything, and
-    this is a dense LU of A - z.
+    the only matrix factored (``lu``); a nonsingular shift inverts it once
+    from that LU, so each solve is one product with S(z)^(-1) or S(z)^(-H).
+    A top entry with |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R,
+    so a zero d_t - z never divides; it reaches the pivots instead, and the
+    parts are rebuilt for that shift.  A sector without a top layer has
+    R = everything, and ``lu`` is a dense LU of A - z.
 
     ``singular`` is set when a pivot of the factorization vanishes to
     working precision (|R| eps times the largest entry of S, at least 1):
-    the shift then lies on the spectrum and the solves raise
-    SingularShiftError.
+    the shift then lies on the spectrum, S(z) is not inverted and the
+    solves raise SingularShiftError.
     """
 
     def __init__(self, sec: Sector, z: complex):
@@ -147,12 +139,9 @@ class ShiftedSolver:
             parts, d = _SolverParts(parts.block, parts.t[keep]), d[keep]
         self._parts = parts
         self.t, self.r, self.dt = parts.t, parts.r, d
-        schur = parts.a_rr.copy()
-        schur[np.diag_indices(len(self.r))] -= z
+        schur = parts.a_rr - z * np.eye(len(self.r))
         if len(self.t):
-            schur -= (
-                parts.a_rt @ sparse.diags(1.0 / self.dt) @ parts.a_tr
-            ).toarray()
+            schur -= (parts.a_rt / d) @ parts.a_tr
         # an exactly zero pivot makes lu_factor warn; the pivot test below
         # decides singularity, so that warning alone is silenced here
         with _LU_WARNING_LOCK, warnings.catch_warnings():
@@ -165,6 +154,9 @@ class ShiftedSolver:
         self.singular = bool(
             len(pivots) and pivots.min() <= len(pivots) * np.finfo(float).eps * scale
         )
+        if not self.singular:
+            self._inv = lu_solve(self.lu, np.eye(len(self.r), dtype=complex))
+            self._inv_h = self._inv.conj().T
 
     def _check(self) -> None:
         if self.singular:
@@ -176,10 +168,10 @@ class ShiftedSolver:
         """(A - z)^(-1) b for a vector or a block of columns."""
         self._check()
         b = np.asarray(b, dtype=complex)
-        dt = _per_row(self.dt, b)
+        dt = self.dt if b.ndim == 1 else self.dt[:, None]
         w = b[self.t] / dt
         x = np.empty_like(b)
-        x_r = lu_solve(self.lu, b[self.r] - self._parts.a_rt @ w)
+        x_r = self._inv @ (b[self.r] - self._parts.a_rt @ w)
         x[self.r] = x_r
         x[self.t] = w - (self._parts.a_tr @ x_r) / dt
         return x
@@ -188,10 +180,10 @@ class ShiftedSolver:
         """(A - z)^(-H) c for a vector or a block of columns."""
         self._check()
         c = np.asarray(c, dtype=complex)
-        dt = _per_row(self.dt.conj(), c)
+        dt = self.dt.conj() if c.ndim == 1 else self.dt.conj()[:, None]
         w = c[self.t] / dt
         y = np.empty_like(c)
-        y_r = lu_solve(self.lu, c[self.r] - self._parts.a_tr_h @ w, trans=2)
+        y_r = self._inv_h @ (c[self.r] - self._parts.a_tr_h @ w)
         y[self.r] = y_r
         y[self.t] = w - (self._parts.a_rt_h @ y_r) / dt
         return y
@@ -274,15 +266,15 @@ def riesz_rank_one(
     """Factored contour projector of ``sec`` for an expected simple eigenvalue.
 
     Two quadrature passes share one ShiftedSolver per node, so all node
-    factorizations of one rule are held at once: nodes * |R|^2 * 16 bytes
-    for the sector's lower layers R.  The first pass recovers the range and
-    corange from probe vectors, the second measures the idempotency defect and the
-    enclosed trace on that subspace.  Nodes double from ``quad_points``
-    until the defect passes IDEMPOTENCY_TOL; at MAX_QUAD_POINTS the
-    projector is returned with ``converged`` False.  ``sector`` is recorded
-    on the projector.  Every caller in the package starts at 16 nodes;
-    ``quad_points`` stays a parameter because ``bench/tracer.py`` reads it
-    to count the doublings.
+    solvers of one rule are held at once: nodes * 3 |R|^2 * 16 bytes (LU,
+    inverse and its adjoint) for the sector's lower layers R.  The first
+    pass recovers the range and corange from probe vectors, the second
+    measures the idempotency defect and the enclosed trace on that
+    subspace.  Nodes double from ``quad_points`` until the defect passes
+    IDEMPOTENCY_TOL; at MAX_QUAD_POINTS the projector is returned with
+    ``converged`` False.  ``sector`` is recorded on the projector.  Every
+    caller in the package starts at 16 nodes; ``quad_points`` stays a
+    parameter because ``bench/tracer.py`` reads it to count the doublings.
     """
     n = len(sec.indices)
     rng = np.random.default_rng(7)
@@ -445,23 +437,45 @@ def track_eigenvalue(
     )
 
 
-def _power_norm(matvec, rmatvec, x: np.ndarray) -> float:
-    """Largest singular value by power iteration on M = op^H op (svds fallback).
+def _top_singular_value(matvec, rmatvec, n: int) -> float:
+    """Largest singular value of an n x n operator from its two actions.
 
-    Stops when |M x - nu x| <= RESOLVENT_TOL * nu with nu = x^H M x, the
-    Rayleigh quotient of the unit iterate; raises ConvergenceError when
-    POWER_MAX_ITERS steps do not get there.
+    Lanczos on M = op^H op (the operator svds iterates on) from the svds
+    start vector ``default_rng(12345)``; each step subtracts the three-term
+    recurrence, then projects once against the whole basis.  Every
+    RITZ_STRIDE steps the largest Ritz value nu of the tridiagonal T_k is
+    tested: the iteration stops when its residual beta_k |s_k| (s_k the
+    last entry of its eigenvector) is at most RESOLVENT_TOL * nu (the svds
+    rule), or at k = n, where the Ritz values are those of M.  As nu is at
+    least every diagonal entry of T_k, a step with beta_k below
+    RESOLVENT_TOL times the largest of them passes the rule and is tested
+    at once; this also ends a breakdown (beta_k = 0).  Raises
+    ConvergenceError when LANCZOS_MAX_STEPS steps do not get there.
     """
-    x = x / np.linalg.norm(x)
-    for _ in range(POWER_MAX_ITERS):
-        y = rmatvec(matvec(x))
-        nu = float(np.vdot(x, y).real)
-        if np.linalg.norm(y - nu * x) <= RESOLVENT_TOL * nu:
-            return float(np.sqrt(nu))
-        x = y / np.linalg.norm(y)
+    last, tol = min(n, LANCZOS_MAX_STEPS), RESOLVENT_TOL
+    V = np.empty((last, n), dtype=complex)  # only rows written take memory
+    alpha, beta = np.empty(last), np.empty(last)
+    q = np.random.default_rng(12345).standard_normal(n).astype(complex)
+    q /= np.linalg.norm(q)
+    for k in range(1, last + 1):
+        V[k - 1] = q
+        w = rmatvec(matvec(q))
+        alpha[k - 1] = np.vdot(q, w).real
+        w -= alpha[k - 1] * q
+        if k > 1:
+            w -= beta[k - 2] * V[k - 2]
+        w -= V[:k].T @ (V[:k] @ w.conj()).conj()  # V^H w without copying V
+        beta[k - 1] = np.linalg.norm(w)
+        if k % RITZ_STRIDE == 0 or k == last or beta[k - 1] <= tol * alpha[:k].max():
+            nu, s = eigh_tridiagonal(
+                alpha[:k], beta[: k - 1], select="i", select_range=(k - 1, k - 1)
+            )
+            if k == n or beta[k - 1] * abs(s[-1, 0]) <= tol * nu[0]:
+                return float(np.sqrt(nu[0]))
+        q = w / beta[k - 1]
     raise ConvergenceError(
-        f"power iteration for the resolvent norm missed the relative residual "
-        f"{RESOLVENT_TOL:.0e} in {POWER_MAX_ITERS} steps"
+        f"Lanczos for the resolvent norm missed the relative Ritz residual "
+        f"{RESOLVENT_TOL:.0e} in {LANCZOS_MAX_STEPS} steps"
     )
 
 
@@ -469,7 +483,6 @@ def _sector_resolvent_norm(
     sec: Sector, z: complex, proj: RieszProjector | None
 ) -> float:
     """Norm of (A - z)^(-1) (1 - P) on one sector; P = 0 when proj is None."""
-    n = len(sec.indices)
     solver = ShiftedSolver(sec, z)
     if solver.singular:
         return np.inf
@@ -483,20 +496,7 @@ def _sector_resolvent_norm(
             s = solver.solve_adjoint(y)
             return s - proj.apply_adjoint(s)
 
-    if n < 3:
-        # ARPACK needs k = 1 < n - 1, so svds raises on a 1x1 or 2x2 block
-        op_dense = matvec(np.eye(n, dtype=complex))
-        return float(np.linalg.svd(op_dense, compute_uv=False)[0])
-    op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
-    v0 = np.random.default_rng(12345).standard_normal(n)
-    try:
-        s = svds(
-            op, k=1, which="LM", v0=v0, tol=RESOLVENT_TOL,
-            return_singular_vectors=False,
-        )
-        return float(s[0])
-    except (ArpackNoConvergence, ArpackError):
-        return _power_norm(matvec, rmatvec, v0.astype(complex))
+    return _top_singular_value(matvec, rmatvec, len(sec.indices))
 
 
 def resolvent_norm(

@@ -8,8 +8,8 @@ thread for the length of a run and restores the previous counts on the
 way out, exceptions included.  The run's only parallelism is
 ``parallel_map`` over the parity-sector eigensolves of each ladder scale,
 with ``jobs`` threads; numpy releases the interpreter lock inside LAPACK.
-Resolvent samples run in the calling thread: their svds matvecs run
-Python under the interpreter lock, so threads made them slower.
+Resolvent samples run in the calling thread: each norm is many small
+steps under the interpreter lock, and threads made the svds route slower.
 """
 
 from __future__ import annotations

@@ -503,6 +503,27 @@ def run_fresh(code: str, *args: str) -> str:
     return run.stdout
 
 
+def test_benchmark_tracer_installs():
+    """The benchmark's tracer finds every name it wraps in the package.
+
+    ``bench/tracer.py`` reads ``lu_factor``, ``lu_solve`` and ``svds`` off
+    ``spinboson.spectral`` with no default, so a change that drops one of
+    them fails here as well as in ``bench/selftest.py``.
+    """
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "import tracer\n"
+        "tracer.install(tracer.Recorder())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_cli_import_skips_optimize_and_special():
     """Importing the command line loads neither scipy.optimize nor scipy.special."""
     code = (

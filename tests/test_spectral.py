@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import LinearOperator, svds
 
 from spinboson import (
     ContourCollisionError,
@@ -29,6 +29,8 @@ from spinboson import (
 from spinboson import spectral
 from spinboson.spectral import (
     MAX_QUAD_POINTS,
+    RESOLVENT_TOL,
+    RITZ_STRIDE,
     TOP_LAYER_GUARD,
     rank_two_difference_norm,
     shifted_inverse_eigenvalue,
@@ -236,11 +238,9 @@ class TestResolventNorm:
             assert resolvent_norm(one_sector(A), z) >= bound - 1e-12
 
     def test_large_block_iterative_path(self, rng):
-        # a block far larger than the svds Krylov space (20 vectors)
-        n = 520
-        A = np.diag(np.linspace(1.0, 5.0, n)).astype(complex)
-        A += 0.01 * random_matrix(rng, n) / np.sqrt(n)
-        z = 0.5
+        # a block far larger than the Krylov space the stop rule needs
+        A, z = large_block(rng)
+        n = len(A)
         got = resolvent_norm(one_sector(A), z)
         want = 1.0 / np.linalg.svd(A - z * np.eye(n), compute_uv=False)[-1]
         assert got == pytest.approx(want, rel=1e-6)
@@ -250,6 +250,14 @@ class TestResolventNorm:
         proj = riesz_rank_one(sector(np.diag([0.0, 1.0, 2.0])), center=0.0, radius=0.5)
         with pytest.raises(KeyError):
             resolvent_norm(assemble_hamiltonian(*tiny_model(1)), 0.5j, proj)
+
+
+def large_block(rng):
+    """(A, z): a 520-dim near-diagonal block and a shift outside its spectrum."""
+    n = 520
+    A = np.diag(np.linspace(1.0, 5.0, n)).astype(complex)
+    A += 0.01 * random_matrix(rng, n) / np.sqrt(n)
+    return A, 0.5
 
 
 def dense_resolvent_norm(A, z, P=None):
@@ -265,7 +273,7 @@ class TestAgainstDenseOracle:
     @pytest.mark.parametrize("offset", [1e-4, 0.6])
     def test_assembled_operator(self, n_max, projected, offset):
         # offset is |z - lambda| in units of the gap; n_max = 0 gives 1x1
-        # sectors, the dense path for blocks below dimension 3
+        # sectors, where the first Lanczos step fills the sector
         H = assemble_hamiltonian(*tiny_model(n_max))
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
@@ -284,24 +292,115 @@ class TestAgainstDenseOracle:
         assert got == pytest.approx(want, rel=1e-9)
 
 
-class TestPowerFallback:
-    @pytest.fixture(autouse=True)
-    def no_arpack(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+def svds_resolvent_norm(A, z, P=None):
+    """Oracle: |(A - z)^(-1) (1 - P)| by the route the package took before
+    its Lanczos: ARPACK svds(k=1) at RESOLVENT_TOL on the solves of a dense
+    LU of A - z, from the same start vector, and the SVD of the solved
+    identity below dimension 3, where ARPACK cannot run.
+    """
+    n = len(A)
+    lu = lu_factor(A - z * np.eye(n, dtype=complex))
+    P = np.zeros((n, n)) if P is None else P
 
-        monkeypatch.setattr(spectral, "svds", fail)
+    def matvec(x):
+        return lu_solve(lu, x - P @ x)
 
-    def test_residual_stop(self):
-        # singular values 1, 1/2, ...: the residual test passes in 16 steps
-        H = one_sector(np.diag([1.0, 2.0, 3.0, 4.0]))
-        assert resolvent_norm(H, 0.0) == pytest.approx(1.0, abs=1e-9)
+    def rmatvec(y):
+        s = lu_solve(lu, y, trans=2)
+        return s - P.conj().T @ s
 
-    def test_cap_raises(self):
-        # ratio 1/1.0005^2 between the top two eigenvalues of M needs about
-        # 13,700 steps, far above the cap
+    if n < 3:
+        return float(np.linalg.svd(matvec(np.eye(n)), compute_uv=False)[0])
+    op = LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=complex)
+    v0 = np.random.default_rng(12345).standard_normal(n)
+    s = svds(op, k=1, which="LM", v0=v0, tol=RESOLVENT_TOL,
+             return_singular_vectors=False)
+    return float(s[0])
+
+
+class TestLanczosNorm:
+    """The Lanczos route against the svds route it replaced, its stop rule and cap."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_matches_svds_on_assembled_operator(self, n_max, projected):
+        H = assemble_hamiltonian(*tiny_model(n_max))
+        w = spectrum(H)
+        lam = w[np.argmin(np.abs(w - 1.0))]
+        gap = np.sort(np.abs(w - lam))[1]
+        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=lam, radius=0.4 * gap)
+        proj = rec.projector if projected else None
+        for offset in (1e-4, 0.6):
+            z = lam + offset * gap * np.exp(0.7j)
+            want = max(
+                svds_resolvent_norm(
+                    sec.block, z,
+                    proj.to_dense() if proj is not None and key == proj.sector
+                    else None,
+                )
+                for key, sec in H.sectors.items()
+            )
+            assert resolvent_norm(H, z, proj) == pytest.approx(
+                want, rel=RESOLVENT_TOL
+            )
+
+    def test_matches_svds_on_large_block(self, rng):
+        A, z = large_block(rng)
+        assert resolvent_norm(one_sector(A), z) == pytest.approx(
+            svds_resolvent_norm(A, z), rel=RESOLVENT_TOL
+        )
+
+    def test_stops_on_ritz_residual_at_stride(self):
+        # singular values 1/(1 + k/n): the top one is separated well enough
+        # for the residual rule to stop long before the Krylov space fills
+        n = 200
+        d = 1.0 + np.arange(n) / n
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return x / d
+
+        got = spectral._top_singular_value(matvec, matvec, n)
+        assert got == pytest.approx(1.0, rel=1e-12)
+        assert len(calls) < n and len(calls) % RITZ_STRIDE == 0
+
+    def test_clustered_top_values_within_cap(self):
+        # 200 singular values within 2e-3 of the top one, as near a cluster
+        # of top-layer eigenvalues: the residual rule needs far more steps
+        # than an isolated top value, but stays under the cap
+        n = 600
+        d = np.concatenate([1 + 1e-5 * np.arange(200), np.linspace(1.1, 20, n - 200)])
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return x / d
+
+        assert spectral._top_singular_value(matvec, matvec, n) == pytest.approx(
+            1.0, rel=1e-12
+        )
+        assert 300 < len(calls) < spectral.LANCZOS_MAX_STEPS
+
+    def test_breakdown_on_repeated_singular_value(self):
+        # op = I / 2 on four dims: the first Lanczos vector spans an
+        # invariant subspace and beta_1 is exactly zero
+        assert resolvent_norm(one_sector(2.0 * np.eye(4)), 0.0) == 0.5
+
+    def test_cap_raises(self, monkeypatch):
+        # top singular values 1 and 1/1.0005: two steps cannot separate them
+        H = one_sector(np.diag([1.0, 1.0005, 3.0, 4.0]))
+        assert resolvent_norm(H, 0.0) == pytest.approx(1.0, rel=1e-12)
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
         with pytest.raises(ConvergenceError):
-            resolvent_norm(one_sector(np.diag([1.0, 1.0005, 3.0, 4.0])), 0.0)
+            resolvent_norm(H, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_sector_is_exact(self, n, rng):
+        A = random_matrix(rng, n)
+        z = 0.3 - 0.2j
+        want = np.linalg.svd(np.linalg.inv(A - z * np.eye(n)), compute_uv=False)[0]
+        assert resolvent_norm(one_sector(A), z) == pytest.approx(want, rel=1e-14)
 
 
 class TestHelpers:
@@ -392,9 +491,12 @@ class TestShiftedSolver:
     def test_plain_matrix_is_dense_lu(self, rng):
         A = random_matrix(rng, 9)
         b = rng.standard_normal(9) + 0j
-        solver = ShiftedSolver(sector(A), 0.3 + 0.1j)
+        z = 0.3 + 0.1j
+        solver = ShiftedSolver(sector(A), z)
         assert len(solver.t) == 0
-        assert np.array_equal(solver.solve(b), dense_lu_route(A, 0.3 + 0.1j, b))
+        lu, piv = lu_factor(A - z * np.eye(9, dtype=complex))
+        assert np.array_equal(solver.lu[0], lu) and np.array_equal(solver.lu[1], piv)
+        assert rel_err(solver.solve(b), dense_lu_route(A, z, b)) < 1e-12
 
     def test_real_matrix_matches_complex(self, rng):
         block, top = sector_blocks(2)[0]
@@ -486,7 +588,7 @@ class TestSingularShift:
         assert t in solver.r and solver.singular
 
     def test_resolvent_norm_lu_branch(self):
-        # the pivots flag the shift before svds runs, at any block size
+        # the pivots flag the shift before Lanczos runs, at any block size
         A = np.diag(np.linspace(1.0, 5.0, 520)).astype(complex)
         assert resolvent_norm(one_sector(A), A[7, 7]) == np.inf
 
