@@ -26,7 +26,7 @@ import importlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -253,7 +253,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     from .multiscale import (
         check_p1,
         check_p2_p4,
@@ -261,6 +261,7 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         extrapolate_limit,
         run_ladder,
     )
+    from .spectral import IDEMPOTENCY_TOL
 
     cfg, samples = rc.model, rc.samples_per_scale
     trace = run_ladder(cfg, rc.field, levels=rc.levels, jobs=rc.jobs,
@@ -289,41 +290,32 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
     for rec in trace.scales:
         for data in rec.levels.values():
             ok &= data.p2_unique and data.contour_safe
-            ok &= data.projector_residual < 1e-10
+            ok &= data.projector_residual < IDEMPOTENCY_TOL
     write_json(out / "trace.json", trace.to_dict())
-    return (0 if ok else 1), {"kind": "ladder", "pass": bool(ok)}
+    return bool(ok)
 
 
-def _fgr_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _fgr_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import fermi_golden_rule
 
     rep = fermi_golden_rule(rc.model, rc.field, rc.g_list, jobs=rc.jobs)
     rows = [
         {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
     ]
-    ok = rep["monotone_improvement"]
-    write_json(
-        out / "fgr.json",
-        {
-            "coefficient": rep["coefficient"],
-            "rows": rows,
-            "monotone_improvement": rep["monotone_improvement"],
-        },
-    )
-    return (0 if ok else 1), {"kind": "fgr", "pass": bool(ok)}
+    write_json(out / "fgr.json", {**rep, "rows": rows})
+    return rep["monotone_improvement"]
 
 
-def _theta_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _theta_scan_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import theta_invariance_scan
 
     rep = theta_invariance_scan(rc.model, rc.field, rc.theta_list,
                                 levels=rc.levels, jobs=rc.jobs)
-    ok = rep.within_budget
-    write_json(out / "theta_scan.json", rep.to_dict())
-    return (0 if ok else 1), {"kind": "theta-scan", "pass": ok}
+    write_json(out / "theta_scan.json", rep)
+    return rep.within_budget
 
 
-def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _g_circle_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import g_analyticity_check
 
     circle = rc.g_circle
@@ -332,22 +324,21 @@ def _g_circle_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         n_samples=circle["samples"], levels=rc.levels, jobs=rc.jobs,
     )
     rep.budget = circle["tol"]  # the report records the tolerance that gates it
-    ok = rep.within_budget
-    write_json(out / "g_circle.json", rep.to_dict())
-    return (0 if ok else 1), {"kind": "g-circle", "pass": ok}
+    write_json(out / "g_circle.json", rep)
+    return rep.within_budget
 
 
-def _cone_check_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _cone_check_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import spectrum_cone_check
     from .multiscale import run_ladder
 
     trace = run_ladder(rc.model, rc.field, levels=rc.levels, jobs=rc.jobs)
     rep = spectrum_cone_check(trace, rc.cone_tol)
     write_json(out / "cone_check.json", rep)
-    return (0 if rep["pass"] else 1), {"kind": "cone-check", "pass": rep["pass"]}
+    return rep["pass"]
 
 
-def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import resolvent_cone_bound_check
     from .multiscale import run_ladder
 
@@ -362,16 +353,15 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         out / "resolvent_scan.csv",
         ["re_z", "im_z", "lhs", "dist", "ratio"],
         [
-            [r["z"][0], r["z"][1], r["lhs"], r["dist"], r["lhs"] * r["dist"]]
+            [r["z"].real, r["z"].imag, r["lhs"], r["dist"], r["lhs"] * r["dist"]]
             for r in rep["rows"]
         ],
     )
     # fewer usable samples than requested (sampler guard) fails the scan
-    ok = np.isfinite(rep["K"]) and 0 < rep["n_used"] == n_samples
-    return (0 if ok else 1), {"kind": "resolvent-scan", "pass": bool(ok)}
+    return bool(np.isfinite(rep["K"])) and 0 < rep["n_used"] == n_samples
 
 
-def _feasibility_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _feasibility_artifacts(rc: RunConfig, out: Path) -> bool:
     cfg, ladder = rc.model, rc.field.ladder
     rep = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
@@ -382,17 +372,16 @@ def _feasibility_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         "log10_g": float(np.log10(abs(cfg.g))) if cfg.g != 0 else -np.inf,
     }
     checks = check_inequalities(rep, proposed, e1=cfg.e1)
-    payload = rep.to_dict()
-    payload["proposed"] = proposed
     strict_ok = all(c["satisfied"] for c in checks)
-    payload["strict_pass"] = strict_ok
-    payload["flag"] = None if strict_ok else "practical mode"
-    write_json(out / "feasibility.json", payload)
-    ok = strict_ok if rc.mode == "strict" else True
-    return (0 if ok else 1), {"kind": "feasibility", "pass": bool(ok)}
+    write_json(
+        out / "feasibility.json",
+        {**asdict(rep), "proposed": proposed, "strict_pass": strict_ok,
+         "flag": None if strict_ok else "practical mode"},
+    )
+    return strict_ok or rc.mode == "practical"
 
 
-def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
+def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> bool:
     cfg = rc.model
     rng = np.random.default_rng(rc.seed)
     trials = rc.trials
@@ -424,7 +413,7 @@ def _verify_appendix_artifacts(rc: RunConfig, out: Path) -> tuple[int, dict]:
         out / "verify_appendix.json",
         {"trials": total, "violations": violations, "shells": shells, "pass": ok},
     )
-    return (0 if ok else 1), {"kind": "verify-appendix", "pass": bool(ok)}
+    return ok
 
 
 _DISPATCH = {
@@ -444,8 +433,11 @@ _SOLVING = frozenset(_DISPATCH) - {"feasibility", "verify-appendix"}
 def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     """Run one subcommand, write its artifacts and manifest, return status.
 
-    BLAS runs on one thread for the length of the subcommand; the previous
-    thread counts are back when this returns or raises.
+    Each subcommand writes its reports and returns its verdict as a bool;
+    the status is 0 when it passes, 1 when it fails and 2 when it stops on
+    a ``SpinBosonError``, and the manifest records the verdict.  BLAS runs
+    on one thread for the length of the subcommand; the previous thread
+    counts are back when this returns or raises.
     """
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -457,12 +449,15 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     t0 = time.perf_counter()
     with pinned_blas() as blas:
         try:
-            code, extras = _DISPATCH[subcommand](rc, out)
-            failure = None
+            ok = _DISPATCH[subcommand](rc, out)
+            code, failure = (0 if ok else 1), None
         except SpinBosonError as exc:
-            code, extras = 2, {"kind": subcommand, "pass": False}
+            ok, code = False, 2
             failure = {"error": type(exc).__name__, "message": str(exc)}
-    manifest = run_manifest(rc.raw, wall_time=time.perf_counter() - t0, extras=extras)
+    manifest = run_manifest(
+        rc.raw, wall_time=time.perf_counter() - t0,
+        extras={"kind": subcommand, "pass": ok},
+    )
     # an empty "blas" list: no OpenBLAS was found, so nothing was pinned
     manifest["threads"] = {"usable_cpus": usable_cpus(), "jobs": rc.jobs, "blas": blas}
     if failure:

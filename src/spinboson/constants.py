@@ -51,23 +51,6 @@ class FeasibilityReport:
     log10_gm: float
     checks: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "c_generic": self.c_generic,
-            "mu": self.mu,
-            "nu_floor": self.nu_floor,
-            "nu": self.nu,
-            "m": self.m,
-            "D": self.D,
-            "log10_C": self.log10_C,
-            "log10_rho0_max": self.log10_rho0_max,
-            "log10_rho_max": self.log10_rho_max,
-            "log10_rho1_max": self.log10_rho1_max,
-            "log10_g0": self.log10_g0,
-            "log10_gm": self.log10_gm,
-            "checks": list(self.checks),
-        }
-
 
 def compute_constants(
     mu: float,

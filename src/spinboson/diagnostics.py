@@ -57,22 +57,6 @@ class InvarianceReport:
     budget: float | None = None
     details: dict = dc_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        def cplx(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        return {
-            "parameter": self.parameter,
-            "samples": [cplx(s) for s in self.samples],
-            "lambdas": {
-                str(i): [cplx(v) for v in vals] for i, vals in self.lambdas.items()
-            },
-            "max_pairwise": {str(i): v for i, v in self.max_pairwise.items()},
-            "budget": self.budget,
-            "details": self.details,
-        }
-
     @property
     def within_budget(self) -> bool:
         """Every level's drift is at most the budget, the run's pass test."""
@@ -126,7 +110,7 @@ def fermi_golden_rule(
         rows.append(
             {
                 "g": float(abs(g)),
-                "lambda1": [lam.real, lam.imag],
+                "lambda1": lam,
                 "im_ratio": float(ratio),
                 "rel_error_vs_coefficient": float(
                     abs(ratio - e_i) / abs(e_i)
@@ -263,7 +247,7 @@ def theta_invariance_scan(
     details["real_shift_pairs"] = re_pairs
     return InvarianceReport(
         parameter="theta",
-        samples=list(theta_list),
+        samples=[complex(t) for t in theta_list],
         lambdas=lambdas,
         max_pairwise=max_pairwise,
         budget=budget,
@@ -322,11 +306,7 @@ def g_analyticity_check(
         max_resid[i] = float(max(resid_mean, resid_neg) / scale)
         details["fourier"][str(i)] = {
             "taylor_estimates": [
-                [
-                    (coeff[m] / radius**m).real,
-                    (coeff[m] / radius**m).imag,
-                ]
-                for m in range(0, min(4, n_samples - 1))
+                coeff[m] / radius**m for m in range(0, min(4, n_samples - 1))
             ],
             "mean_residual": float(resid_mean),
             "fourier_minus1_residual": float(resid_neg),
@@ -382,7 +362,7 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
             n_starved += starved
             rows.append(
                 {
-                    "z": [z.real, z.imag],
+                    "z": z,
                     "dist_raw": float(raw),
                     "dist": float(eff),
                     "starved_branch": starved,
@@ -391,7 +371,7 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
             if eff > tol:
                 violations.append(rows[-1])
         out["levels"][i] = {
-            "vertex": [lam.real, lam.imag],
+            "vertex": lam,
             "n_in_box": len(in_box),
             "n_starved_branch": n_starved,
             "max_dist": float(max((r["dist"] for r in rows), default=0.0)),
@@ -489,9 +469,7 @@ def resolvent_cone_bound_check(
             degenerate += 1
             continue
         lhs = resolvent_norm(H, z)
-        rows.append(
-            {"z": [z.real, z.imag], "lhs": float(lhs), "dist": float(dist)}
-        )
+        rows.append({"z": z, "lhs": float(lhs), "dist": float(dist)})
         k_fit = max(k_fit, lhs * dist)
     return {
         "K": float(k_fit),
@@ -499,6 +477,6 @@ def resolvent_cone_bound_check(
         "n_skipped_forbidden": skipped_forbidden,
         "n_skipped_artifact": skipped_artifact,
         "n_skipped_on_cone": degenerate,
-        "vertex": [lam1.real, lam1.imag],
+        "vertex": lam1,
         "rows": rows,
     }

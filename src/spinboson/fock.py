@@ -276,12 +276,6 @@ class OperatorMatrix:
         if len(seen) != self.dim or len(np.unique(seen)) != self.dim:
             raise AssemblyError("sector index sets must partition the dimension")
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for s in self.sectors.values():
-            out[np.ix_(s.indices, s.indices)] = s.block
-        return out
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x, dtype=complex)
         for s in self.sectors.values():

@@ -49,12 +49,6 @@ class Cone:
     def half_aperture(self) -> float:
         return self.nu / self.m
 
-    def edge_directions(self) -> tuple[complex, complex]:
-        return (
-            np.exp(-1j * (self.nu - self.half_aperture)),
-            np.exp(-1j * (self.nu + self.half_aperture)),
-        )
-
 
 def dist_to_cone(cone: Cone, z: complex) -> float:
     """Euclidean distance from z to the closed cone (0 iff contained)."""

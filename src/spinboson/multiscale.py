@@ -53,7 +53,7 @@ cone checks compare it with their own ``soft_branch_tolerance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -106,6 +106,15 @@ class LevelScaleData:
     p4: dict | None = None
     full_grid_residual: float | None = None
 
+    def report(self) -> dict:
+        """The serialized fields, ``lam`` under the key ``lambda``."""
+        kept = ("projector", "vectors", "p4", "full_grid_residual")
+        return {
+            "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in kept
+        }
+
 
 @dataclass
 class ScaleRecord:
@@ -140,47 +149,22 @@ class MultiscaleTrace:
         return [getattr(rec.levels[i], name) for rec in self.scales]
 
     def to_dict(self) -> dict:
-        def cplx(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        scales = []
-        for rec in self.scales:
-            levels = {}
-            for i, data in rec.levels.items():
-                levels[str(i)] = {
-                    "lambda": cplx(data.lam),
-                    "gap": data.gap,
-                    "residual": data.residual,
-                    "rayleigh_disagreement": data.rayleigh_disagreement,
-                    "projector_residual": data.projector_residual,
-                    "projector_trace": cplx(data.projector_trace),
-                    "projector_quad_points": data.projector_quad_points,
-                    "contour_safe": data.contour_safe,
-                    "p2_count_window": data.p2_count_window,
-                    "p2_count_box": data.p2_count_box,
-                    "p2_soft_branch_count": data.p2_soft_branch_count,
-                    "p2_violation_count": data.p2_violation_count,
-                    "p2_unique": data.p2_unique,
-                    "p1_gap": data.p1_gap,
-                    "p3_gap": data.p3_gap,
-                    "first_scale_shift": data.first_scale_shift,
-                    "atomic_projector_gap": data.atomic_projector_gap,
-                }
-            scales.append(
-                {
-                    "n": rec.n,
-                    "rho_n": rec.rho_n,
-                    "contour_radius": rec.contour_radius,
-                    "dim": rec.dim,
-                    "levels": levels,
-                }
-            )
+        """The trace report: run parameters, scale records and checks."""
+        scales = [
+            {
+                "n": rec.n,
+                "rho_n": rec.rho_n,
+                "contour_radius": rec.contour_radius,
+                "dim": rec.dim,
+                "levels": {i: data.report() for i, data in rec.levels.items()},
+            }
+            for rec in self.scales
+        ]
         cfg, grid = self.cfg, self.field
         return {
             "schema_version": self.schema_version,
-            "g": cplx(cfg.g),
-            "theta": cplx(cfg.theta),
+            "g": complex(cfg.g),
+            "theta": complex(cfg.theta),
             "mu": cfg.mu,
             "e1": cfg.e1,
             "rho0": grid.ladder.rho0,
@@ -588,7 +572,7 @@ def _p4_entry(H, proj: RieszProjector, zs: list, lam: complex, rho_n: float) -> 
     for z in zs:
         lhs = resolvent_norm(H, z, proj)
         shape = 1.0 / (rho_n + abs(z - lam))
-        samples.append({"z": [z.real, z.imag], "lhs": lhs, "shape": shape})
+        samples.append({"z": z, "lhs": lhs, "shape": shape})
         k_fit = max(k_fit, lhs / shape)
     return {"K_n": k_fit, "samples": samples}
 
@@ -657,7 +641,7 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
                     f"level {i}: per-scale gaps are not monotone"
                 )
         result["levels"][i] = {
-            "lambda": [lams[-1].real, lams[-1].imag],
+            "lambda": lams[-1],
             "error_bar": float(max(envelope, tail)),
             "envelope": float(envelope),
             "observed_tail": float(tail),

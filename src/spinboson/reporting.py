@@ -1,8 +1,12 @@
 """Artifact serialization: canonical JSON, CSV grids, run manifests.
 
 All writes are atomic (temp file in the target directory, then rename) and
-deterministic: keys are sorted, floats keep full repr, complex numbers are
-[re, im] pairs.  The manifest ties artifacts to the exact configuration
+deterministic.  ``jsonify`` is the one encoder of report values: checks
+return complex numbers, numpy values and dataclasses as they are, and it
+writes a dataclass as the dict of its fields, every complex number as an
+[re, im] pair and every non-finite float as its repr string ("inf",
+"-inf", "nan"), so a report is strict JSON; keys are sorted and floats
+keep full repr.  The manifest ties artifacts to the exact configuration
 via a content hash.
 """
 
@@ -12,10 +16,12 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import tempfile
 import time
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,23 +29,18 @@ import scipy
 
 
 def jsonify(obj):
-    """Recursively convert numpy scalars/arrays and complex values."""
+    """``obj`` as JSON values: see the module docstring for the encoding."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python scalars, arrays as nested lists
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, float) and (np.isnan(obj) or np.isinf(obj)):
+    if isinstance(obj, complex):
+        return [jsonify(obj.real), jsonify(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 

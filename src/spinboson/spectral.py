@@ -212,9 +212,6 @@ class RieszProjector:
     sector: int | None = None
     converged: bool = True
 
-    def to_dense(self) -> np.ndarray:
-        return self.right @ self.left.conj().T
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.right @ (self.left.conj().T @ x)
 

@@ -232,6 +232,14 @@ class TestDispatch:
         assert manifest["failure"]["error"]
         assert not manifest["pass"]
 
+    @pytest.mark.parametrize("verdict, code", [(True, 0), (False, 1)])
+    def test_verdict_sets_status_and_manifest(self, tmp_path, monkeypatch, verdict, code):
+        # a subcommand returns its verdict; dispatch alone turns it into both
+        monkeypatch.setitem(cli._DISPATCH, "feasibility", lambda rc, out: verdict)
+        assert dispatch("feasibility", parse_config(config_text()), tmp_path) == code
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["kind"], manifest["pass"]) == ("feasibility", verdict)
+
 
 class TestMain:
     def test_cli_roundtrip(self, tmp_path, capsys):
@@ -620,7 +628,7 @@ def fake_subcommand(seen, raises=None):
         seen.append([lib.threads for lib in threads.openblas_libraries()])
         if raises is not None:
             raise raises
-        return 0, {"kind": "ladder", "pass": True}
+        return True
 
     return run
 
@@ -637,6 +645,7 @@ class TestPinnedBlas:
         assert seen == [[1] * len(LIBS)]
         assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["kind"], manifest["pass"]) == ("ladder", True)
         budget = manifest["threads"]
         assert budget["usable_cpus"] == len(os.sched_getaffinity(0))
         assert budget["jobs"] == rc.jobs
@@ -655,6 +664,7 @@ class TestPinnedBlas:
         assert seen == [[1] * len(LIBS)]
         assert [lib.threads for lib in LIBS] == [2] * len(LIBS)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["kind"], manifest["pass"]) == ("ladder", False)
         assert manifest["failure"]["error"] == "SpinBosonError"
 
     def test_restored_after_uncaught_error(self, tmp_path, monkeypatch, two_blas_threads):

@@ -147,9 +147,7 @@ class TestCouplingAnalyticity:
             eval_fn=lambda g: {1: a + b * g + c * g * g},
         )
         taylor = rep.details["fourier"]["1"]["taylor_estimates"]
-        got_a0 = complex(*taylor[0])
-        got_a1 = complex(*taylor[1])
-        got_a2 = complex(*taylor[2])
+        got_a0, got_a1, got_a2 = taylor[:3]
         center = 0.04
         assert got_a0 == pytest.approx(a + b * center + c * center**2, abs=1e-12)
         assert got_a1 == pytest.approx(b + 2 * c * center, abs=1e-9)

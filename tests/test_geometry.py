@@ -21,13 +21,21 @@ from spinboson.geometry import cone_complement_distance
 NU = 0.2
 
 
+def edge_directions(cone: Cone) -> tuple[complex, complex]:
+    """Unit directions of the two edge rays of ``cone``."""
+    return (
+        np.exp(-1j * (cone.nu - cone.half_aperture)),
+        np.exp(-1j * (cone.nu + cone.half_aperture)),
+    )
+
+
 def brute_force_dist(cone: Cone, z: complex, samples: int = 10_000) -> float:
     """Dense minimization over boundary rays with one local refinement."""
     if cone_contains(cone, z):
         return 0.0
     best = abs(z - cone.vertex)
     scale = max(1.0, 4.0 * abs(z - cone.vertex))
-    for direction in cone.edge_directions():
+    for direction in edge_directions(cone):
         xs = np.linspace(0.0, scale, samples)
         for _ in range(2):
             pts = cone.vertex + xs * direction
@@ -292,7 +300,7 @@ def scanned_complement_distance(inner: Cone, outer: Cone, samples: int = 64) -> 
         return 0.0
     scale = abs(inner.vertex - outer.vertex) + 1.0
     best = np.inf
-    for direction in outer.edge_directions():
+    for direction in edge_directions(outer):
 
         def f(x: float) -> float:
             return dist_to_cone(inner, outer.vertex + x * direction)
@@ -311,7 +319,7 @@ def projected_vertex_distance(inner: Cone, outer: Cone) -> float:
     """Distance from the inner vertex to the outer edge rays by projection."""
     p = inner.vertex - outer.vertex
     best = np.inf
-    for d in outer.edge_directions():
+    for d in edge_directions(outer):
         t = max(0.0, (np.conj(d) * p).real)
         best = min(best, abs(p - t * d))
     return best

@@ -19,7 +19,7 @@ from spinboson import (
 )
 from spinboson.fock import build_field_operator, field_energy_diagonal
 
-from sectors import spectrum
+from sectors import dense_operator, spectrum
 
 
 # Closed forms of the form factor, kept as oracles for the grid amplitudes.
@@ -301,7 +301,7 @@ class TestAssembly:
         lad = CutoffLadder(0.25, 0.5, e1=1.0)
         field = DiscretizedField(lad, 2, points_per_shell=2, r_max=4.0,
                                  n_max=2, uv_points_per_panel=2)
-        H = assemble_hamiltonian(cfg, field).to_dense()
+        H = dense_operator(assemble_hamiltonian(cfg, field))
         assert np.max(np.abs(H - kron_hamiltonian(cfg, field))) < 1e-15
 
     def test_single_mode_secular_oracle(self):
@@ -349,12 +349,12 @@ class TestAssembly:
         Hc = assemble_hamiltonian(
             cfg.replace(g=np.conj(cfg.g)), small_field, theta=np.conj(cfg.theta)
         )
-        assert np.max(np.abs(Hc.to_dense() - H.to_dense().conj().T)) < 1e-15
+        assert np.max(np.abs(dense_operator(Hc) - dense_operator(H).conj().T)) < 1e-15
 
     def test_dense_blocked_agree(self, cfg, small_field):
         # the sector blocks reassemble into the Kronecker-product operator
         Hb = assemble_hamiltonian(cfg, small_field)
-        assert np.max(np.abs(kron_hamiltonian(cfg, small_field) - Hb.to_dense())) == 0.0
+        assert np.max(np.abs(kron_hamiltonian(cfg, small_field) - dense_operator(Hb))) == 0.0
 
     def test_top_layer_is_diagonal_and_couples_one_layer_down(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
@@ -375,8 +375,8 @@ class TestAssembly:
         n; out of them it only creates one boson in a new-shell mode."""
         field = DiscretizedField(ladder, 3, points_per_shell=2, r_max=4.0,
                                  n_max=2, uv_points_per_panel=2)
-        H_small = assemble_hamiltonian(cfg, field, n=2).to_dense()
-        H_big = assemble_hamiltonian(cfg, field, n=3).to_dense()
+        H_small = dense_operator(assemble_hamiltonian(cfg, field, n=2))
+        H_big = dense_operator(assemble_hamiltonian(cfg, field, n=3))
         emb = field.embedding_indices(2, 3)
         basis = field.basis_for_scale(3)
         glob = np.concatenate([emb, basis.dim + emb])
@@ -392,10 +392,10 @@ class TestAssembly:
         field = DiscretizedField(ladder, 2, points_per_shell=3, r_max=4.0,
                                  n_max=2, uv_points_per_panel=3)
         beta = 0.1
-        A = assemble_hamiltonian(cfg, field, theta=cfg.theta + beta).to_dense()
-        B = assemble_hamiltonian(
+        A = dense_operator(assemble_hamiltonian(cfg, field, theta=cfg.theta + beta))
+        B = dense_operator(assemble_hamiltonian(
             cfg, field.scaled(np.exp(-beta)), theta=cfg.theta
-        ).to_dense()
+        ))
         assert np.max(np.abs(A - B)) < 1e-13 * np.max(np.abs(A))
 
 

@@ -36,7 +36,7 @@ from spinboson.spectral import (
     shifted_inverse_eigenvalue,
 )
 
-from sectors import one_sector, sector, spectrum
+from sectors import dense_operator, dense_projector, one_sector, sector, spectrum
 
 
 def tiny_model(n_max, g=0.05):
@@ -86,7 +86,7 @@ class TestEigAll:
     def test_blocked_equals_dense(self, cfg, small_field):
         Hb = assemble_hamiltonian(cfg, small_field)
         assert np.allclose(
-            spectrum(one_sector(Hb.to_dense())), spectrum(Hb), atol=1e-10
+            spectrum(one_sector(dense_operator(Hb))), spectrum(Hb), atol=1e-10
         )
 
     def test_sector_spectrum_computed_once(self, cfg, small_field, monkeypatch):
@@ -131,7 +131,7 @@ class TestRieszProjection:
     def test_free_model_projector_is_atomic(self, cfg, small_field):
         H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
         radius = 0.25 * 0.03125 * np.sin(cfg.nu)
-        P = contour_projector(H.to_dense(), center=cfg.e1, radius=radius)
+        P = contour_projector(dense_operator(H), center=cfg.e1, radius=radius)
         dim_f = small_field.basis_for_scale(None).dim
         expected = np.zeros((2 * dim_f, 2 * dim_f))
         expected[0, 0] = 1.0  # excited atom (x) vacuum leads the ordering
@@ -156,7 +156,7 @@ class TestRieszRankOne:
         dense = contour_projector(A, center=target, radius=0.4 * gap)
         fact = riesz_rank_one(sector(A), center=target, radius=0.4 * gap)
         assert fact.rank == 1
-        assert np.linalg.norm(fact.to_dense() - dense, 2) < 1e-8
+        assert np.linalg.norm(dense_projector(fact) - dense, 2) < 1e-8
         assert abs(fact.trace_value - 1.0) < 1e-8
 
     def test_projects_probe_onto_eigendirection(self, rng):
@@ -284,7 +284,7 @@ class TestAgainstDenseOracle:
         want = max(
             dense_resolvent_norm(
                 sec.block, z,
-                proj.to_dense() if projected and key == proj.sector else None,
+                dense_projector(proj) if projected and key == proj.sector else None,
             )
             for key, sec in H.sectors.items()
         )
@@ -335,7 +335,7 @@ class TestLanczosNorm:
             want = max(
                 svds_resolvent_norm(
                     sec.block, z,
-                    proj.to_dense() if proj is not None and key == proj.sector
+                    dense_projector(proj) if proj is not None and key == proj.sector
                     else None,
                 )
                 for key, sec in H.sectors.items()
@@ -430,7 +430,7 @@ class TestHelpers:
         z = w[k] + 0.01 * gap  # close to the removed pole
         got = resolvent_norm(H, z, proj)
         dense = np.linalg.solve(
-            A - z * np.eye(12), np.eye(12) - proj.to_dense()
+            A - z * np.eye(12), np.eye(12) - dense_projector(proj)
         )
         assert got == pytest.approx(np.linalg.norm(dense, 2), rel=1e-8)
         # the projector removes the pole: the norm stays bounded by the gap
@@ -512,7 +512,7 @@ class TestShiftedSolver:
         lam = w[np.argmin(np.abs(w))]
         real = riesz_rank_one(sector(D), center=lam, radius=0.5)
         cplx = riesz_rank_one(sector(D.astype(complex)), center=lam, radius=0.5)
-        assert rel_err(real.to_dense(), cplx.to_dense()) < 1e-14
+        assert rel_err(dense_projector(real), dense_projector(cplx)) < 1e-14
         lam_real, _ = shifted_inverse_eigenvalue(sector(D), 0.1)
         lam_cplx, _ = shifted_inverse_eigenvalue(sector(D.astype(complex)), 0.1)
         assert abs(lam_real - lam_cplx) <= 1e-14 * abs(lam_cplx)
@@ -650,8 +650,8 @@ class TestEliminatedRoute:
         plain = riesz_rank_one(sector(block), center=w[k], radius=radius)
         dense = contour_projector(block, center=w[k], radius=radius)
         assert fact.converged and fact.rank == 1
-        assert np.linalg.norm(fact.to_dense() - dense, 2) < 1e-8
-        assert rel_err(fact.to_dense(), plain.to_dense()) < 1e-12
+        assert np.linalg.norm(dense_projector(fact) - dense, 2) < 1e-8
+        assert rel_err(dense_projector(fact), dense_projector(plain)) < 1e-12
         assert abs(fact.trace_value - plain.trace_value) < 1e-12
 
     def test_ladder_matches_dense_lu_route(self, cfg, small_field, monkeypatch):
