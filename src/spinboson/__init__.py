@@ -6,8 +6,8 @@ the resonance, and checks the spectral, resolvent and analyticity
 statements that the construction rests on.
 
 The exports load on first use (``_EXPORTS`` names the submodule of each),
-so ``import spinboson`` costs nothing and the scipy stack behind
-``spectral`` loads only once a name that needs it is asked for.
+so ``import spinboson`` costs nothing.  The package runs on numpy;
+``scipy.linalg`` loads only when a resolvent norm is first taken.
 """
 
 import importlib

@@ -14,9 +14,9 @@ samples run in the calling thread.  Reports are therefore the same for
 any thread count; the manifest records the budget.  Each subcommand
 hands the parsed model and grid (``RunConfig.model``, ``RunConfig.field``)
 to the ladder, and the checks read both back off its trace.  Only the
-subcommands that solve load the scipy stack (``dispatch`` imports it
-before pinning); ``feasibility`` and ``verify-appendix`` run on numpy
-alone.
+runs that take resolvent norms load ``scipy.linalg`` (``resolvent-scan``,
+and ``ladder`` with P4 samples; ``dispatch`` imports it before pinning);
+every other run is numpy alone.
 """
 
 from __future__ import annotations
@@ -426,8 +426,6 @@ _DISPATCH = {
     "feasibility": _feasibility_artifacts,
     "verify-appendix": _verify_appendix_artifacts,
 }
-# the subcommands that solve; the other two run on numpy alone
-_SOLVING = frozenset(_DISPATCH) - {"feasibility", "verify-appendix"}
 
 
 def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
@@ -442,10 +440,12 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
-    if subcommand in _SOLVING:
-        # maps scipy's OpenBLAS: pinned_blas sees only the libraries mapped
-        # when it starts, and one loaded later would run on its own threads
-        importlib.import_module(".diagnostics", __package__)
+    if subcommand == "resolvent-scan" or (
+        subcommand == "ladder" and rc.samples_per_scale
+    ):
+        # resolvent norms map scipy's OpenBLAS; pinned_blas sees only the
+        # libraries mapped when it starts, and a later one keeps its threads
+        importlib.import_module("scipy.linalg")
     t0 = time.perf_counter()
     with pinned_blas() as blas:
         try:

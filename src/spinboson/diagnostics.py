@@ -31,7 +31,7 @@ from .model import (
     form_factor,
 )
 from .multiscale import MultiscaleTrace, run_ladder, soft_branch_tolerance
-from .spectral import resolvent_norm, shifted_inverse_eigenvalue
+from .spectral import resolvent_norm, shifted_inverse_eigenvalue, solver_tolerance
 
 # Grid refinement of the theta-invariance budget: points per shell and per
 # ultraviolet panel grow by this factor (and by at least one).
@@ -39,11 +39,6 @@ REFINE_FACTOR = 1.5
 # Resolvent samples closer than this to a truncation-starved eigenvalue
 # are skipped.
 ARTIFACT_EXCLUSION = 5e-3
-
-
-def solver_tolerance(dim: int, scale: float) -> float:
-    """Backward-error floor for dense nonsymmetric eigenvalues."""
-    return 100.0 * dim * np.finfo(float).eps * max(1.0, scale)
 
 
 @dataclass

@@ -15,16 +15,17 @@ Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
 carries the positions of its top boson layer N = n_max, which is diagonal
 and couples only to the layer N - 1.  The solver eliminates that layer
 exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
-plain linear algebra) and factors only the Schur complement on the lower
+plain linear algebra) and inverts only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  The pieces of
 that complement that do not depend on the shift (the index split, the
 top-layer diagonal, the dense couplings A_RT and A_TR with their
 adjoints, and A_RR) are built once per sector, kept on it as
-``Sector.solver_parts`` and freed with it; each shift then only forms,
-factors and inverts S(z); a sector without a top layer gets a dense LU
-of its block through the same code.  Resolvent norms build one solver
+``Sector.solver_parts`` and freed with it; each shift then only forms
+S(z) and inverts it with numpy; a sector without a top layer inverts its
+shifted block through the same code.  Resolvent norms build one solver
 per sector and shift and run Lanczos on its solves; only the Schur
-complement is inverted densely, and no block is SVD'd densely.
+complement is inverted densely, and no block is SVD'd densely.  All of
+this is numpy; only the Lanczos Ritz step imports scipy, on first use.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -34,19 +35,16 @@ precision.  The projector is never formed entrywise: its action on a block
 of probe vectors is accumulated node by node (one solver per node, shared
 by both quadrature passes), and the rank-one factors are recovered from
 that action.  This keeps every ladder step at O(nodes * |R|^2 (|R| + |T|))
-flops for forming, factoring and inverting the complements, with |T| the
+flops for forming and inverting the complements, with |T| the
 size of the eliminated layer.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, eigh_tridiagonal, lu_factor, lu_solve
-from scipy.sparse.linalg import svds  # noqa: F401  bench/tracer.py wraps spectral.svds
 
 from .errors import (
     ContourCollisionError,
@@ -68,13 +66,17 @@ RESOLVENT_TOL = 1e-9
 LANCZOS_MAX_STEPS = 2000
 RITZ_STRIDE = 4
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
-# in the factored part: eliminating it would divide by a near-zero d_t - z.
+# in the inverted part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
 
-# catch_warnings swaps the process-wide filter list, which is not
-# thread-safe; the lock keeps two threads that factor at once from
-# restoring each other's filters out of order.
-_LU_WARNING_LOCK = threading.Lock()
+
+def __getattr__(name: str):
+    # bench/tracer.py wraps lu_factor, lu_solve and svds as bound here; the
+    # package calls none of them, so scipy loads only when one is asked for
+    if name in ("lu_factor", "lu_solve", "svds"):
+        sub = "sparse.linalg" if name == "svds" else "linalg"
+        return getattr(importlib.import_module(f"scipy.{sub}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _SolverParts:
@@ -117,17 +119,16 @@ class ShiftedSolver:
 
         S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
 
-    the only matrix factored (``lu``); a nonsingular shift inverts it once
-    from that LU, so each solve is one product with S(z)^(-1) or S(z)^(-H).
-    A top entry with |d_t - z| < TOP_LAYER_GUARD * max(1, |z|) stays in R,
-    so a zero d_t - z never divides; it reaches the pivots instead, and the
-    parts are rebuilt for that shift.  A sector without a top layer has
-    R = everything, and ``lu`` is a dense LU of A - z.
+    the only matrix inverted (once per shift), so each solve is one
+    product with S(z)^(-1) or S(z)^(-H).  A top entry with |d_t - z| <
+    TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z never
+    divides, and the parts are rebuilt for that shift.  A sector without a
+    top layer has R = everything: S(z) is A - z.
 
-    ``singular`` is set when a pivot of the factorization vanishes to
-    working precision (|R| eps times the largest entry of S, at least 1):
-    the shift then lies on the spectrum, S(z) is not inverted and the
-    solves raise SingularShiftError.
+    ``singular`` is set, and the solves raise SingularShiftError, when the
+    inversion meets an exactly zero pivot or |S^(-1)|_inf >= 1 / (|R| eps
+    s), s the largest entry of S and at least 1: by Gastinel-Kahan, S then
+    lies within |R| eps s of a singular matrix in the infinity norm.
     """
 
     def __init__(self, sec: Sector, z: complex):
@@ -142,51 +143,42 @@ class ShiftedSolver:
         schur = parts.a_rr - z * np.eye(len(self.r))
         if len(self.t):
             schur -= (parts.a_rt / d) @ parts.a_tr
-        # an exactly zero pivot makes lu_factor warn; the pivot test below
-        # decides singularity, so that warning alone is silenced here
-        with _LU_WARNING_LOCK, warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", "Diagonal number .* is exactly zero", LinAlgWarning
-            )
-            self.lu = lu_factor(schur)
-        pivots = np.abs(np.diag(self.lu[0]))
-        scale = max(1.0, float(np.abs(schur).max())) if schur.size else 1.0
-        self.singular = bool(
-            len(pivots) and pivots.min() <= len(pivots) * np.finfo(float).eps * scale
+        try:
+            # kept in Fortran order: a C-ordered inverse runs the products
+            # below on another BLAS kernel and moves the solves by rounding
+            inv = np.asfortranarray(np.linalg.inv(schur))
+        except np.linalg.LinAlgError:  # an exactly zero pivot
+            inv = None
+        bound = len(self.r) * np.finfo(float).eps * np.abs(schur).max(initial=1.0)
+        self.singular = inv is None or bool(
+            np.abs(inv).sum(axis=1).max(initial=0.0) * bound >= 1.0
         )
-        if not self.singular:
-            self._inv = lu_solve(self.lu, np.eye(len(self.r), dtype=complex))
-            self._inv_h = self._inv.conj().T
+        self._inv = None if self.singular else inv
+        self._inv_h = None if self.singular else inv.conj().T
 
-    def _check(self) -> None:
+    def _solve(self, b, dt, inv, a_in, a_out) -> np.ndarray:
         if self.singular:
             raise SingularShiftError(
                 f"shift {self.z} lies on the spectrum to working precision"
             )
+        b = np.asarray(b, dtype=complex)
+        dt = dt if b.ndim == 1 else dt[:, None]
+        w = b[self.t] / dt
+        x = np.empty_like(b)
+        x_r = inv @ (b[self.r] - a_in @ w)
+        x[self.r] = x_r
+        x[self.t] = w - (a_out @ x_r) / dt
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A - z)^(-1) b for a vector or a block of columns."""
-        self._check()
-        b = np.asarray(b, dtype=complex)
-        dt = self.dt if b.ndim == 1 else self.dt[:, None]
-        w = b[self.t] / dt
-        x = np.empty_like(b)
-        x_r = self._inv @ (b[self.r] - self._parts.a_rt @ w)
-        x[self.r] = x_r
-        x[self.t] = w - (self._parts.a_tr @ x_r) / dt
-        return x
+        p = self._parts
+        return self._solve(b, self.dt, self._inv, p.a_rt, p.a_tr)
 
     def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
         """(A - z)^(-H) c for a vector or a block of columns."""
-        self._check()
-        c = np.asarray(c, dtype=complex)
-        dt = self.dt.conj() if c.ndim == 1 else self.dt.conj()[:, None]
-        w = c[self.t] / dt
-        y = np.empty_like(c)
-        y_r = self._inv_h @ (c[self.r] - self._parts.a_tr_h @ w)
-        y[self.r] = y_r
-        y[self.t] = w - (self._parts.a_rt_h @ y_r) / dt
-        return y
+        p = self._parts
+        return self._solve(c, self.dt.conj(), self._inv_h, p.a_tr_h, p.a_rt_h)
 
 
 @dataclass
@@ -263,7 +255,7 @@ def riesz_rank_one(
     """Factored contour projector of ``sec`` for an expected simple eigenvalue.
 
     Two quadrature passes share one ShiftedSolver per node, so all node
-    solvers of one rule are held at once: nodes * 3 |R|^2 * 16 bytes (LU,
+    solvers of one rule are held at once: nodes * 2 |R|^2 * 16 bytes (the
     inverse and its adjoint) for the sector's lower layers R.  The first
     pass recovers the range and corange from probe vectors, the second
     measures the idempotency defect and the enclosed trace on that
@@ -372,19 +364,18 @@ def track_eigenvalue(
     A = sec.block
     gap = census.gap(lam)
 
-    def localize(vec):
-        if vec is None:
-            return None
-        return np.asarray(vec, dtype=complex)[sec.indices]
-
+    probe, left_probe = (  # in the sector's coordinates
+        None if v is None else np.asarray(v, dtype=complex)[sec.indices]
+        for v in (probe, left_probe)
+    )
     # contour centered on the candidate, radius limited by the gap
     proj_radius = min(radius, 0.4 * gap) if np.isfinite(gap) else radius
     proj = riesz_rank_one(
         sec,
         center=lam,
         radius=proj_radius,
-        probe=localize(probe),
-        left_probe=localize(left_probe),
+        probe=probe,
+        left_probe=left_probe,
         sector=key,
     )
     if not proj.converged:
@@ -398,12 +389,9 @@ def track_eigenvalue(
             f"projector at {lam} reports trace {proj.trace_value}, expected 1"
         )
     u = proj.right[:, 0]
-    x0 = localize(probe)
-    x0 = u if x0 is None else x0
-    y0 = localize(left_probe)
-    y0 = x0 if y0 is None else y0
-    pv = proj.apply(np.asarray(x0, dtype=complex))
-    pw = proj.apply_adjoint(np.asarray(y0, dtype=complex))
+    x0 = u if probe is None else probe
+    pv = proj.apply(x0)
+    pw = proj.apply_adjoint(x0 if left_probe is None else left_probe)
     denom = np.vdot(pw, pv)
     if abs(denom) < 1e-12 * np.linalg.norm(pv) * np.linalg.norm(pw):
         raise TrackingError("Rayleigh pairing degenerate for the given probes")
@@ -416,12 +404,8 @@ def track_eigenvalue(
             f"direct {lam} (|diff| = {disagreement:.3e})"
         )
     residual = float(np.linalg.norm(A @ u - lam * u))
-
-    def globalize(vec):
-        out = np.zeros(H.dim, dtype=complex)
-        out[sec.indices] = vec
-        return out
-
+    right, left = np.zeros((2, H.dim), dtype=complex)  # in H's coordinates
+    right[sec.indices], left[sec.indices] = u, proj.left[:, 0]
     return SpectralRecord(
         lam=lam,
         gap=gap,
@@ -429,8 +413,8 @@ def track_eigenvalue(
         residual=residual,
         method_disagreement=disagreement,
         projector=proj,
-        right_vector=globalize(u),
-        left_vector=globalize(proj.left[:, 0]),
+        right_vector=right,
+        left_vector=left,
     )
 
 
@@ -449,6 +433,8 @@ def _top_singular_value(matvec, rmatvec, n: int) -> float:
     at once; this also ends a breakdown (beta_k = 0).  Raises
     ConvergenceError when LANCZOS_MAX_STEPS steps do not get there.
     """
+    from scipy.linalg import eigh_tridiagonal  # loads scipy.linalg on first use
+
     last, tol = min(n, LANCZOS_MAX_STEPS), RESOLVENT_TOL
     V = np.empty((last, n), dtype=complex)  # only rows written take memory
     alpha, beta = np.empty(last), np.empty(last)
@@ -515,18 +501,29 @@ def resolvent_norm(
     )
 
 
+def solver_tolerance(dim: int, scale: float) -> float:
+    """Backward-error floor for dense nonsymmetric eigenvalues."""
+    return 100.0 * dim * np.finfo(float).eps * max(1.0, scale)
+
+
 def shifted_inverse_eigenvalue(
     sec: Sector, shift: complex
 ) -> tuple[complex, np.ndarray]:
     """Eigenvalue of the block of ``sec`` nearest to ``shift``.
 
-    Shifted inverse iteration: at most 40 steps from a random start; stops
-    when the Rayleigh quotient moves by less than 1e-13 relative.  Raises
-    SingularShiftError when the shift is an eigenvalue to working precision.
+    Shifted inverse iteration from a random start.  A unit y and its
+    Rayleigh quotient lam are an exact eigenpair of A - r y^H, r = A y -
+    lam y, so it stops once lam moves by less than 1e-13 relative and |r|
+    is at most ``solver_tolerance(n, |A|_inf)``, a dense eigensolve's
+    backward error.  Raises ConvergenceError after 40 steps without that
+    (as at a shift halfway between two eigenvalues, where lam settles far
+    from both), SingularShiftError when the shift is an eigenvalue to
+    working precision.
     """
     A = sec.block
     n = A.shape[0]
     solver = ShiftedSolver(sec, shift)
+    bound = solver_tolerance(n, float(np.abs(A).sum(axis=1).max()))
     rng = np.random.default_rng(2024)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
@@ -534,13 +531,17 @@ def shifted_inverse_eigenvalue(
     for _ in range(40):
         y = solver.solve(x)
         y /= np.linalg.norm(y)
-        lam_new = complex(np.vdot(y, A @ y))
-        if abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new)):
-            x = y
-            lam = lam_new
-            break
+        Ay = A @ y
+        lam_new = complex(np.vdot(y, Ay))
+        settled = abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new))
         x, lam = y, lam_new
-    return lam, x
+        residual = float(np.linalg.norm(Ay - lam * y))
+        if settled and residual <= bound:
+            return lam, x
+    raise ConvergenceError(
+        f"inverse iteration at {shift} did not stop in 40 steps: quotient "
+        f"{lam}, residual {residual:.3e} against the bound {bound:.3e}"
+    )
 
 
 def rank_two_difference_norm(

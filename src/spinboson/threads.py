@@ -9,7 +9,7 @@ way out, exceptions included.  The run's only parallelism is
 ``parallel_map`` over the parity-sector eigensolves of each ladder scale,
 with ``jobs`` threads; numpy releases the interpreter lock inside LAPACK.
 Resolvent samples run in the calling thread: each norm is many small
-steps under the interpreter lock, and threads made the svds route slower.
+steps under the interpreter lock (threads are untried on the Lanczos route).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from spinboson import (
     verify_standard_estimates,
 )
 from spinboson.cli import dispatch, main, parse_config
-from spinboson.errors import SpinBosonError
+from spinboson.errors import ConvergenceError, SpinBosonError
 
 TINY = {
     "schema_version": 1,
@@ -176,6 +176,17 @@ class TestDispatch:
         assert code == 0
         assert len(payload["samples"]) == 3
         assert payload["budget"] > 0
+
+    def test_theta_scan_refinement_failure_exits_2(self, tmp_path, monkeypatch):
+        """An inverse iteration that does not converge stops the scan."""
+        def stalled(sector, shift):
+            raise ConvergenceError("did not stop in 40 steps")
+
+        monkeypatch.setattr(diagnostics, "shifted_inverse_eigenvalue", stalled)
+        rc = parse_config(config_text(ladder={"n_scales": 2}, run={"levels": [1]}))
+        assert dispatch("theta-scan", rc, tmp_path) == 2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"]["error"] == "ConvergenceError"
 
     def test_g_circle_artifacts(self, tmp_path):
         rc = parse_config(
@@ -569,16 +580,21 @@ EXPORTS = [
 ]
 
 
+# every subcommand but resolvent-scan, on a config without P4 samples
+NUMPY_ONLY = ("ladder", "fgr", "theta-scan", "g-circle", "cone-check",
+              "feasibility", "verify-appendix")
+
+
 def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
-    """feasibility and verify-appendix never load scipy.linalg or scipy.sparse."""
+    """Runs that take no resolvent norm never load scipy.linalg or scipy.sparse."""
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(config_text(run={"trials": 5}))
+    cfg_path.write_text(config_text(ladder={"n_scales": 2}, run={"trials": 5}))
     code = (
         "import json, sys\n"
         "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg'}\n"
         "from spinboson import cli\n"
         "seen = [sorted(heavy & set(sys.modules))]\n"
-        "for sub in ('feasibility', 'verify-appendix'):\n"
+        "for sub in json.loads(sys.argv[4]):\n"
         "    code = cli.main([sub, '--config', sys.argv[1],\n"
         "                     '--out', sys.argv[2] + sub])\n"
         "    seen.append([code, *sorted(heavy & set(sys.modules))])\n"
@@ -587,9 +603,10 @@ def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
         "missing = [n for n in names if not hasattr(spinboson, n)]\n"
         "print(json.dumps({'seen': seen, 'missing': missing}))\n"
     )
-    out = run_fresh(code, str(cfg_path), str(tmp_path / "out-"), json.dumps(EXPORTS))
+    out = run_fresh(code, str(cfg_path), str(tmp_path / "out-"), json.dumps(EXPORTS),
+                    json.dumps(NUMPY_ONLY))
     result = json.loads(out.splitlines()[-1])
-    assert result == {"seen": [[], [0], [0]], "missing": []}
+    assert result == {"seen": [[]] + [[0]] * len(NUMPY_ONLY), "missing": []}
     assert spinboson.__all__ == EXPORTS
 
 
@@ -696,6 +713,35 @@ def test_every_loaded_blas_pinned(tmp_path, subcommand):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     pinned = {b["library"]: b["threads_during"] for b in manifest["threads"]["blas"]}
     assert all(pinned.get(lib) == 1 for lib in loaded)
+
+
+@needs_openblas
+@pytest.mark.parametrize(
+    "subcommand, run", [("resolvent-scan", {"n_samples": 5}),
+                        ("ladder", {"samples_per_scale": 2})],
+)
+def test_resolvent_norm_runs_pin_scipy_blas(tmp_path, subcommand, run):
+    """Runs that take resolvent norms load scipy.linalg before BLAS is pinned."""
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(config_text(ladder={"n_scales": 2}, run=run))
+    code = (
+        "import json, sys\n"
+        "from spinboson import cli, threads\n"
+        "def libs():\n"
+        "    return [lib.library for lib in threads.openblas_libraries()]\n"
+        "before = [libs(), 'scipy.linalg' in sys.modules]\n"
+        "code = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
+        "print(json.dumps([before, [code, libs(), 'scipy.linalg' in sys.modules]]))\n"
+    )
+    out = run_fresh(code, subcommand, str(cfg_path), str(tmp_path / "out"))
+    (libs_before, loaded_before), (code, libs_after, loaded) = json.loads(
+        out.splitlines()[-1]
+    )
+    assert code == 0 and not loaded_before and loaded
+    assert set(libs_before) <= set(libs_after)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    pinned = {b["library"]: b["threads_during"] for b in manifest["threads"]["blas"]}
+    assert pinned == dict.fromkeys(libs_after, 1)
 
 
 def test_no_openblas_recorded_and_run(tmp_path, monkeypatch):

@@ -420,6 +420,22 @@ class TestHelpers:
         assert lam == pytest.approx(w[1], abs=1e-10)
         assert np.linalg.norm(A @ vec - lam * vec) < 1e-9
 
+    @pytest.mark.parametrize("shift", [1.0, 1.0 - 1e-4])
+    def test_shifted_inverse_iteration_without_pole_raises(self, shift):
+        # halfway between 0 and 2 the quotient settles at 1.21 with residual
+        # 0.98; just off halfway it crawls; neither stops within 40 steps
+        A = sector(np.diag([0.0, 2.0]).astype(complex))
+        with pytest.raises(ConvergenceError, match="did not stop in 40 steps"):
+            shifted_inverse_eigenvalue(A, shift)
+
+    def test_shifted_inverse_iteration_normal_block(self):
+        # on a normal block the quotient settles (residual 7e-8) before the
+        # vector converges; the residual bound iterates on to the eigenpair
+        A = np.diag([0.0, 2.0]).astype(complex)
+        lam, vec = shifted_inverse_eigenvalue(sector(A), 0.3)
+        assert abs(lam) < 1e-14
+        assert np.linalg.norm(A @ vec - lam * vec) < 1e-13
+
     def test_projected_resolvent_norm_small(self, rng):
         A = random_matrix(rng, 12)
         w, V = np.linalg.eig(A)
@@ -489,13 +505,15 @@ class TestShiftedSolver:
                     ) < 1e-12
 
     def test_plain_matrix_is_dense_lu(self, rng):
+        """Without a top layer each solve is one product with inv(A - z)."""
         A = random_matrix(rng, 9)
         b = rng.standard_normal(9) + 0j
         z = 0.3 + 0.1j
         solver = ShiftedSolver(sector(A), z)
         assert len(solver.t) == 0
-        lu, piv = lu_factor(A - z * np.eye(9, dtype=complex))
-        assert np.array_equal(solver.lu[0], lu) and np.array_equal(solver.lu[1], piv)
+        inv = np.asfortranarray(np.linalg.inv(A - z * np.eye(9, dtype=complex)))
+        assert np.array_equal(solver.solve(b), inv @ b)
+        assert np.array_equal(solver.solve_adjoint(b), inv.conj().T @ b)
         assert rel_err(solver.solve(b), dense_lu_route(A, z, b)) < 1e-12
 
     def test_real_matrix_matches_complex(self, rng):
@@ -541,8 +559,10 @@ class TestSectorSolverParts:
     @staticmethod
     def same_solver(a: ShiftedSolver, b: ShiftedSolver, rhs) -> None:
         assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
-        assert np.array_equal(a.lu[0], b.lu[0]) and np.array_equal(a.lu[1], b.lu[1])
         assert a.singular == b.singular
+        eye = np.eye(len(rhs))  # every column: the whole inverse, bit for bit
+        assert np.array_equal(a.solve(eye), b.solve(eye))
+        assert np.array_equal(a.solve_adjoint(eye), b.solve_adjoint(eye))
         assert np.array_equal(a.solve(rhs), b.solve(rhs))
         assert np.array_equal(a.solve_adjoint(rhs), b.solve_adjoint(rhs))
 
@@ -580,6 +600,15 @@ class TestSingularShift:
         assert solver.singular
         with pytest.raises(SingularShiftError):
             solver.solve(np.ones(3))
+
+    @pytest.mark.parametrize("n", [9, 40, 200])
+    def test_computed_eigenvalue_of_dense_block(self, n, rng):
+        # no pivot of A - z need vanish at a computed eigenvalue z; the
+        # inverse's infinity norm flags every one, and a shift 1e-6 off none
+        A = random_matrix(rng, n)
+        w = np.linalg.eigvals(A)
+        assert all(ShiftedSolver(sector(A), z).singular for z in w)
+        assert not any(ShiftedSolver(sector(A), z + 1e-6).singular for z in w)
 
     def test_uncoupled_top_entry_on_shift(self):
         block, top = sector_blocks(2, g=0.0)[0]
