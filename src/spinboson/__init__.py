@@ -6,8 +6,9 @@ the resonance, and checks the spectral, resolvent and analyticity
 statements that the construction rests on.
 
 The exports load on first use (``_EXPORTS`` names the submodule of each),
-so ``import spinboson`` costs nothing.  The package runs on numpy;
-``scipy.linalg`` loads only when a resolvent norm is first taken.
+so ``import spinboson`` costs nothing.  The package runs on numpy: no
+run loads ``scipy.linalg``, and ``reporting`` imports the top-level
+``scipy`` only to record its version in the manifest.
 """
 
 import importlib

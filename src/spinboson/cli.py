@@ -13,16 +13,14 @@ count): the parity-sector eigensolves of each ladder scale.  Resolvent
 samples run in the calling thread.  Reports are therefore the same for
 any thread count; the manifest records the budget.  Each subcommand
 hands the parsed model and grid (``RunConfig.model``, ``RunConfig.field``)
-to the ladder, and the checks read both back off its trace.  Only the
-runs that take resolvent norms load ``scipy.linalg`` (``resolvent-scan``,
-and ``ladder`` with P4 samples; ``dispatch`` imports it before pinning);
-every other run is numpy alone.
+to the ladder, and the checks read both back off its trace.  Every run
+is numpy alone, resolvent norms included, so the one OpenBLAS pinned is
+numpy's.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 import time
@@ -440,12 +438,6 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
     if subcommand not in _DISPATCH:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     out = Path(out_dir)
-    if subcommand == "resolvent-scan" or (
-        subcommand == "ladder" and rc.samples_per_scale
-    ):
-        # resolvent norms map scipy's OpenBLAS; pinned_blas sees only the
-        # libraries mapped when it starts, and a later one keeps its threads
-        importlib.import_module("scipy.linalg")
     t0 = time.perf_counter()
     with pinned_blas() as blas:
         try:

@@ -142,7 +142,6 @@ class MultiscaleTrace:
     scales: list = dc_field(default_factory=list)
     extrapolated: dict = dc_field(default_factory=dict)
     checks: dict = dc_field(default_factory=dict)
-    warnings: list = dc_field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
 
     def level_series(self, i: int, name: str) -> list:
@@ -175,7 +174,6 @@ class MultiscaleTrace:
             "scales": scales,
             "extrapolated": self.extrapolated,
             "checks": self.checks,
-            "warnings": list(self.warnings),
         }
 
 

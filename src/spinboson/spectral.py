@@ -25,7 +25,9 @@ S(z) and inverts it with numpy; a sector without a top layer inverts its
 shifted block through the same code.  Resolvent norms build one solver
 per sector and shift and run Lanczos on its solves; only the Schur
 complement is inverted densely, and no block is SVD'd densely.  All of
-this is numpy; only the Lanczos Ritz step imports scipy, on first use.
+this is numpy: the Lanczos Ritz step (``_top_ritz``) brackets the top
+eigenvalue of the tridiagonal by Newton steps on its LDL^T pivots and
+reads the eigenvector's last entry off a twisted factorization.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -42,6 +44,8 @@ size of the eliminated layer.
 from __future__ import annotations
 
 import importlib
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +69,8 @@ AGREE_TOL = 1e-8
 RESOLVENT_TOL = 1e-9
 LANCZOS_MAX_STEPS = 2000
 RITZ_STRIDE = 4
+# points _top_ritz may test before it gives up (a few suffice in practice)
+_RITZ_MAX_POINTS = 200
 # A top-layer entry d_t with |d_t - z| below this (times max(1, |z|)) stays
 # in the inverted part: eliminating it would divide by a near-zero d_t - z.
 TOP_LAYER_GUARD = 1e-6
@@ -418,6 +424,143 @@ def track_eigenvalue(
     )
 
 
+def _pivots(a: list, e: list, x: float) -> tuple[int, float, list]:
+    """Sturm data of x - T for the symmetric tridiagonal T.
+
+    ``a`` is the diagonal of T and ``e`` the squared off-diagonal after a
+    leading 0.  The LDL^T pivots of x - T are q_i = x - a_i - e_i / q_(i-1);
+    returns how many are not positive (the number of eigenvalues of T at or
+    above x, by Sylvester's law of inertia, so 0 means x lies above the
+    spectrum), p'(x) / p(x) for p(x) = det(x - T) = prod q_i, and the
+    pivots.  A zero pivot counts as negative.
+    """
+    pivots = []
+    q, dq, ratio, neg = 1.0, 0.0, 0.0, 0
+    for ai, ei in zip(a, e):
+        r = ei / q
+        dq = 1.0 + r * dq / q  # d q_i / dx
+        q = x - ai - r
+        if q <= 0.0:
+            neg += 1
+            q = q or -1e-300
+        pivots.append(q)
+        ratio += dq / q
+    return neg, ratio, pivots
+
+
+def _twisted(q: list, b: list, e: list, tau: float) -> tuple[float, float]:
+    """|s_k| and the Rayleigh correction of the bottom eigenvector of M - tau.
+
+    M = L D L^T is the factored x - T of ``_pivots`` (D = diag(q), the
+    subdiagonal of L is -b_i / q_i; ``e`` holds b_i^2).  The stationary
+    (top-down) and progressive (bottom-up) transforms of M - tau give the
+    twisted factorizations N_r Delta_r N_r^T, whose twist gamma_r of least
+    magnitude marks the largest entry z_r of the eigenvector; z follows
+    from the two bidiagonal factors by products, with no subtraction
+    (Dhillon and Parlett, Linear Algebra Appl. 387, 2004).  With z_r = 1,
+    returns |z_k| / |z| and gamma_r / |z|^2: the Rayleigh quotient of z is
+    tau plus that correction.  M - tau is never formed from T: x - tau
+    would round away the small distance tau from x to the eigenvalue, and
+    with it the accuracy of z when a second eigenvalue lies close by.
+    """
+    s, above = -tau, 1.0  # above: sum of z_j^2 over j <= i, at z_i = 1
+    stationary = [(s, above)]
+    for qi, bi, ei in zip(q, b, e):
+        dplus = qi + s
+        w = bi / dplus  # z_i / z_(i+1)
+        s = ei / (qi * dplus) * s - tau
+        above = 1.0 + w * w * above
+        stationary.append((s, above))
+    p = q[-1] - tau
+    gamma = stationary[-1][0] + p + tau
+    best, norm2, z_k = abs(gamma), stationary[-1][1], 1.0
+    below, tail = 1.0, 1.0  # sum of z_j^2 over j >= i and z_k, at z_i = 1
+    for qi, bi, ei, (si, up) in zip(
+        reversed(q[:-1]), reversed(b), reversed(e), reversed(stationary[:-1])
+    ):
+        dminus = ei / qi + p
+        w = bi / dminus  # z_(i+1) / z_i
+        p = p * qi / dminus - tau
+        tail *= w
+        below = 1.0 + w * w * below
+        twist = si + p + tau
+        if abs(twist) < best:
+            best, gamma, norm2, z_k = abs(twist), twist, up + below - 1.0, tail
+    return abs(z_k) / math.sqrt(norm2), gamma / norm2
+
+
+def _top_ritz(
+    alpha: np.ndarray, beta: np.ndarray, below: float
+) -> tuple[float, float]:
+    """Largest eigenvalue nu of a symmetric tridiagonal T, and |s_k|.
+
+    ``alpha`` is the diagonal of T, ``beta`` its k - 1 off-diagonal entries
+    and s_k the last entry of the unit eigenvector of nu.  ``below`` must
+    not lie above nu (the top Ritz value of a leading block does not, by
+    interlacing).  Each point x is placed by the sign test of ``_pivots``.
+    Newton on det(x - T) from above never passes nu; from a point with nu
+    alone above it, it lands above nu; a cluster of m eigenvalues, which
+    slows Newton to steps of (x - nu) / m, has m read off two successive
+    steps; and a step leaving the bracket of points below and above
+    bisects it.  At an x above nu whose Newton step delta is small enough
+    that the next would change nothing, the Rayleigh quotient of the
+    twisted eigenvector of (x - T) - delta bounds nu from below.  Once that
+    bound is within two units of x - delta (a unit is eps |x|, or eps
+    2^-40 |T| near 0, where the pivots resolve no finer), nu is the
+    Rayleigh value and s_k comes from the same vector.  Raises
+    ConvergenceError after _RITZ_MAX_POINTS points.
+    """
+    a = alpha.tolist()
+    if len(a) == 1:
+        return a[0], 1.0
+    b = beta.tolist()
+    e = (beta * beta).tolist()
+    e0 = [0.0, *e]
+    eps = sys.float_info.epsilon
+    norm = max(map(abs, a)) + 2.0 * math.sqrt(max(e))  # bounds |T|
+    floor = max(2.0**-40 * norm, sys.float_info.min)
+    x = max(below, max(a))
+    grow = 2.0**-15 * norm
+    lo = hi = last = moved = None
+    for _ in range(_RITZ_MAX_POINTS):
+        unit = eps * max(abs(x), floor)
+        neg, ratio, q = _pivots(a, e0, x)
+        if neg:  # x is not above nu
+            lo, last = x, None
+            if neg == 1 and ratio < 0.0:
+                y = max(x - 1.0 / ratio, math.nextafter(x, math.inf))
+            elif hi is None:
+                y, grow = x + grow, 8.0 * grow
+            else:
+                y = 0.5 * (lo + hi)
+        else:
+            hi, hi_q, delta = x, q, 1.0 / ratio
+            tiny = delta <= unit
+            # Newton converging quadratically (delta ~ moved^2) would move
+            # the next point by about delta^3 / moved^2: a quarter unit here
+            if tiny or (moved and delta <= 1e-2 * moved
+                        and delta**3 <= 0.25 * unit * moved**2):
+                s_k, corr = _twisted(q, b, e, delta)
+                if abs(corr) <= 2.0 * unit:
+                    return x - (delta + corr), s_k
+            # a tiny step that the Rayleigh bound does not confirm tests the
+            # point two units down, so the bracket closes on nu
+            step = 2.0 * unit if tiny else delta
+            if last is not None and delta > 0.3 * last:
+                # linear convergence, delta = (1 - 1/m) last: a cluster of m
+                step = max(step, delta * last / (last - delta))
+            y, last = x - step, delta
+        if lo is not None and hi is not None:
+            if hi - lo <= 2.0 * unit:
+                return hi - delta, _twisted(hi_q, b, e, delta)[0]
+            if not lo < y < hi:
+                y, last = 0.5 * (lo + hi), None
+        x, moved = y, abs(y - x)
+    raise ConvergenceError(
+        f"the top Ritz value was not bracketed in {_RITZ_MAX_POINTS} points"
+    )
+
+
 def _top_singular_value(matvec, rmatvec, n: int) -> float:
     """Largest singular value of an n x n operator from its two actions.
 
@@ -430,12 +573,13 @@ def _top_singular_value(matvec, rmatvec, n: int) -> float:
     rule), or at k = n, where the Ritz values are those of M.  As nu is at
     least every diagonal entry of T_k, a step with beta_k below
     RESOLVENT_TOL times the largest of them passes the rule and is tested
-    at once; this also ends a breakdown (beta_k = 0).  Raises
-    ConvergenceError when LANCZOS_MAX_STEPS steps do not get there.
+    at once; this also ends a breakdown (beta_k = 0).  ``_top_ritz`` finds
+    nu and s_k from the previous test's nu, which interlacing keeps below
+    the new one.  Raises ConvergenceError when LANCZOS_MAX_STEPS steps do
+    not get there.
     """
-    from scipy.linalg import eigh_tridiagonal  # loads scipy.linalg on first use
-
     last, tol = min(n, LANCZOS_MAX_STEPS), RESOLVENT_TOL
+    nu = -math.inf
     V = np.empty((last, n), dtype=complex)  # only rows written take memory
     alpha, beta = np.empty(last), np.empty(last)
     q = np.random.default_rng(12345).standard_normal(n).astype(complex)
@@ -450,11 +594,9 @@ def _top_singular_value(matvec, rmatvec, n: int) -> float:
         w -= V[:k].T @ (V[:k] @ w.conj()).conj()  # V^H w without copying V
         beta[k - 1] = np.linalg.norm(w)
         if k % RITZ_STRIDE == 0 or k == last or beta[k - 1] <= tol * alpha[:k].max():
-            nu, s = eigh_tridiagonal(
-                alpha[:k], beta[: k - 1], select="i", select_range=(k - 1, k - 1)
-            )
-            if k == n or beta[k - 1] * abs(s[-1, 0]) <= tol * nu[0]:
-                return float(np.sqrt(nu[0]))
+            nu, s_k = _top_ritz(alpha[:k], beta[: k - 1], nu)
+            if k == n or beta[k - 1] * s_k <= tol * nu:
+                return float(np.sqrt(nu))
         q = w / beta[k - 1]
     raise ConvergenceError(
         f"Lanczos for the resolvent norm missed the relative Ritz residual "

@@ -580,15 +580,17 @@ EXPORTS = [
 ]
 
 
-# every subcommand but resolvent-scan, on a config without P4 samples
-NUMPY_ONLY = ("ladder", "fgr", "theta-scan", "g-circle", "cone-check",
-              "feasibility", "verify-appendix")
+# every subcommand, on a config that takes resolvent samples and P4 samples
+NUMPY_ONLY = cli.SUBCOMMANDS
 
 
 def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
-    """Runs that take no resolvent norm never load scipy.linalg or scipy.sparse."""
+    """No run loads scipy.linalg or scipy.sparse, resolvent norms included."""
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(config_text(ladder={"n_scales": 2}, run={"trials": 5}))
+    cfg_path.write_text(config_text(
+        ladder={"n_scales": 2},
+        run={"trials": 5, "n_samples": 5, "samples_per_scale": 2},
+    ))
     code = (
         "import json, sys\n"
         "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg'}\n"
@@ -720,28 +722,24 @@ def test_every_loaded_blas_pinned(tmp_path, subcommand):
     "subcommand, run", [("resolvent-scan", {"n_samples": 5}),
                         ("ladder", {"samples_per_scale": 2})],
 )
-def test_resolvent_norm_runs_pin_scipy_blas(tmp_path, subcommand, run):
-    """Runs that take resolvent norms load scipy.linalg before BLAS is pinned."""
+def test_resolvent_norm_runs_pin_numpy_blas_alone(tmp_path, subcommand, run):
+    """Runs that take resolvent norms leave scipy.linalg unloaded and pin
+    exactly the OpenBLAS libraries mapped, each at one thread."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(config_text(ladder={"n_scales": 2}, run=run))
     code = (
         "import json, sys\n"
         "from spinboson import cli, threads\n"
-        "def libs():\n"
-        "    return [lib.library for lib in threads.openblas_libraries()]\n"
-        "before = [libs(), 'scipy.linalg' in sys.modules]\n"
         "code = cli.main([sys.argv[1], '--config', sys.argv[2], '--out', sys.argv[3]])\n"
-        "print(json.dumps([before, [code, libs(), 'scipy.linalg' in sys.modules]]))\n"
+        "libs = [lib.library for lib in threads.openblas_libraries()]\n"
+        "print(json.dumps([code, libs, 'scipy.linalg' in sys.modules]))\n"
     )
     out = run_fresh(code, subcommand, str(cfg_path), str(tmp_path / "out"))
-    (libs_before, loaded_before), (code, libs_after, loaded) = json.loads(
-        out.splitlines()[-1]
-    )
-    assert code == 0 and not loaded_before and loaded
-    assert set(libs_before) <= set(libs_after)
+    code, libs, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0 and libs and not loaded
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     pinned = {b["library"]: b["threads_during"] for b in manifest["threads"]["blas"]}
-    assert pinned == dict.fromkeys(libs_after, 1)
+    assert pinned == dict.fromkeys(libs, 1)
 
 
 def test_no_openblas_recorded_and_run(tmp_path, monkeypatch):

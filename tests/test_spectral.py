@@ -4,6 +4,7 @@ import gc
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -401,6 +402,192 @@ class TestLanczosNorm:
         z = 0.3 - 0.2j
         want = np.linalg.svd(np.linalg.inv(A - z * np.eye(n)), compute_uv=False)[0]
         assert resolvent_norm(one_sector(A), z) == pytest.approx(want, rel=1e-14)
+
+
+def mp_top_eigenpair(a, b):
+    """Oracle: (nu, |s_k|) of a symmetric tridiagonal, at 30 digits.
+
+    nu by bisection on the Sturm count of x - T (mpmath), s_k from one
+    solve of (hi - T) z = 1 at the bracket's upper end hi, within 1e-28 |T|
+    of nu: with b >= 0, hi - T is then a positive definite M-matrix, so
+    z > 0 and its direction is nu's eigenvector up to (hi - nu) / gap.
+    """
+    with mpmath.workdps(30):
+        A = [mpmath.mpf(float(v)) for v in a]
+        B = [mpmath.mpf(float(v)) for v in b]
+        norm = max(abs(v) for v in A) + 2 * max([abs(v) for v in B], default=0)
+        lo, hi = -norm - 1, norm + 1
+        while hi - lo > mpmath.mpf(10) ** -28 * (norm + 1):
+            mid = (lo + hi) / 2
+            q, above = mid - A[0], True
+            for i in range(1, len(A)):
+                if q <= 0:
+                    above = False
+                    break
+                q = mid - A[i] - B[i - 1] ** 2 / q
+            if above and q > 0:
+                hi = mid
+            else:
+                lo = mid
+        d, y = [hi - A[0]], [mpmath.mpf(1)]
+        for i in range(1, len(A)):
+            m = B[i - 1] / d[-1]
+            d.append(hi - A[i] - B[i - 1] * m)
+            y.append(1 + m * y[-1])
+        z = [y[-1] / d[-1]]
+        for i in range(len(A) - 2, -1, -1):
+            z.insert(0, (y[i] + B[i] * z[0]) / d[i])
+        return float(hi), float(z[-1] / mpmath.sqrt(mpmath.fsum(v * v for v in z)))
+
+
+def lanczos_tridiagonal(d, start, k):
+    """(alpha, beta) of k Lanczos steps on diag(d) from ``start``, each new
+    vector projected twice against the whole basis."""
+    V, alpha, beta = np.zeros((k, len(d))), np.zeros(k), np.zeros(k)
+    q = start / np.linalg.norm(start)
+    for j in range(k):
+        V[j] = q
+        w = d * q
+        alpha[j] = q @ w
+        for _ in range(2):
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+        beta[j] = np.linalg.norm(w)
+        q = w / beta[j] if j < k - 1 else q
+    return alpha, beta[: k - 1]
+
+
+def jacobi_matrix(values, last_entries):
+    """(alpha, beta) of the tridiagonal with these eigenvalues, whose unit
+    eigenvectors end in these entries (up to normalization): Lanczos to the
+    end on diag(values) from that start vector, which sets the first
+    entries, read backwards."""
+    alpha, beta = lanczos_tridiagonal(values, np.asarray(last_entries), len(values))
+    return alpha[::-1].copy(), beta[::-1].copy()
+
+
+def ritz_case(name):
+    """(alpha, beta) of one named oracle case for ``_top_ritz``."""
+    rng = np.random.default_rng(3)
+    kind, _, arg = name.partition("-")
+    if kind == "random":  # a rising diagonal keeps the top vector's end large
+        k = int(arg)
+        return np.sort(rng.uniform(0.0, 1.0, k)), rng.uniform(0.2, 1.0, k - 1)
+    if kind == "cluster":
+        # top pair 2 and 2 (1 - gap); the second vector ends in 1e-4, so
+        # the first one's last entry is set by T to better than 1e-8
+        gap = float(arg)
+        values = np.concatenate([[2.0, 2.0 * (1 - gap)], rng.uniform(0.0, 1.5, 18)])
+        ends = np.concatenate([[0.5, 1e-4], rng.uniform(0.5, 1, 18)])
+        return jacobi_matrix(values, ends)
+    if kind == "converged":  # 16 steps on a top eigenvalue 2 above [0, 1]
+        d = np.concatenate([[2.0], rng.uniform(0, 1, 399)])
+        return lanczos_tridiagonal(d, rng.standard_normal(400), 16)
+    # a zero off-diagonal splits T; its top lies in the lower or upper block
+    alpha = [1.0, 2.0, 0.5, 3.0, 1.0] if arg == "lower" else [3.0, 2.0, 0.5, 1.0, 1.0]
+    return np.array(alpha), np.array([0.3, 0.0, 0.4, 0.2])
+
+
+RITZ_CASES = [
+    "random-1", "random-2", "random-5", "random-60", "random-400",
+    "cluster-1e-4", "cluster-1e-6", "cluster-1e-8", "cluster-1e-10",
+    "converged", "breakdown-lower", "breakdown-upper",
+]
+
+
+def scipy_top_singular_value(matvec, rmatvec, n):
+    """Oracle: ``_top_singular_value`` with the Ritz step it had before,
+    scipy's ``eigh_tridiagonal`` (LAPACK stebz and stein), and nothing
+    else changed; returns the value and the number of steps."""
+    from scipy.linalg import eigh_tridiagonal
+
+    last, tol = min(n, spectral.LANCZOS_MAX_STEPS), RESOLVENT_TOL
+    V = np.empty((last, n), dtype=complex)
+    alpha, beta = np.empty(last), np.empty(last)
+    q = np.random.default_rng(12345).standard_normal(n).astype(complex)
+    q /= np.linalg.norm(q)
+    for k in range(1, last + 1):
+        V[k - 1] = q
+        w = rmatvec(matvec(q))
+        alpha[k - 1] = np.vdot(q, w).real
+        w -= alpha[k - 1] * q
+        if k > 1:
+            w -= beta[k - 2] * V[k - 2]
+        w -= V[:k].T @ (V[:k] @ w.conj()).conj()
+        beta[k - 1] = np.linalg.norm(w)
+        if k % RITZ_STRIDE == 0 or k == last or beta[k - 1] <= tol * alpha[:k].max():
+            nu, s = eigh_tridiagonal(
+                alpha[:k], beta[: k - 1], select="i", select_range=(k - 1, k - 1)
+            )
+            if k == n or beta[k - 1] * abs(s[-1, 0]) <= tol * nu[0]:
+                return float(np.sqrt(nu[0])), k
+        q = w / beta[k - 1]
+    raise AssertionError("the oracle did not converge")
+
+
+class TestTopRitz:
+    """The numpy Ritz step against LAPACK stebz/stein and 30-digit mpmath."""
+
+    @pytest.mark.parametrize("name", RITZ_CASES)
+    def test_against_stebz_and_mpmath(self, name):
+        from scipy.linalg import eigh_tridiagonal
+
+        a, b = ritz_case(name)
+        k = len(a)
+        nu, s_k = spectral._top_ritz(a, b, -np.inf)
+        if k == 1:
+            want, vec = a, np.ones((1, 1))
+        else:
+            want, vec = eigh_tridiagonal(a, b, select="i", select_range=(k - 1, k - 1))
+        mp_nu, mp_s = mp_top_eigenpair(a, b)
+        ulp = np.spacing(mp_nu)
+        assert abs(nu - want[0]) <= 4 * ulp and abs(nu - mp_nu) <= 4 * ulp
+        if name == "breakdown-upper":  # the top vector has no entry below the split
+            assert s_k == 0.0 and abs(vec[-1, 0]) < 1e-15 and mp_s < 1e-25
+        else:
+            assert s_k == pytest.approx(mp_s, rel=1e-8)
+            assert s_k == pytest.approx(abs(vec[-1, 0]), rel=1e-8)
+        if name == "converged":
+            assert 1e-10 < s_k < 1e-8
+        if name.startswith("cluster"):
+            gap = float(name.split("-", 1)[1])
+            second = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))[-2]
+            assert (nu - second) / nu == pytest.approx(gap, rel=1e-3)
+
+    @pytest.mark.parametrize("below", [1.0, 1 - 1e-6, 1 - 1e-15])
+    def test_any_start_below_gives_the_same_pair(self, below):
+        a, b = ritz_case("random-60")
+        cold = spectral._top_ritz(a, b, -np.inf)
+        got = spectral._top_ritz(a, b, below * cold[0])
+        assert abs(got[0] - cold[0]) <= 2 * np.spacing(cold[0])
+        assert got[1] == pytest.approx(cold[1], rel=1e-8)
+
+    def test_point_cap_raises(self, monkeypatch):
+        # the first point, the largest diagonal entry, lies below the value
+        monkeypatch.setattr(spectral, "_RITZ_MAX_POINTS", 1)
+        with pytest.raises(ConvergenceError, match="not bracketed"):
+            spectral._top_ritz(*ritz_case("random-60"), -np.inf)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lanczos_matches_scipy_ritz_step(self, seed):
+        # 60 of 300 eigenvalues within 2e-3 of 1 - 0.02i, seen from 0.28
+        # away: their singular values cluster as near a top-layer cluster,
+        # and the norm takes about 90 steps and 23 Ritz steps
+        rng = np.random.default_rng(seed)
+        n = 300
+        d = np.concatenate([1.0 + 2e-3 * rng.uniform(-1, 1, 60),
+                            rng.uniform(1.5, 4.0, n - 60)]) - 0.02j
+        A = np.diag(d) + 1e-3 * random_matrix(rng, n) / np.sqrt(n)
+        solver = ShiftedSolver(sector(A), 1.0 - 0.3j)
+        calls = []
+
+        def matvec(x):
+            calls.append(1)
+            return solver.solve(x)
+
+        want, steps = scipy_top_singular_value(solver.solve, solver.solve_adjoint, n)
+        got = spectral._top_singular_value(matvec, solver.solve_adjoint, n)
+        assert steps > 80 and len(calls) == steps
+        assert abs(got - want) <= 4 * np.spacing(want)
 
 
 class TestHelpers:
