@@ -251,6 +251,16 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _proposed(rc: RunConfig) -> dict:
+    """The run's (rho0, rho, |g|) in log10, as ``check_inequalities`` reads them."""
+    cfg, ladder = rc.model, rc.field.ladder
+    return {
+        "log10_rho0": float(np.log10(ladder.rho0)),
+        "log10_rho": float(np.log10(ladder.rho)),
+        "log10_g": float(np.log10(abs(cfg.g))) if cfg.g != 0 else -np.inf,
+    }
+
+
 def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     from .multiscale import (
         check_p1,
@@ -279,11 +289,12 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
         for per_scale in p2_p4["p4"].values():
             for entry in per_scale.values():
                 ok &= len(entry["samples"]) >= samples
-    for i, lv in p1["levels"].items():
-        ok &= lv["all_practical_pass"]
-        if rc.mode == "strict":
-            ok &= all(r.get("strict_pass", False) for r in lv["rows"])
-    for i, lv in p3["levels"].items():
+    if rc.mode == "strict":
+        # the smallness windows, as feasibility gates them, and P1's strict rows
+        windows = check_inequalities(report, _proposed(rc), e1=cfg.e1)
+        ok &= all(c["satisfied"] for c in windows)
+        ok &= all(r["strict_pass"] for lv in p1["levels"].values() for r in lv["rows"])
+    for lv in [*p1["levels"].values(), *p3["levels"].values()]:
         ok &= lv["all_practical_pass"]
     for rec in trace.scales:
         for data in rec.levels.values():
@@ -297,10 +308,7 @@ def _fgr_artifacts(rc: RunConfig, out: Path) -> bool:
     from .diagnostics import fermi_golden_rule
 
     rep = fermi_golden_rule(rc.model, rc.field, rc.g_list, jobs=rc.jobs)
-    rows = [
-        {k: v for k, v in row.items() if k != "trace"} for row in rep["rows"]
-    ]
-    write_json(out / "fgr.json", {**rep, "rows": rows})
+    write_json(out / "fgr.json", rep)
     return rep["monotone_improvement"]
 
 
@@ -360,15 +368,11 @@ def _resolvent_scan_artifacts(rc: RunConfig, out: Path) -> bool:
 
 
 def _feasibility_artifacts(rc: RunConfig, out: Path) -> bool:
-    cfg, ladder = rc.model, rc.field.ladder
+    cfg = rc.model
     rep = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
-    proposed = {
-        "log10_rho0": float(np.log10(ladder.rho0)),
-        "log10_rho": float(np.log10(ladder.rho)),
-        "log10_g": float(np.log10(abs(cfg.g))) if cfg.g != 0 else -np.inf,
-    }
+    proposed = _proposed(rc)
     checks = check_inequalities(rep, proposed, e1=cfg.e1)
     strict_ok = all(c["satisfied"] for c in checks)
     write_json(

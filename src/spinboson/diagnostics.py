@@ -82,7 +82,7 @@ def fermi_golden_rule(
     cfg: ModelConfig,
     field: DiscretizedField,
     g_list,
-    jobs: int = 1,
+    jobs: int,
 ) -> dict:
     """Resonance width against the golden rule across couplings.
 
@@ -98,8 +98,7 @@ def fermi_golden_rule(
     rows = []
     for g in g_list:
         cfg_g = cfg.replace(g=g)
-        trace = run_ladder(cfg_g, field, levels=(1,), jobs=jobs)
-        lam = trace.scales[-1].levels[1].lam
+        lam = _final_lambda(cfg_g, field, (1,), jobs)[0][1]
         ratio = lam.imag / abs(g) ** 2 if g != 0 else 0.0
         pt2 = second_order_eigenvalue(cfg_g, modes_full, i=1)
         rows.append(
@@ -116,7 +115,6 @@ def fermi_golden_rule(
                 )
                 if lam.imag != 0
                 else 0.0,
-                "trace": trace,
             }
         )
     rows.sort(key=lambda r: -r["g"])
@@ -131,8 +129,13 @@ def fermi_golden_rule(
 
 
 def _final_lambda(cfg: ModelConfig, field: DiscretizedField, levels: tuple, jobs: int):
-    trace = run_ladder(cfg, field, levels=levels, jobs=jobs)
-    return {i: trace.scales[-1].levels[i].lam for i in levels}, trace
+    """The last scale's tracked eigenvalues and dimension of one ladder.
+
+    The trace, and the full-grid operator it holds, is let go on return,
+    so a scan never keeps one while its next ladder runs.
+    """
+    last = run_ladder(cfg, field, levels=levels, jobs=jobs).scales[-1]
+    return {i: last.levels[i].lam for i in levels}, last.dim
 
 
 def _refinement_delta(
@@ -177,8 +180,8 @@ def theta_invariance_scan(
     cfg: ModelConfig,
     field: DiscretizedField,
     theta_list,
-    levels: tuple = (0, 1),
-    jobs: int = 1,
+    levels: tuple,
+    jobs: int,
 ) -> InvarianceReport:
     """Constancy of the tracked eigenvalues along the dilation orbit.
 
@@ -204,8 +207,8 @@ def theta_invariance_scan(
             if abs(theta.real) == 0.0
             else field.scaled(float(np.exp(theta.real)))
         )
-        lams, trace = _final_lambda(cfg_t, grid, levels, jobs)
-        dims.append(trace.scales[-1].dim)
+        lams, dim = _final_lambda(cfg_t, grid, levels, jobs)
+        dims.append(dim)
         for i in levels:
             lambdas[i].append(lams[i])
     max_pairwise = {
@@ -255,10 +258,10 @@ def g_analyticity_check(
     field: DiscretizedField,
     center: complex,
     radius: float,
-    n_samples: int = 8,
-    levels: tuple = (0, 1),
+    n_samples: int,
+    levels: tuple,
+    jobs: int,
     eval_fn=None,
-    jobs: int = 1,
 ) -> InvarianceReport:
     """Discrete Cauchy test of analyticity in the coupling.
 
@@ -275,8 +278,7 @@ def g_analyticity_check(
     if eval_fn is None:
 
         def eval_fn(g):
-            lams, _ = _final_lambda(cfg.replace(g=g), field, levels, jobs)
-            return lams
+            return _final_lambda(cfg.replace(g=g), field, levels, jobs)[0]
 
     ks = np.arange(n_samples)
     phases = np.exp(2j * pi * ks / n_samples)
@@ -391,13 +393,16 @@ def resolvent_cone_bound_check(
     """Fit of |(H - z)^(-1)| <= K / dist(z, cone(lambda_1)) over the box.
 
     The last scale of ``trace`` is its field's full grid and supplies
-    lambda_1 and the full-grid spectrum; the operator is reassembled for
-    the resolvent norms, one point after another.  The cones have divisor
-    ``cfg.m_cone`` (the trace's config).
+    lambda_1, the full-grid spectrum and the operator whose resolvent
+    norms are taken, one point after another (``trace.operator``, the one
+    the ladder built).  The cones have divisor ``cfg.m_cone`` (the trace's
+    config).
 
-    Samples avoid the backward-shifted cone (vertex moved by
-    2 rho_N^(1 + mu/4) along the axis); points landing inside it or on the
-    vertex cone itself are skipped with a note.  Truncation-starved branch
+    ``Box.sample`` draws 70 % of the points uniformly over the box, the
+    rest at log-uniform distances from lambda_1.  Samples avoid the
+    backward-shifted cone (vertex moved by 2 rho_N^(1 + mu/4) along the
+    axis); points landing inside it or outside the box, or on the vertex
+    cone itself, are skipped with a note.  Truncation-starved branch
     eigenvalues pollute the sampled region (in the untruncated model it
     belongs to the resolvent set), so samples inside a small exclusion
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
@@ -412,49 +417,21 @@ def resolvent_cone_bound_check(
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
-    rng = np.random.default_rng(seed)
-    H = assemble_hamiltonian(cfg, field, n=None)
     in_box, lattice_dist = last.census.in_box(box)
     modes = field.modes_for_scale(None)
     starved = in_box[lattice_dist <= soft_branch_tolerance(cfg, modes)]
 
-    def near_artifact(z: complex) -> bool:
-        return len(starved) > 0 and bool(
-            np.min(np.abs(starved - z)) < ARTIFACT_EXCLUSION
-        )
-
-    samples = []
-    skipped_forbidden = 0
-    skipped_artifact = 0
-    n_uniform = int(0.7 * n_samples)
-    guard = 0
-    while len(samples) < n_uniform and guard < 400 * n_samples:
-        guard += 1
-        z = complex(
-            rng.uniform(box.level - box.half_width, box.level + box.half_width),
-            rng.uniform(box.lo, box.hi),
-        )
-        if not box.contains(z):
-            continue
+    def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):
-            skipped_forbidden += 1
-            continue
-        if near_artifact(z):
-            skipped_artifact += 1
-            continue
-        samples.append(z)
-    while len(samples) < n_samples and guard < 800 * n_samples:
-        guard += 1
-        r = 10.0 ** rng.uniform(-3, np.log10(0.4 * cfg.delta))
-        z = lam1 + r * np.exp(2j * pi * rng.uniform())
-        if not box.contains(z) or cone_contains(cone_forbidden, z):
-            skipped_forbidden += 1
-            continue
-        if near_artifact(z):
-            skipped_artifact += 1
-            continue
-        samples.append(z)
+            return "forbidden"
+        if len(starved) and np.min(np.abs(starved - z)) < ARTIFACT_EXCLUSION:
+            return "artifact"
+        return None
 
+    samples, skipped = box.sample(
+        np.random.default_rng(seed), n_samples, int(0.7 * n_samples), lam1,
+        lambda r: 10.0 ** r.uniform(-3, np.log10(0.4 * cfg.delta)), reject,
+    )
     rows = []
     degenerate = 0
     k_fit = 0.0
@@ -463,14 +440,14 @@ def resolvent_cone_bound_check(
         if dist <= 1e-12:
             degenerate += 1
             continue
-        lhs = resolvent_norm(H, z)
+        lhs = resolvent_norm(trace.operator, z)
         rows.append({"z": z, "lhs": float(lhs), "dist": float(dist)})
         k_fit = max(k_fit, lhs * dist)
     return {
         "K": float(k_fit),
         "n_used": len(rows),
-        "n_skipped_forbidden": skipped_forbidden,
-        "n_skipped_artifact": skipped_artifact,
+        "n_skipped_forbidden": skipped["outside"] + skipped["forbidden"],
+        "n_skipped_artifact": skipped["artifact"],
         "n_skipped_on_cone": degenerate,
         "vertex": lam1,
         "rows": rows,

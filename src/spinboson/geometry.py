@@ -15,7 +15,9 @@ tracking window actually used by the ladder in practical mode
 (``Box.wn``) anchors lo a quarter cutoff below the tracked eigenvalue,
 lambda - rho_n sin(nu) / 4; the literal scale-n box (``Box.bn``) takes
 the larger of the two floors, so it coincides with the window whenever
-the eigenvalue sits inside its first-scale box.
+the eigenvalue sits inside its first-scale box.  ``Box.sample`` draws the
+points of both resolvent fits: P4's in the scale window and the cone
+fit's in B_1.
 
 ``verify_cone_chain`` checks the nested-cone step from scale n to n + 1,
 which ``spectrum_cone_check`` (the ``cone-check`` subcommand) runs on each
@@ -24,11 +26,16 @@ consecutive pair of tracked eigenvalues.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
+
+# ``Box.sample`` stops its uniform phase after this many draws per requested
+# point, and its radial phase after the second count (draws of both phases).
+SAMPLE_GUARD = (400, 800)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,36 @@ class Box:
             & (im <= self.hi)
         )
         return inside if np.ndim(inside) else bool(inside)
+
+    def sample(self, rng, count: int, n_uniform: int, center: complex, radius, reject):
+        """Up to ``count`` points of the box and the number skipped per reason.
+
+        The first ``n_uniform`` points are drawn uniformly over the box, the
+        rest at ``center + radius(rng) exp(2 pi i U)``, U uniform on [0, 1).
+        A point is kept unless it lies outside the box (reason
+        ``"outside"``) or ``reject(z)`` returns a reason.  Each phase stops
+        at its ``SAMPLE_GUARD`` count of draws, so a caller that rejects
+        too much gets fewer than ``count`` points.
+        """
+        points, skipped, draws = [], Counter(), 0
+
+        def offer(z) -> None:
+            reason = "outside" if not self.contains(z) else reject(z)
+            if reason is None:
+                points.append(z)
+            else:
+                skipped[reason] += 1
+
+        while len(points) < n_uniform and draws < SAMPLE_GUARD[0] * count:
+            draws += 1
+            offer(complex(
+                rng.uniform(self.level - self.half_width, self.level + self.half_width),
+                rng.uniform(self.lo, self.hi),
+            ))
+        while len(points) < count and draws < SAMPLE_GUARD[1] * count:
+            draws += 1
+            offer(center + radius(rng) * np.exp(2j * np.pi * rng.uniform()))
+        return points, skipped
 
 
 def verify_cone_chain(

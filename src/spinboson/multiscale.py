@@ -19,14 +19,16 @@ induction argument controls:
 
 Each scale's operator is assembled once and used while the scale loop
 holds it: the eigensolves (into the scale's ``SpectralCensus``, which
-tracking and every spectrum count read), the contour projectors, the P4
-samples (when ``samples_per_scale`` asks for them) and, at the full grid's
-scale, the residual of every scale's eigenvector against the full-grid
-operator.
-The per-scale data stays on the scale records, and the trace carries the
-model and the grid it ran with, so every check (``check_p1``,
-``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and the cone checks
-in ``diagnostics``) takes the trace alone.
+tracking and every spectrum count read), the contour projectors and the
+P4 samples (when ``samples_per_scale`` asks for them).  The last scale's
+operator, the full grid's, stays on the trace as ``trace.operator`` for
+the two readers of that grid: ``extrapolate_limit`` (every scale's
+eigenvector residual) and ``resolvent_cone_bound_check``.  It is the
+largest object of a run, so no caller keeps a trace while the next ladder
+runs.  The per-scale data stays on the scale records, and the trace
+carries the model and the grid it ran with, so every check
+(``check_p1``, ``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and
+the cone checks in ``diagnostics``) takes the trace alone.
 
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TrackingError
-from .fock import field_energy_diagonal
+from .fock import OperatorMatrix, field_energy_diagonal
 from .geometry import Box
 from .model import (
     DiscretizedField,
@@ -99,16 +101,14 @@ class LevelScaleData:
     first_scale_shift: float | None = None
     atomic_projector_gap: float | None = None
     # kept for the checks and not serialized: the contour projector, the
-    # (right, left) eigenvectors in global coordinates, the P4 samples and
-    # the eigenvector's residual against the full-grid operator
+    # (right, left) eigenvectors in global coordinates and the P4 samples
     projector: RieszProjector | None = None
     vectors: tuple | None = None
     p4: dict | None = None
-    full_grid_residual: float | None = None
 
     def report(self) -> dict:
         """The serialized fields, ``lam`` under the key ``lambda``."""
-        kept = ("projector", "vectors", "p4", "full_grid_residual")
+        kept = ("projector", "vectors", "p4")
         return {
             "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
             for f in fields(self)
@@ -134,7 +134,8 @@ class MultiscaleTrace:
 
     ``cfg`` and ``field`` are the model and the grid the ladder ran with,
     so every check reads the run off the trace alone; the last scale is
-    ``field``'s full grid.
+    ``field``'s full grid, and ``operator`` (not serialized) is that
+    scale's operator.
     """
 
     cfg: ModelConfig
@@ -143,6 +144,7 @@ class MultiscaleTrace:
     extrapolated: dict = dc_field(default_factory=dict)
     checks: dict = dc_field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+    operator: OperatorMatrix | None = dc_field(default=None, repr=False)
 
     def level_series(self, i: int, name: str) -> list:
         return [getattr(rec.levels[i], name) for rec in self.scales]
@@ -269,7 +271,7 @@ class SpectralCensus:
                 np.minimum(out, d, out=out)
 
     @classmethod
-    def of(cls, H, cfg: ModelConfig | None = None, basis=None, jobs: int = 1):
+    def of(cls, H, cfg: ModelConfig | None = None, basis=None, *, jobs: int):
         """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads."""
         blocks = [sec.block for sec in H.sectors.values()]
         parts = parallel_map(np.linalg.eigvals, blocks, jobs)
@@ -306,7 +308,8 @@ def run_ladder(
     cfg: ModelConfig,
     field: DiscretizedField,
     levels: tuple = (0, 1),
-    jobs: int = 1,
+    *,
+    jobs: int,
     samples_per_scale: int = 0,
     seed: int = 0,
 ) -> MultiscaleTrace:
@@ -322,8 +325,8 @@ def run_ladder(
     With ``samples_per_scale`` > 0, P4 samples that many points of each
     level's window per scale (scale by scale, level by level, from one
     generator seeded with ``seed``) and records the projected resolvent
-    norms.  The last scale is the full grid's: every scale's eigenvector is
-    embedded into it and its residual against that operator is recorded.
+    norms.  The last scale is the full grid's, and its operator stays on
+    the trace as ``trace.operator``.
     """
     trace = MultiscaleTrace(cfg, field)
     bare = {0: cfg.e0, 1: cfg.e1}
@@ -334,14 +337,16 @@ def run_ladder(
     for n in range(1, field.n_scales + 1):
         H = assemble_hamiltonian(cfg, field, n=n)
         basis = field.basis_for_scale(n)
-        census = SpectralCensus.of(H, cfg, basis, jobs)
+        census = SpectralCensus.of(H, cfg, basis, jobs=jobs)
         rho_n = field.ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
         rec = ScaleRecord(
             n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
             census=census,
         )
+        # truncation artifacts: no P4 sample lies within 0.1 rho_n of one
         starved = census.lattice_dist <= soft_branch_tolerance(cfg, basis.modes)
+        artifacts = census.values[starved]
         for i in levels:
             seed_lam = prev_lam[i]
             nearest = census.nearest(seed_lam)
@@ -405,20 +410,24 @@ def run_ladder(
                 # the probes are the previous scale's vectors, embedded
                 data.p3_gap = rank_two_difference_norm(u_g, l_g, probe, left_probe)
             if samples_per_scale:
-                zs = _sample_window(
-                    rng, window, lam, contour_radius, samples_per_scale,
-                    avoid=census.values[starved], avoid_radius=0.1 * rho_n,
+
+                def reject(z):
+                    if len(artifacts) and np.min(np.abs(artifacts - z)) < 0.1 * rho_n:
+                        return "artifact"
+                    if abs(z - lam) <= 0.25 * contour_radius:
+                        return "near_lambda"
+                    return None
+
+                zs, _ = window.sample(
+                    rng, samples_per_scale, max(1, int(0.6 * samples_per_scale)),
+                    lam, lambda r: contour_radius * r.uniform(1.5, 6.0), reject,
                 )
                 data.p4 = _p4_entry(H, proj, zs, lam, rho_n)
             rec.levels[i] = data
             prev_lam[i] = lam
             prev_vec[i] = (u_g, l_g)
         trace.scales.append(rec)
-    # H is the last scale's operator: the full grid's
-    for rec in trace.scales:
-        for data in rec.levels.values():
-            u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
-            data.full_grid_residual = float(np.linalg.norm(H.matvec(u) - data.lam * u))
+    trace.operator = H  # the last scale's: the full grid's
     return trace
 
 
@@ -518,50 +527,6 @@ def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
     return out
 
 
-def _sample_window(
-    rng: np.random.Generator,
-    window: Box,
-    lam: complex,
-    contour_radius: float,
-    count: int,
-    avoid: np.ndarray | None = None,
-    avoid_radius: float = 0.0,
-) -> list:
-    """Stratified samples of a scale's window, denser near the contour.
-
-    Points closer than ``avoid_radius`` to any element of ``avoid`` (the
-    truncation-artifact eigenvalues) are rejected.
-    """
-
-    def ok(z: complex) -> bool:
-        if not window.contains(z):
-            return False
-        if avoid is not None and len(avoid) and avoid_radius > 0.0:
-            if np.min(np.abs(avoid - z)) < avoid_radius:
-                return False
-        return True
-
-    out = []
-    n_uniform = max(1, int(0.6 * count))
-    guard = 0
-    while len(out) < n_uniform and guard < 100 * count:
-        guard += 1
-        z = complex(
-            rng.uniform(window.level - window.half_width,
-                        window.level + window.half_width),
-            rng.uniform(window.lo, window.hi),
-        )
-        if ok(z) and abs(z - lam) > 0.25 * contour_radius:
-            out.append(z)
-    while len(out) < count and guard < 200 * count:
-        guard += 1
-        radius = contour_radius * rng.uniform(1.5, 6.0)
-        z = lam + radius * np.exp(2j * np.pi * rng.uniform())
-        if ok(z):
-            out.append(z)
-    return out
-
-
 def _p4_entry(H, proj: RieszProjector, zs: list, lam: complex, rho_n: float) -> dict:
     """Projected resolvent norms at ``zs`` and the smallest K_n with
     |(H - z)^(-1) (1 - P)| <= K_n / (rho_n + |z - lambda^(n)|)."""
@@ -614,14 +579,20 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
 
     The estimate is the last tracked value; the bar is the maximum of the
     envelope 2 |g| rho_N^(1 + mu/2) and the observed geometric tail of the
-    per-scale gaps.  The residual of each scale's eigenvector against the
-    full-grid operator, which ``run_ladder`` records, is reported; it
+    per-scale gaps.  Each scale's eigenvector is embedded into the full
+    grid and its residual against ``trace.operator`` is reported; it
     mirrors the closed-operator limit construction and must shrink with n.
     """
     if len(trace.scales) < 2:
         raise TrackingError("limit extrapolation needs at least two scales")
-    cfg = trace.cfg
-    rho_last = trace.field.ladder.cutoff(trace.scales[-1].n)
+    cfg, field, H = trace.cfg, trace.field, trace.operator
+    rho_last = field.ladder.cutoff(trace.scales[-1].n)
+
+    def residual(rec: ScaleRecord, i: int) -> float:
+        data = rec.levels[i]
+        u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
+        return float(np.linalg.norm(H.matvec(u) - data.lam * u))
+
     envelope = 2.0 * abs(cfg.g) * rho_last ** (1.0 + cfg.mu / 2.0)
     result: dict = {"levels": {}, "warnings": []}
     for i in sorted(trace.scales[-1].levels):
@@ -643,7 +614,7 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
             "error_bar": float(max(envelope, tail)),
             "envelope": float(envelope),
             "observed_tail": float(tail),
-            "eigenvector_residuals": trace.level_series(i, "full_grid_residual"),
+            "eigenvector_residuals": [residual(rec, i) for rec in trace.scales],
         }
     trace.extrapolated = result
     return result

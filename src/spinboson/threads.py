@@ -104,7 +104,7 @@ def pinned_blas():
             lib.threads = rec["threads_before"]
 
 
-def parallel_map(fn, items, jobs: int = 1) -> list:
+def parallel_map(fn, items, jobs: int) -> list:
     """``[fn(x) for x in items]``, on up to ``jobs`` threads, order kept.
 
     With ``jobs`` 1 (or a single item) it runs inline and builds no pool.

@@ -5,7 +5,8 @@ stated tolerance and runtime budget.  Expensive runs are shared through
 module fixtures; their wall time is charged to the first criterion that
 uses them.  The module runs the way the command line does: OpenBLAS pinned
 to one thread and ``JOBS`` worker threads for the sector eigensolves.
-Every retained ladder run is registered so the final criterion can audit
+Every retained ladder run registers its scale records (not the trace,
+which holds the run's full-grid operator) so the final criterion can audit
 projector residuals and spectral uniqueness across all of them.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import spinboson as sb
+from spinboson import diagnostics
 from spinboson.diagnostics import (
     fermi_golden_rule,
     resolvent_cone_bound_check,
@@ -57,7 +59,7 @@ def shared_run(pinned):
     t0 = time.perf_counter()
     trace = run_ladder(pinned.cfg, pinned.field, jobs=JOBS)
     elapsed = time.perf_counter() - t0
-    RUN_REGISTRY.append(("pinned g=0.05", trace))
+    RUN_REGISTRY.append(("pinned g=0.05", trace.scales))
     return SimpleNamespace(trace=trace, elapsed=elapsed)
 
 
@@ -71,7 +73,7 @@ def test_criterion_1_free_model_exactness():
         uv_points_per_panel=2,
     )
     trace = run_ladder(cfg, field, jobs=JOBS)
-    RUN_REGISTRY.append(("free model", trace))
+    RUN_REGISTRY.append(("free model", trace.scales))
     worst_lam = 0.0
     worst_proj = 0.0
     from spinboson.spectral import rank_two_difference_norm
@@ -96,7 +98,7 @@ def test_criterion_1_free_model_exactness():
                f"max |P - atomic| = {worst_proj:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_fermi_golden_rule(pinned):
+def test_criterion_2_fermi_golden_rule(pinned, monkeypatch):
     """Im(lambda_1)/g^2 approaches -4 pi^2 e^(-2); oracle concurs."""
     t0 = time.perf_counter()
     import mpmath as mp
@@ -106,9 +108,15 @@ def test_criterion_2_fermi_golden_rule(pinned):
     coeff = sb.golden_rule_coefficient(pinned.cfg)
     assert coeff == pytest.approx(oracle, rel=1e-13)
 
+    ladder = diagnostics.run_ladder
+
+    def registered(cfg, *args, **kwargs):
+        trace = ladder(cfg, *args, **kwargs)
+        RUN_REGISTRY.append((f"fgr g={abs(cfg.g)}", trace.scales))
+        return trace
+
+    monkeypatch.setattr(diagnostics, "run_ladder", registered)
     rep = fermi_golden_rule(pinned.cfg, pinned.field, [0.05, 0.025], jobs=JOBS)
-    for row in rep["rows"]:
-        RUN_REGISTRY.append((f"fgr g={row['g']}", row["trace"]))
     err_big, err_small = (r["rel_error_vs_coefficient"] for r in rep["rows"])
     pt2_dis = rep["rows"][1]["pt2_rel_disagreement"]
     elapsed = time.perf_counter() - t0
@@ -190,7 +198,7 @@ def test_criterion_6_resolvent_bound_shape():
         uv_points_per_panel=3,
     )
     trace = run_ladder(cfg, field, levels=(1,), jobs=JOBS)
-    RUN_REGISTRY.append(("resolvent-shape grid", trace))
+    RUN_REGISTRY.append(("resolvent-shape grid", trace.scales))
     reports = [
         resolvent_cone_bound_check(trace, n_samples=200, seed=seed)
         for seed in (11, 22)
@@ -302,8 +310,8 @@ def test_criterion_9_riesz_machinery():
     assert RUN_REGISTRY, "earlier criteria must have registered their runs"
     n_scales = 0
     worst_resid = 0.0
-    for label, trace in RUN_REGISTRY:
-        for rec in trace.scales:
+    for label, scales in RUN_REGISTRY:
+        for rec in scales:
             for i, data in rec.levels.items():
                 n_scales += 1
                 worst_resid = max(worst_resid, data.projector_residual)

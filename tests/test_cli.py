@@ -117,9 +117,9 @@ class TestDispatch:
             for entry in per_scale.values():
                 assert entry["K_n"] > 0
 
-    @pytest.mark.parametrize("samples", [0, 4])
-    def test_ladder_assembles_each_scale_once(self, tmp_path, monkeypatch, samples):
-        """P4 and the full-grid residuals reuse the scale loop's operators."""
+    @staticmethod
+    def counted_assemblies(monkeypatch) -> list:
+        """The ``n`` of every ``assemble_hamiltonian`` call from now on."""
         assemble = multiscale.assemble_hamiltonian
         calls = []
 
@@ -129,12 +129,64 @@ class TestDispatch:
 
         for module in (multiscale, diagnostics):
             monkeypatch.setattr(module, "assemble_hamiltonian", counted)
+        return calls
+
+    @pytest.mark.parametrize("samples", [0, 4])
+    def test_ladder_assembles_each_scale_once(self, tmp_path, monkeypatch, samples):
+        """P4 and the full-grid residuals reuse the scale loop's operators."""
+        calls = self.counted_assemblies(monkeypatch)
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(config_text(run={"samples_per_scale": samples}))
         code = main(["ladder", "--config", str(cfg_path), "--out",
                      str(tmp_path / "out")])
         assert code == 0
         assert calls == list(range(1, TINY["ladder"]["n_scales"] + 1))
+
+    def test_resolvent_scan_assembles_each_scale_once(self, tmp_path, monkeypatch):
+        """The cone fit takes its norms on the operator the ladder left on
+        the trace: no second full-grid assembly."""
+        calls = self.counted_assemblies(monkeypatch)
+        rc = parse_config(config_text(run={"n_samples": 5}))
+        assert dispatch("resolvent-scan", rc, tmp_path) == 0
+        assert calls == list(range(1, TINY["ladder"]["n_scales"] + 1))
+
+    @pytest.mark.parametrize(
+        "subcommand",
+        ["ladder", "cone-check", "fgr", "theta-scan", "g-circle", "resolvent-scan"],
+    )
+    def test_full_grid_residuals_in_ladder_alone(self, tmp_path, monkeypatch, subcommand):
+        """Only ``ladder`` reports eigenvector residuals, and only it takes
+        the full-grid products they need."""
+        matvec = spinboson.fock.OperatorMatrix.matvec
+        dims = []
+        monkeypatch.setattr(
+            spinboson.fock.OperatorMatrix, "matvec",
+            lambda self, x: dims.append(self.dim) or matvec(self, x),
+        )
+        rc = parse_config(config_text(ladder={"n_scales": 2}, run={"n_samples": 5}))
+        assert dispatch(subcommand, rc, tmp_path) == 0
+        if subcommand != "ladder":
+            assert dims == []
+            return
+        payload = json.loads((tmp_path / "trace.json").read_text())
+        full = payload["scales"][-1]["dim"]
+        for level in payload["extrapolated"]["levels"].values():
+            assert len(level["eigenvector_residuals"]) == 2
+        assert dims == [full] * 4  # one per level and scale
+
+    def test_ladder_strict_gates_on_windows(self, tmp_path):
+        """Strict mode fails where the smallness windows fail, as
+        ``feasibility --mode strict`` does; the report is the practical one."""
+        for mode in ("strict", "practical"):
+            rc = parse_config(config_text(run={"mode": mode}))
+            assert dispatch("feasibility", rc, tmp_path / f"f-{mode}") == (
+                1 if mode == "strict" else 0
+            )
+            code = dispatch("ladder", rc, tmp_path / mode)
+            assert code == (1 if mode == "strict" else 0)
+        assert (tmp_path / "strict" / "trace.json").read_bytes() == (
+            tmp_path / "practical" / "trace.json"
+        ).read_bytes()
 
     def test_free_ladder_exit_zero(self, tmp_path):
         rc = parse_config(config_text(model={"g": 0.0}))
@@ -411,12 +463,11 @@ class TestSampleShortfall:
         assert 0 < payload["n_used"] < 10
 
     def test_ladder_p4(self, tmp_path, monkeypatch):
-        sample = multiscale._sample_window
-        # an exclusion radius around the truncation artifacts that covers
-        # every candidate point
+        sample = spinboson.Box.sample
+        # a reject that refuses every candidate point
         monkeypatch.setattr(
-            multiscale, "_sample_window",
-            lambda *args, **kw: sample(*args, **{**kw, "avoid_radius": np.inf}),
+            spinboson.Box, "sample",
+            lambda box, *args: sample(box, *args[:-1], lambda z: "refused"),
         )
         rc = parse_config(config_text(run={"samples_per_scale": 4}))
         assert dispatch("ladder", rc, tmp_path) == 1

@@ -75,7 +75,7 @@ class TestSecondOrderOracle:
 class TestFermiGoldenRule:
     def test_two_coupling_scan(self, coarse):
         cfg, field = coarse
-        rep = fermi_golden_rule(cfg, field, [0.05, 0.025])
+        rep = fermi_golden_rule(cfg, field, [0.05, 0.025], jobs=1)
         assert rep["monotone_improvement"]
         rows = rep["rows"]
         assert rows[0]["g"] == 0.05 and rows[1]["g"] == 0.025
@@ -86,14 +86,14 @@ class TestFermiGoldenRule:
     def test_needs_two_points(self, coarse):
         cfg, field = coarse
         with pytest.raises(ConfigError):
-            fermi_golden_rule(cfg, field, [0.05])
+            fermi_golden_rule(cfg, field, [0.05], jobs=1)
 
 
 class TestThetaInvariance:
     def test_free_model_exactly_invariant(self, coarse):
         cfg, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        rep = theta_invariance_scan(cfg0, field, [0.15j, 0.2j, 0.25j])
+        rep = theta_invariance_scan(cfg0, field, [0.15j, 0.2j, 0.25j], (0, 1), 1)
         assert rep.max_pairwise[0] < 1e-13
         assert rep.max_pairwise[1] < 1e-13
         # the bare levels are exact eigenvalues of the refined grid too
@@ -103,7 +103,7 @@ class TestThetaInvariance:
     def test_real_shift_pair_exact(self, coarse):
         cfg, field = coarse
         rep = theta_invariance_scan(
-            cfg, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,)
+            cfg, field, [0.18j, 0.2j, 0.1 + 0.2j], levels=(1,), jobs=1
         )
         (pair,) = rep.details["real_shift_pairs"]
         assert pair["deviation"] < 1e-10
@@ -111,7 +111,7 @@ class TestThetaInvariance:
     def test_imaginary_moves_within_budget(self, coarse):
         cfg, field = coarse
         rep = theta_invariance_scan(
-            cfg, field, [0.18j, 0.2j, 0.22j], levels=(1,)
+            cfg, field, [0.18j, 0.2j, 0.22j], levels=(1,), jobs=1
         )
         assert rep.budget is not None
         assert rep.max_pairwise[1] <= rep.budget
@@ -119,20 +119,20 @@ class TestThetaInvariance:
     def test_outside_domain_rejected(self, coarse):
         cfg, field = coarse
         with pytest.raises(ConfigError):
-            theta_invariance_scan(cfg, field, [0.2j, 0.21j, 0.05j])
+            theta_invariance_scan(cfg, field, [0.2j, 0.21j, 0.05j], (0, 1), 1)
 
     def test_needs_three_samples(self, coarse):
         cfg, field = coarse
         with pytest.raises(ConfigError):
-            theta_invariance_scan(cfg, field, [0.2j, 0.25j])
+            theta_invariance_scan(cfg, field, [0.2j, 0.25j], (0, 1), 1)
 
 
 class TestCouplingAnalyticity:
     def test_constant_stub(self, coarse):
         cfg, field = coarse
         rep = g_analyticity_check(
-            cfg, field, center=0.04, radius=0.01,
-            eval_fn=lambda g: {0: 0.5, 1: 1.5},
+            cfg, field, center=0.04, radius=0.01, n_samples=8, levels=(0, 1),
+            jobs=1, eval_fn=lambda g: {0: 0.5, 1: 1.5},
         )
         assert rep.max_pairwise[0] < 1e-14
         assert rep.max_pairwise[1] < 1e-14
@@ -143,7 +143,7 @@ class TestCouplingAnalyticity:
 
         rep = g_analyticity_check(
             cfg, field, center=0.04, radius=0.01, n_samples=16,
-            levels=(1,),
+            levels=(1,), jobs=1,
             eval_fn=lambda g: {1: a + b * g + c * g * g},
         )
         taylor = rep.details["fourier"]["1"]["taylor_estimates"]
@@ -160,21 +160,21 @@ class TestCouplingAnalyticity:
         field = DiscretizedField(lad, n_scales=2, points_per_shell=2,
                                  r_max=4.0, n_max=2, uv_points_per_panel=2)
         rep = g_analyticity_check(cfg, field, center=0.04, radius=0.01,
-                                  n_samples=8, levels=(1,))
+                                  n_samples=8, levels=(1,), jobs=1)
         assert rep.max_pairwise[1] < 1e-4
 
     def test_sample_count_floor(self, coarse):
         cfg, field = coarse
         with pytest.raises(ConfigError):
             g_analyticity_check(cfg, field, center=0.04, radius=0.01,
-                                n_samples=4)
+                                n_samples=4, levels=(0, 1), jobs=1)
 
 
 class TestSpectrumConeCheck:
     def test_free_model_on_axis(self, coarse):
         cfg, field = coarse
         cfg0 = cfg.replace(g=0.0)
-        trace = run_ladder(cfg0, field)
+        trace = run_ladder(cfg0, field, jobs=1)
         rep = spectrum_cone_check(trace, tol=1e-10)
         assert rep["pass"]
         # the free spectrum in the box sits on the rotated ray: zero distance
@@ -183,7 +183,7 @@ class TestSpectrumConeCheck:
 
     def test_practical_run_with_classification(self, coarse):
         cfg, field = coarse
-        trace = run_ladder(cfg, field)
+        trace = run_ladder(cfg, field, jobs=1)
         rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["pass"], rep["levels"]
 
@@ -194,7 +194,7 @@ class TestSpectrumConeCheck:
         cones: each check reads a copy of the trace with its ``m_cone``."""
         cfg, field = coarse
         strong = cfg.replace(g=0.15)
-        trace = run_ladder(strong, field, levels=(0,))
+        trace = run_ladder(strong, field, levels=(0,), jobs=1)
         wide, narrow = (
             spectrum_cone_check(replace(trace, cfg=strong.replace(m_cone=m)), tol=1e-4)
             for m in (4, 40)
@@ -207,7 +207,7 @@ class TestSpectrumConeCheck:
 
     def test_chain_steps_pass_on_practical_run(self, coarse):
         cfg, field = coarse
-        trace = run_ladder(cfg, field)
+        trace = run_ladder(cfg, field, jobs=1)
         rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["pass"]
         for i in (0, 1):
@@ -229,7 +229,7 @@ class TestSpectrumConeCheck:
         lams, ratios = [], []
         for g in (0.05, 0.08):
             cfg_g = cfg.replace(g=g)
-            trace = run_ladder(cfg_g, field, levels=(1,))
+            trace = run_ladder(cfg_g, field, levels=(1,), jobs=1)
             rep = spectrum_cone_check(trace, tol=5e-3)
             lams.append(trace.scales[-1].levels[1].lam)
             ratios += [r["gap_inner"] / r["gap_inner_bound"] for r in rep["chain"][1]]
@@ -240,7 +240,7 @@ class TestSpectrumConeCheck:
     def test_oversized_step_fails_with_witness(self, coarse):
         """lambda_1 jumping by rho_1 / 2 from scale 1 to 2 fails the check."""
         cfg, field = coarse
-        trace = run_ladder(cfg, field, levels=(1,))
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         trace.scales[1].levels[1].lam += 0.5 * field.ladder.cutoff(1) * 1j
         rep = spectrum_cone_check(trace, tol=5e-3)
         assert rep["levels"][1]["pass"]
@@ -252,7 +252,7 @@ class TestSpectrumConeCheck:
 class TestResolventConeBound:
     def test_structure_and_stability(self, coarse):
         cfg, field = coarse
-        trace = run_ladder(cfg, field, levels=(1,))
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         reps = [
             resolvent_cone_bound_check(trace, n_samples=40, seed=s)
             for s in (1, 2)
@@ -289,7 +289,7 @@ class TestResolventConeBound:
 
     def test_rows_consistent(self, coarse):
         cfg, field = coarse
-        trace = run_ladder(cfg, field, levels=(1,))
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         rep = resolvent_cone_bound_check(trace, n_samples=20, seed=5)
         for row in rep["rows"]:
             assert row["lhs"] * row["dist"] <= rep["K"] * (1 + 1e-12)
@@ -297,6 +297,6 @@ class TestResolventConeBound:
     def test_ladder_spectrum_reused_identically(self, coarse):
         """The last ladder scale's spectrum is the full-grid one, bit for bit."""
         cfg, field = coarse
-        trace = run_ladder(cfg, field, levels=(1,))
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         fresh = spectrum(assemble_hamiltonian(cfg, field))
         assert np.array_equal(trace.scales[-1].census.values, fresh)

@@ -16,7 +16,10 @@ from spinboson import (
     dist_to_cone,
     verify_cone_chain,
 )
-from spinboson.geometry import cone_complement_distance
+from spinboson.diagnostics import ARTIFACT_EXCLUSION
+from spinboson.geometry import SAMPLE_GUARD, cone_complement_distance
+
+from samplers import cone_sampler_oracle, sample_window_oracle
 
 NU = 0.2
 
@@ -355,3 +358,118 @@ class TestConeComplementDistance:
     def test_shapes_must_match(self):
         with pytest.raises(ConfigError):
             cone_complement_distance(Cone(0.0, NU, 4), Cone(0.0, NU, 5))
+
+
+class TestBoxSample:
+    """``Box.sample`` draws both resolvent fits' points: each old sampler's
+    stream and skip counts, bit for bit, from the same generator."""
+
+    CFG = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
+
+    def cone_case(self, starved):
+        """The cone fit's box, forbidden cone and ``reject`` around lambda_1."""
+        cfg, lam1 = self.CFG, 0.99 - 0.005j
+        box = Box.b1(cfg, 1, 0.125)
+        shift = 2.0 * 0.03125 ** (1.0 + cfg.mu / 4.0)
+        forbidden = Cone(lam1 - shift * np.exp(-1j * cfg.nu), cfg.nu, cfg.m_cone)
+
+        def reject(z):
+            if cone_contains(forbidden, z):
+                return "forbidden"
+            if len(starved) and np.min(np.abs(starved - z)) < ARTIFACT_EXCLUSION:
+                return "artifact"
+            return None
+
+        return box, forbidden, lam1, reject
+
+    def cone_pair(self, starved, count, seed):
+        box, forbidden, lam1, reject = self.cone_case(starved)
+        delta = self.CFG.delta
+        old = cone_sampler_oracle(
+            np.random.default_rng(seed), box, forbidden, lam1, self.CFG, starved, count
+        )
+        new, skipped = box.sample(
+            np.random.default_rng(seed), count, int(0.7 * count), lam1,
+            lambda r: 10.0 ** r.uniform(-3, np.log10(0.4 * delta)), reject,
+        )
+        assert set(skipped) <= {"outside", "forbidden", "artifact"}
+        forbidden = skipped["outside"] + skipped["forbidden"]
+        return old, (new, forbidden, skipped["artifact"])
+
+    def box_grid(self, drop_corner: bool) -> np.ndarray:
+        """Artifacts 0.004 apart over the box: every point lies within
+        ``ARTIFACT_EXCLUSION`` of one, but near the top right corner when
+        the grid leaves it out."""
+        box = self.cone_case(np.zeros(0))[0]
+        left, right = box.level - box.half_width, box.level + box.half_width
+        re = np.arange(left, right + 1e-9, 0.004)
+        im = np.arange(box.lo, box.hi + 1e-9, 0.004)
+        grid = (re[:, None] + 1j * im[None, :]).ravel()
+        corner = (grid.real > right - 0.01) & (grid.imag > box.hi - 0.01)
+        return grid[~corner] if drop_corner else grid
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 50, 200])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cone_sampler_stream(self, count, seed):
+        rng = np.random.default_rng(1)
+        starved = rng.uniform(0.5, 1.5, 40) + 1j * rng.uniform(-0.012, 0.024, 40)
+        old, new = self.cone_pair(starved, count, seed)
+        assert len(old[0]) == count
+        assert old[2] > 0 or count < 50  # some points fell near an artifact
+        assert new == old
+
+    @pytest.mark.parametrize("count", [2, 5])
+    @pytest.mark.parametrize("drop_corner", [True, False])
+    def test_cone_sampler_shortfall(self, count, drop_corner):
+        """A partial (a corner left free) and a total shortfall at the guard."""
+        old, new = self.cone_pair(self.box_grid(drop_corner), count, 0)
+        assert (0 < len(old[0]) < count) if drop_corner else old[0] == []
+        assert sum(old[1:]) + len(old[0]) == SAMPLE_GUARD[1] * count
+        assert new == old
+
+    def window_case(self, square: bool):
+        """P4's window, lambda, contour radius and artifacts with their radius.
+
+        The square case is a 0.2 x 0.2 window around lambda with the largest
+        contour radius whose annulus (1.5 to 6 radii) still meets it often:
+        there the uniform phase also rejects points near lambda."""
+        if square:
+            lam, radius = 1.0 + 0j, 0.1 / 1.5
+            window, spread, avoid_radius = Box(1.0, 0.1, -0.1, 0.1), 0.1 + 0.1j, 0.01
+        else:
+            rho_n, lam = 0.25 * 0.5**3, 1.0 - 0.012j
+            radius = 0.25 * rho_n * np.sin(self.CFG.nu)
+            window = Box.wn(self.CFG, 1, rho_n, lam)
+            spread, avoid_radius = rho_n * (1 + 0.2j), 0.1 * rho_n
+        rng = np.random.default_rng(7)
+        avoid = lam + (spread.real * rng.uniform(-1, 1, 30)
+                       + 1j * spread.imag * rng.uniform(-1, 1, 30))
+        return window, lam, radius, avoid, avoid_radius
+
+    @pytest.mark.parametrize("count", [1, 2, 5, 50, 200])
+    @pytest.mark.parametrize("square", [False, True])
+    def test_window_sampler_stream(self, count, square):
+        """P4's window samples, where the old 100/200 guard is not reached."""
+        window, lam, radius, avoid, avoid_radius = self.window_case(square)
+
+        def reject(z):
+            if np.min(np.abs(avoid - z)) < avoid_radius:
+                return "artifact"
+            if abs(z - lam) <= 0.25 * radius:
+                return "near_lambda"
+            return None
+
+        near_lambda = 0
+        for seed in (0, 1):
+            old = sample_window_oracle(
+                np.random.default_rng(seed), window, lam, radius, count,
+                avoid=avoid, avoid_radius=avoid_radius,
+            )
+            new, skipped = window.sample(
+                np.random.default_rng(seed), count, max(1, int(0.6 * count)), lam,
+                lambda r: radius * r.uniform(1.5, 6.0), reject,
+            )
+            assert len(new) + sum(skipped.values()) < 100 * count  # no guard
+            assert new == old
+            near_lambda += skipped["near_lambda"]
+        assert near_lambda > 0 or not (square and count == 200)

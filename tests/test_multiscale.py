@@ -23,12 +23,12 @@ from spinboson import (
 )
 from spinboson.multiscale import (
     _embed_full_vector,
-    _sample_window,
     soft_branch_lattice,
     soft_branch_tolerance,
 )
 from spinboson.spectral import resolvent_norm
 
+from samplers import sample_window_oracle
 from sectors import dense_operator
 
 
@@ -57,14 +57,14 @@ def practical():
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=4, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    trace = run_ladder(cfg, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
+    trace = run_ladder(cfg, field, jobs=1, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
     return cfg, field, trace
 
 
 class TestFreeModel:
     def test_exact_levels_and_projectors(self, cfg, small_field):
         cfg0 = cfg.replace(g=0.0)
-        trace = run_ladder(cfg0, small_field)
+        trace = run_ladder(cfg0, small_field, jobs=1)
         for rec in trace.scales:
             for i in (0, 1):
                 data = rec.levels[i]
@@ -82,7 +82,7 @@ class TestFreeModel:
     def test_minimal_two_scale_extrapolation(self, cfg, small_field):
         cfg0 = cfg.replace(g=0.0)
         field = shorter_field(small_field, 2)
-        trace = run_ladder(cfg0, field)
+        trace = run_ladder(cfg0, field, jobs=1)
         result = extrapolate_limit(trace)
         for i in (0, 1):
             assert result["levels"][i]["error_bar"] == 0.0
@@ -133,7 +133,8 @@ class TestPracticalRun:
 
     def test_deterministic_rerun(self, practical):
         cfg, field, trace = practical
-        again = run_ladder(cfg, field, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
+        again = run_ladder(cfg, field, jobs=1, samples_per_scale=P4_SAMPLES,
+                           seed=P4_SEED)
         assert again.to_dict() == trace.to_dict()
 
     def test_extrapolation_and_residuals(self, practical):
@@ -176,7 +177,7 @@ class TestPracticalRun:
 
 
     def test_without_samples_p4_check_raises(self, cfg, small_field):
-        trace = run_ladder(cfg, shorter_field(small_field, 1), levels=(1,))
+        trace = run_ladder(cfg, shorter_field(small_field, 1), levels=(1,), jobs=1)
         assert trace.scales[0].levels[1].p4 is None
         with pytest.raises(TrackingError, match="no P4 samples"):
             check_p2_p4(trace)
@@ -185,7 +186,8 @@ class TestPracticalRun:
 class TestReassemblyOracle:
     """The route before the scale loop kept its operators: every scale
     assembled afresh after the ladder, P4 sampled from one generator in
-    (scale, level) order, residuals from a fresh full-grid operator."""
+    (scale, level) order by the old window sampler, residuals from a fresh
+    full-grid operator."""
 
     def test_p4_samples_and_fits_bit_for_bit(self, practical):
         cfg, field, trace = practical
@@ -201,7 +203,7 @@ class TestReassemblyOracle:
                 <= soft_branch_tolerance(cfg, basis.modes)
             ]
             for i, data in rec.levels.items():
-                zs = _sample_window(
+                zs = sample_window_oracle(
                     rng, Box.wn(cfg, i, rec.rho_n, data.lam), data.lam,
                     rec.contour_radius, P4_SAMPLES, avoid=starved,
                     avoid_radius=0.1 * rec.rho_n,
@@ -219,11 +221,25 @@ class TestReassemblyOracle:
     def test_full_grid_residuals_bit_for_bit(self, practical):
         cfg, field, trace = practical
         H_full = assemble_hamiltonian(cfg, field, n=None)
-        for rec in trace.scales:
-            for data in rec.levels.values():
+        result = extrapolate_limit(copy.deepcopy(trace))
+        for i in (0, 1):
+            want = []
+            for rec in trace.scales:
+                data = rec.levels[i]
                 u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
-                residual = float(np.linalg.norm(H_full.matvec(u) - data.lam * u))
-                assert residual == data.full_grid_residual
+                want.append(float(np.linalg.norm(H_full.matvec(u) - data.lam * u)))
+            assert result["levels"][i]["eigenvector_residuals"] == want
+
+    def test_trace_keeps_full_grid_operator_bit_for_bit(self, practical):
+        cfg, field, trace = practical
+        fresh = assemble_hamiltonian(cfg, field, n=None)
+        held = trace.operator
+        assert held.dim == fresh.dim == trace.scales[-1].dim
+        assert list(held.sectors) == list(fresh.sectors)
+        for key, sec in fresh.sectors.items():
+            for name in ("indices", "block", "top"):
+                got, want = getattr(held.sectors[key], name), getattr(sec, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestNestingExactness:
@@ -268,7 +284,7 @@ class TestGridSelfConsistency:
             field = DiscretizedField(lad, n_scales=2, points_per_shell=pts,
                                      r_max=4.0, n_max=2,
                                      uv_points_per_panel=pts)
-            trace = run_ladder(cfg, field, levels=(1,))
+            trace = run_ladder(cfg, field, levels=(1,), jobs=1)
             lams.append(trace.scales[-1].levels[1].lam)
         assert abs(lams[1] - lams[0]) < 5e-3
 

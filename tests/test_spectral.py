@@ -99,7 +99,7 @@ class TestEigAll:
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
         )
-        census = SpectralCensus.of(H, cfg, small_field.basis_for_scale(None))
+        census = SpectralCensus.of(H, cfg, small_field.basis_for_scale(None), jobs=1)
         assert calls == [len(s.indices) for s in H.sectors.values()]
         assert np.array_equal(census.values, want)
         for key, sec in H.sectors.items():
@@ -175,14 +175,16 @@ class TestRieszRankOne:
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
         H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
-        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=cfg.e1, radius=0.01)
+        census = SpectralCensus.of(H, jobs=1)
+        rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
         assert rec.projector_rank == 1
         assert rec.residual < 1e-10
 
     def test_small_coupling_shift_bounded(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
-        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=cfg.e1, radius=0.05)
+        census = SpectralCensus.of(H, jobs=1)
+        rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.05)
         # first-scale proximity: |lambda - e1| <= |g| C with C order one
         assert abs(rec.lam - cfg.e1) < 10 * abs(cfg.g)
         assert rec.method_disagreement < 1e-8
@@ -192,18 +194,19 @@ class TestTrackEigenvalue:
         V = random_matrix(rng, 3) + 3 * np.eye(3)
         A = V @ np.diag(w) @ np.linalg.inv(V)
         H = one_sector(A)
-        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=1.65 - 0.18j, radius=0.2)
+        census = SpectralCensus.of(H, jobs=1)
+        rec = track_eigenvalue(H, census, seed=1.65 - 0.18j, radius=0.2)
         assert rec.lam == pytest.approx(w[1], abs=1e-10)
 
     def test_no_candidate(self, rng):
         H = one_sector(np.diag([0.0, 5.0]))
         with pytest.raises(TrackingError):
-            track_eigenvalue(H, SpectralCensus.of(H), seed=2.0, radius=0.5)
+            track_eigenvalue(H, SpectralCensus.of(H, jobs=1), seed=2.0, radius=0.5)
 
     def test_ambiguous_candidates(self):
         H = one_sector(np.diag([1.0, 1.1]))
         with pytest.raises(DegeneracyError):
-            track_eigenvalue(H, SpectralCensus.of(H), seed=1.05, radius=0.2)
+            track_eigenvalue(H, SpectralCensus.of(H, jobs=1), seed=1.05, radius=0.2)
 
 
 class TestResolventNorm:
@@ -279,7 +282,8 @@ class TestAgainstDenseOracle:
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
-        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=lam, radius=0.4 * gap)
+        census = SpectralCensus.of(H, jobs=1)
+        rec = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap)
         proj = rec.projector
         z = lam + offset * gap * np.exp(0.7j)
         want = max(
@@ -329,7 +333,8 @@ class TestLanczosNorm:
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
-        rec = track_eigenvalue(H, SpectralCensus.of(H), seed=lam, radius=0.4 * gap)
+        census = SpectralCensus.of(H, jobs=1)
+        rec = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap)
         proj = rec.projector if projected else None
         for offset in (1e-4, 0.6):
             z = lam + offset * gap * np.exp(0.7j)
@@ -849,9 +854,9 @@ class TestQuadratureCap:
         # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
         monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
         with pytest.raises(TrackingError, match="stopped at 16 nodes"):
-            track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5)
+            track_eigenvalue(A, SpectralCensus.of(A, jobs=1), seed=0.1, radius=0.5)
         monkeypatch.undo()
-        rec = track_eigenvalue(A, SpectralCensus.of(A), seed=0.1, radius=0.5)
+        rec = track_eigenvalue(A, SpectralCensus.of(A, jobs=1), seed=0.1, radius=0.5)
         assert rec.projector.converged and rec.projector.quad_points > 16
 
 
@@ -871,10 +876,10 @@ class TestEliminatedRoute:
         assert abs(fact.trace_value - plain.trace_value) < 1e-12
 
     def test_ladder_matches_dense_lu_route(self, cfg, small_field, monkeypatch):
-        fast = run_ladder(cfg, small_field)
+        fast = run_ladder(cfg, small_field, jobs=1)
         # an infinite guard keeps every top entry: each solve is a dense LU
         monkeypatch.setattr(spectral, "TOP_LAYER_GUARD", np.inf)
-        slow = run_ladder(cfg, small_field)
+        slow = run_ladder(cfg, small_field, jobs=1)
         for rec_f, rec_s in zip(fast.scales, slow.scales):
             for i, f in rec_f.levels.items():
                 s = rec_s.levels[i]
