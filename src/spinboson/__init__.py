@@ -6,9 +6,10 @@ the resonance, and checks the spectral, resolvent and analyticity
 statements that the construction rests on.
 
 The exports load on first use (``_EXPORTS`` names the submodule of each),
-so ``import spinboson`` costs nothing.  The package runs on numpy: no
-run loads ``scipy.linalg``, and ``reporting`` imports the top-level
-``scipy`` only to record its version in the manifest.
+so ``import spinboson`` costs nothing.  The package runs on numpy alone:
+no run imports ``scipy`` (the manifest records its version only when
+something else loaded it), ``numpy.ma``, or, at one worker thread,
+``concurrent.futures``.
 """
 
 import importlib

@@ -8,8 +8,9 @@ array; the field energy is its diagonal
 (``field_energy_diagonal``) and the field operator a(conj h) + a(h)* is
 assembled from the elementary lowering matrix elements
 (``FockBasis.lowering_triples``), whole or one block at a time (the
-even-odd coupling).  Operators with an exact symmetry (the assembled
-Hamiltonian) are stored as an ``OperatorMatrix`` of keyed ``Sector`` blocks.
+couplings of a parity sector).  Operators with an exact symmetry (the
+assembled Hamiltonian) are stored as an ``OperatorMatrix`` of keyed
+``Sector``s, each kept as the Schur-complement parts of its top layer.
 The relative-bound check ``verify_standard_estimates`` takes one amplitude
 vector or a stack of them and works on boson-layer blocks: a(h) lowers the
 total number by one, so its norms split layer by layer, and each block norm
@@ -233,30 +234,90 @@ def _boson_modes(occupations: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass
 class Sector:
-    """One exact symmetry sector of an operator.
+    """One exact symmetry sector of an operator, kept as its Schur-complement parts.
 
-    ``indices`` are the sector's positions in the full space, ``block`` its
-    dense matrix on them, and ``top`` the positions inside the block whose
-    rows and columns vanish off the diagonal except towards the other
-    positions (the top boson layer of an assembled Hamiltonian), which
-    shifted solvers eliminate exactly.  ``solver_parts``, the
-    shift-independent pieces of every shifted solver of the block, is built
-    by ``spectral`` on first use and freed with the sector; it takes no
-    lock, so two threads that ask for it at once both build it, with equal
-    results.  Eigenvalues live in the operator's ``SpectralCensus``.
+    ``indices`` are the sector's positions in the full space.  Inside the
+    sector, ``top`` holds the positions whose rows and columns vanish off
+    the diagonal except towards the other positions (the top boson layer
+    of an assembled Hamiltonian), with diagonal entries ``d``, and ``rest``
+    (set here) the other positions R, both ascending.  The sector's matrix
+    A is kept as the pieces every shifted solver reads: ``d``, A_RR
+    (``a_rr``, complex), A_RT (``a_rt``) and A_TR (``a_tr``), all C-ordered,
+    and the conjugate transposes ``a_rt_h`` and ``a_tr_h`` (set here, as
+    transposed views, so F-ordered).  The layouts are part of the result:
+    the BLAS kernel of a product, and with it the rounding, follows them.
+    With a top layer no piece holds len(indices)^2 entries; ``dense``
+    builds A for the dense routines that read it, which drop it after use.
+    Eigenvalues live in the operator's ``SpectralCensus``.
     """
 
     indices: np.ndarray
-    block: np.ndarray
     top: np.ndarray
-    solver_parts: object = field(default=None, init=False, repr=False, compare=False)
+    d: np.ndarray
+    a_rr: np.ndarray
+    a_rt: np.ndarray
+    a_tr: np.ndarray
+    rest: np.ndarray = field(init=False, repr=False)
+    a_rt_h: np.ndarray = field(init=False, repr=False)
+    a_tr_h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.indices)
-        if self.block.shape != (n, n):
-            raise AssemblyError("block shape does not match its index set")
-        if len(self.top) and not (0 <= np.min(self.top) and np.max(self.top) < n):
-            raise AssemblyError("top-layer positions outside their block")
+        n, n_t = len(self.indices), len(self.top)
+        if n_t and not (0 <= np.min(self.top) and np.max(self.top) < n):
+            raise AssemblyError("top-layer positions outside their sector")
+        in_top = np.zeros(n, dtype=bool)
+        in_top[self.top] = True
+        self.rest = np.nonzero(~in_top)[0]
+        n_r = len(self.rest)
+        shapes = (self.d.shape, self.a_rr.shape, self.a_rt.shape, self.a_tr.shape)
+        if n_r + n_t != n or shapes != ((n_t,), (n_r, n_r), (n_r, n_t), (n_t, n_r)):
+            raise AssemblyError("sector parts do not match its index split")
+        self.a_rt_h = self.a_rt.conj().T
+        self.a_tr_h = self.a_tr.conj().T
+
+    def dense(self) -> np.ndarray:
+        """The sector's matrix A as one C-ordered array of its parts' type."""
+        n, r, t = len(self.indices), self.rest, self.top
+        out = np.zeros((n, n), dtype=np.result_type(self.d, self.a_rr, self.a_rt))
+        out[np.ix_(r, r)] = self.a_rr
+        out[np.ix_(r, t)] = self.a_rt
+        out[np.ix_(t, r)] = self.a_tr
+        out[t, t] = self.d
+        return out
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x from the parts, for a vector or a block of columns."""
+        r, t = self.rest, self.top
+        x_r, x_t = x[r], x[t]
+        out = np.empty(x.shape, dtype=np.result_type(x, self.a_rr, self.d))
+        out[r] = self.a_rr @ x_r + self.a_rt @ x_t
+        d = self.d if x.ndim == 1 else self.d[:, None]
+        out[t] = d * x_t + self.a_tr @ x_r
+        return out
+
+    def with_top(self, keep: np.ndarray) -> "Sector":
+        """The same matrix with only ``top[keep]`` as its top layer.
+
+        The other top positions move into R; no entry is recomputed, so
+        the parts equal those taken from the dense matrix with that split.
+        """
+        drop = ~keep
+        top = self.top[keep]
+        in_rest = np.ones(len(self.indices), dtype=bool)
+        in_rest[top] = False
+        pos = np.cumsum(in_rest) - 1  # each position's place in the new R
+        old, moved = pos[self.rest], pos[self.top[drop]]
+        n_r = len(old) + len(moved)
+        a_rr = np.zeros((n_r, n_r), dtype=complex)
+        a_rr[np.ix_(old, old)] = self.a_rr
+        a_rr[np.ix_(old, moved)] = self.a_rt[:, drop]
+        a_rr[np.ix_(moved, old)] = self.a_tr[drop]
+        a_rr[moved, moved] = self.d[drop]
+        a_rt = np.zeros((n_r, len(top)), dtype=self.a_rt.dtype)
+        a_rt[old] = self.a_rt[:, keep]
+        a_tr = np.zeros((len(top), n_r), dtype=self.a_tr.dtype)
+        a_tr[:, old] = self.a_tr[keep]
+        return Sector(self.indices, top, self.d[keep], a_rr, a_rt, a_tr)
 
 
 @dataclass
@@ -272,14 +333,15 @@ class OperatorMatrix:
     sectors: dict[int, Sector]
 
     def __post_init__(self):
-        seen = np.concatenate([s.indices for s in self.sectors.values()])
-        if len(seen) != self.dim or len(np.unique(seen)) != self.dim:
+        seen = np.sort(np.concatenate([s.indices for s in self.sectors.values()]))
+        if not np.array_equal(seen, np.arange(self.dim)):
             raise AssemblyError("sector index sets must partition the dimension")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H x with each sector's dense matrix, built and dropped in turn."""
         out = np.zeros_like(x, dtype=complex)
         for s in self.sectors.values():
-            out[s.indices] = s.block @ x[s.indices]
+            out[s.indices] = s.dense() @ x[s.indices]
         return out
 
 

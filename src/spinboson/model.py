@@ -41,8 +41,9 @@ it contains e1 (x) vacuum; sector -1 holds (excited atom, odd Fock) and
 (ground atom, even Fock), with e0 (x) vacuum.  Global indices put the
 excited atom first: atom a, Fock state s sits at a * dim(basis) + s.
 Inside each block the top boson layer N = n_max is diagonal and couples
-only to the layer N - 1; each sector records its positions so that
-shifted solves can eliminate it exactly.
+only to the layer N - 1, so each sector is assembled directly as the
+pieces that shifted solves need to eliminate that layer exactly: its
+diagonal and the couplings among and to the lower layers.
 """
 
 from __future__ import annotations
@@ -335,9 +336,10 @@ def assemble_hamiltonian(
     new-shell boson.
 
     The result has dimension 2 * dim(basis) and is stored as its two
-    parity sectors, keyed +1 and -1 (see the module docstring), each with
-    the positions of its top boson layer.  At theta = 0 with real g it is
-    Hermitian; conjugating theta -> conj(theta), g -> conj(g) transposes it.
+    parity sectors, keyed +1 and -1 (see the module docstring), each as the
+    Schur-complement parts of its top boson layer (``fock.Sector``); no
+    array of a sector's squared size is built.  At theta = 0 with real g
+    it is Hermitian; conjugating theta -> conj(theta), g -> conj(g) transposes it.
     ``theta`` (default ``cfg.theta``) is the only way to assemble at a
     theta outside the dilation strip that ``ModelConfig`` accepts, such as
     the 0 and conj(theta) of those two statements.
@@ -356,20 +358,37 @@ def assemble_hamiltonian(
     parity = basis.total_parity
     even = np.nonzero(parity > 0)[0]
     odd = np.nonzero(parity < 0)[0]
-    phi_eo = build_field_operator(basis, coeffs, even, odd)
 
     def sector(fock_first: np.ndarray, fock_second: np.ndarray) -> Sector:
         """Excited atom on fock_first, then ground atom on fock_second."""
-        n1, n2 = len(fock_first), len(fock_second)
-        block = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-        block[:n1, :n1] = np.diag(levels[0] + phase * energies[fock_first])
-        block[n1:, n1:] = np.diag(levels[1] + phase * energies[fock_second])
-        coupling = phi_eo if fock_first is even else phi_eo.T
-        block[:n1, n1:] = cfg.g * coupling
-        block[n1:, :n1] = cfg.g * coupling.T
+        n1 = len(fock_first)
         fock = np.concatenate([fock_first, fock_second])
-        top = np.nonzero(basis.totals[fock] == basis.n_max)[0]
-        return Sector(np.concatenate([fock_first, dim_f + fock_second]), block, top)
+        diag = np.concatenate([
+            levels[0] + phase * energies[fock_first],
+            levels[1] + phase * energies[fock_second],
+        ])
+        in_top = basis.totals[fock] == basis.n_max
+        top, rest = np.nonzero(in_top)[0], np.nonzero(~in_top)[0]
+
+        def off_diagonal(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            """Entries (rows, cols) off the diagonal: g phi across atoms, 0 within."""
+            out = np.zeros((len(rows), len(cols)), dtype=complex)
+            r1, c1 = np.searchsorted(rows, n1), np.searchsorted(cols, n1)
+            for r, c in ((slice(r1), slice(c1, None)), (slice(r1, None), slice(c1))):
+                phi = build_field_operator(basis, coeffs, fock[rows[r]], fock[cols[c]])
+                # g first: ``g * <temporary>`` may run in place as phi * g,
+                # and the operand order moves the complex product by an ulp
+                out[r, c] = np.multiply(cfg.g, phi)
+            return out
+
+        a_rr = off_diagonal(rest, rest)
+        a_rr[np.diag_indices(len(rest))] = diag[rest]
+        a_rt = off_diagonal(rest, top)
+        # H is complex symmetric, so A_TR is the transpose of A_RT
+        return Sector(
+            np.concatenate([fock_first, dim_f + fock_second]), top, diag[top],
+            a_rr, a_rt, np.ascontiguousarray(a_rt.T),
+        )
 
     return OperatorMatrix(2 * dim_f, {+1: sector(even, odd), -1: sector(odd, even)})
 

@@ -20,12 +20,14 @@ induction argument controls:
 Each scale's operator is assembled once and used while the scale loop
 holds it: the eigensolves (into the scale's ``SpectralCensus``, which
 tracking and every spectrum count read), the contour projectors and the
-P4 samples (when ``samples_per_scale`` asks for them).  The last scale's
-operator, the full grid's, stays on the trace as ``trace.operator`` for
-the two readers of that grid: ``extrapolate_limit`` (every scale's
-eigenvector residual) and ``resolvent_cone_bound_check``.  It is the
-largest object of a run, so no caller keeps a trace while the next ladder
-runs.  The per-scale data stays on the scale records, and the trace
+P4 samples (when ``samples_per_scale`` asks for them).  It is let go
+before the next scale's is assembled.  The last scale's operator, the
+full grid's, stays on the trace as ``trace.operator`` for the two readers
+of that grid: ``extrapolate_limit`` (every scale's eigenvector residual)
+and ``resolvent_cone_bound_check``.  Its sectors hold Schur-complement
+parts (``fock.Sector``), not dense blocks, yet it is the largest object
+of a run, so no caller keeps a trace while the next ladder runs.  The
+per-scale data stays on the scale records, and the trace
 carries the model and the grid it ran with, so every check
 (``check_p1``, ``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and
 the cone checks in ``diagnostics``) takes the trace alone.
@@ -272,9 +274,14 @@ class SpectralCensus:
 
     @classmethod
     def of(cls, H, cfg: ModelConfig | None = None, basis=None, *, jobs: int):
-        """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads."""
-        blocks = [sec.block for sec in H.sectors.values()]
-        parts = parallel_map(np.linalg.eigvals, blocks, jobs)
+        """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads.
+
+        Each task builds its sector's dense matrix and drops it once its
+        eigenvalues are in, so at ``jobs`` 1 one dense matrix exists at a time.
+        """
+        parts = parallel_map(
+            lambda sec: np.linalg.eigvals(sec.dense()), H.sectors.values(), jobs
+        )
         keys = np.repeat(list(H.sectors), [len(p) for p in parts])
         return cls(np.concatenate(parts), keys, cfg, basis)
 
@@ -335,6 +342,7 @@ def run_ladder(
     rng = np.random.default_rng(seed)
 
     for n in range(1, field.n_scales + 1):
+        H = None  # scale n - 1's operator goes before scale n's is assembled
         H = assemble_hamiltonian(cfg, field, n=n)
         basis = field.basis_for_scale(n)
         census = SpectralCensus.of(H, cfg, basis, jobs=jobs)

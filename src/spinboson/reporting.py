@@ -19,13 +19,14 @@ import json
 import math
 import os
 import platform
+import resource
+import sys
 import tempfile
 import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 
 def jsonify(obj):
@@ -80,16 +81,28 @@ def config_hash(config_dict: dict) -> str:
 
 
 def run_manifest(config_dict: dict, wall_time: float, extras: dict | None = None):
+    """The manifest of a run: config hash, times, peak memory and versions.
+
+    ``peak_rss_mb`` is the process's peak resident set so far (Linux
+    ``ru_maxrss``, KiB, over 1024).  ``versions.blas`` is the BLAS numpy
+    was built against; ``versions.scipy`` is written only when the run
+    loaded scipy.
+    """
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    versions = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
     manifest = {
         "schema_version": 1,
         "config_sha256": config_hash(config_dict),
         "wall_time_s": wall_time,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "versions": versions,
     }
     if extras:
         manifest.update(extras)

@@ -19,15 +19,17 @@ plain linear algebra) and inverts only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  The pieces of
 that complement that do not depend on the shift (the index split, the
 top-layer diagonal, the dense couplings A_RT and A_TR with their
-adjoints, and A_RR) are built once per sector, kept on it as
-``Sector.solver_parts`` and freed with it; each shift then only forms
-S(z) and inverts it with numpy; a sector without a top layer inverts its
-shifted block through the same code.  Resolvent norms build one solver
-per sector and shift and run Lanczos on its solves; only the Schur
-complement is inverted densely, and no block is SVD'd densely.  All of
-this is numpy: the Lanczos Ritz step (``_top_ritz``) brackets the top
-eigenvalue of the tridiagonal by Newton steps on its LDL^T pivots and
-reads the eigenvector's last entry off a twisted factorization.
+adjoints, and A_RR) are what a ``Sector`` holds: the assembly builds them
+directly, so each shift only forms S(z) and inverts it with numpy; a
+sector without a top layer inverts its shifted block through the same
+code.  Here only the Rayleigh check and residual of ``track_eigenvalue``
+build a sector's dense matrix, and they drop it on return.  Resolvent
+norms build one solver per sector and shift and run Lanczos on its
+solves; only the Schur complement is inverted densely, and no block is
+SVD'd densely.  All of this is numpy: the Lanczos Ritz step
+(``_top_ritz``) brackets the top eigenvalue of the tridiagonal by Newton
+steps on its LDL^T pivots and reads the eigenvector's last entry off a
+twisted factorization.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -85,51 +87,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class _SolverParts:
-    """The shift-independent pieces of every ShiftedSolver of one block.
-
-    For top-layer positions T and the remaining positions R: the diagonal
-    d of A_TT, and dense A_RT and A_TR with their conjugate transposes and
-    A_RR.  A Sector builds them once and keeps them (``Sector.solver_parts``).
-    """
-
-    def __init__(self, A: np.ndarray, top: np.ndarray):
-        n = A.shape[0]
-        self.block = A
-        self.t = top
-        self.d = A[top, top]
-        in_t = np.zeros(n, dtype=bool)
-        in_t[top] = True
-        self.r = np.nonzero(~in_t)[0]
-        self.a_rt = A[np.ix_(self.r, top)]
-        self.a_tr = A[np.ix_(top, self.r)]
-        self.a_rt_h = self.a_rt.conj().T
-        self.a_tr_h = self.a_tr.conj().T
-        self.a_rr = A[np.ix_(self.r, self.r)].astype(complex, copy=False)
-
-
-def _solver_parts(sec: Sector) -> _SolverParts:
-    """The sector's solver parts, built on first use and then kept on it."""
-    if sec.solver_parts is None:
-        sec.solver_parts = _SolverParts(sec.block, sec.top)
-    return sec.solver_parts
-
-
 class ShiftedSolver:
     """Solves with A - z and its adjoint, the top layer eliminated exactly.
 
-    A is the block of the Sector ``sec``, whose solver parts are built once
-    and reused by every shift.  On the sector's top-layer positions T the
-    block A_TT is diagonal (entries d_t).  With R the remaining positions,
-    A - z is solved through the Schur complement
+    A is the matrix of the Sector ``sec``, which holds exactly the parts
+    read here, so every shift reuses them.  On the sector's top-layer
+    positions T the block A_TT is diagonal (entries d_t).  With R the
+    remaining positions, A - z is solved through the Schur complement
 
         S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
 
     the only matrix inverted (once per shift), so each solve is one
     product with S(z)^(-1) or S(z)^(-H).  A top entry with |d_t - z| <
     TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z never
-    divides, and the parts are rebuilt for that shift.  A sector without a
-    top layer has R = everything: S(z) is A - z.
+    divides: for that shift the parts are regrouped (``Sector.with_top``).
+    A sector without a top layer has R = everything: S(z) is A - z.
 
     ``singular`` is set, and the solves raise SingularShiftError, when the
     inversion meets an exactly zero pivot or |S^(-1)|_inf >= 1 / (|R| eps
@@ -138,17 +110,16 @@ class ShiftedSolver:
     """
 
     def __init__(self, sec: Sector, z: complex):
-        parts = _solver_parts(sec)
         self.z = z = complex(z)
-        d = parts.d - z
+        d = sec.d - z
         keep = np.abs(d) >= TOP_LAYER_GUARD * max(1.0, abs(z))
         if not keep.all():
-            parts, d = _SolverParts(parts.block, parts.t[keep]), d[keep]
-        self._parts = parts
-        self.t, self.r, self.dt = parts.t, parts.r, d
-        schur = parts.a_rr - z * np.eye(len(self.r))
+            sec, d = sec.with_top(keep), d[keep]
+        self._sec = sec
+        self.t, self.r, self.dt = sec.top, sec.rest, d
+        schur = sec.a_rr - z * np.eye(len(self.r))
         if len(self.t):
-            schur -= (parts.a_rt / d) @ parts.a_tr
+            schur -= (sec.a_rt / d) @ sec.a_tr
         try:
             # kept in Fortran order: a C-ordered inverse runs the products
             # below on another BLAS kernel and moves the solves by rounding
@@ -178,13 +149,13 @@ class ShiftedSolver:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A - z)^(-1) b for a vector or a block of columns."""
-        p = self._parts
-        return self._solve(b, self.dt, self._inv, p.a_rt, p.a_tr)
+        s = self._sec
+        return self._solve(b, self.dt, self._inv, s.a_rt, s.a_tr)
 
     def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
         """(A - z)^(-H) c for a vector or a block of columns."""
-        p = self._parts
-        return self._solve(c, self.dt.conj(), self._inv_h, p.a_tr_h, p.a_rt_h)
+        s = self._sec
+        return self._solve(c, self.dt.conj(), self._inv_h, s.a_tr_h, s.a_rt_h)
 
 
 @dataclass
@@ -367,7 +338,6 @@ def track_eigenvalue(
     """
     lam, key = census.unique_in_circle(seed, radius)
     sec = H.sectors[key]
-    A = sec.block
     gap = census.gap(lam)
 
     probe, left_probe = (  # in the sector's coordinates
@@ -401,6 +371,7 @@ def track_eigenvalue(
     denom = np.vdot(pw, pv)
     if abs(denom) < 1e-12 * np.linalg.norm(pv) * np.linalg.norm(pw):
         raise TrackingError("Rayleigh pairing degenerate for the given probes")
+    A = sec.dense()  # the residual's products; dropped on return
     rayleigh = complex(np.vdot(pw, A @ pv) / denom)
     disagreement = abs(rayleigh - lam)
     scale = max(1.0, abs(lam))
@@ -651,21 +622,26 @@ def solver_tolerance(dim: int, scale: float) -> float:
 def shifted_inverse_eigenvalue(
     sec: Sector, shift: complex
 ) -> tuple[complex, np.ndarray]:
-    """Eigenvalue of the block of ``sec`` nearest to ``shift``.
+    """Eigenvalue of the matrix A of ``sec`` nearest to ``shift``.
 
-    Shifted inverse iteration from a random start.  A unit y and its
-    Rayleigh quotient lam are an exact eigenpair of A - r y^H, r = A y -
-    lam y, so it stops once lam moves by less than 1e-13 relative and |r|
-    is at most ``solver_tolerance(n, |A|_inf)``, a dense eigensolve's
-    backward error.  Raises ConvergenceError after 40 steps without that
-    (as at a shift halfway between two eigenvalues, where lam settles far
-    from both), SingularShiftError when the shift is an eigenvalue to
-    working precision.
+    Shifted inverse iteration from a random start, on the sector's parts
+    alone: A y is ``Sector.apply`` and |A|_inf is summed part by part, so
+    no dense A is built.  A unit y and its Rayleigh quotient lam are an
+    exact eigenpair of A - r y^H, r = A y - lam y, so it stops once lam
+    moves by less than 1e-13 relative and |r| is at most
+    ``solver_tolerance(n, |A|_inf)``, a dense eigensolve's backward error.
+    Raises ConvergenceError after 40 steps without that (as at a shift
+    halfway between two eigenvalues, where lam settles far from both),
+    SingularShiftError when the shift is an eigenvalue to working
+    precision.
     """
-    A = sec.block
-    n = A.shape[0]
+    n = len(sec.indices)
     solver = ShiftedSolver(sec, shift)
-    bound = solver_tolerance(n, float(np.abs(A).sum(axis=1).max()))
+    row_sums = np.concatenate([  # |A|_inf, read off the parts
+        np.abs(sec.a_rr).sum(axis=1) + np.abs(sec.a_rt).sum(axis=1),
+        np.abs(sec.d) + np.abs(sec.a_tr).sum(axis=1),
+    ])
+    bound = solver_tolerance(n, float(row_sums.max()))
     rng = np.random.default_rng(2024)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
@@ -673,7 +649,7 @@ def shifted_inverse_eigenvalue(
     for _ in range(40):
         y = solver.solve(x)
         y /= np.linalg.norm(y)
-        Ay = A @ y
+        Ay = sec.apply(y)
         lam_new = complex(np.vdot(y, Ay))
         settled = abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new))
         x, lam = y, lam_new

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from concurrent import futures
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -107,10 +106,13 @@ def pinned_blas():
 def parallel_map(fn, items, jobs: int) -> list:
     """``[fn(x) for x in items]``, on up to ``jobs`` threads, order kept.
 
-    With ``jobs`` 1 (or a single item) it runs inline and builds no pool.
+    With ``jobs`` 1 (or a single item) it runs inline, builds no pool and
+    leaves ``concurrent.futures`` unimported.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent import futures
+
     with futures.ThreadPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(fn, items))

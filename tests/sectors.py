@@ -2,14 +2,42 @@
 
 import numpy as np
 
-from spinboson.fock import OperatorMatrix, Sector
+from spinboson.fock import (
+    OperatorMatrix,
+    Sector,
+    build_field_operator,
+    field_energy_diagonal,
+)
+from spinboson.model import coupling_amplitudes
 from spinboson.spectral import RieszProjector
 
 
 def sector(A, top=None) -> Sector:
-    """A square matrix as one Sector, with optional top-layer positions."""
+    """A square matrix as one Sector, with optional top-layer positions.
+
+    The dense-to-Sector route: the parts are read off A by index, each
+    with the dtype and memory order the assembly gives them (A_RR
+    complex, A_RT and A_TR in A's dtype, all C-ordered).
+    """
     top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
-    return Sector(np.arange(len(A)), A, top)
+    in_t = np.zeros(len(A), dtype=bool)
+    in_t[top] = True
+    r = np.nonzero(~in_t)[0]
+    return Sector(
+        np.arange(len(A)), top, A[top, top],
+        A[np.ix_(r, r)].astype(complex, copy=False),
+        A[np.ix_(r, top)], A[np.ix_(top, r)],
+    )
+
+
+def same_parts(a: Sector, b: Sector) -> None:
+    """Two Sectors hold equal parts, bit for bit, with equal dtypes and layouts."""
+    for name in ("top", "rest", "d", "a_rr", "a_rt", "a_tr", "a_rt_h", "a_tr_h"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.flags.c_contiguous == y.flags.c_contiguous, name
+        assert x.flags.f_contiguous == y.flags.f_contiguous, name
+        assert np.array_equal(x, y), name
 
 
 def one_sector(A) -> OperatorMatrix:
@@ -18,9 +46,37 @@ def one_sector(A) -> OperatorMatrix:
     return OperatorMatrix(len(A), {0: sector(A)})
 
 
+def dense_sectors(cfg, field, n=None) -> dict:
+    """The dense route of the assembly: {key: (indices, block, top)}.
+
+    Each parity block is written whole, its diagonal, then g times the
+    even-odd field operator and its transpose across the two atoms.
+    """
+    basis = field.basis_for_scale(n)
+    coeffs = coupling_amplitudes(cfg, basis.modes)
+    energies = field_energy_diagonal(basis)
+    levels, phase = cfg.atom_levels(), np.exp(-cfg.theta)
+    even = np.nonzero(basis.total_parity > 0)[0]
+    odd = np.nonzero(basis.total_parity < 0)[0]
+    phi_eo = build_field_operator(basis, coeffs, even, odd)
+    out = {}
+    for key, first, second in ((+1, even, odd), (-1, odd, even)):
+        n1, n2 = len(first), len(second)
+        block = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        block[:n1, :n1] = np.diag(levels[0] + phase * energies[first])
+        block[n1:, n1:] = np.diag(levels[1] + phase * energies[second])
+        coupling = phi_eo if first is even else phi_eo.T
+        block[:n1, n1:] = cfg.g * coupling
+        block[n1:, :n1] = cfg.g * coupling.T
+        fock = np.concatenate([first, second])
+        top = np.nonzero(basis.totals[fock] == basis.n_max)[0]
+        out[key] = (np.concatenate([first, basis.dim + second]), block, top)
+    return out
+
+
 def spectrum(H: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of H, sorted by (real, imaginary) part."""
-    values = np.concatenate([np.linalg.eigvals(s.block) for s in H.sectors.values()])
+    values = np.concatenate([np.linalg.eigvals(s.dense()) for s in H.sectors.values()])
     return values[np.lexsort((values.imag, values.real))]
 
 
@@ -28,7 +84,7 @@ def dense_operator(H: OperatorMatrix) -> np.ndarray:
     """H as one dense matrix, its sector blocks in place."""
     out = np.zeros((H.dim, H.dim), dtype=complex)
     for s in H.sectors.values():
-        out[np.ix_(s.indices, s.indices)] = s.block
+        out[np.ix_(s.indices, s.indices)] = s.dense()
     return out
 
 

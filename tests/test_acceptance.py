@@ -3,8 +3,11 @@
 Each test prints one PASS line with its headline numbers and asserts the
 stated tolerance and runtime budget.  Expensive runs are shared through
 module fixtures; their wall time is charged to the first criterion that
-uses them.  The module runs the way the command line does: OpenBLAS pinned
-to one thread and ``JOBS`` worker threads for the sector eigensolves.
+uses them.  The shared pinned ladder also answers the g = 0.05 row of
+criterion 2 and the theta = 0.2i sample of criterion 3, which would
+otherwise repeat it.  The module runs the way the command line does:
+OpenBLAS pinned to one thread and ``JOBS`` worker threads for the sector
+eigensolves.
 Every retained ladder run registers its scale records (not the trace,
 which holds the run's full-grid operator) so the final criterion can audit
 projector residuals and spectral uniqueness across all of them.
@@ -63,6 +66,24 @@ def shared_run(pinned):
     return SimpleNamespace(trace=trace, elapsed=elapsed)
 
 
+def reuse_shared_run(monkeypatch, pinned, shared_run, register=None):
+    """Answer ``diagnostics.run_ladder``'s pinned g = 0.05 ladder with the
+    trace of ``shared_run`` (both levels, so any subset) instead of running
+    it again; every other ladder runs.  ``register`` sees every trace."""
+    ladder = diagnostics.run_ladder
+
+    def run(cfg, field, levels=(0, 1), **kwargs):
+        if cfg == pinned.cfg and field is pinned.field:
+            trace = shared_run.trace
+        else:
+            trace = ladder(cfg, field, levels=levels, **kwargs)
+        if register is not None:
+            register(trace)
+        return trace
+
+    monkeypatch.setattr(diagnostics, "run_ladder", run)
+
+
 def test_criterion_1_free_model_exactness():
     """g = 0: lambda = e_i and P = atomic projector to 1e-12, all scales."""
     t0 = time.perf_counter()
@@ -98,7 +119,7 @@ def test_criterion_1_free_model_exactness():
                f"max |P - atomic| = {worst_proj:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_fermi_golden_rule(pinned, monkeypatch):
+def test_criterion_2_fermi_golden_rule(pinned, shared_run, monkeypatch):
     """Im(lambda_1)/g^2 approaches -4 pi^2 e^(-2); oracle concurs."""
     t0 = time.perf_counter()
     import mpmath as mp
@@ -108,14 +129,11 @@ def test_criterion_2_fermi_golden_rule(pinned, monkeypatch):
     coeff = sb.golden_rule_coefficient(pinned.cfg)
     assert coeff == pytest.approx(oracle, rel=1e-13)
 
-    ladder = diagnostics.run_ladder
+    def register(trace):
+        RUN_REGISTRY.append((f"fgr g={abs(trace.cfg.g)}", trace.scales))
 
-    def registered(cfg, *args, **kwargs):
-        trace = ladder(cfg, *args, **kwargs)
-        RUN_REGISTRY.append((f"fgr g={abs(cfg.g)}", trace.scales))
-        return trace
-
-    monkeypatch.setattr(diagnostics, "run_ladder", registered)
+    # the g = 0.05 row is the shared pinned ladder
+    reuse_shared_run(monkeypatch, pinned, shared_run, register)
     rep = fermi_golden_rule(pinned.cfg, pinned.field, [0.05, 0.025], jobs=JOBS)
     err_big, err_small = (r["rel_error_vs_coefficient"] for r in rep["rows"])
     pt2_dis = rep["rows"][1]["pt2_rel_disagreement"]
@@ -128,8 +146,9 @@ def test_criterion_2_fermi_golden_rule(pinned, monkeypatch):
                f"{err_small:.3%}, oracle gap {pt2_dis:.3%}, {elapsed:.0f}s")
 
 
-def test_criterion_3_theta_invariance(pinned):
+def test_criterion_3_theta_invariance(pinned, shared_run, monkeypatch):
     """lambda_1 constant over the dilation samples within the budget."""
+    reuse_shared_run(monkeypatch, pinned, shared_run)  # the theta = 0.2i sample
     t0 = time.perf_counter()
     thetas = [0.15j, 0.2j, 0.25j, 0.1 + 0.2j]
     rep = theta_invariance_scan(

@@ -96,6 +96,13 @@ class TestDispatch:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_sha256"]
         assert manifest["kind"] == "feasibility"
+        assert manifest["peak_rss_mb"] > 0
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert manifest["versions"]["blas"] == {
+            "name": blas["name"], "version": blas["version"]
+        }
+        scipy = sys.modules.get("scipy")  # recorded only when some code loaded it
+        assert manifest["versions"].get("scipy") == getattr(scipy, "__version__", None)
 
     def test_feasibility_strict_gate(self, tmp_path):
         rc = parse_config(config_text(run={"mode": "strict"}))
@@ -636,7 +643,9 @@ NUMPY_ONLY = cli.SUBCOMMANDS
 
 
 def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
-    """No run loads scipy.linalg or scipy.sparse, resolvent norms included."""
+    """No run imports scipy or numpy.ma, resolvent norms included, and no
+    run at one job imports concurrent.futures; no manifest then records a
+    scipy version, and each records the BLAS and the peak memory."""
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(config_text(
         ladder={"n_scales": 2},
@@ -644,13 +653,18 @@ def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
     ))
     code = (
         "import json, sys\n"
-        "heavy = {'scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg'}\n"
+        "heavy = {'scipy', 'scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg',\n"
+        "         'numpy.ma'}\n"
+        "pool = 'concurrent.futures'\n"
         "from spinboson import cli\n"
-        "seen = [sorted(heavy & set(sys.modules))]\n"
+        "seen = [sorted((heavy | {pool}) & set(sys.modules))]\n"
         "for sub in json.loads(sys.argv[4]):\n"
-        "    code = cli.main([sub, '--config', sys.argv[1],\n"
+        "    code = cli.main([sub, '--config', sys.argv[1], '--jobs', '1',\n"
         "                     '--out', sys.argv[2] + sub])\n"
-        "    seen.append([code, *sorted(heavy & set(sys.modules))])\n"
+        "    seen.append([code, *sorted((heavy | {pool}) & set(sys.modules))])\n"
+        "code = cli.main(['ladder', '--config', sys.argv[1], '--jobs', '2',\n"
+        "                 '--out', sys.argv[2] + 'pool'])\n"
+        "seen.append([code, pool in sys.modules, *sorted(heavy & set(sys.modules))])\n"
         "import spinboson\n"
         "names = json.loads(sys.argv[3])\n"
         "missing = [n for n in names if not hasattr(spinboson, n)]\n"
@@ -659,8 +673,15 @@ def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
     out = run_fresh(code, str(cfg_path), str(tmp_path / "out-"), json.dumps(EXPORTS),
                     json.dumps(NUMPY_ONLY))
     result = json.loads(out.splitlines()[-1])
-    assert result == {"seen": [[]] + [[0]] * len(NUMPY_ONLY), "missing": []}
+    assert result == {
+        "seen": [[]] + [[0]] * len(NUMPY_ONLY) + [[0, True]], "missing": []
+    }
     assert spinboson.__all__ == EXPORTS
+    for run in [*NUMPY_ONLY, "pool"]:
+        manifest = json.loads((tmp_path / f"out-{run}" / "manifest.json").read_text())
+        assert "scipy" not in manifest["versions"]
+        assert manifest["versions"]["blas"]["name"]
+        assert manifest["peak_rss_mb"] > 0
 
 
 def test_readme_quick_start_runs():

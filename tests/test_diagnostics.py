@@ -20,7 +20,10 @@ from spinboson import (
     theta_invariance_scan,
     verify_cone_chain,
 )
+from spinboson import diagnostics
+from spinboson.errors import ConvergenceError
 from spinboson.multiscale import run_ladder
+from spinboson.spectral import ShiftedSolver, solver_tolerance
 
 from sectors import one_sector, spectrum
 
@@ -89,7 +92,57 @@ class TestFermiGoldenRule:
             fermi_golden_rule(cfg, field, [0.05], jobs=1)
 
 
+def dense_inverse_iteration(sec, shift):
+    """Oracle: ``shifted_inverse_eigenvalue`` as it ran on dense blocks, with
+    A y a dense product and |A|_inf a dense row sum.  Returns the eigenvalue,
+    the vector and the stopping floor solver_tolerance(n, |A|_inf)."""
+    A = sec.dense()
+    n = len(A)
+    solver = ShiftedSolver(sec, shift)
+    bound = solver_tolerance(n, float(np.abs(A).sum(axis=1).max()))
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    lam = shift
+    for _ in range(40):
+        y = solver.solve(x)
+        y /= np.linalg.norm(y)
+        Ay = A @ y
+        lam_new = complex(np.vdot(y, Ay))
+        settled = abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new))
+        x, lam = y, lam_new
+        if settled and np.linalg.norm(Ay - lam * y) <= bound:
+            return lam, x, bound
+    raise ConvergenceError("the dense route did not stop in 40 steps")
+
+
 class TestThetaInvariance:
+    def test_refinement_delta_within_floor_of_dense_route(self, coarse, monkeypatch):
+        """Inverse iteration on the parts moves each refinement delta by at
+        most the refined sector's floor solver_tolerance(n, |A|_inf), against
+        the dense route, and so the budget by at most twice that."""
+        cfg, field = coarse
+        thetas = [0.18j, 0.2j, 0.22j]
+        rep = theta_invariance_scan(cfg, field, thetas, levels=(0, 1), jobs=1)
+        floors = []
+
+        def dense_route(sec, shift):
+            lam, vec, floor = dense_inverse_iteration(sec, shift)
+            floors.append(floor)
+            return lam, vec
+
+        monkeypatch.setattr(diagnostics, "shifted_inverse_eigenvalue", dense_route)
+        base = {i: rep.lambdas[i][0] for i in (0, 1)}
+        dense = diagnostics._refinement_delta(cfg.replace(theta=thetas[0]), field, base)
+        assert len(floors) == 2
+        floor = max(floors)
+        got = rep.details["refinement_delta"]
+        assert all(dense[i] > 0.0 for i in (0, 1))
+        for i in (0, 1):
+            assert abs(got[str(i)] - dense[i]) <= floor
+        dense_budget = rep.details["solver_tolerance"] + 2.0 * max(dense.values())
+        assert abs(rep.budget - dense_budget) <= 2.0 * floor
+
     def test_free_model_exactly_invariant(self, coarse):
         cfg, field = coarse
         cfg0 = cfg.replace(g=0.0)

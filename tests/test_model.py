@@ -361,7 +361,7 @@ class TestAssembly:
         totals = small_field.basis_for_scale(None).totals
         n_max = small_field.n_max
         for sector in H.sectors.values():
-            block, top = sector.block, sector.top
+            block, top = sector.dense(), sector.top
             layer = totals[sector.indices % len(totals)]
             assert np.array_equal(top, np.nonzero(layer == n_max)[0])
             tt = block[np.ix_(top, top)]

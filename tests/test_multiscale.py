@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from spinboson.multiscale import (
     soft_branch_lattice,
     soft_branch_tolerance,
 )
+from spinboson import multiscale
 from spinboson.spectral import resolvent_norm
 
 from samplers import sample_window_oracle
-from sectors import dense_operator
+from sectors import dense_operator, dense_sectors, same_parts, sector
 
 
 P4_SAMPLES, P4_SEED = 6, 3
@@ -196,7 +198,7 @@ class TestReassemblyOracle:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
             basis = field.basis_for_scale(rec.n)
             eigs = np.concatenate(
-                [np.linalg.eigvals(s.block) for s in H.sectors.values()]
+                [np.linalg.eigvals(s.dense()) for s in H.sectors.values()]
             )
             starved = eigs[
                 brute_lattice_dist(soft_branch_lattice(cfg, basis), eigs)
@@ -231,15 +233,47 @@ class TestReassemblyOracle:
             assert result["levels"][i]["eigenvector_residuals"] == want
 
     def test_trace_keeps_full_grid_operator_bit_for_bit(self, practical):
+        """The held operator's parts are a fresh assembly's and those the dense
+        route reads off its blocks: values, dtypes and memory order."""
         cfg, field, trace = practical
         fresh = assemble_hamiltonian(cfg, field, n=None)
         held = trace.operator
         assert held.dim == fresh.dim == trace.scales[-1].dim
         assert list(held.sectors) == list(fresh.sectors)
-        for key, sec in fresh.sectors.items():
-            for name in ("indices", "block", "top"):
-                got, want = getattr(held.sectors[key], name), getattr(sec, name)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+        for key, (indices, block, top) in dense_sectors(cfg, field).items():
+            for sec in (held.sectors[key], fresh.sectors[key]):
+                assert np.array_equal(sec.indices, indices)
+                same_parts(sec, sector(block, top))
+                assert np.array_equal(sec.dense(), block)
+
+    def test_trace_operator_holds_no_dense_block(self, practical):
+        _, _, trace = practical
+        for sec in trace.operator.sectors.values():
+            arrays = [v for v in vars(sec).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == 9
+            assert all(a.size < len(sec.indices) ** 2 for a in arrays)
+
+
+class TestOperatorLifetime:
+    def test_scale_operator_released_before_next_assembly(self, cfg, small_field,
+                                                          monkeypatch):
+        """Scale n's operator is gone once scale n + 1's is assembled."""
+        assemble = multiscale.assemble_hamiltonian
+        held = []
+
+        def tracked(*args, **kwargs):
+            alive = [ref() is not None for ref in held]
+            H = assemble(*args, **kwargs)
+            held.append(weakref.ref(H))
+            assert not any(alive), alive
+            return H
+
+        monkeypatch.setattr(multiscale, "assemble_hamiltonian", tracked)
+        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=2)
+        assert len(held) == small_field.n_scales
+        # the last scale's operator stays on the trace, every other is gone
+        assert [ref() is not None for ref in held] == [False] * (len(held) - 1) + [True]
+        assert held[-1]() is trace.operator
 
 
 class TestNestingExactness:

@@ -1,8 +1,6 @@
 """Eigensolvers, contour projectors, tracking, resolvent norms."""
 
-import gc
 import warnings
-import weakref
 
 import mpmath
 import numpy as np
@@ -37,7 +35,15 @@ from spinboson.spectral import (
     shifted_inverse_eigenvalue,
 )
 
-from sectors import dense_operator, dense_projector, one_sector, sector, spectrum
+from sectors import (
+    dense_operator,
+    dense_projector,
+    dense_sectors,
+    one_sector,
+    same_parts,
+    sector,
+    spectrum,
+)
 
 
 def tiny_model(n_max, g=0.05):
@@ -104,7 +110,7 @@ class TestEigAll:
         assert np.array_equal(census.values, want)
         for key, sec in H.sectors.items():
             own = census.values[census.sectors == key]
-            assert np.array_equal(own, spectrum(one_sector(sec.block)))
+            assert np.array_equal(own, spectrum(one_sector(sec.dense())))
 
 
 class TestRieszProjection:
@@ -288,7 +294,7 @@ class TestAgainstDenseOracle:
         z = lam + offset * gap * np.exp(0.7j)
         want = max(
             dense_resolvent_norm(
-                sec.block, z,
+                sec.dense(), z,
                 dense_projector(proj) if projected and key == proj.sector else None,
             )
             for key, sec in H.sectors.items()
@@ -340,7 +346,7 @@ class TestLanczosNorm:
             z = lam + offset * gap * np.exp(0.7j)
             want = max(
                 svds_resolvent_norm(
-                    sec.block, z,
+                    sec.dense(), z,
                     dense_projector(proj) if proj is not None and key == proj.sector
                     else None,
                 )
@@ -661,18 +667,32 @@ def sector_blocks(n_max, g=0.05, interaction_scale=None):
     cfg, field = tiny_model(n_max, g)
     H = assemble_hamiltonian(cfg, field)
     if interaction_scale is None:
-        return [(s.block, s.top) for s in H.sectors.values()]
+        return [(s.dense(), s.top) for s in H.sectors.values()]
     basis = field.basis_for_scale(None)
     deep = basis.states[:, basis.modes.labels > interaction_scale].sum(axis=1)
     blocks = []
     for s in H.sectors.values():
         count = deep[s.indices % basis.dim]
-        blocks.append((np.where(count[:, None] == count[None, :], s.block, 0.0), s.top))
+        same_count = count[:, None] == count[None, :]
+        blocks.append((np.where(same_count, s.dense(), 0.0), s.top))
     return blocks
 
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def same_solver(a: ShiftedSolver, b: ShiftedSolver, rhs) -> None:
+    """Two solvers with the same split and bit-for-bit equal solves."""
+    assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
+    assert a.singular == b.singular
+    if a.singular:  # both raise on every solve
+        return
+    eye = np.eye(len(rhs))  # every column: the whole inverse, bit for bit
+    assert np.array_equal(a.solve(eye), b.solve(eye))
+    assert np.array_equal(a.solve_adjoint(eye), b.solve_adjoint(eye))
+    assert np.array_equal(a.solve(rhs), b.solve(rhs))
+    assert np.array_equal(a.solve_adjoint(rhs), b.solve_adjoint(rhs))
 
 
 class TestShiftedSolver:
@@ -728,6 +748,35 @@ class TestShiftedSolver:
         assert abs(lam_real - lam_cplx) <= 1e-14 * abs(lam_cplx)
         assert abs(lam_real - lam) < 1e-12
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+    def test_parts_match_dense_route_bit_for_bit(self, n_max, rng):
+        """The assembled parts are those read off the dense block, in value,
+        dtype and memory order, and so are their solves, guard path included."""
+        cfg, field = tiny_model(n_max, g=0.05 + 0.01j)
+        H = assemble_hamiltonian(cfg, field)
+        for key, (indices, block, top) in dense_sectors(cfg, field).items():
+            sec = H.sectors[key]
+            assert np.array_equal(sec.indices, indices)
+            same_parts(sec, sector(block, top))
+            dense = sec.dense()
+            assert dense.dtype == block.dtype and dense.flags.c_contiguous
+            assert np.array_equal(dense, block)
+            n = len(indices)
+            rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            shifts = [0.9 - 0.01j, 0.02 + 0.003j, 1.3]
+            if len(top):  # a shift on a top entry keeps it in R
+                t = top[len(top) // 2]
+                keep = top != t
+                same_parts(sec.with_top(keep), sector(block, top[keep]))
+                shifts.append(block[t, t])
+                guarded = ShiftedSolver(sec, block[t, t])
+                assert t in guarded.r
+                regrouped = ShiftedSolver(sector(block, top[keep]), block[t, t])
+                same_solver(guarded, regrouped, rhs)
+            for z in shifts:
+                dense_route = ShiftedSolver(sector(block, top), z)
+                same_solver(ShiftedSolver(sec, z), dense_route, rhs)
+
     @pytest.mark.parametrize("offset", [0.0, 1e-12, 10 * TOP_LAYER_GUARD])
     def test_shift_at_top_entry(self, offset, rng):
         block, top = sector_blocks(2)[0]
@@ -743,47 +792,6 @@ class TestShiftedSolver:
         assert rel_err(
             solver.solve_adjoint(b), dense_lu_route(block, z, b, adjoint=True)
         ) < 1e-12
-
-
-class TestSectorSolverParts:
-    """Shift-independent solver parts are built once per sector and freed with it."""
-
-    @staticmethod
-    def same_solver(a: ShiftedSolver, b: ShiftedSolver, rhs) -> None:
-        assert np.array_equal(a.r, b.r) and np.array_equal(a.t, b.t)
-        assert a.singular == b.singular
-        eye = np.eye(len(rhs))  # every column: the whole inverse, bit for bit
-        assert np.array_equal(a.solve(eye), b.solve(eye))
-        assert np.array_equal(a.solve_adjoint(eye), b.solve_adjoint(eye))
-        assert np.array_equal(a.solve(rhs), b.solve(rhs))
-        assert np.array_equal(a.solve_adjoint(rhs), b.solve_adjoint(rhs))
-
-    def test_cached_parts_match_fresh_build(self, rng):
-        H = assemble_hamiltonian(*tiny_model(2))
-        for sec in H.sectors.values():
-            n = len(sec.indices)
-            rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-            t = sec.top[0]
-            # ordinary shifts, then the guard path (a shift on a top entry),
-            # then an ordinary shift again after the guard rebuilt its parts
-            for z in (0.9 - 0.01j, 0.02 + 0.003j, sec.block[t, t], 1.3):
-                cached = ShiftedSolver(sec, z)
-                fresh = ShiftedSolver(sector(sec.block, sec.top), z)
-                self.same_solver(cached, fresh, rhs)
-            assert sec.solver_parts is not None
-            parts = sec.solver_parts
-            ShiftedSolver(sec, 0.5 - 0.02j)
-            assert sec.solver_parts is parts  # built once
-            assert (t in ShiftedSolver(sec, sec.block[t, t]).r)
-
-    def test_parts_freed_with_operator(self):
-        H = assemble_hamiltonian(*tiny_model(2))
-        sec = H.sectors[+1]
-        resolvent_norm(H, 0.9 - 0.01j)
-        ref = weakref.ref(sec.solver_parts)
-        del H, sec
-        gc.collect()
-        assert ref() is None
 
 
 class TestSingularShift:
@@ -863,7 +871,7 @@ class TestQuadratureCap:
 class TestEliminatedRoute:
     def test_rank_one_on_sector_block(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
-        block, top = H.sectors[+1].block, H.sectors[+1].top
+        block, top = H.sectors[+1].dense(), H.sectors[+1].top
         w = np.linalg.eigvals(block)
         k = int(np.argmin(np.abs(w - cfg.e1)))
         radius = 0.4 * np.min(np.abs(np.delete(w, k) - w[k]))
