@@ -279,16 +279,11 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     )
     p1 = check_p1(trace, report.log10_C)
     p3 = check_p3(trace, report.log10_C)
-    extrapolate_limit(trace)
-    trace.checks["p1"] = p1
-    trace.checks["p3"] = p3
-    ok = True
+    extrapolated = extrapolate_limit(trace)
+    checks = {"p1": p1, "p3": p3}
     if samples:
-        p2_p4 = check_p2_p4(trace)
-        # a window sampler that stops at its guard short of the request fails
-        for per_scale in p2_p4["p4"].values():
-            for entry in per_scale.values():
-                ok &= len(entry["samples"]) >= samples
+        checks["p2_p4"] = check_p2_p4(trace)
+    ok = True
     if rc.mode == "strict":
         # the smallness windows, as feasibility gates them, and P1's strict rows
         windows = check_inequalities(report, _proposed(rc), e1=cfg.e1)
@@ -300,7 +295,12 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
         for data in rec.levels.values():
             ok &= data.p2_unique and data.contour_safe
             ok &= data.projector_residual < IDEMPOTENCY_TOL
-    write_json(out / "trace.json", trace.to_dict())
+            # a window sampler that stops at its guard short of the request fails
+            ok &= not samples or len(data.p4["samples"]) >= samples
+    write_json(
+        out / "trace.json",
+        {**trace.to_dict(), "extrapolated": extrapolated, "checks": checks},
+    )
     return bool(ok)
 
 
@@ -377,8 +377,8 @@ def _feasibility_artifacts(rc: RunConfig, out: Path) -> bool:
     strict_ok = all(c["satisfied"] for c in checks)
     write_json(
         out / "feasibility.json",
-        {**asdict(rep), "proposed": proposed, "strict_pass": strict_ok,
-         "flag": None if strict_ok else "practical mode"},
+        {**asdict(rep), "checks": checks, "proposed": proposed,
+         "strict_pass": strict_ok, "flag": None if strict_ok else "practical mode"},
     )
     return strict_ok or rc.mode == "practical"
 
@@ -450,10 +450,8 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
         except SpinBosonError as exc:
             ok, code = False, 2
             failure = {"error": type(exc).__name__, "message": str(exc)}
-    manifest = run_manifest(
-        rc.raw, wall_time=time.perf_counter() - t0,
-        extras={"kind": subcommand, "pass": ok},
-    )
+    manifest = run_manifest(rc.raw, wall_time=time.perf_counter() - t0)
+    manifest.update({"kind": subcommand, "pass": ok})
     # an empty "blas" list: no OpenBLAS was found, so nothing was pinned
     manifest["threads"] = {"usable_cpus": usable_cpus(), "jobs": rc.jobs, "blas": blas}
     if failure:

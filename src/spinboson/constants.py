@@ -23,7 +23,7 @@ proposal one order of magnitude past its bound scores slack -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log10, pi, sin
 
 from .errors import ConfigError
@@ -49,7 +49,6 @@ class FeasibilityReport:
     log10_rho1_max: float
     log10_g0: float
     log10_gm: float
-    checks: list = field(default_factory=list)
 
 
 def compute_constants(
@@ -163,5 +162,4 @@ def check_inequalities(
             "rho_cone_window",
             -3.0 + log10(sin(report.nu / report.m)) + log10(e1) - lr,
         )
-    report.checks = checks
     return checks

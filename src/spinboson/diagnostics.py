@@ -30,7 +30,7 @@ from .model import (
     coupling_amplitudes,
     form_factor,
 )
-from .multiscale import MultiscaleTrace, run_ladder, soft_branch_tolerance
+from .multiscale import MultiscaleTrace, run_ladder
 from .spectral import resolvent_norm, shifted_inverse_eigenvalue, solver_tolerance
 
 # Grid refinement of the theta-invariance budget: points per shell and per
@@ -337,10 +337,9 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     """
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     rho1 = field.ladder.cutoff(1)
-    modes = field.modes_for_scale(None)
-    box = Box.b1(cfg, 1, rho1)  # every level's box is as high
-    max_freq = (box.hi - box.lo) / np.sin(cfg.nu)
-    branch_tol = soft_branch_tolerance(cfg, modes, max_freq)
+    values = last.census.values
+    # every level's box is as high, so one tolerance serves both
+    soft, branch_tol = last.census.starved(Box.b1(cfg, 1, rho1))
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
                  "branch_tol": branch_tol}
     for i in sorted(last.levels):
@@ -348,12 +347,12 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, cfg.m_cone)
-        in_box, lattice_dist = last.census.in_box(Box.b1(cfg, i, rho1))
-        soft = lattice_dist <= branch_tol
+        inside = Box.b1(cfg, i, rho1).contains(values)
+        in_box = values[inside]
         rows = []
         violations = []
         n_starved = 0
-        for z, starved in zip(in_box, soft.tolist()):
+        for z, starved in zip(in_box, soft[inside].tolist()):
             raw = dist_to_cone(cone, z)
             eff = dist_to_cone(cone, z + dressing) if starved else raw
             n_starved += starved
@@ -417,9 +416,8 @@ def resolvent_cone_bound_check(
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
-    in_box, lattice_dist = last.census.in_box(box)
-    modes = field.modes_for_scale(None)
-    starved = in_box[lattice_dist <= soft_branch_tolerance(cfg, modes)]
+    census = last.census
+    starved = census.values[box.contains(census.values) & census.starved()[0]]
 
     def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):

@@ -246,9 +246,9 @@ class Sector:
     and the conjugate transposes ``a_rt_h`` and ``a_tr_h`` (set here, as
     transposed views, so F-ordered).  The layouts are part of the result:
     the BLAS kernel of a product, and with it the rounding, follows them.
-    With a top layer no piece holds len(indices)^2 entries; ``dense``
-    builds A for the dense routines that read it, which drop it after use.
-    Eigenvalues live in the operator's ``SpectralCensus``.
+    With a top layer no piece holds len(indices)^2 entries; products with A
+    go through ``apply``, and ``dense`` builds A only for the one dense
+    eigensolve of each sector, into the operator's ``SpectralCensus``.
     """
 
     indices: np.ndarray
@@ -338,10 +338,10 @@ class OperatorMatrix:
             raise AssemblyError("sector index sets must partition the dimension")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H x with each sector's dense matrix, built and dropped in turn."""
+        """H x, sector by sector from the parts (``Sector.apply``)."""
         out = np.zeros_like(x, dtype=complex)
         for s in self.sectors.values():
-            out[s.indices] = s.dense() @ x[s.indices]
+            out[s.indices] = s.apply(x[s.indices])
         return out
 
 

@@ -30,7 +30,9 @@ of a run, so no caller keeps a trace while the next ladder runs.  The
 per-scale data stays on the scale records, and the trace
 carries the model and the grid it ran with, so every check
 (``check_p1``, ``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and
-the cone checks in ``diagnostics``) takes the trace alone.
+the cone checks in ``diagnostics``) takes the trace alone.  A check
+returns its report and writes nothing into the trace: the ``ladder``
+command builds ``trace.json`` from the trace's own report and the checks'.
 
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
@@ -51,8 +53,9 @@ energy of every state of the scale basis with a boson, so it holds every
 multiboson sum the basis holds.  At couplings inside the smallness windows
 the lattice never intersects the window and the check is the literal one.
 Each scale's ``SpectralCensus`` holds every eigenvalue's distance to the
-lattice, measured once; the P2 count, the P4 sample exclusions and the
-cone checks compare it with their own ``soft_branch_tolerance``.
+lattice, measured once, and is the one place that compares it with
+``soft_branch_tolerance`` (``SpectralCensus.starved``): the P2 count, the
+P4 sample exclusions and the cone checks all read its verdict.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class ScaleRecord:
 
 @dataclass
 class MultiscaleTrace:
-    """Per-scale records of one ladder run plus check attachments.
+    """Per-scale records of one ladder run.
 
     ``cfg`` and ``field`` are the model and the grid the ladder ran with,
     so every check reads the run off the trace alone; the last scale is
@@ -143,8 +146,6 @@ class MultiscaleTrace:
     cfg: ModelConfig
     field: DiscretizedField
     scales: list = dc_field(default_factory=list)
-    extrapolated: dict = dc_field(default_factory=dict)
-    checks: dict = dc_field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
     operator: OperatorMatrix | None = dc_field(default=None, repr=False)
 
@@ -152,7 +153,7 @@ class MultiscaleTrace:
         return [getattr(rec.levels[i], name) for rec in self.scales]
 
     def to_dict(self) -> dict:
-        """The trace report: run parameters, scale records and checks."""
+        """The trace's own report: run parameters and scale records."""
         scales = [
             {
                 "n": rec.n,
@@ -176,8 +177,6 @@ class MultiscaleTrace:
             "n_max": grid.n_max,
             "points_per_shell": grid.points_per_shell,
             "scales": scales,
-            "extrapolated": self.extrapolated,
-            "checks": self.checks,
         }
 
 
@@ -238,13 +237,14 @@ class SpectralCensus:
     ``values`` holds the eigenvalues sorted by (real, imaginary) part,
     ``sectors`` the key of each one's sector, and ``lattice_dist`` each
     one's distance to ``soft_branch_lattice(cfg, basis)`` (inf without a
-    basis), which callers compare with their own ``soft_branch_tolerance``.
+    basis), which ``starved`` alone compares with a tolerance.
     """
 
-    def __init__(self, values, sectors, cfg: ModelConfig | None = None, basis=None):
+    def __init__(self, values, sectors, cfg: ModelConfig | None, basis):
         values = np.asarray(values, dtype=complex)
         order = np.lexsort((values.imag, values.real))
         self.values, self.sectors = values[order], np.asarray(sectors)[order]
+        self.cfg, self.basis = cfg, basis
         self.lattice_dist = out = np.full(len(values), np.inf)
         lattice = [] if basis is None else soft_branch_lattice(cfg, basis)
         if len(lattice) == 0:
@@ -305,10 +305,18 @@ class SpectralCensus:
         dist = np.sort(np.abs(self.values - lam))
         return float(dist[1]) if len(dist) > 1 else np.inf
 
-    def in_box(self, box: Box) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvalues inside ``box``, in order, and their lattice distances."""
-        inside = box.contains(self.values)
-        return self.values[inside], self.lattice_dist[inside]
+    def starved(self, box: Box | None = None) -> tuple[np.ndarray, float]:
+        """Which eigenvalues are truncation-starved, and the tolerance that says so.
+
+        An eigenvalue is starved when its lattice distance is at most
+        ``soft_branch_tolerance`` of the census basis' modes.  With ``box``,
+        only modes of frequency up to the box's height over sin(nu) enter
+        that tolerance: a state inside the box holds no boson of a higher
+        one.  Needs the ``cfg`` and ``basis`` the census was built with.
+        """
+        max_freq = None if box is None else (box.hi - box.lo) / np.sin(self.cfg.nu)
+        tol = soft_branch_tolerance(self.cfg, self.basis.modes, max_freq)
+        return self.lattice_dist <= tol, tol
 
 
 def run_ladder(
@@ -353,8 +361,7 @@ def run_ladder(
             census=census,
         )
         # truncation artifacts: no P4 sample lies within 0.1 rho_n of one
-        starved = census.lattice_dist <= soft_branch_tolerance(cfg, basis.modes)
-        artifacts = census.values[starved]
+        artifacts = census.values[census.starved()[0]]
         for i in levels:
             seed_lam = prev_lam[i]
             nearest = census.nearest(seed_lam)
@@ -383,10 +390,10 @@ def run_ladder(
             window = Box.wn(cfg, i, rho_n, lam)
             box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
             # the window's other eigenvalues: soft-branch copies or violations
-            in_window, dist = census.in_box(window)
+            inside = window.contains(census.values)
+            in_window = census.values[inside]
             others = np.abs(in_window - lam) > 1e-12 * max(1.0, abs(lam))
-            max_freq = (window.hi - window.lo) / np.sin(cfg.nu)
-            soft = dist <= soft_branch_tolerance(cfg, basis.modes, max_freq)
+            soft = census.starved(window)[0][inside]
             n_soft = int(np.count_nonzero(others & soft))
             n_bad = int(np.count_nonzero(others)) - n_soft
 
@@ -400,7 +407,7 @@ def run_ladder(
                 projector_quad_points=proj.quad_points,
                 contour_safe=bool(record.gap > 2.0 * contour_radius),
                 p2_count_window=len(in_window),
-                p2_count_box=len(census.in_box(box)[0]),
+                p2_count_box=int(np.count_nonzero(box.contains(census.values))),
                 p2_soft_branch_count=n_soft,
                 p2_violation_count=n_bad,
                 p2_unique=bool(n_bad == 0),
@@ -430,7 +437,14 @@ def run_ladder(
                     rng, samples_per_scale, max(1, int(0.6 * samples_per_scale)),
                     lam, lambda r: contour_radius * r.uniform(1.5, 6.0), reject,
                 )
-                data.p4 = _p4_entry(H, proj, zs, lam, rho_n)
+                # the smallest K_n with |(H - z)^(-1) (1 - P)| <= K_n shape(z)
+                samples = [
+                    {"z": z, "lhs": resolvent_norm(H, z, proj),
+                     "shape": 1.0 / (rho_n + abs(z - lam))}
+                    for z in zs
+                ]
+                k_fit = max((s["lhs"] / s["shape"] for s in samples), default=0.0)
+                data.p4 = {"K_n": k_fit, "samples": samples}
             rec.levels[i] = data
             prev_lam[i] = lam
             prev_vec[i] = (u_g, l_g)
@@ -441,11 +455,31 @@ def run_ladder(
 
 def _fitted_ratio(gaps: list) -> float | None:
     """Geometric mean of successive quotients, None for degenerate input."""
-    vals = [g for g in gaps if g is not None]
-    if len(vals) < 2 or any(g <= 0.0 for g in vals):
+    if len(gaps) < 2 or any(g <= 0.0 for g in gaps):
         return None
-    quotients = [b / a for a, b in zip(vals[:-1], vals[1:])]
+    quotients = [b / a for a, b in zip(gaps[:-1], gaps[1:])]
     return float(np.exp(np.mean(np.log(quotients))))
+
+
+def _motion_check(trace: MultiscaleTrace, gap_name: str, row) -> dict:
+    """Per-level rows of a motion check, its decay ratio and practical verdict.
+
+    ``row(n, gap)`` is the check's row at each scale whose ``gap_name``
+    entry is set; scales without one (the first) are skipped.
+    """
+    out: dict = {"levels": {}}
+    for i in sorted({k for rec in trace.scales for k in rec.levels}):
+        rows = [
+            row(rec.n, gap)
+            for rec, gap in zip(trace.scales, trace.level_series(i, gap_name))
+            if gap is not None
+        ]
+        out["levels"][i] = {
+            "rows": rows,
+            "fitted_ratio": _fitted_ratio([r["gap"] for r in rows]),
+            "all_practical_pass": bool(all(r["practical_pass"] for r in rows)),
+        }
+    return out
 
 
 def check_p1(trace: MultiscaleTrace, log10_C: float) -> dict:
@@ -456,40 +490,25 @@ def check_p1(trace: MultiscaleTrace, log10_C: float) -> dict:
     """
     cfg, ladder = trace.cfg, trace.field.ladder
     g_abs = abs(cfg.g)
-    out: dict = {"levels": {}}
-    for i in sorted({k for rec in trace.scales for k in rec.levels}):
-        rows = []
-        gaps = []
-        for rec in trace.scales:
-            data = rec.levels[i]
-            if data.p1_gap is None:
-                continue
-            n = rec.n
-            rho_prev = ladder.cutoff(n - 1)
-            practical = g_abs * 0.5 ** (n - 1) * rho_prev
-            strict_log10 = (
-                (np.log10(g_abs) if g_abs > 0 else -np.inf)
-                + (n + 1) * log10_C
-                + (1.0 + cfg.mu) * np.log10(rho_prev)
-            )
-            rows.append({
-                "n": n,
-                "gap": data.p1_gap,
-                "practical_bound": practical,
-                "practical_pass": bool(data.p1_gap <= practical or g_abs == 0.0),
-                "strict_bound_log10": float(strict_log10),
-                "strict_pass": bool(
-                    data.p1_gap == 0.0
-                    or np.log10(data.p1_gap) <= strict_log10 + 1e-12
-                ),
-            })
-            gaps.append(data.p1_gap)
-        out["levels"][i] = {
-            "rows": rows,
-            "fitted_ratio": _fitted_ratio(gaps),
-            "all_practical_pass": bool(all(r["practical_pass"] for r in rows)),
+
+    def row(n: int, gap: float) -> dict:
+        rho_prev = ladder.cutoff(n - 1)
+        practical = g_abs * 0.5 ** (n - 1) * rho_prev
+        strict_log10 = (
+            (np.log10(g_abs) if g_abs > 0 else -np.inf)
+            + (n + 1) * log10_C
+            + (1.0 + cfg.mu) * np.log10(rho_prev)
+        )
+        return {
+            "n": n,
+            "gap": gap,
+            "practical_bound": practical,
+            "practical_pass": bool(gap <= practical or g_abs == 0.0),
+            "strict_bound_log10": float(strict_log10),
+            "strict_pass": bool(gap == 0.0 or np.log10(gap) <= strict_log10 + 1e-12),
         }
-    return out
+
+    return _motion_check(trace, "p1_gap", row)
 
 
 def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
@@ -498,62 +517,34 @@ def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
     The strict bound uses the chain constant C, as ``check_p1`` does.
     """
     cfg, ladder = trace.cfg, trace.field.ladder
-    g_abs = abs(cfg.g)
-    rho = ladder.rho
-    out: dict = {"levels": {}}
-    for i in sorted({k for rec in trace.scales for k in rec.levels}):
-        rows = []
-        gaps = []
-        for rec in trace.scales:
-            data = rec.levels[i]
-            if data.p3_gap is None:
-                continue
-            n = rec.n
-            practical = (g_abs / rho) * 0.5 ** (n - 1)
-            limit_rate = 2.0 * (g_abs / rho) * 0.5**n * ladder.cutoff(n) ** (
-                cfg.mu / 2.0
-            )
-            strict_log10 = (
-                (np.log10(g_abs / rho) if g_abs > 0 else -np.inf)
-                + (2 * n + 2) * log10_C
-                + cfg.mu * np.log10(ladder.cutoff(n - 1))
-            )
-            rows.append({
-                "n": n,
-                "gap": data.p3_gap,
-                "practical_bound": practical,
-                "practical_pass": bool(data.p3_gap <= practical or g_abs == 0.0),
-                "limit_rate_envelope": limit_rate,
-                "strict_bound_log10": float(strict_log10),
-            })
-            gaps.append(data.p3_gap)
-        out["levels"][i] = {
-            "rows": rows,
-            "fitted_ratio": _fitted_ratio(gaps),
-            "all_practical_pass": bool(all(r["practical_pass"] for r in rows)),
+    g_abs, rho = abs(cfg.g), ladder.rho
+
+    def row(n: int, gap: float) -> dict:
+        practical = (g_abs / rho) * 0.5 ** (n - 1)
+        limit_rate = 2.0 * (g_abs / rho) * 0.5**n * ladder.cutoff(n) ** (cfg.mu / 2.0)
+        strict_log10 = (
+            (np.log10(g_abs / rho) if g_abs > 0 else -np.inf)
+            + (2 * n + 2) * log10_C
+            + cfg.mu * np.log10(ladder.cutoff(n - 1))
+        )
+        return {
+            "n": n,
+            "gap": gap,
+            "practical_bound": practical,
+            "practical_pass": bool(gap <= practical or g_abs == 0.0),
+            "limit_rate_envelope": limit_rate,
+            "strict_bound_log10": float(strict_log10),
         }
-    return out
 
-
-def _p4_entry(H, proj: RieszProjector, zs: list, lam: complex, rho_n: float) -> dict:
-    """Projected resolvent norms at ``zs`` and the smallest K_n with
-    |(H - z)^(-1) (1 - P)| <= K_n / (rho_n + |z - lambda^(n)|)."""
-    samples = []
-    k_fit = 0.0
-    for z in zs:
-        lhs = resolvent_norm(H, z, proj)
-        shape = 1.0 / (rho_n + abs(z - lam))
-        samples.append({"z": z, "lhs": lhs, "shape": shape})
-        k_fit = max(k_fit, lhs / shape)
-    return {"K_n": k_fit, "samples": samples}
+    return _motion_check(trace, "p3_gap", row)
 
 
 def check_p2_p4(trace: MultiscaleTrace) -> dict:
-    """Spectral uniqueness per window and the projected resolvent shape.
+    """Spectral uniqueness per window and the projected resolvent fits.
 
-    P2 reads the stored window counts, P4 the samples ``run_ladder`` took
-    with ``samples_per_scale`` > 0; a trace without them raises
-    TrackingError.  The K_n fits are also stored in ``trace.checks``.
+    P2 reads the stored window counts, P4 the K_n fit of the samples
+    ``run_ladder`` took with ``samples_per_scale`` > 0 (the samples stay in
+    the levels' ``p4`` entries); a trace without them raises TrackingError.
     """
     out: dict = {"p2": {}, "p4": {}}
     for rec in trace.scales:
@@ -571,14 +562,7 @@ def check_p2_p4(trace: MultiscaleTrace) -> dict:
                 "violation_count": data.p2_violation_count,
                 "unique": data.p2_unique,
             }
-            out["p4"].setdefault(str(i), {})[str(n)] = data.p4
-    trace.checks["p2_p4"] = {
-        "p2": out["p2"],
-        "p4": {
-            i: {n: {"K_n": v["K_n"]} for n, v in per.items()}
-            for i, per in out["p4"].items()
-        },
-    }
+            out["p4"].setdefault(str(i), {})[str(n)] = {"K_n": data.p4["K_n"]}
     return out
 
 
@@ -595,12 +579,6 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
         raise TrackingError("limit extrapolation needs at least two scales")
     cfg, field, H = trace.cfg, trace.field, trace.operator
     rho_last = field.ladder.cutoff(trace.scales[-1].n)
-
-    def residual(rec: ScaleRecord, i: int) -> float:
-        data = rec.levels[i]
-        u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
-        return float(np.linalg.norm(H.matvec(u) - data.lam * u))
-
     envelope = 2.0 * abs(cfg.g) * rho_last ** (1.0 + cfg.mu / 2.0)
     result: dict = {"levels": {}, "warnings": []}
     for i in sorted(trace.scales[-1].levels):
@@ -617,12 +595,16 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
                 result["warnings"].append(
                     f"level {i}: per-scale gaps are not monotone"
                 )
+        residuals = []
+        for rec in trace.scales:
+            data = rec.levels[i]
+            u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
+            residuals.append(float(np.linalg.norm(H.matvec(u) - data.lam * u)))
         result["levels"][i] = {
             "lambda": lams[-1],
             "error_bar": float(max(envelope, tail)),
             "envelope": float(envelope),
             "observed_tail": float(tail),
-            "eigenvector_residuals": [residual(rec, i) for rec in trace.scales],
+            "eigenvector_residuals": residuals,
         }
-    trace.extrapolated = result
     return result

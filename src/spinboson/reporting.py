@@ -80,7 +80,7 @@ def config_hash(config_dict: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def run_manifest(config_dict: dict, wall_time: float, extras: dict | None = None):
+def run_manifest(config_dict: dict, wall_time: float) -> dict:
     """The manifest of a run: config hash, times, peak memory and versions.
 
     ``peak_rss_mb`` is the process's peak resident set so far (Linux
@@ -104,6 +104,4 @@ def run_manifest(config_dict: dict, wall_time: float, extras: dict | None = None
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "versions": versions,
     }
-    if extras:
-        manifest.update(extras)
     return manifest

@@ -22,11 +22,11 @@ top-layer diagonal, the dense couplings A_RT and A_TR with their
 adjoints, and A_RR) are what a ``Sector`` holds: the assembly builds them
 directly, so each shift only forms S(z) and inverts it with numpy; a
 sector without a top layer inverts its shifted block through the same
-code.  Here only the Rayleigh check and residual of ``track_eigenvalue``
-build a sector's dense matrix, and they drop it on return.  Resolvent
-norms build one solver per sector and shift and run Lanczos on its
-solves; only the Schur complement is inverted densely, and no block is
-SVD'd densely.  All of this is numpy: the Lanczos Ritz step
+code.  No routine here builds a sector's dense matrix: the Rayleigh
+check and residual of ``track_eigenvalue`` take their products from the
+parts (``Sector.apply``).  Resolvent norms build one solver per sector
+and shift and run Lanczos on its solves; only the Schur complement is
+inverted densely, and no block is SVD'd densely.  All of this is numpy: the Lanczos Ritz step
 (``_top_ritz``) brackets the top eigenvalue of the tridiagonal by Newton
 steps on its LDL^T pivots and reads the eigenvector's last entry off a
 twisted factorization.
@@ -169,10 +169,7 @@ class RieszProjector:
     ``sector`` is the key of the operator sector the projector lives in.
     """
 
-    center: complex
-    radius: float
     quad_points: int
-    dim: int
     idempotency_residual: float
     trace_value: complex
     rank: int
@@ -288,10 +285,7 @@ def riesz_rank_one(
         )
     left = w / np.conj(pairing)  # so that P = u @ left^H has P u = u
     return RieszProjector(
-        center=center,
-        radius=radius,
         quad_points=n_nodes,
-        dim=n,
         idempotency_residual=idem,
         trace_value=trace,
         rank=int(round(trace.real)),
@@ -371,8 +365,7 @@ def track_eigenvalue(
     denom = np.vdot(pw, pv)
     if abs(denom) < 1e-12 * np.linalg.norm(pv) * np.linalg.norm(pw):
         raise TrackingError("Rayleigh pairing degenerate for the given probes")
-    A = sec.dense()  # the residual's products; dropped on return
-    rayleigh = complex(np.vdot(pw, A @ pv) / denom)
+    rayleigh = complex(np.vdot(pw, sec.apply(pv)) / denom)
     disagreement = abs(rayleigh - lam)
     scale = max(1.0, abs(lam))
     if disagreement > AGREE_TOL * scale:
@@ -380,7 +373,7 @@ def track_eigenvalue(
             f"eigenvalue routes disagree: contour Rayleigh {rayleigh} vs "
             f"direct {lam} (|diff| = {disagreement:.3e})"
         )
-    residual = float(np.linalg.norm(A @ u - lam * u))
+    residual = float(np.linalg.norm(sec.apply(u) - lam * u))
     right, left = np.zeros((2, H.dim), dtype=complex)  # in H's coordinates
     right[sec.indices], left[sec.indices] = u, proj.left[:, 0]
     return SpectralRecord(

@@ -1,5 +1,6 @@
 """Log-domain constant chain and admissibility windows."""
 
+import dataclasses
 from math import log10, pi, sin
 
 import pytest
@@ -115,6 +116,16 @@ class TestCheckInequalities:
         ids = {c["id"] for c in checks}
         assert {"rho0_window", "rho_window", "g_window",
                 "g_cone_window", "rho_cone_window"} == ids
+
+    def test_report_left_alone(self):
+        """The rows are returned, not written into the report."""
+        rep = compute_constants(mu=0.25, nu_floor=0.1, nu=0.2, m=4,
+                                c_generic=10.0)
+        before = dataclasses.replace(rep)
+        check_inequalities(
+            rep, {"log10_rho0": -1.0, "log10_rho": -0.3, "log10_g": -1.3}
+        )
+        assert rep == before
 
     def test_missing_key_rejected(self):
         rep = compute_constants(mu=0.25, nu_floor=0.1)

@@ -1,6 +1,5 @@
 """Infrared ladder on small grids: tracking, induction checks, limits."""
 
-import copy
 import itertools
 import weakref
 
@@ -51,7 +50,7 @@ def shorter_field(field, n_scales):
 def practical():
     """One shared small practical run: g = 0.05, 4 scales, P4 sampled.
 
-    Tests that attach checks to the trace work on a copy of it.
+    The checks write nothing into a trace, so every test reads this one.
     """
     from spinboson import CutoffLadder
 
@@ -141,7 +140,7 @@ class TestPracticalRun:
 
     def test_extrapolation_and_residuals(self, practical):
         cfg, field, trace = practical
-        result = extrapolate_limit(copy.deepcopy(trace))
+        result = extrapolate_limit(trace)
         for i in (0, 1):
             level = result["levels"][i]
             assert level["error_bar"] > 0.0
@@ -154,17 +153,33 @@ class TestPracticalRun:
         assert abs(lam_last - lam_prev) < result["levels"][1]["error_bar"]
 
     def test_p2_p4_report(self, practical):
+        """The report holds each fit K_n; the samples stay on the levels."""
         cfg, field, trace = practical
-        report = check_p2_p4(copy.deepcopy(trace))
-        for i in ("0", "1"):
-            for n, entry in report["p4"][i].items():
+        report = check_p2_p4(trace)
+        for rec in trace.scales:
+            for i, data in rec.levels.items():
+                entry = data.p4
+                assert report["p4"][str(i)][str(rec.n)] == {"K_n": entry["K_n"]}
                 assert len(entry["samples"]) == P4_SAMPLES
                 assert np.isfinite(entry["K_n"]) and entry["K_n"] > 0
                 for sample in entry["samples"]:
                     assert sample["lhs"] <= entry["K_n"] * sample["shape"] * (
                         1 + 1e-12
                     )
+        for i in ("0", "1"):
             assert all(v["unique"] for v in report["p2"][i].values())
+
+    def test_checks_leave_the_trace_alone(self, cfg, small_field):
+        """Every check returns its report and writes nothing into the trace
+        (a fresh one: the shared trace has met every check already)."""
+        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=2)
+        before = trace.to_dict()
+        check_p1(trace, log10_C=9.0)
+        check_p3(trace, log10_C=9.0)
+        check_p2_p4(trace)
+        extrapolate_limit(trace)
+        assert trace.to_dict() == before
+        assert not hasattr(trace, "checks") and not hasattr(trace, "extrapolated")
 
     def test_p4_pole_removed_near_lambda(self, practical):
         cfg, field, trace = practical
@@ -223,7 +238,7 @@ class TestReassemblyOracle:
     def test_full_grid_residuals_bit_for_bit(self, practical):
         cfg, field, trace = practical
         H_full = assemble_hamiltonian(cfg, field, n=None)
-        result = extrapolate_limit(copy.deepcopy(trace))
+        result = extrapolate_limit(trace)
         for i in (0, 1):
             want = []
             for rec in trace.scales:

@@ -33,6 +33,7 @@ from spinboson.spectral import (
     TOP_LAYER_GUARD,
     rank_two_difference_norm,
     shifted_inverse_eigenvalue,
+    solver_tolerance,
 )
 
 from sectors import (
@@ -213,6 +214,45 @@ class TestTrackEigenvalue:
         H = one_sector(np.diag([1.0, 1.1]))
         with pytest.raises(DegeneracyError):
             track_eigenvalue(H, SpectralCensus.of(H, jobs=1), seed=1.05, radius=0.2)
+
+
+class TestProductsFromParts:
+    """``OperatorMatrix.matvec`` and the Rayleigh check and residual of
+    ``track_eigenvalue`` take their products from the sector parts; against
+    the dense blocks of the assembly's dense route each stays within its
+    sector's floor solver_tolerance(n, |A|_inf)."""
+
+    @staticmethod
+    def floors(cfg, field) -> dict:
+        return {
+            key: (indices, block, solver_tolerance(
+                len(block), float(np.abs(block).sum(axis=1).max())))
+            for key, (indices, block, _) in dense_sectors(cfg, field).items()
+        }
+
+    def test_matvec(self, cfg, small_field, rng):
+        H = assemble_hamiltonian(cfg, small_field)
+        x = rng.standard_normal(H.dim) + 1j * rng.standard_normal(H.dim)
+        x /= np.linalg.norm(x)
+        got = H.matvec(x)
+        for indices, block, floor in self.floors(cfg, small_field).values():
+            assert np.linalg.norm(got[indices] - block @ x[indices]) <= floor
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_tracking_residual_and_rayleigh(self, cfg, small_field, level):
+        H = assemble_hamiltonian(cfg, small_field)
+        census = SpectralCensus.of(H, jobs=1)
+        lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
+        rec = track_eigenvalue(H, census, seed=lam, radius=0.5 * census.gap(lam))
+        proj = rec.projector
+        indices, block, floor = self.floors(cfg, small_field)[proj.sector]
+        u = rec.right_vector[indices]
+        residual = np.linalg.norm(block @ u - rec.lam * u)
+        assert abs(rec.residual - residual) <= floor
+        # without probes the Rayleigh pairing is P u against P^H u
+        pv, pw = proj.apply(u), proj.apply_adjoint(u)
+        rayleigh = np.vdot(pw, block @ pv) / np.vdot(pw, pv)
+        assert abs(rec.method_disagreement - abs(rayleigh - rec.lam)) <= floor
 
 
 class TestResolventNorm:
