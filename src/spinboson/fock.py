@@ -241,11 +241,12 @@ class Sector:
     the diagonal except towards the other positions (the top boson layer
     of an assembled Hamiltonian), with diagonal entries ``d``, and ``rest``
     (set here) the other positions R, both ascending.  The sector's matrix
-    A is kept as the pieces every shifted solver reads: ``d``, A_RR
-    (``a_rr``, complex), A_RT (``a_rt``) and A_TR (``a_tr``), all C-ordered,
-    and the conjugate transposes ``a_rt_h`` and ``a_tr_h`` (set here, as
-    transposed views, so F-ordered).  The layouts are part of the result:
-    the BLAS kernel of a product, and with it the rounding, follows them.
+    A is complex symmetric (A^T = A, the dilated Hamiltonian's symmetry),
+    so it is kept as three pieces: ``d``, A_RR (``a_rr``, complex) and
+    A_RT (``a_rt``), both C-ordered; A_TR is ``a_rt.T``, a transposed view.
+    The layouts are part of the result: the BLAS kernel of a product, and
+    with it the rounding, follows them.  A non-symmetric ``a_rr`` raises
+    AssemblyError, so no caller can rely on the symmetry where it fails.
     With a top layer no piece holds len(indices)^2 entries; products with A
     go through ``apply``, and ``dense`` builds A only for the one dense
     eigensolve of each sector, into the operator's ``SpectralCensus``.
@@ -256,10 +257,7 @@ class Sector:
     d: np.ndarray
     a_rr: np.ndarray
     a_rt: np.ndarray
-    a_tr: np.ndarray
     rest: np.ndarray = field(init=False, repr=False)
-    a_rt_h: np.ndarray = field(init=False, repr=False)
-    a_tr_h: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, n_t = len(self.indices), len(self.top)
@@ -269,11 +267,11 @@ class Sector:
         in_top[self.top] = True
         self.rest = np.nonzero(~in_top)[0]
         n_r = len(self.rest)
-        shapes = (self.d.shape, self.a_rr.shape, self.a_rt.shape, self.a_tr.shape)
-        if n_r + n_t != n or shapes != ((n_t,), (n_r, n_r), (n_r, n_t), (n_t, n_r)):
+        shapes = (self.d.shape, self.a_rr.shape, self.a_rt.shape)
+        if n_r + n_t != n or shapes != ((n_t,), (n_r, n_r), (n_r, n_t)):
             raise AssemblyError("sector parts do not match its index split")
-        self.a_rt_h = self.a_rt.conj().T
-        self.a_tr_h = self.a_tr.conj().T
+        if not np.array_equal(self.a_rr, self.a_rr.T):
+            raise AssemblyError("sector matrix is not complex symmetric")
 
     def dense(self) -> np.ndarray:
         """The sector's matrix A as one C-ordered array of its parts' type."""
@@ -281,7 +279,7 @@ class Sector:
         out = np.zeros((n, n), dtype=np.result_type(self.d, self.a_rr, self.a_rt))
         out[np.ix_(r, r)] = self.a_rr
         out[np.ix_(r, t)] = self.a_rt
-        out[np.ix_(t, r)] = self.a_tr
+        out[np.ix_(t, r)] = self.a_rt.T
         out[t, t] = self.d
         return out
 
@@ -292,7 +290,7 @@ class Sector:
         out = np.empty(x.shape, dtype=np.result_type(x, self.a_rr, self.d))
         out[r] = self.a_rr @ x_r + self.a_rt @ x_t
         d = self.d if x.ndim == 1 else self.d[:, None]
-        out[t] = d * x_t + self.a_tr @ x_r
+        out[t] = d * x_t + self.a_rt.T @ x_r
         return out
 
     def with_top(self, keep: np.ndarray) -> "Sector":
@@ -311,13 +309,11 @@ class Sector:
         a_rr = np.zeros((n_r, n_r), dtype=complex)
         a_rr[np.ix_(old, old)] = self.a_rr
         a_rr[np.ix_(old, moved)] = self.a_rt[:, drop]
-        a_rr[np.ix_(moved, old)] = self.a_tr[drop]
+        a_rr[np.ix_(moved, old)] = self.a_rt[:, drop].T
         a_rr[moved, moved] = self.d[drop]
         a_rt = np.zeros((n_r, len(top)), dtype=self.a_rt.dtype)
         a_rt[old] = self.a_rt[:, keep]
-        a_tr = np.zeros((len(top), n_r), dtype=self.a_tr.dtype)
-        a_tr[:, old] = self.a_tr[keep]
-        return Sector(self.indices, top, self.d[keep], a_rr, a_rt, a_tr)
+        return Sector(self.indices, top, self.d[keep], a_rr, a_rt)
 
 
 @dataclass

@@ -383,11 +383,10 @@ def assemble_hamiltonian(
 
         a_rr = off_diagonal(rest, rest)
         a_rr[np.diag_indices(len(rest))] = diag[rest]
-        a_rt = off_diagonal(rest, top)
-        # H is complex symmetric, so A_TR is the transpose of A_RT
+        # H is complex symmetric, so A_RT also gives A_TR (``Sector``)
         return Sector(
             np.concatenate([fock_first, dim_f + fock_second]), top, diag[top],
-            a_rr, a_rt, np.ascontiguousarray(a_rt.T),
+            a_rr, off_diagonal(rest, top),
         )
 
     return OperatorMatrix(2 * dim_f, {+1: sector(even, odd), -1: sector(odd, even)})

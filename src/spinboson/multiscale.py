@@ -370,17 +370,10 @@ def run_ladder(
             r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
             if i in prev_vec:
                 probe = _embed_full_vector(field, n - 1, n, prev_vec[i][0])
-                left_probe = _embed_full_vector(field, n - 1, n, prev_vec[i][1])
             else:
                 probe = _atomic_vacuum(i, H.dim)
-                left_probe = None
             record = track_eigenvalue(
-                H,
-                census,
-                seed=seed_lam,
-                radius=r_track,
-                probe=probe,
-                left_probe=left_probe,
+                H, census, seed=seed_lam, radius=r_track, probe=probe
             )
             lam = record.lam
             proj = record.projector
@@ -422,8 +415,9 @@ def run_ladder(
                 )
             else:
                 data.p1_gap = abs(lam - prev_lam[i])
-                # the probes are the previous scale's vectors, embedded
-                data.p3_gap = rank_two_difference_norm(u_g, l_g, probe, left_probe)
+                # against the previous scale's projector, embedded
+                left_prev = _embed_full_vector(field, n - 1, n, prev_vec[i][1])
+                data.p3_gap = rank_two_difference_norm(u_g, l_g, probe, left_prev)
             if samples_per_scale:
 
                 def reject(z):

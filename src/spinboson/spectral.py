@@ -18,11 +18,13 @@ exactly (the Feshbach-Schur map of Bach-Froehlich-Sigal, used here as
 plain linear algebra) and inverts only the Schur complement on the lower
 layers R, a |R| x |R| matrix much smaller than the block.  The pieces of
 that complement that do not depend on the shift (the index split, the
-top-layer diagonal, the dense couplings A_RT and A_TR with their
-adjoints, and A_RR) are what a ``Sector`` holds: the assembly builds them
-directly, so each shift only forms S(z) and inverts it with numpy; a
-sector without a top layer inverts its shifted block through the same
-code.  No routine here builds a sector's dense matrix: the Rayleigh
+top-layer diagonal, the dense coupling A_RT and A_RR) are what a
+``Sector`` holds: the assembly builds them directly, so each shift only
+forms S(z) and inverts it with numpy; a sector without a top layer
+inverts its shifted block through the same code.  Every sector matrix is
+complex symmetric (A^T = A), and so is S(z): the adjoint solve is the
+conjugated solve, conj((A - z)^(-1) conj c), and needs no second
+inverse.  No routine here builds a sector's dense matrix: the Rayleigh
 check and residual of ``track_eigenvalue`` take their products from the
 parts (``Sector.apply``).  Resolvent norms build one solver per sector
 and shift and run Lanczos on its solves; only the Schur complement is
@@ -37,10 +39,13 @@ distance of the nearest excluded eigenvalue, so the quadrature converges
 geometrically and a small node count reaches residuals near machine
 precision.  The projector is never formed entrywise: its action on a block
 of probe vectors is accumulated node by node (one solver per node, shared
-by both quadrature passes), and the rank-one factors are recovered from
-that action.  This keeps every ladder step at O(nodes * |R|^2 (|R| + |T|))
-flops for forming and inverting the complements, with |T| the
-size of the eliminated layer.
+by both quadrature passes), and the right factor u is recovered from that
+action.  The left factor needs no quadrature: for a simple eigenvalue of
+a complex-symmetric matrix the projector is u u^T / (u^T u), so the left
+vector is conj(u / (u^T u)), the c-product of resonance theory (Moiseyev,
+Non-Hermitian Quantum Mechanics, 2011).  This keeps every ladder step at
+O(nodes * |R|^2 (|R| + |T|)) flops for forming and inverting the
+complements, with |T| the size of the eliminated layer.
 """
 
 from __future__ import annotations
@@ -90,15 +95,18 @@ def __getattr__(name: str):
 class ShiftedSolver:
     """Solves with A - z and its adjoint, the top layer eliminated exactly.
 
-    A is the matrix of the Sector ``sec``, which holds exactly the parts
-    read here, so every shift reuses them.  On the sector's top-layer
-    positions T the block A_TT is diagonal (entries d_t).  With R the
-    remaining positions, A - z is solved through the Schur complement
+    A is the complex-symmetric matrix of the Sector ``sec``, which holds
+    exactly the parts read here, so every shift reuses them.  On the
+    sector's top-layer positions T the block A_TT is diagonal (entries
+    d_t).  With R the remaining positions, A - z is solved through the
+    Schur complement
 
-        S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_TR,
+        S(z) = (A_RR - z) - A_RT (D_T - z)^(-1) A_RT^T,
 
     the only matrix inverted (once per shift), so each solve is one
-    product with S(z)^(-1) or S(z)^(-H).  A top entry with |d_t - z| <
+    product with S(z)^(-1).  As A - z is complex symmetric, its adjoint
+    solve is the conjugated solve: (A - z)^(-H) c = conj((A - z)^(-1)
+    conj c), so one inverse serves both.  A top entry with |d_t - z| <
     TOP_LAYER_GUARD * max(1, |z|) stays in R, so a zero d_t - z never
     divides: for that shift the parts are regrouped (``Sector.with_top``).
     A sector without a top layer has R = everything: S(z) is A - z.
@@ -119,7 +127,7 @@ class ShiftedSolver:
         self.t, self.r, self.dt = sec.top, sec.rest, d
         schur = sec.a_rr - z * np.eye(len(self.r))
         if len(self.t):
-            schur -= (sec.a_rt / d) @ sec.a_tr
+            schur -= (sec.a_rt / d) @ sec.a_rt.T
         try:
             # kept in Fortran order: a C-ordered inverse runs the products
             # below on another BLAS kernel and moves the solves by rounding
@@ -131,31 +139,26 @@ class ShiftedSolver:
             np.abs(inv).sum(axis=1).max(initial=0.0) * bound >= 1.0
         )
         self._inv = None if self.singular else inv
-        self._inv_h = None if self.singular else inv.conj().T
 
-    def _solve(self, b, dt, inv, a_in, a_out) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A - z)^(-1) b for a vector or a block of columns."""
         if self.singular:
             raise SingularShiftError(
                 f"shift {self.z} lies on the spectrum to working precision"
             )
+        a_rt = self._sec.a_rt
         b = np.asarray(b, dtype=complex)
-        dt = dt if b.ndim == 1 else dt[:, None]
+        dt = self.dt if b.ndim == 1 else self.dt[:, None]
         w = b[self.t] / dt
         x = np.empty_like(b)
-        x_r = inv @ (b[self.r] - a_in @ w)
+        x_r = self._inv @ (b[self.r] - a_rt @ w)
         x[self.r] = x_r
-        x[self.t] = w - (a_out @ x_r) / dt
+        x[self.t] = w - (a_rt.T @ x_r) / dt
         return x
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(A - z)^(-1) b for a vector or a block of columns."""
-        s = self._sec
-        return self._solve(b, self.dt, self._inv, s.a_rt, s.a_tr)
 
     def solve_adjoint(self, c: np.ndarray) -> np.ndarray:
         """(A - z)^(-H) c for a vector or a block of columns."""
-        s = self._sec
-        return self._solve(c, self.dt.conj(), self._inv_h, s.a_tr_h, s.a_rt_h)
+        return self.solve(np.conj(c)).conj()
 
 
 @dataclass
@@ -200,21 +203,13 @@ def _node_solver(sec: Sector, z: complex) -> ShiftedSolver:
 
 
 def _contour_block_action(
-    solvers,
-    phases: np.ndarray,
-    radius: float,
-    X: np.ndarray,
-    Y: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(P @ X, P^H @ Y) from the node solvers of one rule."""
+    solvers, phases: np.ndarray, radius: float, X: np.ndarray
+) -> np.ndarray:
+    """P @ X from the node solvers of one rule."""
     PX = np.zeros(X.shape, dtype=complex)
-    PHY = None if Y is None else np.zeros(Y.shape, dtype=complex)
     for solver, ph in zip(solvers, phases):
         PX += ph * solver.solve(X)
-        if Y is not None:
-            PHY += np.conj(ph) * solver.solve_adjoint(Y)
-    weight = -radius / len(phases)
-    return weight * PX, None if Y is None else weight * PHY
+    return -radius / len(phases) * PX
 
 
 def riesz_rank_one(
@@ -223,21 +218,24 @@ def riesz_rank_one(
     radius: float,
     quad_points: int = 16,
     probe: np.ndarray | None = None,
-    left_probe: np.ndarray | None = None,
     sector: int | None = None,
 ) -> RieszProjector:
     """Factored contour projector of ``sec`` for an expected simple eigenvalue.
 
     Two quadrature passes share one ShiftedSolver per node, so all node
-    solvers of one rule are held at once: nodes * 2 |R|^2 * 16 bytes (the
-    inverse and its adjoint) for the sector's lower layers R.  The first
-    pass recovers the range and corange from probe vectors, the second
-    measures the idempotency defect and the enclosed trace on that
-    subspace.  Nodes double from ``quad_points`` until the defect passes
-    IDEMPOTENCY_TOL; at MAX_QUAD_POINTS the projector is returned with
-    ``converged`` False.  ``sector`` is recorded on the projector.  Every
-    caller in the package starts at 16 nodes; ``quad_points`` stays a
-    parameter because ``bench/tracer.py`` reads it to count the doublings.
+    solvers of one rule are held at once: nodes * |R|^2 * 16 bytes (one
+    inverse each) for the sector's lower layers R.  The first pass
+    recovers the range u from probe vectors, the second measures the
+    idempotency defect and the enclosed trace on that subspace.  The
+    sector's matrix is complex symmetric, so the projector is
+    u u^T / (u^T u) and its left vector conj(u / (u^T u)); a pairing
+    |u^T u| below 1e-8 (u has unit norm) raises DegeneracyError, as near
+    an exceptional point, where u^T u vanishes.  Nodes double from
+    ``quad_points`` until the defect passes IDEMPOTENCY_TOL; at
+    MAX_QUAD_POINTS the projector is returned with ``converged`` False.
+    ``sector`` is recorded on the projector.  Every caller in the package
+    starts at 16 nodes; ``quad_points`` stays a parameter because
+    ``bench/tracer.py`` reads it to count the doublings.
     """
     n = len(sec.indices)
     rng = np.random.default_rng(7)
@@ -245,15 +243,12 @@ def riesz_rank_one(
     cols += [rng.standard_normal(n) + 1j * rng.standard_normal(n)
              for _ in range(3)]
     X = np.stack([c / np.linalg.norm(c) for c in cols], axis=1)
-    ycols = [left_probe] if left_probe is not None else [X[:, 0]]
-    ycols += [rng.standard_normal(n) + 1j * rng.standard_normal(n)]
-    Y = np.stack([c / np.linalg.norm(c) for c in ycols], axis=1)
 
     n_nodes = quad_points
     while True:
         nodes, phases = _contour_nodes(center, radius, n_nodes)
         solvers = [_node_solver(sec, z) for z in nodes]
-        PX, PHY = _contour_block_action(solvers, phases, radius, X, Y)
+        PX = _contour_block_action(solvers, phases, radius, X)
         u_basis, svals, _ = np.linalg.svd(PX, full_matrices=False)
         if svals[0] < 1e3 * np.finfo(float).eps:
             raise TrackingError(
@@ -261,15 +256,13 @@ def riesz_rank_one(
                 "visible to the probes"
             )
         u = u_basis[:, 0]
-        wl, _, _ = np.linalg.svd(PHY, full_matrices=False)
-        w = wl[:, 0]
 
         # second pass: trace on span{u, random} and the defect of P on its
         # own range (P fixes range vectors, so |P u - u| measures the
         # quadrature error in operator norm up to O(1) factors)
         extra = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         Q, _ = np.linalg.qr(np.stack([u, extra / np.linalg.norm(extra)], axis=1))
-        PQ, _ = _contour_block_action(solvers, phases, radius, Q)
+        PQ = _contour_block_action(solvers, phases, radius, Q)
         trace = complex(np.trace(Q.conj().T @ PQ))
         pu = PQ @ (Q.conj().T @ u)
         idem = float(np.linalg.norm(pu - u))
@@ -278,12 +271,12 @@ def riesz_rank_one(
         solvers = None  # free this rule's factorizations before the next
         n_nodes *= 2
 
-    pairing = np.vdot(u, w).conjugate()  # w^H u
+    pairing = u @ u  # u^T u, the c-product
     if abs(pairing) < 1e-8:
         raise DegeneracyError(
             f"left/right pairing nearly singular at contour center {center}"
         )
-    left = w / np.conj(pairing)  # so that P = u @ left^H has P u = u
+    left = np.conj(u / pairing)  # so that P = u @ left^H has P u = u
     return RieszProjector(
         quad_points=n_nodes,
         idempotency_residual=idem,
@@ -316,28 +309,25 @@ def track_eigenvalue(
     seed: complex,
     radius: float,
     probe: np.ndarray | None = None,
-    left_probe: np.ndarray | None = None,
 ) -> SpectralRecord:
     """Locate the unique eigenvalue inside circle(seed, radius).
 
     ``census``, the ``SpectralCensus`` of H, names that eigenvalue (raising
     TrackingError or DegeneracyError unless there is exactly one), its
     sector and its gap.  Two independent routes must agree: that value and
-    the Rayleigh quotient built from the contour projector with the
-    adjoint-projector left pairing, to AGREE_TOL.  Probe vectors are given
-    in the global coordinates of H; the contour solvers work in the
-    eigenvalue's sector and the returned vectors are embedded back into the
-    full space.  A projector whose idempotency defect stays above
-    IDEMPOTENCY_TOL at MAX_QUAD_POINTS raises TrackingError.
+    the Rayleigh quotient built from the contour projector with its
+    c-product left pairing, to AGREE_TOL.  The probe vector is given in the
+    global coordinates of H; the contour solvers work in the eigenvalue's
+    sector and the returned vectors are embedded back into the full space.
+    A projector whose idempotency defect stays above IDEMPOTENCY_TOL at
+    MAX_QUAD_POINTS raises TrackingError.
     """
     lam, key = census.unique_in_circle(seed, radius)
     sec = H.sectors[key]
     gap = census.gap(lam)
 
-    probe, left_probe = (  # in the sector's coordinates
-        None if v is None else np.asarray(v, dtype=complex)[sec.indices]
-        for v in (probe, left_probe)
-    )
+    if probe is not None:  # in the sector's coordinates
+        probe = np.asarray(probe, dtype=complex)[sec.indices]
     # contour centered on the candidate, radius limited by the gap
     proj_radius = min(radius, 0.4 * gap) if np.isfinite(gap) else radius
     proj = riesz_rank_one(
@@ -345,7 +335,6 @@ def track_eigenvalue(
         center=lam,
         radius=proj_radius,
         probe=probe,
-        left_probe=left_probe,
         sector=key,
     )
     if not proj.converged:
@@ -361,7 +350,7 @@ def track_eigenvalue(
     u = proj.right[:, 0]
     x0 = u if probe is None else probe
     pv = proj.apply(x0)
-    pw = proj.apply_adjoint(x0 if left_probe is None else left_probe)
+    pw = proj.apply_adjoint(x0)
     denom = np.vdot(pw, pv)
     if abs(denom) < 1e-12 * np.linalg.norm(pv) * np.linalg.norm(pw):
         raise TrackingError("Rayleigh pairing degenerate for the given probes")
@@ -618,9 +607,10 @@ def shifted_inverse_eigenvalue(
     """Eigenvalue of the matrix A of ``sec`` nearest to ``shift``.
 
     Shifted inverse iteration from a random start, on the sector's parts
-    alone: A y is ``Sector.apply`` and |A|_inf is summed part by part, so
-    no dense A is built.  A unit y and its Rayleigh quotient lam are an
-    exact eigenpair of A - r y^H, r = A y - lam y, so it stops once lam
+    alone: A y is ``Sector.apply`` and |A|_inf is summed part by part (the
+    row sums of |A_TR| are the column sums of |A_RT|), so no dense A is
+    built.  A unit y and its Rayleigh quotient lam are an exact eigenpair
+    of A - r y^H, r = A y - lam y, so it stops once lam
     moves by less than 1e-13 relative and |r| is at most
     ``solver_tolerance(n, |A|_inf)``, a dense eigensolve's backward error.
     Raises ConvergenceError after 40 steps without that (as at a shift
@@ -630,9 +620,10 @@ def shifted_inverse_eigenvalue(
     """
     n = len(sec.indices)
     solver = ShiftedSolver(sec, shift)
+    abs_rt = np.abs(sec.a_rt)
     row_sums = np.concatenate([  # |A|_inf, read off the parts
-        np.abs(sec.a_rr).sum(axis=1) + np.abs(sec.a_rt).sum(axis=1),
-        np.abs(sec.d) + np.abs(sec.a_tr).sum(axis=1),
+        np.abs(sec.a_rr).sum(axis=1) + abs_rt.sum(axis=1),
+        np.abs(sec.d) + abs_rt.sum(axis=0),
     ])
     bound = solver_tolerance(n, float(row_sums.max()))
     rng = np.random.default_rng(2024)

@@ -17,7 +17,8 @@ def sector(A, top=None) -> Sector:
 
     The dense-to-Sector route: the parts are read off A by index, each
     with the dtype and memory order the assembly gives them (A_RR
-    complex, A_RT and A_TR in A's dtype, all C-ordered).
+    complex, A_RT in A's dtype, both C-ordered).  A must be complex
+    symmetric: A_TR is not read, and ``Sector`` rejects a non-symmetric A_RR.
     """
     top = np.zeros(0, dtype=np.int64) if top is None else np.asarray(top)
     in_t = np.zeros(len(A), dtype=bool)
@@ -26,13 +27,13 @@ def sector(A, top=None) -> Sector:
     return Sector(
         np.arange(len(A)), top, A[top, top],
         A[np.ix_(r, r)].astype(complex, copy=False),
-        A[np.ix_(r, top)], A[np.ix_(top, r)],
+        A[np.ix_(r, top)],
     )
 
 
 def same_parts(a: Sector, b: Sector) -> None:
     """Two Sectors hold equal parts, bit for bit, with equal dtypes and layouts."""
-    for name in ("top", "rest", "d", "a_rr", "a_rt", "a_tr", "a_rt_h", "a_tr_h"):
+    for name in ("top", "rest", "d", "a_rr", "a_rt"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         assert x.flags.c_contiguous == y.flags.c_contiguous, name
@@ -91,3 +92,25 @@ def dense_operator(H: OperatorMatrix) -> np.ndarray:
 def dense_projector(proj: RieszProjector) -> np.ndarray:
     """The rank-factored projector right @ left^H as a dense matrix."""
     return proj.right @ proj.left.conj().T
+
+
+def quadrature_left(sec: Sector, center, radius, n_nodes, u) -> np.ndarray:
+    """Oracle for a rank-one projector's left vector: the adjoint quadrature.
+
+    P^H is applied to [u, random] by the trapezoid rule on ``n_nodes``
+    nodes of the circle, one dense solve with (A - z)^H per node; its top
+    left singular vector w spans the corange, scaled so that w^H u = 1.
+    This is the second contour pass ``riesz_rank_one`` ran before it took
+    the left vector from the complex symmetry.
+    """
+    A = sec.dense().astype(complex)
+    n = len(A)
+    rng = np.random.default_rng(0)
+    Y = np.stack([u, rng.standard_normal(n) + 1j * rng.standard_normal(n)], axis=1)
+    PHY = np.zeros(Y.shape, dtype=complex)
+    for k in range(n_nodes):
+        ph = np.exp(2j * np.pi * k / n_nodes)
+        M = (A - (center + radius * ph) * np.eye(n)).conj().T
+        PHY += np.conj(ph) * np.linalg.solve(M, Y)
+    w = np.linalg.svd(-radius / n_nodes * PHY, full_matrices=False)[0][:, 0]
+    return w / np.conj(np.vdot(w, u))

@@ -322,7 +322,8 @@ class TestResolventConeBound:
         from spinboson import resolvent_norm
 
         n = 16
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = (B + B.T) / 2  # complex symmetric, as every sector is
         lam = complex(np.linalg.eigvals(A)[0])
         zs = [lam + complex(*rng.uniform(0.2, 1.0, 2)) for _ in range(12)]
         shift = 0.7 - 0.3j

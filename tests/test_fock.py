@@ -268,6 +268,32 @@ class TestLadderOperators:
         assert np.allclose(phi, phi.T)  # complex symmetric
 
 
+class TestComplexSymmetry:
+    """The dilated Hamiltonian is complex symmetric because its field
+    operator is, for any complex amplitudes; ``Sector`` relies on it."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n_max=st.integers(1, 3)
+    )
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_field_operator_equals_its_transpose(self, seed, m, n_max):
+        gen = np.random.default_rng(seed)
+        basis = enumerate_basis(modes_of(np.sort(gen.uniform(0.2, 3.0, m))), n_max)
+        h = gen.standard_normal(m) + 1j * gen.standard_normal(m)
+        phi = build_field_operator(basis, h)
+        assert np.array_equal(phi, phi.T)
+
+    def test_sector_rejects_non_symmetric_matrix(self):
+        # off by one unit in the last place
+        a_rr = np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 3.0]], dtype=complex)
+        args = (np.arange(3), np.array([2]), np.array([4.0 + 0j]))
+        with pytest.raises(AssemblyError, match="complex symmetric"):
+            fock.Sector(*args, a_rr, np.ones((2, 1), dtype=complex))
+        a_rr = (a_rr + a_rr.T) / 2
+        sec = fock.Sector(*args, a_rr, np.ones((2, 1), dtype=complex))
+        assert np.array_equal(sec.dense(), sec.dense().T)
+
+
 class TestCanonicalCommutator:
     def test_unit_vector_exact(self):
         basis = enumerate_basis(modes_of([1.0, 2.0]), 2)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboson import (
     ConfigError,
@@ -350,6 +352,27 @@ class TestAssembly:
             cfg.replace(g=np.conj(cfg.g)), small_field, theta=np.conj(cfg.theta)
         )
         assert np.max(np.abs(dense_operator(Hc) - dense_operator(H).conj().T)) < 1e-15
+
+    @given(
+        g=st.complex_numbers(max_magnitude=0.3),
+        theta_re=st.floats(0.0, 0.5),
+        theta_im=st.floats(0.11, 0.39),
+        n_max=st.integers(1, 3),
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_assembly_is_complex_symmetric(self, g, theta_re, theta_im, n_max):
+        """For any complex g and theta in the strip the assembled sectors
+        pass ``Sector``'s symmetry check, and the operator equals the
+        Kronecker-product route bit for bit, so A_TR = A_RT^T holds for H
+        itself and not only for the parts."""
+        cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=g,
+                          theta=complex(theta_re, theta_im))
+        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), 1,
+                                 points_per_shell=1, r_max=4.0, n_max=n_max,
+                                 uv_points_per_panel=1)
+        H = dense_operator(assemble_hamiltonian(cfg, field))
+        assert np.array_equal(H, kron_hamiltonian(cfg, field))
+        assert np.array_equal(H, H.T)
 
     def test_dense_blocked_agree(self, cfg, small_field):
         # the sector blocks reassemble into the Kronecker-product operator

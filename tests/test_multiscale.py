@@ -265,7 +265,7 @@ class TestReassemblyOracle:
         _, _, trace = practical
         for sec in trace.operator.sectors.values():
             arrays = [v for v in vars(sec).values() if isinstance(v, np.ndarray)]
-            assert len(arrays) == 9
+            assert len(arrays) == 6  # indices, top, rest, d, a_rr, a_rt
             assert all(a.size < len(sec.indices) ** 2 for a in arrays)
 
 

@@ -41,6 +41,7 @@ from sectors import (
     dense_projector,
     dense_sectors,
     one_sector,
+    quadrature_left,
     same_parts,
     sector,
     spectrum,
@@ -58,7 +59,21 @@ def tiny_model(n_max, g=0.05):
 
 
 def random_matrix(rng, n, scale=1.0):
-    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    """A random complex-symmetric matrix (B + B^T) / 2, like every sector."""
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (B + B.T) / 2
+
+
+def orthogonal_similar(rng, w):
+    """Q diag(w) Q^T, symmetrized bit for bit: a complex-symmetric matrix
+    with eigenvalues w, Q = (I - K)^(-1) (I + K) the complex-orthogonal
+    Cayley transform of a random complex antisymmetric K (Q^T Q = I)."""
+    n = len(w)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    K = 0.3 * (B - B.T)
+    Q = np.linalg.solve(np.eye(n) - K, np.eye(n) + K)
+    A = (Q * w) @ Q.T
+    return (A + A.T) / 2
 
 
 def contour_projector(A, center, radius, nodes=64):
@@ -179,6 +194,48 @@ class TestRieszRankOne:
             riesz_rank_one(sector(A), center=2.5, radius=0.5)
 
 
+class TestLeftVector:
+    """The left vector conj(u / (u^T u)) of a complex-symmetric sector."""
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_matches_adjoint_quadrature_and_dense(self, n_max, level):
+        cfg, field = tiny_model(n_max, g=0.05 + 0.01j)
+        H = assemble_hamiltonian(cfg, field)
+        census = SpectralCensus.of(H, jobs=1)
+        lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
+        gap = census.gap(lam)
+        proj = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap).projector
+        sec = H.sectors[proj.sector]
+        u, left = proj.right[:, 0], proj.left[:, 0]
+        oracle = quadrature_left(sec, lam, 0.4 * gap, proj.quad_points, u)
+        assert rel_err(left, oracle) <= 1e-10
+        w, V = np.linalg.eig(sec.dense().conj().T)  # A^H l = conj(lam) l
+        dense = V[:, np.argmin(np.abs(w - np.conj(lam)))]
+        assert rel_err(left, dense / np.conj(np.vdot(dense, u))) <= 1e-10
+
+    @pytest.mark.parametrize("split", [1e-6, 1e-14])
+    def test_pairing_near_exceptional_point(self, split):
+        """N = [[0, 1, 0], [1, 0, i], [0, i, 0]] is complex symmetric and
+        nilpotent of order 3.  ``split`` on one diagonal entry parts its
+        triple eigenvalue 0 into three; at 1e-6 they lie 0.017 apart with
+        |u^T u| = 1.5e-4, at 1e-14 4e-5 apart with |u^T u| = 7e-10, below
+        the 1e-8 floor of a usable pairing."""
+        N = np.array([[0, 1, 0], [1, 0, 1j], [0, 1j, 0]])
+        assert not np.linalg.matrix_power(N, 3).any()
+        A = N + np.diag([split, 0.0, 0.0])
+        w = np.linalg.eigvals(A)
+        sep = np.min(np.abs(w[1:] - w[0]))
+        if split > 1e-8:
+            proj = riesz_rank_one(sector(A), center=w[0], radius=0.4 * sep)
+            u = proj.right[:, 0]
+            assert abs(u @ u) == pytest.approx(1.5e-4, rel=1e-3)
+            assert np.array_equal(proj.left[:, 0], np.conj(u / (u @ u)))
+        else:
+            with pytest.raises(DegeneracyError, match="pairing"):
+                riesz_rank_one(sector(A), center=w[0], radius=0.4 * sep)
+
+
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
         H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
@@ -198,9 +255,7 @@ class TestTrackEigenvalue:
 
     def test_constructed_instance_recovery(self, rng):
         w = np.array([0.3, 1.7 - 0.2j, -2.0 + 0.1j])
-        V = random_matrix(rng, 3) + 3 * np.eye(3)
-        A = V @ np.diag(w) @ np.linalg.inv(V)
-        H = one_sector(A)
+        H = one_sector(orthogonal_similar(rng, w))
         census = SpectralCensus.of(H, jobs=1)
         rec = track_eigenvalue(H, census, seed=1.65 - 0.18j, radius=0.2)
         assert rec.lam == pytest.approx(w[1], abs=1e-10)
@@ -262,19 +317,22 @@ class TestResolventNorm:
 
     def test_normal_matrix_identity(self, rng):
         w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        Q, _ = np.linalg.qr(random_matrix(rng, 6))
-        A = Q @ np.diag(w) @ Q.conj().T
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))  # real orthogonal
+        A = (Q * w) @ Q.T
+        A = (A + A.T) / 2  # normal and complex symmetric
         z = 3.0 + 0.5j
         assert resolvent_norm(one_sector(A), z) == pytest.approx(
             1.0 / np.min(np.abs(w - z)), rel=1e-9
         )
 
     def test_jordan_block_oracle(self):
-        # [[0,1],[0,0]] at z = i: direct 2x2 inverse has norm (1+sqrt5)/2
-        A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        # the complex-symmetric nilpotent N = [[1, i], [i, -1]] (N^2 = 0) at
+        # z = i: (N - i)^(-1) = i + N, whose norm is 1 + sqrt 2
+        A = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+        assert not (A @ A).any()
         inv = np.linalg.inv(A - 1j * np.eye(2))
         direct = np.linalg.svd(inv, compute_uv=False)[0]
-        assert direct == pytest.approx((1 + np.sqrt(5)) / 2, rel=1e-12)
+        assert direct == pytest.approx(1 + np.sqrt(2), rel=1e-12)
         assert resolvent_norm(one_sector(A), 1.0j) == pytest.approx(direct, rel=1e-12)
 
     def test_at_eigenvalue_infinite(self):
@@ -652,8 +710,7 @@ class TestHelpers:
 
     def test_shifted_inverse_iteration(self, rng):
         w = np.array([0.2, 1.5 - 0.3j, 4.0])
-        V = random_matrix(rng, 3) + 3 * np.eye(3)
-        A = V @ np.diag(w) @ np.linalg.inv(V)
+        A = orthogonal_similar(rng, w)
         lam, vec = shifted_inverse_eigenvalue(sector(A), 1.4 - 0.25j)
         assert lam == pytest.approx(w[1], abs=1e-10)
         assert np.linalg.norm(A @ vec - lam * vec) < 1e-9
@@ -765,8 +822,12 @@ class TestShiftedSolver:
         assert len(solver.t) == 0
         inv = np.asfortranarray(np.linalg.inv(A - z * np.eye(9, dtype=complex)))
         assert np.array_equal(solver.solve(b), inv @ b)
-        assert np.array_equal(solver.solve_adjoint(b), inv.conj().T @ b)
+        # A - z is complex symmetric: the adjoint solve is the conjugated one
+        assert np.array_equal(solver.solve_adjoint(b), np.conj(inv @ np.conj(b)))
         assert rel_err(solver.solve(b), dense_lu_route(A, z, b)) < 1e-12
+        assert rel_err(
+            solver.solve_adjoint(b), dense_lu_route(A, z, b, adjoint=True)
+        ) < 1e-12
 
     def test_real_matrix_matches_complex(self, rng):
         block, top = sector_blocks(2)[0]
@@ -777,7 +838,8 @@ class TestShiftedSolver:
             cplx = ShiftedSolver(sector(A.astype(complex), t), 0.9 - 0.01j)
             assert rel_err(real.solve(b), cplx.solve(b)) < 1e-14
             assert rel_err(real.solve_adjoint(b), cplx.solve_adjoint(b)) < 1e-14
-        D = np.diag([0.0, 2.0, 5.0]) + 0.1 * rng.standard_normal((3, 3))
+        B = rng.standard_normal((3, 3))
+        D = np.diag([0.0, 2.0, 5.0]) + 0.05 * (B + B.T)
         w = np.linalg.eigvals(D)
         lam = w[np.argmin(np.abs(w))]
         real = riesz_rank_one(sector(D), center=lam, radius=0.5)
@@ -817,21 +879,68 @@ class TestShiftedSolver:
                 dense_route = ShiftedSolver(sector(block, top), z)
                 same_solver(ShiftedSolver(sec, z), dense_route, rhs)
 
-    @pytest.mark.parametrize("offset", [0.0, 1e-12, 10 * TOP_LAYER_GUARD])
-    def test_shift_at_top_entry(self, offset, rng):
+    @staticmethod
+    def top_entry_shift(offset):
+        """(block, top, t, z): a shift ``offset`` off the top entry d_t."""
         block, top = sector_blocks(2)[0]
         # the most strongly coupled top state keeps H - d_t well conditioned
         coupling = np.abs(block[:, top]).sum(axis=0) - np.abs(np.diag(block)[top])
         t = top[np.argmax(coupling)]
-        z = block[t, t] + offset
+        return block, top, t, block[t, t] + offset
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-12, 10 * TOP_LAYER_GUARD])
+    def test_shift_at_top_entry(self, offset, rng):
+        """Both solves are backward stable on 20 right-hand sides, at floor
+        solver_tolerance(n, 1); while d_t stays in R (offsets 0 and 1e-12)
+        they also keep a 1e-12 forward error.  Just past the guard, where
+        d_t - z = 1e-5 is eliminated, the forward error is not bounded so:
+        it reaches 2e-12 on fresh right-hand sides."""
+        block, top, t, z = self.top_entry_shift(offset)
         solver = ShiftedSolver(sector(block, top), z)
         assert (t in solver.r) == (offset < TOP_LAYER_GUARD)
         assert not solver.singular
-        b = rng.standard_normal(len(block)) + 1j * rng.standard_normal(len(block))
-        assert rel_err(solver.solve(b), dense_lu_route(block, z, b)) < 1e-12
-        assert rel_err(
-            solver.solve_adjoint(b), dense_lu_route(block, z, b, adjoint=True)
-        ) < 1e-12
+        n = len(block)
+        floor = solver_tolerance(n, 1.0)
+        assert backward_error(block, z, solver.solve, rng) <= floor
+        assert backward_error(block, z, solver.solve_adjoint, rng, True) <= floor
+        if t in solver.r:
+            for _ in range(20):
+                b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                assert rel_err(solver.solve(b), dense_lu_route(block, z, b)) < 1e-12
+                want = dense_lu_route(block, z, b, adjoint=True)
+                assert rel_err(solver.solve_adjoint(b), want) < 1e-12
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_backward_error_sees_a_planted_error(self, adjoint, rng):
+        """A 1e-10 relative error planted in the solves fails the check."""
+        block, top, _, z = self.top_entry_shift(10 * TOP_LAYER_GUARD)
+        solver = ShiftedSolver(sector(block, top), z)
+        solve = solver.solve_adjoint if adjoint else solver.solve
+
+        def planted(b):
+            x = solve(b)
+            e = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+            return x + 1e-10 * np.linalg.norm(x) * e / np.linalg.norm(e)
+
+        floor = solver_tolerance(len(block), 1.0)
+        assert backward_error(block, z, planted, rng, adjoint) > floor
+
+
+def backward_error(block, z, solve, rng, adjoint=False) -> float:
+    """Largest normwise backward error |M x - b| / (|M| |x| + |b|) of
+    ``solve`` over 20 random right-hand sides b, with M = A - z, or
+    its conjugate transpose for an adjoint solve (2-norms)."""
+    M = block - z * np.eye(len(block))
+    if adjoint:
+        M = M.conj().T
+    norm = np.linalg.norm(M, 2)
+    worst = 0.0
+    for _ in range(20):
+        b = rng.standard_normal(len(M)) + 1j * rng.standard_normal(len(M))
+        x = solve(b)
+        worst = max(worst, np.linalg.norm(M @ x - b) / (
+            norm * np.linalg.norm(x) + np.linalg.norm(b)))
+    return worst
 
 
 class TestSingularShift:
