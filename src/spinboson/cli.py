@@ -8,14 +8,14 @@ paper-grade smallness windows gate the exit status; practical mode keys
 off the structural checks and the practical envelopes.
 
 A run pins every OpenBLAS in the process to one thread and parallelizes
-only over ``jobs`` worker threads (``--jobs``, by default the usable CPU
-count): the parity-sector eigensolves of each ladder scale.  Resolvent
-samples run in the calling thread.  Reports are therefore the same for
-any thread count; the manifest records the budget.  Each subcommand
-hands the parsed model and grid (``RunConfig.model``, ``RunConfig.field``)
-to the ladder, and the checks read both back off its trace.  Every run
-is numpy alone, resolvent norms included, so the one OpenBLAS pinned is
-numpy's.
+only over ``jobs`` worker threads (``--jobs`` alone sets it, by default
+the usable CPU count): the parity-sector eigensolves of each ladder
+scale.  Resolvent samples run in the calling thread.  Reports are
+therefore the same for any thread count; the manifest records the
+budget.  Each subcommand hands the parsed model and grid
+(``RunConfig.model``, ``RunConfig.field``) to the ladder, and the checks
+read both back off its trace.  Every run is numpy alone, resolvent norms
+included, so the one OpenBLAS pinned is numpy's.
 """
 
 from __future__ import annotations
@@ -60,17 +60,18 @@ _DISC_KEYS = {"points_per_shell", "r_max", "n_max", "uv_points_per_panel"}
 _RUN_KEYS = {
     "mode",
     "seed",
-    "jobs",
     "g_list",
     "theta_list",
     "g_circle",
-    "cone_tol",
     "n_samples",
     "samples_per_scale",
     "c_generic",
     "trials",
     "levels",
 }
+# the bounds that gate cone-check (the acceptance value) and g-circle
+CONE_TOL = 5e-3
+G_CIRCLE_TOL = 1e-4
 
 
 def _integer(value, name: str, lo: int | None = None) -> int:
@@ -129,7 +130,8 @@ class RunConfig:
 
     Every run value is parsed here.  ``field`` is the run's grid, which
     holds its ``CutoffLadder`` as ``field.ladder``; ``raw`` is the
-    document as given, kept for the manifest's hash.
+    document as given, kept for the manifest's hash.  ``jobs`` is no
+    config key: it is the usable CPU count unless ``--jobs`` sets it.
     """
 
     model: ModelConfig
@@ -140,7 +142,6 @@ class RunConfig:
     g_list: list
     theta_list: list
     g_circle: dict
-    cone_tol: float
     n_samples: int
     samples_per_scale: int
     c_generic: float
@@ -211,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
     else:
         step = 0.025j if theta.imag + 0.05 < IM_THETA_CAP else -0.025j
         theta_list = [theta, theta + step, theta + 2 * step]
-    circle = _section(run_doc, "g_circle", ("center", "radius", "samples", "tol"))
+    circle = _section(run_doc, "g_circle", ("center", "radius", "samples"))
     levels = run_doc.get("levels", [0, 1])
     if (
         not isinstance(levels, list)
@@ -232,16 +233,14 @@ def parse_config(text: str) -> RunConfig:
         ),
         mode=mode,
         seed=integer(run_doc, "seed", 0, 0),
-        jobs=integer(run_doc, "jobs", usable_cpus(), 1),
+        jobs=usable_cpus(),
         g_list=g_list,
         theta_list=theta_list,
         g_circle={
             "center": _as_complex(circle.get("center", abs(g)), "center"),
             "radius": real(circle, "radius", abs(g) / 4 or 0.01, 0.0, True),
             "samples": integer(circle, "samples", 8),
-            "tol": real(circle, "tol", 1e-4, 0.0),
         },
-        cone_tol=real(run_doc, "cone_tol", 5e-3, 0.0),
         n_samples=integer(run_doc, "n_samples", 200, 1),
         samples_per_scale=integer(run_doc, "samples_per_scale", 0, 0),
         c_generic=real(run_doc, "c_generic", 10.0, C_GENERIC_MIN),
@@ -329,7 +328,7 @@ def _g_circle_artifacts(rc: RunConfig, out: Path) -> bool:
         rc.model, rc.field, circle["center"], circle["radius"],
         n_samples=circle["samples"], levels=rc.levels, jobs=rc.jobs,
     )
-    rep.budget = circle["tol"]  # the report records the tolerance that gates it
+    rep.budget = G_CIRCLE_TOL  # the report records the tolerance that gates it
     write_json(out / "g_circle.json", rep)
     return rep.within_budget
 
@@ -339,7 +338,7 @@ def _cone_check_artifacts(rc: RunConfig, out: Path) -> bool:
     from .multiscale import run_ladder
 
     trace = run_ladder(rc.model, rc.field, levels=rc.levels, jobs=rc.jobs)
-    rep = spectrum_cone_check(trace, rc.cone_tol)
+    rep = spectrum_cone_check(trace, CONE_TOL)
     write_json(out / "cone_check.json", rep)
     return rep["pass"]
 

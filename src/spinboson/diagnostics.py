@@ -271,7 +271,7 @@ def g_analyticity_check(
     replace the ladder route by any callable g -> {level: lambda}, which
     the synthetic tests use.  ``jobs`` goes to every ladder.  The report's
     ``budget`` is left unset: ``g-circle`` records there the tolerance
-    ``run.g_circle.tol`` that gates it.
+    ``cli.G_CIRCLE_TOL`` that gates it.
     """
     if n_samples < 8:
         raise ConfigError("the coupling circle needs at least eight samples")
@@ -405,7 +405,9 @@ def resolvent_cone_bound_check(
     eigenvalues pollute the sampled region (in the untruncated model it
     belongs to the resolvent set), so samples inside a small exclusion
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
-    skipped and counted as well.
+    skipped and counted as well.  The box's eigenvalues are classified by
+    ``census.starved(box)``, the rule ``spectrum_cone_check`` applies to
+    the same box.
     """
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     lam1 = complex(last.levels[1].lam)
@@ -417,7 +419,7 @@ def resolvent_cone_bound_check(
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
     census = last.census
-    starved = census.values[box.contains(census.values) & census.starved()[0]]
+    starved = census.values[box.contains(census.values) & census.starved(box)[0]]
 
     def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):

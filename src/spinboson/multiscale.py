@@ -13,7 +13,9 @@ induction argument controls:
 * P3: the projector motion |P^(n) - P^(n-1) (x) P_vac|, exact through the
   nested grids (tensoring with the new shells' vacuum is an index
   embedding), against (|g|/rho) C^(2n+2) rho_{n-1}^mu and the practical
-  envelope (|g|/rho) (1/2)^(n-1);
+  envelope (|g|/rho) (1/2)^(n-1).  Each projector is u u^T / (u^T u) for
+  its eigenvector u (the Hamiltonian is complex symmetric), so a scale
+  keeps u alone and P3 is ``projector_distance`` of two such vectors;
 * P4: the projected resolvent bound |(H - z)^(-1) (1 - P)| against the
   shape K_n / (rho_n + |z - lambda^(n)|) on sampled z.
 
@@ -75,7 +77,7 @@ from .model import (
 )
 from .spectral import (
     RieszProjector,
-    rank_two_difference_norm,
+    projector_distance,
     resolvent_norm,
     track_eigenvalue,
 )
@@ -105,15 +107,15 @@ class LevelScaleData:
     p3_gap: float | None = None
     first_scale_shift: float | None = None
     atomic_projector_gap: float | None = None
-    # kept for the checks and not serialized: the contour projector, the
-    # (right, left) eigenvectors in global coordinates and the P4 samples
+    # kept for the checks and not serialized: the contour projector, its
+    # eigenvector u in global coordinates and the P4 samples
     projector: RieszProjector | None = None
-    vectors: tuple | None = None
+    vector: np.ndarray | None = None
     p4: dict | None = None
 
     def report(self) -> dict:
         """The serialized fields, ``lam`` under the key ``lambda``."""
-        kept = ("projector", "vectors", "p4")
+        kept = ("projector", "vector", "p4")
         return {
             "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
             for f in fields(self)
@@ -368,8 +370,10 @@ def run_ladder(
             # widen the search circle when the eigenvalue moved beyond the
             # nominal contour (first scale at practical couplings)
             r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
+            # what P3 (at scale 1 the atomic gap) compares against: the
+            # previous scale's u, embedded (which keeps u^T u), or the level
             if i in prev_vec:
-                probe = _embed_full_vector(field, n - 1, n, prev_vec[i][0])
+                probe = _embed_full_vector(field, n - 1, n, prev_vec[i])
             else:
                 probe = _atomic_vacuum(i, H.dim)
             record = track_eigenvalue(
@@ -378,7 +382,6 @@ def run_ladder(
             lam = record.lam
             proj = record.projector
             u_g = record.right_vector
-            l_g = record.left_vector
 
             window = Box.wn(cfg, i, rho_n, lam)
             box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
@@ -405,19 +408,14 @@ def run_ladder(
                 p2_violation_count=n_bad,
                 p2_unique=bool(n_bad == 0),
                 projector=proj,
-                vectors=(u_g, l_g),
+                vector=u_g,
             )
             if n == 1:
                 data.first_scale_shift = abs(lam - bare[i])
-                vac = _atomic_vacuum(i, H.dim)
-                data.atomic_projector_gap = rank_two_difference_norm(
-                    u_g, l_g, vac, vac
-                )
+                data.atomic_projector_gap = projector_distance(u_g, probe)
             else:
                 data.p1_gap = abs(lam - prev_lam[i])
-                # against the previous scale's projector, embedded
-                left_prev = _embed_full_vector(field, n - 1, n, prev_vec[i][1])
-                data.p3_gap = rank_two_difference_norm(u_g, l_g, probe, left_prev)
+                data.p3_gap = projector_distance(u_g, probe)
             if samples_per_scale:
 
                 def reject(z):
@@ -441,7 +439,7 @@ def run_ladder(
                 data.p4 = {"K_n": k_fit, "samples": samples}
             rec.levels[i] = data
             prev_lam[i] = lam
-            prev_vec[i] = (u_g, l_g)
+            prev_vec[i] = u_g
         trace.scales.append(rec)
     trace.operator = H  # the last scale's: the full grid's
     return trace
@@ -592,7 +590,7 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
         residuals = []
         for rec in trace.scales:
             data = rec.levels[i]
-            u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
+            u = _embed_full_vector(field, rec.n, field.n_scales, data.vector)
             residuals.append(float(np.linalg.norm(H.matvec(u) - data.lam * u)))
         result["levels"][i] = {
             "lambda": lams[-1],

@@ -25,7 +25,7 @@ inverts its shifted block through the same code.  Every sector matrix is
 complex symmetric (A^T = A), and so is S(z): the adjoint solve is the
 conjugated solve, conj((A - z)^(-1) conj c), and needs no second
 inverse.  No routine here builds a sector's dense matrix: the Rayleigh
-check and residual of ``track_eigenvalue`` take their products from the
+check and residual of ``track_eigenvalue`` share one product from the
 parts (``Sector.apply``).  Resolvent norms build one solver per sector
 and shift and run Lanczos on its solves; only the Schur complement is
 inverted densely, and no block is SVD'd densely.  All of this is numpy: the Lanczos Ritz step
@@ -40,12 +40,15 @@ geometrically and a small node count reaches residuals near machine
 precision.  The projector is never formed entrywise: its action on a block
 of probe vectors is accumulated node by node (one solver per node, shared
 by both quadrature passes), and the right factor u is recovered from that
-action.  The left factor needs no quadrature: for a simple eigenvalue of
-a complex-symmetric matrix the projector is u u^T / (u^T u), so the left
-vector is conj(u / (u^T u)), the c-product of resonance theory (Moiseyev,
-Non-Hermitian Quantum Mechanics, 2011).  This keeps every ladder step at
-O(nodes * |R|^2 (|R| + |T|)) flops for forming and inverting the
-complements, with |T| the size of the eliminated layer.
+action.  u is all a tracked eigenvalue keeps: for a simple eigenvalue of
+a complex-symmetric matrix the projector is u u^T / (u^T u), the c-product
+of resonance theory (Moiseyev, Non-Hermitian Quantum Mechanics, 2011), so
+the left vector conj(u / (u^T u)), the projector's adjoint
+P^H s = conj(P conj s), the Rayleigh quotient u^T A u / (u^T u) and the
+distance of two projectors (``projector_distance``) are all read off u.
+This keeps every ladder step at O(nodes * |R|^2 (|R| + |T|)) flops for
+forming and inverting the complements, with |T| the size of the
+eliminated layer.
 """
 
 from __future__ import annotations
@@ -163,9 +166,11 @@ class ShiftedSolver:
 
 @dataclass
 class RieszProjector:
-    """Rank-factored contour-quadrature spectral projector right @ left^H.
+    """Rank-one contour-quadrature spectral projector u u^T / (u^T u).
 
-    ``trace_value`` estimates the enclosed spectral count;
+    ``right`` holds u as one column; ``left`` is derived from it, so that
+    the projector is right @ left^H.  ``trace_value`` estimates the
+    enclosed spectral count;
     ``idempotency_residual`` is the quadrature defect |P^2 - P| estimated
     on a probe block.  ``converged`` is False when node doubling stopped at
     MAX_QUAD_POINTS with the residual still above the requested tolerance.
@@ -177,15 +182,17 @@ class RieszProjector:
     trace_value: complex
     rank: int
     right: np.ndarray
-    left: np.ndarray
     sector: int | None = None
     converged: bool = True
 
+    @property
+    def left(self) -> np.ndarray:
+        """conj(u / (u^T u)) as one column: P u = u."""
+        u = self.right[:, 0]
+        return np.conj(u / (u @ u)).reshape(-1, 1)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.right @ (self.left.conj().T @ x)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right.conj().T @ y)
 
 
 def _contour_nodes(center: complex, radius: float, n_nodes: int):
@@ -228,9 +235,9 @@ def riesz_rank_one(
     recovers the range u from probe vectors, the second measures the
     idempotency defect and the enclosed trace on that subspace.  The
     sector's matrix is complex symmetric, so the projector is
-    u u^T / (u^T u) and its left vector conj(u / (u^T u)); a pairing
-    |u^T u| below 1e-8 (u has unit norm) raises DegeneracyError, as near
-    an exceptional point, where u^T u vanishes.  Nodes double from
+    u u^T / (u^T u) and u is all it keeps; a pairing |u^T u| below 1e-8
+    (u has unit norm) raises DegeneracyError, as near an exceptional
+    point, where u^T u vanishes.  Nodes double from
     ``quad_points`` until the defect passes IDEMPOTENCY_TOL; at
     MAX_QUAD_POINTS the projector is returned with ``converged`` False.
     ``sector`` is recorded on the projector.  Every caller in the package
@@ -271,19 +278,16 @@ def riesz_rank_one(
         solvers = None  # free this rule's factorizations before the next
         n_nodes *= 2
 
-    pairing = u @ u  # u^T u, the c-product
-    if abs(pairing) < 1e-8:
+    if abs(u @ u) < 1e-8:  # u^T u, the c-product
         raise DegeneracyError(
             f"left/right pairing nearly singular at contour center {center}"
         )
-    left = np.conj(u / pairing)  # so that P = u @ left^H has P u = u
     return RieszProjector(
         quad_points=n_nodes,
         idempotency_residual=idem,
         trace_value=trace,
         rank=int(round(trace.real)),
         right=u.reshape(-1, 1),
-        left=left.reshape(-1, 1),
         sector=sector,
         converged=idem < IDEMPOTENCY_TOL,
     )
@@ -291,16 +295,17 @@ def riesz_rank_one(
 
 @dataclass
 class SpectralRecord:
-    """One tracked eigenvalue with its cross-validation data."""
+    """One tracked eigenvalue with its cross-validation data.
+
+    ``right_vector`` is the projector's u in the operator's coordinates.
+    """
 
     lam: complex
     gap: float
-    projector_rank: int
     residual: float
-    method_disagreement: float = 0.0
-    projector: RieszProjector | None = None
-    right_vector: np.ndarray | None = None
-    left_vector: np.ndarray | None = None
+    method_disagreement: float
+    projector: RieszProjector
+    right_vector: np.ndarray
 
 
 def track_eigenvalue(
@@ -315,10 +320,11 @@ def track_eigenvalue(
     ``census``, the ``SpectralCensus`` of H, names that eigenvalue (raising
     TrackingError or DegeneracyError unless there is exactly one), its
     sector and its gap.  Two independent routes must agree: that value and
-    the Rayleigh quotient built from the contour projector with its
-    c-product left pairing, to AGREE_TOL.  The probe vector is given in the
-    global coordinates of H; the contour solvers work in the eigenvalue's
-    sector and the returned vectors are embedded back into the full space.
+    the c-product Rayleigh quotient u^T A u / (u^T u) of the contour
+    projector's u, to AGREE_TOL; the residual |A u - lam u| reuses A u.
+    The probe vector is given in the global coordinates of H; the contour
+    solvers work in the eigenvalue's sector and the returned u is embedded
+    back into the full space.
     A projector whose idempotency defect stays above IDEMPOTENCY_TOL at
     MAX_QUAD_POINTS raises TrackingError.
     """
@@ -348,32 +354,23 @@ def track_eigenvalue(
             f"projector at {lam} reports trace {proj.trace_value}, expected 1"
         )
     u = proj.right[:, 0]
-    x0 = u if probe is None else probe
-    pv = proj.apply(x0)
-    pw = proj.apply_adjoint(x0)
-    denom = np.vdot(pw, pv)
-    if abs(denom) < 1e-12 * np.linalg.norm(pv) * np.linalg.norm(pw):
-        raise TrackingError("Rayleigh pairing degenerate for the given probes")
-    rayleigh = complex(np.vdot(pw, sec.apply(pv)) / denom)
+    au = sec.apply(u)
+    rayleigh = complex((u @ au) / (u @ u))
     disagreement = abs(rayleigh - lam)
-    scale = max(1.0, abs(lam))
-    if disagreement > AGREE_TOL * scale:
+    if not disagreement <= AGREE_TOL * max(1.0, abs(lam)):  # NaN fails too
         raise TrackingError(
             f"eigenvalue routes disagree: contour Rayleigh {rayleigh} vs "
             f"direct {lam} (|diff| = {disagreement:.3e})"
         )
-    residual = float(np.linalg.norm(sec.apply(u) - lam * u))
-    right, left = np.zeros((2, H.dim), dtype=complex)  # in H's coordinates
-    right[sec.indices], left[sec.indices] = u, proj.left[:, 0]
+    right = np.zeros(H.dim, dtype=complex)  # in H's coordinates
+    right[sec.indices] = u
     return SpectralRecord(
         lam=lam,
         gap=gap,
-        projector_rank=proj.rank,
-        residual=residual,
+        residual=float(np.linalg.norm(au - lam * u)),
         method_disagreement=disagreement,
         projector=proj,
         right_vector=right,
-        left_vector=left,
     )
 
 
@@ -570,9 +567,9 @@ def _sector_resolvent_norm(
         def matvec(x):
             return solver.solve(x - proj.apply(x))
 
-        def rmatvec(y):
-            s = solver.solve_adjoint(y)
-            return s - proj.apply_adjoint(s)
+        def rmatvec(y):  # (1 - P)^H (A - z)^(-H) y, as P^H s = conj(P conj s)
+            t = solver.solve(np.conj(y))
+            return np.conj(t - proj.apply(t))
 
     return _top_singular_value(matvec, rmatvec, len(sec.indices))
 
@@ -646,13 +643,16 @@ def shifted_inverse_eigenvalue(
     )
 
 
-def rank_two_difference_norm(
-    u1: np.ndarray, l1: np.ndarray, u2: np.ndarray, l2: np.ndarray
-) -> float:
-    """Spectral norm of u1 l1^H - u2 l2^H without forming the matrices."""
-    A = np.stack([u1, -u2], axis=1)
-    B = np.stack([l1, l2], axis=1)
-    qa, ra = np.linalg.qr(A)
-    qb, rb = np.linalg.qr(B)
-    core = ra @ rb.conj().T
-    return float(np.linalg.svd(core, compute_uv=False)[0])
+def projector_distance(u1: np.ndarray, u2: np.ndarray) -> float:
+    """Spectral norm of u1 u1^T / (u1^T u1) - u2 u2^T / (u2^T u2).
+
+    Each term is the projector of a simple eigenvalue of a complex-symmetric
+    matrix with right vector u_k, so the difference is the rank-two
+    [u1, -u2] [l1, l2]^H with l_k = conj(u_k / (u_k^T u_k)); its norm is
+    that of the 2 x 2 product of the two factors' R parts, and no n x n
+    matrix is formed.
+    """
+    left = np.conj(np.stack([u1 / (u1 @ u1), u2 / (u2 @ u2)], axis=1))
+    ra = np.linalg.qr(np.stack([u1, -u2], axis=1), mode="r")
+    rb = np.linalg.qr(left, mode="r")
+    return float(np.linalg.svd(ra @ rb.conj().T, compute_uv=False)[0])

@@ -114,3 +114,16 @@ def quadrature_left(sec: Sector, center, radius, n_nodes, u) -> np.ndarray:
         PHY += np.conj(ph) * np.linalg.solve(M, Y)
     w = np.linalg.svd(-radius / n_nodes * PHY, full_matrices=False)[0][:, 0]
     return w / np.conj(np.vdot(w, u))
+
+
+def probe_paired_rayleigh(sec: Sector, proj: RieszProjector, x0) -> complex:
+    """Oracle for the tracking Rayleigh check: the probe-paired quotient.
+
+    With pv = P x0 and pw = P^H x0 (P^H = left @ right^H) the quotient is
+    pw^H A pv / pw^H pv.  This is the route ``track_eigenvalue`` took before
+    it read the c-product quotient u^T A u / (u^T u) off u; a probe with
+    u^T x0 = 0 makes pv and pw vanish, and the quotient 0 / 0.
+    """
+    pv = proj.apply(x0)
+    pw = proj.left @ (proj.right.conj().T @ x0)
+    return complex(np.vdot(pw, sec.apply(pv)) / np.vdot(pw, pv))

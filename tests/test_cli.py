@@ -247,12 +247,12 @@ class TestDispatch:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["failure"]["error"] == "ConvergenceError"
 
-    def test_g_circle_artifacts(self, tmp_path):
+    def test_g_circle_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "G_CIRCLE_TOL", 1e-3)
         rc = parse_config(
             config_text(
                 ladder={"n_scales": 2},
-                run={"g_circle": {"center": 0.04, "radius": 0.01,
-                                  "samples": 8, "tol": 1e-3}},
+                run={"g_circle": {"center": 0.04, "radius": 0.01, "samples": 8}},
             )
         )
         code = dispatch("g-circle", rc, tmp_path)
@@ -263,11 +263,11 @@ class TestDispatch:
         assert payload["budget"] == 1e-3
 
     @pytest.mark.parametrize("tol, code", [(None, 0), (1e-30, 1)])
-    def test_g_circle_reports_its_budget(self, tmp_path, tol, code):
+    def test_g_circle_reports_its_budget(self, tmp_path, monkeypatch, tol, code):
         """``budget`` is the tolerance that gates the exit status."""
-        circle = {} if tol is None else {"tol": tol}
-        rc = parse_config(config_text(ladder={"n_scales": 2},
-                                      run={"g_circle": circle}))
+        if tol is not None:
+            monkeypatch.setattr(cli, "G_CIRCLE_TOL", tol)
+        rc = parse_config(config_text(ladder={"n_scales": 2}))
         assert dispatch("g-circle", rc, tmp_path) == code
         payload = json.loads((tmp_path / "g_circle.json").read_text())
         assert payload["budget"] == (1e-4 if tol is None else tol)
@@ -335,7 +335,7 @@ class TestMain:
         "subcommand, section, values",
         [
             ("resolvent-scan", "run", {"n_samples": "many"}),
-            ("cone-check", "run", {"cone_tol": "x"}),
+            ("cone-check", "run", {"cone_tol": 0.01}),  # gates are no config keys
             ("ladder", "discretization", {"points_per_shell": "x"}),
             ("ladder", "run", {"quad_points": 0}),
             ("cone-check", "run", {"levels": [2]}),
@@ -346,6 +346,8 @@ class TestMain:
             ("theta-scan", "run", {"quad_points": 16}),
             ("ladder", "model", {"e0": 0.0}),
             ("ladder", "model", {"e0": 0.1}),
+            ("ladder", "run", {"jobs": 2}),  # --jobs alone sets it
+            ("g-circle", "run", {"g_circle": {"tol": 0.001}}),
         ],
     )
     def test_bad_run_value_stops_before_work(
@@ -402,10 +404,10 @@ class TestMain:
 
 
 class TestConeCheckDispatch:
-    def test_stress_case_nonzero_exit(self, tmp_path):
+    def test_stress_case_nonzero_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CONE_TOL", 1e-4)
         rc = parse_config(
-            config_text(model={"g": 0.15, "m_cone": 40},
-                        run={"cone_tol": 1e-4, "levels": [0]})
+            config_text(model={"g": 0.15, "m_cone": 40}, run={"levels": [0]})
         )
         code = dispatch("cone-check", rc, tmp_path)
         payload = json.loads((tmp_path / "cone_check.json").read_text())
@@ -417,7 +419,8 @@ class TestConeCheckDispatch:
         assert some_violations
 
     def test_moderate_case_passes(self, tmp_path):
-        rc = parse_config(config_text(run={"cone_tol": 5e-3}))
+        assert cli.CONE_TOL == 5e-3  # the acceptance value
+        rc = parse_config(config_text())
         assert dispatch("cone-check", rc, tmp_path) == 0
 
     def test_oversized_step_fails_chain(self, tmp_path, monkeypatch):
@@ -431,7 +434,7 @@ class TestConeCheckDispatch:
 
         # the command line reads run_ladder off multiscale at call time
         monkeypatch.setattr(multiscale, "run_ladder", jumped)
-        rc = parse_config(config_text(run={"cone_tol": 5e-3}))
+        rc = parse_config(config_text())
         assert dispatch("cone-check", rc, tmp_path) == 1
         payload = json.loads((tmp_path / "cone_check.json").read_text())
         assert not payload["pass"]
@@ -826,8 +829,8 @@ class TestJobs:
         assert parse_config("{}").jobs == len(os.sched_getaffinity(0))
 
     def test_nonpositive_rejected(self, tmp_path, capsys):
-        with pytest.raises(spinboson.ConfigError, match="jobs"):
-            parse_config(config_text(run={"jobs": 0}))
+        with pytest.raises(spinboson.ConfigError, match=r"unknown run keys: \['jobs'\]"):
+            parse_config(config_text(run={"jobs": 2}))  # --jobs alone sets it
         assert main(["feasibility", "--jobs", "0", "--out", str(tmp_path)]) == 2
         assert "jobs" in capsys.readouterr().err
 

@@ -22,7 +22,8 @@ from spinboson import (
 )
 from spinboson import diagnostics
 from spinboson.errors import ConvergenceError
-from spinboson.multiscale import run_ladder
+from spinboson.geometry import Box
+from spinboson.multiscale import SpectralCensus, run_ladder
 from spinboson.spectral import ShiftedSolver, solver_tolerance
 
 from sectors import one_sector, spectrum
@@ -340,6 +341,32 @@ class TestResolventConeBound:
         k_moved = fit(one_sector(A + shift * np.eye(n)), lam + shift,
                       [z + shift for z in zs])
         assert k_moved == pytest.approx(k_base, rel=1e-9)
+
+    def test_artifacts_classified_by_the_box_rule(self, coarse, monkeypatch):
+        """B1's eigenvalues are starved by ``census.starved(box)``, the rule
+        ``spectrum_cone_check`` applies to the same box.  A synthetic census
+        plants one eigenvalue between the box's tolerance and the uncapped
+        one from the lattice; with an exclusion radius that covers the box,
+        counting it as an artifact would reject every sample."""
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
+        last = trace.scales[-1]
+        box = Box.b1(cfg, 1, field.ladder.cutoff(1))
+        capped, full = last.census.starved(box)[1], last.census.starved()[1]
+        assert capped < full
+        planted = complex(box.level + 0.5 * box.half_width, 0.5 * (box.lo + box.hi))
+        census = SpectralCensus([last.levels[1].lam, planted], [1, 1], cfg, None)
+        census.basis = last.census.basis
+        census.lattice_dist = np.array([np.inf, np.sqrt(capped * full)])
+        assert box.contains(planted) and census.values[1] == planted
+        assert census.starved()[0].tolist() == [False, True]
+        assert census.starved(box)[0].tolist() == [False, False]
+        last.census = census
+        monkeypatch.setattr(diagnostics, "ARTIFACT_EXCLUSION", 10.0)
+        rep = resolvent_cone_bound_check(trace, n_samples=5, seed=0)
+        assert (rep["n_skipped_artifact"], rep["n_used"]) == (0, 5)
+        cone = spectrum_cone_check(trace, tol=5e-3)
+        assert cone["levels"][1]["n_starved_branch"] == 0
 
     def test_rows_consistent(self, coarse):
         cfg, field = coarse

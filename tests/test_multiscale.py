@@ -243,7 +243,7 @@ class TestReassemblyOracle:
             want = []
             for rec in trace.scales:
                 data = rec.levels[i]
-                u = _embed_full_vector(field, rec.n, field.n_scales, data.vectors[0])
+                u = _embed_full_vector(field, rec.n, field.n_scales, data.vector)
                 want.append(float(np.linalg.norm(H_full.matvec(u) - data.lam * u)))
             assert result["levels"][i]["eigenvector_residuals"] == want
 
@@ -295,12 +295,11 @@ class TestNestingExactness:
     def test_embedded_projector_idempotent_rank_one(self, practical):
         cfg, field, trace = practical
         n = 3
-        u, l = trace.scales[n - 2].levels[1].vectors
+        u = trace.scales[n - 2].levels[1].vector
         u_e = _embed_full_vector(field, n - 1, n, u)
-        l_e = _embed_full_vector(field, n - 1, n, l)
-        # the embedded rank-one projector keeps unit pairing: idempotent
-        pairing = np.vdot(l_e, u_e)
-        assert abs(pairing - 1.0) < 1e-10
+        # the embedded u keeps its pairing u^T u, so u u^T / (u^T u) stays
+        # an idempotent of rank one
+        assert u_e @ u_e == pytest.approx(u @ u, abs=1e-15)
         assert np.linalg.norm(u_e) == pytest.approx(np.linalg.norm(u))
 
     def test_embedding_preserves_matrix_action(self, practical):
@@ -309,7 +308,7 @@ class TestNestingExactness:
         cfg, field, trace = practical
         H2 = dense_operator(assemble_hamiltonian(cfg, field, n=2))
         H3 = dense_operator(assemble_hamiltonian(cfg, field, n=3))
-        u, _ = trace.scales[1].levels[1].vectors
+        u = trace.scales[1].levels[1].vector
         u_e = _embed_full_vector(field, 2, 3, u)
         lhs = H3 @ u_e
         rhs = _embed_full_vector(field, 2, 3, H2 @ u)

@@ -31,7 +31,7 @@ from spinboson.spectral import (
     RESOLVENT_TOL,
     RITZ_STRIDE,
     TOP_LAYER_GUARD,
-    rank_two_difference_norm,
+    projector_distance,
     shifted_inverse_eigenvalue,
     solver_tolerance,
 )
@@ -41,6 +41,7 @@ from sectors import (
     dense_projector,
     dense_sectors,
     one_sector,
+    probe_paired_rayleigh,
     quadrature_left,
     same_parts,
     sector,
@@ -236,13 +237,39 @@ class TestLeftVector:
                 riesz_rank_one(sector(A), center=w[0], radius=0.4 * sep)
 
 
+class TestRayleighOracle:
+    """The c-product quotient u^T A u / (u^T u) against the probe-paired
+    quotient it replaced, on assembled sectors at complex g."""
+
+    @pytest.mark.parametrize("n_max", [2, 3])
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("with_probe", [False, True])
+    def test_matches_probe_paired_route(self, n_max, level, with_probe):
+        cfg, field = tiny_model(n_max, g=0.05 + 0.01j)
+        H = assemble_hamiltonian(cfg, field)
+        census = SpectralCensus.of(H, jobs=1)
+        lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
+        probe = None
+        if with_probe:  # the atomic level, as the ladder's first scale probes
+            probe = np.zeros(H.dim, dtype=complex)
+            probe[0 if level == 1 else H.dim // 2] = 1.0
+        rec = track_eigenvalue(H, census, seed=lam, radius=0.4 * census.gap(lam),
+                               probe=probe)
+        proj = rec.projector
+        sec = H.sectors[proj.sector]
+        x0 = proj.right[:, 0] if probe is None else probe[sec.indices]
+        oracle = probe_paired_rayleigh(sec, proj, x0)
+        want = abs(oracle - rec.lam)
+        assert abs(rec.method_disagreement - want) <= 1e-14 * max(1.0, abs(rec.lam))
+
+
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
         H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
         census = SpectralCensus.of(H, jobs=1)
         rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
-        assert rec.projector_rank == 1
+        assert rec.projector.rank == 1
         assert rec.residual < 1e-10
 
     def test_small_coupling_shift_bounded(self, cfg, small_field):
@@ -304,9 +331,8 @@ class TestProductsFromParts:
         u = rec.right_vector[indices]
         residual = np.linalg.norm(block @ u - rec.lam * u)
         assert abs(rec.residual - residual) <= floor
-        # without probes the Rayleigh pairing is P u against P^H u
-        pv, pw = proj.apply(u), proj.apply_adjoint(u)
-        rayleigh = np.vdot(pw, block @ pv) / np.vdot(pw, pv)
+        # the c-product quotient u^T A u / (u^T u), u of unit norm
+        rayleigh = (u @ (block @ u)) / (u @ u)
         assert abs(rec.method_disagreement - abs(rayleigh - rec.lam)) <= floor
 
 
@@ -700,13 +726,28 @@ class TestTopRitz:
 
 
 class TestHelpers:
-    def test_rank_two_difference_norm(self, rng):
+    def test_projector_distance(self, rng):
+        """|P1 - P2| against the dense spectral projectors V e_k e_k^T V^(-1)
+        of nearby complex-symmetric matrices; u scaled by any complex factor.
+        A left vector normalized Hermitian-wise, u / (u^H u), would be off."""
         n = 30
-        u1, l1, u2, l2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                          for _ in range(4))
-        dense = np.outer(u1, l1.conj()) - np.outer(u2, l2.conj())
-        want = np.linalg.norm(dense, 2)
-        assert rank_two_difference_norm(u1, l1, u2, l2) == pytest.approx(want)
+        A1 = random_matrix(rng, n)
+        A2 = A1 + 0.05 * random_matrix(rng, n)
+        w1, V1 = np.linalg.eig(A1)
+        w2, V2 = np.linalg.eig(A2)
+        for k in range(0, n, 6):
+            j = np.argmin(np.abs(w2 - w1[k]))
+            P1 = np.outer(V1[:, k], np.linalg.inv(V1)[k])
+            P2 = np.outer(V2[:, j], np.linalg.inv(V2)[j])
+            want = np.linalg.norm(P1 - P2, 2)
+            u1, u2 = (2.0 - 1.5j) * V1[:, k], 0.3j * V2[:, j]
+            assert abs(projector_distance(u1, u2) - want) <= 1e-12
+            # u l^H with l = u / (u^H u): the orthogonal projectors onto u
+            hermitian = np.linalg.norm(
+                np.outer(u1, u1.conj()) / np.vdot(u1, u1)
+                - np.outer(u2, u2.conj()) / np.vdot(u2, u2), 2
+            )
+            assert abs(hermitian - want) > 1e-3
 
     def test_shifted_inverse_iteration(self, rng):
         w = np.array([0.2, 1.5 - 0.3j, 4.0])
