@@ -328,8 +328,9 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     Truncation-starved soft-branch states (multiboson states whose decay
     channel exceeds the total-number cutoff; they sit one core width above
     their physical position and are recognized by their distance to the
-    free branch lattice) are tested after restoring the core dressing
-    lambda_i - e_i; raw distances are reported for both classes.
+    free branch lattice, ``census.starved(box, lambda_i)``; lambda_i itself
+    never is) are tested after restoring the core dressing lambda_i - e_i;
+    raw distances are reported for both classes.
 
     ``chain`` holds, per level, one ``verify_cone_chain`` row for each
     consecutive pair of scales of the trace: the nested-cone step from
@@ -338,16 +339,16 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     rho1 = field.ladder.cutoff(1)
     values = last.census.values
-    # every level's box is as high, so one tolerance serves both
-    soft, branch_tol = last.census.starved(Box.b1(cfg, 1, rho1))
-    out: dict = {"levels": {}, "chain": {}, "dim": last.dim,
-                 "branch_tol": branch_tol}
+    out: dict = {"levels": {}, "chain": {}, "dim": last.dim}
     for i in sorted(last.levels):
         lam = complex(last.levels[i].lam)
         bare = cfg.e1 if i == 1 else cfg.e0
         dressing = lam - bare
         cone = Cone(lam, cfg.nu, cfg.m_cone)
-        inside = Box.b1(cfg, i, rho1).contains(values)
+        box = Box.b1(cfg, i, rho1)
+        # every level's box is as high, so every level's tolerance is one
+        soft, out["branch_tol"] = last.census.starved(box, lam)
+        inside = box.contains(values)
         in_box = values[inside]
         rows = []
         violations = []
@@ -405,9 +406,9 @@ def resolvent_cone_bound_check(
     eigenvalues pollute the sampled region (in the untruncated model it
     belongs to the resolvent set), so samples inside a small exclusion
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
-    skipped and counted as well.  The box's eigenvalues are classified by
-    ``census.starved(box)``, the rule ``spectrum_cone_check`` applies to
-    the same box.
+    skipped and counted as well.  The box's eigenvalues other than
+    lambda_1 are classified by ``census.starved(box, lambda_1)``, the rule
+    ``spectrum_cone_check`` applies to the same box.
     """
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     lam1 = complex(last.levels[1].lam)
@@ -418,8 +419,7 @@ def resolvent_cone_bound_check(
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
-    census = last.census
-    starved = census.values[box.contains(census.values) & census.starved(box)[0]]
+    starved = last.census.values[last.census.starved(box, lam1)[0]]
 
     def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):

@@ -54,10 +54,9 @@ uniqueness verdict.  The lattice is e_i + exp(-theta) times the free
 energy of every state of the scale basis with a boson, so it holds every
 multiboson sum the basis holds.  At couplings inside the smallness windows
 the lattice never intersects the window and the check is the literal one.
-Each scale's ``SpectralCensus`` holds every eigenvalue's distance to the
-lattice, measured once, and is the one place that compares it with
-``soft_branch_tolerance`` (``SpectralCensus.starved``): the P2 count, the
-P4 sample exclusions and the cone checks all read its verdict.
+``SpectralCensus.starved(box, lam)`` alone decides which eigenvalues in a
+box, lam never among them, are starved: P2 and P4 ask about the window,
+the cone checks in ``diagnostics`` about the full grid's B1 boxes.
 """
 
 from __future__ import annotations
@@ -217,29 +216,32 @@ def soft_branch_lattice(cfg: ModelConfig, basis) -> np.ndarray:
     return np.concatenate([cfg.e0 + phase * energies, cfg.e1 + phase * energies])
 
 
-def soft_branch_tolerance(
-    cfg: ModelConfig, modes, max_freq: float | None = None
-) -> float:
+def soft_branch_tolerance(cfg: ModelConfig, modes, max_freq: float) -> float:
     """Matching tolerance for truncation-starved soft-branch states.
 
     Such a state keeps only the annihilation-channel dressing of its soft
     bosons, of size |g|^2 |c_j|^2; the factor 20 covers multi-boson sums
     and stays orders of magnitude below any genuine eigenvalue shift.
+    Only modes of frequency up to ``max_freq`` enter.
     """
     coeffs = np.abs(coupling_amplitudes(cfg, modes)) ** 2
-    if max_freq is not None:
-        coeffs = coeffs[modes.frequencies <= max(max_freq, 0.0)]
+    coeffs = coeffs[modes.frequencies <= max(max_freq, 0.0)]
     top = float(np.max(coeffs)) if len(coeffs) else 0.0
     return max(20.0 * abs(cfg.g) ** 2 * top, 1e-10)
+
+
+def _is_lam(values, lam: complex):
+    """Which of ``values`` are the tracked eigenvalue lam, to rounding."""
+    return np.abs(values - lam) <= 1e-12 * max(1.0, abs(lam))
 
 
 class SpectralCensus:
     """One operator's dense spectrum, computed once and read by every check.
 
-    ``values`` holds the eigenvalues sorted by (real, imaginary) part,
-    ``sectors`` the key of each one's sector, and ``lattice_dist`` each
-    one's distance to ``soft_branch_lattice(cfg, basis)`` (inf without a
-    basis), which ``starved`` alone compares with a tolerance.
+    ``values`` holds the eigenvalues sorted by (real, imaginary) part and
+    ``sectors`` the key of each one's sector.  ``cfg`` and ``basis`` are
+    the model and the scale basis the operator was built on, which
+    ``starved`` reads.
     """
 
     def __init__(self, values, sectors, cfg: ModelConfig | None, basis):
@@ -247,32 +249,6 @@ class SpectralCensus:
         order = np.lexsort((values.imag, values.real))
         self.values, self.sectors = values[order], np.asarray(sectors)[order]
         self.cfg, self.basis = cfg, basis
-        self.lattice_dist = out = np.full(len(values), np.inf)
-        lattice = [] if basis is None else soft_branch_lattice(cfg, basis)
-        if len(lattice) == 0:
-            return
-        # w = (z - e_a) exp(theta) puts the ray e_a + exp(-theta) E on the
-        # real axis.  Only the free energies E as near to w as the nearest
-        # one, up to a rounding margin (``slack``), can give the least
-        # computed distance; measuring those with the lattice's own entries
-        # gives min |lattice - z| bit for bit in O(dim log dim).
-        energies = field_energy_diagonal(basis)[1:]
-        energies, first = np.unique(energies, return_index=True)
-        padded, rot = np.r_[-np.inf, energies, np.inf], np.exp(cfg.theta)
-        for ray, origin in enumerate((cfg.e0, cfg.e1)):
-            points = lattice[ray * (len(lattice) // 2) + first]
-            w = (self.values - origin) * rot
-            k = np.searchsorted(padded, w.real)
-            gap_x = np.minimum(w.real - padded[k - 1], padded[k] - w.real)
-            slack = 1e-12 * (1.0 + np.abs(w) + energies[-1] + abs(origin * rot))
-            reach = np.hypot(gap_x, w.imag) + 2.0 * slack
-            floor = np.maximum(np.abs(w.imag) - slack, 0.0)
-            half = np.sqrt(reach**2 - floor**2) + slack
-            lo = np.searchsorted(energies, w.real - half)
-            hi = np.searchsorted(energies, w.real + half, side="right")
-            for j in range(int(np.max(hi - lo, initial=0))):
-                d = np.abs(points[np.minimum(lo + j, hi - 1)] - self.values)
-                np.minimum(out, d, out=out)
 
     @classmethod
     def of(cls, H, cfg: ModelConfig | None = None, basis=None, *, jobs: int):
@@ -307,18 +283,28 @@ class SpectralCensus:
         dist = np.sort(np.abs(self.values - lam))
         return float(dist[1]) if len(dist) > 1 else np.inf
 
-    def starved(self, box: Box | None = None) -> tuple[np.ndarray, float]:
-        """Which eigenvalues are truncation-starved, and the tolerance that says so.
+    def starved(self, box: Box, lam: complex) -> tuple[np.ndarray, float]:
+        """Which eigenvalues in ``box``, other than lam, are truncation-starved.
 
-        An eigenvalue is starved when its lattice distance is at most
-        ``soft_branch_tolerance`` of the census basis' modes.  With ``box``,
-        only modes of frequency up to the box's height over sin(nu) enter
-        that tolerance: a state inside the box holds no boson of a higher
-        one.  Needs the ``cfg`` and ``basis`` the census was built with.
+        Returns a mask over ``values`` and the tolerance that decides it.
+        An eigenvalue of the box is starved when it lies within
+        ``soft_branch_tolerance`` of ``soft_branch_lattice``, counting the
+        modes up to the box's height over sin(nu) (a state inside the box
+        holds no boson of a higher one).  The tracked eigenvalue lam, to
+        rounding, never is.
         """
-        max_freq = None if box is None else (box.hi - box.lo) / np.sin(self.cfg.nu)
-        tol = soft_branch_tolerance(self.cfg, self.basis.modes, max_freq)
-        return self.lattice_dist <= tol, tol
+        cfg, values = self.cfg, self.values
+        tol = soft_branch_tolerance(
+            cfg, self.basis.modes, (box.hi - box.lo) / np.sin(cfg.nu)
+        )
+        # only lattice points of the box grown by the tolerance can be near
+        lattice, pad = soft_branch_lattice(cfg, self.basis), 2.0 * tol
+        grown = Box(box.level, box.half_width + pad, box.lo - pad, box.hi + pad)
+        near = lattice[grown.contains(lattice)]
+        mask = box.contains(values) & ~_is_lam(values, lam)
+        dist = np.abs(values[mask, None] - near)
+        mask[mask] = np.min(dist, axis=1, initial=np.inf) <= tol
+        return mask, tol
 
 
 def run_ladder(
@@ -341,9 +327,10 @@ def run_ladder(
 
     With ``samples_per_scale`` > 0, P4 samples that many points of each
     level's window per scale (scale by scale, level by level, from one
-    generator seeded with ``seed``) and records the projected resolvent
-    norms.  The last scale is the full grid's, and its operator stays on
-    the trace as ``trace.operator``.
+    generator seeded with ``seed``), away from the window's starved
+    eigenvalues, and records the projected resolvent norms and the points
+    it skipped per reason.  The last scale is the full grid's, and its
+    operator stays on the trace as ``trace.operator``.
     """
     trace = MultiscaleTrace(cfg, field)
     bare = {0: cfg.e0, 1: cfg.e1}
@@ -362,8 +349,6 @@ def run_ladder(
             n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
             census=census,
         )
-        # truncation artifacts: no P4 sample lies within 0.1 rho_n of one
-        artifacts = census.values[census.starved()[0]]
         for i in levels:
             seed_lam = prev_lam[i]
             nearest = census.nearest(seed_lam)
@@ -386,12 +371,10 @@ def run_ladder(
             window = Box.wn(cfg, i, rho_n, lam)
             box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
             # the window's other eigenvalues: soft-branch copies or violations
-            inside = window.contains(census.values)
-            in_window = census.values[inside]
-            others = np.abs(in_window - lam) > 1e-12 * max(1.0, abs(lam))
-            soft = census.starved(window)[0][inside]
-            n_soft = int(np.count_nonzero(others & soft))
-            n_bad = int(np.count_nonzero(others)) - n_soft
+            in_window = census.values[window.contains(census.values)]
+            starved = census.starved(window, lam)[0]
+            n_soft = int(np.count_nonzero(starved))
+            n_bad = int(np.count_nonzero(~_is_lam(in_window, lam))) - n_soft
 
             data = LevelScaleData(
                 lam=lam,
@@ -417,6 +400,8 @@ def run_ladder(
                 data.p1_gap = abs(lam - prev_lam[i])
                 data.p3_gap = projector_distance(u_g, probe)
             if samples_per_scale:
+                # truncation artifacts: no P4 sample lies within 0.1 rho_n of one
+                artifacts = census.values[starved]
 
                 def reject(z):
                     if len(artifacts) and np.min(np.abs(artifacts - z)) < 0.1 * rho_n:
@@ -425,7 +410,7 @@ def run_ladder(
                         return "near_lambda"
                     return None
 
-                zs, _ = window.sample(
+                zs, skipped = window.sample(
                     rng, samples_per_scale, max(1, int(0.6 * samples_per_scale)),
                     lam, lambda r: contour_radius * r.uniform(1.5, 6.0), reject,
                 )
@@ -436,7 +421,7 @@ def run_ladder(
                     for z in zs
                 ]
                 k_fit = max((s["lhs"] / s["shape"] for s in samples), default=0.0)
-                data.p4 = {"K_n": k_fit, "samples": samples}
+                data.p4 = {"K_n": k_fit, "samples": samples, "skipped": skipped}
             rec.levels[i] = data
             prev_lam[i] = lam
             prev_vec[i] = u_g
@@ -536,7 +521,10 @@ def check_p2_p4(trace: MultiscaleTrace) -> dict:
 
     P2 reads the stored window counts, P4 the K_n fit of the samples
     ``run_ladder`` took with ``samples_per_scale`` > 0 (the samples stay in
-    the levels' ``p4`` entries); a trace without them raises TrackingError.
+    the levels' ``p4`` entries) and the number of points the sampler
+    skipped per reason: outside the window, within 0.1 rho_n of a starved
+    eigenvalue (``artifact``) or near lambda.  A trace without samples
+    raises TrackingError.
     """
     out: dict = {"p2": {}, "p4": {}}
     for rec in trace.scales:
@@ -554,7 +542,12 @@ def check_p2_p4(trace: MultiscaleTrace) -> dict:
                 "violation_count": data.p2_violation_count,
                 "unique": data.p2_unique,
             }
-            out["p4"].setdefault(str(i), {})[str(n)] = {"K_n": data.p4["K_n"]}
+            skipped = data.p4["skipped"]
+            reasons = ("outside", "artifact", "near_lambda")
+            out["p4"].setdefault(str(i), {})[str(n)] = {
+                "K_n": data.p4["K_n"],
+                "n_skipped": {r: skipped[r] for r in reasons},
+            }
     return out
 
 

@@ -26,6 +26,7 @@ from spinboson import (
 )
 from spinboson.cli import dispatch, main, parse_config
 from spinboson.errors import ConvergenceError, SpinBosonError
+from spinboson.reporting import config_hash
 
 TINY = {
     "schema_version": 1,
@@ -322,6 +323,32 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "out" / "feasibility.json").exists()
         assert "feasibility: pass" in capsys.readouterr().out
+
+    def test_manifest_hash_covers_seed_and_mode(self, tmp_path, capsys):
+        """``--seed`` and ``--mode`` are written into the hashed document,
+        ``--jobs`` is not, and a run without them hashes the document as
+        given; the tiny config's own seed is 1."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(config_text())
+
+        def sha(*flags) -> str:
+            out = tmp_path / "-".join(["out", *flags])
+            main(["feasibility", "--config", str(cfg_path), "--out", str(out), *flags])
+            return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+        plain = sha()
+        assert plain == config_hash(json.loads(config_text()))
+        assert sha("--jobs", "1") == sha("--seed", "1") == plain
+        seeded = {sha("--seed", "0"), sha("--seed", "7")}
+        assert len(seeded) == 2 and plain not in seeded
+        assert sha("--mode", "strict") not in {plain, *seeded}
+
+    def test_cli_bad_seed(self, tmp_path, capsys):
+        """``parse_config`` validates ``--seed`` as it validates run.seed."""
+        out = tmp_path / "out"
+        assert main(["ladder", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

@@ -23,7 +23,12 @@ from spinboson import (
 from spinboson import diagnostics
 from spinboson.errors import ConvergenceError
 from spinboson.geometry import Box
-from spinboson.multiscale import SpectralCensus, run_ladder
+from spinboson.multiscale import (
+    SpectralCensus,
+    run_ladder,
+    soft_branch_lattice,
+    soft_branch_tolerance,
+)
 from spinboson.spectral import ShiftedSolver, solver_tolerance
 
 from sectors import one_sector, spectrum
@@ -343,25 +348,30 @@ class TestResolventConeBound:
         assert k_moved == pytest.approx(k_base, rel=1e-9)
 
     def test_artifacts_classified_by_the_box_rule(self, coarse, monkeypatch):
-        """B1's eigenvalues are starved by ``census.starved(box)``, the rule
-        ``spectrum_cone_check`` applies to the same box.  A synthetic census
-        plants one eigenvalue between the box's tolerance and the uncapped
-        one from the lattice; with an exclusion radius that covers the box,
-        counting it as an artifact would reject every sample."""
+        """B1's eigenvalues are starved by ``census.starved(box, lambda_1)``,
+        the rule ``spectrum_cone_check`` applies to the same box.  A
+        synthetic census plants one eigenvalue next to a lattice point of
+        the box, farther than the box's tolerance and nearer than the one
+        of every mode; with an exclusion radius that covers the box,
+        counting it as an artifact would reject every sample.  A second
+        value half the box's tolerance from that point is starved."""
         cfg, field = coarse
         trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         last = trace.scales[-1]
+        lam1, basis = last.levels[1].lam, last.census.basis
         box = Box.b1(cfg, 1, field.ladder.cutoff(1))
-        capped, full = last.census.starved(box)[1], last.census.starved()[1]
+        capped = last.census.starved(box, lam1)[1]
+        full = soft_branch_tolerance(cfg, basis.modes, np.inf)
         assert capped < full
-        planted = complex(box.level + 0.5 * box.half_width, 0.5 * (box.lo + box.hi))
-        census = SpectralCensus([last.levels[1].lam, planted], [1, 1], cfg, None)
-        census.basis = last.census.basis
-        census.lattice_dist = np.array([np.inf, np.sqrt(capped * full)])
-        assert box.contains(planted) and census.values[1] == planted
-        assert census.starved()[0].tolist() == [False, True]
-        assert census.starved(box)[0].tolist() == [False, False]
-        last.census = census
+        lattice = soft_branch_lattice(cfg, basis)
+        point = lattice[box.contains(lattice)][0]
+        planted = point + 1j * np.sqrt(capped * full)  # up, off the ray
+        assert box.contains(planted)
+        assert capped < np.min(np.abs(lattice - planted)) <= full
+        near = point + 0.5 * capped
+        census = SpectralCensus([lam1, planted, near], [1, 1, 1], cfg, basis)
+        assert census.values[census.starved(box, lam1)[0]].tolist() == [near]
+        last.census = SpectralCensus([lam1, planted], [1, 1], cfg, basis)
         monkeypatch.setattr(diagnostics, "ARTIFACT_EXCLUSION", 10.0)
         rep = resolvent_cone_bound_check(trace, n_samples=5, seed=0)
         assert (rep["n_skipped_artifact"], rep["n_used"]) == (0, 5)

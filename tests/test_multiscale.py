@@ -153,13 +153,20 @@ class TestPracticalRun:
         assert abs(lam_last - lam_prev) < result["levels"][1]["error_bar"]
 
     def test_p2_p4_report(self, practical):
-        """The report holds each fit K_n; the samples stay on the levels."""
+        """The report holds each fit K_n and the points skipped per reason;
+        the samples stay on the levels."""
         cfg, field, trace = practical
         report = check_p2_p4(trace)
         for rec in trace.scales:
             for i, data in rec.levels.items():
                 entry = data.p4
-                assert report["p4"][str(i)][str(rec.n)] == {"K_n": entry["K_n"]}
+                skipped = entry["skipped"]
+                reasons = ("outside", "artifact", "near_lambda")
+                assert set(skipped) <= set(reasons)
+                assert report["p4"][str(i)][str(rec.n)] == {
+                    "K_n": entry["K_n"],
+                    "n_skipped": {r: skipped[r] for r in reasons},
+                }
                 assert len(entry["samples"]) == P4_SAMPLES
                 assert np.isfinite(entry["K_n"]) and entry["K_n"] > 0
                 for sample in entry["samples"]:
@@ -168,6 +175,24 @@ class TestPracticalRun:
                     )
         for i in ("0", "1"):
             assert all(v["unique"] for v in report["p2"][i].values())
+
+    def test_p4_keeps_the_points_around_lambda(self, cfg, small_field):
+        """The CI tiny config (``cfg`` on ``small_field``) at 40 samples per
+        scale.  At scale 3, lambda_1 lies within the whole census' lattice
+        tolerance of the lattice, and its window holds no other starved
+        eigenvalue: a rule that let lambda_1 count as an artifact skipped 4
+        points around it, this one skips none."""
+        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=40, seed=0)
+        rec = trace.scales[2]
+        lam, basis = rec.levels[1].lam, small_field.basis_for_scale(3)
+        lattice = soft_branch_lattice(cfg, basis)
+        assert np.min(np.abs(lattice - lam)) <= soft_branch_tolerance(
+            cfg, basis.modes, np.inf
+        )
+        assert rec.levels[1].p4["skipped"]["artifact"] == 0
+        report = check_p2_p4(trace)["p4"]["1"]["3"]
+        assert report["n_skipped"]["artifact"] == 0
+        assert len(rec.levels[1].p4["samples"]) == 40
 
     def test_checks_leave_the_trace_alone(self, cfg, small_field):
         """Every check returns its report and writes nothing into the trace
@@ -215,15 +240,16 @@ class TestReassemblyOracle:
             eigs = np.concatenate(
                 [np.linalg.eigvals(s.dense()) for s in H.sectors.values()]
             )
-            starved = eigs[
-                brute_lattice_dist(soft_branch_lattice(cfg, basis), eigs)
-                <= soft_branch_tolerance(cfg, basis.modes)
-            ]
+            lattice = soft_branch_lattice(cfg, basis)
             for i, data in rec.levels.items():
+                # the window's starved eigenvalues, lambda aside
+                window = Box.wn(cfg, i, rec.rho_n, data.lam)
+                height = (window.hi - window.lo) / np.sin(cfg.nu)
+                tol = soft_branch_tolerance(cfg, basis.modes, height)
+                starved = eigs[brute_starved(eigs, window, data.lam, lattice, tol)]
                 zs = sample_window_oracle(
-                    rng, Box.wn(cfg, i, rec.rho_n, data.lam), data.lam,
-                    rec.contour_radius, P4_SAMPLES, avoid=starved,
-                    avoid_radius=0.1 * rec.rho_n,
+                    rng, window, data.lam, rec.contour_radius, P4_SAMPLES,
+                    avoid=starved, avoid_radius=0.1 * rec.rho_n,
                 )
                 samples = data.p4["samples"]
                 assert [s["z"] for s in samples] == zs
@@ -360,6 +386,14 @@ def brute_lattice_dist(lattice: np.ndarray, zs) -> np.ndarray:
     return np.array([np.min(np.abs(lattice - z)) for z in zs])
 
 
+def brute_starved(values, box, lam, lattice, tol) -> np.ndarray:
+    """The starved rule by brute force: in the box, not lam, and within
+    tol of some point of the whole lattice."""
+    not_lam = np.abs(values - lam) > 1e-12 * max(1.0, abs(lam))
+    near = brute_lattice_dist(lattice, values) <= tol
+    return box.contains(values) & not_lam & near
+
+
 def max_distance(points: np.ndarray, lattice: np.ndarray) -> float:
     """Largest distance from a point of ``points`` to ``lattice``."""
     return float(np.max(np.min(np.abs(points[:, None] - lattice[None, :]), axis=1)))
@@ -387,7 +421,8 @@ class TestSoftBranchLattice:
         basis = enumerate_basis(small_field.modes_for_scale(2), 0)
         assert soft_branch_lattice(cfg, basis).shape == (0,)
         census = SpectralCensus([cfg.e0, cfg.e1], [-1, 1], cfg, basis)
-        assert np.isinf(census.lattice_dist).all()  # nothing is starved
+        wide = Box(0.5, 10.0, -5.0, 1.0)
+        assert not census.starved(wide, 0.5)[0].any()  # nothing is starved
 
     def test_agrees_with_hand_built_sums_at_three_bosons(self, cfg, small_field):
         modes = small_field.modes_for_scale(2)
@@ -411,28 +446,42 @@ class TestSoftBranchLattice:
 
     def test_tolerance_scales_with_coupling(self, cfg, small_field):
         modes = small_field.modes_for_scale(1)
-        t1 = soft_branch_tolerance(cfg, modes)
-        t2 = soft_branch_tolerance(cfg.replace(g=0.1), modes)
+        t1 = soft_branch_tolerance(cfg, modes, np.inf)
+        t2 = soft_branch_tolerance(cfg.replace(g=0.1), modes, np.inf)
         assert t2 == pytest.approx(4.0 * t1)
 
-    @pytest.mark.parametrize("max_freq", [None, 0.3])
-    def test_mask_matches_pointwise_distance(self, cfg, small_field, rng, max_freq):
-        basis = small_field.basis_for_scale(2)
+    @pytest.mark.parametrize("where", ["b1", "wide"])
+    def test_mask_matches_brute_force(self, cfg, small_field, rng, where):
+        """In the first-scale box (a capped tolerance) and in a box holding
+        every value (the height admits every mode)."""
+        basis = small_field.basis_for_scale(3)
         lattice = soft_branch_lattice(cfg, basis)
-        tol = soft_branch_tolerance(cfg, basis.modes, max_freq)
-        near = lattice[::3] + 0.5 * tol * np.exp(
-            2j * np.pi * rng.uniform(size=len(lattice[::3]))
+        box = {
+            "b1": Box.b1(cfg, 1, small_field.ladder.cutoff(1)),
+            "wide": Box(1.0, 10.0, -5.0, 1.0),
+        }[where]
+        tol = soft_branch_tolerance(
+            cfg, basis.modes, (box.hi - box.lo) / np.sin(cfg.nu)
         )
+        # every third lattice point, and four times each one in the box
+        inner = lattice[box.contains(lattice)]
+        near = np.concatenate([lattice[::3], np.repeat(inner, 4)])
+        near = near + 0.5 * tol * np.exp(2j * np.pi * rng.uniform(size=len(near)))
         far = lattice[1::3] + 3.0 * tol
         zs = np.concatenate([near, far, rng.uniform(0, 2, 20) - 0.01j])
+        lam = near[box.contains(near)][0]
         census = SpectralCensus(zs, np.zeros(len(zs), dtype=int), cfg, basis)
-        dist = census.lattice_dist
-        assert np.array_equal(dist, brute_lattice_dist(lattice, census.values))
-        assert set(census.values[dist <= tol].tolist()) >= set(near.tolist())
+        mask, got_tol = census.starved(box, lam)
+        assert got_tol == tol and mask.sum() >= 4
+        brute = brute_starved(census.values, box, lam, lattice, tol)
+        assert np.array_equal(mask, brute)
+        assert set(census.values[mask].tolist()) >= set(
+            near[box.contains(near) & (near != lam)].tolist()
+        )
         empty = SpectralCensus([], [], cfg, basis)
-        assert empty.values.shape == empty.lattice_dist.shape == (0,)
+        assert empty.starved(box, lam)[0].shape == (0,)
 
-    def test_distance_with_tied_energies(self, cfg, rng):
+    def test_mask_with_tied_energies(self, cfg, rng):
         """Equally spaced modes: many free energies tie, exactly or to an ulp."""
         freqs = 0.1 * np.arange(1, 9)
         modes = ModeSet(freqs, np.full(8, 0.1), np.zeros(8, dtype=int))
@@ -447,6 +496,22 @@ class TestSoftBranchLattice:
             rng.uniform(-0.5, 3.0, 200) + 1j * rng.uniform(-1.0, 0.2, 200),
         ])
         census = SpectralCensus(zs, np.zeros(len(zs), dtype=int), cfg, basis)
-        assert np.array_equal(
-            census.lattice_dist, brute_lattice_dist(lattice, census.values)
-        )
+        box, lam = Box(1.0, 2.0, -1.0, 0.2), zs[-1]
+        mask, tol = census.starved(box, lam)
+        assert mask.sum() > len(lattice) // 4
+        brute = brute_starved(census.values, box, lam, lattice, tol)
+        assert np.array_equal(mask, brute)
+
+    def test_lambda_on_a_lattice_point_is_never_starved(self, cfg, small_field):
+        """lambda sits exactly on a lattice point; a second value at that
+        point, half a tolerance off, is starved, and lambda is again once
+        the question is about the other value."""
+        basis = small_field.basis_for_scale(3)
+        lattice = soft_branch_lattice(cfg, basis)
+        box = Box.b1(cfg, 1, small_field.ladder.cutoff(1))
+        point = lattice[box.contains(lattice)][0]
+        tol = SpectralCensus([], [], cfg, basis).starved(box, point)[1]
+        census = SpectralCensus([point, point + 0.5 * tol], [1, 1], cfg, basis)
+        assert census.values[0] == point
+        assert census.starved(box, point)[0].tolist() == [False, True]
+        assert census.starved(box, point + 0.5 * tol)[0].tolist() == [True, False]
