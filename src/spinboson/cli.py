@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +129,8 @@ class RunConfig:
     """Validated run configuration: the model, the grid and the run values.
 
     Every run value is parsed here.  ``field`` is the run's grid, which
-    holds its ``CutoffLadder`` as ``field.ladder``; ``raw`` is the
-    document the run read, ``--seed`` and ``--mode`` included, kept for
-    the manifest's hash.  ``jobs`` is no config key (nor hashed): it is the
-    usable CPU count unless ``--jobs`` sets it.
+    holds its ``CutoffLadder`` as ``field.ladder``.  ``jobs`` is no config
+    key (nor hashed): it is the usable CPU count unless ``--jobs`` sets it.
     """
 
     model: ModelConfig
@@ -148,7 +146,21 @@ class RunConfig:
     c_generic: float
     trials: int
     levels: tuple
-    raw: dict
+
+    def identity(self) -> dict:
+        """The parsed run the manifest hashes: every value but ``jobs``.
+
+        The grid enters with its defaults resolved, so two documents that
+        parse to the same run, such as one without ``run.seed`` and the same
+        one with ``--seed 0``, hash alike.
+        """
+        grid = self.field
+        run = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
+        run["field"] = {
+            "ladder": grid.ladder,
+            **{key: getattr(grid, key) for key in ("n_scales", *sorted(_DISC_KEYS))},
+        }
+        return run
 
 
 def parse_config(text: str, **run) -> RunConfig:
@@ -161,7 +173,7 @@ def parse_config(text: str, **run) -> RunConfig:
     any work starts.  The list lengths and the circle's sample count are
     checked by the scan that uses them.  ``run`` (the command line's
     ``--seed`` and ``--mode``) is written into the document's run section
-    first, so it is validated like it and the manifest's hash covers it.
+    first, so it is validated like it.
     """
     try:
         doc = json.loads(text)
@@ -251,7 +263,6 @@ def parse_config(text: str, **run) -> RunConfig:
         c_generic=real(run_doc, "c_generic", 10.0, C_GENERIC_MIN),
         trials=integer(run_doc, "trials", 100, 1),
         levels=tuple(levels),
-        raw=doc,
     )
 
 
@@ -452,7 +463,7 @@ def dispatch(subcommand: str, rc: RunConfig, out_dir) -> int:
         except SpinBosonError as exc:
             ok, code = False, 2
             failure = {"error": type(exc).__name__, "message": str(exc)}
-    manifest = run_manifest(rc.raw, wall_time=time.perf_counter() - t0)
+    manifest = run_manifest(rc.identity(), wall_time=time.perf_counter() - t0)
     manifest.update({"kind": subcommand, "pass": ok})
     # an empty "blas" list: no OpenBLAS was found, so nothing was pinned
     manifest["threads"] = {"usable_cpus": usable_cpus(), "jobs": rc.jobs, "blas": blas}

@@ -325,12 +325,10 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     eigenvalue of the deepest-cutoff operator that falls in the first-scale
     box of level i must lie within ``tol`` of the cone with vertex at the
     tracked lambda_i and divisor ``cfg.m_cone`` (the trace's config).
-    Truncation-starved soft-branch states (multiboson states whose decay
-    channel exceeds the total-number cutoff; they sit one core width above
-    their physical position and are recognized by their distance to the
-    free branch lattice, ``census.starved(box, lambda_i)``; lambda_i itself
-    never is) are tested after restoring the core dressing lambda_i - e_i;
-    raw distances are reported for both classes.
+    Truncation-starved states (``census.starved(box, lambda_i)``: the
+    partners of a top-layer entry, whose decay channel the boson cutoff
+    removed; lambda_i itself never is one) are counted and not tested.
+    ``max_dist`` covers the tested states, ``max_dist_raw`` all of them.
 
     ``chain`` holds, per level, one ``verify_cone_chain`` row for each
     consecutive pair of scales of the trace: the nested-cone step from
@@ -342,37 +340,22 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim}
     for i in sorted(last.levels):
         lam = complex(last.levels[i].lam)
-        bare = cfg.e1 if i == 1 else cfg.e0
-        dressing = lam - bare
         cone = Cone(lam, cfg.nu, cfg.m_cone)
         box = Box.b1(cfg, i, rho1)
-        # every level's box is as high, so every level's tolerance is one
-        soft, out["branch_tol"] = last.census.starved(box, lam)
         inside = box.contains(values)
-        in_box = values[inside]
-        rows = []
-        violations = []
-        n_starved = 0
-        for z, starved in zip(in_box, soft[inside].tolist()):
-            raw = dist_to_cone(cone, z)
-            eff = dist_to_cone(cone, z + dressing) if starved else raw
-            n_starved += starved
-            rows.append(
-                {
-                    "z": z,
-                    "dist_raw": float(raw),
-                    "dist": float(eff),
-                    "starved_branch": starved,
-                }
-            )
-            if eff > tol:
-                violations.append(rows[-1])
+        starved = last.census.starved(box, lam)[inside].tolist()
+        rows = [
+            {"z": z, "dist": float(dist_to_cone(cone, z)), "starved_branch": s}
+            for z, s in zip(values[inside], starved)
+        ]
+        tested = [r for r in rows if not r["starved_branch"]]
+        violations = [r for r in tested if r["dist"] > tol]
         out["levels"][i] = {
             "vertex": lam,
-            "n_in_box": len(in_box),
-            "n_starved_branch": n_starved,
-            "max_dist": float(max((r["dist"] for r in rows), default=0.0)),
-            "max_dist_raw": float(max((r["dist_raw"] for r in rows), default=0.0)),
+            "n_in_box": len(rows),
+            "n_starved_branch": sum(starved),
+            "max_dist": max((r["dist"] for r in tested), default=0.0),
+            "max_dist_raw": max((r["dist"] for r in rows), default=0.0),
             "violations": violations,
             "pass": not violations,
         }
@@ -406,9 +389,9 @@ def resolvent_cone_bound_check(
     eigenvalues pollute the sampled region (in the untruncated model it
     belongs to the resolvent set), so samples inside a small exclusion
     radius (``ARTIFACT_EXCLUSION``) of those artifact eigenvalues are
-    skipped and counted as well.  The box's eigenvalues other than
-    lambda_1 are classified by ``census.starved(box, lambda_1)``, the rule
-    ``spectrum_cone_check`` applies to the same box.
+    skipped and counted as well.  The box's starved eigenvalues are those
+    of ``census.starved(box, lambda_1)``, the rule ``spectrum_cone_check``
+    applies to the same box: partners of a top-layer entry of their sector.
     """
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
     lam1 = complex(last.levels[1].lam)
@@ -419,7 +402,7 @@ def resolvent_cone_bound_check(
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
-    starved = last.census.values[last.census.starved(box, lam1)[0]]
+    starved = last.census.values[last.census.starved(box, lam1)]
 
     def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):

@@ -293,6 +293,17 @@ class Sector:
         out[t] = d * x_t + self.a_rt.T @ x_r
         return out
 
+    def top_shifts(self) -> np.ndarray:
+        """Second-order shift s_t = sum_r A_rt^2 / (d_t - A_rr[r, r]) of each d_t.
+
+        The sum runs over the nonzeros of ``a_rt`` alone: in an assembled
+        Hamiltonian each top state couples to at most n_max states of R.
+        """
+        r, t = np.nonzero(self.a_rt)
+        terms = self.a_rt[r, t] ** 2 / (self.d[t] - self.a_rr[r, r])
+        n_t = len(self.d)
+        return np.bincount(t, terms.real, n_t) + 1j * np.bincount(t, terms.imag, n_t)
+
     def with_top(self, keep: np.ndarray) -> "Sector":
         """The same matrix with only ``top[keep]`` as its top layer.
 

@@ -44,19 +44,17 @@ practical couplings the resonance can sink below the first-scale box floor
 window is the faithful surrogate.  Both counts are recorded.
 
 One truncation effect needs care in the uniqueness count: with a total
-boson cutoff, the deepest multiboson states above the resonance (excited
-core plus n_max soft bosons) lose their decay channel and sit a resonance
-width higher than physics puts them, so at deep scales they drift into the
-window.  They are identified by their distance to the free soft-branch
-lattice, which is smaller by orders of magnitude than any genuine second
-eigenvalue's displacement, counted separately, and excluded from the
-uniqueness verdict.  The lattice is e_i + exp(-theta) times the free
-energy of every state of the scale basis with a boson, so it holds every
-multiboson sum the basis holds.  At couplings inside the smallness windows
-the lattice never intersects the window and the check is the literal one.
+boson cutoff, a state with n_max bosons (a top-layer entry d_t of its
+parity sector) has lost its decay channel, which needs one boson more than
+the cutoff allows.  Its eigenvalue stays next to d_t, displaced by little
+more than the second-order shift s_t = sum_r A_rt^2 / (d_t - A_rr[r, r]),
+and at deep scales such states drift into the window above the resonance.
 ``SpectralCensus.starved(box, lam)`` alone decides which eigenvalues in a
-box, lam never among them, are starved: P2 and P4 ask about the window,
-the cone checks in ``diagnostics`` about the full grid's B1 boxes.
+box, lam never among them, are starved: the partners of a top-layer entry
+of their own sector, within ``PAIRING`` |s_t| of it.  They are counted
+separately and excluded from the uniqueness verdict.  P2 and P4 ask about
+the window, the cone checks in ``diagnostics`` about the full grid's B1
+boxes.
 """
 
 from __future__ import annotations
@@ -66,14 +64,9 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TrackingError
-from .fock import OperatorMatrix, field_energy_diagonal
+from .fock import OperatorMatrix
 from .geometry import Box
-from .model import (
-    DiscretizedField,
-    ModelConfig,
-    assemble_hamiltonian,
-    coupling_amplitudes,
-)
+from .model import DiscretizedField, ModelConfig, assemble_hamiltonian
 from .spectral import (
     RieszProjector,
     projector_distance,
@@ -83,6 +76,12 @@ from .spectral import (
 from .threads import parallel_map
 
 SCHEMA_VERSION = 1
+# A box eigenvalue is starved when it lies within PAIRING |s_t| of a
+# top-layer entry d_t of its own sector.  Measured with g up to 0.15 and
+# n_max 2 and 3: partners lie at most 1.06 |s_t| from their d_t, every
+# other eigenvalue at least 102 |s_t| from each.  The factor errs toward
+# testing: a missed partner fails a check, a false one could pass it.
+PAIRING = 2.0
 
 
 @dataclass
@@ -201,35 +200,6 @@ def _atomic_vacuum(i: int, dim: int) -> np.ndarray:
     return vec
 
 
-def soft_branch_lattice(cfg: ModelConfig, basis) -> np.ndarray:
-    """Free multiboson branch points e_a + exp(-theta) * (free energy).
-
-    The free energies are those of the basis states with 1 .. n_max
-    bosons.  These are the zero-coupling positions of the soft branches;
-    with a total-number truncation the deepest multiboson states keep only
-    an O(g^2 c_soft^2) dressing (their decay channel needs one boson more
-    than the cutoff allows), so the interacting spectrum contains
-    near-copies of this lattice.
-    """
-    energies = field_energy_diagonal(basis)[1:]  # state 0 is the vacuum
-    phase = np.exp(-cfg.theta)
-    return np.concatenate([cfg.e0 + phase * energies, cfg.e1 + phase * energies])
-
-
-def soft_branch_tolerance(cfg: ModelConfig, modes, max_freq: float) -> float:
-    """Matching tolerance for truncation-starved soft-branch states.
-
-    Such a state keeps only the annihilation-channel dressing of its soft
-    bosons, of size |g|^2 |c_j|^2; the factor 20 covers multi-boson sums
-    and stays orders of magnitude below any genuine eigenvalue shift.
-    Only modes of frequency up to ``max_freq`` enter.
-    """
-    coeffs = np.abs(coupling_amplitudes(cfg, modes)) ** 2
-    coeffs = coeffs[modes.frequencies <= max(max_freq, 0.0)]
-    top = float(np.max(coeffs)) if len(coeffs) else 0.0
-    return max(20.0 * abs(cfg.g) ** 2 * top, 1e-10)
-
-
 def _is_lam(values, lam: complex):
     """Which of ``values`` are the tracked eigenvalue lam, to rounding."""
     return np.abs(values - lam) <= 1e-12 * max(1.0, abs(lam))
@@ -239,29 +209,31 @@ class SpectralCensus:
     """One operator's dense spectrum, computed once and read by every check.
 
     ``values`` holds the eigenvalues sorted by (real, imaginary) part and
-    ``sectors`` the key of each one's sector.  ``cfg`` and ``basis`` are
-    the model and the scale basis the operator was built on, which
-    ``starved`` reads.
+    ``sectors`` the key of each one's sector.  ``partners`` maps each
+    sector key to its top-layer entries d_t and their second-order shifts
+    s_t (``Sector.d``, ``Sector.top_shifts``), which ``starved`` reads.
     """
 
-    def __init__(self, values, sectors, cfg: ModelConfig | None, basis):
+    def __init__(self, values, sectors, partners: dict):
         values = np.asarray(values, dtype=complex)
         order = np.lexsort((values.imag, values.real))
         self.values, self.sectors = values[order], np.asarray(sectors)[order]
-        self.cfg, self.basis = cfg, basis
+        self.partners = partners
 
     @classmethod
-    def of(cls, H, cfg: ModelConfig | None = None, basis=None, *, jobs: int):
+    def of(cls, H, *, jobs: int):
         """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads.
 
         Each task builds its sector's dense matrix and drops it once its
         eigenvalues are in, so at ``jobs`` 1 one dense matrix exists at a time.
+        The top-layer pairs are read off the sector parts.
         """
         parts = parallel_map(
             lambda sec: np.linalg.eigvals(sec.dense()), H.sectors.values(), jobs
         )
         keys = np.repeat(list(H.sectors), [len(p) for p in parts])
-        return cls(np.concatenate(parts), keys, cfg, basis)
+        partners = {key: (sec.d, sec.top_shifts()) for key, sec in H.sectors.items()}
+        return cls(np.concatenate(parts), keys, partners)
 
     def nearest(self, z: complex) -> complex:
         return complex(self.values[np.argmin(np.abs(self.values - z))])
@@ -283,28 +255,22 @@ class SpectralCensus:
         dist = np.sort(np.abs(self.values - lam))
         return float(dist[1]) if len(dist) > 1 else np.inf
 
-    def starved(self, box: Box, lam: complex) -> tuple[np.ndarray, float]:
+    def starved(self, box: Box, lam: complex) -> np.ndarray:
         """Which eigenvalues in ``box``, other than lam, are truncation-starved.
 
-        Returns a mask over ``values`` and the tolerance that decides it.
-        An eigenvalue of the box is starved when it lies within
-        ``soft_branch_tolerance`` of ``soft_branch_lattice``, counting the
-        modes up to the box's height over sin(nu) (a state inside the box
-        holds no boson of a higher one).  The tracked eigenvalue lam, to
+        Returns a mask over ``values``.  An eigenvalue z of the box is
+        starved when it is the partner of a top-layer entry d_t of its own
+        sector, |z - d_t| <= PAIRING |s_t|.  The tracked eigenvalue lam, to
         rounding, never is.
         """
-        cfg, values = self.cfg, self.values
-        tol = soft_branch_tolerance(
-            cfg, self.basis.modes, (box.hi - box.lo) / np.sin(cfg.nu)
-        )
-        # only lattice points of the box grown by the tolerance can be near
-        lattice, pad = soft_branch_lattice(cfg, self.basis), 2.0 * tol
-        grown = Box(box.level, box.half_width + pad, box.lo - pad, box.hi + pad)
-        near = lattice[grown.contains(lattice)]
+        values = self.values
         mask = box.contains(values) & ~_is_lam(values, lam)
-        dist = np.abs(values[mask, None] - near)
-        mask[mask] = np.min(dist, axis=1, initial=np.inf) <= tol
-        return mask, tol
+        out = np.zeros(len(values), dtype=bool)
+        for key, (d, shift) in self.partners.items():
+            own = np.flatnonzero(mask & (self.sectors == key))
+            near = np.abs(values[own, None] - d) <= PAIRING * np.abs(shift)
+            out[own] = np.any(near, axis=1)
+        return out
 
 
 def run_ladder(
@@ -341,8 +307,7 @@ def run_ladder(
     for n in range(1, field.n_scales + 1):
         H = None  # scale n - 1's operator goes before scale n's is assembled
         H = assemble_hamiltonian(cfg, field, n=n)
-        basis = field.basis_for_scale(n)
-        census = SpectralCensus.of(H, cfg, basis, jobs=jobs)
+        census = SpectralCensus.of(H, jobs=jobs)
         rho_n = field.ladder.cutoff(n)
         contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
         rec = ScaleRecord(
@@ -372,7 +337,7 @@ def run_ladder(
             box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
             # the window's other eigenvalues: soft-branch copies or violations
             in_window = census.values[window.contains(census.values)]
-            starved = census.starved(window, lam)[0]
+            starved = census.starved(window, lam)
             n_soft = int(np.count_nonzero(starved))
             n_bad = int(np.count_nonzero(~_is_lam(in_window, lam))) - n_soft
 

@@ -325,23 +325,30 @@ class TestMain:
         assert "feasibility: pass" in capsys.readouterr().out
 
     def test_manifest_hash_covers_seed_and_mode(self, tmp_path, capsys):
-        """``--seed`` and ``--mode`` are written into the hashed document,
-        ``--jobs`` is not, and a run without them hashes the document as
-        given; the tiny config's own seed is 1."""
-        cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(config_text())
+        """The hash is that of the parsed run: ``--seed`` and ``--mode``
+        change it, ``--jobs`` does not, and a flag that restates the
+        document's value, or the default of an absent key, changes nothing.
+        The tiny config's own seed is 1."""
 
-        def sha(*flags) -> str:
-            out = tmp_path / "-".join(["out", *flags])
+        def sha(text, *flags) -> str:
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(text)
+            out = tmp_path / "-".join(["out", str(len(text)), *flags])
             main(["feasibility", "--config", str(cfg_path), "--out", str(out), *flags])
             return json.loads((out / "manifest.json").read_text())["config_sha256"]
 
-        plain = sha()
-        assert plain == config_hash(json.loads(config_text()))
-        assert sha("--jobs", "1") == sha("--seed", "1") == plain
-        seeded = {sha("--seed", "0"), sha("--seed", "7")}
+        text = config_text()
+        plain = sha(text)
+        assert plain == config_hash(parse_config(text).identity())
+        assert sha(text, "--jobs", "1") == sha(text, "--seed", "1") == plain
+        seeded = {sha(text, "--seed", "0"), sha(text, "--seed", "7")}
         assert len(seeded) == 2 and plain not in seeded
-        assert sha("--mode", "strict") not in {plain, *seeded}
+        assert sha(text, "--mode", "strict") not in {plain, *seeded}
+        # a document without run.seed runs with seed 0, as --seed 0 does
+        bare = json.loads(text)
+        del bare["run"]["seed"]
+        unseeded = json.dumps(bare)
+        assert sha(unseeded) == sha(unseeded, "--seed", "0") == sha(text, "--seed", "0")
 
     def test_cli_bad_seed(self, tmp_path, capsys):
         """``parse_config`` validates ``--seed`` as it validates run.seed."""

@@ -22,13 +22,8 @@ from spinboson import (
 )
 from spinboson import diagnostics
 from spinboson.errors import ConvergenceError
-from spinboson.geometry import Box
-from spinboson.multiscale import (
-    SpectralCensus,
-    run_ladder,
-    soft_branch_lattice,
-    soft_branch_tolerance,
-)
+from spinboson.geometry import Box, Cone, dist_to_cone
+from spinboson.multiscale import PAIRING, SpectralCensus, run_ladder
 from spinboson.spectral import ShiftedSolver, solver_tolerance
 
 from sectors import one_sector, spectrum
@@ -264,6 +259,32 @@ class TestSpectrumConeCheck:
         )
         assert narrow["levels"][0]["violations"]
 
+    def test_starved_states_counted_not_tested(self, coarse):
+        """A starved value far outside the cone is no violation; an
+        unstarved one at ``dist`` > tol is, with its raw distance.
+        ``max_dist`` covers the tested values, ``max_dist_raw`` all."""
+        cfg, field = coarse
+        trace = run_ladder(cfg, field, levels=(1,), jobs=1)
+        last = trace.scales[-1]
+        lam1 = last.levels[1].lam
+        d, s = np.array([lam1.real + 0.3]), np.array([1e-5 + 1e-5j])
+        starved, stray = d[0] + abs(s[0]), lam1.real + 0.1
+        last.census = SpectralCensus([lam1, starved, stray], [1, 1, 1],
+                                     {1: (d, s)})
+        rep = spectrum_cone_check(trace, tol=5e-3)
+        level = rep["levels"][1]
+        cone = Cone(lam1, cfg.nu, cfg.m_cone)
+        far, off = dist_to_cone(cone, starved), dist_to_cone(cone, stray)
+        assert far > off > 5e-3
+        assert level["n_starved_branch"] == 1
+        assert level["violations"] == [
+            {"z": stray, "dist": off, "starved_branch": False}
+        ]
+        assert (level["max_dist"], level["max_dist_raw"]) == (off, far)
+        assert not level["pass"] and not rep["pass"]
+        last.census = SpectralCensus([lam1, starved], [1, 1], {1: (d, s)})
+        assert spectrum_cone_check(trace, tol=5e-3)["pass"]
+
     def test_chain_steps_pass_on_practical_run(self, coarse):
         cfg, field = coarse
         trace = run_ladder(cfg, field, jobs=1)
@@ -350,28 +371,22 @@ class TestResolventConeBound:
     def test_artifacts_classified_by_the_box_rule(self, coarse, monkeypatch):
         """B1's eigenvalues are starved by ``census.starved(box, lambda_1)``,
         the rule ``spectrum_cone_check`` applies to the same box.  A
-        synthetic census plants one eigenvalue next to a lattice point of
-        the box, farther than the box's tolerance and nearer than the one
-        of every mode; with an exclusion radius that covers the box,
-        counting it as an artifact would reject every sample.  A second
-        value half the box's tolerance from that point is starved."""
+        synthetic census plants one eigenvalue 3 |s_t| from a top entry d_t
+        in the box, which is no partner; with an exclusion radius that
+        covers the box, counting it as an artifact would reject every
+        sample.  A second value 1.5 |s_t| from d_t is starved."""
         cfg, field = coarse
         trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         last = trace.scales[-1]
-        lam1, basis = last.levels[1].lam, last.census.basis
+        lam1 = last.levels[1].lam
         box = Box.b1(cfg, 1, field.ladder.cutoff(1))
-        capped = last.census.starved(box, lam1)[1]
-        full = soft_branch_tolerance(cfg, basis.modes, np.inf)
-        assert capped < full
-        lattice = soft_branch_lattice(cfg, basis)
-        point = lattice[box.contains(lattice)][0]
-        planted = point + 1j * np.sqrt(capped * full)  # up, off the ray
-        assert box.contains(planted)
-        assert capped < np.min(np.abs(lattice - planted)) <= full
-        near = point + 0.5 * capped
-        census = SpectralCensus([lam1, planted, near], [1, 1, 1], cfg, basis)
-        assert census.values[census.starved(box, lam1)[0]].tolist() == [near]
-        last.census = SpectralCensus([lam1, planted], [1, 1], cfg, basis)
+        d, s = np.array([lam1.real + 0.1 - 0.005j]), np.array([2e-5 - 1e-5j])
+        partners = {1: (d, s)}
+        planted, near = d[0] + 3j * abs(s[0]), d[0] + 1.5 * abs(s[0])
+        assert box.contains(planted) and 3 > PAIRING > 1.5
+        census = SpectralCensus([lam1, planted, near], [1, 1, 1], partners)
+        assert census.values[census.starved(box, lam1)].tolist() == [near]
+        last.census = SpectralCensus([lam1, planted], [1, 1], partners)
         monkeypatch.setattr(diagnostics, "ARTIFACT_EXCLUSION", 10.0)
         rep = resolvent_cone_bound_check(trace, n_samples=5, seed=0)
         assert (rep["n_skipped_artifact"], rep["n_used"]) == (0, 5)

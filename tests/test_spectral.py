@@ -122,7 +122,7 @@ class TestEigAll:
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
         )
-        census = SpectralCensus.of(H, cfg, small_field.basis_for_scale(None), jobs=1)
+        census = SpectralCensus.of(H, jobs=1)
         assert calls == [len(s.indices) for s in H.sectors.values()]
         assert np.array_equal(census.values, want)
         for key, sec in H.sectors.items():
