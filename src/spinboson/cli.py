@@ -495,7 +495,7 @@ def main(argv=None) -> int:
         rc = parse_config(text, **{k: v for k, v in given.items() if v is not None})
         if args.jobs is not None:
             rc.jobs = _integer(args.jobs, "--jobs", 1)
-    except ConfigError as exc:
+    except SpinBosonError as exc:  # a grid the document asks for fails too
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     code = dispatch(args.subcommand, rc, args.out)

@@ -24,10 +24,10 @@ proposal one order of magnitude past its bound scores slack -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log10, pi, sin
+from math import log10, sin
 
 from .errors import ConfigError
-from .model import IM_THETA_CAP
+from .model import IM_THETA_CAP, NU_FLOOR_MAX
 
 # the least admissible generic constant bound c of the constant chain
 C_GENERIC_MIN = 1.0
@@ -66,7 +66,7 @@ def compute_constants(
     """
     if not (0.0 < mu < 0.5):
         raise ConfigError(f"mu = {mu} outside (0, 1/2)")
-    if not (0.0 < nu_floor <= pi / 16.0):
+    if not (0.0 < nu_floor <= NU_FLOOR_MAX):
         raise ConfigError(f"nu_floor = {nu_floor} outside (0, pi/16]")
     if c_generic < C_GENERIC_MIN:
         raise ConfigError(

@@ -21,7 +21,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import ConfigError, SingularShiftError
+from .errors import ConfigError
 from .geometry import Box, Cone, cone_contains, dist_to_cone, verify_cone_chain
 from .model import (
     DiscretizedField,
@@ -31,7 +31,7 @@ from .model import (
     form_factor,
 )
 from .multiscale import MultiscaleTrace, run_ladder
-from .spectral import resolvent_norm, shifted_inverse_eigenvalue, solver_tolerance
+from .spectral import ShiftedSolver, contour_eigenpair, resolvent_norm, solver_tolerance
 
 # Grid refinement of the theta-invariance budget: points per shell and per
 # ultraviolet panel grow by this factor (and by at least one).
@@ -98,7 +98,7 @@ def fermi_golden_rule(
     rows = []
     for g in g_list:
         cfg_g = cfg.replace(g=g)
-        lam = _final_lambda(cfg_g, field, (1,), jobs)[0][1]
+        lam = run_ladder(cfg_g, field, levels=(1,), jobs=jobs).scales[-1].levels[1].lam
         ratio = lam.imag / abs(g) ** 2 if g != 0 else 0.0
         pt2 = second_order_eigenvalue(cfg_g, modes_full, i=1)
         rows.append(
@@ -128,27 +128,20 @@ def fermi_golden_rule(
     }
 
 
-def _final_lambda(cfg: ModelConfig, field: DiscretizedField, levels: tuple, jobs: int):
-    """The last scale's tracked eigenvalues and dimension of one ladder.
-
-    The trace, and the full-grid operator it holds, is let go on return,
-    so a scan never keeps one while its next ladder runs.
-    """
-    last = run_ladder(cfg, field, levels=levels, jobs=jobs).scales[-1]
-    return {i: last.levels[i].lam for i in levels}, last.dim
-
-
 def _refinement_delta(
-    cfg: ModelConfig, field: DiscretizedField, lam_base: dict
+    cfg: ModelConfig, field: DiscretizedField, tracked: dict
 ) -> dict:
     """One-step grid-refinement sensitivity of the final eigenvalues.
 
-    The refined operator is assembled at the last scale only and the
-    eigenvalue nearest the base value is pulled out by shifted inverse
-    iteration; the ladder need not be rerun since the eigenvalue gap far
-    exceeds the grid sensitivity.  A base value that is an eigenvalue of
-    the refined operator to working precision (a singular shift, as for
-    the free model's bare levels) has delta 0.
+    ``tracked`` maps each level to its last-scale ``LevelScaleData`` on
+    ``field``.  The refined operator is assembled at the last scale only,
+    and the refined eigenvalue is read by ``contour_eigenpair`` on the
+    circle of radius 0.4 gap around the base value, gap its census gap;
+    the ladder need not be rerun since that gap far exceeds the grid
+    sensitivity.  A circle that holds no refined eigenvalue, or two,
+    raises.  A base value that is an eigenvalue of the refined operator to
+    working precision (a singular shift, as for the free model's bare
+    levels) has delta 0.
     """
     refined = DiscretizedField(
         field.ladder,
@@ -166,12 +159,13 @@ def _refinement_delta(
     )
     H = assemble_hamiltonian(cfg, refined, n=None)
     deltas = {}
-    for i, lam in lam_base.items():
-        sector = H.sectors[+1 if i == 1 else -1]  # the one holding phi_i (x) vacuum
-        try:
-            lam_ref, _ = shifted_inverse_eigenvalue(sector, complex(lam))
-        except SingularShiftError:
-            lam_ref = lam
+    for i, data in tracked.items():
+        key = +1 if i == 1 else -1  # the sector holding phi_i (x) vacuum
+        sec, lam = H.sectors[key], data.lam
+        if ShiftedSolver(sec, lam).singular:
+            deltas[i] = 0.0
+            continue
+        lam_ref = contour_eigenpair(sec, lam, 0.4 * data.gap, None, key)[0]
         deltas[i] = abs(lam_ref - lam)
     return deltas
 
@@ -191,15 +185,16 @@ def theta_invariance_scan(
     eigenvalues match to solver precision.  Imaginary-part moves change
     the quadrature of a theta-independent quantity and are compared
     against the budget: the solver floor plus twice the largest one-step
-    grid-refinement delta at the first sample (``_refinement_delta``),
-    measured on every scan.  ``jobs`` goes to every ladder.
+    grid-refinement delta at the first sample (``_refinement_delta``, on
+    the contour projector of the refined grid around the first sample's
+    values), measured on every scan.  ``jobs`` goes to every ladder.
     """
     if len(theta_list) < 3:
         raise ConfigError("an invariance scan needs at least three samples")
     for theta in theta_list:
         cfg.validate_theta(theta)
     lambdas: dict = {i: [] for i in levels}
-    dims = []
+    dims, first = [], None  # first: the first sample's last-scale levels
     for theta in theta_list:
         cfg_t = cfg.replace(theta=theta)
         grid = (
@@ -207,10 +202,13 @@ def theta_invariance_scan(
             if abs(theta.real) == 0.0
             else field.scaled(float(np.exp(theta.real)))
         )
-        lams, dim = _final_lambda(cfg_t, grid, levels, jobs)
-        dims.append(dim)
+        # only the last scale's record is kept: the trace, and the full-grid
+        # operator it holds, goes before the next ladder runs
+        last = run_ladder(cfg_t, grid, levels=levels, jobs=jobs).scales[-1]
+        dims.append(last.dim)
+        first = first or last.levels
         for i in levels:
-            lambdas[i].append(lams[i])
+            lambdas[i].append(last.levels[i].lam)
     max_pairwise = {
         i: float(
             max(
@@ -226,9 +224,7 @@ def theta_invariance_scan(
     scale = max(abs(v) for vals in lambdas.values() for v in vals)
     tol_solver = solver_tolerance(max(dims), scale)
     details: dict = {"solver_tolerance": tol_solver}
-    base_cfg = cfg.replace(theta=theta_list[0])
-    base_lams = {i: lambdas[i][0] for i in levels}
-    deltas = _refinement_delta(base_cfg, field, base_lams)
+    deltas = _refinement_delta(cfg.replace(theta=theta_list[0]), field, first)
     details["refinement_delta"] = {str(i): float(d) for i, d in deltas.items()}
     budget = tol_solver + 2.0 * max(deltas.values())
 
@@ -278,7 +274,8 @@ def g_analyticity_check(
     if eval_fn is None:
 
         def eval_fn(g):
-            return _final_lambda(cfg.replace(g=g), field, levels, jobs)[0]
+            trace = run_ladder(cfg.replace(g=g), field, levels=levels, jobs=jobs)
+            return {i: data.lam for i, data in trace.scales[-1].levels.items()}
 
     ks = np.arange(n_samples)
     phases = np.exp(2j * pi * ks / n_samples)
@@ -328,7 +325,8 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     Truncation-starved states (``census.starved(box, lambda_i)``: the
     partners of a top-layer entry, whose decay channel the boson cutoff
     removed; lambda_i itself never is one) are counted and not tested.
-    ``max_dist`` covers the tested states, ``max_dist_raw`` all of them.
+    ``max_dist`` covers the tested states, ``max_dist_raw`` all of them;
+    each is None where it covers no state.
 
     ``chain`` holds, per level, one ``verify_cone_chain`` row for each
     consecutive pair of scales of the trace: the nested-cone step from
@@ -354,8 +352,8 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
             "vertex": lam,
             "n_in_box": len(rows),
             "n_starved_branch": sum(starved),
-            "max_dist": max((r["dist"] for r in tested), default=0.0),
-            "max_dist_raw": max((r["dist"] for r in rows), default=0.0),
+            "max_dist": max((r["dist"] for r in tested), default=None),
+            "max_dist_raw": max((r["dist"] for r in rows), default=None),
             "violations": violations,
             "pass": not violations,
         }

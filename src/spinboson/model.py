@@ -73,6 +73,8 @@ RE_THETA_MAX = 1e3
 # Gaussian to keep decaying, i.e. cos(2 Im theta) bounded below; pi/8 gives
 # cos(pi/4) and comfortably contains every dilation used in practice.
 IM_THETA_CAP = pi / 8
+# Bound of nu_floor, the floor of Im theta: the constant chain needs (0, pi/16].
+NU_FLOOR_MAX = pi / 16
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class ModelConfig:
             raise ConfigError("the ultraviolet scale Lambda must be positive")
         if not (0.0 < self.mu < 0.5):
             raise ConfigError(f"mu = {self.mu} violates mu in (0, 1/2)")
-        if not (0.0 < self.nu_floor < IM_THETA_CAP):
-            raise ConfigError("nu_floor must lie in (0, Im-theta cap)")
+        if not (0.0 < self.nu_floor <= NU_FLOOR_MAX):
+            raise ConfigError(f"nu_floor = {self.nu_floor} outside (0, pi/16]")
         if self.m_cone < 4:
             raise ConfigError("cone aperture divisor m must be at least 4")
         self.validate_theta(self.theta)
@@ -212,6 +214,8 @@ class DiscretizedField:
             raise ConfigError("need at least one infrared scale")
         if points_per_shell < 1:
             raise ConfigError("points_per_shell must be positive")
+        if ladder.cutoff(n_scales) < np.finfo(float).tiny:
+            raise ConfigError(f"the last cutoff rho0 rho^{n_scales} underflows")
         self.ladder = ladder
         self.n_scales = n_scales
         self.points_per_shell = points_per_shell

@@ -7,7 +7,7 @@ those blocks, and all spectral quantities of the full operator are unions
 or maxima over the sectors.  The operator-level routines
 (``track_eigenvalue``, ``resolvent_norm``) take an ``OperatorMatrix``; the
 per-block ones (``ShiftedSolver``, ``riesz_rank_one``,
-``shifted_inverse_eigenvalue``) take one ``Sector``.  The dense spectrum
+``contour_eigenpair``) take one ``Sector``.  The dense spectrum
 is not computed here: ``track_eigenvalue`` reads it from the operator's
 ``SpectralCensus`` (``multiscale``), which eigensolves each sector once.
 
@@ -25,13 +25,13 @@ inverts its shifted block through the same code.  Every sector matrix is
 complex symmetric (A^T = A), and so is S(z): the adjoint solve is the
 conjugated solve, conj((A - z)^(-1) conj c), and needs no second
 inverse.  No routine here builds a sector's dense matrix: the Rayleigh
-check and residual of ``track_eigenvalue`` share one product from the
-parts (``Sector.apply``).  Resolvent norms build one solver per sector
-and shift and run Lanczos on its solves; only the Schur complement is
-inverted densely, and no block is SVD'd densely.  All of this is numpy: the Lanczos Ritz step
-(``_top_ritz``) brackets the top eigenvalue of the tridiagonal by Newton
-steps on its LDL^T pivots and reads the eigenvector's last entry off a
-twisted factorization.
+quotient of ``contour_eigenpair`` and the residual of ``track_eigenvalue``
+share one product from the parts (``Sector.apply``).  Resolvent norms
+build one solver per sector and shift and run Lanczos on its solves; only
+the Schur complement is inverted densely, and no block is SVD'd densely.
+All of this is numpy: the Lanczos Ritz step (``_top_ritz``) brackets the
+top eigenvalue of the tridiagonal by Newton steps on its LDL^T pivots and
+reads the eigenvector's last entry off a twisted factorization.
 
 Contour projectors are trapezoid quadratures of the resolvent around a
 circle.  The integrand is analytic in an annulus whose radii are set by the
@@ -71,6 +71,10 @@ from .fock import OperatorMatrix, Sector
 
 IDEMPOTENCY_TOL = 1e-10
 MAX_QUAD_POINTS = 1024
+# Largest second singular value, relative to the first, of a converged rank-one
+# projector's image of the probes: its quadrature error left at most 1.2e-10
+# on every run of the tests; circles holding two eigenvalues gave 0.78 to 0.89.
+RANK_TOL = 1e-6
 # Relative agreement of the two eigenvalue routes in track_eigenvalue.
 AGREE_TOL = 1e-8
 # Resolvent norms: Lanczos stops at this relative Ritz residual, tested
@@ -233,7 +237,9 @@ def riesz_rank_one(
     solvers of one rule are held at once: nodes * |R|^2 * 16 bytes (one
     inverse each) for the sector's lower layers R.  The first pass
     recovers the range u from probe vectors, the second measures the
-    idempotency defect and the enclosed trace on that subspace.  The
+    idempotency defect and the enclosed trace on that subspace.  A
+    converged image of the probes of rank two or more (RANK_TOL) raises
+    DegeneracyError: the circle holds more than one eigenvalue.  The
     sector's matrix is complex symmetric, so the projector is
     u u^T / (u^T u) and u is all it keeps; a pairing |u^T u| below 1e-8
     (u has unit norm) raises DegeneracyError, as near an exceptional
@@ -278,6 +284,9 @@ def riesz_rank_one(
         solvers = None  # free this rule's factorizations before the next
         n_nodes *= 2
 
+    if idem < IDEMPOTENCY_TOL and np.any(svals[1:] > RANK_TOL * svals[0]):
+        raise DegeneracyError(f"contour at {center} (radius {radius}) encloses "
+                              f"more than one eigenvalue: singular values {svals}")
     if abs(u @ u) < 1e-8:  # u^T u, the c-product
         raise DegeneracyError(
             f"left/right pairing nearly singular at contour center {center}"
@@ -308,6 +317,38 @@ class SpectralRecord:
     right_vector: np.ndarray
 
 
+def contour_eigenpair(
+    sec: Sector,
+    center: complex,
+    radius: float,
+    probe: np.ndarray | None,
+    sector: int | None,
+) -> tuple[complex, RieszProjector, np.ndarray]:
+    """The simple eigenvalue of ``sec`` inside circle(center, radius).
+
+    Read off the contour projector (``riesz_rank_one``, with ``probe``
+    given in the sector's coordinates): returns the c-product Rayleigh
+    quotient u^T A u / (u^T u) of its u, the projector and A u.  A circle
+    holding no eigenvalue, or a projector whose idempotency defect stays
+    above IDEMPOTENCY_TOL at MAX_QUAD_POINTS, raises TrackingError; one
+    holding more (a rank above one, a trace other than 1) DegeneracyError.
+    """
+    proj = riesz_rank_one(sec, center=center, radius=radius, probe=probe, sector=sector)
+    if not proj.converged:
+        raise TrackingError(
+            f"contour projector at {center} stopped at {proj.quad_points} nodes "
+            f"with idempotency defect {proj.idempotency_residual:.3e} "
+            f"above {IDEMPOTENCY_TOL:.1e}"
+        )
+    if proj.rank != 1 or abs(proj.trace_value - 1.0) > 0.1:
+        raise DegeneracyError(
+            f"projector at {center} reports trace {proj.trace_value}, expected 1"
+        )
+    u = proj.right[:, 0]
+    au = sec.apply(u)
+    return complex((u @ au) / (u @ u)), proj, au
+
+
 def track_eigenvalue(
     H: OperatorMatrix,
     census,
@@ -320,13 +361,11 @@ def track_eigenvalue(
     ``census``, the ``SpectralCensus`` of H, names that eigenvalue (raising
     TrackingError or DegeneracyError unless there is exactly one), its
     sector and its gap.  Two independent routes must agree: that value and
-    the c-product Rayleigh quotient u^T A u / (u^T u) of the contour
-    projector's u, to AGREE_TOL; the residual |A u - lam u| reuses A u.
-    The probe vector is given in the global coordinates of H; the contour
-    solvers work in the eigenvalue's sector and the returned u is embedded
-    back into the full space.
-    A projector whose idempotency defect stays above IDEMPOTENCY_TOL at
-    MAX_QUAD_POINTS raises TrackingError.
+    the c-product Rayleigh quotient of ``contour_eigenpair`` on a circle
+    around it within 0.4 gap, to AGREE_TOL; the residual |A u - lam u|
+    reuses A u.  The probe vector is given in the global coordinates of H;
+    the contour solvers work in the eigenvalue's sector and the returned u
+    is embedded back into the full space.
     """
     lam, key = census.unique_in_circle(seed, radius)
     sec = H.sectors[key]
@@ -336,32 +375,14 @@ def track_eigenvalue(
         probe = np.asarray(probe, dtype=complex)[sec.indices]
     # contour centered on the candidate, radius limited by the gap
     proj_radius = min(radius, 0.4 * gap) if np.isfinite(gap) else radius
-    proj = riesz_rank_one(
-        sec,
-        center=lam,
-        radius=proj_radius,
-        probe=probe,
-        sector=key,
-    )
-    if not proj.converged:
-        raise TrackingError(
-            f"contour projector at {lam} stopped at {proj.quad_points} nodes "
-            f"with idempotency defect {proj.idempotency_residual:.3e} "
-            f"above {IDEMPOTENCY_TOL:.1e}"
-        )
-    if proj.rank != 1 or abs(proj.trace_value - 1.0) > 0.1:
-        raise DegeneracyError(
-            f"projector at {lam} reports trace {proj.trace_value}, expected 1"
-        )
-    u = proj.right[:, 0]
-    au = sec.apply(u)
-    rayleigh = complex((u @ au) / (u @ u))
+    rayleigh, proj, au = contour_eigenpair(sec, lam, proj_radius, probe, key)
     disagreement = abs(rayleigh - lam)
     if not disagreement <= AGREE_TOL * max(1.0, abs(lam)):  # NaN fails too
         raise TrackingError(
             f"eigenvalue routes disagree: contour Rayleigh {rayleigh} vs "
             f"direct {lam} (|diff| = {disagreement:.3e})"
         )
+    u = proj.right[:, 0]
     right = np.zeros(H.dim, dtype=complex)  # in H's coordinates
     right[sec.indices] = u
     return SpectralRecord(
@@ -596,51 +617,6 @@ def resolvent_norm(
 def solver_tolerance(dim: int, scale: float) -> float:
     """Backward-error floor for dense nonsymmetric eigenvalues."""
     return 100.0 * dim * np.finfo(float).eps * max(1.0, scale)
-
-
-def shifted_inverse_eigenvalue(
-    sec: Sector, shift: complex
-) -> tuple[complex, np.ndarray]:
-    """Eigenvalue of the matrix A of ``sec`` nearest to ``shift``.
-
-    Shifted inverse iteration from a random start, on the sector's parts
-    alone: A y is ``Sector.apply`` and |A|_inf is summed part by part (the
-    row sums of |A_TR| are the column sums of |A_RT|), so no dense A is
-    built.  A unit y and its Rayleigh quotient lam are an exact eigenpair
-    of A - r y^H, r = A y - lam y, so it stops once lam
-    moves by less than 1e-13 relative and |r| is at most
-    ``solver_tolerance(n, |A|_inf)``, a dense eigensolve's backward error.
-    Raises ConvergenceError after 40 steps without that (as at a shift
-    halfway between two eigenvalues, where lam settles far from both),
-    SingularShiftError when the shift is an eigenvalue to working
-    precision.
-    """
-    n = len(sec.indices)
-    solver = ShiftedSolver(sec, shift)
-    abs_rt = np.abs(sec.a_rt)
-    row_sums = np.concatenate([  # |A|_inf, read off the parts
-        np.abs(sec.a_rr).sum(axis=1) + abs_rt.sum(axis=1),
-        np.abs(sec.d) + abs_rt.sum(axis=0),
-    ])
-    bound = solver_tolerance(n, float(row_sums.max()))
-    rng = np.random.default_rng(2024)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = shift
-    for _ in range(40):
-        y = solver.solve(x)
-        y /= np.linalg.norm(y)
-        Ay = sec.apply(y)
-        lam_new = complex(np.vdot(y, Ay))
-        settled = abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new))
-        x, lam = y, lam_new
-        residual = float(np.linalg.norm(Ay - lam * y))
-        if settled and residual <= bound:
-            return lam, x
-    raise ConvergenceError(
-        f"inverse iteration at {shift} did not stop in 40 steps: quotient "
-        f"{lam}, residual {residual:.3e} against the bound {bound:.3e}"
-    )
 
 
 def projector_distance(u1: np.ndarray, u2: np.ndarray) -> float:

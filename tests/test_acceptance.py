@@ -198,10 +198,11 @@ def test_criterion_5_cone_localization(pinned, shared_run):
     level1 = rep["levels"][1]
     assert rep["pass"], rep["levels"]
     assert elapsed < 120.0
+    dist, raw = ("none" if d is None else f"{d:.1e}"
+                 for d in (level1["max_dist"], level1["max_dist_raw"]))
     _record(5, f"{level1['n_in_box']} eigenvalues in the box, "
                f"{level1['n_starved_branch']} starved branches, max dist "
-               f"{level1['max_dist']:.1e} (raw {level1['max_dist_raw']:.1e}), "
-               f"{elapsed:.0f}s")
+               f"{dist} (raw {raw}), {elapsed:.0f}s")
 
 
 def test_criterion_6_resolvent_bound_shape():

@@ -25,7 +25,7 @@ from spinboson import (
     verify_standard_estimates,
 )
 from spinboson.cli import dispatch, main, parse_config
-from spinboson.errors import ConvergenceError, SpinBosonError
+from spinboson.errors import AssemblyError, SpinBosonError
 from spinboson.reporting import config_hash
 
 TINY = {
@@ -238,15 +238,24 @@ class TestDispatch:
         assert payload["budget"] > 0
 
     def test_theta_scan_refinement_failure_exits_2(self, tmp_path, monkeypatch):
-        """An inverse iteration that does not converge stops the scan."""
-        def stalled(sector, shift):
-            raise ConvergenceError("did not stop in 40 steps")
-
-        monkeypatch.setattr(diagnostics, "shifted_inverse_eigenvalue", stalled)
+        """A refinement circle that holds no refined eigenvalue, or two, stops
+        the scan.  The circle's radius is 0.4 times the planted census gap:
+        the refined lambda_1 lies 0.0075 gaps from the base value, the next
+        eigenvalue of its sector 1.66 gaps, the one after 1.98 gaps."""
+        ladder = diagnostics.run_ladder
         rc = parse_config(config_text(ladder={"n_scales": 2}, run={"levels": [1]}))
-        assert dispatch("theta-scan", rc, tmp_path) == 2
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["failure"]["error"] == "ConvergenceError"
+        for factor, error in ((1e-3, "TrackingError"), (4.5, "DegeneracyError")):
+            def planted(*args, factor=factor, **kwargs):
+                trace = ladder(*args, **kwargs)
+                trace.scales[-1].levels[1].gap *= factor
+                return trace
+
+            monkeypatch.setattr(diagnostics, "run_ladder", planted)
+            out = tmp_path / error
+            assert dispatch("theta-scan", rc, out) == 2
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["failure"]["error"] == error
+            assert not (out / "theta_scan.json").exists()
 
     def test_g_circle_artifacts(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "G_CIRCLE_TOL", 1e-3)
@@ -382,6 +391,11 @@ class TestMain:
             ("ladder", "model", {"e0": 0.1}),
             ("ladder", "run", {"jobs": 2}),  # --jobs alone sets it
             ("g-circle", "run", {"g_circle": {"tol": 0.001}}),
+            # inside the Im-theta strip, above the constant chain's pi/16
+            ("ladder", "model", {"nu_floor": 0.25, "theta": [0.0, 0.3]}),
+            ("feasibility", "model", {"nu_floor": 0.25, "theta": [0.0, 0.3]}),
+            # the strict windows' order of cutoffs: the last one underflows
+            ("feasibility", "ladder", {"rho0": 1e-289, "rho": 1e-147}),
         ],
     )
     def test_bad_run_value_stops_before_work(
@@ -395,6 +409,19 @@ class TestMain:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_any_parse_failure_is_a_configuration_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A package error raised while the grid is built exits 2 as well."""
+        def broken(text, **run):
+            raise AssemblyError("mode frequencies must be strictly increasing")
+
+        monkeypatch.setattr(cli, "parse_config", broken)
+        out = tmp_path / "out"
+        assert main(["ladder", "--out", str(out)]) == 2
+        assert "configuration error: mode frequencies" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "subcommand, report", [("ladder", "trace.json"),

@@ -21,10 +21,9 @@ from spinboson import (
     verify_cone_chain,
 )
 from spinboson import diagnostics
-from spinboson.errors import ConvergenceError
 from spinboson.geometry import Box, Cone, dist_to_cone
 from spinboson.multiscale import PAIRING, SpectralCensus, run_ladder
-from spinboson.spectral import ShiftedSolver, solver_tolerance
+from spinboson.spectral import contour_eigenpair, solver_tolerance
 
 from sectors import one_sector, spectrum
 
@@ -93,49 +92,27 @@ class TestFermiGoldenRule:
             fermi_golden_rule(cfg, field, [0.05], jobs=1)
 
 
-def dense_inverse_iteration(sec, shift):
-    """Oracle: ``shifted_inverse_eigenvalue`` as it ran on dense blocks, with
-    A y a dense product and |A|_inf a dense row sum.  Returns the eigenvalue,
-    the vector and the stopping floor solver_tolerance(n, |A|_inf)."""
-    A = sec.dense()
-    n = len(A)
-    solver = ShiftedSolver(sec, shift)
-    bound = solver_tolerance(n, float(np.abs(A).sum(axis=1).max()))
-    rng = np.random.default_rng(2024)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = shift
-    for _ in range(40):
-        y = solver.solve(x)
-        y /= np.linalg.norm(y)
-        Ay = A @ y
-        lam_new = complex(np.vdot(y, Ay))
-        settled = abs(lam_new - lam) < 1e-13 * max(1.0, abs(lam_new))
-        x, lam = y, lam_new
-        if settled and np.linalg.norm(Ay - lam * y) <= bound:
-            return lam, x, bound
-    raise ConvergenceError("the dense route did not stop in 40 steps")
-
-
 class TestThetaInvariance:
     def test_refinement_delta_within_floor_of_dense_route(self, coarse, monkeypatch):
-        """Inverse iteration on the parts moves each refinement delta by at
-        most the refined sector's floor solver_tolerance(n, |A|_inf), against
-        the dense route, and so the budget by at most twice that."""
+        """Each refinement delta agrees with the dense eigenvalue of the refined
+        sector nearest the base value within that sector's floor
+        solver_tolerance(n, |A|_inf), and so the budget within twice that."""
         cfg, field = coarse
         thetas = [0.18j, 0.2j, 0.22j]
+        calls = []
+
+        def spy(sec, center, radius, probe, key):
+            calls.append((sec.dense(), center))
+            return contour_eigenpair(sec, center, radius, probe, key)
+
+        monkeypatch.setattr(diagnostics, "contour_eigenpair", spy)
         rep = theta_invariance_scan(cfg, field, thetas, levels=(0, 1), jobs=1)
-        floors = []
-
-        def dense_route(sec, shift):
-            lam, vec, floor = dense_inverse_iteration(sec, shift)
-            floors.append(floor)
-            return lam, vec
-
-        monkeypatch.setattr(diagnostics, "shifted_inverse_eigenvalue", dense_route)
-        base = {i: rep.lambdas[i][0] for i in (0, 1)}
-        dense = diagnostics._refinement_delta(cfg.replace(theta=thetas[0]), field, base)
-        assert len(floors) == 2
+        assert [c[1] for c in calls] == [rep.lambdas[i][0] for i in (0, 1)]
+        dense, floors = {}, []
+        for i, (A, lam) in zip((0, 1), calls):
+            w = np.linalg.eigvals(A)
+            dense[i] = abs(w[np.argmin(np.abs(w - lam))] - lam)
+            floors.append(solver_tolerance(len(A), float(np.abs(A).sum(axis=1).max())))
         floor = max(floors)
         got = rep.details["refinement_delta"]
         assert all(dense[i] > 0.0 for i in (0, 1))
@@ -262,7 +239,8 @@ class TestSpectrumConeCheck:
     def test_starved_states_counted_not_tested(self, coarse):
         """A starved value far outside the cone is no violation; an
         unstarved one at ``dist`` > tol is, with its raw distance.
-        ``max_dist`` covers the tested values, ``max_dist_raw`` all."""
+        ``max_dist`` covers the tested values, ``max_dist_raw`` all, and
+        either is None where it covers none."""
         cfg, field = coarse
         trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         last = trace.scales[-1]
@@ -284,6 +262,12 @@ class TestSpectrumConeCheck:
         assert not level["pass"] and not rep["pass"]
         last.census = SpectralCensus([lam1, starved], [1, 1], {1: (d, s)})
         assert spectrum_cone_check(trace, tol=5e-3)["pass"]
+        # a maximum over no state is None, not the 0.0 of an empty max
+        for values, raw in (([starved], far), ([lam1 + 10.0], None)):
+            last.census = SpectralCensus(values, [1], {1: (d, s)})
+            level = spectrum_cone_check(trace, tol=5e-3)["levels"][1]
+            assert (level["max_dist"], level["max_dist_raw"]) == (None, raw)
+            assert level["pass"]
 
     def test_chain_steps_pass_on_practical_run(self, coarse):
         cfg, field = coarse

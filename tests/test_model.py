@@ -20,6 +20,7 @@ from spinboson import (
     shell_norm_report,
 )
 from spinboson.fock import build_field_operator, field_energy_diagonal
+from spinboson.model import NU_FLOOR_MAX
 
 from sectors import dense_operator, spectrum
 
@@ -111,6 +112,15 @@ class TestModelConfig:
         assert "e0" not in {f.name for f in dataclasses.fields(cfg)}
         with pytest.raises(TypeError):
             cfg.replace(e0=0.1)
+
+    def test_nu_floor_window(self):
+        """nu_floor has one bound, (0, pi/16], the constant chain's."""
+        ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.0, theta=0.3j,
+                    nu_floor=NU_FLOOR_MAX)
+        for nu_floor in (0.0, 0.25):
+            with pytest.raises(ConfigError, match=r"nu_floor = .* outside \(0, pi/16\]"):
+                ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.0, theta=0.3j,
+                            nu_floor=nu_floor)
 
     def test_cone_divisor(self):
         with pytest.raises(ConfigError, match="m"):
@@ -273,6 +283,15 @@ class TestDiscretizedField:
                 assert emb.dtype == np.int64
                 assert np.array_equal(emb, expected)
 
+    def test_underflowing_last_cutoff_refused(self):
+        """rho0 rho^n_scales below the smallest normal float is refused."""
+        ladder = CutoffLadder(1e-289, 1e-147, e1=1.0)
+        with pytest.raises(ConfigError, match="last cutoff .* underflows"):
+            DiscretizedField(ladder, 3)
+        with pytest.raises(ConfigError, match="underflows"):
+            DiscretizedField(CutoffLadder(0.25, 1e-160, e1=1.0), 2)
+        DiscretizedField(CutoffLadder(0.25, 1e-150, e1=1.0), 2, points_per_shell=1)
+
     def test_scaled_field_consistent(self, ladder):
         field = DiscretizedField(ladder, 2, points_per_shell=2, r_max=4.0)
         s = field.scaled(np.exp(0.1))
@@ -358,21 +377,32 @@ class TestAssembly:
         theta_re=st.floats(0.0, 0.5),
         theta_im=st.floats(0.11, 0.39),
         n_max=st.integers(1, 3),
+        n_scales=st.integers(1, 2),
+        points=st.integers(1, 2),
     )
     @settings(max_examples=20, deadline=None, derandomize=True)
-    def test_assembly_is_complex_symmetric(self, g, theta_re, theta_im, n_max):
-        """For any complex g and theta in the strip the assembled sectors
-        pass ``Sector``'s symmetry check, and the operator equals the
-        Kronecker-product route bit for bit, so A_TR = A_RT^T holds for H
-        itself and not only for the parts."""
+    def test_assembly_is_complex_symmetric(
+        self, g, theta_re, theta_im, n_max, n_scales, points
+    ):
+        """On small random grids, for any complex g and theta in the strip,
+        each sector's A_RR equals its transpose bit for bit, and the
+        operator equals the Kronecker-product route bit for bit, so
+        A_TR = A_RT^T holds for H itself and not only for the parts.  H
+        commutes with the parity sigma_3 (x) (-1)^N its sectors split."""
         cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=g,
                           theta=complex(theta_re, theta_im))
-        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), 1,
-                                 points_per_shell=1, r_max=4.0, n_max=n_max,
-                                 uv_points_per_panel=1)
-        H = dense_operator(assemble_hamiltonian(cfg, field))
+        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), n_scales,
+                                 points_per_shell=points, r_max=4.0, n_max=n_max,
+                                 uv_points_per_panel=points)
+        blocked = assemble_hamiltonian(cfg, field)
+        for sec in blocked.sectors.values():
+            assert np.array_equal(sec.a_rr, sec.a_rr.T)
+        H = dense_operator(blocked)
         assert np.array_equal(H, kron_hamiltonian(cfg, field))
         assert np.array_equal(H, H.T)
+        boson = (-1.0) ** field.basis_for_scale(None).totals
+        parity = np.concatenate([boson, -boson])  # the diagonal, excited atom first
+        assert np.array_equal(parity[:, None] * H, H * parity)
 
     def test_dense_blocked_agree(self, cfg, small_field):
         # the sector blocks reassemble into the Kronecker-product operator

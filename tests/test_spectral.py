@@ -31,8 +31,8 @@ from spinboson.spectral import (
     RESOLVENT_TOL,
     RITZ_STRIDE,
     TOP_LAYER_GUARD,
+    contour_eigenpair,
     projector_distance,
-    shifted_inverse_eigenvalue,
     solver_tolerance,
 )
 
@@ -261,6 +261,58 @@ class TestRayleighOracle:
         oracle = probe_paired_rayleigh(sec, proj, x0)
         want = abs(oracle - rec.lam)
         assert abs(rec.method_disagreement - want) <= 1e-14 * max(1.0, abs(rec.lam))
+
+
+class TestContourEigenpair:
+    """The eigenvalue inside a circle, read off its contour projector."""
+
+    def test_recovers_eigenpair(self, rng):
+        w = np.array([0.2, 1.5 - 0.3j, 4.0])
+        A = orthogonal_similar(rng, w)
+        lam, proj, au = contour_eigenpair(sector(A), 1.4 - 0.25j, 0.5, None, 7)
+        u = proj.right[:, 0]
+        assert proj.sector == 7 and proj.converged
+        assert lam == pytest.approx(w[1], abs=1e-10)
+        assert np.linalg.norm(au - A @ u) < 1e-13
+        assert np.linalg.norm(au - lam * u) < 1e-9
+
+    @pytest.mark.parametrize(
+        "radius, error, match",
+        [(0.05, TrackingError, "encloses no spectrum"),
+         (0.5, DegeneracyError, "more than one eigenvalue")],
+        ids=["none", "two"],
+    )
+    def test_needs_one_eigenvalue(self, rng, radius, error, match):
+        """A circle holding no eigenvalue raises, and so does one holding
+        two: their projector's trace on span{u, random} is near 1 here, so
+        the rank of the probed range tells."""
+        w = np.concatenate([[0.0, 0.3 - 0.01j], np.linspace(3.0, 9.0, 38)])
+        A = orthogonal_similar(rng, w)
+        with pytest.raises(error, match=match):
+            contour_eigenpair(sector(A), 0.15, radius, None, None)
+
+    def test_matches_mpmath(self):
+        """At complex g, on a 21-dimensional assembled sector, the eigenvalue
+        and the projector u u^T / (u^T u) agree with 30-digit mpmath."""
+        cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.3 + 0.1j, theta=0.2j)
+        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), 1,
+                                 points_per_shell=1, r_max=4.0, n_max=2,
+                                 uv_points_per_panel=1)
+        sec = assemble_hamiltonian(cfg, field).sectors[1]
+        A = sec.dense()
+        assert len(A) == 21
+        with mpmath.workdps(30):
+            E, EL, ER = mpmath.eig(mpmath.matrix(A.tolist()), left=True, right=True)
+            w = np.array([complex(e) for e in E])
+            k = int(np.argmin(np.abs(w - cfg.e1)))
+            r, l = ER[:, k], EL[k, :]
+            P_mp = np.array(((r * l) / (l * r)[0]).tolist(), dtype=complex)
+            lam_mp = E[k]
+        gap = np.sort(np.abs(w - w[k]))[1]
+        lam, proj, _ = contour_eigenpair(sec, w[k], 0.4 * gap, None, 1)
+        u = proj.right[:, 0]
+        assert abs(lam - complex(lam_mp)) <= 1e-12
+        assert np.linalg.norm(np.outer(u, u) / (u @ u) - P_mp, 2) <= 1e-12
 
 
 class TestTrackEigenvalue:
@@ -749,29 +801,6 @@ class TestHelpers:
             )
             assert abs(hermitian - want) > 1e-3
 
-    def test_shifted_inverse_iteration(self, rng):
-        w = np.array([0.2, 1.5 - 0.3j, 4.0])
-        A = orthogonal_similar(rng, w)
-        lam, vec = shifted_inverse_eigenvalue(sector(A), 1.4 - 0.25j)
-        assert lam == pytest.approx(w[1], abs=1e-10)
-        assert np.linalg.norm(A @ vec - lam * vec) < 1e-9
-
-    @pytest.mark.parametrize("shift", [1.0, 1.0 - 1e-4])
-    def test_shifted_inverse_iteration_without_pole_raises(self, shift):
-        # halfway between 0 and 2 the quotient settles at 1.21 with residual
-        # 0.98; just off halfway it crawls; neither stops within 40 steps
-        A = sector(np.diag([0.0, 2.0]).astype(complex))
-        with pytest.raises(ConvergenceError, match="did not stop in 40 steps"):
-            shifted_inverse_eigenvalue(A, shift)
-
-    def test_shifted_inverse_iteration_normal_block(self):
-        # on a normal block the quotient settles (residual 7e-8) before the
-        # vector converges; the residual bound iterates on to the eigenpair
-        A = np.diag([0.0, 2.0]).astype(complex)
-        lam, vec = shifted_inverse_eigenvalue(sector(A), 0.3)
-        assert abs(lam) < 1e-14
-        assert np.linalg.norm(A @ vec - lam * vec) < 1e-13
-
     def test_projected_resolvent_norm_small(self, rng):
         A = random_matrix(rng, 12)
         w, V = np.linalg.eig(A)
@@ -886,8 +915,8 @@ class TestShiftedSolver:
         real = riesz_rank_one(sector(D), center=lam, radius=0.5)
         cplx = riesz_rank_one(sector(D.astype(complex)), center=lam, radius=0.5)
         assert rel_err(dense_projector(real), dense_projector(cplx)) < 1e-14
-        lam_real, _ = shifted_inverse_eigenvalue(sector(D), 0.1)
-        lam_cplx, _ = shifted_inverse_eigenvalue(sector(D.astype(complex)), 0.1)
+        lam_real = contour_eigenpair(sector(D), 0.1, 0.5, None, None)[0]
+        lam_cplx = contour_eigenpair(sector(D.astype(complex)), 0.1, 0.5, None, None)[0]
         assert abs(lam_real - lam_cplx) <= 1e-14 * abs(lam_cplx)
         assert abs(lam_real - lam) < 1e-12
 
@@ -1015,10 +1044,6 @@ class TestSingularShift:
         H = one_sector(np.diag([0.0, 1.0, 2.0]))
         proj = riesz_rank_one(H.sectors[0], center=0.0, radius=0.5, sector=0)
         assert resolvent_norm(H, 2.0, proj) == np.inf
-
-    def test_inverse_iteration_raises(self):
-        with pytest.raises(SingularShiftError):
-            shifted_inverse_eigenvalue(sector(np.diag([0.0, 1.0]).astype(complex)), 1.0)
 
     def test_contour_node_on_eigenvalue(self):
         A = np.diag([0.0, 1.0]).astype(complex)
