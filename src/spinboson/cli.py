@@ -15,17 +15,29 @@ therefore the same for any thread count; the manifest records the
 budget.  Each subcommand hands the parsed model and grid
 (``RunConfig.model``, ``RunConfig.field``) to the ladder, and the checks
 read both back off its trace.  Every run is numpy alone, resolvent norms
-included, so the one OpenBLAS pinned is numpy's.
+included, so the one OpenBLAS pinned is numpy's.  Importing this module
+before numpy also sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+environment names a count, so the command line loads OpenBLAS at one
+thread and never starts the worker pool the pin would leave idle; a
+process that loaded numpy first keeps its BLAS as it is until the pin.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads it: set here, a
+# command-line process never starts the worker pool that ``pinned_blas``
+# would leave idle.  A count the environment names is kept, and a process
+# that loaded numpy first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -93,6 +93,8 @@ class LevelScaleData:
     residual: float
     rayleigh_disagreement: float
     projector_residual: float
+    # the trace of P on span{u, one random vector}, not an eigenvalue
+    # count: about 1 also on a circle holding two (ROADMAP item 12)
     projector_trace: complex
     projector_quad_points: int
     contour_safe: bool

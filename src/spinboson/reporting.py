@@ -83,7 +83,8 @@ def config_hash(config_dict: dict) -> str:
 def run_manifest(config_dict: dict, wall_time: float) -> dict:
     """The manifest of a run: config hash, times, peak memory and versions.
 
-    ``peak_rss_mb`` is the process's peak resident set so far (Linux
+    ``cpu_s`` is the process's user plus system CPU seconds so far, all
+    threads, and ``peak_rss_mb`` its peak resident set so far (Linux
     ``ru_maxrss``, KiB, over 1024).  ``versions.blas`` is the BLAS numpy
     was built against; ``versions.scipy`` is written only when the run
     loaded scipy.
@@ -96,12 +97,14 @@ def run_manifest(config_dict: dict, wall_time: float) -> dict:
     }
     if "scipy" in sys.modules:
         versions["scipy"] = sys.modules["scipy"].__version__
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     manifest = {
         "schema_version": 1,
         "config_sha256": config_hash(config_dict),
         "wall_time_s": wall_time,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": usage.ru_maxrss / 1024,
         "versions": versions,
     }
     return manifest

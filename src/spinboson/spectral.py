@@ -173,8 +173,11 @@ class RieszProjector:
     """Rank-one contour-quadrature spectral projector u u^T / (u^T u).
 
     ``right`` holds u as one column; ``left`` is derived from it, so that
-    the projector is right @ left^H.  ``trace_value`` estimates the
-    enclosed spectral count;
+    the projector is right @ left^H.  ``trace_value`` is the trace of P
+    on span{u, one random vector}, not the enclosed eigenvalue count: it
+    reads about 1 on a circle holding two eigenvalues (1.014 and 1.079
+    seen), so only the RANK_TOL test of the probe image in
+    ``riesz_rank_one`` tells one from two (ROADMAP item 12);
     ``idempotency_residual`` is the quadrature defect |P^2 - P| estimated
     on a probe block.  ``converged`` is False when node doubling stopped at
     MAX_QUAD_POINTS with the residual still above the requested tolerance.
@@ -237,7 +240,8 @@ def riesz_rank_one(
     solvers of one rule are held at once: nodes * |R|^2 * 16 bytes (one
     inverse each) for the sector's lower layers R.  The first pass
     recovers the range u from probe vectors, the second measures the
-    idempotency defect and the enclosed trace on that subspace.  A
+    idempotency defect and the trace of P on span{u, one random vector}.
+    That trace is no eigenvalue count (see ``RieszProjector``); a
     converged image of the probes of rank two or more (RANK_TOL) raises
     DegeneracyError: the circle holds more than one eigenvalue.  The
     sector's matrix is complex symmetric, so the projector is

@@ -5,11 +5,22 @@ that size OpenBLAS's own threads cost more in hand-offs than they save;
 their count also moves eigenvalues in the last digits.  ``pinned_blas``
 therefore sets every OpenBLAS library mapped into the process to one
 thread for the length of a run and restores the previous counts on the
-way out, exceptions included.  The run's only parallelism is
-``parallel_map`` over the parity-sector eigensolves of each ladder scale,
-with ``jobs`` threads; numpy releases the interpreter lock inside LAPACK.
-Resolvent samples run in the calling thread: each norm is many small
-steps under the interpreter lock (threads are untried on the Lanczos route).
+way out, exceptions included.
+
+Pinning after numpy has loaded OpenBLAS leaves the library's worker pool
+alive, and the idle pool still costs CPU time: a benchmark ``ladder``
+run took 0.60 s of CPU for 0.47 s of wall time on a 2-CPU machine, and
+0.47 s of CPU at the same wall time with OpenBLAS loaded at one thread.
+``spinboson.cli`` therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before
+numpy loads, unless the environment names a count.  ``pinned_blas``
+stays the guarantee for every other process, one that loaded numpy
+before the package included.
+
+The run's only parallelism is ``parallel_map`` over the parity-sector
+eigensolves of each ladder scale, with ``jobs`` threads; numpy releases
+the interpreter lock inside LAPACK.  Resolvent samples run in the
+calling thread: each norm is many small steps under the interpreter lock
+(threads are untried on the Lanczos route).
 """
 
 from __future__ import annotations

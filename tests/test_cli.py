@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,7 @@ class TestDispatch:
         assert manifest["config_sha256"]
         assert manifest["kind"] == "feasibility"
         assert manifest["peak_rss_mb"] > 0
+        assert math.isfinite(manifest["cpu_s"]) and manifest["cpu_s"] > 0
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert manifest["versions"]["blas"] == {
             "name": blas["name"], "version": blas["version"]
@@ -634,10 +636,11 @@ class TestVerifyAppendix:
         assert [row["pass"] for row in payload["shells"]] == [True, False, True]
 
 
-def run_fresh(code: str, *args: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on this package."""
+def run_fresh(code: str, *args: str, environ=os.environ) -> str:
+    """Standard output of ``code`` run in a new interpreter on this package,
+    in ``environ`` (by default this process's environment)."""
     src = str(Path(spinboson.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, check=True)
@@ -746,6 +749,7 @@ def test_numpy_only_subcommands_skip_scipy_stack(tmp_path):
         assert "scipy" not in manifest["versions"]
         assert manifest["versions"]["blas"]["name"]
         assert manifest["peak_rss_mb"] > 0
+        assert math.isfinite(manifest["cpu_s"]) and manifest["cpu_s"] > 0
 
 
 def test_readme_quick_start_runs():
@@ -851,6 +855,53 @@ def test_every_loaded_blas_pinned(tmp_path, subcommand):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     pinned = {b["library"]: b["threads_during"] for b in manifest["threads"]["blas"]}
     assert all(pinned.get(lib) == 1 for lib in loaded)
+
+
+# imports ``sys.argv[1]`` ("numpy" or "cli") first, then the command line,
+# and prints the OS threads, the OpenBLAS thread counts and the variable
+BLAS_PROBE = (
+    "import json, os, sys\n"
+    "if sys.argv[1] == 'numpy':\n"
+    "    import numpy\n"
+    "from spinboson import cli, threads\n"
+    "task = '/proc/self/task'\n"
+    "print(json.dumps({\n"
+    "    'tasks': len(os.listdir(task)) if os.path.isdir(task) else None,\n"
+    "    'blas': [lib.threads for lib in threads.openblas_libraries()],\n"
+    "    'env': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+    "}))\n"
+)
+
+
+def blas_probe(first: str, openblas_threads: str | None = None) -> dict:
+    """``BLAS_PROBE`` in a fresh process whose environment sets
+    ``OPENBLAS_NUM_THREADS`` to ``openblas_threads``, or leaves it out."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        environ["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return json.loads(run_fresh(BLAS_PROBE, first, environ=environ).splitlines()[-1])
+
+
+@needs_openblas
+class TestCliLoadsOneBlasThread:
+    """The command line loads OpenBLAS at one thread unless told otherwise."""
+
+    def test_no_worker_started(self):
+        probe = blas_probe("cli")
+        assert probe["env"] == "1"
+        assert probe["blas"] and all(n == 1 for n in probe["blas"])
+        if probe["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert probe["tasks"] == 1
+
+    @pytest.mark.skipif(threads.usable_cpus() < 2, reason="OpenBLAS caps at the CPUs")
+    def test_named_count_kept(self):
+        probe = blas_probe("cli", "2")
+        assert probe["env"] == "2"
+        assert probe["blas"] and all(n == 2 for n in probe["blas"])
+
+    def test_numpy_loaded_first_left_alone(self):
+        assert blas_probe("numpy")["env"] is None
 
 
 @needs_openblas
