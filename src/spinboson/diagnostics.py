@@ -134,7 +134,8 @@ def _refinement_delta(
     """One-step grid-refinement sensitivity of the final eigenvalues.
 
     ``tracked`` maps each level to its last-scale ``LevelScaleData`` on
-    ``field``.  The refined operator is assembled at the last scale only,
+    ``field`` scaled by exp(Re theta), and the refined grid is scaled
+    alike.  The refined operator is assembled at the last scale only,
     and the refined eigenvalue is read by ``contour_eigenpair`` on the
     circle of radius 0.4 gap around the base value, gap its census gap;
     the ladder need not be rerun since that gap far exceeds the grid
@@ -157,6 +158,8 @@ def _refinement_delta(
             int(round(field.uv_points_per_panel * REFINE_FACTOR)),
         ),
     )
+    if abs(cfg.theta.real) != 0.0:
+        refined = refined.scaled(float(np.exp(cfg.theta.real)))
     H = assemble_hamiltonian(cfg, refined, n=None)
     deltas = {}
     for i, data in tracked.items():

@@ -93,9 +93,7 @@ class LevelScaleData:
     residual: float
     rayleigh_disagreement: float
     projector_residual: float
-    # the trace of P on span{u, one random vector}, not an eigenvalue
-    # count: about 1 also on a circle holding two (ROADMAP item 12)
-    projector_trace: complex
+    projector_trace: complex  # tr P, the count of eigenvalues its circle holds
     projector_quad_points: int
     contour_safe: bool
     p2_count_window: int

@@ -139,6 +139,23 @@ class TestThetaInvariance:
         (pair,) = rep.details["real_shift_pairs"]
         assert pair["deviation"] < 1e-10
 
+    def test_refinement_follows_a_real_first_shift(self, cfg, small_field):
+        """A first sample 0.1 + 0.2i runs on the grid scaled by e^0.1, which
+        reproduces the matrix of 0.2i; its refinement is scaled alike, so the
+        twin scans refine the same matrix (unscaled, the level-1 deltas read
+        5.7e-4 and 1.2e-3)."""
+        plain, shifted = (
+            theta_invariance_scan(cfg, small_field, [first, 0.225j, 0.25j],
+                                  levels=(0, 1), jobs=1)
+            for first in (0.2j, 0.1 + 0.2j)
+        )
+        for i in (0, 1):
+            assert abs(plain.lambdas[i][0] - shifted.lambdas[i][0]) < 1e-13
+            a = plain.details["refinement_delta"][str(i)]
+            b = shifted.details["refinement_delta"][str(i)]
+            assert a > 0.0 and abs(a - b) < 1e-13
+        assert abs(plain.budget - shifted.budget) < 1e-12
+
     def test_imaginary_moves_within_budget(self, coarse):
         cfg, field = coarse
         rep = theta_invariance_scan(

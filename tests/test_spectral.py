@@ -179,9 +179,8 @@ class TestRieszRankOne:
         gap = np.min(np.abs(np.delete(w, k) - target))
         dense = contour_projector(A, center=target, radius=0.4 * gap)
         fact = riesz_rank_one(sector(A), center=target, radius=0.4 * gap)
-        assert fact.rank == 1
+        assert abs(fact.trace_value - 1.0) < 1e-10  # the count
         assert np.linalg.norm(dense_projector(fact) - dense, 2) < 1e-8
-        assert abs(fact.trace_value - 1.0) < 1e-8
 
     def test_projects_probe_onto_eigendirection(self, rng):
         A = np.diag([0.0, 2.0, 5.0]).astype(complex)
@@ -193,6 +192,54 @@ class TestRieszRankOne:
         A = np.diag([0.0, 5.0]).astype(complex)
         with pytest.raises(TrackingError):
             riesz_rank_one(sector(A), center=2.5, radius=0.5)
+
+
+class TestCount:
+    """tr P, read off the node inverses, decides what a circle holds."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_solver_trace_matches_dense_inverse(self, n_max):
+        """With a top layer, with a shift on a top entry (the guard keeps it
+        in R), and without a top layer (every block read plain)."""
+        for block, top in sector_blocks(n_max, g=0.05 + 0.01j):
+            shifts = [0.9 - 0.01j, 0.02 + 0.003j, 1.3]
+            if len(top):
+                t = top[len(top) // 2]
+                shifts.append(block[t, t])
+                assert t in ShiftedSolver(sector(block, top), block[t, t]).r
+            for z in shifts:
+                want = np.trace(np.linalg.inv(block - z * np.eye(len(block))))
+                for t in (top, None):
+                    got = ShiftedSolver(sector(block, t), z).trace()
+                    assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_singular_shift_raises(self):
+        with pytest.raises(SingularShiftError):
+            ShiftedSolver(sector(np.diag([0.0, 1.0])), 1.0).trace()
+
+    @pytest.mark.parametrize("inside", [2, 3])
+    def test_more_than_one_eigenvalue_raises(self, rng, inside):
+        w = np.concatenate([0.1 * np.arange(inside) - 0.01j,
+                            np.linspace(3.0, 9.0, 30)])
+        A = orthogonal_similar(rng, w)
+        with pytest.raises(DegeneracyError,
+                           match=f"more than one eigenvalue: {inside} \\(count"):
+            riesz_rank_one(sector(A), center=0.1, radius=0.5)
+
+    def test_empty_circle_raises_after_one_rule(self, rng, monkeypatch):
+        w = np.concatenate([[0.0, 0.3 - 0.01j], np.linspace(3.0, 9.0, 38)])
+        A = orthogonal_similar(rng, w)
+        calls = []
+        node_solver = spectral._node_solver
+
+        def counted(sec, z):
+            calls.append(z)
+            return node_solver(sec, z)
+
+        monkeypatch.setattr(spectral, "_node_solver", counted)
+        with pytest.raises(TrackingError, match="encloses no spectrum"):
+            riesz_rank_one(sector(A), center=1.5, radius=0.5)
+        assert len(calls) == 16
 
 
 class TestLeftVector:
@@ -284,8 +331,7 @@ class TestContourEigenpair:
     )
     def test_needs_one_eigenvalue(self, rng, radius, error, match):
         """A circle holding no eigenvalue raises, and so does one holding
-        two: their projector's trace on span{u, random} is near 1 here, so
-        the rank of the probed range tells."""
+        two: the count tr P reads 0 or 2."""
         w = np.concatenate([[0.0, 0.3 - 0.01j], np.linspace(3.0, 9.0, 38)])
         A = orthogonal_similar(rng, w)
         with pytest.raises(error, match=match):
@@ -321,7 +367,7 @@ class TestTrackEigenvalue:
         census = SpectralCensus.of(H, jobs=1)
         rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
-        assert rec.projector.rank == 1
+        assert abs(rec.projector.trace_value - 1.0) < 1e-10
         assert rec.residual < 1e-10
 
     def test_small_coupling_shift_bounded(self, cfg, small_field):
@@ -1093,7 +1139,7 @@ class TestEliminatedRoute:
         fact = riesz_rank_one(sector(block, top), center=w[k], radius=radius)
         plain = riesz_rank_one(sector(block), center=w[k], radius=radius)
         dense = contour_projector(block, center=w[k], radius=radius)
-        assert fact.converged and fact.rank == 1
+        assert fact.converged and abs(fact.trace_value - 1.0) < 1e-10
         assert np.linalg.norm(dense_projector(fact) - dense, 2) < 1e-8
         assert rel_err(dense_projector(fact), dense_projector(plain)) < 1e-12
         assert abs(fact.trace_value - plain.trace_value) < 1e-12
