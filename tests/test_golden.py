@@ -12,7 +12,6 @@ ones that wrote the files, the bytes must match too.
 import csv
 import io
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -74,10 +73,8 @@ def compare(expected, actual, where: str, key: str = "") -> list[str]:
     if type(expected) is float and type(actual) is float:
         rel, abs_ = _tolerance(key)
         diff = abs(actual - expected)
-        if diff <= rel * max(abs(expected), abs(actual)) + abs_:
+        if actual == expected or diff <= rel * max(abs(expected), abs(actual)) + abs_:
             return []
-        if math.isnan(diff):  # the encoder writes non-finite floats as strings
-            return [f"{where}: {actual!r}, expected {expected!r}"]
         return [f"{where}: {actual!r}, expected {expected!r} "
                 f"(|diff| {diff:.3e}; tolerance {rel:g} relative + {abs_:g})"]
     if type(expected) is not type(actual) or expected != actual:
@@ -174,7 +171,3 @@ class TestCompareHasTeeth:
             (tmp_path / path.name).write_text(text)
         (msg,) = compare_dirs(golden, tmp_path, "resolvent-scan")
         assert msg.startswith("resolvent-scan/resolvent_scan.csv[0].lhs: ")
-
-    def test_every_tolerance_has_a_reason(self):
-        for key, (rel, abs_, reason) in TOLERANCES.items():
-            assert reason and rel >= 0.0 and abs_ >= 0.0, key
