@@ -310,12 +310,14 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     if samples:
         checks["p2_p4"] = check_p2_p4(trace)
     ok = True
+    levels = [*p1["levels"].values(), *p3["levels"].values()]
     if rc.mode == "strict":
-        # the smallness windows, as feasibility gates them, and P1's strict rows
+        # the smallness windows, as feasibility gates them, and the strict
+        # rows of P1 and P3
         windows = check_inequalities(report, _proposed(rc), e1=cfg.e1)
         ok &= all(c["satisfied"] for c in windows)
-        ok &= all(r["strict_pass"] for lv in p1["levels"].values() for r in lv["rows"])
-    for lv in [*p1["levels"].values(), *p3["levels"].values()]:
+        ok &= all(r["strict_pass"] for lv in levels for r in lv["rows"])
+    for lv in levels:
         ok &= lv["all_practical_pass"]
     for rec in trace.scales:
         for data in rec.levels.values():

@@ -15,9 +15,13 @@ The relative-bound check ``verify_standard_estimates`` takes one amplitude
 vector or a stack of them and works on boson-layer blocks: a(h) lowers the
 total number by one, so its norms split layer by layer, and each block norm
 is read off the top eigenvalue of the block's Gram matrix on the lower
-layer.  Each state is keyed by its bosons' modes, and one lookup on these
-keys serves the lowering matrix elements and, through
-``FockBasis.indices_of``, the scale embeddings.  The module needs numpy only.
+layer.  The number-phase gauge Gamma = exp(-i sum_k arg(h_k) N_k) is
+diagonal in the occupation basis and commutes with H_f, and
+Gamma a(h) Gamma* = a(|h|); so both norms depend on |h| alone and every
+Gram matrix is real symmetric.  Each state is keyed by its bosons' modes,
+and one lookup on these keys serves the lowering matrix elements and,
+through ``FockBasis.indices_of``, the scale embeddings.  The module needs
+numpy only.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -43,8 +47,9 @@ from .errors import AssemblyError, BasisSizeError
 # Largest basis enumerated: a bigger request raises BasisSizeError before
 # any array is built.
 STATE_CAP = 500_000
-# Byte cap of each stacked temporary in verify_standard_estimates: bounds
-# the transient memory of a long stack while keeping the eigvalsh calls few.
+# Byte cap of each stacked temporary in verify_standard_estimates, whose
+# real Gram matrices take 8 bytes an entry: bounds the transient memory of
+# a long stack while keeping the eigvalsh calls few.
 _STACK_BYTES = 256 * 1024
 
 
@@ -413,7 +418,10 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     layer blocks and each norm is the largest block norm.  The norm of a
     block is the square root of the largest eigenvalue of its Gram matrix on
     layer n - 1 (``_layer_pairs``), taken by stacked ``eigvalsh`` calls whose
-    temporaries hold at most ``_STACK_BYTES`` each.
+    temporaries hold at most ``_STACK_BYTES`` each.  The Grams are built from
+    |h| in float64: the gauge exp(-i sum_k arg(h_k) N_k) preserves every
+    layer, commutes with (H_f+1)^(-1/2) and maps a(h) to a(|h|), so the
+    norms are those of |h| exactly and every Gram matrix is real symmetric.
     """
     h = np.asarray(h, dtype=complex)
     hs = np.atleast_2d(h)
@@ -422,11 +430,12 @@ def verify_standard_estimates(basis: FockBasis, h: np.ndarray) -> dict:
     lhs_a = np.zeros(len(hs))
     lhs_astar = np.zeros(len(hs))
     for size, mode1, mode2, weights, segments, targets in _layer_pairs(basis):
-        step = max(1, _STACK_BYTES // (16 * max(len(mode1), size * size)))
+        step = max(1, _STACK_BYTES // (8 * max(len(mode1), size * size)))
         for k in range(0, len(hs), step):
-            coef = hs[k : k + step, mode1].conj() * hs[k : k + step, mode2]
+            mags = np.abs(hs[k : k + step])
+            coef = mags[:, mode1] * mags[:, mode2]
             for out, weight in zip((lhs_a, lhs_astar), weights):
-                gram = np.zeros((len(coef), size, size), dtype=complex)
+                gram = np.zeros((len(coef), size, size))
                 gram.reshape(len(coef), -1)[:, targets] = np.add.reduceat(
                     coef * weight, segments, axis=1
                 )

@@ -476,6 +476,7 @@ def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
             "practical_pass": bool(gap <= practical or g_abs == 0.0),
             "limit_rate_envelope": limit_rate,
             "strict_bound_log10": float(strict_log10),
+            "strict_pass": bool(gap == 0.0 or np.log10(gap) <= strict_log10 + 1e-12),
         }
 
     return _motion_check(trace, "p3_gap", row)

@@ -198,6 +198,31 @@ class TestDispatch:
             tmp_path / "practical" / "trace.json"
         ).read_bytes()
 
+    def test_ladder_strict_gates_on_p3_rows(self, tmp_path, monkeypatch):
+        """With the windows patched to pass, strict mode exits 1 exactly when
+        a P3 gap lies above its strict bound.  The bound is planted below the
+        gaps by lowering the chain constant C of ``check_p3`` alone by 60
+        decades, which moves no gap, no practical bound and no P1 row."""
+        windows = cli.check_inequalities
+        monkeypatch.setattr(cli, "check_inequalities", lambda *args, **kwargs: [
+            {**c, "satisfied": True} for c in windows(*args, **kwargs)
+        ])
+        rc = parse_config(config_text(run={"mode": "strict"}))
+        assert dispatch("ladder", rc, tmp_path / "windows") == 0
+        check_p3 = multiscale.check_p3
+        monkeypatch.setattr(
+            multiscale, "check_p3", lambda trace, log10_C: check_p3(trace, log10_C - 60.0)
+        )
+        assert dispatch("ladder", rc, tmp_path / "planted") == 1
+        checks = json.loads((tmp_path / "planted" / "trace.json").read_text())["checks"]
+        p1, p3 = (
+            [r for lv in checks[p]["levels"].values() for r in lv["rows"]]
+            for p in ("p1", "p3")
+        )
+        assert all(r["strict_pass"] for r in p1)
+        assert not all(r["strict_pass"] for r in p3)
+        assert all(r["practical_pass"] for r in p1 + p3)
+
     def test_free_ladder_exit_zero(self, tmp_path):
         rc = parse_config(config_text(model={"g": 0.0}))
         assert dispatch("ladder", rc, tmp_path) == 0

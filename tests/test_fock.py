@@ -407,15 +407,35 @@ class TestLayerBlockedEstimates:
     @pytest.mark.parametrize("blocks_per_stack", [1, 3, 4])
     def test_chunking_does_not_change_rows(self, monkeypatch, blocks_per_stack):
         # the largest per-vector temporary at (6 modes, n_max 3) is the 21 x 21
-        # Gram matrix on layer 2 (216 scattered pairs)
+        # real Gram matrix on layer 2 (216 scattered pairs), 8 bytes an entry
         gen = np.random.default_rng(5)
         basis = enumerate_basis(modes_of(np.sort(gen.uniform(0.05, 3.0, 6))), 3)
         hs = random_amplitudes(gen, 10, 6)
         whole = verify_standard_estimates(basis, hs)
-        monkeypatch.setattr(fock, "_STACK_BYTES", blocks_per_stack * 21 * 21 * 16)
+        monkeypatch.setattr(fock, "_STACK_BYTES", blocks_per_stack * 21 * 21 * 8)
         chunked = verify_standard_estimates(basis, hs)
         for key in whole:
             assert np.array_equal(chunked[key], whole[key])
+
+    @pytest.mark.parametrize("n_max", range(4))
+    def test_number_phases_leave_the_norms(self, n_max):
+        """The dense complex oracle at h e^(i phi) equals the real route at h.
+
+        Gamma = exp(i sum_k phi_k N_k) commutes with H_f and maps a(h) to
+        a(h e^(i phi)), so neither norm sees the phases; the trials include a
+        zero amplitude and a purely imaginary h.
+        """
+        gen = np.random.default_rng(40 + n_max)
+        basis = enumerate_basis(modes_of(np.sort(gen.uniform(0.05, 3.0, 5))), n_max)
+        h = random_amplitudes(gen, 5)
+        h[2] = 0.0
+        for amp in (h, 1j * gen.standard_normal(5)):
+            rep = verify_standard_estimates(basis, amp)
+            for _ in range(3):
+                phases = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, 5))
+                lhs_a, lhs_astar = dense_standard_norms(basis, amp * phases)
+                assert abs(rep["lhs_a"] - lhs_a) <= 1e-12 * lhs_a
+                assert abs(rep["lhs_astar"] - lhs_astar) <= 1e-12 * lhs_astar
 
     def test_gram_route_matches_layer_svds(self):
         """On the verify-appendix mode sets, 2,000 trials each."""
