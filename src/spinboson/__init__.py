@@ -59,6 +59,7 @@ _EXPORTS = {
     ),
     "multiscale": (
         "MultiscaleTrace",
+        "P4Sampler",
         "SpectralCensus",
         "check_p1",
         "check_p2_p4",

@@ -84,6 +84,9 @@ _RUN_KEYS = {
 # the bounds that gate cone-check (the acceptance value) and g-circle
 CONE_TOL = 5e-3
 G_CIRCLE_TOL = 1e-4
+# above this ladder ratio every cone-chain step fails: its inner half reads
+# gap_inner / bound = 10 (0.25 - 0.39 rho) / rho (``verify_cone_chain``)
+CHAIN_RHO_MAX = 2.5 / 4.9
 
 
 def _integer(value, name: str, lo: int | None = None) -> int:
@@ -289,17 +292,13 @@ def _proposed(rc: RunConfig) -> dict:
 
 
 def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
-    from .multiscale import (
-        check_p1,
-        check_p2_p4,
-        check_p3,
-        extrapolate_limit,
-        run_ladder,
-    )
+    from .multiscale import (P4Sampler, check_p1, check_p2_p4, check_p3,
+                             extrapolate_limit, run_ladder)
 
     cfg, samples = rc.model, rc.samples_per_scale
+    p4 = P4Sampler(cfg, samples, rc.seed)
     trace = run_ladder(cfg, rc.field, levels=rc.levels, jobs=rc.jobs,
-                       samples_per_scale=samples, seed=rc.seed)
+                       consumers=(p4,) if samples else ())
     report = compute_constants(
         cfg.mu, cfg.nu_floor, nu=cfg.nu, m=cfg.m_cone, c_generic=rc.c_generic
     )
@@ -308,7 +307,7 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     extrapolated = extrapolate_limit(trace)
     checks = {"p1": p1, "p3": p3}
     if samples:
-        checks["p2_p4"] = check_p2_p4(trace)
+        checks["p2_p4"] = check_p2_p4(trace, p4.rows)
     ok = True
     levels = [*p1["levels"].values(), *p3["levels"].values()]
     if rc.mode == "strict":
@@ -322,8 +321,8 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
     for rec in trace.scales:
         for data in rec.levels.values():
             ok &= data.p2_unique and data.contour_safe
-            # a window sampler that stops at its guard short of the request fails
-            ok &= not samples or len(data.p4["samples"]) >= samples
+    # a window sampler that stops at its guard short of the request fails
+    ok &= all(len(row["samples"]) >= samples for row in p4.rows.values())
     write_json(
         out / "trace.json",
         {**trace.to_dict(), "extrapolated": extrapolated, "checks": checks},
@@ -509,6 +508,10 @@ def main(argv=None) -> int:
         rc = parse_config(text, **{k: v for k, v in given.items() if v is not None})
         if args.jobs is not None:
             rc.jobs = _integer(args.jobs, "--jobs", 1)
+        rho, chain = rc.field.ladder.rho, rc.field.n_scales > 1
+        if args.subcommand == "cone-check" and chain and rho > CHAIN_RHO_MAX:
+            raise ConfigError(f"cone-check needs rho <= 2.5/4.9 = {CHAIN_RHO_MAX:.4f}: "
+                              f"every cone-chain step fails above it; got rho = {rho}")
     except SpinBosonError as exc:  # a grid the document asks for fails too
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -19,22 +19,17 @@ induction argument controls:
 * P4: the projected resolvent bound |(H - z)^(-1) (1 - P)| against the
   shape K_n / (rho_n + |z - lambda^(n)|) on sampled z.
 
-Each scale's operator is assembled once and used while the scale loop
-holds it: the eigensolves (into the scale's ``SpectralCensus``, which
-tracking and every spectrum count read), the contour projectors and the
-P4 samples (when ``samples_per_scale`` asks for them).  It is let go
-before the next scale's is assembled.  The last scale's operator, the
-full grid's, stays on the trace as ``trace.operator`` for the two readers
-of that grid: ``extrapolate_limit`` (every scale's eigenvector residual)
-and ``resolvent_cone_bound_check``.  Its sectors hold Schur-complement
-parts (``fock.Sector``), not dense blocks, yet it is the largest object
-of a run, so no caller keeps a trace while the next ladder runs.  The
-per-scale data stays on the scale records, and the trace
-carries the model and the grid it ran with, so every check
-(``check_p1``, ``check_p2_p4``, ``check_p3``, ``extrapolate_limit`` and
-the cone checks in ``diagnostics``) takes the trace alone.  A check
-returns its report and writes nothing into the trace: the ``ladder``
-command builds ``trace.json`` from the trace's own report and the checks'.
+The ladder is a stream of scales.  Per scale, ``run_ladder`` assembles the
+operator, takes its ``SpectralCensus`` (the eigensolves every spectrum
+count reads), tracks the levels and fills the P1, P2 and P3 data.  It hands
+the ``ScaleRecord``, the operator on ``rec.operator``, to the attached
+consumers (P4's is ``P4Sampler``) and the trace, and clears that operator
+before the next scale's is assembled.  The last, the full grid's, moves to
+``trace.operator`` for ``extrapolate_limit`` (every scale's eigenvector
+residual) and ``resolvent_cone_bound_check``; it is the largest object of
+a run, so no caller keeps a trace while the next ladder runs.  Every check
+takes the trace alone (``check_p2_p4`` the P4 rows beside it), returns its
+report and writes nothing into the trace.
 
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
@@ -105,15 +100,13 @@ class LevelScaleData:
     p3_gap: float | None = None
     first_scale_shift: float | None = None
     atomic_projector_gap: float | None = None
-    # kept for the checks and not serialized: the contour projector, its
-    # eigenvector u in global coordinates and the P4 samples
+    # kept for the checks, not serialized: the projector and its u (global coordinates)
     projector: RieszProjector | None = None
     vector: np.ndarray | None = None
-    p4: dict | None = None
 
     def report(self) -> dict:
         """The serialized fields, ``lam`` under the key ``lambda``."""
-        kept = ("projector", "vector", "p4")
+        kept = ("projector", "vector")
         return {
             "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
             for f in fields(self)
@@ -123,7 +116,7 @@ class LevelScaleData:
 
 @dataclass
 class ScaleRecord:
-    """One scale: its cutoff, contour radius, dimension and (unserialized) census."""
+    """A scale's cutoff, contour radius, dimension, unserialized census and operator."""
 
     n: int
     rho_n: float
@@ -131,6 +124,7 @@ class ScaleRecord:
     dim: int
     census: SpectralCensus
     levels: dict = dc_field(default_factory=dict)
+    operator: OperatorMatrix | None = dc_field(default=None, repr=False)
 
 
 @dataclass
@@ -148,9 +142,6 @@ class MultiscaleTrace:
     scales: list = dc_field(default_factory=list)
     schema_version: int = SCHEMA_VERSION
     operator: OperatorMatrix | None = dc_field(default=None, repr=False)
-
-    def level_series(self, i: int, name: str) -> list:
-        return [getattr(rec.levels[i], name) for rec in self.scales]
 
     def to_dict(self) -> dict:
         """The trace's own report: run parameters and scale records."""
@@ -191,13 +182,6 @@ def _embed_full_vector(
     out[emb] = vec[:dim_small]
     out[dim_big + emb] = vec[dim_small:]
     return out
-
-
-def _atomic_vacuum(i: int, dim: int) -> np.ndarray:
-    """phi_i (x) vacuum in the global coordinates (excited atom first)."""
-    vec = np.zeros(dim, dtype=complex)
-    vec[0 if i == 1 else dim // 2] = 1.0
-    return vec
 
 
 def _is_lam(values, lam: complex):
@@ -279,8 +263,7 @@ def run_ladder(
     levels: tuple = (0, 1),
     *,
     jobs: int,
-    samples_per_scale: int = 0,
-    seed: int = 0,
+    consumers: tuple = (),
 ) -> MultiscaleTrace:
     """Run the infrared ladder and collect the induction diagnostics.
 
@@ -291,108 +274,129 @@ def run_ladder(
     with the new shells' vacuum.  The parity sectors of each scale are
     eigensolved on up to ``jobs`` threads.
 
-    With ``samples_per_scale`` > 0, P4 samples that many points of each
-    level's window per scale (scale by scale, level by level, from one
-    generator seeded with ``seed``), away from the window's starved
-    eigenvalues, and records the projected resolvent norms and the points
-    it skipped per reason.  The last scale is the full grid's, and its
-    operator stays on the trace as ``trace.operator``.
+    Each of ``consumers`` is called with every scale's record, in scale
+    order, while ``rec.operator`` holds that scale's operator, which it must
+    not keep.  The last scale's operator, the full grid's, moves to the
+    trace as ``trace.operator``.
     """
-    trace = MultiscaleTrace(cfg, field)
-    bare = {0: cfg.e0, 1: cfg.e1}
-    prev_lam = dict(bare)
-    prev_vec: dict = {}
-    rng = np.random.default_rng(seed)
 
-    for n in range(1, field.n_scales + 1):
-        H = None  # scale n - 1's operator goes before scale n's is assembled
-        H = assemble_hamiltonian(cfg, field, n=n)
-        census = SpectralCensus.of(H, jobs=jobs)
-        rho_n = field.ladder.cutoff(n)
-        contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
-        rec = ScaleRecord(
-            n=n, rho_n=rho_n, contour_radius=contour_radius, dim=H.dim,
-            census=census,
-        )
-        for i in levels:
-            seed_lam = prev_lam[i]
-            nearest = census.nearest(seed_lam)
-            # widen the search circle when the eigenvalue moved beyond the
-            # nominal contour (first scale at practical couplings)
-            r_track = max(contour_radius, 2.0 * abs(nearest - seed_lam))
-            # what P3 (at scale 1 the atomic gap) compares against: the
-            # previous scale's u, embedded (which keeps u^T u), or the level
-            if i in prev_vec:
-                probe = _embed_full_vector(field, n - 1, n, prev_vec[i])
-            else:
-                probe = _atomic_vacuum(i, H.dim)
-            record = track_eigenvalue(
-                H, census, seed=seed_lam, radius=r_track, probe=probe
-            )
-            lam = record.lam
-            proj = record.projector
-            u_g = record.right_vector
+    def scales():
+        prev_lam, prev_vec = {0: cfg.e0, 1: cfg.e1}, {}
+        for n in range(1, field.n_scales + 1):
+            H = assemble_hamiltonian(cfg, field, n=n)
+            rho_n = field.ladder.cutoff(n)
+            contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
+            census = SpectralCensus.of(H, jobs=jobs)
+            rec = ScaleRecord(n, rho_n, contour_radius, H.dim, census, operator=H)
+            for i in levels:
+                seed = prev_lam[i]
+                # widen the search circle when the eigenvalue moved beyond the
+                # nominal contour (first scale at practical couplings)
+                r_track = max(contour_radius, 2.0 * abs(census.nearest(seed) - seed))
+                # what P3 (at scale 1 the atomic gap) compares against: the
+                # previous scale's u, embedded (which keeps u^T u), or
+                # phi_i (x) vacuum (the excited atom first)
+                if i in prev_vec:
+                    probe = _embed_full_vector(field, n - 1, n, prev_vec[i])
+                else:
+                    probe = np.zeros(H.dim, dtype=complex)
+                    probe[0 if i == 1 else H.dim // 2] = 1.0
+                record = track_eigenvalue(H, census, seed=seed, radius=r_track,
+                                          probe=probe)
+                lam, proj, u_g = record.lam, record.projector, record.right_vector
 
-            window = Box.wn(cfg, i, rho_n, lam)
-            box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
-            # the window's other eigenvalues: soft-branch copies or violations
-            in_window = census.values[window.contains(census.values)]
-            starved = census.starved(window, lam)
-            n_soft = int(np.count_nonzero(starved))
-            n_bad = int(np.count_nonzero(~_is_lam(in_window, lam))) - n_soft
+                window = Box.wn(cfg, i, rho_n, lam)
+                box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
+                # the window's other eigenvalues: soft-branch copies or violations
+                in_window = census.values[window.contains(census.values)]
+                n_soft = int(np.count_nonzero(census.starved(window, lam)))
+                n_bad = int(np.count_nonzero(~_is_lam(in_window, lam))) - n_soft
 
-            data = LevelScaleData(
-                lam=lam,
-                gap=record.gap,
-                residual=record.residual,
-                rayleigh_disagreement=record.method_disagreement,
-                projector_residual=proj.idempotency_residual,
-                projector_trace=proj.trace_value,
-                projector_quad_points=proj.quad_points,
-                contour_safe=bool(record.gap > 2.0 * contour_radius),
-                p2_count_window=len(in_window),
-                p2_count_box=int(np.count_nonzero(box.contains(census.values))),
-                p2_soft_branch_count=n_soft,
-                p2_violation_count=n_bad,
-                p2_unique=bool(n_bad == 0),
-                projector=proj,
-                vector=u_g,
-            )
-            if n == 1:
-                data.first_scale_shift = abs(lam - bare[i])
-                data.atomic_projector_gap = projector_distance(u_g, probe)
-            else:
-                data.p1_gap = abs(lam - prev_lam[i])
-                data.p3_gap = projector_distance(u_g, probe)
-            if samples_per_scale:
-                # truncation artifacts: no P4 sample lies within 0.1 rho_n of one
-                artifacts = census.values[starved]
-
-                def reject(z):
-                    if len(artifacts) and np.min(np.abs(artifacts - z)) < 0.1 * rho_n:
-                        return "artifact"
-                    if abs(z - lam) <= 0.25 * contour_radius:
-                        return "near_lambda"
-                    return None
-
-                zs, skipped = window.sample(
-                    rng, samples_per_scale, max(1, int(0.6 * samples_per_scale)),
-                    lam, lambda r: contour_radius * r.uniform(1.5, 6.0), reject,
+                data = LevelScaleData(
+                    lam=lam,
+                    gap=record.gap,
+                    residual=record.residual,
+                    rayleigh_disagreement=record.method_disagreement,
+                    projector_residual=proj.idempotency_residual,
+                    projector_trace=proj.trace_value,
+                    projector_quad_points=proj.quad_points,
+                    contour_safe=bool(record.gap > 2.0 * contour_radius),
+                    p2_count_window=len(in_window),
+                    p2_count_box=int(np.count_nonzero(box.contains(census.values))),
+                    p2_soft_branch_count=n_soft,
+                    p2_violation_count=n_bad,
+                    p2_unique=bool(n_bad == 0),
+                    projector=proj,
+                    vector=u_g,
                 )
-                # the smallest K_n with |(H - z)^(-1) (1 - P)| <= K_n shape(z)
-                samples = [
-                    {"z": z, "lhs": resolvent_norm(H, z, proj),
-                     "shape": 1.0 / (rho_n + abs(z - lam))}
-                    for z in zs
-                ]
-                k_fit = max((s["lhs"] / s["shape"] for s in samples), default=0.0)
-                data.p4 = {"K_n": k_fit, "samples": samples, "skipped": skipped}
-            rec.levels[i] = data
-            prev_lam[i] = lam
-            prev_vec[i] = u_g
+                if n == 1:  # prev_lam holds the bare levels
+                    data.first_scale_shift = abs(lam - prev_lam[i])
+                    data.atomic_projector_gap = projector_distance(u_g, probe)
+                else:
+                    data.p1_gap = abs(lam - prev_lam[i])
+                    data.p3_gap = projector_distance(u_g, probe)
+                rec.levels[i] = data
+                prev_lam[i] = lam
+                prev_vec[i] = u_g
+            yield rec
+            if n < field.n_scales:  # it goes before the next one is assembled
+                rec.operator = H = None
+
+    trace = MultiscaleTrace(cfg, field)
+    for rec in scales():
+        for consume in consumers:
+            consume(rec)
         trace.scales.append(rec)
-    trace.operator = H  # the last scale's: the full grid's
+    trace.operator, rec.operator = rec.operator, None  # the full grid's
     return trace
+
+
+@dataclass
+class P4Sampler:
+    """P4 as a ladder consumer: the projected resolvent bound on sampled z.
+
+    It samples ``samples_per_scale`` points of each level's window per scale
+    (scale by scale, level by level, from one generator seeded with
+    ``seed``), away from the window's starved eigenvalues, and takes their
+    norms on the scale's operator.  ``rows[n, i]`` holds the samples, the
+    fit K_n and the points skipped per reason; ``check_p2_p4`` reads them.
+    """
+
+    cfg: ModelConfig
+    samples_per_scale: int
+    seed: int
+
+    def __post_init__(self):
+        self.rng = np.random.default_rng(self.seed)
+        self.rows: dict = {}
+
+    def __call__(self, rec: ScaleRecord) -> None:
+        count, rho_n, radius = self.samples_per_scale, rec.rho_n, rec.contour_radius
+        for i, data in rec.levels.items():
+            lam = data.lam
+            window = Box.wn(self.cfg, i, rho_n, lam)
+            # truncation artifacts: no sample lies within 0.1 rho_n of one
+            artifacts = rec.census.values[rec.census.starved(window, lam)]
+
+            def reject(z):
+                if len(artifacts) and np.min(np.abs(artifacts - z)) < 0.1 * rho_n:
+                    return "artifact"
+                if abs(z - lam) <= 0.25 * radius:
+                    return "near_lambda"
+                return None
+
+            zs, skipped = window.sample(
+                self.rng, count, max(1, int(0.6 * count)), lam,
+                lambda r: radius * r.uniform(1.5, 6.0), reject,
+            )
+            # the smallest K_n with |(H - z)^(-1) (1 - P)| <= K_n shape(z)
+            samples = [
+                {"z": z, "lhs": resolvent_norm(rec.operator, z, data.projector),
+                 "shape": 1.0 / (rho_n + abs(z - lam))}
+                for z in zs
+            ]
+            k_fit = max((s["lhs"] / s["shape"] for s in samples), default=0.0)
+            self.rows[rec.n, i] = {"K_n": k_fit, "samples": samples, "skipped": skipped}
 
 
 def _fitted_ratio(gaps: list) -> float | None:
@@ -403,19 +407,27 @@ def _fitted_ratio(gaps: list) -> float | None:
     return float(np.exp(np.mean(np.log(quotients))))
 
 
-def _motion_check(trace: MultiscaleTrace, gap_name: str, row) -> dict:
+def _motion_check(trace: MultiscaleTrace, gap_name: str, bounds) -> dict:
     """Per-level rows of a motion check, its decay ratio and practical verdict.
 
-    ``row(n, gap)`` is the check's row at each scale whose ``gap_name``
-    entry is set; scales without one (the first) are skipped.
+    At each scale n whose ``gap_name`` entry is set (the first is not),
+    ``bounds(n)`` gives the row's ``practical_bound`` and
+    ``strict_bound_log10`` (and any other entry of its row).  A gap passes
+    the bounds it does not exceed, and every practical bound at g = 0.
     """
     out: dict = {"levels": {}}
+    free = trace.cfg.g == 0
     for i in sorted({k for rec in trace.scales for k in rec.levels}):
-        rows = [
-            row(rec.n, gap)
-            for rec, gap in zip(trace.scales, trace.level_series(i, gap_name))
-            if gap is not None
-        ]
+        rows = []
+        for rec in trace.scales:
+            if (gap := getattr(rec.levels[i], gap_name)) is None:
+                continue
+            row = {"n": rec.n, "gap": gap, **bounds(rec.n)}
+            row["practical_pass"] = bool(gap <= row["practical_bound"] or free)
+            row["strict_pass"] = bool(
+                gap == 0.0 or np.log10(gap) <= row["strict_bound_log10"] + 1e-12
+            )
+            rows.append(row)
         out["levels"][i] = {
             "rows": rows,
             "fitted_ratio": _fitted_ratio([r["gap"] for r in rows]),
@@ -433,24 +445,19 @@ def check_p1(trace: MultiscaleTrace, log10_C: float) -> dict:
     cfg, ladder = trace.cfg, trace.field.ladder
     g_abs = abs(cfg.g)
 
-    def row(n: int, gap: float) -> dict:
+    def bounds(n: int) -> dict:
         rho_prev = ladder.cutoff(n - 1)
-        practical = g_abs * 0.5 ** (n - 1) * rho_prev
         strict_log10 = (
             (np.log10(g_abs) if g_abs > 0 else -np.inf)
             + (n + 1) * log10_C
             + (1.0 + cfg.mu) * np.log10(rho_prev)
         )
         return {
-            "n": n,
-            "gap": gap,
-            "practical_bound": practical,
-            "practical_pass": bool(gap <= practical or g_abs == 0.0),
+            "practical_bound": g_abs * 0.5 ** (n - 1) * rho_prev,
             "strict_bound_log10": float(strict_log10),
-            "strict_pass": bool(gap == 0.0 or np.log10(gap) <= strict_log10 + 1e-12),
         }
 
-    return _motion_check(trace, "p1_gap", row)
+    return _motion_check(trace, "p1_gap", bounds)
 
 
 def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
@@ -461,46 +468,34 @@ def check_p3(trace: MultiscaleTrace, log10_C: float) -> dict:
     cfg, ladder = trace.cfg, trace.field.ladder
     g_abs, rho = abs(cfg.g), ladder.rho
 
-    def row(n: int, gap: float) -> dict:
-        practical = (g_abs / rho) * 0.5 ** (n - 1)
-        limit_rate = 2.0 * (g_abs / rho) * 0.5**n * ladder.cutoff(n) ** (cfg.mu / 2.0)
+    def bounds(n: int) -> dict:
         strict_log10 = (
             (np.log10(g_abs / rho) if g_abs > 0 else -np.inf)
             + (2 * n + 2) * log10_C
             + cfg.mu * np.log10(ladder.cutoff(n - 1))
         )
         return {
-            "n": n,
-            "gap": gap,
-            "practical_bound": practical,
-            "practical_pass": bool(gap <= practical or g_abs == 0.0),
-            "limit_rate_envelope": limit_rate,
+            "practical_bound": (g_abs / rho) * 0.5 ** (n - 1),
+            "limit_rate_envelope": 2.0 * (g_abs / rho) * 0.5**n
+            * ladder.cutoff(n) ** (cfg.mu / 2.0),
             "strict_bound_log10": float(strict_log10),
-            "strict_pass": bool(gap == 0.0 or np.log10(gap) <= strict_log10 + 1e-12),
         }
 
-    return _motion_check(trace, "p3_gap", row)
+    return _motion_check(trace, "p3_gap", bounds)
 
 
-def check_p2_p4(trace: MultiscaleTrace) -> dict:
+def check_p2_p4(trace: MultiscaleTrace, p4: dict) -> dict:
     """Spectral uniqueness per window and the projected resolvent fits.
 
-    P2 reads the stored window counts, P4 the K_n fit of the samples
-    ``run_ladder`` took with ``samples_per_scale`` > 0 (the samples stay in
-    the levels' ``p4`` entries) and the number of points the sampler
-    skipped per reason: outside the window, within 0.1 rho_n of a starved
-    eigenvalue (``artifact``) or near lambda.  A trace without samples
-    raises TrackingError.
+    P2 reads the trace's window counts, P4 the rows of the ``P4Sampler``
+    that ran with the ladder (``p4``, its ``rows``): each K_n fit and the
+    number of points the sampler skipped per reason, outside the window,
+    within 0.1 rho_n of a starved eigenvalue (``artifact``) or near lambda.
     """
     out: dict = {"p2": {}, "p4": {}}
     for rec in trace.scales:
         n = rec.n
         for i, data in rec.levels.items():
-            if data.p4 is None:
-                raise TrackingError(
-                    f"scale {n}, level {i} has no P4 samples: run the ladder "
-                    "with samples_per_scale > 0"
-                )
             out["p2"].setdefault(str(i), {})[str(n)] = {
                 "count_window": data.p2_count_window,
                 "count_box": data.p2_count_box,
@@ -508,10 +503,11 @@ def check_p2_p4(trace: MultiscaleTrace) -> dict:
                 "violation_count": data.p2_violation_count,
                 "unique": data.p2_unique,
             }
-            skipped = data.p4["skipped"]
+            row = p4[n, i]
+            skipped = row["skipped"]
             reasons = ("outside", "artifact", "near_lambda")
             out["p4"].setdefault(str(i), {})[str(n)] = {
-                "K_n": data.p4["K_n"],
+                "K_n": row["K_n"],
                 "n_skipped": {r: skipped[r] for r in reasons},
             }
     return out
@@ -533,8 +529,8 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
     envelope = 2.0 * abs(cfg.g) * rho_last ** (1.0 + cfg.mu / 2.0)
     result: dict = {"levels": {}, "warnings": []}
     for i in sorted(trace.scales[-1].levels):
-        lams = trace.level_series(i, "lam")
-        gaps = [d for d in trace.level_series(i, "p1_gap") if d is not None]
+        series = [rec.levels[i] for rec in trace.scales]
+        gaps = [d.p1_gap for d in series if d.p1_gap is not None]
         tail = 0.0
         if gaps and gaps[-1] > 0:
             ratio = _fitted_ratio(gaps)
@@ -547,12 +543,11 @@ def extrapolate_limit(trace: MultiscaleTrace) -> dict:
                     f"level {i}: per-scale gaps are not monotone"
                 )
         residuals = []
-        for rec in trace.scales:
-            data = rec.levels[i]
+        for rec, data in zip(trace.scales, series):
             u = _embed_full_vector(field, rec.n, field.n_scales, data.vector)
             residuals.append(float(np.linalg.norm(H.matvec(u) - data.lam * u)))
         result["levels"][i] = {
-            "lambda": lams[-1],
+            "lambda": series[-1].lam,
             "error_bar": float(max(envelope, tail)),
             "envelope": float(envelope),
             "observed_tail": float(tail),

@@ -423,6 +423,8 @@ class TestMain:
             ("feasibility", "model", {"nu_floor": 0.25, "theta": [0.0, 0.3]}),
             # the strict windows' order of cutoffs: the last one underflows
             ("feasibility", "ladder", {"rho0": 1e-289, "rho": 1e-147}),
+            # above 2.5 / 4.9 every cone-chain step fails whatever lambda does
+            ("cone-check", "ladder", {"rho": 0.52}),
         ],
     )
     def test_bad_run_value_stops_before_work(
@@ -505,6 +507,26 @@ class TestConeCheckDispatch:
             payload["levels"][i]["violations"] for i in payload["levels"]
         )
         assert some_violations
+
+    def test_chain_ratio_bound(self, tmp_path, capsys):
+        """Above ``CHAIN_RHO_MAX`` every chain step fails whatever lambda
+        does, so cone-check refuses such a ladder before any work and names
+        the bound; one scale has no chain step and runs, as does every other
+        subcommand."""
+        cfg = parse_config(config_text()).model
+        lam = 1.0 - 0.001j
+        for factor, passes in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            ladder = spinboson.CutoffLadder(0.25, cli.CHAIN_RHO_MAX * factor, e1=1.0)
+            assert spinboson.verify_cone_chain(lam, lam, ladder, 1, cfg)["pass"] == passes
+        cfg_path = tmp_path / "run.json"
+        for subcommand, n_scales, want in (("cone-check", 2, 2), ("cone-check", 1, 0),
+                                           ("feasibility", 2, 0)):
+            cfg_path.write_text(config_text(ladder={"rho": 0.52, "n_scales": n_scales}))
+            out = tmp_path / f"{subcommand}-{n_scales}"
+            assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == want
+            err = capsys.readouterr().err
+            assert ("rho <= 2.5/4.9 = 0.5102" in err) == (want == 2)
+            assert out.exists() == (want != 2)
 
     def test_moderate_case_passes(self, tmp_path):
         assert cli.CONE_TOL == 5e-3  # the acceptance value
@@ -712,7 +734,7 @@ EXPORTS = [
     "ContourCollisionError", "ConvergenceError", "CutoffLadder",
     "DegeneracyError", "DiscretizedField", "FeasibilityReport", "FockBasis",
     "InvarianceReport", "ModeSet", "ModelConfig", "MultiscaleTrace",
-    "OperatorMatrix", "RieszProjector", "ShiftedSolver",
+    "OperatorMatrix", "P4Sampler", "RieszProjector", "ShiftedSolver",
     "SingularShiftError", "SpectralCensus", "SpectralRecord", "SpinBosonError",
     "TrackingError",
     "assemble_hamiltonian", "basis_dimension", "build_field_operator",

@@ -10,8 +10,8 @@ from spinboson import (
     CutoffLadder,
     DiscretizedField,
     ModelConfig,
+    P4Sampler,
     SpectralCensus,
-    TrackingError,
     assemble_hamiltonian,
     check_p1,
     check_p2_p4,
@@ -41,19 +41,25 @@ def shorter_field(field, n_scales):
 
 
 @pytest.fixture(scope="module")
-def practical():
-    """One shared small practical run: g = 0.05, 4 scales, P4 sampled.
+def practical_p4():
+    """One shared small practical run: g = 0.05, 4 scales, with the P4
+    consumer attached.  It returns the P4 sampler after the trace.
 
     The checks write nothing into a trace, so every test reads this one.
     """
-    from spinboson import CutoffLadder
-
     cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=4, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    trace = run_ladder(cfg, field, jobs=1, samples_per_scale=P4_SAMPLES, seed=P4_SEED)
-    return cfg, field, trace
+    p4 = P4Sampler(cfg, P4_SAMPLES, P4_SEED)
+    trace = run_ladder(cfg, field, jobs=1, consumers=(p4,))
+    return cfg, field, trace, p4
+
+
+@pytest.fixture(scope="module")
+def practical(practical_p4):
+    """The shared run's model, grid and trace."""
+    return practical_p4[:3]
 
 
 class TestFreeModel:
@@ -126,11 +132,12 @@ class TestPracticalRun:
                 assert data.p2_unique
                 assert data.p2_count_window == 1 + data.p2_soft_branch_count
 
-    def test_deterministic_rerun(self, practical):
-        cfg, field, trace = practical
-        again = run_ladder(cfg, field, jobs=1, samples_per_scale=P4_SAMPLES,
-                           seed=P4_SEED)
+    def test_deterministic_rerun(self, practical_p4):
+        cfg, field, trace, p4 = practical_p4
+        again_p4 = P4Sampler(cfg, P4_SAMPLES, P4_SEED)
+        again = run_ladder(cfg, field, jobs=1, consumers=(again_p4,))
         assert again.to_dict() == trace.to_dict()
+        assert again_p4.rows == p4.rows
 
     def test_extrapolation_and_residuals(self, practical):
         cfg, field, trace = practical
@@ -146,14 +153,15 @@ class TestPracticalRun:
         lam_prev = trace.scales[-2].levels[1].lam
         assert abs(lam_last - lam_prev) < result["levels"][1]["error_bar"]
 
-    def test_p2_p4_report(self, practical):
+    def test_p2_p4_report(self, practical_p4):
         """The report holds each fit K_n and the points skipped per reason;
-        the samples stay on the levels."""
-        cfg, field, trace = practical
-        report = check_p2_p4(trace)
+        the samples stay in the consumer's rows."""
+        cfg, field, trace, p4 = practical_p4
+        report = check_p2_p4(trace, p4.rows)
+        assert set(p4.rows) == {(rec.n, i) for rec in trace.scales for i in rec.levels}
         for rec in trace.scales:
             for i, data in rec.levels.items():
-                entry = data.p4
+                entry = p4.rows[rec.n, i]
                 skipped = entry["skipped"]
                 reasons = ("outside", "artifact", "near_lambda")
                 assert set(skipped) <= set(reasons)
@@ -175,24 +183,26 @@ class TestPracticalRun:
         scale.  At scale 3, lambda_1's window holds no starved eigenvalue:
         a rule that let lambda_1 count as an artifact skipped 4 points
         around it, this one skips none."""
-        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=40, seed=0)
+        p4 = P4Sampler(cfg, 40, 0)
+        trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         rec = trace.scales[2]
         lam = rec.levels[1].lam
         window = Box.wn(cfg, 1, rec.rho_n, lam)
         assert not rec.census.starved(window, lam).any()
-        assert rec.levels[1].p4["skipped"]["artifact"] == 0
-        report = check_p2_p4(trace)["p4"]["1"]["3"]
+        assert p4.rows[3, 1]["skipped"]["artifact"] == 0
+        report = check_p2_p4(trace, p4.rows)["p4"]["1"]["3"]
         assert report["n_skipped"]["artifact"] == 0
-        assert len(rec.levels[1].p4["samples"]) == 40
+        assert len(p4.rows[3, 1]["samples"]) == 40
 
     def test_checks_leave_the_trace_alone(self, cfg, small_field):
         """Every check returns its report and writes nothing into the trace
         (a fresh one: the shared trace has met every check already)."""
-        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=2)
+        p4 = P4Sampler(cfg, 2, 0)
+        trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         before = trace.to_dict()
         check_p1(trace, log10_C=9.0)
         check_p3(trace, log10_C=9.0)
-        check_p2_p4(trace)
+        check_p2_p4(trace, p4.rows)
         extrapolate_limit(trace)
         assert trace.to_dict() == before
         assert not hasattr(trace, "checks") and not hasattr(trace, "extrapolated")
@@ -209,21 +219,14 @@ class TestPracticalRun:
         assert max(norms) / min(norms) < 10.0
 
 
-    def test_without_samples_p4_check_raises(self, cfg, small_field):
-        trace = run_ladder(cfg, shorter_field(small_field, 1), levels=(1,), jobs=1)
-        assert trace.scales[0].levels[1].p4 is None
-        with pytest.raises(TrackingError, match="no P4 samples"):
-            check_p2_p4(trace)
-
-
 class TestReassemblyOracle:
     """The route before the scale loop kept its operators: every scale
     assembled afresh after the ladder, P4 sampled from one generator in
     (scale, level) order by the old window sampler, residuals from a fresh
     full-grid operator."""
 
-    def test_p4_samples_and_fits_bit_for_bit(self, practical):
-        cfg, field, trace = practical
+    def test_p4_samples_and_fits_bit_for_bit(self, practical_p4):
+        cfg, field, trace, p4 = practical_p4
         rng = np.random.default_rng(P4_SEED)
         for rec in trace.scales:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
@@ -238,7 +241,7 @@ class TestReassemblyOracle:
                     rng, window, data.lam, rec.contour_radius, P4_SAMPLES,
                     avoid=starved, avoid_radius=0.1 * rec.rho_n,
                 )
-                samples = data.p4["samples"]
+                samples = p4.rows[rec.n, i]["samples"]
                 assert [s["z"] for s in samples] == zs
                 k_fit = 0.0
                 for z, sample in zip(zs, samples):
@@ -246,7 +249,7 @@ class TestReassemblyOracle:
                     shape = 1.0 / (rec.rho_n + abs(z - data.lam))
                     assert (lhs, shape) == (sample["lhs"], sample["shape"])
                     k_fit = max(k_fit, lhs / shape)
-                assert k_fit == data.p4["K_n"]
+                assert k_fit == p4.rows[rec.n, i]["K_n"]
 
     def test_full_grid_residuals_bit_for_bit(self, practical):
         cfg, field, trace = practical
@@ -283,9 +286,10 @@ class TestReassemblyOracle:
 
 
 class TestOperatorLifetime:
-    def test_scale_operator_released_before_next_assembly(self, cfg, small_field,
-                                                          monkeypatch):
-        """Scale n's operator is gone once scale n + 1's is assembled."""
+    @staticmethod
+    def watched_assembly(monkeypatch) -> list:
+        """Weak references to every operator the ladder assembles from now
+        on; each assembly asserts that no earlier one is alive."""
         assemble = multiscale.assemble_hamiltonian
         held = []
 
@@ -297,11 +301,32 @@ class TestOperatorLifetime:
             return H
 
         monkeypatch.setattr(multiscale, "assemble_hamiltonian", tracked)
-        trace = run_ladder(cfg, small_field, jobs=1, samples_per_scale=2)
+        return held
+
+    def test_scale_operator_released_before_next_assembly(self, cfg, small_field,
+                                                          monkeypatch):
+        """Scale n's operator is gone once scale n + 1's is assembled, with
+        the P4 consumer attached."""
+        held = self.watched_assembly(monkeypatch)
+        p4 = P4Sampler(cfg, 2, 0)
+        trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         assert len(held) == small_field.n_scales
+        assert len(p4.rows) == 2 * small_field.n_scales
         # the last scale's operator stays on the trace, every other is gone
         assert [ref() is not None for ref in held] == [False] * (len(held) - 1) + [True]
         assert held[-1]() is trace.operator
+        assert all(rec.operator is None for rec in trace.scales)
+
+    def test_consumer_keeping_the_operator_is_caught(self, cfg, small_field,
+                                                     monkeypatch):
+        """The check above fails for a consumer that keeps the previous
+        scale's operator beside P4."""
+        self.watched_assembly(monkeypatch)
+        kept = []
+        consumers = (P4Sampler(cfg, 2, 0), lambda rec: kept.append(rec.operator))
+        with pytest.raises(AssertionError, match=r"\[True\]"):
+            run_ladder(cfg, small_field, jobs=1, consumers=consumers)
+        assert len(kept) == 1
 
 
 class TestNestingExactness:
