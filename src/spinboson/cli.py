@@ -9,8 +9,8 @@ off the structural checks and the practical envelopes.
 
 A run pins every OpenBLAS in the process to one thread and parallelizes
 only over ``jobs`` worker threads (``--jobs`` alone sets it, by default
-the usable CPU count): the parity-sector eigensolves of each ladder
-scale.  Resolvent samples run in the calling thread.  Reports are
+the usable CPU count): the parity sectors of each ladder scale's
+spectral census.  Resolvent samples run in the calling thread.  Reports are
 therefore the same for any thread count; the manifest records the
 budget.  Each subcommand hands the parsed model and grid
 (``RunConfig.model``, ``RunConfig.field``) to the ladder, and the checks
@@ -296,7 +296,7 @@ def _ladder_artifacts(rc: RunConfig, out: Path) -> bool:
                              extrapolate_limit, run_ladder)
 
     cfg, samples = rc.model, rc.samples_per_scale
-    p4 = P4Sampler(cfg, samples, rc.seed)
+    p4 = P4Sampler(samples, rc.seed)
     trace = run_ladder(cfg, rc.field, levels=rc.levels, jobs=rc.jobs,
                        consumers=(p4,) if samples else ())
     report = compute_constants(

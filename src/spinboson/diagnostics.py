@@ -336,25 +336,24 @@ def spectrum_cone_check(trace: MultiscaleTrace, tol: float) -> dict:
     lambda_i^(n) to lambda_i^(n+1).  Every row must pass too.
     """
     cfg, field, last = trace.cfg, trace.field, trace.scales[-1]
-    rho1 = field.ladder.cutoff(1)
-    values = last.census.values
+    rho1, census = field.ladder.cutoff(1), last.census
     out: dict = {"levels": {}, "chain": {}, "dim": last.dim}
     for i in sorted(last.levels):
         lam = complex(last.levels[i].lam)
         cone = Cone(lam, cfg.nu, cfg.m_cone)
         box = Box.b1(cfg, i, rho1)
-        inside = box.contains(values)
-        starved = last.census.starved(box, lam)[inside].tolist()
+        starved = census.starved(box, lam)  # it may re-solve, so values after it
+        inside = box.contains(census.values)
         rows = [
             {"z": z, "dist": float(dist_to_cone(cone, z)), "starved_branch": s}
-            for z, s in zip(values[inside], starved)
+            for z, s in zip(census.values[inside], starved[inside].tolist())
         ]
         tested = [r for r in rows if not r["starved_branch"]]
         violations = [r for r in tested if r["dist"] > tol]
         out["levels"][i] = {
             "vertex": lam,
             "n_in_box": len(rows),
-            "n_starved_branch": sum(starved),
+            "n_starved_branch": sum(r["starved_branch"] for r in rows),
             "max_dist": max((r["dist"] for r in tested), default=None),
             "max_dist_raw": max((r["dist"] for r in rows), default=None),
             "violations": violations,
@@ -403,7 +402,8 @@ def resolvent_cone_bound_check(
     cone_forbidden = Cone(lam1 - shift * axis, cfg.nu, cfg.m_cone)
     box = Box.b1(cfg, 1, field.ladder.cutoff(1))
 
-    starved = last.census.values[last.census.starved(box, lam1)]
+    mask = last.census.starved(box, lam1)  # it may re-solve, so values after it
+    starved = last.census.values[mask]
 
     def reject(z: complex) -> str | None:
         if cone_contains(cone_forbidden, z):

@@ -252,9 +252,10 @@ class Sector:
     The layouts are part of the result: the BLAS kernel of a product, and
     with it the rounding, follows them.  A non-symmetric ``a_rr`` raises
     AssemblyError, so no caller can rely on the symmetry where it fails.
-    With a top layer no piece holds len(indices)^2 entries; products with A
-    go through ``apply``, and ``dense`` builds A only for the one dense
-    eigensolve of each sector, into the operator's ``SpectralCensus``.
+    With a top layer no piece holds len(indices)^2 entries: products with A
+    go through ``apply``, and ``with_top`` regroups the parts around a
+    smaller top layer (with none, its A_RR is A itself, as the dense
+    re-solves of a ``SpectralCensus`` take it).
     """
 
     indices: np.ndarray
@@ -278,16 +279,6 @@ class Sector:
         if not np.array_equal(self.a_rr, self.a_rr.T):
             raise AssemblyError("sector matrix is not complex symmetric")
 
-    def dense(self) -> np.ndarray:
-        """The sector's matrix A as one C-ordered array of its parts' type."""
-        n, r, t = len(self.indices), self.rest, self.top
-        out = np.zeros((n, n), dtype=np.result_type(self.d, self.a_rr, self.a_rt))
-        out[np.ix_(r, r)] = self.a_rr
-        out[np.ix_(r, t)] = self.a_rt
-        out[np.ix_(t, r)] = self.a_rt.T
-        out[t, t] = self.d
-        return out
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A x from the parts, for a vector or a block of columns."""
         r, t = self.rest, self.top
@@ -308,6 +299,20 @@ class Sector:
         terms = self.a_rt[r, t] ** 2 / (self.d[t] - self.a_rr[r, r])
         n_t = len(self.d)
         return np.bincount(t, terms.real, n_t) + 1j * np.bincount(t, terms.imag, n_t)
+
+    def top_reach(self) -> np.ndarray:
+        """First-order reach w_t = sum_r |A_rt| (sum_s |A_rs|) / |d_t - A_rr[r, r]|
+        of each d_t: the row sum of |X A_RT| for X_tr = A_rt / (d_t - A_rr[r, r]),
+        the first-order solution of the decoupling Riccati equation, which
+        estimates how far d_t's eigenvalue and its disc move once the top
+        layer is decoupled (``multiscale.REACH``).  The sum runs over the
+        nonzeros of ``a_rt``; an entry with d_t = A_rr[r, r] reaches inf.
+        """
+        a = np.abs(self.a_rt)
+        r, t = np.nonzero(a)
+        with np.errstate(divide="ignore"):
+            terms = a[r, t] * a.sum(axis=1)[r] / np.abs(self.d[t] - self.a_rr[r, r])
+        return np.bincount(t, terms, len(self.d))
 
     def with_top(self, keep: np.ndarray) -> "Sector":
         """The same matrix with only ``top[keep]`` as its top layer.

@@ -15,9 +15,11 @@ tracking window actually used by the ladder in practical mode
 (``Box.wn``) anchors lo a quarter cutoff below the tracked eigenvalue,
 lambda - rho_n sin(nu) / 4; the literal scale-n box (``Box.bn``) takes
 the larger of the two floors, so it coincides with the window whenever
-the eigenvalue sits inside its first-scale box.  ``Box.sample`` draws the
-points of both resolvent fits: P4's in the scale window and the cone
-fit's in B_1.
+the eigenvalue sits inside its first-scale box.  ``Box.region`` is the
+part of the plane a ladder scale asks its spectral census about: B_i
+stretched down to the window of any eigenvalue its nominal tracking
+circle can find.  ``Box.sample`` draws the points of both resolvent fits:
+P4's in the scale window and the cone fit's in B_1.
 
 ``verify_cone_chain`` checks the nested-cone step from scale n to n + 1,
 which ``spectrum_cone_check`` (the ``cone-check`` subcommand) runs on each
@@ -99,8 +101,9 @@ class Box:
     """Closed rectangle |Re z - level| <= half_width, lo <= Im z <= hi.
 
     Every level box is one: ``b1`` (the first-scale box B_i), ``bn`` (its
-    scale-n refinement) and ``wn`` (the anchored tracking window) build
-    them; see the module docstring.
+    scale-n refinement), ``wn`` (the anchored tracking window) and
+    ``region`` (the part a census is asked about) build them; see the
+    module docstring.
     """
 
     level: float
@@ -129,6 +132,13 @@ class Box:
         """The scale-n window: B_i floored a quarter cutoff below lambda."""
         return cls._around(cfg, i, lam.imag - 0.25 * rho_n * np.sin(cfg.nu))
 
+    @classmethod
+    def region(cls, cfg, i: int, rho1: float, rho_n: float, seed: complex) -> "Box":
+        """B_i stretched down to hold ``wn`` of every lambda within a contour
+        radius (rho_n sin(nu) / 4) of ``seed``, and that tracking circle."""
+        floor = seed.imag - 0.5 * rho_n * np.sin(cfg.nu)
+        return cls._around(cfg, i, min(cls.b1(cfg, i, rho1).lo, floor))
+
     def contains(self, z):
         """Closed-set membership: a bool for a number, a mask for an array."""
         re, im = np.real(z), np.imag(z)
@@ -138,6 +148,12 @@ class Box:
             & (im <= self.hi)
         )
         return inside if np.ndim(inside) else bool(inside)
+
+    def distance(self, z):
+        """Euclidean distance from z (a number or an array) to the box, 0 inside."""
+        re = np.maximum(abs(np.real(z) - self.level) - self.half_width, 0.0)
+        im = np.maximum(np.maximum(self.lo - np.imag(z), np.imag(z) - self.hi), 0.0)
+        return np.hypot(re, im)
 
     def sample(self, rng, count: int, n_uniform: int, center: complex, radius, reject):
         """Up to ``count`` points of the box and the number skipped per reason.

@@ -20,8 +20,8 @@ induction argument controls:
   shape K_n / (rho_n + |z - lambda^(n)|) on sampled z.
 
 The ladder is a stream of scales.  Per scale, ``run_ladder`` assembles the
-operator, takes its ``SpectralCensus`` (the eigensolves every spectrum
-count reads), tracks the levels and fills the P1, P2 and P3 data.  It hands
+operator, takes its ``SpectralCensus`` (the spectrum every count reads),
+tracks the levels and fills the P1, P2 and P3 data.  It hands
 the ``ScaleRecord``, the operator on ``rec.operator``, to the attached
 consumers (P4's is ``P4Sampler``) and the trace, and clears that operator
 before the next scale's is assembled.  The last, the full grid's, moves to
@@ -30,6 +30,22 @@ residual) and ``resolvent_cone_bound_check``; it is the largest object of
 a run, so no caller keeps a trace while the next ladder runs.  Every check
 takes the trace alone (``check_p2_p4`` the P4 rows beside it), returns its
 report and writes nothing into the trace.
+
+The census is as local as the checks that read it.  ``run_ladder`` hands
+``SpectralCensus.of`` the region its scale will query: per tracked level,
+B_i stretched down to the window of any eigenvalue the nominal tracking
+circle can find (``Box.region``).  In each parity sector the top-layer
+entries far from that region couple to the rest only through the layer
+below, and an invariant-subspace similarity, the Riccati equation of the
+Feshbach map in matrix form (Bach-Froehlich-Sigal, Adv. Math. 137, 1998),
+removes them exactly: ``eigvals`` takes only the near block, and the far
+block's eigenvalues are kept as Gershgorin discs.  Every query (nearest
+value, gap, tracking circle, box, starved states) is certified against
+the discs, and a sector whose discs could change an answer is re-solved
+densely, so every answer is the dense spectrum's.  The census keeps the
+sector parts for those re-solves until the generator clears the operator.
+``trace.json`` records, per scale and sector, the dimension, |N|, |F|,
+the Riccati steps and the dense re-solves.
 
 The per-scale uniqueness window is the level box with its lower edge
 anchored a quarter contour radius below the tracked eigenvalue.  In the
@@ -59,7 +75,7 @@ from dataclasses import dataclass, field as dc_field, fields
 import numpy as np
 
 from .errors import DegeneracyError, TrackingError
-from .fock import OperatorMatrix
+from .fock import OperatorMatrix, Sector
 from .geometry import Box
 from .model import DiscretizedField, ModelConfig, assemble_hamiltonian
 from .spectral import (
@@ -77,6 +93,29 @@ SCHEMA_VERSION = 1
 # other eigenvalue at least 102 |s_t| from each.  The factor errs toward
 # testing: a missed partner fails a check, a false one could pass it.
 PAIRING = 2.0
+# The census decouples each sector's top-layer entries d_t farther than
+# REACH times their first-order reach w_t (``Sector.top_reach``) from the
+# region its scale queries (``SpectralCensus.of``).  The far discs reached
+# at most 1.18 w_t from their d_t (|center - d_t| + radius) on the CI tiny,
+# benchmark and README grids at g = 0.05, and at g = 0.1, 0.15 and
+# 0.04 + 0.03i on the first two.  Riccati fixed-point steps stop when a
+# step moves Y by at most RICCATI_TOL times its largest entry, or after
+# RICCATI_MAX_STEPS; a split is kept when its residual is at most
+# RICCATI_RESIDUAL times the largest entry (the benchmark grid's splits
+# leave at most 2.3e-15 against 7.7).  A sector is split only when its
+# near block holds at most SPLIT_SHARE of it: on sectors of 190 to 2,145
+# rows of the benchmark and README grids, one thread, splits with near
+# shares 0.02 to 0.48 took 0.02 to 0.72 of the dense eigvals time, and
+# shares 0.55 to 0.82 took 0.92 to 2.0 of it.
+REACH = 2.0
+RICCATI_TOL = 1e-14
+RICCATI_MAX_STEPS = 50
+RICCATI_RESIDUAL = 1e-14
+SPLIT_SHARE = 0.5
+# A query that meets far discs tries them again with the met discs shrunk
+# by this factor (``FarDiscs.radii``); on the benchmark ``ladder`` grid it
+# certifies scale 1's gap of lambda_1, whose circle one disc met.
+SHRINK = 0.5
 
 
 @dataclass
@@ -96,6 +135,9 @@ class LevelScaleData:
     p2_soft_branch_count: int
     p2_violation_count: int
     p2_unique: bool
+    # kept for P4, not serialized: the P2 window and its starved eigenvalues
+    window: Box
+    starved: np.ndarray
     p1_gap: float | None = None
     p3_gap: float | None = None
     first_scale_shift: float | None = None
@@ -106,7 +148,7 @@ class LevelScaleData:
 
     def report(self) -> dict:
         """The serialized fields, ``lam`` under the key ``lambda``."""
-        kept = ("projector", "vector")
+        kept = ("projector", "vector", "window", "starved")
         return {
             "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
             for f in fields(self)
@@ -151,6 +193,7 @@ class MultiscaleTrace:
                 "rho_n": rec.rho_n,
                 "contour_radius": rec.contour_radius,
                 "dim": rec.dim,
+                "census": rec.census.work,
                 "levels": {i: data.report() for i, data in rec.levels.items()},
             }
             for rec in self.scales
@@ -189,41 +232,213 @@ def _is_lam(values, lam: complex):
     return np.abs(values - lam) <= 1e-12 * max(1.0, abs(lam))
 
 
-class SpectralCensus:
-    """One operator's dense spectrum, computed once and read by every check.
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.eigvals`` as bound at call time (tests and tracers wrap it)."""
+    return np.linalg.eigvals(a)
 
-    ``values`` holds the eigenvalues sorted by (real, imaginary) part and
-    ``sectors`` the key of each one's sector.  ``partners`` maps each
-    sector key to its top-layer entries d_t and their second-order shifts
-    s_t (``Sector.d``, ``Sector.top_shifts``), which ``starved`` reads.
+
+@dataclass
+class FarDiscs:
+    """Gershgorin discs of a sector's decoupled far block B = D_F - X A_NF.
+
+    Only the rows L of A_NF are not zero (the layer below the top), so
+    (X A_NF)_ts = sum_l X_tl A_ls.  ``centers`` are the diagonal of B;
+    ``x`` holds |X_tl| and ``a`` |A_lt|, so that sum_l |X_tl| (sum_s |A_ls| -
+    |A_lt|) bounds the off-diagonal sum of row t.  Every eigenvalue of B
+    lies in the union of the discs.
+    """
+
+    centers: np.ndarray
+    x: np.ndarray
+    a: np.ndarray
+
+    def radii(self, shrunk: np.ndarray, factor: float) -> np.ndarray:
+        """The disc radii of the similar D^(-1) B D, D = 1/factor on the rows
+        of the mask ``shrunk`` and 1 elsewhere: those rows' entries outside
+        ``shrunk`` scale by ``factor``, the other rows' entries inside it by
+        1 / ``factor`` (Varga, Gersgorin and His Circles, 2004, 1.3).  With
+        factor 1 they are the discs of B."""
+        inside = self.a[:, shrunk].sum(axis=1)
+        outside = self.a.sum(axis=1) - inside
+        rows = np.where(shrunk, self.x @ (inside + factor * outside),
+                        self.x @ (outside + inside / factor))
+        return rows - np.einsum("tl,lt->t", self.x, self.a)
+
+
+def _dense_values(sec: Sector) -> np.ndarray:
+    """The eigvals of ``sec``'s dense matrix: ``with_top`` of no top entry
+    holds it, entry for entry and C-ordered, as its A_RR."""
+    return _eigvals(sec.with_top(np.zeros(len(sec.top), dtype=bool)).a_rr)
+
+
+def _decouple(split: Sector) -> tuple:
+    """The near block A_NN + A_NF X and the ``FarDiscs`` of ``split``, whose
+    top layer is the far set F and whose other positions are N, and the
+    Riccati steps taken; (None, None, steps) when the residual misses.
+
+    The Riccati equation D_F X - X (A_NN + A_NF X) + A_FN = 0 makes [I; X]
+    span an invariant subspace, so the similarity [[I, 0], [X, I]] turns the
+    sector's matrix block upper triangular (Stewart, SIAM Rev. 15, 1973),
+    with diagonal blocks A_NN + A_NF X and D_F - X A_NF.  X is taken by
+    fixed-point steps on one eigendecomposition A_NN = V diag(lam) W,
+    W = V^(-1): in Y = X V each step is Y <- (Y W_NL A_LF Y - A_FN V) /
+    (d_t - lam_j), with L the rows of A_NF that are not zero (the layer
+    below the top), so a step costs O(|F| |L| |N|).  The steps stop as
+    ``RICCATI_TOL`` and ``RICCATI_MAX_STEPS`` say, and X is kept when
+    |D_F X - X (A_NN + A_NF X) + A_FN|_max is at most ``RICCATI_RESIDUAL``
+    times the largest entry of A_NN and D_F.
+    """
+    a_nn, a_nf, d = split.a_rr, split.a_rt, split.d
+    try:
+        lam, vec = np.linalg.eig(a_nn)
+        winv = np.linalg.inv(vec)
+    except np.linalg.LinAlgError:
+        return None, None, 0
+    layer = np.flatnonzero(np.any(a_nf != 0, axis=1))
+    a_lf = a_nf[layer]
+    a_fn_v = a_lf.T @ vec[layer]
+    w_l = winv[:, layer]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = 1.0 / (d[:, None] - lam)
+        y = -a_fn_v * inv
+        for step in range(1, RICCATI_MAX_STEPS + 1):
+            new = ((y @ w_l) @ (a_lf @ y) - a_fn_v) * inv
+            change, size = np.abs(new - y).max(), np.abs(new).max()
+            y = new
+            if not change > RICCATI_TOL * size:  # converged, or not finite
+                break
+        x = y @ winv
+        near = a_nn.copy()
+        near[layer] += a_lf @ x
+        residual = np.abs(d[:, None] * x - x @ near + a_nf.T).max()
+    if not residual <= RICCATI_RESIDUAL * max(np.abs(a_nn).max(), np.abs(d).max()):
+        return None, None, step  # NaN lands here too
+    x_l = x[:, layer]
+    centers = d - np.einsum("tl,lt->t", x_l, a_lf)
+    return near, FarDiscs(centers, np.abs(x_l), np.abs(a_lf)), step
+
+
+def _sector_census(sec: Sector, far: np.ndarray) -> tuple:
+    """One sector's census with ``top[far]`` decoupled (``_decouple``):
+    (values, ``FarDiscs`` or None, work counts).
+
+    The sector is solved densely when no entry is far or the near block
+    would hold more than ``SPLIT_SHARE`` of it, and re-solved densely
+    (counted) when the decoupling fails.  The dense route is the eigvals of
+    the sector's dense matrix.
+    """
+    dim, n_far = len(sec.indices), int(np.count_nonzero(far))
+    work = {"dim": dim, "near": dim, "far": 0, "riccati_steps": 0, "dense_resolves": 0}
+    if not n_far or dim - n_far > SPLIT_SHARE * dim:
+        return _dense_values(sec), None, work
+    near, discs, work["riccati_steps"] = _decouple(sec.with_top(far))
+    if near is None:
+        work["dense_resolves"] = 1
+        return _dense_values(sec), None, work
+    work.update(near=dim - n_far, far=n_far)
+    return _eigvals(near), discs, work
+
+
+class SpectralCensus:
+    """One operator's spectrum near the level boxes, read by every check.
+
+    ``values`` holds the eigenvalues it knows, sorted by (real, imaginary)
+    part, and ``sectors`` the key of each one's sector.  ``partners`` maps
+    each sector key to its top-layer entries d_t and their second-order
+    shifts s_t (``Sector.d``, ``Sector.top_shifts``), which ``starved``
+    reads.  ``far`` maps the key of each sector that was split to the
+    ``FarDiscs`` holding its other eigenvalues, those of its decoupled far
+    block (``_sector_census``); a census built from values alone has none
+    and knows every eigenvalue.  Every query first certifies that no disc
+    can change its answer, and re-solves densely each sector where that
+    fails, so the answers are those of the dense spectrum.  ``work`` holds
+    per sector its dimension, |N|, |F|, the Riccati steps and the dense
+    re-solves.
     """
 
     def __init__(self, values, sectors, partners: dict):
+        self._sort(values, sectors)
+        self.partners = partners
+        self.far: dict = {}
+        self.work: dict = {}
+        self._parts: dict = {}
+
+    def _sort(self, values, sectors) -> None:
+        """Set ``values``, sorted by (real, imaginary) part, and ``sectors``."""
         values = np.asarray(values, dtype=complex)
         order = np.lexsort((values.imag, values.real))
         self.values, self.sectors = values[order], np.asarray(sectors)[order]
-        self.partners = partners
 
     @classmethod
-    def of(cls, H, *, jobs: int):
-        """Census of H: one ``np.linalg.eigvals`` per sector, on ``jobs`` threads.
+    def of(cls, H, region, *, jobs: int):
+        """Census of H for queries in ``region``, on ``jobs`` threads.
 
-        Each task builds its sector's dense matrix and drops it once its
-        eigenvalues are in, so at ``jobs`` 1 one dense matrix exists at a time.
-        The top-layer pairs are read off the sector parts.
+        ``region`` is a list of ``Box``es, or None for the whole plane.
+        In each sector the top-layer entries d_t farther than ``REACH``
+        times their reach w_t (``Sector.top_reach``) from every box of
+        ``region`` are decoupled (``_sector_census``), so one
+        ``np.linalg.eigvals`` call per sector takes only the near block;
+        with None every sector is solved densely.  The census keeps the
+        sector parts for the re-solves of its queries until ``release``;
+        the top-layer pairs are read off them.
         """
-        parts = parallel_map(
-            lambda sec: np.linalg.eigvals(sec.dense()), H.sectors.values(), jobs
-        )
-        keys = np.repeat(list(H.sectors), [len(p) for p in parts])
+        def solve(sec):
+            far = np.zeros(len(sec.top), dtype=bool)
+            if region is not None:
+                dist = np.min([box.distance(sec.d) for box in region], axis=0,
+                              initial=np.inf)
+                far = dist > REACH * sec.top_reach()
+            return _sector_census(sec, far)
+
+        parts = parallel_map(solve, H.sectors.values(), jobs)
+        keys = np.repeat(list(H.sectors), [len(p[0]) for p in parts])
         partners = {key: (sec.d, sec.top_shifts()) for key, sec in H.sectors.items()}
-        return cls(np.concatenate(parts), keys, partners)
+        census = cls(np.concatenate([p[0] for p in parts]), keys, partners)
+        census._parts = dict(H.sectors)
+        for key, (_, discs, work) in zip(H.sectors, parts):
+            census.work[key] = work
+            if discs is not None:
+                census.far[key] = discs
+        return census
+
+    def release(self) -> None:
+        """Drop the sector parts: a query that needs a re-solve raises after this."""
+        self._parts = {}
+
+    def _certify(self, meets) -> None:
+        """Certify a query: ``meets(centers, radii)`` marks the discs that
+        could change its answer.  Where the plain discs meet it, the met
+        discs are shrunk by ``SHRINK`` (``FarDiscs.radii``); a sector whose
+        discs still meet it is re-solved densely."""
+        for key, discs in list(self.far.items()):
+            c = discs.centers
+            met = meets(c, discs.radii(np.zeros(len(c), dtype=bool), 1.0))
+            if not met.any() or not meets(c, discs.radii(met, SHRINK)).any():
+                continue
+            if key not in self._parts:
+                raise TrackingError(
+                    f"census query meets the far block of sector {key}, whose "
+                    "parts were released: it cannot be certified"
+                )
+            values, own = _dense_values(self._parts[key]), self.sectors == key
+            self._sort(np.concatenate([self.values[~own], values]),
+                       np.concatenate([self.sectors[~own], np.full(len(values), key)]))
+            del self.far[key]
+            work = self.work[key]
+            work.update(near=work["dim"], far=0)
+            work["dense_resolves"] += 1
+
+    def _certify_disc(self, center: complex, radius: float) -> None:
+        """Certify the closed disc |z - center| <= radius."""
+        self._certify(lambda c, r: np.abs(c - center) - r <= radius)
 
     def nearest(self, z: complex) -> complex:
+        self._certify_disc(z, np.min(np.abs(self.values - z), initial=np.inf))
         return complex(self.values[np.argmin(np.abs(self.values - z))])
 
     def unique_in_circle(self, center: complex, radius: float) -> tuple[complex, int]:
         """The one eigenvalue with |lambda - center| <= radius and its sector key."""
+        self._certify_disc(center, radius)
         inside = np.flatnonzero(np.abs(self.values - center) <= radius)
         where = f"inside circle(center {center}, radius {radius})"
         if len(inside) == 0:
@@ -237,16 +452,28 @@ class SpectralCensus:
     def gap(self, lam: complex) -> float:
         """Distance from lam to the second-nearest eigenvalue (lam itself is one)."""
         dist = np.sort(np.abs(self.values - lam))
+        self._certify_disc(lam, dist[1] if len(dist) > 1 else np.inf)
+        dist = np.sort(np.abs(self.values - lam))
         return float(dist[1]) if len(dist) > 1 else np.inf
+
+    def _certify_box(self, box: Box) -> None:
+        """Certify the closed ``box``."""
+        self._certify(lambda c, r: box.distance(c) <= r)
+
+    def in_box(self, box: Box) -> np.ndarray:
+        """The eigenvalues in ``box``, sorted as ``values``."""
+        self._certify_box(box)
+        return self.values[box.contains(self.values)]
 
     def starved(self, box: Box, lam: complex) -> np.ndarray:
         """Which eigenvalues in ``box``, other than lam, are truncation-starved.
 
-        Returns a mask over ``values``.  An eigenvalue z of the box is
-        starved when it is the partner of a top-layer entry d_t of its own
-        sector, |z - d_t| <= PAIRING |s_t|.  The tracked eigenvalue lam, to
-        rounding, never is.
+        Returns a mask over ``values`` as they stand after the call.  An
+        eigenvalue z of the box is starved when it is the partner of a
+        top-layer entry d_t of its own sector, |z - d_t| <= PAIRING |s_t|.
+        The tracked eigenvalue lam, to rounding, never is.
         """
+        self._certify_box(box)
         values = self.values
         mask = box.contains(values) & ~_is_lam(values, lam)
         out = np.zeros(len(values), dtype=bool)
@@ -271,13 +498,15 @@ def run_ladder(
     and the trace keeps ``cfg`` and ``field``.  Each scale tracks lambda_i
     from the previous scale's value, rebuilds the rank-one contour
     projector, and compares it against the previous projector tensored
-    with the new shells' vacuum.  The parity sectors of each scale are
-    eigensolved on up to ``jobs`` threads.
+    with the new shells' vacuum.  Each scale's census covers the tracked
+    levels' ``Box.region``s, seeded at the previous values; its parity
+    sectors are solved on up to ``jobs`` threads.
 
     Each of ``consumers`` is called with every scale's record, in scale
     order, while ``rec.operator`` holds that scale's operator, which it must
-    not keep.  The last scale's operator, the full grid's, moves to the
-    trace as ``trace.operator``.
+    not keep.  The census then drops its sector parts (``release``), except
+    the last scale's: that operator, the full grid's, moves to the trace as
+    ``trace.operator``.
     """
 
     def scales():
@@ -286,7 +515,9 @@ def run_ladder(
             H = assemble_hamiltonian(cfg, field, n=n)
             rho_n = field.ladder.cutoff(n)
             contour_radius = 0.25 * rho_n * np.sin(cfg.nu)
-            census = SpectralCensus.of(H, jobs=jobs)
+            region = [Box.region(cfg, i, field.ladder.cutoff(1), rho_n, prev_lam[i])
+                      for i in levels]
+            census = SpectralCensus.of(H, region, jobs=jobs)
             rec = ScaleRecord(n, rho_n, contour_radius, H.dim, census, operator=H)
             for i in levels:
                 seed = prev_lam[i]
@@ -308,8 +539,11 @@ def run_ladder(
                 window = Box.wn(cfg, i, rho_n, lam)
                 box = Box.bn(cfg, i, field.ladder.cutoff(1), rho_n, lam)
                 # the window's other eigenvalues: soft-branch copies or violations
-                in_window = census.values[window.contains(census.values)]
-                n_soft = int(np.count_nonzero(census.starved(window, lam)))
+                in_window = census.in_box(window)
+                # in_box certified the window: starved re-solves nothing
+                mask = census.starved(window, lam)
+                starved = census.values[mask]
+                n_soft = len(starved)
                 n_bad = int(np.count_nonzero(~_is_lam(in_window, lam))) - n_soft
 
                 data = LevelScaleData(
@@ -322,10 +556,12 @@ def run_ladder(
                     projector_quad_points=proj.quad_points,
                     contour_safe=bool(record.gap > 2.0 * contour_radius),
                     p2_count_window=len(in_window),
-                    p2_count_box=int(np.count_nonzero(box.contains(census.values))),
+                    p2_count_box=len(census.in_box(box)),
                     p2_soft_branch_count=n_soft,
                     p2_violation_count=n_bad,
                     p2_unique=bool(n_bad == 0),
+                    window=window,
+                    starved=starved,
                     projector=proj,
                     vector=u_g,
                 )
@@ -341,6 +577,7 @@ def run_ladder(
             yield rec
             if n < field.n_scales:  # it goes before the next one is assembled
                 rec.operator = H = None
+                census.release()
 
     trace = MultiscaleTrace(cfg, field)
     for rec in scales():
@@ -362,7 +599,6 @@ class P4Sampler:
     fit K_n and the points skipped per reason; ``check_p2_p4`` reads them.
     """
 
-    cfg: ModelConfig
     samples_per_scale: int
     seed: int
 
@@ -373,10 +609,9 @@ class P4Sampler:
     def __call__(self, rec: ScaleRecord) -> None:
         count, rho_n, radius = self.samples_per_scale, rec.rho_n, rec.contour_radius
         for i, data in rec.levels.items():
-            lam = data.lam
-            window = Box.wn(self.cfg, i, rho_n, lam)
+            lam, window = data.lam, data.window
             # truncation artifacts: no sample lies within 0.1 rho_n of one
-            artifacts = rec.census.values[rec.census.starved(window, lam)]
+            artifacts = data.starved
 
             def reject(z):
                 if len(artifacts) and np.min(np.abs(artifacts - z)) < 0.1 * rho_n:

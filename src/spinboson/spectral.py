@@ -7,9 +7,9 @@ those blocks, and all spectral quantities of the full operator are unions
 or maxima over the sectors.  The operator-level routines
 (``track_eigenvalue``, ``resolvent_norm``) take an ``OperatorMatrix``; the
 per-block ones (``ShiftedSolver``, ``riesz_rank_one``,
-``contour_eigenpair``) take one ``Sector``.  The dense spectrum
-is not computed here: ``track_eigenvalue`` reads it from the operator's
-``SpectralCensus`` (``multiscale``), which eigensolves each sector once.
+``contour_eigenpair``) take one ``Sector``.  No spectrum is computed
+here: ``track_eigenvalue`` reads it from the operator's ``SpectralCensus``
+(``multiscale``), which solves each sector once, near the queried region.
 
 Every shifted solve goes through ``ShiftedSolver``.  An assembled sector
 carries the positions of its top boson layer N = n_max, which is diagonal

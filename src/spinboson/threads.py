@@ -16,9 +16,11 @@ numpy loads, unless the environment names a count.  ``pinned_blas``
 stays the guarantee for every other process, one that loaded numpy
 before the package included.
 
-The run's only parallelism is ``parallel_map`` over the parity-sector
-eigensolves of each ladder scale, with ``jobs`` threads; numpy releases
-the interpreter lock inside LAPACK.  Resolvent samples run in the
+The run's only parallelism is ``parallel_map`` over the parity sectors
+of each ladder scale's spectral census, with ``jobs`` threads: each
+sector decouples its far top-layer entries and takes ``eigvals`` of its
+near block, or of the whole sector where the split does not pay (numpy
+releases the interpreter lock inside LAPACK).  Resolvent samples run in the
 calling thread: each norm is many small steps under the interpreter lock
 (threads are untried on the Lanczos route).
 """

@@ -41,6 +41,18 @@ def same_parts(a: Sector, b: Sector) -> None:
         assert np.array_equal(x, y), name
 
 
+def dense(sec: Sector) -> np.ndarray:
+    """The sector's matrix A as one C-ordered array of its parts' type: the
+    dense route, kept as the oracle of every route that reads the parts."""
+    n, r, t = len(sec.indices), sec.rest, sec.top
+    out = np.zeros((n, n), dtype=np.result_type(sec.d, sec.a_rr, sec.a_rt))
+    out[np.ix_(r, r)] = sec.a_rr
+    out[np.ix_(r, t)] = sec.a_rt
+    out[np.ix_(t, r)] = sec.a_rt.T
+    out[t, t] = sec.d
+    return out
+
+
 def one_sector(A) -> OperatorMatrix:
     """A square matrix as a complex operator of one sector (key 0)."""
     A = np.asarray(A, dtype=complex)
@@ -77,7 +89,7 @@ def dense_sectors(cfg, field, n=None) -> dict:
 
 def spectrum(H: OperatorMatrix) -> np.ndarray:
     """All eigenvalues of H, sorted by (real, imaginary) part."""
-    values = np.concatenate([np.linalg.eigvals(s.dense()) for s in H.sectors.values()])
+    values = np.concatenate([np.linalg.eigvals(dense(s)) for s in H.sectors.values()])
     return values[np.lexsort((values.imag, values.real))]
 
 
@@ -85,7 +97,7 @@ def dense_operator(H: OperatorMatrix) -> np.ndarray:
     """H as one dense matrix, its sector blocks in place."""
     out = np.zeros((H.dim, H.dim), dtype=complex)
     for s in H.sectors.values():
-        out[np.ix_(s.indices, s.indices)] = s.dense()
+        out[np.ix_(s.indices, s.indices)] = dense(s)
     return out
 
 
@@ -103,7 +115,7 @@ def quadrature_left(sec: Sector, center, radius, n_nodes, u) -> np.ndarray:
     This is the second contour pass ``riesz_rank_one`` ran before it took
     the left vector from the complex symmetry.
     """
-    A = sec.dense().astype(complex)
+    A = dense(sec).astype(complex)
     n = len(A)
     rng = np.random.default_rng(0)
     Y = np.stack([u, rng.standard_normal(n) + 1j * rng.standard_normal(n)], axis=1)

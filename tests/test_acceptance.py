@@ -310,7 +310,7 @@ def test_nmax_convergence_study():
         seed = second_order_eigenvalue(cfg, field.modes_for_scale(None), 1)
         # the resolved second-order seed sits within ~2e-4 of the target;
         # the nearest soft branch is one cutoff away (~4e-3 at n_max = 1)
-        census = sb.SpectralCensus.of(H, jobs=JOBS)
+        census = sb.SpectralCensus.of(H, None, jobs=JOBS)
         rec = sb.track_eigenvalue(H, census, seed=seed, radius=1.5e-3)
         lams[n_max] = rec.lam
     step12 = abs(lams[2] - lams[1])

@@ -25,7 +25,7 @@ from spinboson.geometry import Box, Cone, dist_to_cone
 from spinboson.multiscale import PAIRING, SpectralCensus, run_ladder
 from spinboson.spectral import contour_eigenpair, solver_tolerance
 
-from sectors import one_sector, spectrum
+from sectors import dense, one_sector, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -102,23 +102,23 @@ class TestThetaInvariance:
         calls = []
 
         def spy(sec, center, radius, probe, key):
-            calls.append((sec.dense(), center))
+            calls.append((dense(sec), center))
             return contour_eigenpair(sec, center, radius, probe, key)
 
         monkeypatch.setattr(diagnostics, "contour_eigenpair", spy)
         rep = theta_invariance_scan(cfg, field, thetas, levels=(0, 1), jobs=1)
         assert [c[1] for c in calls] == [rep.lambdas[i][0] for i in (0, 1)]
-        dense, floors = {}, []
+        exact, floors = {}, []
         for i, (A, lam) in zip((0, 1), calls):
             w = np.linalg.eigvals(A)
-            dense[i] = abs(w[np.argmin(np.abs(w - lam))] - lam)
+            exact[i] = abs(w[np.argmin(np.abs(w - lam))] - lam)
             floors.append(solver_tolerance(len(A), float(np.abs(A).sum(axis=1).max())))
         floor = max(floors)
         got = rep.details["refinement_delta"]
-        assert all(dense[i] > 0.0 for i in (0, 1))
+        assert all(exact[i] > 0.0 for i in (0, 1))
         for i in (0, 1):
-            assert abs(got[str(i)] - dense[i]) <= floor
-        dense_budget = rep.details["solver_tolerance"] + 2.0 * max(dense.values())
+            assert abs(got[str(i)] - exact[i]) <= floor
+        dense_budget = rep.details["solver_tolerance"] + 2.0 * max(exact.values())
         assert abs(rep.budget - dense_budget) <= 2.0 * floor
 
     def test_free_model_exactly_invariant(self, coarse):
@@ -401,9 +401,26 @@ class TestResolventConeBound:
         for row in rep["rows"]:
             assert row["lhs"] * row["dist"] <= rep["K"] * (1 + 1e-12)
 
-    def test_ladder_spectrum_reused_identically(self, coarse):
-        """The last ladder scale's spectrum is the full-grid one, bit for bit."""
+    def test_ladder_census_reused_within_tolerance(self, coarse, monkeypatch):
+        """Both cone checks read the last ladder scale's census and solve no
+        spectrum again; in B1 and in lambda_1's window (lambda_1 lies below
+        B1 on this grid) it holds the full-grid eigenvalues, as many, each
+        within 1e-12 relative."""
         cfg, field = coarse
         trace = run_ladder(cfg, field, levels=(1,), jobs=1)
         fresh = spectrum(assemble_hamiltonian(cfg, field))
-        assert np.array_equal(trace.scales[-1].census.values, fresh)
+        last = trace.scales[-1]
+        census = last.census
+        for box in (Box.b1(cfg, 1, field.ladder.cutoff(1)), last.levels[1].window):
+            got, want = census.in_box(box), fresh[box.contains(fresh)]
+            assert len(got) == len(want)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        assert len(want) > 0
+
+        def refused(a):
+            raise AssertionError("a cone check solved a spectrum again")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        monkeypatch.setattr(np.linalg, "eig", refused)
+        resolvent_cone_bound_check(trace, n_samples=5, seed=0)
+        spectrum_cone_check(trace, tol=5e-3)

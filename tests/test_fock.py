@@ -21,6 +21,8 @@ from spinboson import (
 from spinboson import fock
 from spinboson.fock import field_energy_diagonal
 
+from sectors import dense
+
 
 # Dense full-space oracles built straight from the lowering matrix elements.
 
@@ -291,7 +293,7 @@ class TestComplexSymmetry:
             fock.Sector(*args, a_rr, np.ones((2, 1), dtype=complex))
         a_rr = (a_rr + a_rr.T) / 2
         sec = fock.Sector(*args, a_rr, np.ones((2, 1), dtype=complex))
-        assert np.array_equal(sec.dense(), sec.dense().T)
+        assert np.array_equal(dense(sec), dense(sec).T)
 
 
 class TestCanonicalCommutator:

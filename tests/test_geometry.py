@@ -195,6 +195,39 @@ class TestRegions:
         assert Box.wn(box_cfg(NU), 1, 0.05, lam).contains(lam)
         assert not Box.bn(box_cfg(NU), 1, 0.2, 0.05, lam).contains(lam)
 
+    @pytest.mark.parametrize("seed", [1.0, 1.0 - 0.02j, 1.01 + 0.004j])
+    def test_region_holds_b1_and_every_nominal_window(self, seed):
+        """The census region holds B1, and the window of each eigenvalue on
+        the nominal tracking circle around the seed, and that circle."""
+        cfg, rho1, rho_n = box_cfg(NU), 0.2, 0.05
+        region = Box.region(cfg, 1, rho1, rho_n, seed)
+        radius = 0.25 * rho_n * np.sin(NU)
+        b1 = Box.b1(cfg, 1, rho1)
+        for lam in seed + radius * np.exp(2j * np.pi * np.arange(16) / 16):
+            window = Box.wn(cfg, 1, rho_n, lam)
+            assert region.contains(lam)
+            for box in (b1, window):
+                assert (region.level, region.half_width, region.hi) == (
+                    box.level, box.half_width, box.hi)
+                assert region.lo <= box.lo + 1e-15
+
+    def test_distance(self, rng):
+        """0 on the box, and otherwise the least distance to points of the
+        box, against a fine grid of its boundary."""
+        box = Box(1.0, 0.5, -0.1, 0.2)
+        edge = np.linspace(0.0, 1.0, 20001)
+        boundary = np.concatenate([
+            0.5 + edge + 1j * box.lo, 0.5 + edge + 1j * box.hi,
+            0.5 + 1j * (box.lo + 0.3 * edge), 1.5 + 1j * (box.lo + 0.3 * edge),
+        ])
+        z = rng.uniform(-1.0, 3.0, 200) + 1j * rng.uniform(-1.0, 1.0, 200)
+        dist = box.distance(z)
+        assert np.all((dist == 0.0) == box.contains(z))
+        brute = np.min(np.abs(z[:, None] - boundary), axis=1)
+        outside = ~box.contains(z)
+        assert np.allclose(dist[outside], brute[outside], atol=1e-4)
+        assert box.distance(2.0 + 0.2j) == 0.5
+
     # (variant, rho1, rho_n, lam): Bn with its eigenvalue inside and below
     # the B1 floor, so either floor decides
     CASES = [

@@ -22,7 +22,7 @@ from spinboson import (
 from spinboson.fock import build_field_operator, field_energy_diagonal
 from spinboson.model import NU_FLOOR_MAX
 
-from sectors import dense_operator, spectrum
+from sectors import dense, dense_operator, spectrum
 
 
 # Closed forms of the form factor, kept as oracles for the grid amplitudes.
@@ -414,7 +414,7 @@ class TestAssembly:
         totals = small_field.basis_for_scale(None).totals
         n_max = small_field.n_max
         for sector in H.sectors.values():
-            block, top = sector.dense(), sector.top
+            block, top = dense(sector), sector.top
             layer = totals[sector.indices % len(totals)]
             assert np.array_equal(top, np.nonzero(layer == n_max)[0])
             tt = block[np.ix_(top, top)]

@@ -19,12 +19,14 @@ from spinboson import (
     extrapolate_limit,
     run_ladder,
 )
+from spinboson.errors import TrackingError
+from spinboson.fock import OperatorMatrix, Sector
 from spinboson.multiscale import PAIRING, _embed_full_vector
 from spinboson import multiscale
 from spinboson.spectral import resolvent_norm
 
 from samplers import sample_window_oracle
-from sectors import dense_operator, dense_sectors, same_parts, sector
+from sectors import dense, dense_operator, dense_sectors, same_parts, sector
 
 
 P4_SAMPLES, P4_SEED = 6, 3
@@ -51,7 +53,7 @@ def practical_p4():
     lad = CutoffLadder(0.25, 0.5, e1=1.0)
     field = DiscretizedField(lad, n_scales=4, points_per_shell=3, r_max=4.0,
                              n_max=2, uv_points_per_panel=3)
-    p4 = P4Sampler(cfg, P4_SAMPLES, P4_SEED)
+    p4 = P4Sampler(P4_SAMPLES, P4_SEED)
     trace = run_ladder(cfg, field, jobs=1, consumers=(p4,))
     return cfg, field, trace, p4
 
@@ -134,7 +136,7 @@ class TestPracticalRun:
 
     def test_deterministic_rerun(self, practical_p4):
         cfg, field, trace, p4 = practical_p4
-        again_p4 = P4Sampler(cfg, P4_SAMPLES, P4_SEED)
+        again_p4 = P4Sampler(P4_SAMPLES, P4_SEED)
         again = run_ladder(cfg, field, jobs=1, consumers=(again_p4,))
         assert again.to_dict() == trace.to_dict()
         assert again_p4.rows == p4.rows
@@ -183,7 +185,7 @@ class TestPracticalRun:
         scale.  At scale 3, lambda_1's window holds no starved eigenvalue:
         a rule that let lambda_1 count as an artifact skipped 4 points
         around it, this one skips none."""
-        p4 = P4Sampler(cfg, 40, 0)
+        p4 = P4Sampler(40, 0)
         trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         rec = trace.scales[2]
         lam = rec.levels[1].lam
@@ -197,7 +199,7 @@ class TestPracticalRun:
     def test_checks_leave_the_trace_alone(self, cfg, small_field):
         """Every check returns its report and writes nothing into the trace
         (a fresh one: the shared trace has met every check already)."""
-        p4 = P4Sampler(cfg, 2, 0)
+        p4 = P4Sampler(2, 0)
         trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         before = trace.to_dict()
         check_p1(trace, log10_C=9.0)
@@ -230,7 +232,7 @@ class TestReassemblyOracle:
         rng = np.random.default_rng(P4_SEED)
         for rec in trace.scales:
             H = assemble_hamiltonian(cfg, field, n=rec.n)
-            eigs = [np.linalg.eigvals(s.dense()) for s in H.sectors.values()]
+            eigs = [np.linalg.eigvals(dense(s)) for s in H.sectors.values()]
             keys = np.repeat(list(H.sectors), [len(e) for e in eigs])
             eigs = np.concatenate(eigs)
             for i, data in rec.levels.items():
@@ -275,7 +277,7 @@ class TestReassemblyOracle:
             for sec in (held.sectors[key], fresh.sectors[key]):
                 assert np.array_equal(sec.indices, indices)
                 same_parts(sec, sector(block, top))
-                assert np.array_equal(sec.dense(), block)
+                assert np.array_equal(dense(sec), block)
 
     def test_trace_operator_holds_no_dense_block(self, practical):
         _, _, trace = practical
@@ -289,15 +291,19 @@ class TestOperatorLifetime:
     @staticmethod
     def watched_assembly(monkeypatch) -> list:
         """Weak references to every operator the ladder assembles from now
-        on; each assembly asserts that no earlier one is alive."""
+        on; each assembly asserts that no earlier one is alive, nor any of
+        its sectors (which the scale's census held for its re-solves)."""
         assemble = multiscale.assemble_hamiltonian
-        held = []
+        held, parts = [], []
 
         def tracked(*args, **kwargs):
             alive = [ref() is not None for ref in held]
+            kept = [any(ref() is not None for ref in refs) for refs in parts]
             H = assemble(*args, **kwargs)
             held.append(weakref.ref(H))
+            parts.append([weakref.ref(sec) for sec in H.sectors.values()])
             assert not any(alive), alive
+            assert not any(kept), ("sector parts kept", kept)
             return H
 
         monkeypatch.setattr(multiscale, "assemble_hamiltonian", tracked)
@@ -308,7 +314,7 @@ class TestOperatorLifetime:
         """Scale n's operator is gone once scale n + 1's is assembled, with
         the P4 consumer attached."""
         held = self.watched_assembly(monkeypatch)
-        p4 = P4Sampler(cfg, 2, 0)
+        p4 = P4Sampler(2, 0)
         trace = run_ladder(cfg, small_field, jobs=1, consumers=(p4,))
         assert len(held) == small_field.n_scales
         assert len(p4.rows) == 2 * small_field.n_scales
@@ -323,10 +329,30 @@ class TestOperatorLifetime:
         scale's operator beside P4."""
         self.watched_assembly(monkeypatch)
         kept = []
-        consumers = (P4Sampler(cfg, 2, 0), lambda rec: kept.append(rec.operator))
+        consumers = (P4Sampler(2, 0), lambda rec: kept.append(rec.operator))
         with pytest.raises(AssertionError, match=r"\[True\]"):
             run_ladder(cfg, small_field, jobs=1, consumers=consumers)
         assert len(kept) == 1
+
+    def test_census_drops_the_sector_parts(self, cfg, small_field, monkeypatch):
+        """Every scale's census stays on the trace, but the generator has it
+        drop the sector parts when it clears the operator: the assembly
+        check fails for a census that keeps them."""
+        self.watched_assembly(monkeypatch)
+        trace = run_ladder(cfg, small_field, jobs=1)
+        assert all(rec.census.work for rec in trace.scales)
+        del trace  # its full-grid operator
+        monkeypatch.setattr(SpectralCensus, "release", lambda census: None)
+        with pytest.raises(AssertionError, match="sector parts kept"):
+            run_ladder(cfg, small_field, jobs=1)
+
+    def test_released_census_refuses_an_uncertified_query(self, cfg, small_field):
+        """After the release a query that meets a far disc raises, where it
+        would have re-solved."""
+        rec = run_ladder(cfg, small_field, jobs=1).scales[0]
+        everywhere = Box(1.0, 10.0, -5.0, 1.0)
+        with pytest.raises(TrackingError, match="released"):
+            rec.census.in_box(everywhere)
 
 
 class TestNestingExactness:
@@ -380,7 +406,7 @@ def dense_shifts(sec) -> np.ndarray:
     position at a time: the route that reads no sector part but ``top``.
     Only the coupled r enter; an uncoupled one may tie with t (powers-of-two
     shells make some three-boson energies equal one-boson ones)."""
-    A = sec.dense()
+    A = dense(sec)
     out = []
     for t in sec.top:
         r = sec.rest[A[sec.rest, t] != 0]
@@ -392,7 +418,7 @@ def brute_starved(values, keys, box, lam, H) -> np.ndarray:
     """The starved rule by brute force: in the box, not lam, and within
     PAIRING |s_t| of a top entry d_t of its own sector, pair by pair."""
     tops = {
-        key: list(zip(np.diag(sec.dense())[sec.top], dense_shifts(sec)))
+        key: list(zip(np.diag(dense(sec))[sec.top], dense_shifts(sec)))
         for key, sec in H.sectors.items()
     }
     mask = np.zeros(len(values), dtype=bool)
@@ -414,7 +440,7 @@ class TestStarvedPairing:
                                  points_per_shell=2, r_max=4.0,
                                  n_max=request.param, uv_points_per_panel=2)
         H = assemble_hamiltonian(cfg, field)
-        return cfg, field, H, SpectralCensus.of(H, jobs=1)
+        return cfg, field, H, SpectralCensus.of(H, None, jobs=1)
 
     def test_shifts_match_the_dense_route(self, operator):
         _, _, H, census = operator
@@ -468,8 +494,8 @@ class TestStarvedPairing:
         of = SpectralCensus.of
         planted = {0: cfg.e0 + 0.1 + 0.01j, 1: cfg.e1 + 0.1 + 0.01j}
 
-        def with_planted(H, *, jobs):
-            census = of(H, jobs=jobs)
+        def with_planted(H, region, *, jobs):
+            census = of(H, None, jobs=jobs)  # every eigenvalue, then the planted
             values = np.append(census.values, list(planted.values()))
             keys = np.append(census.sectors, [-1, 1])
             return SpectralCensus(values, keys, census.partners)
@@ -499,7 +525,7 @@ class TestStarvedPairing:
 
         last = run_ladder(cfg, grid(2), jobs=1).scales[-1]
         census = last.census
-        above = SpectralCensus.of(assemble_hamiltonian(cfg, grid(3)), jobs=1)
+        above = SpectralCensus.of(assemble_hamiltonian(cfg, grid(3)), None, jobs=1)
         for i in (0, 1):
             lam = last.levels[i].lam
             dressing = lam - (cfg.e1 if i == 1 else cfg.e0)
@@ -516,3 +542,233 @@ class TestStarvedPairing:
                 mutant.append(np.min(np.abs(own - z)))
             assert max(witness) <= bound, (i, max(witness), bound)
             assert max(mutant) > bound, (i, max(mutant), bound)
+
+
+# (name, config document, tracked levels): the CI tiny config, the benchmark
+# ``ladder`` and ``resolvent-scan`` configs (``bench/workloads.json``) and the
+# README config
+_MODEL = {"e1": 1.0, "lambda_uv": 1.0, "mu": 0.25, "g": 0.05, "theta": [0.0, 0.2],
+          "nu_floor": 0.1, "m_cone": 4}
+_BENCH = {"model": _MODEL, "ladder": {"rho0": 0.25, "rho": 0.5, "n_scales": 3},
+          "discretization": {"points_per_shell": 2, "r_max": 4.0, "n_max": 2}}
+CENSUS_CONFIGS = [
+    ("tiny", {"ladder": {"n_scales": 3},
+              "discretization": {"points_per_shell": 2, "uv_points_per_panel": 2}},
+     (0, 1)),
+    ("ladder", _BENCH, (0, 1)),
+    ("resolvent-scan", _BENCH, (1,)),
+    ("readme", {**_BENCH, "ladder": {"rho0": 0.25, "rho": 0.5, "n_scales": 6},
+                "discretization": {"points_per_shell": 8, "r_max": 4.0, "n_max": 2}},
+     (0, 1)),
+]
+
+
+def close_to(values, want) -> bool:
+    """Each of ``values`` within 1e-12 relative (to max(1, |z|)) of ``want``'s
+    entry at the same place."""
+    values, want = np.asarray(values), np.asarray(want)
+    scale = np.maximum(1.0, np.abs(want))
+    return len(values) == len(want) and bool(
+        np.all(np.abs(values - want) <= 1e-12 * scale))
+
+
+def unmatched(values, spectrum) -> np.ndarray:
+    """``spectrum`` less, for each of ``values``, its nearest entry."""
+    left = list(spectrum)
+    for z in values:
+        left.pop(int(np.argmin(np.abs(np.array(left) - z))))
+    return np.array(left)
+
+
+class TestDecoupledCensus:
+    """The census decouples the far top-layer entries and certifies every
+    query against their discs; the dense census is its oracle."""
+
+    @pytest.fixture(scope="class")
+    def full_grid(self):
+        cfg = ModelConfig(e1=1.0, lambda_uv=1.0, mu=0.25, g=0.05, theta=0.2j)
+        field = DiscretizedField(CutoffLadder(0.25, 0.5, e1=1.0), n_scales=3,
+                                 points_per_shell=2, r_max=4.0, n_max=2,
+                                 uv_points_per_panel=2)
+        return cfg, field, assemble_hamiltonian(cfg, field)
+
+    @staticmethod
+    def boxes(cfg, field):
+        return [Box.b1(cfg, i, field.ladder.cutoff(1)) for i in (0, 1)]
+
+    def test_reach_matches_the_dense_route(self, full_grid):
+        """w_t = sum_r |A_rt| (sum_s |A_rs|) / |A_tt - A_rr| over the coupled r
+        of the dense matrix, s over the top layer, one position at a time."""
+        _, _, H = full_grid
+        for sec in H.sectors.values():
+            A = dense(sec)
+            want = []
+            for t in sec.top:
+                r = sec.rest[A[sec.rest, t] != 0]
+                row = np.abs(A[np.ix_(r, sec.top)]).sum(axis=1)
+                want.append(np.sum(np.abs(A[r, t]) * row / np.abs(A[t, t] - A[r, r])))
+            got = sec.top_reach()
+            assert np.all(np.array(want) > 0)
+            assert np.max(np.abs(got - want) / np.array(want)) <= 1e-12
+
+    def test_far_discs_hold_the_far_spectrum(self, full_grid):
+        """Every dense eigenvalue the near block does not give lies in the
+        union of the far discs, plain and with any set of discs shrunk."""
+        cfg, field, H = full_grid
+        census = SpectralCensus.of(H, self.boxes(cfg, field), jobs=1)
+        exact = SpectralCensus.of(H, None, jobs=1)
+        assert set(census.far) == {1, -1}
+        for key, discs in census.far.items():
+            near = census.values[census.sectors == key]
+            rest = unmatched(near, exact.values[exact.sectors == key])
+            work = census.work[key]
+            assert (len(near), len(rest)) == (work["near"], work["far"])
+            shrunk = np.zeros(len(discs.centers), dtype=bool)
+            shrunk[np.argsort(np.abs(discs.centers - cfg.e1))[:5]] = True
+            plain = discs.radii(np.zeros(len(shrunk), dtype=bool), 1.0)
+            for radii in (plain, discs.radii(shrunk, 0.25)):
+                reach = np.abs(rest[:, None] - discs.centers) - radii
+                assert np.all(np.min(reach, axis=1) <= 1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.5, 0.0625])
+    def test_radii_are_the_row_sums_of_the_scaled_bound(self, rng, factor):
+        """radii(shrunk, factor) are the off-diagonal row sums of D^(-1) |X||A| D,
+        D = 1/factor on the shrunk rows: the bound |X||A| >= |X A| entrywise
+        and the similarity, one entry at a time."""
+        x, a = rng.uniform(0, 1, (7, 3)), rng.uniform(0, 1, (3, 7))
+        discs = multiscale.FarDiscs(np.zeros(7, dtype=complex), x, a)
+        shrunk = np.arange(7) % 3 == 0
+        scale = np.where(shrunk, 1.0 / factor, 1.0)
+        bound = (x @ a) * scale[None, :] / scale[:, None]
+        want = bound.sum(axis=1) - np.diag(bound)
+        assert np.allclose(discs.radii(shrunk, factor), want, rtol=1e-13, atol=0)
+
+    @pytest.fixture(scope="class")
+    def planted(self, full_grid):
+        """The full grid with a coupled top entry of sector +1 moved to the
+        middle of level 1's B1 box, and that box and level 0's."""
+        cfg, field, H = full_grid
+        b0, b1 = self.boxes(cfg, field)
+        sec = H.sectors[+1]
+        t = int(np.argmax(np.abs(sec.a_rt).sum(axis=0)))
+        d = sec.d.copy()
+        d[t] = complex(b1.level, 0.5 * (b1.lo + b1.hi))
+        moved = Sector(sec.indices, sec.top, d, sec.a_rr, sec.a_rt)
+        return OperatorMatrix(H.dim, {**H.sectors, +1: moved}), b0, b1, d[t]
+
+    def test_planted_top_entry_forces_a_counted_resolve(self, planted):
+        """With only level 0's box as the region, the entry planted in level
+        1's box counts as far; the query of level 1's box meets its disc
+        and re-solves that sector densely, once, which gives the dense
+        census's values bit for bit."""
+        H, b0, b1, z = planted
+        census = SpectralCensus.of(H, [b0], jobs=1)
+        work = census.work[+1]
+        assert work["far"] > 0 and work["dense_resolves"] == 0
+        t = np.flatnonzero(H.sectors[+1].d == z)[0]
+        assert b0.distance(z) > multiscale.REACH * H.sectors[+1].top_reach()[t]
+        inside = census.in_box(b1)
+        assert work == {**work, "near": work["dim"], "far": 0, "dense_resolves": 1}
+        assert census.work[-1]["dense_resolves"] == 0
+        exact = SpectralCensus.of(H, None, jobs=1)
+        own = census.values[census.sectors == +1]
+        assert np.array_equal(own, exact.values[exact.sectors == +1])
+        assert close_to(inside, exact.in_box(b1))
+        assert np.min(np.abs(inside - z)) < 0.01  # the planted eigenvalue
+        census.in_box(b1)  # certified now: no second re-solve
+        assert work["dense_resolves"] == 1
+
+    @pytest.mark.parametrize("query", ["nearest", "gap", "circle", "box", "starved"])
+    def test_every_query_is_certified(self, planted, query):
+        """Each query next to the planted entry re-solves its sector and
+        answers as the dense census; without the re-solve it would miss the
+        planted eigenvalue."""
+        H, b0, b1, z = planted
+        exact = SpectralCensus.of(H, None, jobs=1)
+        w = exact.nearest(z)  # the planted eigenvalue
+        lam = exact.values[np.argsort(np.abs(exact.values - w))[1]]
+
+        def ask(census):
+            return {
+                "nearest": lambda: census.nearest(z),
+                "gap": lambda: census.gap(lam),
+                "circle": lambda: census.unique_in_circle(w, 1e-3),
+                "box": lambda: census.in_box(b1),
+                "starved": lambda: census.starved(b1, lam),
+            }[query]()
+
+        census = SpectralCensus.of(H, [b0], jobs=1)
+        assert not np.any(np.abs(census.values - w) < 1e-3)
+        got, want = ask(census), ask(exact)
+        assert census.work[+1]["dense_resolves"] == 1
+        if query == "starved":  # a mask over the values after the call
+            got, want = census.values[got], exact.values[want]
+            assert len(want)
+        if query == "circle":
+            assert got == want
+        else:
+            assert close_to(np.atleast_1d(got), np.atleast_1d(want))
+
+    def test_residual_miss_resolves_densely(self, full_grid, monkeypatch):
+        """One Riccati step leaves a residual far above RICCATI_RESIDUAL:
+        every split sector is re-solved densely, counted, and the census is
+        the dense one bit for bit."""
+        cfg, field, H = full_grid
+        monkeypatch.setattr(multiscale, "RICCATI_MAX_STEPS", 1)
+        census = SpectralCensus.of(H, self.boxes(cfg, field), jobs=1)
+        exact = SpectralCensus.of(H, None, jobs=1)
+        assert not census.far
+        for key, sec in H.sectors.items():
+            dim = len(sec.indices)
+            assert census.work[key] == {"dim": dim, "near": dim, "far": 0,
+                                        "riccati_steps": 1, "dense_resolves": 1}
+        assert np.array_equal(census.values, exact.values)
+        assert np.array_equal(census.sectors, exact.sectors)
+
+    def test_whole_plane_is_the_dense_route(self, full_grid):
+        """Region None splits nothing: one eigvals per sector of its dense
+        matrix, as many values as the dimension."""
+        cfg, field, H = full_grid
+        census = SpectralCensus.of(H, None, jobs=1)
+        assert not census.far and len(census.values) == H.dim
+        for key, sec in H.sectors.items():
+            own = np.sort_complex(census.values[census.sectors == key])
+            assert np.array_equal(own, np.sort_complex(np.linalg.eigvals(dense(sec))))
+            assert census.work[key]["near"] == len(sec.indices)
+
+    @pytest.mark.parametrize("name, doc, levels", CENSUS_CONFIGS,
+                             ids=[c[0] for c in CENSUS_CONFIGS])
+    def test_matches_the_dense_census(self, name, doc, levels, monkeypatch):
+        """The tolerance against the dense route, at every scale: each census
+        value within 1e-12 relative of a dense eigenvalue, lambda and its gap
+        too; equal counts in every window and box; identical P2 counts,
+        starved counts and verdicts.  No sector is re-solved on these grids."""
+        import json
+
+        from spinboson.cli import parse_config
+
+        rc = parse_config(json.dumps(doc))
+        cfg, field = rc.model, rc.field
+        split = run_ladder(cfg, field, levels=levels, jobs=1)
+        of = SpectralCensus.of.__func__
+        monkeypatch.setattr(SpectralCensus, "of", classmethod(
+            lambda cls, H, region, *, jobs: of(cls, H, None, jobs=jobs)))
+        exact = run_ladder(cfg, field, levels=levels, jobs=1)
+        p2 = ("p2_count_window", "p2_count_box", "p2_soft_branch_count",
+              "p2_violation_count", "p2_unique", "contour_safe")
+        for got, want in zip(split.scales, exact.scales):
+            census, full = got.census, want.census
+            assert all(w["dense_resolves"] == 0 for w in census.work.values())
+            assert sum(w["near"] for w in census.work.values()) == len(census.values)
+            for z in census.values:
+                assert np.min(np.abs(full.values - z)) <= 1e-12 * max(1.0, abs(z))
+            for i in levels:
+                g, w = got.levels[i], want.levels[i]
+                assert close_to([g.lam, g.gap], [w.lam, w.gap])
+                assert [getattr(g, k) for k in p2] == [getattr(w, k) for k in p2]
+                assert close_to(g.starved, w.starved)
+                rho1 = field.ladder.cutoff(1)
+                boxes = (g.window, Box.bn(cfg, i, rho1, got.rho_n, g.lam),
+                         Box.b1(cfg, i, rho1))
+                for box in boxes:
+                    assert close_to(census.in_box(box), full.in_box(box))

@@ -37,6 +37,7 @@ from spinboson.spectral import (
 )
 
 from sectors import (
+    dense,
     dense_operator,
     dense_projector,
     dense_sectors,
@@ -122,12 +123,12 @@ class TestEigAll:
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a)
         )
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         assert calls == [len(s.indices) for s in H.sectors.values()]
         assert np.array_equal(census.values, want)
         for key, sec in H.sectors.items():
             own = census.values[census.sectors == key]
-            assert np.array_equal(own, spectrum(one_sector(sec.dense())))
+            assert np.array_equal(own, spectrum(one_sector(dense(sec))))
 
 
 class TestRieszProjection:
@@ -250,7 +251,7 @@ class TestLeftVector:
     def test_matches_adjoint_quadrature_and_dense(self, n_max, level):
         cfg, field = tiny_model(n_max, g=0.05 + 0.01j)
         H = assemble_hamiltonian(cfg, field)
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
         gap = census.gap(lam)
         proj = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap).projector
@@ -258,9 +259,9 @@ class TestLeftVector:
         u, left = proj.right[:, 0], proj.left[:, 0]
         oracle = quadrature_left(sec, lam, 0.4 * gap, proj.quad_points, u)
         assert rel_err(left, oracle) <= 1e-10
-        w, V = np.linalg.eig(sec.dense().conj().T)  # A^H l = conj(lam) l
-        dense = V[:, np.argmin(np.abs(w - np.conj(lam)))]
-        assert rel_err(left, dense / np.conj(np.vdot(dense, u))) <= 1e-10
+        w, V = np.linalg.eig(dense(sec).conj().T)  # A^H l = conj(lam) l
+        exact = V[:, np.argmin(np.abs(w - np.conj(lam)))]
+        assert rel_err(left, exact / np.conj(np.vdot(exact, u))) <= 1e-10
 
     @pytest.mark.parametrize("split", [1e-6, 1e-14])
     def test_pairing_near_exceptional_point(self, split):
@@ -294,7 +295,7 @@ class TestRayleighOracle:
     def test_matches_probe_paired_route(self, n_max, level, with_probe):
         cfg, field = tiny_model(n_max, g=0.05 + 0.01j)
         H = assemble_hamiltonian(cfg, field)
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
         probe = None
         if with_probe:  # the atomic level, as the ladder's first scale probes
@@ -345,7 +346,7 @@ class TestContourEigenpair:
                                  points_per_shell=1, r_max=4.0, n_max=2,
                                  uv_points_per_panel=1)
         sec = assemble_hamiltonian(cfg, field).sectors[1]
-        A = sec.dense()
+        A = dense(sec)
         assert len(A) == 21
         with mpmath.workdps(30):
             E, EL, ER = mpmath.eig(mpmath.matrix(A.tolist()), left=True, right=True)
@@ -364,7 +365,7 @@ class TestContourEigenpair:
 class TestTrackEigenvalue:
     def test_free_seed_exact(self, cfg, small_field):
         H = assemble_hamiltonian(cfg.replace(g=0.0), small_field)
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.01)
         assert rec.lam == pytest.approx(cfg.e1, abs=1e-13)
         assert abs(rec.projector.trace_value - 1.0) < 1e-10
@@ -372,7 +373,7 @@ class TestTrackEigenvalue:
 
     def test_small_coupling_shift_bounded(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         rec = track_eigenvalue(H, census, seed=cfg.e1, radius=0.05)
         # first-scale proximity: |lambda - e1| <= |g| C with C order one
         assert abs(rec.lam - cfg.e1) < 10 * abs(cfg.g)
@@ -381,19 +382,21 @@ class TestTrackEigenvalue:
     def test_constructed_instance_recovery(self, rng):
         w = np.array([0.3, 1.7 - 0.2j, -2.0 + 0.1j])
         H = one_sector(orthogonal_similar(rng, w))
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         rec = track_eigenvalue(H, census, seed=1.65 - 0.18j, radius=0.2)
         assert rec.lam == pytest.approx(w[1], abs=1e-10)
 
     def test_no_candidate(self, rng):
         H = one_sector(np.diag([0.0, 5.0]))
+        census = SpectralCensus.of(H, None, jobs=1)
         with pytest.raises(TrackingError):
-            track_eigenvalue(H, SpectralCensus.of(H, jobs=1), seed=2.0, radius=0.5)
+            track_eigenvalue(H, census, seed=2.0, radius=0.5)
 
     def test_ambiguous_candidates(self):
         H = one_sector(np.diag([1.0, 1.1]))
+        census = SpectralCensus.of(H, None, jobs=1)
         with pytest.raises(DegeneracyError):
-            track_eigenvalue(H, SpectralCensus.of(H, jobs=1), seed=1.05, radius=0.2)
+            track_eigenvalue(H, census, seed=1.05, radius=0.2)
 
 
 class TestProductsFromParts:
@@ -421,7 +424,7 @@ class TestProductsFromParts:
     @pytest.mark.parametrize("level", [0, 1])
     def test_tracking_residual_and_rayleigh(self, cfg, small_field, level):
         H = assemble_hamiltonian(cfg, small_field)
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         lam = census.nearest(cfg.e1 if level == 1 else cfg.e0)
         rec = track_eigenvalue(H, census, seed=lam, radius=0.5 * census.gap(lam))
         proj = rec.projector
@@ -510,13 +513,13 @@ class TestAgainstDenseOracle:
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         rec = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap)
         proj = rec.projector
         z = lam + offset * gap * np.exp(0.7j)
         want = max(
             dense_resolvent_norm(
-                sec.dense(), z,
+                dense(sec), z,
                 dense_projector(proj) if projected and key == proj.sector else None,
             )
             for key, sec in H.sectors.items()
@@ -561,14 +564,14 @@ class TestLanczosNorm:
         w = spectrum(H)
         lam = w[np.argmin(np.abs(w - 1.0))]
         gap = np.sort(np.abs(w - lam))[1]
-        census = SpectralCensus.of(H, jobs=1)
+        census = SpectralCensus.of(H, None, jobs=1)
         rec = track_eigenvalue(H, census, seed=lam, radius=0.4 * gap)
         proj = rec.projector if projected else None
         for offset in (1e-4, 0.6):
             z = lam + offset * gap * np.exp(0.7j)
             want = max(
                 svds_resolvent_norm(
-                    sec.dense(), z,
+                    dense(sec), z,
                     dense_projector(proj) if proj is not None and key == proj.sector
                     else None,
                 )
@@ -880,14 +883,14 @@ def sector_blocks(n_max, g=0.05, interaction_scale=None):
     cfg, field = tiny_model(n_max, g)
     H = assemble_hamiltonian(cfg, field)
     if interaction_scale is None:
-        return [(s.dense(), s.top) for s in H.sectors.values()]
+        return [(dense(s), s.top) for s in H.sectors.values()]
     basis = field.basis_for_scale(None)
     deep = basis.states[:, basis.modes.labels > interaction_scale].sum(axis=1)
     blocks = []
     for s in H.sectors.values():
         count = deep[s.indices % basis.dim]
         same_count = count[:, None] == count[None, :]
-        blocks.append((np.where(same_count, s.dense(), 0.0), s.top))
+        blocks.append((np.where(same_count, dense(s), 0.0), s.top))
     return blocks
 
 
@@ -976,9 +979,9 @@ class TestShiftedSolver:
             sec = H.sectors[key]
             assert np.array_equal(sec.indices, indices)
             same_parts(sec, sector(block, top))
-            dense = sec.dense()
-            assert dense.dtype == block.dtype and dense.flags.c_contiguous
-            assert np.array_equal(dense, block)
+            whole = dense(sec)
+            assert whole.dtype == block.dtype and whole.flags.c_contiguous
+            assert np.array_equal(whole, block)
             n = len(indices)
             rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
             shifts = [0.9 - 0.01j, 0.02 + 0.003j, 1.3]
@@ -1123,24 +1126,26 @@ class TestQuadratureCap:
         # 16 nodes on radius 0.48 leave a defect near (0.48 / 1.2)^16 ~ 4e-7
         monkeypatch.setattr(spectral, "MAX_QUAD_POINTS", 16)
         with pytest.raises(TrackingError, match="stopped at 16 nodes"):
-            track_eigenvalue(A, SpectralCensus.of(A, jobs=1), seed=0.1, radius=0.5)
+            track_eigenvalue(A, SpectralCensus.of(A, None, jobs=1), seed=0.1,
+                             radius=0.5)
         monkeypatch.undo()
-        rec = track_eigenvalue(A, SpectralCensus.of(A, jobs=1), seed=0.1, radius=0.5)
+        rec = track_eigenvalue(A, SpectralCensus.of(A, None, jobs=1), seed=0.1,
+                               radius=0.5)
         assert rec.projector.converged and rec.projector.quad_points > 16
 
 
 class TestEliminatedRoute:
     def test_rank_one_on_sector_block(self, cfg, small_field):
         H = assemble_hamiltonian(cfg, small_field)
-        block, top = H.sectors[+1].dense(), H.sectors[+1].top
+        block, top = dense(H.sectors[+1]), H.sectors[+1].top
         w = np.linalg.eigvals(block)
         k = int(np.argmin(np.abs(w - cfg.e1)))
         radius = 0.4 * np.min(np.abs(np.delete(w, k) - w[k]))
         fact = riesz_rank_one(sector(block, top), center=w[k], radius=radius)
         plain = riesz_rank_one(sector(block), center=w[k], radius=radius)
-        dense = contour_projector(block, center=w[k], radius=radius)
+        oracle = contour_projector(block, center=w[k], radius=radius)
         assert fact.converged and abs(fact.trace_value - 1.0) < 1e-10
-        assert np.linalg.norm(dense_projector(fact) - dense, 2) < 1e-8
+        assert np.linalg.norm(dense_projector(fact) - oracle, 2) < 1e-8
         assert rel_err(dense_projector(fact), dense_projector(plain)) < 1e-12
         assert abs(fact.trace_value - plain.trace_value) < 1e-12
 
